@@ -4,10 +4,24 @@ Two ways of splitting the environment are supported: contiguous frequency
 bands (band_correlations) and random fractions of a given size f
 (pi_plot / pe_plot).  Fraction sampling is paired: every random subset
 drawn at f is reused as its complement at 1 - f, which makes the purity
-identity I(f) + I(1-f) = 2 H(S) hold exactly per sample and halves the
-eigensolve cost.  All randomness flows through per-item generator streams
-keyed on (seed, t-index, subset size, sample-index), so serial and
-parallel runs produce identical numbers.
+identity I(f) + I(1-f) = 2 H(S) hold per sample and halves the number of
+draws.
+
+The fraction plots rely on global purity of the closed dynamics, and check
+it once per time point (gaussian.check_purity; an impure state raises
+ImpureState).  Purity lets every draw be evaluated on its smaller side: for
+a split of the N bath modes into k <= N/2 and N - k, no block holds more
+than k + 2 modes.  Mutual information uses H(S u E_f) in place of the
+complement's entropy, and the negativity against the larger side comes
+from a Gaussian purification of S u E_f whenever that block (k + 2 modes)
+is smaller than the direct one (N - k + 1 modes).  The cost of a spectrum
+is cubic in its block size; on a desk time point (N = 150, 20 samples)
+this cuts the summed cost (2 x modes)^3 of the spectra twentyfold, from
+9.2e9 to 4.7e8.  band_correlations makes no purity assumption.
+
+All randomness flows through per-item generator streams keyed on (seed,
+t-index, subset size, sample-index), so serial and parallel runs produce
+identical numbers.
 """
 
 from __future__ import annotations
@@ -20,8 +34,10 @@ from .errors import BadBandCount, DomainError, EmptyFraction
 from .gaussian import (
     CovarianceMatrix,
     ModeSubset,
+    check_purity,
     log_negativity,
     partial_trace,
+    purification,
     von_neumann_entropy,
 )
 
@@ -226,17 +242,66 @@ def _units_to_modes(unit_subset: ModeSubset, sampler: FractionSampler, n_bath: i
     return tuple(sorted(modes))
 
 
-def _bath_entropy(cov: CovarianceMatrix, modes: tuple[int, ...]) -> float:
-    if not modes:
-        return 0.0
-    return von_neumann_entropy(partial_trace(cov, ModeSubset.of(modes, cov.n_modes)))
+def _system_with(cov: CovarianceMatrix, modes: tuple[int, ...]) -> CovarianceMatrix:
+    """Reduced state of the system and the given bath modes, system first."""
+    return partial_trace(cov, ModeSubset.of((0,) + modes, cov.n_modes))
 
 
-def _negativity_with(cov: CovarianceMatrix, modes: tuple[int, ...]) -> float:
-    if not modes:
-        return 0.0
-    reduced = partial_trace(cov, ModeSubset.of((0,) + modes, cov.n_modes))
-    return log_negativity(reduced, ModeSubset.of([0], reduced.n_modes))
+def _system_negativity(joint: CovarianceMatrix) -> float:
+    """Negativity of the system (position 0) against the other modes of joint."""
+    return log_negativity(joint, ModeSubset.of([0], joint.n_modes))
+
+
+def _far_negativity(cov: CovarianceMatrix, joint: CovarianceMatrix, far: tuple[int, ...]) -> float:
+    """Negativity of S against the bath modes ``far``, which ``joint`` = S u near leaves out.
+
+    The state is globally pure, so the partners of a purification of joint
+    stand in for far.  That block holds at most joint.n_modes + 1 modes, the
+    direct block S u far holds len(far) + 1; the smaller one is used.
+    """
+    if joint.n_modes < len(far):
+        partner = purification(joint, ModeSubset.of([0], joint.n_modes))
+        return _system_negativity(partner) if partner.n_modes > 1 else 0.0
+    return _system_negativity(_system_with(cov, far))
+
+
+def _split_correlations(
+    cov: CovarianceMatrix,
+    h_s: float,
+    drawn: tuple[int, ...],
+    rest: tuple[int, ...],
+    want_mi: bool,
+    want_neg: bool,
+    rest_neg: bool,
+) -> tuple[float | None, float | None, float | None, float | None]:
+    """(MI, MI, negativity, negativity) of S with the drawn bath modes and with the rest.
+
+    Only the smaller side ("near") and S u near are ever extracted.  With
+    global purity H(S u far) = H(near) and H(far) = H(S u near), so
+        I(S : near) = H(S) + H(near) - H(S u near),
+        I(S : far)  = H(S) + H(S u near) - H(near),
+    and the negativity against far comes from _far_negativity.  The rest's
+    negativity is computed only when rest_neg is set; unwanted entries are
+    None.
+    """
+    drawn_near = len(drawn) <= len(rest)
+    near, far = (drawn, rest) if drawn_near else (rest, drawn)
+    joint = _system_with(cov, near)
+    mi_near = mi_far = neg_near = neg_far = None
+    if want_mi:
+        bath_part = ModeSubset.of(range(1, joint.n_modes), joint.n_modes)
+        h_near = von_neumann_entropy(partial_trace(joint, bath_part))
+        h_joint = von_neumann_entropy(joint)
+        mi_near = h_s + h_near - h_joint
+        mi_far = h_s + h_joint - h_near
+    if want_neg:
+        if drawn_near or rest_neg:
+            neg_near = _system_negativity(joint)
+        if not drawn_near or rest_neg:
+            neg_far = _far_negativity(cov, joint, far)
+    if drawn_near:
+        return mi_near, mi_far, neg_near, neg_far
+    return mi_far, mi_near, neg_far, neg_near
 
 
 def _fraction_curves(
@@ -249,14 +314,25 @@ def _fraction_curves(
 ) -> dict[str, CorrelationCurve]:
     """Shared sampling engine for pi_plot / pe_plot.
 
-    The state produced by the closed dynamics is globally pure, so the
-    joint entropy H(S, E_f) equals the entropy of the complementary bath
-    block; mutual information is assembled from bath-block entropies only,
-    which makes the paired-complement identity exact per sample.
+    The state must be globally pure, as the closed dynamics keeps it; this
+    is checked once per call (check_purity, ImpureState past PURITY_TOL).
+    Each draw E_f of k bath modes splits the bath into a smaller side of
+    at most N/2 modes and a larger one, and every correlation of the pair
+    (E_f, E_c) is read off blocks of the smaller side:
+        MI           H(near) on k modes and H(S u near) on k + 1;
+        negativity   S u near directly (k + 1 modes); against the far side
+                     through a purification of S u near (at most k + 2
+                     modes) when that block is smaller than S u far
+                     (N - k + 1 modes), else directly.
+    On the default grid of N = 150 modes no sampled block exceeds 76 modes.
+    The point f = 1 is evaluated once, directly, on the whole state.  The
+    paired-complement identity I(f) + I(1 - f) = 2 H(S) holds per sample
+    to rounding.
     """
     n_bath = cov.n_modes - 1
     units = sampler.n_units(n_bath)
     grid = sampler.grid_for(n_bath)
+    check_purity(cov)
     h_s = von_neumann_entropy(partial_trace(cov, ModeSubset.of([0], cov.n_modes)))
     all_modes = tuple(range(1, n_bath + 1))
 
@@ -265,9 +341,9 @@ def _fraction_curves(
     want_neg = "neg" in measures
 
     def record(f: float, mi: float | None, neg: float | None):
-        if want_mi and mi is not None:
+        if want_mi:
             values["mi"][f].append(mi)
-        if want_neg and neg is not None:
+        if want_neg:
             values["neg"][f].append(neg)
 
     grid_set = [float(f) for f in grid]
@@ -278,39 +354,25 @@ def _fraction_curves(
                 return g
         return None
 
-    def in_grid(f: float) -> bool:
-        return grid_key(f) is not None
-
     # sample every lower-half point plus any upper point whose mirror is
     # absent from the grid; mirrored points are filled by complements
     sources = [f for f in grid_set if f <= 0.5 and f < 1.0]
-    sources += [f for f in grid_set if 0.5 < f < 1.0 and not in_grid(1.0 - f)]
+    sources += [f for f in grid_set if 0.5 < f < 1.0 and grid_key(1.0 - f) is None]
     for f in sources:
         comp_f = grid_key(1.0 - f)
-        has_mirror = comp_f is not None and comp_f != f
-        complement_recorded = has_mirror or comp_f == f
         for s_idx in range(sampler.samples_per_point):
             subset = sample_fraction(sampler, f, units, sample_index=s_idx, t_index=t_index)
             modes = _units_to_modes(subset, sampler, n_bath)
             comp_modes = tuple(sorted(set(all_modes) - set(modes)))
-            mi_f = mi_c = neg_f = neg_c = None
-            if want_mi:
-                # global purity: H(S, E_f) equals the complement-block entropy
-                h_f = _bath_entropy(cov, modes)
-                h_c = _bath_entropy(cov, comp_modes)
-                mi_f = h_s + h_f - h_c
-                mi_c = h_s + h_c - h_f
-            if want_neg:
-                neg_f = _negativity_with(cov, modes)
-                neg_c = _negativity_with(cov, comp_modes) if complement_recorded else None
+            mi_f, mi_c, neg_f, neg_c = _split_correlations(
+                cov, h_s, modes, comp_modes, want_mi, want_neg, comp_f is not None
+            )
             record(f, mi_f, neg_f)
-            if has_mirror:
+            if comp_f is not None:
                 record(comp_f, mi_c, neg_c)
-            elif comp_f is not None and comp_f == f:
-                record(f, mi_c, neg_c)
-    if in_grid(1.0):
+    if grid_key(1.0) is not None:
         # no sampling at f = 1: the subset is the whole environment
-        record(1.0, 2.0 * h_s if want_mi else None, _negativity_with(cov, all_modes) if want_neg else None)
+        record(1.0, 2.0 * h_s, _system_negativity(_system_with(cov, all_modes)) if want_neg else None)
 
     out: dict[str, CorrelationCurve] = {}
     meta = {
@@ -353,8 +415,9 @@ def pi_plot(
 ) -> CorrelationCurve:
     """Partial information plot: averaged I(S, E_f) over random fractions.
 
-    Assumes a globally pure state (closed dynamics).  The returned curve
-    carries H(S) so consumers can subtract it.
+    Requires a globally pure state, as the closed dynamics gives; raises
+    ImpureState otherwise.  The returned curve carries H(S) so consumers
+    can subtract it.
     """
     return _fraction_curves(cov, sampler, ("mi",), t, t_index, keep_samples)["mi"]
 
@@ -366,7 +429,10 @@ def pe_plot(
     t_index: int = 0,
     keep_samples: bool = False,
 ) -> CorrelationCurve:
-    """Partial entanglement plot: averaged negativity of {S} vs E_f."""
+    """Partial entanglement plot: averaged negativity of {S} vs E_f.
+
+    Requires a globally pure state; raises ImpureState otherwise.
+    """
     return _fraction_curves(cov, sampler, ("neg",), t, t_index, keep_samples)["neg"]
 
 

@@ -16,6 +16,14 @@ class PairingFailure(QbmError):
     """
 
 
+class ImpureState(QbmError):
+    """A state that must be globally pure is not.
+
+    Raised before any correlation is read off through global purity, which
+    would otherwise be silently wrong.
+    """
+
+
 class DomainError(QbmError):
     """Argument outside the mathematical domain of a closed-form function."""
 

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, OverlapError, PairingFailure, SubsetError
+from .errors import DomainError, ImpureState, OverlapError, PairingFailure, SubsetError
 
 #: Heisenberg tolerance: eigenvalues in [1/2 - NU_TOL, 1/2] are treated as 1/2.
 NU_TOL = 1e-9
@@ -27,6 +27,18 @@ PAIRING_RTOL = 1e-8
 #: Corruption guard: raw inputs with relative asymmetry beyond this are
 #: rejected; anything smaller is float noise and is symmetrized away.
 SYMMETRY_TOL = 1e-8
+
+#: Global-purity guard: max|(Omega.sigma)^2 + I/4| beyond this, relative to
+#: the matrix scale (as SYMMETRY_TOL), rejects a state as impure.  The defect
+#: grows like (nu^2 - 1/4) times the scale, so a mode about 1e-8 above 1/2 is
+#: caught; closed-dynamics states read below 1e-13.
+PURITY_TOL = 1e-8
+
+#: Williamson eigenvalues within this of 1/2, relative to the matrix scale,
+#: are pure modes and get no purifying ancilla.  Eigensolver noise (about
+#: 1e-16 of the scale) on a pure mode would otherwise turn into a spurious
+#: two-mode squeezing sqrt(nu^2 - 1/4) of order 1e-8.
+PURE_MODE_RTOL = 1e-13
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -62,11 +74,6 @@ class ModeSubset:
 
     def __len__(self) -> int:
         return len(self.indices)
-
-    def complement(self) -> "ModeSubset":
-        n = len(self.indices) + self.complement_size
-        rest = tuple(i for i in range(n) if i not in set(self.indices))
-        return ModeSubset(indices=rest, complement_size=len(self.indices))
 
 
 class CovarianceMatrix:
@@ -202,7 +209,7 @@ def entropy_function(nu: float) -> float:
         return 0.0
     a = nu + 0.5
     b = nu - 0.5
-    return a * np.log(a) - b * np.log(b)
+    return float(a * np.log(a) - b * np.log(b))
 
 
 def _entropy_of_values(values: np.ndarray) -> float:
@@ -258,6 +265,79 @@ def log_negativity(cov: CovarianceMatrix, party_a: ModeSubset) -> float:
     if negative.size == 0:
         return 0.0
     return max(0.0, -float(np.sum(np.log(2.0 * negative))))
+
+
+def _omega_times(matrix: np.ndarray) -> np.ndarray:
+    """Omega @ matrix, by swapping each (x, p) row pair and negating the new p row."""
+    out = np.empty_like(matrix)
+    out[0::2] = matrix[1::2]
+    out[1::2] = -matrix[0::2]
+    return out
+
+
+def williamson(cov: CovarianceMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Williamson normal form sigma = S D S^T of a positive-definite state.
+
+    Returns (nu, S): the symplectic eigenvalues nu ascending, and S with
+    S Omega S^T = Omega, where D = diag(nu_1, nu_1, ..., nu_M, nu_M).
+    Cholesky sigma = L L^T; the Hermitian matrix i L^T Omega L has
+    eigenvalues +-nu_j.  An eigenvector u_j of +nu_j gives the columns
+    sqrt(2) (Im u_j, Re u_j) of an orthogonal O that brings L^T Omega L to
+    the blocks nu_j [[0, 1], [-1, 0]], and S = L O D^(-1/2).
+    """
+    n = cov.n_modes
+    chol = np.linalg.cholesky(cov.data)
+    values, vectors = np.linalg.eigh(1j * (chol.T @ _omega_times(chol)))
+    nu = values[n:]
+    ortho = np.empty((2 * n, 2 * n))
+    ortho[:, 0::2] = np.sqrt(2.0) * vectors[:, n:].imag
+    ortho[:, 1::2] = np.sqrt(2.0) * vectors[:, n:].real
+    return nu, (chol @ ortho) / np.sqrt(np.repeat(nu, 2))
+
+
+def purification(cov: CovarianceMatrix, keep: ModeSubset) -> CovarianceMatrix:
+    """The kept modes together with the partners of a Gaussian purification.
+
+    Each mixed Williamson mode of cov (nu_j above 1/2 by more than
+    PURE_MODE_RTOL of the scale) gets one ancilla, two-mode squeezed with it
+    so that the pair is pure; the other modes of cov are traced out.  The
+    result holds the kept modes first, then the ancillas (label -1).  If
+    cov is the reduced state of a pure state on cov u R, every purification
+    differs from R only by a local symplectic on the partner side, so
+    (keep, ancillas) and (keep, R) share entropies and logarithmic
+    negativity (Holevo & Werner, PRA 63, 032312 (2001); Botero & Reznik,
+    PRA 67, 052311 (2003)).  With no mixed mode the kept modes come back
+    alone.
+    """
+    nu, sym = williamson(cov)
+    scale = max(float(np.max(np.abs(cov.data))), 1.0)
+    mixed = np.flatnonzero(nu - 0.5 > PURE_MODE_RTOL * scale)
+    rows = cov.rows_for(keep.indices)
+    nu_mixed = np.repeat(nu[mixed], 2)
+    squeeze = np.sqrt(nu_mixed**2 - 0.25)
+    squeeze[1::2] *= -1.0  # the pair's momenta anti-correlate
+    cross = sym[np.ix_(rows, cov.rows_for(mixed))] * squeeze
+    out = np.block([[cov.data[np.ix_(rows, rows)], cross], [cross.T, np.diag(nu_mixed)]])
+    return CovarianceMatrix(out, tuple(cov.labels[i] for i in keep.indices) + (-1,) * len(mixed))
+
+
+def check_purity(cov: CovarianceMatrix) -> float:
+    """Global-purity defect max|(Omega.sigma)^2 + I/4|; raises ImpureState past PURITY_TOL.
+
+    A state is pure exactly when every symplectic eigenvalue is 1/2, that is
+    when (Omega.sigma)^2 = -I/4.  The tolerance is relative to the matrix
+    scale, as for SYMMETRY_TOL.
+    """
+    omega_sigma = _omega_times(cov.data)
+    square = omega_sigma @ omega_sigma
+    square[np.diag_indices_from(square)] += 0.25
+    defect = float(np.max(np.abs(square)))
+    scale = max(float(np.max(np.abs(cov.data))), 1.0)
+    if defect > PURITY_TOL * scale:
+        raise ImpureState(
+            f"global purity defect {defect:.3e} exceeds {PURITY_TOL:.0e} x scale {scale:.3e}"
+        )
+    return defect
 
 
 def mutual_information(cov: CovarianceMatrix, part_a: ModeSubset, part_b: ModeSubset) -> float:

@@ -235,7 +235,8 @@ def _run_time_points(config: RunConfig, wants: tuple[str, ...]) -> list[dict]:
 
 
 def branch_params(config: RunConfig):
-    _, bath, _, _ = simulation_pieces(config)
+    """Closed-form model parameters; they need the discretized bath only."""
+    bath = discretize_bath(config.bath_spec())
     return BranchModelParams(
         r=config.squeezing, omega_s=config.omega_s, bath=bath, mass=config.system_mass
     )
@@ -414,10 +415,11 @@ def compare_numeric_analytic(
         mi_curve, pe_curve = curves[t]
         k = d_total(t, params) * params.delta_x**2
         for curve, tag, fn in ((mi_curve, "mi", mi_value), (pe_curve, "neg", entanglement_value)):
-            for f, m in zip(curve.f_values, curve.mean):
-                ana = fn(float(f), k)
+            # tolist() gives Python floats, which the CSV writer prints as plain numbers
+            for f, m in zip(curve.f_values.tolist(), curve.mean.tolist()):
+                ana = fn(f, k)
                 rel = abs(m - ana) / abs(ana) if ana > 1e-12 else 0.0
-                rows.append([t, float(f), tag, float(m), ana, rel, bool(m < ana)])
+                rows.append([t, f, tag, m, ana, rel, m < ana])
                 if ana > 1e-12:
                     max_all[tag] = max(max_all[tag], rel)
                     if 0.1 - 1e-9 <= f <= 0.9 + 1e-9:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbmlab.correlations import (
     FractionSampler,
@@ -11,7 +13,7 @@ from qbmlab.correlations import (
     pi_plot,
     sample_fraction,
 )
-from qbmlab.errors import BadBandCount, DomainError, EmptyFraction
+from qbmlab.errors import BadBandCount, DomainError, EmptyFraction, ImpureState
 from qbmlab.gaussian import (
     ModeSubset,
     log_negativity,
@@ -26,6 +28,8 @@ from qbmlab.model import (
     initial_covariance,
     make_propagator,
 )
+
+from conftest import random_state
 
 
 def evolved_state(n_osc=24, t=2.0, r=-5.0, exponent=0.5, cutoff=20.0):
@@ -258,3 +262,90 @@ class TestSharedDraws:
         neg_alone = pe_plot(cov, sampler, t=2.0)
         assert np.array_equal(mi_curve.mean, mi_alone.mean)
         assert np.array_equal(neg_curve.mean, neg_alone.mean)
+
+
+def direct_samples(cov, sampler, t_index=0):
+    """Per-sample MI and negativity with every block extracted as drawn (the slow path).
+
+    Follows the engine's pairing: draws at f <= 1/2, and at upper points
+    without a mirror; the complement of each draw fills the mirror point.
+    Nothing here relies on global purity: I(S : E) = H(S) + H(E) - H(S u E)
+    and the negativity is read off S u E for E_f and E_c alike.
+    """
+    n = cov.n_modes
+    n_bath = n - 1
+    grid = [float(f) for f in sampler.grid_for(n_bath)]
+    h_s = von_neumann_entropy(partial_trace(cov, ModeSubset.of([0], n)))
+    out = {m: {f: [] for f in grid} for m in ("mi", "neg")}
+
+    def direct(modes):
+        joint = partial_trace(cov, ModeSubset.of((0,) + modes, n))
+        h_bath = von_neumann_entropy(partial_trace(cov, ModeSubset.of(modes, n)))
+        mi = h_s + h_bath - von_neumann_entropy(joint)
+        return mi, log_negativity(joint, ModeSubset.of([0], joint.n_modes))
+
+    for f in grid[:-1]:
+        mirror = next((g for g in grid if abs(g - (1.0 - f)) < 1e-9), None)
+        if f > 0.5 and mirror is not None:
+            continue
+        for s_idx in range(sampler.samples_per_point):
+            drawn = tuple(i + 1 for i in sample_fraction(sampler, f, n_bath, s_idx, t_index).indices)
+            pairs = [(f, drawn)]
+            if mirror is not None:
+                pairs.append((mirror, tuple(m for m in range(1, n) if m not in drawn)))
+            for g, modes in pairs:
+                mi, neg = direct(modes)
+                out["mi"][g].append(mi)
+                out["neg"][g].append(neg)
+    return out
+
+
+def assert_matches_direct(cov, sampler, t=0.0, t_index=0):
+    mi_curve, neg_curve = pi_pe_plots(cov, sampler, t=t, t_index=t_index, keep_samples=True)
+    expected = direct_samples(cov, sampler, t_index)
+    for curve in (mi_curve, neg_curve):
+        for f in curve.f_values[:-1]:
+            got = curve.samples[float(f)]
+            want = np.array(expected[curve.measure][float(f)])
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-10, (curve.measure, f)
+    return mi_curve, neg_curve
+
+
+class TestSmallerSideAgainstDirectPath:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n_bath=st.integers(min_value=2, max_value=9),
+        ks=st.sets(st.integers(min_value=1, max_value=8), min_size=1),
+    )
+    def test_random_pure_states(self, seed, n_bath, ks):
+        # any sub-grid, so unmirrored upper points (drawn on the larger side) occur too
+        cov = random_state(np.random.default_rng(seed), n_bath + 1, pure=True)
+        grid = sorted({k for k in ks if k < n_bath} | {n_bath})
+        sampler = FractionSampler(seed=seed, samples_per_point=2, f_grid=np.array(grid) / n_bath)
+        assert_matches_direct(cov, sampler)
+
+    @pytest.mark.parametrize("t_index, t", [(1, 10.0 / 39.0), (20, 5.128), (39, 10.0)])
+    def test_desk_state(self, t_index, t):
+        _, cov = evolved_state(n_osc=150, t=t, r=-5.0)
+        sampler = FractionSampler(seed=12345, samples_per_point=2)
+        mi_curve, neg_curve = assert_matches_direct(cov, sampler, t=t, t_index=t_index)
+        assert neg_curve.mean[-1] == log_negativity(cov, ModeSubset.of([0], cov.n_modes))
+        assert mi_curve.mean[-1] == 2.0 * mi_curve.h_system
+
+
+class TestImpureState:
+    def test_fraction_plots_reject_it(self, rng):
+        cov = random_state(rng, 7, pure=False)
+        sampler = FractionSampler(seed=1, samples_per_point=2)
+        with pytest.raises(ImpureState):
+            pi_plot(cov, sampler)
+        with pytest.raises(ImpureState):
+            pe_plot(cov, sampler)
+
+    def test_band_correlations_accept_it(self, rng):
+        cov = random_state(rng, 7, pure=False)
+        result = band_correlations(cov, band_partition(6, 3))
+        assert np.all(np.isfinite(result.mi))
+        assert np.all(result.neg >= 0.0)

@@ -1,20 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qbmlab.errors import DomainError, OverlapError, PairingFailure, SubsetError
+from qbmlab.errors import DomainError, ImpureState, OverlapError, PairingFailure, SubsetError
 from qbmlab.gaussian import (
     CovarianceMatrix,
     ModeSubset,
     _spectrum_of,
+    check_purity,
     entropy_function,
     log_negativity,
     mutual_information,
     partial_trace,
     partial_transpose,
+    purification,
     symplectic_eigenvalues,
     symplectic_form,
     validate_state,
     von_neumann_entropy,
+    williamson,
 )
 
 from conftest import random_state, random_symplectic, two_mode_squeezed
@@ -101,6 +106,10 @@ class TestEntropyFunction:
 
     def test_value_at_one(self):
         assert entropy_function(1.0) == pytest.approx(H_AT_1, rel=1e-14)
+
+    def test_returns_python_float(self):
+        assert type(entropy_function(1.0)) is float
+        assert type(entropy_function(0.5)) is float
 
     def test_value_at_plateau_eigenvalue(self):
         assert entropy_function(np.sqrt(5.0) / 2.0) == pytest.approx(H_AT_SQRT5_HALF, rel=1e-14)
@@ -299,3 +308,87 @@ class TestValidateState:
         report = validate_state(CovarianceMatrix(np.diag([0.1, 0.1])))
         assert not report.passed
         assert report.min_symplectic == pytest.approx(0.1, abs=1e-12)
+
+
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def split_pure_state(seed: int, n_modes: int, near_mask: int):
+    """Random pure state with the system at 0 and bath 1..n-1 split into two non-empty sides."""
+    cov = random_state(np.random.default_rng(seed), n_modes, pure=True)
+    bath = range(1, n_modes)
+    near = tuple(m for m in bath if near_mask >> (m - 1) & 1)
+    far = tuple(m for m in bath if not near_mask >> (m - 1) & 1)
+    return cov, near, far
+
+
+class TestWilliamson:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=SEEDS, n_modes=st.integers(min_value=1, max_value=8), pure=st.booleans())
+    def test_round_trip(self, seed, n_modes, pure):
+        cov = random_state(np.random.default_rng(seed), n_modes, pure=pure)
+        nu, sym = williamson(cov)
+        scale = float(np.max(np.abs(cov.data)))
+        omega = symplectic_form(n_modes)
+        rebuilt = sym @ np.diag(np.repeat(nu, 2)) @ sym.T
+        assert np.max(np.abs(rebuilt - cov.data)) <= 1e-10 * scale
+        assert np.max(np.abs(sym @ omega @ sym.T - omega)) <= 1e-10 * scale
+        assert np.max(np.abs(nu - _spectrum_of(cov.data))) <= 1e-10 * scale
+        assert np.all(np.diff(nu) >= 0.0)
+
+    def test_thermal_product_is_its_own_normal_form(self):
+        nus = np.array([0.5, 1.25, 3.0])
+        nu, sym = williamson(CovarianceMatrix(np.diag(np.repeat(nus, 2))))
+        assert np.allclose(nu, nus, rtol=0, atol=1e-14)
+        # distinct eigenvalues: S can only rotate each mode in its own phase space
+        for j in range(3):
+            block = sym[2 * j : 2 * j + 2, 2 * j : 2 * j + 2]
+            assert np.allclose(block @ block.T, np.eye(2), rtol=0, atol=1e-14)
+        assert np.allclose(sym @ sym.T, np.eye(6), rtol=0, atol=1e-14)
+
+
+class TestPurification:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=SEEDS, n_modes=st.integers(min_value=3, max_value=9), near_mask=st.integers(min_value=0))
+    def test_partners_stand_in_for_the_far_side(self, seed, n_modes, near_mask):
+        # masks 1 .. 2^(n-1) - 2 leave neither side empty
+        cov, near, far = split_pure_state(seed, n_modes, 1 + near_mask % (2 ** (n_modes - 1) - 2))
+        joint = partial_trace(cov, ModeSubset.of((0,) + near, n_modes))
+        partner = purification(joint, ModeSubset.of([0], joint.n_modes))
+        direct = partial_trace(cov, ModeSubset.of((0,) + far, n_modes))
+        assert partner.n_modes <= joint.n_modes + 1
+        assert partner.labels[0] == 0
+        assert np.array_equal(partner.data[:2, :2], joint.data[:2, :2])
+        got = log_negativity(partner, ModeSubset.of([0], partner.n_modes)) if partner.n_modes > 1 else 0.0
+        assert got == pytest.approx(log_negativity(direct, ModeSubset.of([0], direct.n_modes)), abs=1e-10)
+        assert von_neumann_entropy(partner) == pytest.approx(von_neumann_entropy(direct), abs=1e-10)
+
+    def test_pure_state_has_no_partners(self, rng):
+        cov = random_state(rng, 4, pure=True)
+        partner = purification(cov, ModeSubset.of([0], 4))
+        assert partner.n_modes == 1
+        assert np.array_equal(partner.data, cov.data[:2, :2])
+
+    def test_two_mode_squeezed_marginal(self):
+        # one half of a two-mode squeezed vacuum is purified by a copy of the other
+        tms = two_mode_squeezed(0.8)
+        partner = purification(partial_trace(tms, ModeSubset.of([0], 2)), ModeSubset.of([0], 1))
+        assert partner.n_modes == 2
+        assert log_negativity(partner, ModeSubset.of([0], 2)) == pytest.approx(1.6, rel=1e-12)
+
+
+class TestCheckPurity:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=SEEDS, n_modes=st.integers(min_value=1, max_value=10))
+    def test_pure_states_pass(self, seed, n_modes):
+        cov = random_state(np.random.default_rng(seed), n_modes, pure=True)
+        assert check_purity(cov) <= 1e-12 * max(float(np.max(np.abs(cov.data))), 1.0)
+
+    def test_mixed_state_raises(self, rng):
+        with pytest.raises(ImpureState):
+            check_purity(random_state(rng, 3, pure=False))
+
+    def test_slightly_mixed_mode_raises(self):
+        nus = np.array([0.5, 0.5 + 1e-6])
+        with pytest.raises(ImpureState):
+            check_purity(CovarianceMatrix(np.diag(np.repeat(nus, 2))))

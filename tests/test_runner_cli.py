@@ -7,9 +7,12 @@ import sys
 import numpy as np
 import pytest
 
+import qbmlab.cli as cli_mod
+import qbmlab.runner as runner_mod
 from qbmlab.cli import main
 from qbmlab.config import parse_config
-from qbmlab.runner import load_curves, redundancy_from_files, run_experiment
+from qbmlab.errors import ImpureState
+from qbmlab.runner import branch_params, load_curves, redundancy_from_files, run_experiment
 
 
 def tiny_config(outdir, run_id="t", **kw):
@@ -108,11 +111,32 @@ class TestRunExperiment:
         import csv as csv_mod
 
         with open(tmp_path / f"{cfg.run_id}_compare.csv") as fh:
-            t0_rows = [r for r in csv_mod.DictReader(fh) if float(r["t"]) == 0.0]
+            rows = list(csv_mod.DictReader(fh))
+        for row in rows:
+            for col in ("t", "f", "numeric", "analytic", "rel_dev"):
+                float(row[col])  # raises on a cell such as np.float64(0.35)
+        t0_rows = [r for r in rows if float(r["t"]) == 0.0]
         assert t0_rows
         for row in t0_rows:
             assert float(row["analytic"]) == 0.0
             assert abs(float(row["numeric"])) < 1e-8
+
+
+class TestBranchParams:
+    def test_needs_no_propagator(self, monkeypatch):
+        cfg = parse_config(overrides=dict(profile="desk"), env={})
+        expected = branch_params(cfg)
+
+        def no_propagator(*a, **k):
+            raise AssertionError("branch_params built a propagator")
+
+        monkeypatch.setattr(runner_mod, "make_propagator", no_propagator)
+        monkeypatch.setattr(runner_mod, "_PIECES", {})
+        got = branch_params(cfg)
+        assert (got.r, got.omega_s, got.mass) == (expected.r, expected.omega_s, expected.mass)
+        for field in ("frequencies", "couplings", "masses"):
+            assert np.array_equal(getattr(got.bath, field), getattr(expected.bath, field))
+        assert got.delta_x == expected.delta_x
 
 
 class TestCli:
@@ -169,6 +193,36 @@ class TestCli:
         )
         assert rc == 0
         assert (tmp_path / "ana_analytic.csv").exists()
+
+    def test_analytic_cells_parse_as_floats(self, tmp_path):
+        rc = main(
+            [
+                "analytic",
+                "--profile", "desk",
+                "--n-times", "3",
+                "--f-grid", "0.25,0.5,1.0",
+                "--outdir", str(tmp_path),
+                "--run-id", "cells",
+            ]
+        )
+        assert rc == 0
+        import csv as csv_mod
+
+        with open(tmp_path / "cells_analytic.csv") as fh:
+            rows = list(csv_mod.reader(fh))[1:]
+        assert len(rows) == 9
+        for row in rows:
+            for cell in row:
+                float(cell)  # raises on a cell such as np.float64(0.18)
+
+    def test_impure_state_exit_code(self, tmp_path, monkeypatch, capsys):
+        def impure(*a, **k):
+            raise ImpureState("global purity defect 1.0e-02 exceeds 1e-08 x scale 1.0e+00")
+
+        monkeypatch.setattr(cli_mod, "run_experiment", impure)
+        rc = main(["piplot", "--n-oscillators", "12", "--n-bands", "3", "--outdir", str(tmp_path)])
+        assert rc == 3
+        assert "global purity" in capsys.readouterr().err
 
     def test_redundancy_from_curves_dir(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path, run_id="reuse")
