@@ -16,7 +16,7 @@ are validated.
 
 The dimensionless combination k = d(t) * dx^2 (dx the spread of the
 delocalized quadrature) controls everything; the *_value functions below
-take k directly, the wrappers evaluate d(t) for a concrete bath.
+take k directly; redundancy_estimate evaluates d(t) for a concrete bath.
 """
 
 from __future__ import annotations
@@ -217,36 +217,6 @@ def i_nr_value(k: float, step: float = 1e-4) -> float:
 
 def _k_of(t: float, params: BranchModelParams) -> float:
     return d_total(t, params) * params.delta_x**2
-
-
-def entanglement_analytic(f: float, t: float, params: BranchModelParams) -> float:
-    """E(f) at time t for a concrete bath."""
-    return entanglement_value(f, _k_of(t, params))
-
-
-def chi(f: float, t: float, params: BranchModelParams) -> float:
-    """chi(f) at time t for a concrete bath."""
-    return chi_value(f, _k_of(t, params))
-
-
-def mi_analytic(f: float, t: float, params: BranchModelParams) -> float:
-    """I(S, E_f) at time t for a concrete bath."""
-    return mi_value(f, _k_of(t, params))
-
-
-def mi_analytic_slope(f: float, t: float, params: BranchModelParams) -> float:
-    """Exact dI/df at time t for a concrete bath."""
-    return mi_slope_value(f, _k_of(t, params))
-
-
-def e_asymptotic(f: float, t: float, params: BranchModelParams) -> float:
-    """Large-squeezing estimate of E(f) at time t."""
-    return e_asymptotic_value(f, _k_of(t, params))
-
-
-def i_nr_analytic(t: float, params: BranchModelParams) -> float:
-    """Non-redundant information at time t; tends to 2 for large k."""
-    return i_nr_value(_k_of(t, params))
 
 
 def redundancy_estimate_value(deficit: float, k: float) -> float:

@@ -10,24 +10,14 @@ failure, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
-from dataclasses import asdict
 
-import numpy as np
-
-from .analytic import d_total, entanglement_value, mi_value
 from .config import parse_config
 from .errors import QbmError, ValidationError
 from .model import recurrence_time
-from .runner import (
-    branch_params,
-    compare_numeric_analytic,
-    redundancy_from_files,
-    run_experiment,
-    _write_csv,
-    _write_json,
-)
+from .runner import run_experiment
 
 STAGE_COMMANDS = {
     "evolve": ("evolve",),
@@ -36,6 +26,7 @@ STAGE_COMMANDS = {
     "peplot": ("peplot",),
     "redundancy": ("piplot", "peplot", "redundancy"),
     "compare": ("compare",),
+    "analytic": ("analytic",),
     "all": ("evolve", "bands", "piplot", "peplot", "redundancy", "compare"),
 }
 
@@ -86,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
         "peplot": "averaged entanglement curves over random fractions",
         "redundancy": "R_E / R_I / I_NR reports (runs the curve stages first)",
         "analytic": "closed-form branch-model curves on the same grids",
-        "compare": "numeric curves against the closed-form model",
+        "compare": "numeric curves, simulated afresh, against the closed-form model",
         "all": "every stage in one run",
     }
     for name, desc in descriptions.items():
@@ -112,40 +103,6 @@ def _warn_recurrence(config) -> None:
         )
 
 
-def _cmd_analytic(config) -> None:
-    params = branch_params(config)
-    fs = np.array(config.f_grid) if config.f_grid else np.linspace(0.02, 1.0, 50)
-    rows = []
-    for t in config.times():
-        d = d_total(t, params)
-        k = d * params.delta_x**2
-        for f in fs:
-            rows.append([float(t), float(f), d, k, entanglement_value(float(f), k), mi_value(float(f), k)])
-    os.makedirs(config.outdir, exist_ok=True)
-    path = os.path.join(config.outdir, f"{config.run_id}_analytic.csv")
-    _write_csv(path, ["t", "f", "d_total", "d_dx2", "e_analytic", "mi_analytic"], rows)
-    print(path)
-
-
-def _cmd_redundancy_from_files(config, curves_dir: str) -> None:
-    cfg = config
-    if curves_dir != config.outdir:
-        from dataclasses import replace
-
-        cfg = replace(config, outdir=curves_dir)
-    reports = redundancy_from_files(cfg)
-    os.makedirs(config.outdir, exist_ok=True)
-    path = os.path.join(config.outdir, f"{config.run_id}_redundancy.csv")
-    _write_csv(
-        path,
-        ["t", "r_e", "r_i", "i_nr", "analytic_r_e", "flags"],
-        [[r.t, r.r_e, r.r_i, r.i_nr, r.analytic_r_e, "|".join(r.flags)] for r in reports],
-    )
-    for i, rep in enumerate(reports):
-        _write_json(os.path.join(config.outdir, f"{config.run_id}_redundancy_{i:03d}.json"), asdict(rep))
-    print(path)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     flag_keys = (
@@ -165,30 +122,16 @@ def main(argv: list[str] | None = None) -> int:
         return 4
 
     _warn_recurrence(config)
+    curves_dir = getattr(args, "curves_dir", None) or None
+    stages = ("redundancy",) if curves_dir else STAGE_COMMANDS[args.command]
     try:
-        if args.command == "analytic":
-            _cmd_analytic(config)
-        elif args.command == "redundancy" and getattr(args, "curves_dir", None):
-            _cmd_redundancy_from_files(config, args.curves_dir)
-        elif args.command == "compare":
-            rows, summary = compare_numeric_analytic(config)
-            os.makedirs(config.outdir, exist_ok=True)
-            path = os.path.join(config.outdir, f"{config.run_id}_compare.csv")
-            _write_csv(
-                path,
-                ["t", "f", "measure_tag", "numeric", "analytic", "rel_dev", "below_analytic"],
-                rows,
-            )
-            _write_json(os.path.join(config.outdir, f"{config.run_id}_compare_summary.json"), summary)
-            print(path)
-            print(
-                "max relative deviation on f in [0.1, 0.9]: "
-                f"mi {summary['max_rel_dev_core']['mi']:.4f}, neg {summary['max_rel_dev_core']['neg']:.4f}"
-            )
-        else:
-            manifest = run_experiment(config, STAGE_COMMANDS[args.command])
-            for entry in manifest.files:
-                print(os.path.join(config.outdir, entry["name"]))
+        manifest = run_experiment(config, stages, curves_dir=curves_dir)
+        for entry in manifest.files:
+            print(os.path.join(config.outdir, entry["name"]))
+        if args.command == "compare":
+            with open(os.path.join(config.outdir, f"{config.run_id}_compare_summary.json"), encoding="utf-8") as fh:
+                core = json.load(fh)["max_rel_dev_core"]
+            print(f"max relative deviation on f in [0.1, 0.9]: mi {core['mi']:.4f}, neg {core['neg']:.4f}")
     except ValidationError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)

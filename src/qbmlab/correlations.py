@@ -26,7 +26,7 @@ identical numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -214,7 +214,6 @@ class CorrelationCurve:
     stderr: np.ndarray
     n_samples: np.ndarray
     h_system: float
-    metadata: dict = field(default_factory=dict)
     samples: dict | None = None
 
     def __post_init__(self):
@@ -375,13 +374,6 @@ def _fraction_curves(
         record(1.0, 2.0 * h_s, _system_negativity(_system_with(cov, all_modes)) if want_neg else None)
 
     out: dict[str, CorrelationCurve] = {}
-    meta = {
-        "seed": sampler.seed,
-        "samples_per_point": sampler.samples_per_point,
-        "unit": sampler.unit,
-        "n_bands": sampler.n_bands,
-        "t_index": t_index,
-    }
     for m in measures:
         mean = np.array([np.mean(values[m][float(f)]) for f in grid])
         count = np.array([len(values[m][float(f)]) for f in grid])
@@ -400,7 +392,6 @@ def _fraction_curves(
             stderr=stderr,
             n_samples=count,
             h_system=h_s,
-            metadata=dict(meta),
             samples={float(f): np.array(values[m][float(f)]) for f in grid} if keep_samples else None,
         )
     return out

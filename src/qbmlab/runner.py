@@ -9,15 +9,22 @@ and derives per-stage data products:
     peplot      averaged entanglement curves        (PE-plots)
     redundancy  R_E / R_I / I_NR reports from the curves
     compare     numeric curves against the closed-form branch model
+    analytic    closed-form branch-model curves on the time and f grids
 
-Time points are independent work items, always evaluated in a pool of
-spawned worker processes; a serial run (workers = 1) is a pool of one.
+The curves that redundancy and compare read come from the time points of
+the run itself or, with ``curves_dir``, from the piplot and peplot files an
+earlier run persisted there (``load_curves``); then nothing is simulated.
+
+Time points are independent work items, evaluated in a pool of spawned
+worker processes; a serial run (workers = 1) is a pool of one, and a run
+whose stages need no time point starts no pool.
 Every worker starts with single-threaded BLAS, so N workers occupy N CPUs
 and the floating-point reduction order does not depend on the worker
 count.  Per-item RNG streams are keyed on indices, so serial and parallel
 runs emit identical bytes.  Every data file is CSV or
 JSON without timestamps; the manifest (which records wall-clock timings
-and content digests) is the only non-reproducible output.
+and content digests) is the only non-reproducible output.  This module
+writes every file of a run; a failed run removes the files it wrote.
 """
 
 from __future__ import annotations
@@ -59,9 +66,12 @@ from .model import (
     make_propagator,
     total_energy,
 )
-from .redundancy import RedundancyReport, build_report
+from .redundancy import build_report
 
-ALL_STAGES = ("evolve", "bands", "piplot", "peplot", "redundancy", "compare")
+#: every stage, in the order a run writes their files
+ALL_STAGES = ("evolve", "bands", "piplot", "peplot", "redundancy", "compare", "analytic")
+#: stages that evaluate time points themselves, so they cannot read persisted curves
+_SIMULATING_STAGES = ("evolve", "bands", "piplot", "peplot")
 
 # per-process cache of heavy simulation pieces, keyed by the physics config
 _PIECES: dict = {}
@@ -128,33 +138,8 @@ def _time_point_task(args) -> dict:
             "neg": bc.neg.tolist(),
         }
     if "curves" in wants:
-        mi_curve, pe_curve = pi_pe_plots(cov, _sampler(config), t=t, t_index=t_index)
-        out["curves"] = {m.measure: _curve_to_dict(m) for m in (mi_curve, pe_curve)}
+        out["curves"] = pi_pe_plots(cov, _sampler(config), t=t, t_index=t_index)
     return out
-
-
-def _curve_to_dict(curve: CorrelationCurve) -> dict:
-    return {
-        "t": curve.t,
-        "measure": curve.measure,
-        "f_values": np.asarray(curve.f_values).tolist(),
-        "mean": np.asarray(curve.mean).tolist(),
-        "stderr": np.asarray(curve.stderr).tolist(),
-        "n_samples": np.asarray(curve.n_samples).tolist(),
-        "h_system": curve.h_system,
-    }
-
-
-def _curve_from_dict(d: dict) -> CorrelationCurve:
-    return CorrelationCurve(
-        t=float(d["t"]),
-        measure=d["measure"],
-        f_values=np.array(d["f_values"], dtype=float),
-        mean=np.array(d["mean"], dtype=float),
-        stderr=np.array(d["stderr"], dtype=float),
-        n_samples=np.array(d["n_samples"], dtype=int),
-        h_system=float(d["h_system"]),
-    )
 
 
 @dataclass
@@ -168,8 +153,8 @@ class RunManifest:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))  # a numpy scalar's repr would read np.float64(...)
     return str(x)
 
 
@@ -242,134 +227,147 @@ def branch_params(config: RunConfig):
     )
 
 
-def run_experiment(config: RunConfig, stages: tuple[str, ...] = ("bands", "piplot", "peplot", "redundancy")) -> RunManifest:
+def _stage_files(stage: str, config: RunConfig, results: list[dict], curves: list[tuple]) -> list[tuple]:
+    """(file suffix, CSV header or None for JSON, CSV rows or JSON payload) of each file of a stage.
+
+    ``curves`` holds one (PI curve, PE curve) pair per time point, in time order.
+    """
+    if stage == "evolve":
+        columns = ["min_symplectic", "symmetry_defect", "total_energy", "system_entropy"]
+        rows = [[r["t"], *(r["state"][c] for c in columns)] for r in results]
+        return [("state.csv", ["t", *columns], rows)]
+    if stage == "bands":
+        rows = [
+            [r["t"], j, c, s, mi, neg]
+            for r in results
+            for j, (c, s, mi, neg) in enumerate(
+                zip(r["bands"]["centers"], r["bands"]["sizes"], r["bands"]["mi"], r["bands"]["neg"])
+            )
+        ]
+        return [("bands.csv", ["t", "band_index", "band_center", "band_size", "mi", "neg"], rows)]
+    if stage in ("piplot", "peplot"):
+        pick = ("piplot", "peplot").index(stage)
+        measure = ("mi", "neg")[pick]
+        measured = [pair[pick] for pair in curves]
+        rows = [
+            [c.t, f, m, se, n, measure]
+            for c in measured
+            for f, m, se, n in zip(c.f_values, c.mean, c.stderr, c.n_samples)
+        ]
+        sidecar = {
+            "run_id": config.run_id,
+            "measure": measure,
+            "config": config.physics_key(),
+            "t_values": [c.t for c in measured],
+            "h_system": [c.h_system for c in measured],
+        }
+        return [
+            (f"{measure}.csv", ["t", "f", "mean", "stderr", "n_samples", "measure_tag"], rows),
+            (f"{measure}.json", None, sidecar),
+        ]
+    if stage == "redundancy":
+        params = branch_params(config)
+        reports = [
+            build_report(
+                mi.t, pe, mi, config.delta_e, config.delta_i,
+                redundancy_estimate(config.delta_e, mi.t, params)
+                if mi.t > 0 and d_total(mi.t, params) > 0
+                else float("nan"),
+            )
+            for mi, pe in curves
+        ]
+        rows = [[rep.t, rep.r_e, rep.r_i, rep.i_nr, rep.analytic_r_e, "|".join(rep.flags)] for rep in reports]
+        return [("redundancy.csv", ["t", "r_e", "r_i", "i_nr", "analytic_r_e", "flags"], rows)] + [
+            (f"redundancy_{i:03d}.json", None, asdict(rep)) for i, rep in enumerate(reports)
+        ]
+    if stage == "compare":
+        rows, summary = compare_numeric_analytic(config, {mi.t: (mi, pe) for mi, pe in curves})
+        header = ["t", "f", "measure_tag", "numeric", "analytic", "rel_dev", "below_analytic"]
+        return [("compare.csv", header, rows), ("compare_summary.json", None, summary)]
+    # analytic
+    params = branch_params(config)
+    fs = config.f_grid or np.linspace(0.02, 1.0, 50).tolist()
+    rows = []
+    for t in config.times().tolist():
+        d = d_total(t, params)
+        k = d * params.delta_x**2
+        rows += [[t, f, d, k, entanglement_value(f, k), mi_value(f, k)] for f in fs]
+    return [("analytic.csv", ["t", "f", "d_total", "d_dx2", "e_analytic", "mi_analytic"], rows)]
+
+
+def run_experiment(
+    config: RunConfig,
+    stages: tuple[str, ...] = ("bands", "piplot", "peplot", "redundancy"),
+    curves_dir: str | None = None,
+) -> RunManifest:
     """Execute the requested stages and persist their data products.
 
-    Outputs are deterministic functions of the configuration; on failure,
-    files already written by this invocation are removed.
+    With ``curves_dir``, redundancy and compare read the curves that an
+    earlier run of the same run id persisted there instead of simulating
+    them.  Outputs are deterministic functions of the configuration and the
+    curves; on failure, files already written by this invocation are removed.
     """
     for stage in stages:
         if stage not in ALL_STAGES:
             raise QbmError(f"unknown stage {stage!r}")
-    os.makedirs(config.outdir, exist_ok=True)
-    written: list[str] = []
-    timings: dict[str, float] = {}
-    prefix = os.path.join(config.outdir, config.run_id)
-
+    if curves_dir is not None and set(stages) & set(_SIMULATING_STAGES):
+        raise QbmError(f"stages {', '.join(_SIMULATING_STAGES)} cannot read curves from a directory")
     wants = []
     if "evolve" in stages:
         wants.append("state")
     if "bands" in stages:
         wants.append("bands")
-    if set(stages) & {"piplot", "peplot", "redundancy", "compare"}:
+    if curves_dir is None and set(stages) & {"piplot", "peplot", "redundancy", "compare"}:
         wants.append("curves")
 
+    os.makedirs(config.outdir, exist_ok=True)
+    written: list[str] = []
+    timings: dict[str, float] = {}
+    prefix = os.path.join(config.outdir, config.run_id)
     try:
-        t0 = time.perf_counter()
-        results = _run_time_points(config, tuple(wants))
-        timings["simulate"] = time.perf_counter() - t0
-
-        if "evolve" in stages:
+        results: list[dict] = []
+        if wants:
             t0 = time.perf_counter()
-            rows = [
-                [r["t"], r["state"]["min_symplectic"], r["state"]["symmetry_defect"],
-                 r["state"]["total_energy"], r["state"]["system_entropy"]]
-                for r in results
-            ]
-            path = f"{prefix}_state.csv"
-            _write_csv(path, ["t", "min_symplectic", "symmetry_defect", "total_energy", "system_entropy"], rows)
-            written.append(path)
-            timings["evolve"] = time.perf_counter() - t0
-
-        if "bands" in stages:
+            results = _run_time_points(config, tuple(wants))
+            timings["simulate"] = time.perf_counter() - t0
+        if curves_dir is None:
+            curves = [r["curves"] for r in results if "curves" in r]
+        else:
             t0 = time.perf_counter()
-            rows = []
-            for r in results:
-                b = r["bands"]
-                for j, (c, s, mi, neg) in enumerate(zip(b["centers"], b["sizes"], b["mi"], b["neg"])):
-                    rows.append([r["t"], j, c, s, mi, neg])
-            path = f"{prefix}_bands.csv"
-            _write_csv(path, ["t", "band_index", "band_center", "band_size", "mi", "neg"], rows)
-            written.append(path)
-            timings["bands"] = time.perf_counter() - t0
+            curves = list(load_curves(curves_dir, config.run_id).values())
+            timings["load_curves"] = time.perf_counter() - t0
 
-        curve_results = {r["t_index"]: r for r in results if "curves" in r}
-        for stage, measure in (("piplot", "mi"), ("peplot", "neg")):
+        for stage in ALL_STAGES:
             if stage not in stages:
                 continue
             t0 = time.perf_counter()
-            rows = []
-            h_list = []
-            for i in sorted(curve_results):
-                c = curve_results[i]["curves"][measure]
-                h_list.append(c["h_system"])
-                for f, m, se, n in zip(c["f_values"], c["mean"], c["stderr"], c["n_samples"]):
-                    rows.append([c["t"], f, m, se, n, measure])
-            path = f"{prefix}_{measure}.csv"
-            _write_csv(path, ["t", "f", "mean", "stderr", "n_samples", "measure_tag"], rows)
-            written.append(path)
-            sidecar = f"{prefix}_{measure}.json"
-            _write_json(
-                sidecar,
-                {
-                    "run_id": config.run_id,
-                    "measure": measure,
-                    "config": config.physics_key(),
-                    "t_values": [curve_results[i]["t"] for i in sorted(curve_results)],
-                    "h_system": h_list,
-                },
-            )
-            written.append(sidecar)
+            for suffix, header, data in _stage_files(stage, config, results, curves):
+                path = f"{prefix}_{suffix}"
+                written.append(path)  # before writing, so a half-written file is removed too
+                if header is None:
+                    _write_json(path, data)
+                else:
+                    _write_csv(path, header, data)
             timings[stage] = time.perf_counter() - t0
 
-        if "redundancy" in stages:
-            t0 = time.perf_counter()
-            params = branch_params(config)
-            reports = []
-            for i in sorted(curve_results):
-                r = curve_results[i]
-                mi_curve = _curve_from_dict(r["curves"]["mi"])
-                pe_curve = _curve_from_dict(r["curves"]["neg"])
-                ana = (
-                    redundancy_estimate(config.delta_e, r["t"], params)
-                    if r["t"] > 0 and d_total(r["t"], params) > 0
-                    else float("nan")
-                )
-                reports.append(build_report(r["t"], pe_curve, mi_curve, config.delta_e, config.delta_i, ana))
-            path = f"{prefix}_redundancy.csv"
-            _write_csv(
-                path,
-                ["t", "r_e", "r_i", "i_nr", "analytic_r_e", "flags"],
-                [[rep.t, rep.r_e, rep.r_i, rep.i_nr, rep.analytic_r_e, "|".join(rep.flags)] for rep in reports],
-            )
-            written.append(path)
-            for i, rep in zip(sorted(curve_results), reports):
-                jpath = f"{prefix}_redundancy_{i:03d}.json"
-                _write_json(jpath, asdict(rep))
-                written.append(jpath)
-            timings["redundancy"] = time.perf_counter() - t0
-
-        if "compare" in stages:
-            t0 = time.perf_counter()
-            curves = {
-                curve_results[i]["t"]: (
-                    _curve_from_dict(curve_results[i]["curves"]["mi"]),
-                    _curve_from_dict(curve_results[i]["curves"]["neg"]),
-                )
-                for i in sorted(curve_results)
-            }
-            rows, summary = compare_numeric_analytic(config, curves)
-            path = f"{prefix}_compare.csv"
-            _write_csv(
-                path,
-                ["t", "f", "measure_tag", "numeric", "analytic", "rel_dev", "below_analytic"],
-                rows,
-            )
-            written.append(path)
-            spath = f"{prefix}_compare_summary.json"
-            _write_json(spath, summary)
-            written.append(spath)
-            timings["compare"] = time.perf_counter() - t0
+        manifest = RunManifest(
+            run_id=config.run_id,
+            code_version=__version__,
+            config={
+                **config.physics_key(),
+                "outdir": config.outdir,
+                "workers": config.workers,
+                "curves_dir": curves_dir,
+            },
+            stages=list(stages),
+            timings_s={k: round(v, 6) for k, v in timings.items()},
+            files=[
+                {"name": os.path.basename(p), "sha256": _sha256(p), "bytes": os.path.getsize(p)}
+                for p in written
+            ],
+        )
+        written.append(f"{prefix}_manifest.json")
+        _write_json(written[-1], asdict(manifest))
     except BaseException:
         for path in written:
             try:
@@ -377,22 +375,12 @@ def run_experiment(config: RunConfig, stages: tuple[str, ...] = ("bands", "piplo
             except OSError:
                 pass
         raise
-
-    manifest = RunManifest(
-        run_id=config.run_id,
-        code_version=__version__,
-        config={**config.physics_key(), "outdir": config.outdir, "workers": config.workers},
-        stages=list(stages),
-        timings_s={k: round(v, 6) for k, v in timings.items()},
-        files=[{"name": os.path.basename(p), "sha256": _sha256(p), "bytes": os.path.getsize(p)} for p in written],
-    )
-    _write_json(f"{prefix}_manifest.json", asdict(manifest))
     return manifest
 
 
 def compare_numeric_analytic(
     config: RunConfig,
-    curves: dict[float, tuple[CorrelationCurve, CorrelationCurve]] | None = None,
+    curves: dict[float, tuple[CorrelationCurve, CorrelationCurve]],
 ) -> tuple[list[list], dict]:
     """Numeric curve means against the closed-form branch model per (t, f).
 
@@ -401,12 +389,6 @@ def compare_numeric_analytic(
     regimes the closed form is an upper bound; points where the numeric
     value falls below it are marked, not failed.
     """
-    if curves is None:
-        results = _run_time_points(config, ("curves",))
-        curves = {
-            r["t"]: (_curve_from_dict(r["curves"]["mi"]), _curve_from_dict(r["curves"]["neg"]))
-            for r in results
-        }
     params = branch_params(config)
     rows: list[list] = []
     max_core = {"mi": 0.0, "neg": 0.0}
@@ -415,8 +397,7 @@ def compare_numeric_analytic(
         mi_curve, pe_curve = curves[t]
         k = d_total(t, params) * params.delta_x**2
         for curve, tag, fn in ((mi_curve, "mi", mi_value), (pe_curve, "neg", entanglement_value)):
-            # tolist() gives Python floats, which the CSV writer prints as plain numbers
-            for f, m in zip(curve.f_values.tolist(), curve.mean.tolist()):
+            for f, m in zip(curve.f_values, curve.mean):
                 ana = fn(f, k)
                 rel = abs(m - ana) / abs(ana) if ana > 1e-12 else 0.0
                 rows.append([t, f, tag, m, ana, rel, m < ana])
@@ -459,18 +440,3 @@ def load_curves(outdir: str, run_id: str) -> dict[float, tuple[CorrelationCurve,
             )
             out.setdefault(t, {})[measure] = curve
     return {t: (d["mi"], d["neg"]) for t, d in sorted(out.items()) if "mi" in d and "neg" in d}
-
-
-def redundancy_from_files(config: RunConfig) -> list[RedundancyReport]:
-    """Redundancy stage consuming persisted curves (no re-simulation)."""
-    curves = load_curves(config.outdir, config.run_id)
-    params = branch_params(config)
-    reports = []
-    for t, (mi_curve, pe_curve) in curves.items():
-        ana = (
-            redundancy_estimate(config.delta_e, t, params)
-            if t > 0 and d_total(t, params) > 0
-            else float("nan")
-        )
-        reports.append(build_report(t, pe_curve, mi_curve, config.delta_e, config.delta_i, ana))
-    return reports

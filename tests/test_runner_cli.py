@@ -11,8 +11,8 @@ import qbmlab.cli as cli_mod
 import qbmlab.runner as runner_mod
 from qbmlab.cli import main
 from qbmlab.config import parse_config
-from qbmlab.errors import ImpureState
-from qbmlab.runner import branch_params, load_curves, redundancy_from_files, run_experiment
+from qbmlab.errors import ImpureState, QbmError
+from qbmlab.runner import _write_csv, branch_params, load_curves, run_experiment
 
 
 def tiny_config(outdir, run_id="t", **kw):
@@ -27,6 +27,12 @@ def tiny_config(outdir, run_id="t", **kw):
     )
     base.update(kw)
     return parse_config(overrides=base, env={})
+
+
+def child_env() -> dict:
+    """This environment, with the qbmlab under test importable by a child interpreter."""
+    src = os.path.dirname(os.path.dirname(runner_mod.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
 
 def digest_dir(outdir, skip_manifest=True):
@@ -66,18 +72,40 @@ class TestRunExperiment:
         assert digest_dir(a_dir) == digest_dir(b_dir)
 
     def test_redundancy_from_persisted_curves(self, tmp_path):
-        cfg = tiny_config(tmp_path)
+        cfg = tiny_config(tmp_path / "pipeline")
         run_experiment(cfg, ("piplot", "peplot", "redundancy"))
         curves = load_curves(cfg.outdir, cfg.run_id)
         assert len(curves) == cfg.n_times
-        reports = redundancy_from_files(cfg)
-        with open(tmp_path / f"{cfg.run_id}_redundancy_002.json") as fh:
-            persisted = json.load(fh)
-        rebuilt = reports[2]
-        if np.isnan(persisted["r_e"]):
-            assert np.isnan(rebuilt.r_e)
-        else:
-            assert rebuilt.r_e == pytest.approx(persisted["r_e"], rel=1e-12)
+        cfg2 = tiny_config(tmp_path / "reanalysis")
+        manifest = run_experiment(cfg2, ("redundancy",), curves_dir=cfg.outdir)
+        names = [f["name"] for f in manifest.files]
+        assert names == [f"{cfg.run_id}_redundancy.csv"] + [
+            f"{cfg.run_id}_redundancy_{i:03d}.json" for i in range(cfg.n_times)
+        ]
+        pipeline = digest_dir(cfg.outdir)
+        assert digest_dir(cfg2.outdir) == {name: pipeline[name] for name in names}
+
+    def test_curves_dir_excludes_simulating_stages(self, tmp_path):
+        cfg = tiny_config(tmp_path)
+        for stage in ("evolve", "bands", "piplot", "peplot"):
+            with pytest.raises(QbmError, match="curves"):
+                run_experiment(cfg, (stage, "redundancy"), curves_dir=str(tmp_path))
+        assert os.listdir(tmp_path) == []
+
+    def test_no_pool_without_time_points(self, tmp_path, monkeypatch):
+        cfg = tiny_config(tmp_path / "curves")
+        run_experiment(cfg, ("piplot", "peplot"))
+
+        def no_pool(*a, **k):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(runner_mod, "ProcessPoolExecutor", no_pool)
+        out = tiny_config(tmp_path / "out")
+        manifest = run_experiment(out, ("analytic",))
+        assert [f["name"] for f in manifest.files] == ["t_analytic.csv"]
+        manifest = run_experiment(out, ("redundancy", "compare"), curves_dir=cfg.outdir)
+        assert len(manifest.files) == 1 + cfg.n_times + 2
+        assert "simulate" not in manifest.timings_s
 
     def test_failure_removes_partial_outputs(self, tmp_path, monkeypatch):
         cfg = tiny_config(tmp_path)
@@ -120,6 +148,13 @@ class TestRunExperiment:
         for row in t0_rows:
             assert float(row["analytic"]) == 0.0
             assert abs(float(row["numeric"])) < 1e-8
+
+
+class TestWriteCsv:
+    def test_numpy_scalars_write_plain_values(self, tmp_path):
+        path = tmp_path / "cells.csv"
+        _write_csv(str(path), ["a", "b", "c", "d"], [[np.float64(0.1), np.bool_(True), np.int64(3), 0.25]])
+        assert path.read_text() == "a,b,c,d\n0.1,True,3,0.25\n"
 
 
 class TestBranchParams:
@@ -257,6 +292,59 @@ class TestCli:
         assert rc == 4
         assert "i/o error" in capsys.readouterr().err
 
+    def test_failed_reanalysis_leaves_no_output(self, tmp_path):
+        cfg = tiny_config(tmp_path / "curves", run_id="fail")
+        run_experiment(cfg, ("piplot", "peplot"))
+        out = tmp_path / "out"
+        (out / "fail_redundancy_001.json").mkdir(parents=True)
+        rc = main(
+            [
+                "redundancy",
+                "--curves-dir", cfg.outdir,
+                "--n-oscillators", "30",
+                "--n-times", "4",
+                "--t-max", "3.0",
+                "--samples", "3",
+                "--n-bands", "6",
+                "--outdir", str(out),
+                "--run-id", "fail",
+            ]
+        )
+        assert rc == 4
+        left = [p.name for p in out.iterdir() if p.is_file() and p.name.startswith("fail_redundancy")]
+        assert left == []
+
+    @pytest.mark.parametrize("command", ["analytic", "compare", "redundancy"])
+    def test_manifest_lists_every_printed_file(self, tmp_path, capsys, command):
+        outdir = tmp_path / "run"
+        flags = [
+            "--n-oscillators", "30",
+            "--n-times", "4",
+            "--t-max", "3.0",
+            "--samples", "3",
+            "--n-bands", "6",
+            "--outdir", str(outdir),
+            "--run-id", "m",
+        ]
+        if command == "redundancy":
+            # reanalyse into the directory that holds the curves, with other deficits
+            run_experiment(tiny_config(outdir, run_id="m"), ("piplot", "peplot", "redundancy"))
+            flags += ["--curves-dir", str(outdir), "--delta-e", "0.3"]
+        capsys.readouterr()
+        assert main([command, *flags]) == 0
+        printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith(str(outdir))]
+        assert printed
+        with open(outdir / "m_manifest.json") as fh:
+            manifest = json.load(fh)
+        listed = {entry["name"] for entry in manifest["files"]}
+        assert {os.path.basename(p) for p in printed} <= listed
+        for entry in manifest["files"]:
+            data = (outdir / entry["name"]).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == entry["sha256"], entry["name"]
+            assert len(data) == entry["bytes"], entry["name"]
+        expected_dir = str(outdir) if command == "redundancy" else None
+        assert manifest["config"]["curves_dir"] == expected_dir
+
     def test_env_seed_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QBM_SEED", "777")
         cfg = parse_config(overrides={"seed": 1})
@@ -267,6 +355,7 @@ class TestCli:
             [sys.executable, "-m", "qbmlab.cli", "bands", "--n-oscillators", "12",
              "--n-times", "2", "--t-max", "1", "--n-bands", "3",
              "--outdir", str(tmp_path), "--run-id", "sub"],
+            env=child_env(),
             capture_output=True,
             text=True,
         )
@@ -277,7 +366,7 @@ class TestCli:
         # BLAS results depend on its thread count; workers pin it to one, so
         # the caller's default (one thread per CPU) must give the same bytes
         thread_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-        base_env = {k: v for k, v in os.environ.items() if k not in thread_vars}
+        base_env = {k: v for k, v in child_env().items() if k not in thread_vars}
         digests = {}
         for label, extra in (("default", {}), ("single", {"OPENBLAS_NUM_THREADS": "1"})):
             outdir = tmp_path / label
