@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 from dataclasses import asdict, dataclass
@@ -216,20 +217,32 @@ def parse_config(
         "delta_i": (float, lambda v: 0 < v < 1, "must lie in (0, 1)"),
         "workers": (int, lambda v: v >= 1, "must be >= 1"),
     }
+    parsed = set()
     for key, (cast, ok, msg) in numeric.items():
         try:
             merged[key] = cast(merged[key])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             problems.append(f"{key}: cannot interpret {merged[key]!r}")
             continue
+        if cast is float and not math.isfinite(merged[key]):
+            problems.append(f"{key}: must be finite (got {merged[key]})")
+            continue
+        parsed.add(key)
         check(ok(merged[key]), f"{key}: {msg} (got {merged[key]})")
 
-    check(merged["t_max"] >= merged["t_min"], "t_max: must be >= t_min")
+    if {"t_min", "t_max", "n_times"} <= parsed:
+        check(merged["t_max"] >= merged["t_min"], "t_max: must be >= t_min")
+        # curves are keyed by t, so repeated times would merge into one curve
+        check(
+            merged["n_times"] == 1 or merged["t_max"] != merged["t_min"],
+            f"t_max: must be > t_min when n_times > 1 (got t_min = t_max = {merged['t_min']})",
+        )
     check(merged["unit"] in ("oscillator", "band"), f"unit: must be 'oscillator' or 'band' (got {merged['unit']!r})")
-    check(
-        merged["n_bands"] <= merged["n_oscillators"],
-        f"n_bands: must be <= n_oscillators (got {merged['n_bands']} > {merged['n_oscillators']})",
-    )
+    if {"n_bands", "n_oscillators"} <= parsed:
+        check(
+            merged["n_bands"] <= merged["n_oscillators"],
+            f"n_bands: must be <= n_oscillators (got {merged['n_bands']} > {merged['n_oscillators']})",
+        )
     if merged["f_grid"] is not None:
         grid = merged["f_grid"]
         check(all(0 < f <= 1 for f in grid), "f_grid: fractions must lie in (0, 1]")

@@ -24,6 +24,11 @@ NU_TOL = 1e-9
 #: Relative tolerance for collapsing the 2M moduli of Omega.sigma into M pairs.
 PAIRING_RTOL = 1e-8
 
+#: Gram-path guard of _spectrum_of: when gram[0] < GRAM_RTOL * gram[-1] (a
+#: spread nu_max/nu_min above about 316) the squared spectrum has lost too
+#: many digits of nu_min, and svd(K) is taken instead.
+GRAM_RTOL = 1e-5
+
 #: Corruption guard: raw inputs with relative asymmetry beyond this are
 #: rejected; anything smaller is float noise and is symmetrized away.
 SYMMETRY_TOL = 1e-8
@@ -79,10 +84,10 @@ class ModeSubset:
 class CovarianceMatrix:
     """Second-moment matrix of an M-mode Gaussian state.
 
-    The constructor symmetrizes its input; asymmetry beyond ``SYMMETRY_TOL``
-    (relative to the matrix scale) is rejected as corrupted data.  ``labels``
-    carries one identifier per mode; by convention label 0 is the system S
-    and labels 1..N are bath oscillators.
+    The constructor symmetrizes its input; non-finite entries, and asymmetry
+    beyond ``SYMMETRY_TOL`` (relative to the matrix scale), are rejected as
+    corrupted data.  ``labels`` carries one identifier per mode; by
+    convention label 0 is the system S and labels 1..N are bath oscillators.
     """
 
     __slots__ = ("n_modes", "data", "labels")
@@ -92,7 +97,10 @@ class CovarianceMatrix:
         if data.ndim != 2 or data.shape[0] != data.shape[1] or data.shape[0] % 2:
             raise DomainError(f"covariance matrix must be 2M x 2M, got {data.shape}")
         n_modes = data.shape[0] // 2
-        scale = max(float(np.max(np.abs(data))), 1.0)
+        magnitude = float(np.max(np.abs(data)))  # NaN or inf if any entry is
+        if not np.isfinite(magnitude):
+            raise DomainError("covariance matrix has non-finite entries")
+        scale = max(magnitude, 1.0)
         defect = float(np.max(np.abs(data - data.T)))
         if defect > SYMMETRY_TOL * scale:
             raise DomainError(f"input matrix asymmetry {defect:.3e} too large to symmetrize")
@@ -159,30 +167,64 @@ def _pair_moduli(moduli: np.ndarray, scale: float) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def _spectrum_of(sigma: np.ndarray) -> np.ndarray:
+def _omega_times(matrix: np.ndarray) -> np.ndarray:
+    """Omega @ matrix, by swapping each (x, p) row pair and negating the new p row."""
+    out = np.empty_like(matrix)
+    out[0::2] = matrix[1::2]
+    out[1::2] = -matrix[0::2]
+    return out
+
+
+def _cholesky_form(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky factor L of sigma = L L^T and the antisymmetric K = L^T Omega L.
+
+    Omega L is a row swap with a sign flip, so K costs one matmul.  Raises
+    numpy.linalg.LinAlgError when sigma is not positive definite.
+    """
+    chol = np.linalg.cholesky(sigma)
+    return chol, chol.T @ _omega_times(chol)
+
+
+def _spectrum_of(sigma: np.ndarray, symmetry_defect: float | None = None) -> np.ndarray:
     """Symplectic eigenvalues of a raw symmetric matrix, ascending.
 
-    Primary path: Cholesky sigma = L L^T, then the singular values of the
-    antisymmetric matrix L^T Omega L equal the symplectic eigenvalues, each
+    Primary path: Cholesky sigma = L L^T; the singular values of the
+    antisymmetric K = L^T Omega L equal the symplectic eigenvalues, each
     twice.  This stays accurate (absolute error ~ eps * ||sigma||) even for
-    strongly squeezed states where the nonsymmetric eigensolve of
-    Omega.sigma loses several digits.  Falls back to that complex eigensolve
-    when sigma is not positive definite, so diagnostic calls on unphysical
-    matrices still return a spectrum.
+    strongly squeezed states, where the nonsymmetric eigensolve of
+    Omega.sigma loses several digits.
+
+    The singular values are read as the square roots of eigvalsh(K^T K): one
+    matmul and a values-only symmetric eigensolve, about half the cost of
+    svd(K).  Squaring costs digits when the spectrum is widely spread, since
+    the Gram eigenvalues carry absolute error ~ eps * nu_max^2.  Unguarded, a
+    two-mode squeezed state at s = 3 (partial-transpose spread e^12) gives
+    its negativity to only 6e-9 relative, and at s = 4 its moduli fail to
+    pair.  So when gram[0] < GRAM_RTOL * gram[-1], or the Gram spectrum is
+    NaN, the values come from svd(K) instead.
+
+    Falls back to the complex eigensolve of Omega.sigma when sigma is not
+    positive definite, so diagnostic calls on unphysical matrices still
+    return a spectrum.  ``symmetry_defect`` (max|sigma - sigma^T|) is
+    computed here unless the caller passes it.
     """
-    n = sigma.shape[0] // 2
-    omega = symplectic_form(n)
     scale = max(float(np.max(np.abs(sigma))), 1e-300)
+    if symmetry_defect is None:
+        symmetry_defect = float(np.max(np.abs(sigma - sigma.T)))
     moduli = None
-    if float(np.max(np.abs(sigma - sigma.T))) <= 1e-8 * scale:
+    if symmetry_defect <= SYMMETRY_TOL * scale:
         try:
-            chol = np.linalg.cholesky(sigma)
+            _, form = _cholesky_form(sigma)
         except np.linalg.LinAlgError:
             moduli = None  # not positive definite; diagnose via the eig path
         else:
-            moduli = np.linalg.svd(chol.T @ omega @ chol, compute_uv=False)
+            gram = np.linalg.eigvalsh(form.T @ form)
+            if gram[0] >= GRAM_RTOL * gram[-1]:  # False for NaN, which falls back too
+                moduli = np.sqrt(gram)
+            else:
+                moduli = np.linalg.svd(form, compute_uv=False)
     if moduli is None:
-        moduli = np.abs(np.linalg.eigvals(omega @ sigma))
+        moduli = np.abs(np.linalg.eigvals(_omega_times(sigma)))
     return _pair_moduli(moduli, scale)
 
 
@@ -267,14 +309,6 @@ def log_negativity(cov: CovarianceMatrix, party_a: ModeSubset) -> float:
     return max(0.0, -float(np.sum(np.log(2.0 * negative))))
 
 
-def _omega_times(matrix: np.ndarray) -> np.ndarray:
-    """Omega @ matrix, by swapping each (x, p) row pair and negating the new p row."""
-    out = np.empty_like(matrix)
-    out[0::2] = matrix[1::2]
-    out[1::2] = -matrix[0::2]
-    return out
-
-
 def williamson(cov: CovarianceMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Williamson normal form sigma = S D S^T of a positive-definite state.
 
@@ -286,8 +320,8 @@ def williamson(cov: CovarianceMatrix) -> tuple[np.ndarray, np.ndarray]:
     the blocks nu_j [[0, 1], [-1, 0]], and S = L O D^(-1/2).
     """
     n = cov.n_modes
-    chol = np.linalg.cholesky(cov.data)
-    values, vectors = np.linalg.eigh(1j * (chol.T @ _omega_times(chol)))
+    chol, form = _cholesky_form(cov.data)
+    values, vectors = np.linalg.eigh(1j * form)
     nu = values[n:]
     ortho = np.empty((2 * n, 2 * n))
     ortho[:, 0::2] = np.sqrt(2.0) * vectors[:, n:].imag
@@ -333,7 +367,7 @@ def check_purity(cov: CovarianceMatrix) -> float:
     square[np.diag_indices_from(square)] += 0.25
     defect = float(np.max(np.abs(square)))
     scale = max(float(np.max(np.abs(cov.data))), 1.0)
-    if defect > PURITY_TOL * scale:
+    if not defect <= PURITY_TOL * scale:  # a NaN defect (overflow) fails too
         raise ImpureState(
             f"global purity defect {defect:.3e} exceeds {PURITY_TOL:.0e} x scale {scale:.3e}"
         )
@@ -367,7 +401,7 @@ def validate_state(cov: CovarianceMatrix) -> ValidityReport:
     """Report minimum symplectic eigenvalue and symmetry defect (never raises)."""
     defect = float(np.max(np.abs(cov.data - cov.data.T)))
     try:
-        min_nu = float(_spectrum_of(cov.data)[0])
+        min_nu = float(_spectrum_of(cov.data, defect)[0])
     except PairingFailure:
         min_nu = float("nan")
     passed = (min_nu >= 0.5 - NU_TOL) and (defect <= NU_TOL)

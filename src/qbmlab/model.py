@@ -209,7 +209,7 @@ def build_propagator(v: np.ndarray, masses: np.ndarray | None = None) -> Propaga
             f"potential matrix eigenvalue {evals[0]:.3e} below clamp threshold"
         )
     evals = np.clip(evals, 0.0, None)
-    residual = np.max(np.abs(evecs @ np.diag(evals) @ evecs.T - v))
+    residual = np.max(np.abs((evecs * evals) @ evecs.T - v))
     if residual > 1e-9 * max(float(np.max(np.abs(v))), 1.0):
         raise EigensolveFailure(f"reconstruction residual {residual:.3e} too large")
     return Propagator(

@@ -79,6 +79,29 @@ class TestParseConfig:
         with pytest.raises(ValidationError):
             parse_config(overrides={"run_id": "bad/../id"}, env={})
 
+    @pytest.mark.parametrize("key, value", [("squeezing", float("nan")), ("squeezing", float("inf")), ("coupling", float("inf"))])
+    def test_non_finite_value_rejected(self, key, value):
+        with pytest.raises(ValidationError) as err:
+            parse_config(overrides={key: value}, env={})
+        assert err.value.problems == [f"{key}: must be finite (got {value})"]
+
+    def test_repeated_times_rejected(self):
+        # curves are keyed by t: two time points at t = 1 would merge into one curve
+        with pytest.raises(ValidationError) as err:
+            parse_config(overrides={"t_min": 1.0, "t_max": 1.0, "n_times": 2}, env={})
+        assert [p.split(":")[0] for p in err.value.problems] == ["t_max"]
+
+    def test_single_time_may_repeat_bounds(self):
+        cfg = parse_config(overrides={"t_min": 1.0, "t_max": 1.0, "n_times": 1}, env={})
+        assert cfg.times().tolist() == [1.0]
+
+    def test_unparsable_numbers_reported_not_raised(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("t_min = soon\nn_bands = many\nn_times = inf\n")
+        with pytest.raises(ValidationError) as err:
+            parse_config(path=str(path), env={})
+        assert {p.split(":")[0] for p in err.value.problems} == {"t_min", "n_bands", "n_times"}
+
     def test_times_grid(self):
         cfg = parse_config(overrides={"t_min": 1.0, "t_max": 3.0, "n_times": 5}, env={})
         assert cfg.times().tolist() == [1.0, 1.5, 2.0, 2.5, 3.0]

@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 
 from qbmlab.errors import DomainError, ImpureState, OverlapError, PairingFailure, SubsetError
 from qbmlab.gaussian import (
+    GRAM_RTOL,
     CovarianceMatrix,
     ModeSubset,
+    _cholesky_form,
     _spectrum_of,
     check_purity,
     entropy_function,
@@ -27,6 +29,9 @@ from conftest import random_state, random_symplectic, two_mode_squeezed
 # Frozen 40-digit evaluations of the closed-form entropy function.
 H_AT_1 = 0.9547712524422192276756357339256119888957
 H_AT_SQRT5_HALF = 1.076022352410010097223583082376513563561
+
+
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 def vacuum(n_modes: int) -> CovarianceMatrix:
@@ -57,6 +62,15 @@ class TestSymplecticForm:
         assert np.allclose(omega @ omega.T, np.eye(2 * m))
         assert np.allclose(omega @ omega, -np.eye(2 * m))
         assert np.array_equal(omega.T, -omega)
+
+
+class TestCovarianceMatrix:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        data = 0.5 * np.eye(4)
+        data[1, 2] = data[2, 1] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            CovarianceMatrix(data)
 
 
 class TestSymplecticEigenvalues:
@@ -91,6 +105,72 @@ class TestSymplecticEigenvalues:
         bad = np.random.default_rng(3).standard_normal((4, 4))
         with pytest.raises(PairingFailure):
             _spectrum_of(bad)
+
+
+def svd_oracle(sigma: np.ndarray) -> np.ndarray:
+    """Singular values of L^T Omega L with a dense Omega, each symplectic eigenvalue twice."""
+    chol = np.linalg.cholesky(sigma)
+    form = chol.T @ symplectic_form(sigma.shape[0] // 2) @ chol
+    return np.sort(np.linalg.svd(form, compute_uv=False))
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Record the matrices passed to numpy.linalg.svd while the test runs."""
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        calls.append(a)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return calls
+
+
+class TestSpectrumKernel:
+    """The Gram path eigvalsh(K^T K) against the svd of K it replaces."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=SEEDS,
+        n_modes=st.integers(min_value=1, max_value=40),
+        pure=st.booleans(),
+        squeeze=st.floats(min_value=0.0, max_value=2.0),
+        transpose=st.booleans(),
+    )
+    def test_matches_svd_oracle(self, seed, n_modes, pure, squeeze, transpose):
+        rng = np.random.default_rng(seed)
+        sigma = random_state(rng, n_modes, pure=pure).data
+        # squeezing one mode worsens the conditioning of sigma, not its spectrum
+        local = np.ones(2 * n_modes)
+        mode = rng.integers(n_modes)
+        local[2 * mode : 2 * mode + 2] = np.exp(squeeze), np.exp(-squeeze)
+        sigma = sigma * local[:, None] * local[None, :]
+        if transpose and n_modes > 1:
+            # a partial transpose spreads the spectrum, often past the guard
+            signs = np.ones(2 * n_modes)
+            signs[2 * rng.permutation(n_modes)[: n_modes // 2] + 1] = -1.0
+            sigma = sigma * signs[:, None] * signs[None, :]
+        oracle = svd_oracle(sigma)
+        got = np.repeat(_spectrum_of(sigma), 2)
+        assert np.max(np.abs(got - oracle) / oracle) <= 1e-10
+
+    @pytest.mark.parametrize("s, fallback", [(1.0, False), (1.5, True), (3.0, True)])
+    def test_two_mode_squeezed_negativity(self, svd_calls, s, fallback):
+        # the PT spectrum exp(-+2s)/2 has spread exp(4s): 55, 403 and 1.6e5
+        got = log_negativity(two_mode_squeezed(s), ModeSubset.of([0], 2))
+        assert got == pytest.approx(2 * s, rel=1e-10)
+        assert bool(svd_calls) is fallback
+
+    @pytest.mark.parametrize("spread", [1.0, 100.0, 316.0, 316.3, 317.0, 1e3, 1e6])
+    def test_fallback_exactly_below_guard(self, svd_calls, spread):
+        sigma = np.diag(np.repeat([0.5, 0.5 * spread, 0.5 * np.sqrt(spread)], 2))
+        _, form = _cholesky_form(sigma)
+        gram = np.linalg.eigvalsh(form.T @ form)
+        got = _spectrum_of(sigma)
+        assert len(svd_calls) == int(gram[0] < GRAM_RTOL * gram[-1])
+        assert got == pytest.approx([0.5, 0.5 * np.sqrt(spread), 0.5 * spread], rel=1e-12)
 
 
 class TestEntropyFunction:
@@ -310,9 +390,6 @@ class TestValidateState:
         assert report.min_symplectic == pytest.approx(0.1, abs=1e-12)
 
 
-SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
-
-
 def split_pure_state(seed: int, n_modes: int, near_mask: int):
     """Random pure state with the system at 0 and bath 1..n-1 split into two non-empty sides."""
     cov = random_state(np.random.default_rng(seed), n_modes, pure=True)
@@ -387,6 +464,14 @@ class TestCheckPurity:
     def test_mixed_state_raises(self, rng):
         with pytest.raises(ImpureState):
             check_purity(random_state(rng, 3, pure=False))
+
+    def test_nan_defect_raises(self):
+        # an overflowing (Omega.sigma)^2 can read inf - inf = NaN; bypass the
+        # constructor, which rejects non-finite input
+        cov = vacuum(2)
+        cov.data = np.full((4, 4), np.nan)
+        with pytest.raises(ImpureState):
+            check_purity(cov)
 
     def test_slightly_mixed_mode_raises(self):
         nus = np.array([0.5, 0.5 + 1e-6])

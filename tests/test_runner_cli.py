@@ -29,6 +29,10 @@ def tiny_config(outdir, run_id="t", **kw):
     return parse_config(overrides=base, env={})
 
 
+#: a desk-physics run small enough for a CLI test
+TINY_DESK = ("--n-oscillators", "8", "--n-times", "2", "--n-bands", "2", "--samples", "2")
+
+
 def child_env() -> dict:
     """This environment, with the qbmlab under test importable by a child interpreter."""
     src = os.path.dirname(os.path.dirname(runner_mod.__file__))
@@ -258,6 +262,22 @@ class TestCli:
         rc = main(["piplot", "--n-oscillators", "12", "--n-bands", "3", "--outdir", str(tmp_path)])
         assert rc == 3
         assert "global purity" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("squeezing", ["nan", "inf"])
+    def test_non_finite_squeezing_exit_code(self, tmp_path, capsys, squeezing):
+        out = tmp_path / "out"
+        rc = main(["all", "--profile", "desk", *TINY_DESK, "--squeezing", squeezing, "--outdir", str(out)])
+        assert rc == 2
+        assert "squeezing: must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_squeezing_exit_code(self, tmp_path, capsys):
+        # r = 400 is finite, but e^(2r) overflows the state; the purity check stops the run
+        out = tmp_path / "out"
+        rc = main(["all", "--profile", "desk", *TINY_DESK, "--squeezing", "400", "--outdir", str(out)])
+        assert rc == 3
+        assert "global purity defect" in capsys.readouterr().err
+        assert not os.listdir(out)
 
     def test_redundancy_from_curves_dir(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path, run_id="reuse")
