@@ -7,21 +7,23 @@ drawn at f is reused as its complement at 1 - f, which makes the purity
 identity I(f) + I(1-f) = 2 H(S) hold per sample and halves the number of
 draws.
 
-The fraction plots rely on global purity of the closed dynamics, and check
-it once per time point (gaussian.check_purity; an impure state raises
-ImpureState).  Purity lets every draw be evaluated on its smaller side: for
-a split of the N bath modes into k <= N/2 and N - k, no block holds more
-than k + 2 modes.  Mutual information uses H(S u E_f) in place of the
-complement's entropy, and the negativity against the larger side comes
-from a Gaussian purification of S u E_f whenever that block (k + 2 modes)
-is smaller than the direct one (N - k + 1 modes).  The cost of a spectrum
-is cubic in its block size; on a desk time point (N = 150, 20 samples)
-this cuts the summed cost (2 x modes)^3 of the spectra twentyfold, from
-9.2e9 to 4.7e8.  band_correlations makes no purity assumption.
+A PI/PE evaluation has three steps.  fraction_plan lists the sampled grid
+points, each with the mirror point that its complements fill.
+fraction_samples evaluates any part of a plan on index arrays of the
+covariance array, and fraction_curves reduces the merged samples to
+curves.  pi_plot and pe_plot run the whole plan as one part; the runner
+splits it into parts that workers evaluate in any order.  Each grid point
+is filled by exactly one part, and every draw is keyed on (seed, t-index,
+subset size, sample-index), so neither the split nor the worker count
+changes a number.
 
-All randomness flows through per-item generator streams keyed on (seed,
-t-index, subset size, sample-index), so serial and parallel runs produce
-identical numbers.
+The fraction plots rely on global purity of the closed dynamics, checked
+once per time point (gaussian.check_purity; an impure state raises
+ImpureState).  Purity lets every draw be evaluated on its smaller side: for
+a split of the N bath modes into k <= N/2 and N - k, no sampled block holds
+more than k + 2 modes (see _split).  On a desk time point (N = 150, 20
+samples) this cuts the summed cost (2 x modes)^3 of the spectra twentyfold,
+from 9.2e9 to 4.7e8.  band_correlations makes no purity assumption.
 """
 
 from __future__ import annotations
@@ -34,10 +36,13 @@ from .errors import BadBandCount, DomainError, EmptyFraction
 from .gaussian import (
     CovarianceMatrix,
     ModeSubset,
+    _entropy_of_values,
+    _negativity_of_values,
+    _purify,
+    _spectrum_of,
     check_purity,
     log_negativity,
     partial_trace,
-    purification,
     von_neumann_entropy,
 )
 
@@ -92,7 +97,7 @@ class BandCorrelations:
 def band_correlations(cov: CovarianceMatrix, bands: BandPartition, t: float = 0.0) -> BandCorrelations:
     """MI(S, band) and negativity of {S} vs band after tracing the rest."""
     n = cov.n_modes
-    h_s = von_neumann_entropy(partial_trace(cov, ModeSubset.of([0], n)))
+    h_s = system_entropy(cov)
     mi = np.empty(bands.n_bands)
     neg = np.empty(bands.n_bands)
     for i, block in enumerate(bands.band_members):
@@ -106,6 +111,11 @@ def band_correlations(cov: CovarianceMatrix, bands: BandPartition, t: float = 0.
         mi[i] = h_s + h_band - h_joint
         neg[i] = log_negativity(reduced, sys_pos)
     return BandCorrelations(t=t, band_edges=bands.band_edges, mi=mi, neg=neg)
+
+
+def system_entropy(cov: CovarianceMatrix) -> float:
+    """H(S), the von Neumann entropy of the system mode 0."""
+    return von_neumann_entropy(partial_trace(cov, ModeSubset.of([0], cov.n_modes)))
 
 
 def default_f_grid(n_units: int, n_points: int = 24) -> np.ndarray:
@@ -197,10 +207,13 @@ def sample_fraction(
         raise DomainError(f"fraction {f} exceeds one")
     if size == units:
         return ModeSubset.of(range(units), units)
+    return ModeSubset.of(sorted(int(i) for i in _draw(sampler, size, units, sample_index, t_index)), units)
+
+
+def _draw(sampler: FractionSampler, size: int, units: int, sample_index: int, t_index: int) -> np.ndarray:
+    """size distinct unit indices, unsorted, from the stream of (seed, t_index, size, sample_index)."""
     seq = np.random.SeedSequence((int(sampler.seed) & 0xFFFFFFFFFFFFFFFF, t_index, size, sample_index))
-    rng = np.random.default_rng(seq)
-    picked = rng.choice(units, size=size, replace=False)
-    return ModeSubset.of(sorted(int(i) for i in picked), units)
+    return np.random.default_rng(seq).choice(units, size=size, replace=False)
 
 
 @dataclass(frozen=True)
@@ -230,171 +243,155 @@ class CorrelationCurve:
         return float(self.mean[idx])
 
 
-def _units_to_modes(unit_subset: ModeSubset, sampler: FractionSampler, n_bath: int) -> tuple[int, ...]:
-    """Map sampled unit indices to bath mode indices of the covariance."""
-    if sampler.unit == "oscillator":
-        return tuple(i + 1 for i in unit_subset.indices)
-    bands = band_partition(n_bath, sampler.n_bands)
-    modes: list[int] = []
-    for b in unit_subset.indices:
-        modes.extend(bands.band_members[b])
-    return tuple(sorted(modes))
+def fraction_plan(grid: np.ndarray, units: int) -> list[tuple[float, float | None]]:
+    """(source f, mirror f or None) of every grid point that is drawn.
 
-
-def _system_with(cov: CovarianceMatrix, modes: tuple[int, ...]) -> CovarianceMatrix:
-    """Reduced state of the system and the given bath modes, system first."""
-    return partial_trace(cov, ModeSubset.of((0,) + modes, cov.n_modes))
-
-
-def _system_negativity(joint: CovarianceMatrix) -> float:
-    """Negativity of the system (position 0) against the other modes of joint."""
-    return log_negativity(joint, ModeSubset.of([0], joint.n_modes))
-
-
-def _far_negativity(cov: CovarianceMatrix, joint: CovarianceMatrix, far: tuple[int, ...]) -> float:
-    """Negativity of S against the bath modes ``far``, which ``joint`` = S u near leaves out.
-
-    The state is globally pure, so the partners of a purification of joint
-    stand in for far.  That block holds at most joint.n_modes + 1 modes, the
-    direct block S u far holds len(far) + 1; the smaller one is used.
+    Every point f <= 1/2 is drawn, and so is every upper point whose mirror
+    1 - f is not on the grid; the complement of each draw fills the mirror.
+    The point f = 1, if on the grid, is its own entry: the whole
+    environment, evaluated once without a draw.
     """
-    if joint.n_modes < len(far):
-        partner = purification(joint, ModeSubset.of([0], joint.n_modes))
-        return _system_negativity(partner) if partner.n_modes > 1 else 0.0
-    return _system_negativity(_system_with(cov, far))
+    by_k = {int(round(f * units)): float(f) for f in grid}
+    return [
+        (f, by_k.get(units - k))
+        for k, f in by_k.items()
+        if k == units or 2 * k <= units or units - k not in by_k
+    ]
 
 
-def _split_correlations(
-    cov: CovarianceMatrix,
-    h_s: float,
-    drawn: tuple[int, ...],
-    rest: tuple[int, ...],
-    want_mi: bool,
-    want_neg: bool,
-    rest_neg: bool,
-) -> tuple[float | None, float | None, float | None, float | None]:
-    """(MI, MI, negativity, negativity) of S with the drawn bath modes and with the rest.
+def _entropy(block: np.ndarray) -> float:
+    # blocks of a CovarianceMatrix's data are exactly symmetric
+    return _entropy_of_values(_spectrum_of(block, 0.0))
 
-    Only the smaller side ("near") and S u near are ever extracted.  With
-    global purity H(S u far) = H(near) and H(far) = H(S u near), so
+
+def _negativity(block: np.ndarray) -> float:
+    """Logarithmic negativity of S (rows 0 and 1) against the rest of a system-first block."""
+    flipped = block.copy()
+    flipped[1] *= -1.0
+    flipped[:, 1] *= -1.0
+    return _negativity_of_values(_spectrum_of(flipped, 0.0))
+
+
+def _block(data: np.ndarray, bath: np.ndarray) -> np.ndarray:
+    """Block of S and the bath modes that the mask ``bath`` selects, system first."""
+    rows = np.flatnonzero(np.repeat(np.concatenate(([True], bath)), 2))
+    return data[np.ix_(rows, rows)]
+
+
+def _split(data: np.ndarray, h_s: float, drawn: np.ndarray, want_mi: bool, want_neg: bool, rest_neg: bool):
+    """(MI, MI, negativity, negativity) of S with the drawn bath modes (a mask) and with the rest.
+
+    Only the smaller side ("near") and S u near are extracted.  With global
+    purity H(S u far) = H(near) and H(far) = H(S u near), so
         I(S : near) = H(S) + H(near) - H(S u near),
-        I(S : far)  = H(S) + H(S u near) - H(near),
-    and the negativity against far comes from _far_negativity.  The rest's
-    negativity is computed only when rest_neg is set; unwanted entries are
-    None.
+        I(S : far)  = H(S) + H(S u near) - H(near).
+    The negativity against far is read off a Gaussian purification of
+    S u near (at most |near| + 2 modes) when that block is smaller than
+    S u far, else off S u far directly.  The rest's negativity is computed
+    only when rest_neg is set; unwanted entries are None.
     """
-    drawn_near = len(drawn) <= len(rest)
-    near, far = (drawn, rest) if drawn_near else (rest, drawn)
-    joint = _system_with(cov, near)
+    drawn_near = 2 * np.count_nonzero(drawn) <= drawn.size
+    near = drawn if drawn_near else ~drawn
+    joint = _block(data, near)
     mi_near = mi_far = neg_near = neg_far = None
     if want_mi:
-        bath_part = ModeSubset.of(range(1, joint.n_modes), joint.n_modes)
-        h_near = von_neumann_entropy(partial_trace(joint, bath_part))
-        h_joint = von_neumann_entropy(joint)
+        h_near, h_joint = _entropy(joint[2:, 2:]), _entropy(joint)
         mi_near = h_s + h_near - h_joint
         mi_far = h_s + h_joint - h_near
     if want_neg:
         if drawn_near or rest_neg:
-            neg_near = _system_negativity(joint)
+            neg_near = _negativity(joint)
         if not drawn_near or rest_neg:
-            neg_far = _far_negativity(cov, joint, far)
+            n_near = np.count_nonzero(near)
+            if n_near + 1 < near.size - n_near:
+                partner = _purify(joint, np.arange(2))
+                neg_far = _negativity(partner) if len(partner) > 2 else 0.0
+            else:
+                neg_far = _negativity(_block(data, ~near))
     if drawn_near:
         return mi_near, mi_far, neg_near, neg_far
     return mi_far, mi_near, neg_far, neg_near
 
 
-def _fraction_curves(
-    cov: CovarianceMatrix,
+def fraction_samples(
+    data: np.ndarray,
+    h_s: float,
     sampler: FractionSampler,
-    measures: tuple[str, ...],
-    t: float,
-    t_index: int,
-    keep_samples: bool,
-) -> dict[str, CorrelationCurve]:
-    """Shared sampling engine for pi_plot / pe_plot.
+    plan: list[tuple[float, float | None]],
+    t_index: int = 0,
+    measures: tuple[str, ...] = ("mi", "neg"),
+) -> dict[str, dict[float, list[float]]]:
+    """{measure: {grid point: per-sample values}} of the grid points that part of a plan fills.
 
-    The state must be globally pure, as the closed dynamics keeps it; this
-    is checked once per call (check_purity, ImpureState past PURITY_TOL).
-    Each draw E_f of k bath modes splits the bath into a smaller side of
-    at most N/2 modes and a larger one, and every correlation of the pair
-    (E_f, E_c) is read off blocks of the smaller side:
-        MI           H(near) on k modes and H(S u near) on k + 1;
-        negativity   S u near directly (k + 1 modes); against the far side
-                     through a purification of S u near (at most k + 2
-                     modes) when that block is smaller than S u far
-                     (N - k + 1 modes), else directly.
-    On the default grid of N = 150 modes no sampled block exceeds 76 modes.
-    The point f = 1 is evaluated once, directly, on the whole state.  The
-    paired-complement identity I(f) + I(1 - f) = 2 H(S) holds per sample
-    to rounding.
+    data is the covariance array (a CovarianceMatrix's, system first) of a
+    globally pure state, which the caller checks, and h_s its H(S).  Each
+    draw is split with a mask over the bath modes and evaluated on its
+    smaller side (_split).  At f = 1 the mutual information is 2 H(S) and
+    the negativity is read off the whole state.  A self-mirrored point
+    (f = 1/2) lists draw and complement interleaved.
     """
-    n_bath = cov.n_modes - 1
+    n_bath = data.shape[0] // 2 - 1
     units = sampler.n_units(n_bath)
-    grid = sampler.grid_for(n_bath)
-    check_purity(cov)
-    h_s = von_neumann_entropy(partial_trace(cov, ModeSubset.of([0], cov.n_modes)))
-    all_modes = tuple(range(1, n_bath + 1))
-
-    values: dict[str, dict[float, list[float]]] = {m: {float(f): [] for f in grid} for m in measures}
-    want_mi = "mi" in measures
-    want_neg = "neg" in measures
+    unit_of_mode = np.arange(n_bath)
+    if sampler.unit == "band":
+        sizes = [len(b) for b in band_partition(n_bath, units).band_members]
+        unit_of_mode = np.repeat(np.arange(units), sizes)
+    want_mi, want_neg = "mi" in measures, "neg" in measures
+    out: dict[str, dict[float, list[float]]] = {m: {} for m in measures}
 
     def record(f: float, mi: float | None, neg: float | None):
-        if want_mi:
-            values["mi"][f].append(mi)
-        if want_neg:
-            values["neg"][f].append(neg)
+        for m, value in (("mi", mi), ("neg", neg)):
+            if m in out:
+                out[m].setdefault(f, []).append(value)
 
-    grid_set = [float(f) for f in grid]
-
-    def grid_key(f: float) -> float | None:
-        for g in grid_set:
-            if abs(g - f) < 1e-9:
-                return g
-        return None
-
-    # sample every lower-half point plus any upper point whose mirror is
-    # absent from the grid; mirrored points are filled by complements
-    sources = [f for f in grid_set if f <= 0.5 and f < 1.0]
-    sources += [f for f in grid_set if 0.5 < f < 1.0 and grid_key(1.0 - f) is None]
-    for f in sources:
-        comp_f = grid_key(1.0 - f)
+    for f, mirror in plan:
+        size = int(round(f * units))
+        if size == units:
+            record(f, 2.0 * h_s, _negativity(data) if want_neg else None)
+            continue
         for s_idx in range(sampler.samples_per_point):
-            subset = sample_fraction(sampler, f, units, sample_index=s_idx, t_index=t_index)
-            modes = _units_to_modes(subset, sampler, n_bath)
-            comp_modes = tuple(sorted(set(all_modes) - set(modes)))
-            mi_f, mi_c, neg_f, neg_c = _split_correlations(
-                cov, h_s, modes, comp_modes, want_mi, want_neg, comp_f is not None
-            )
+            picked = np.zeros(units, dtype=bool)
+            picked[_draw(sampler, size, units, s_idx, t_index)] = True
+            drawn = picked[unit_of_mode]
+            mi_f, mi_c, neg_f, neg_c = _split(data, h_s, drawn, want_mi, want_neg, mirror is not None)
             record(f, mi_f, neg_f)
-            if comp_f is not None:
-                record(comp_f, mi_c, neg_c)
-    if grid_key(1.0) is not None:
-        # no sampling at f = 1: the subset is the whole environment
-        record(1.0, 2.0 * h_s, _system_negativity(_system_with(cov, all_modes)) if want_neg else None)
+            if mirror is not None:
+                record(mirror, mi_c, neg_c)
+    return out
 
+
+def fraction_curves(
+    grid: np.ndarray,
+    samples: dict[str, dict[float, list[float]]],
+    h_s: float,
+    t: float = 0.0,
+    keep_samples: bool = False,
+) -> dict[str, CorrelationCurve]:
+    """Mean and standard error at every grid point, from the merged samples of a whole plan."""
     out: dict[str, CorrelationCurve] = {}
-    for m in measures:
-        mean = np.array([np.mean(values[m][float(f)]) for f in grid])
-        count = np.array([len(values[m][float(f)]) for f in grid])
-        stderr = np.array(
-            [
-                np.std(values[m][float(f)], ddof=1) / np.sqrt(len(values[m][float(f)]))
-                if len(values[m][float(f)]) > 1
-                else 0.0
-            for f in grid]
-        )
+    for m, values in samples.items():
+        lists = [values[float(f)] for f in grid]
         out[m] = CorrelationCurve(
             t=t,
             measure=m,
             f_values=np.asarray(grid, dtype=float),
-            mean=mean,
-            stderr=stderr,
-            n_samples=count,
+            mean=np.array([np.mean(v) for v in lists]),
+            stderr=np.array([np.std(v, ddof=1) / np.sqrt(len(v)) if len(v) > 1 else 0.0 for v in lists]),
+            n_samples=np.array([len(v) for v in lists]),
             h_system=h_s,
-            samples={float(f): np.array(values[m][float(f)]) for f in grid} if keep_samples else None,
+            samples={float(f): np.array(v) for f, v in zip(grid, lists)} if keep_samples else None,
         )
     return out
+
+
+def _plots(cov, sampler, measures, t, t_index, keep_samples) -> dict[str, CorrelationCurve]:
+    """The curves of the measures, with the whole plan evaluated as one part."""
+    n_bath = cov.n_modes - 1
+    grid = sampler.grid_for(n_bath)
+    check_purity(cov)
+    h_s = system_entropy(cov)
+    samples = fraction_samples(cov.data, h_s, sampler, fraction_plan(grid, sampler.n_units(n_bath)), t_index, measures)
+    return fraction_curves(grid, samples, h_s, t, keep_samples)
 
 
 def pi_plot(
@@ -410,7 +407,7 @@ def pi_plot(
     ImpureState otherwise.  The returned curve carries H(S) so consumers
     can subtract it.
     """
-    return _fraction_curves(cov, sampler, ("mi",), t, t_index, keep_samples)["mi"]
+    return _plots(cov, sampler, ("mi",), t, t_index, keep_samples)["mi"]
 
 
 def pe_plot(
@@ -424,7 +421,7 @@ def pe_plot(
 
     Requires a globally pure state; raises ImpureState otherwise.
     """
-    return _fraction_curves(cov, sampler, ("neg",), t, t_index, keep_samples)["neg"]
+    return _plots(cov, sampler, ("neg",), t, t_index, keep_samples)["neg"]
 
 
 def pi_pe_plots(
@@ -435,5 +432,5 @@ def pi_pe_plots(
     keep_samples: bool = False,
 ) -> tuple[CorrelationCurve, CorrelationCurve]:
     """Both plots over the same sampled subsets (shared draws)."""
-    both = _fraction_curves(cov, sampler, ("mi", "neg"), t, t_index, keep_samples)
+    both = _plots(cov, sampler, ("mi", "neg"), t, t_index, keep_samples)
     return both["mi"], both["neg"]

@@ -45,6 +45,17 @@ PURITY_TOL = 1e-8
 #: two-mode squeezing sqrt(nu^2 - 1/4) of order 1e-8.
 PURE_MODE_RTOL = 1e-13
 
+#: Work done by _spectrum_of since the last take_counts(): spectra taken,
+#: their summed cost (2M)^3, the largest block in modes and svd fallbacks.
+_COUNTS = dict.fromkeys(("spectra", "block_cost", "block_modes_max", "svd_fallbacks"), 0)
+
+
+def take_counts() -> dict[str, int]:
+    """The spectrum counters since the last call, which resets them."""
+    counts = dict(_COUNTS)
+    _COUNTS.update(dict.fromkeys(_COUNTS, 0))
+    return counts
+
 
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Return the canonical commutator matrix Omega for ``n_modes`` modes.
@@ -112,13 +123,14 @@ class CovarianceMatrix:
             raise DomainError(f"{len(labels)} labels for {n_modes} modes")
         self.labels = tuple(labels)
 
-    def rows_for(self, modes: Sequence[int]) -> np.ndarray:
-        """Row/column indices of the (x, p) pairs of the given mode positions."""
-        modes = np.asarray(modes, dtype=int)
-        return np.column_stack((2 * modes, 2 * modes + 1)).ravel()
-
     def copy(self) -> "CovarianceMatrix":
         return CovarianceMatrix(self.data.copy(), self.labels)
+
+
+def _rows(modes: Sequence[int]) -> np.ndarray:
+    """Row/column indices of the (x, p) pairs of the given mode positions."""
+    modes = np.asarray(modes, dtype=int)
+    return np.column_stack((2 * modes, 2 * modes + 1)).ravel()
 
 
 @dataclass(frozen=True)
@@ -206,8 +218,12 @@ def _spectrum_of(sigma: np.ndarray, symmetry_defect: float | None = None) -> np.
     Falls back to the complex eigensolve of Omega.sigma when sigma is not
     positive definite, so diagnostic calls on unphysical matrices still
     return a spectrum.  ``symmetry_defect`` (max|sigma - sigma^T|) is
-    computed here unless the caller passes it.
+    computed here unless the caller passes it.  Every call adds to the
+    counters that take_counts() returns.
     """
+    _COUNTS["spectra"] += 1
+    _COUNTS["block_cost"] += sigma.shape[0] ** 3
+    _COUNTS["block_modes_max"] = max(_COUNTS["block_modes_max"], sigma.shape[0] // 2)
     scale = max(float(np.max(np.abs(sigma))), 1e-300)
     if symmetry_defect is None:
         symmetry_defect = float(np.max(np.abs(sigma - sigma.T)))
@@ -222,6 +238,7 @@ def _spectrum_of(sigma: np.ndarray, symmetry_defect: float | None = None) -> np.
             if gram[0] >= GRAM_RTOL * gram[-1]:  # False for NaN, which falls back too
                 moduli = np.sqrt(gram)
             else:
+                _COUNTS["svd_fallbacks"] += 1
                 moduli = np.linalg.svd(form, compute_uv=False)
     if moduli is None:
         moduli = np.abs(np.linalg.eigvals(_omega_times(sigma)))
@@ -276,7 +293,7 @@ def partial_trace(cov: CovarianceMatrix, keep: ModeSubset) -> CovarianceMatrix:
         raise SubsetError("cannot keep an empty set of modes")
     if keep.indices[-1] >= cov.n_modes or keep.indices[0] < 0:
         raise IndexError(f"mode indices {keep.indices} out of range")
-    rows = cov.rows_for(keep.indices)
+    rows = _rows(keep.indices)
     sub = cov.data[np.ix_(rows, rows)]
     labels = tuple(cov.labels[i] for i in keep.indices)
     return CovarianceMatrix(sub, labels)
@@ -302,7 +319,11 @@ def log_negativity(cov: CovarianceMatrix, party_a: ModeSubset) -> float:
     Eigenvalues inside the NU_TOL band below 1/2 are treated as 1/2, so
     separable product states return exactly 0.0.
     """
-    tilde = _spectrum_of(partial_transpose(cov, party_a).data)
+    return _negativity_of_values(_spectrum_of(partial_transpose(cov, party_a).data))
+
+
+def _negativity_of_values(tilde: np.ndarray) -> float:
+    """Logarithmic negativity from a partially transposed symplectic spectrum."""
     negative = tilde[tilde < 0.5 - NU_TOL]
     if negative.size == 0:
         return 0.0
@@ -317,10 +338,18 @@ def williamson(cov: CovarianceMatrix) -> tuple[np.ndarray, np.ndarray]:
     Cholesky sigma = L L^T; the Hermitian matrix i L^T Omega L has
     eigenvalues +-nu_j.  An eigenvector u_j of +nu_j gives the columns
     sqrt(2) (Im u_j, Re u_j) of an orthogonal O that brings L^T Omega L to
-    the blocks nu_j [[0, 1], [-1, 0]], and S = L O D^(-1/2).
+    the blocks nu_j [[0, 1], [-1, 0]], and S = L O D^(-1/2).  Raises
+    DomainError when sigma is not numerically positive definite.
     """
-    n = cov.n_modes
-    chol, form = _cholesky_form(cov.data)
+    return _williamson(cov.data)
+
+
+def _williamson(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    n = sigma.shape[0] // 2
+    try:
+        chol, form = _cholesky_form(sigma)
+    except np.linalg.LinAlgError as exc:
+        raise DomainError("Williamson normal form needs a positive-definite matrix") from exc
     values, vectors = np.linalg.eigh(1j * form)
     nu = values[n:]
     ortho = np.empty((2 * n, 2 * n))
@@ -343,16 +372,21 @@ def purification(cov: CovarianceMatrix, keep: ModeSubset) -> CovarianceMatrix:
     PRA 67, 052311 (2003)).  With no mixed mode the kept modes come back
     alone.
     """
-    nu, sym = williamson(cov)
-    scale = max(float(np.max(np.abs(cov.data))), 1.0)
+    out = _purify(cov.data, _rows(keep.indices))
+    labels = tuple(cov.labels[i] for i in keep.indices)
+    return CovarianceMatrix(out, labels + (-1,) * (out.shape[0] // 2 - len(labels)))
+
+
+def _purify(sigma: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """purification on arrays: rows are the kept (x, p) rows of sigma."""
+    nu, sym = _williamson(sigma)
+    scale = max(float(np.max(np.abs(sigma))), 1.0)
     mixed = np.flatnonzero(nu - 0.5 > PURE_MODE_RTOL * scale)
-    rows = cov.rows_for(keep.indices)
     nu_mixed = np.repeat(nu[mixed], 2)
     squeeze = np.sqrt(nu_mixed**2 - 0.25)
     squeeze[1::2] *= -1.0  # the pair's momenta anti-correlate
-    cross = sym[np.ix_(rows, cov.rows_for(mixed))] * squeeze
-    out = np.block([[cov.data[np.ix_(rows, rows)], cross], [cross.T, np.diag(nu_mixed)]])
-    return CovarianceMatrix(out, tuple(cov.labels[i] for i in keep.indices) + (-1,) * len(mixed))
+    cross = sym[np.ix_(rows, _rows(mixed))] * squeeze
+    return np.block([[sigma[np.ix_(rows, rows)], cross], [cross.T, np.diag(nu_mixed)]])
 
 
 def check_purity(cov: CovarianceMatrix) -> float:

@@ -15,16 +15,26 @@ The curves that redundancy and compare read come from the time points of
 the run itself or, with ``curves_dir``, from the piplot and peplot files an
 earlier run persisted there (``load_curves``); then nothing is simulated.
 
-Time points are independent work items, evaluated in a pool of spawned
-worker processes; a serial run (workers = 1) is a pool of one, and a run
-whose stages need no time point starts no pool.
-Every worker starts with single-threaded BLAS, so N workers occupy N CPUs
+The unit of parallel work is one part ("chunk") of one time point's
+fraction plan (correlations.fraction_plan).  With W workers and n time
+points, each time point splits into max(1, min(plan size, ceil(4 W / n)))
+chunks of near-equal cost, so a few time points still keep every worker
+busy while a long time grid stays at one item per point.  Chunk 0 also
+carries the state diagnostics, the bands and f = 1.  Items go to a pool of
+spawned worker processes in time order; each worker keeps the state of its
+latest time point, so a run of chunks of one point evolves it once.  The
+runner merges each point's chunks and reduces them to curves in grid
+order.  A serial run (workers = 1) is a pool of one, and a run whose
+stages need no time point starts no pool.
+
+Every worker starts with single-threaded BLAS, so W workers occupy W CPUs
 and the floating-point reduction order does not depend on the worker
-count.  Per-item RNG streams are keyed on indices, so serial and parallel
-runs emit identical bytes.  Every data file is CSV or
-JSON without timestamps; the manifest (which records wall-clock timings
-and content digests) is the only non-reproducible output.  This module
-writes every file of a run; a failed run removes the files it wrote.
+count.  Draws are keyed on indices and each grid point is filled by one
+chunk, so serial and parallel runs emit identical bytes.  Every data file
+is CSV or JSON without timestamps; the manifest (which records wall-clock
+timings, spectrum counts and content digests) is the only
+non-reproducible output.  This module writes every file of a run; a
+failed run removes the files it wrote.
 """
 
 from __future__ import annotations
@@ -32,6 +42,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import time
@@ -51,14 +62,17 @@ from .analytic import (
 )
 from .config import RunConfig
 from .correlations import (
+    CorrelationCurve,
     FractionSampler,
     band_correlations,
     band_partition,
-    pi_pe_plots,
-    CorrelationCurve,
+    fraction_curves,
+    fraction_plan,
+    fraction_samples,
+    system_entropy,
 )
 from .errors import QbmError
-from .gaussian import ModeSubset, partial_trace, validate_state, von_neumann_entropy
+from .gaussian import check_purity, take_counts, validate_state
 from .model import (
     discretize_bath,
     evolve,
@@ -73,16 +87,18 @@ ALL_STAGES = ("evolve", "bands", "piplot", "peplot", "redundancy", "compare", "a
 #: stages that evaluate time points themselves, so they cannot read persisted curves
 _SIMULATING_STAGES = ("evolve", "bands", "piplot", "peplot")
 
-# per-process cache of heavy simulation pieces, keyed by the physics config
+# per-process caches: the heavy simulation pieces of the physics config, and
+# the state of the latest time point (see _state_at)
 _PIECES: dict = {}
+_LATEST: dict = {}
 
 #: Thread-count variables pinned to 1 in every worker.  BLAS reads them once,
 #: when numpy loads it, so they must be in place before the worker starts.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def simulation_pieces(config: RunConfig):
-    key = (
+def _physics(config: RunConfig) -> tuple:
+    return (
         config.exponent,
         config.cutoff,
         config.coupling,
@@ -92,6 +108,10 @@ def simulation_pieces(config: RunConfig):
         config.bath_mass,
         config.squeezing,
     )
+
+
+def simulation_pieces(config: RunConfig):
+    key = _physics(config)
     if key not in _PIECES:
         spec = config.bath_spec()
         bath = discretize_bath(spec)
@@ -100,6 +120,22 @@ def simulation_pieces(config: RunConfig):
         _PIECES.clear()  # one config per process is the common case
         _PIECES[key] = (spec, bath, prop, cov0)
     return _PIECES[key]
+
+
+def _state_at(config: RunConfig, t: float, pure: bool):
+    """(sigma(t), H(S)), kept for the next chunk of the same time point.
+
+    With ``pure`` the state's global purity is checked first (ImpureState).
+    """
+    key = (_physics(config), t, pure)
+    if key not in _LATEST:
+        _, _, prop, cov0 = simulation_pieces(config)
+        cov = evolve(prop, cov0, t)
+        if pure:
+            check_purity(cov)
+        _LATEST.clear()
+        _LATEST[key] = (cov, system_entropy(cov))
+    return _LATEST[key]
 
 
 def _sampler(config: RunConfig) -> FractionSampler:
@@ -112,16 +148,45 @@ def _sampler(config: RunConfig) -> FractionSampler:
     )
 
 
-def _time_point_task(args) -> dict:
-    """Everything computed for one time point (runs in worker processes)."""
-    config_dict, t_index, t, wants = args
+def _chunk_count(n_sampled: int, workers: int, n_times: int) -> int:
+    """Chunks per time point: enough for about four items per worker, at most one per sampled point."""
+    return max(1, min(n_sampled, math.ceil(4 * workers / n_times)))
+
+
+def _split_plan(plan: list, units: int, n_chunks: int) -> list[list]:
+    """The plan in n_chunks parts of near-equal cost; f = 1 goes to part 0.
+
+    Greedy, largest first: each sampled point goes to the part with the
+    least cost so far.  A point of k units costs (min(k, units - k) + 2)^3,
+    cubic in its largest block.
+    """
+    parts: list[list] = [[] for _ in range(n_chunks)]
+    loads = [0] * n_chunks
+
+    def cost(entry) -> int:
+        k = round(entry[0] * units)
+        return (min(k, units - k) + 2) ** 3
+
+    for entry in sorted(plan, key=cost, reverse=True):
+        if round(entry[0] * units) == units:
+            parts[0].append(entry)
+            continue
+        i = loads.index(min(loads))
+        parts[i].append(entry)
+        loads[i] += cost(entry)
+    return parts
+
+
+def _chunk_task(args) -> dict:
+    """One chunk of one time point (runs in worker processes)."""
+    config_dict, t_index, t, wants, part = args
     config = RunConfig(**config_dict)
-    spec, bath, prop, cov0 = simulation_pieces(config)
-    cov = evolve(prop, cov0, t)
-    out: dict = {"t_index": t_index, "t": float(t)}
+    take_counts()  # count this chunk only
+    spec, bath = simulation_pieces(config)[:2]
+    cov, h_s = _state_at(config, t, "curves" in wants)
+    out: dict = {"t_index": t_index, "h_s": h_s}
     if "state" in wants:
         report = validate_state(cov)
-        h_s = von_neumann_entropy(partial_trace(cov, ModeSubset.of([0], cov.n_modes)))
         out["state"] = {
             "min_symplectic": report.min_symplectic,
             "symmetry_defect": report.symmetry_defect,
@@ -138,7 +203,8 @@ def _time_point_task(args) -> dict:
             "neg": bc.neg.tolist(),
         }
     if "curves" in wants:
-        out["curves"] = pi_pe_plots(cov, _sampler(config), t=t, t_index=t_index)
+        out["samples"] = fraction_samples(cov.data, h_s, _sampler(config), part, t_index)
+    out["counts"] = take_counts()
     return out
 
 
@@ -149,6 +215,8 @@ class RunManifest:
     config: dict
     stages: list
     timings_s: dict
+    #: spectrum counts summed over the run's chunks (gaussian.take_counts)
+    counts: dict
     files: list
 
 
@@ -204,19 +272,46 @@ def _single_threaded_blas_env():
                 os.environ[var] = value
 
 
-def _run_time_points(config: RunConfig, wants: tuple[str, ...]) -> list[dict]:
-    payloads = [
-        (asdict(config), i, float(t), wants) for i, t in enumerate(config.times())
-    ]
+def _run_time_points(config: RunConfig, wants: tuple[str, ...]) -> tuple[list[dict], dict]:
+    """Per time point: t, and the state, bands and (PI, PE) curves it wants; and the summed spectrum counts."""
+    times = [float(t) for t in config.times()]
     # bound the pool by usable CPUs: beyond that, extra processes only contend
-    n_workers = min(config.workers, usable_cpu_count(), len(payloads))
+    workers = min(config.workers, usable_cpu_count())
+    parts: list = [None]
+    if "curves" in wants:
+        sampler = _sampler(config)
+        units = sampler.n_units(config.n_oscillators)
+        grid = sampler.grid_for(config.n_oscillators)
+        plan = fraction_plan(grid, units)
+        n_sampled = sum(round(f * units) < units for f, _ in plan)
+        parts = _split_plan(plan, units, _chunk_count(n_sampled, workers, len(times)))
+    config_dict = asdict(config)
+    payloads = [
+        (config_dict, i, t, wants if j == 0 else ("curves",), part)
+        for i, t in enumerate(times)
+        for j, part in enumerate(parts)
+    ]
     # spawn, not fork: a forked child inherits the parent's already-loaded,
     # multi-threaded BLAS; a spawned one loads it under the pinned variables
     with _single_threaded_blas_env(), ProcessPoolExecutor(
-        max_workers=n_workers, mp_context=multiprocessing.get_context("spawn")
+        max_workers=min(workers, len(payloads)), mp_context=multiprocessing.get_context("spawn")
     ) as pool:
-        results = list(pool.map(_time_point_task, payloads, chunksize=1))
-    return sorted(results, key=lambda r: r["t_index"])
+        items = list(pool.map(_chunk_task, payloads, chunksize=1))
+
+    points = [{"t": t, "samples": {}} for t in times]
+    counts = dict.fromkeys(items[0]["counts"], 0)
+    for item in items:
+        point = points[item["t_index"]]
+        point.update({k: item[k] for k in ("state", "bands", "h_s") if k in item})
+        for m, values in item.get("samples", {}).items():
+            point["samples"].setdefault(m, {}).update(values)
+        for k, v in item["counts"].items():
+            counts[k] = max(counts[k], v) if k == "block_modes_max" else counts[k] + v
+    if "curves" in wants:
+        for point in points:
+            curves = fraction_curves(grid, point["samples"], point["h_s"], point["t"])
+            point["curves"] = (curves["mi"], curves["neg"])
+    return points, counts
 
 
 def branch_params(config: RunConfig):
@@ -326,9 +421,10 @@ def run_experiment(
     prefix = os.path.join(config.outdir, config.run_id)
     try:
         results: list[dict] = []
+        counts: dict = {}
         if wants:
             t0 = time.perf_counter()
-            results = _run_time_points(config, tuple(wants))
+            results, counts = _run_time_points(config, tuple(wants))
             timings["simulate"] = time.perf_counter() - t0
         if curves_dir is None:
             curves = [r["curves"] for r in results if "curves" in r]
@@ -361,6 +457,7 @@ def run_experiment(
             },
             stages=list(stages),
             timings_s={k: round(v, 6) for k, v in timings.items()},
+            counts=counts,
             files=[
                 {"name": os.path.basename(p), "sha256": _sha256(p), "bytes": os.path.getsize(p)}
                 for p in written

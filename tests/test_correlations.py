@@ -8,10 +8,14 @@ from qbmlab.correlations import (
     band_correlations,
     band_partition,
     default_f_grid,
+    fraction_curves,
+    fraction_plan,
+    fraction_samples,
     pe_plot,
     pi_pe_plots,
     pi_plot,
     sample_fraction,
+    system_entropy,
 )
 from qbmlab.errors import BadBandCount, DomainError, EmptyFraction, ImpureState
 from qbmlab.gaussian import (
@@ -333,6 +337,64 @@ class TestSmallerSideAgainstDirectPath:
         mi_curve, neg_curve = assert_matches_direct(cov, sampler, t=t, t_index=t_index)
         assert neg_curve.mean[-1] == log_negativity(cov, ModeSubset.of([0], cov.n_modes))
         assert mi_curve.mean[-1] == 2.0 * mi_curve.h_system
+
+
+class TestFractionPlan:
+    def test_desk_grid(self):
+        grid = default_f_grid(150)
+        plan = fraction_plan(grid, 150)
+        assert [f for f, _ in plan] == [f for f in grid if f <= 0.5] + [1.0]
+        assert all(mirror == pytest.approx(1.0 - f) for f, mirror in plan[:-1])
+        assert plan[-1] == (1.0, None)
+        assert dict(plan)[0.5] == 0.5
+
+    def test_unmirrored_upper_points_are_drawn(self):
+        plan = fraction_plan(np.array([1, 2, 5, 6, 8]) / 8, 8)
+        assert plan == [(0.125, None), (0.25, 0.75), (0.625, None), (1.0, None)]
+
+
+class TestChunkedPlan:
+    """Any split of a plan, evaluated in any order and merged, gives the one-part curves bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n_bath=st.integers(min_value=2, max_value=9),
+        band=st.booleans(),
+        data=st.data(),
+    )
+    def test_any_split_any_order(self, seed, n_bath, band, data):
+        cov = random_state(np.random.default_rng(seed), n_bath + 1, pure=True)
+        units = data.draw(st.integers(min_value=2, max_value=n_bath)) if band else n_bath
+        ks = data.draw(st.sets(st.integers(min_value=1, max_value=units - 1)))
+        sampler = FractionSampler(
+            seed=seed,
+            samples_per_point=2,
+            f_grid=np.array(sorted(ks | {units})) / units,
+            unit="band" if band else "oscillator",
+            n_bands=units if band else None,
+        )
+        grid = sampler.grid_for(n_bath)
+        mi_curve, neg_curve = pi_pe_plots(cov, sampler, t=1.5, t_index=4, keep_samples=True)
+
+        plan = data.draw(st.permutations(fraction_plan(grid, units)))
+        labels = data.draw(st.lists(st.integers(0, 3), min_size=len(plan), max_size=len(plan)))
+        h_s = system_entropy(cov)
+        merged: dict = {"mi": {}, "neg": {}}
+        for label in data.draw(st.permutations(sorted(set(labels)))):
+            part = [entry for entry, lab in zip(plan, labels) if lab == label]
+            for m, values in fraction_samples(cov.data, h_s, sampler, part, t_index=4).items():
+                merged[m].update(values)
+        got = fraction_curves(grid, merged, h_s, t=1.5, keep_samples=True)
+
+        for want in (mi_curve, neg_curve):
+            curve = got[want.measure]
+            for name in ("f_values", "mean", "stderr", "n_samples"):
+                assert getattr(curve, name).tobytes() == getattr(want, name).tobytes(), name
+            assert curve.h_system == want.h_system
+            assert curve.samples.keys() == want.samples.keys()
+            for f in want.samples:
+                assert curve.samples[f].tobytes() == want.samples[f].tobytes()
 
 
 class TestImpureState:

@@ -19,6 +19,7 @@ from qbmlab.gaussian import (
     purification,
     symplectic_eigenvalues,
     symplectic_form,
+    take_counts,
     validate_state,
     von_neumann_entropy,
     williamson,
@@ -171,6 +172,16 @@ class TestSpectrumKernel:
         got = _spectrum_of(sigma)
         assert len(svd_calls) == int(gram[0] < GRAM_RTOL * gram[-1])
         assert got == pytest.approx([0.5, 0.5 * np.sqrt(spread), 0.5 * spread], rel=1e-12)
+
+
+class TestSpectrumCounters:
+    def test_counts_every_spectrum_then_resets(self):
+        take_counts()
+        von_neumann_entropy(vacuum(3))
+        # the partial transpose of a strongly squeezed pair spreads past the Gram guard
+        assert log_negativity(two_mode_squeezed(3.0), ModeSubset.of([0], 2)) == pytest.approx(6.0, rel=1e-10)
+        assert take_counts() == {"spectra": 2, "block_cost": 6**3 + 4**3, "block_modes_max": 3, "svd_fallbacks": 1}
+        assert take_counts() == {"spectra": 0, "block_cost": 0, "block_modes_max": 0, "svd_fallbacks": 0}
 
 
 class TestEntropyFunction:
@@ -422,6 +433,15 @@ class TestWilliamson:
             block = sym[2 * j : 2 * j + 2, 2 * j : 2 * j + 2]
             assert np.allclose(block @ block.T, np.eye(2), rtol=0, atol=1e-14)
         assert np.allclose(sym @ sym.T, np.eye(6), rtol=0, atol=1e-14)
+
+
+    def test_not_positive_definite_is_a_domain_error(self):
+        # symmetric and finite, so the constructor accepts it; Cholesky does not
+        cov = CovarianceMatrix(np.diag([0.5, 0.5, -1.0, 1.0]))
+        with pytest.raises(DomainError, match="positive-definite"):
+            williamson(cov)
+        with pytest.raises(DomainError, match="positive-definite"):
+            purification(cov, ModeSubset.of([0], 2))
 
 
 class TestPurification:

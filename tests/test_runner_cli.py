@@ -12,7 +12,19 @@ import qbmlab.runner as runner_mod
 from qbmlab.cli import main
 from qbmlab.config import parse_config
 from qbmlab.errors import ImpureState, QbmError
-from qbmlab.runner import _write_csv, branch_params, load_curves, run_experiment
+from qbmlab.correlations import band_correlations, band_partition, default_f_grid, fraction_plan, pi_pe_plots
+from qbmlab.gaussian import take_counts
+from qbmlab.model import evolve
+from qbmlab.runner import (
+    _chunk_count,
+    _sampler,
+    _split_plan,
+    _write_csv,
+    branch_params,
+    load_curves,
+    run_experiment,
+    simulation_pieces,
+)
 
 
 def tiny_config(outdir, run_id="t", **kw):
@@ -74,6 +86,30 @@ class TestRunExperiment:
         run_experiment(tiny_config(a_dir), ("piplot", "peplot"))
         run_experiment(tiny_config(b_dir, workers=3), ("piplot", "peplot"))
         assert digest_dir(a_dir) == digest_dir(b_dir)
+
+    @pytest.mark.parametrize("unit", ["oscillator", "band"])
+    def test_single_time_point_bytes_independent_of_workers(self, tmp_path, unit):
+        # one time point is split into chunks for each worker count
+        runs = {}
+        for workers in (1, 2):
+            cfg = tiny_config(tmp_path / str(workers), n_times=1, t_min=2.0, t_max=2.0, unit=unit, workers=workers)
+            run_experiment(cfg, ("evolve", "bands", "piplot", "peplot", "redundancy"))
+            runs[workers] = digest_dir(cfg.outdir)
+        assert runs[1] == runs[2]
+        assert len(runs[1]) == 8  # state, bands, two curve CSVs and sidecars, two redundancy files
+
+    def test_manifest_counts_every_spectrum(self, tmp_path):
+        # one worker, two chunks per time point: the cached state is evolved once
+        cfg = tiny_config(tmp_path, n_times=2)
+        manifest = run_experiment(cfg, ("bands", "piplot", "peplot"))
+        _, bath, prop, cov0 = simulation_pieces(cfg)
+        take_counts()
+        for i, t in enumerate(cfg.times()):
+            cov = evolve(prop, cov0, t)
+            band_correlations(cov, band_partition(cfg.n_oscillators, cfg.n_bands, bath.frequencies))
+            pi_pe_plots(cov, _sampler(cfg), t=t, t_index=i)
+        assert manifest.counts == take_counts()
+        assert manifest.counts["spectra"] > 0
 
     def test_redundancy_from_persisted_curves(self, tmp_path):
         cfg = tiny_config(tmp_path / "pipeline")
@@ -152,6 +188,34 @@ class TestRunExperiment:
         for row in t0_rows:
             assert float(row["analytic"]) == 0.0
             assert abs(float(row["numeric"])) < 1e-8
+
+
+class TestChunks:
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_one_chunk_per_time_point_on_long_grids(self, workers):
+        for n_times in (4 * workers, 4 * workers + 1, 40, 1000):
+            assert _chunk_count(12, workers, n_times) == 1
+
+    def test_few_time_points_split(self):
+        assert _chunk_count(12, 2, 3) == 3
+        assert _chunk_count(12, 2, 1) == 8
+        assert _chunk_count(12, 1, 3) == 2
+        assert _chunk_count(5, 8, 1) == 5  # at most one chunk per sampled point
+        assert _chunk_count(0, 2, 1) == 1
+
+    @pytest.mark.parametrize("n_chunks", [1, 2, 3, 8])
+    def test_split_covers_the_plan_once(self, n_chunks):
+        plan = fraction_plan(default_f_grid(150), 150)
+        parts = _split_plan(plan, 150, n_chunks)
+        assert len(parts) == n_chunks and all(parts)
+        assert sorted(e for part in parts for e in part) == sorted(plan)
+        assert (1.0, None) in parts[0]
+
+    def test_split_balances_cost(self):
+        parts = _split_plan(fraction_plan(default_f_grid(150), 150), 150, 3)
+        loads = [sum((min(round(f * 150), 150 - round(f * 150)) + 2) ** 3 for f, _ in part) for part in parts]
+        largest = (75 + 2) ** 3
+        assert max(loads) - min(loads) <= largest
 
 
 class TestWriteCsv:
