@@ -130,13 +130,13 @@ def default_f_grid(n_units: int, n_points: int = 24) -> np.ndarray:
         raise DomainError("need at least two sampling units for a fraction grid")
     k_top = max(1, int(round(0.4 * n_units)))
     n_lower = max(1, (n_points - 2) // 2)
-    ladder = np.unique(np.round(np.geomspace(1, k_top, n_lower)).astype(int))
+    # sets, not np.unique, which imports numpy.ma (1.6 MB) into the runner's process
+    ladder = set(np.round(np.geomspace(1, k_top, n_lower)).astype(int).tolist())
     request = n_lower
     while len(ladder) < min(n_lower, k_top) and request < 4 * n_lower:
         request += 1
-        ladder = np.unique(np.round(np.geomspace(1, k_top, request)).astype(int))
-    ks = set(ladder.tolist())
-    ks |= {n_units - k for k in ladder}
+        ladder = set(np.round(np.geomspace(1, k_top, request)).astype(int).tolist())
+    ks = ladder | {n_units - k for k in ladder}
     if n_units % 2 == 0:
         ks.add(n_units // 2)
     ks.add(n_units)
