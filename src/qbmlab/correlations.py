@@ -259,8 +259,10 @@ def fraction_plan(grid: np.ndarray, units: int) -> list[tuple[float, float | Non
     ]
 
 
+# _entropy and _negativity take exactly symmetric blocks (principal blocks of
+# a CovarianceMatrix's data, or a purification of one), so _spectrum_of is
+# told their symmetry defect is 0.
 def _entropy(block: np.ndarray) -> float:
-    # blocks of a CovarianceMatrix's data are exactly symmetric
     return _entropy_of_values(_spectrum_of(block, 0.0))
 
 
