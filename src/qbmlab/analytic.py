@@ -16,7 +16,7 @@ are validated.
 
 The dimensionless combination k = d(t) * dx^2 (dx the spread of the
 delocalized quadrature) controls everything; the *_value functions below
-take k directly; redundancy_estimate evaluates d(t) for a concrete bath.
+take k directly, and k_value evaluates it at time t for a concrete bath.
 """
 
 from __future__ import annotations
@@ -98,12 +98,6 @@ def trajectory_amplitudes(t: float, params: BranchModelParams) -> tuple[np.ndarr
     return a, adot
 
 
-def trajectory_amplitude(n: int, t: float, params: BranchModelParams) -> tuple[float, float]:
-    """(a_n(t), adot_n(t)) for a single bath mode index."""
-    a, adot = trajectory_amplitudes(t, params)
-    return float(a[n]), float(adot[n])
-
-
 def mode_d_values(t: float, params: BranchModelParams) -> np.ndarray:
     """Per-mode decoherence contributions d_n(t) >= 0."""
     bath = params.bath
@@ -116,31 +110,6 @@ def mode_d_values(t: float, params: BranchModelParams) -> np.ndarray:
 def d_total(t: float, params: BranchModelParams) -> float:
     """Aggregate decoherence function d(t) = sum_n d_n(t)."""
     return float(np.sum(mode_d_values(t, params)))
-
-
-def d_superohmic_closed(t: float, params: BranchModelParams) -> float:
-    """High-cutoff super-Ohmic closed form of d(t).
-
-    (m gamma0 / 2 pi) sin^2(Omega t) on the momentum-delocalized branch
-    (r < 0), which vanishes at t = k pi / Omega (recoherence); on the
-    position-delocalized branch (r >= 0) the switch-on kick leaves the
-    floor (m gamma0 / 2 pi)(1 + cos^2(Omega t)) that never vanishes.  Valid
-    for t well above 1/cutoff.
-    """
-    gamma0 = _gamma0_of(params)
-    base = params.mass * gamma0 / (2.0 * math.pi)
-    if params.r >= 0:
-        return base * (1.0 + math.cos(params.omega_s * t) ** 2)
-    return base * math.sin(params.omega_s * t) ** 2
-
-
-def _gamma0_of(params: BranchModelParams) -> float:
-    # recover gamma0 from the discretized couplings: for the n = 3 family
-    # c_k^2/(2 m_k w_k) = J(w_k) dw and J(cutoff) = 2 m gamma0 cutoff / pi
-    bath = params.bath
-    j_top = bath.couplings[-1] ** 2 / (2.0 * bath.masses[-1] * bath.frequencies[-1])
-    dw = bath.frequencies[-1] - bath.frequencies[-2] if bath.n_oscillators > 1 else bath.frequencies[-1]
-    return float(j_top / dw * math.pi / (2.0 * params.mass * bath.frequencies[-1]))
 
 
 def entanglement_value(f: float, k: float) -> float:
@@ -178,18 +147,6 @@ def mi_value(f: float, k: float) -> float:
     )
 
 
-def mi_slope_value(f: float, k: float) -> float:
-    """Exact derivative of mi_value in f (singular at f = 0 and f = 1)."""
-    if not 0.0 < f < 1.0:
-        raise DomainError(f"slope defined on (0, 1) only, got {f}")
-
-    def h_prime(chi: float) -> float:
-        return math.log((chi + 0.5) / (chi - 0.5))
-
-    cf, cc = chi_value(f, k), chi_value(1.0 - f, k)
-    return k * (h_prime(cf) / cf + h_prime(cc) / cc)
-
-
 def e_universal(f: float) -> float:
     """Large-squeezing limit (1/2) ln((1+3f)/(1-f)), independent of the bath.
 
@@ -200,22 +157,8 @@ def e_universal(f: float) -> float:
     return 0.5 * math.log((1.0 + 3.0 * f) / (1.0 - f))
 
 
-def e_asymptotic_value(f: float, k: float) -> float:
-    """Large-k expansion (1/2) ln[(1+3f)^3 / ((1-f)(1+3f)^2 + 2f/k)]."""
-    if f < 0.0 or f > 1.0:
-        raise DomainError(f"fraction must lie in [0, 1], got {f}")
-    if k <= 0.0:
-        raise DomainError("asymptotic form needs k > 0")
-    beta = 1.0 + 3.0 * f
-    return 0.5 * math.log(beta**3 / ((1.0 - f) * beta**2 + 2.0 * f / k))
-
-
-def i_nr_value(k: float, step: float = 1e-4) -> float:
-    """Non-redundant information: centered difference of mi_value at f = 1/2."""
-    return (mi_value(0.5 + 0.5 * step, k) - mi_value(0.5 - 0.5 * step, k)) / step
-
-
-def _k_of(t: float, params: BranchModelParams) -> float:
+def k_value(t: float, params: BranchModelParams) -> float:
+    """The branch model's k = d(t) dx^2 at time t."""
     return d_total(t, params) * params.delta_x**2
 
 
@@ -244,4 +187,4 @@ def redundancy_estimate(deficit: float, t: float, params: BranchModelParams) -> 
     Depends on the bath and on Omega_S only through k = d(t) dx^2; see
     redundancy_estimate_value.
     """
-    return redundancy_estimate_value(deficit, _k_of(t, params))
+    return redundancy_estimate_value(deficit, k_value(t, params))

@@ -11,7 +11,8 @@ A PI/PE evaluation has three steps.  fraction_plan lists the sampled grid
 points, each with the mirror point that its complements fill.
 fraction_samples evaluates any part of a plan on index arrays of the
 covariance array, and fraction_curves reduces the merged samples to
-curves.  pi_plot and pe_plot run the whole plan as one part; the runner
+curves, both measures at once.  pi_pe_plots runs the whole plan as one
+part (pi_plot and pe_plot return one of its two curves); the runner
 splits it into parts that workers evaluate in any order.  Each grid point
 is filled by exactly one part, and every draw is keyed on (seed, t-index,
 subset size, sample-index), so neither the split nor the worker count
@@ -23,7 +24,13 @@ ImpureState).  Purity lets every draw be evaluated on its smaller side: for
 a split of the N bath modes into k <= N/2 and N - k, no sampled block holds
 more than k + 2 modes (see _split).  On a desk time point (N = 150, 20
 samples) this cuts the summed cost (2 x modes)^3 of the spectra twentyfold,
-from 9.2e9 to 4.7e8.  band_correlations makes no purity assumption.
+from 9.2e9 to 4.7e8.
+
+Bands, H(S) and fractions run on one path: index-array blocks of the
+covariance array (_block, system first), whose entropies and partial
+transpose go straight to gaussian._spectrum_of (_entropy, _negativity).
+band_correlations reads each band off the block of S and its members and
+makes no purity assumption; H(S) is the entropy of the 2 x 2 system block.
 """
 
 from __future__ import annotations
@@ -38,13 +45,12 @@ from .gaussian import (
     ModeSubset,
     _entropy_of_values,
     _negativity_of_values,
-    _purify,
     _spectrum_of,
     check_purity,
-    log_negativity,
-    partial_trace,
-    von_neumann_entropy,
+    purification,
 )
+# not called here; perfbench's traced chain calls them as correlations.<name>
+from .gaussian import partial_trace, von_neumann_entropy  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -95,27 +101,26 @@ class BandCorrelations:
 
 
 def band_correlations(cov: CovarianceMatrix, bands: BandPartition, t: float = 0.0) -> BandCorrelations:
-    """MI(S, band) and negativity of {S} vs band after tracing the rest."""
-    n = cov.n_modes
+    """MI(S, band) and negativity of {S} vs band after tracing the rest.
+
+    Each band is read off the block of S and its members; no purity is
+    assumed, so impure states are accepted.
+    """
     h_s = system_entropy(cov)
     mi = np.empty(bands.n_bands)
     neg = np.empty(bands.n_bands)
     for i, block in enumerate(bands.band_members):
-        keep = ModeSubset.of((0,) + block, n)
-        reduced = partial_trace(cov, keep)
-        sys_pos = ModeSubset.of([0], reduced.n_modes)
-        h_band = von_neumann_entropy(
-            partial_trace(reduced, ModeSubset.of(range(1, reduced.n_modes), reduced.n_modes))
-        )
-        h_joint = von_neumann_entropy(reduced)
-        mi[i] = h_s + h_band - h_joint
-        neg[i] = log_negativity(reduced, sys_pos)
+        bath = np.zeros(cov.n_modes - 1, dtype=bool)
+        bath[np.array(block) - 1] = True
+        joint = _block(cov.data, bath)
+        mi[i] = h_s + _entropy(joint[2:, 2:]) - _entropy(joint)
+        neg[i] = _negativity(joint)
     return BandCorrelations(t=t, band_edges=bands.band_edges, mi=mi, neg=neg)
 
 
 def system_entropy(cov: CovarianceMatrix) -> float:
     """H(S), the von Neumann entropy of the system mode 0."""
-    return von_neumann_entropy(partial_trace(cov, ModeSubset.of([0], cov.n_modes)))
+    return _entropy(cov.data[:2, :2])
 
 
 def default_f_grid(n_units: int, n_points: int = 24) -> np.ndarray:
@@ -280,7 +285,7 @@ def _block(data: np.ndarray, bath: np.ndarray) -> np.ndarray:
     return data[np.ix_(rows, rows)]
 
 
-def _split(data: np.ndarray, h_s: float, drawn: np.ndarray, want_mi: bool, want_neg: bool, rest_neg: bool):
+def _split(data: np.ndarray, h_s: float, drawn: np.ndarray, rest_neg: bool):
     """(MI, MI, negativity, negativity) of S with the drawn bath modes (a mask) and with the rest.
 
     Only the smaller side ("near") and S u near are extracted.  With global
@@ -290,26 +295,24 @@ def _split(data: np.ndarray, h_s: float, drawn: np.ndarray, want_mi: bool, want_
     The negativity against far is read off a Gaussian purification of
     S u near (at most |near| + 2 modes) when that block is smaller than
     S u far, else off S u far directly.  The rest's negativity is computed
-    only when rest_neg is set; unwanted entries are None.
+    only when rest_neg is set, else it is None.
     """
     drawn_near = 2 * np.count_nonzero(drawn) <= drawn.size
     near = drawn if drawn_near else ~drawn
     joint = _block(data, near)
-    mi_near = mi_far = neg_near = neg_far = None
-    if want_mi:
-        h_near, h_joint = _entropy(joint[2:, 2:]), _entropy(joint)
-        mi_near = h_s + h_near - h_joint
-        mi_far = h_s + h_joint - h_near
-    if want_neg:
-        if drawn_near or rest_neg:
-            neg_near = _negativity(joint)
-        if not drawn_near or rest_neg:
-            n_near = np.count_nonzero(near)
-            if n_near + 1 < near.size - n_near:
-                partner = _purify(joint, np.arange(2))
-                neg_far = _negativity(partner) if len(partner) > 2 else 0.0
-            else:
-                neg_far = _negativity(_block(data, ~near))
+    h_near, h_joint = _entropy(joint[2:, 2:]), _entropy(joint)
+    mi_near = h_s + h_near - h_joint
+    mi_far = h_s + h_joint - h_near
+    neg_near = neg_far = None
+    if drawn_near or rest_neg:
+        neg_near = _negativity(joint)
+    if not drawn_near or rest_neg:
+        n_near = np.count_nonzero(near)
+        if n_near + 1 < near.size - n_near:
+            partner = purification(joint, np.arange(2))
+            neg_far = _negativity(partner) if len(partner) > 2 else 0.0
+        else:
+            neg_far = _negativity(_block(data, ~near))
     if drawn_near:
         return mi_near, mi_far, neg_near, neg_far
     return mi_far, mi_near, neg_far, neg_near
@@ -321,9 +324,8 @@ def fraction_samples(
     sampler: FractionSampler,
     plan: list[tuple[float, float | None]],
     t_index: int = 0,
-    measures: tuple[str, ...] = ("mi", "neg"),
 ) -> dict[str, dict[float, list[float]]]:
-    """{measure: {grid point: per-sample values}} of the grid points that part of a plan fills.
+    """{"mi" and "neg": {grid point: per-sample values}} of the grid points that part of a plan fills.
 
     data is the covariance array (a CovarianceMatrix's, system first) of a
     globally pure state, which the caller checks, and h_s its H(S).  Each
@@ -338,24 +340,22 @@ def fraction_samples(
     if sampler.unit == "band":
         sizes = [len(b) for b in band_partition(n_bath, units).band_members]
         unit_of_mode = np.repeat(np.arange(units), sizes)
-    want_mi, want_neg = "mi" in measures, "neg" in measures
-    out: dict[str, dict[float, list[float]]] = {m: {} for m in measures}
+    out: dict[str, dict[float, list[float]]] = {"mi": {}, "neg": {}}
 
-    def record(f: float, mi: float | None, neg: float | None):
-        for m, value in (("mi", mi), ("neg", neg)):
-            if m in out:
-                out[m].setdefault(f, []).append(value)
+    def record(f: float, mi: float, neg: float):
+        out["mi"].setdefault(f, []).append(mi)
+        out["neg"].setdefault(f, []).append(neg)
 
     for f, mirror in plan:
         size = int(round(f * units))
         if size == units:
-            record(f, 2.0 * h_s, _negativity(data) if want_neg else None)
+            record(f, 2.0 * h_s, _negativity(data))
             continue
         for s_idx in range(sampler.samples_per_point):
             picked = np.zeros(units, dtype=bool)
             picked[_draw(sampler, size, units, s_idx, t_index)] = True
             drawn = picked[unit_of_mode]
-            mi_f, mi_c, neg_f, neg_c = _split(data, h_s, drawn, want_mi, want_neg, mirror is not None)
+            mi_f, mi_c, neg_f, neg_c = _split(data, h_s, drawn, mirror is not None)
             record(f, mi_f, neg_f)
             if mirror is not None:
                 record(mirror, mi_c, neg_c)
@@ -386,16 +386,6 @@ def fraction_curves(
     return out
 
 
-def _plots(cov, sampler, measures, t, t_index, keep_samples) -> dict[str, CorrelationCurve]:
-    """The curves of the measures, with the whole plan evaluated as one part."""
-    n_bath = cov.n_modes - 1
-    grid = sampler.grid_for(n_bath)
-    check_purity(cov)
-    h_s = system_entropy(cov)
-    samples = fraction_samples(cov.data, h_s, sampler, fraction_plan(grid, sampler.n_units(n_bath)), t_index, measures)
-    return fraction_curves(grid, samples, h_s, t, keep_samples)
-
-
 def pi_plot(
     cov: CovarianceMatrix,
     sampler: FractionSampler,
@@ -409,7 +399,7 @@ def pi_plot(
     ImpureState otherwise.  The returned curve carries H(S) so consumers
     can subtract it.
     """
-    return _plots(cov, sampler, ("mi",), t, t_index, keep_samples)["mi"]
+    return pi_pe_plots(cov, sampler, t, t_index, keep_samples)[0]
 
 
 def pe_plot(
@@ -423,7 +413,7 @@ def pe_plot(
 
     Requires a globally pure state; raises ImpureState otherwise.
     """
-    return _plots(cov, sampler, ("neg",), t, t_index, keep_samples)["neg"]
+    return pi_pe_plots(cov, sampler, t, t_index, keep_samples)[1]
 
 
 def pi_pe_plots(
@@ -433,6 +423,14 @@ def pi_pe_plots(
     t_index: int = 0,
     keep_samples: bool = False,
 ) -> tuple[CorrelationCurve, CorrelationCurve]:
-    """Both plots over the same sampled subsets (shared draws)."""
-    both = _plots(cov, sampler, ("mi", "neg"), t, t_index, keep_samples)
-    return both["mi"], both["neg"]
+    """Both plots over the same sampled subsets (shared draws), the whole plan evaluated as one part.
+
+    Requires a globally pure state; raises ImpureState otherwise.
+    """
+    n_bath = cov.n_modes - 1
+    grid = sampler.grid_for(n_bath)
+    check_purity(cov)
+    h_s = system_entropy(cov)
+    samples = fraction_samples(cov.data, h_s, sampler, fraction_plan(grid, sampler.n_units(n_bath)), t_index)
+    curves = fraction_curves(grid, samples, h_s, t, keep_samples)
+    return curves["mi"], curves["neg"]

@@ -7,6 +7,15 @@ units the single-mode vacuum is diag(1/2, 1/2) and every physical state has
 all symplectic eigenvalues >= 1/2.
 
 All entropies and the logarithmic negativity are reported in nats.
+
+The pipeline runs the array kernels: _spectrum_of (every symplectic
+spectrum, with the counters take_counts returns), _entropy_of_values,
+_negativity_of_values, williamson, purification, check_purity and
+validate_state.  CovarianceMatrix is the validated full state that the
+model builds.  ModeSubset, partial_trace, partial_transpose,
+von_neumann_entropy, log_negativity and symplectic_eigenvalues form the
+reference API on CovarianceMatrix objects: the tests' direct-path oracles
+and the benchmark's tracer read it, and it reaches the same kernel.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ImpureState, OverlapError, PairingFailure, SubsetError
+from .errors import DomainError, ImpureState, PairingFailure, SubsetError
 
 #: Heisenberg tolerance: eigenvalues in [1/2 - NU_TOL, 1/2] are treated as 1/2.
 NU_TOL = 1e-9
@@ -57,27 +66,11 @@ def take_counts() -> dict[str, int]:
     return counts
 
 
-def symplectic_form(n_modes: int) -> np.ndarray:
-    """Return the canonical commutator matrix Omega for ``n_modes`` modes.
-
-    Block diagonal with 2x2 blocks [[0, 1], [-1, 0]]; satisfies
-    Omega @ Omega = -identity and Omega.T = -Omega.
-    """
-    if n_modes < 1:
-        raise DomainError(f"n_modes must be >= 1, got {n_modes}")
-    omega = np.zeros((2 * n_modes, 2 * n_modes))
-    idx = np.arange(n_modes)
-    omega[2 * idx, 2 * idx + 1] = 1.0
-    omega[2 * idx + 1, 2 * idx] = -1.0
-    return omega
-
-
 @dataclass(frozen=True)
 class ModeSubset:
     """Sorted, duplicate-free set of mode indices within a state."""
 
     indices: tuple[int, ...]
-    complement_size: int
 
     @classmethod
     def of(cls, indices: Iterable[int], n_modes: int) -> "ModeSubset":
@@ -86,7 +79,7 @@ class ModeSubset:
             raise SubsetError(f"duplicate mode indices in {idx}")
         if idx and (idx[0] < 0 or idx[-1] >= n_modes):
             raise IndexError(f"mode indices {idx} out of range for {n_modes} modes")
-        return cls(indices=idx, complement_size=n_modes - len(idx))
+        return cls(indices=idx)
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -97,13 +90,13 @@ class CovarianceMatrix:
 
     The constructor symmetrizes its input; non-finite entries, and asymmetry
     beyond ``SYMMETRY_TOL`` (relative to the matrix scale), are rejected as
-    corrupted data.  ``labels`` carries one identifier per mode; by
-    convention label 0 is the system S and labels 1..N are bath oscillators.
+    corrupted data.  By convention mode 0 is the system S and modes 1..N
+    are bath oscillators.
     """
 
-    __slots__ = ("n_modes", "data", "labels")
+    __slots__ = ("n_modes", "data")
 
-    def __init__(self, data: np.ndarray, labels: Sequence[int] | None = None):
+    def __init__(self, data: np.ndarray):
         data = np.asarray(data, dtype=float)
         if data.ndim != 2 or data.shape[0] != data.shape[1] or data.shape[0] % 2:
             raise DomainError(f"covariance matrix must be 2M x 2M, got {data.shape}")
@@ -117,14 +110,6 @@ class CovarianceMatrix:
             raise DomainError(f"input matrix asymmetry {defect:.3e} too large to symmetrize")
         self.n_modes = n_modes
         self.data = 0.5 * (data + data.T)
-        if labels is None:
-            labels = tuple(range(n_modes))
-        if len(labels) != n_modes:
-            raise DomainError(f"{len(labels)} labels for {n_modes} modes")
-        self.labels = tuple(labels)
-
-    def copy(self) -> "CovarianceMatrix":
-        return CovarianceMatrix(self.data.copy(), self.labels)
 
 
 def _rows(modes: Sequence[int]) -> np.ndarray:
@@ -134,25 +119,9 @@ def _rows(modes: Sequence[int]) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SymplecticSpectrum:
-    """Moduli of the paired +-(i nu) eigenvalues of Omega.sigma, ascending."""
-
-    values: np.ndarray
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.values)
-
-    @property
-    def minimum(self) -> float:
-        return float(self.values[0])
-
-
-@dataclass(frozen=True)
 class ValidityReport:
     """Result of :func:`validate_state` (report-only, never raises)."""
 
-    n_modes: int
     min_symplectic: float
     symmetry_defect: float
     passed: bool
@@ -245,13 +214,13 @@ def _spectrum_of(sigma: np.ndarray, symmetry_defect: float | None = None) -> np.
     return _pair_moduli(moduli, scale)
 
 
-def symplectic_eigenvalues(cov: CovarianceMatrix) -> SymplecticSpectrum:
-    """Symplectic spectrum {nu_j} of a covariance matrix.
+def symplectic_eigenvalues(cov: CovarianceMatrix) -> np.ndarray:
+    """Symplectic spectrum {nu_j} of a covariance matrix, ascending.
 
     Raises PairingFailure when the 2M moduli do not collapse into M pairs
     within tolerance, which signals a corrupted input.
     """
-    return SymplecticSpectrum(values=_spectrum_of(cov.data))
+    return _spectrum_of(cov.data)
 
 
 def entropy_function(nu: float) -> float:
@@ -288,15 +257,13 @@ def von_neumann_entropy(cov: CovarianceMatrix) -> float:
 
 
 def partial_trace(cov: CovarianceMatrix, keep: ModeSubset) -> CovarianceMatrix:
-    """Reduced state on the kept modes (principal submatrix, labels preserved)."""
+    """Reduced state on the kept modes (principal submatrix)."""
     if len(keep) == 0:
         raise SubsetError("cannot keep an empty set of modes")
     if keep.indices[-1] >= cov.n_modes or keep.indices[0] < 0:
         raise IndexError(f"mode indices {keep.indices} out of range")
     rows = _rows(keep.indices)
-    sub = cov.data[np.ix_(rows, rows)]
-    labels = tuple(cov.labels[i] for i in keep.indices)
-    return CovarianceMatrix(sub, labels)
+    return CovarianceMatrix(cov.data[np.ix_(rows, rows)])
 
 
 def partial_transpose(cov: CovarianceMatrix, party_a: ModeSubset) -> CovarianceMatrix:
@@ -309,7 +276,7 @@ def partial_transpose(cov: CovarianceMatrix, party_a: ModeSubset) -> CovarianceM
     for m in party_a.indices:
         signs[2 * m + 1] = -1.0
     flipped = cov.data * signs[:, None] * signs[None, :]
-    return CovarianceMatrix(flipped, cov.labels)
+    return CovarianceMatrix(flipped)
 
 
 def log_negativity(cov: CovarianceMatrix, party_a: ModeSubset) -> float:
@@ -330,7 +297,7 @@ def _negativity_of_values(tilde: np.ndarray) -> float:
     return max(0.0, -float(np.sum(np.log(2.0 * negative))))
 
 
-def williamson(cov: CovarianceMatrix) -> tuple[np.ndarray, np.ndarray]:
+def williamson(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Williamson normal form sigma = S D S^T of a positive-definite state.
 
     Returns (nu, S): the symplectic eigenvalues nu ascending, and S with
@@ -341,10 +308,6 @@ def williamson(cov: CovarianceMatrix) -> tuple[np.ndarray, np.ndarray]:
     the blocks nu_j [[0, 1], [-1, 0]], and S = L O D^(-1/2).  Raises
     DomainError when sigma is not numerically positive definite.
     """
-    return _williamson(cov.data)
-
-
-def _williamson(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = sigma.shape[0] // 2
     try:
         chol, form = _cholesky_form(sigma)
@@ -358,28 +321,21 @@ def _williamson(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nu, (chol @ ortho) / np.sqrt(np.repeat(nu, 2))
 
 
-def purification(cov: CovarianceMatrix, keep: ModeSubset) -> CovarianceMatrix:
-    """The kept modes together with the partners of a Gaussian purification.
+def purification(sigma: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The kept rows of sigma together with the partners of a Gaussian purification.
 
-    Each mixed Williamson mode of cov (nu_j above 1/2 by more than
-    PURE_MODE_RTOL of the scale) gets one ancilla, two-mode squeezed with it
-    so that the pair is pure; the other modes of cov are traced out.  The
-    result holds the kept modes first, then the ancillas (label -1).  If
-    cov is the reduced state of a pure state on cov u R, every purification
-    differs from R only by a local symplectic on the partner side, so
-    (keep, ancillas) and (keep, R) share entropies and logarithmic
-    negativity (Holevo & Werner, PRA 63, 032312 (2001); Botero & Reznik,
-    PRA 67, 052311 (2003)).  With no mixed mode the kept modes come back
-    alone.
+    rows are the (x, p) rows of the kept modes.  Each mixed Williamson mode
+    of sigma (nu_j above 1/2 by more than PURE_MODE_RTOL of the scale) gets
+    one ancilla, two-mode squeezed with it so that the pair is pure; the
+    other modes of sigma are traced out.  The result holds the kept modes
+    first, then the ancillas.  If sigma is the reduced state of a pure
+    state on sigma u R, every purification differs from R only by a local
+    symplectic on the partner side, so (kept, ancillas) and (kept, R) share
+    entropies and logarithmic negativity (Holevo & Werner, PRA 63, 032312
+    (2001); Botero & Reznik, PRA 67, 052311 (2003)).  With no mixed mode
+    the kept modes come back alone.
     """
-    out = _purify(cov.data, _rows(keep.indices))
-    labels = tuple(cov.labels[i] for i in keep.indices)
-    return CovarianceMatrix(out, labels + (-1,) * (out.shape[0] // 2 - len(labels)))
-
-
-def _purify(sigma: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """purification on arrays: rows are the kept (x, p) rows of sigma."""
-    nu, sym = _williamson(sigma)
+    nu, sym = williamson(sigma)
     scale = max(float(np.max(np.abs(sigma))), 1.0)
     mixed = np.flatnonzero(nu - 0.5 > PURE_MODE_RTOL * scale)
     nu_mixed = np.repeat(nu[mixed], 2)
@@ -408,29 +364,6 @@ def check_purity(cov: CovarianceMatrix) -> float:
     return defect
 
 
-def mutual_information(cov: CovarianceMatrix, part_a: ModeSubset, part_b: ModeSubset) -> float:
-    """Mutual information I(A, B) = H(A) + H(B) - H(A, B) in nats.
-
-    Modes outside A u B are traced out first.  All three entropies are
-    computed from (partial traces of) the same covariance matrix.
-    """
-    set_a, set_b = set(part_a.indices), set(part_b.indices)
-    if set_a & set_b:
-        raise OverlapError(f"subsets overlap on modes {sorted(set_a & set_b)}")
-    if len(part_a) == 0 or len(part_b) == 0:
-        raise SubsetError("both subsets must be non-empty")
-    union = sorted(set_a | set_b)
-    if len(union) < cov.n_modes:
-        cov = partial_trace(cov, ModeSubset.of(union, cov.n_modes))
-        pos = {m: i for i, m in enumerate(union)}
-        part_a = ModeSubset.of([pos[m] for m in part_a.indices], len(union))
-        part_b = ModeSubset.of([pos[m] for m in part_b.indices], len(union))
-    h_a = von_neumann_entropy(partial_trace(cov, part_a))
-    h_b = von_neumann_entropy(partial_trace(cov, part_b))
-    h_ab = von_neumann_entropy(cov)
-    return h_a + h_b - h_ab
-
-
 def validate_state(cov: CovarianceMatrix) -> ValidityReport:
     """Report minimum symplectic eigenvalue and symmetry defect (never raises)."""
     defect = float(np.max(np.abs(cov.data - cov.data.T)))
@@ -439,9 +372,4 @@ def validate_state(cov: CovarianceMatrix) -> ValidityReport:
     except PairingFailure:
         min_nu = float("nan")
     passed = (min_nu >= 0.5 - NU_TOL) and (defect <= NU_TOL)
-    return ValidityReport(
-        n_modes=cov.n_modes,
-        min_symplectic=min_nu,
-        symmetry_defect=defect,
-        passed=bool(passed),
-    )
+    return ValidityReport(min_symplectic=min_nu, symmetry_defect=defect, passed=bool(passed))

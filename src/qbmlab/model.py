@@ -259,9 +259,9 @@ def evolve(prop: Propagator, cov: CovarianceMatrix, t: float) -> CovarianceMatri
             f"state has {cov.n_modes} modes but propagator has {prop.n_modes}"
         )
     if t == 0.0:
-        return cov.copy()
+        return CovarianceMatrix(cov.data)
     s = symplectic_propagator(prop, t)
-    return CovarianceMatrix(s @ cov.data @ s.T, cov.labels)
+    return CovarianceMatrix(s @ cov.data @ s.T)
 
 
 def initial_covariance(
@@ -275,7 +275,7 @@ def initial_covariance(
     mw = bath.masses * bath.frequencies
     diag[2::2] = 0.5 / mw
     diag[3::2] = 0.5 * mw
-    return CovarianceMatrix(np.diag(diag), labels=tuple(range(n + 1)))
+    return CovarianceMatrix(np.diag(diag))
 
 
 def hamiltonian_matrix(spec: BathSpec, bath: DiscretizedBath) -> np.ndarray:
@@ -306,19 +306,6 @@ def total_energy(spec: BathSpec, bath: DiscretizedBath, cov: CovarianceMatrix) -
             f"state has {cov.n_modes} modes, expected {bath.n_oscillators + 1}"
         )
     return 0.5 * float(np.sum(hamiltonian_matrix(spec, bath) * cov.data))
-
-
-def bath_energy(spec: BathSpec, bath: DiscretizedBath, cov: CovarianceMatrix) -> float:
-    """Expected energy stored in the bath oscillators alone (no coupling term)."""
-    if cov.n_modes != bath.n_oscillators + 1:
-        raise DimensionMismatch(
-            f"state has {cov.n_modes} modes, expected {bath.n_oscillators + 1}"
-        )
-    xs = cov.data.diagonal()[2::2]
-    ps = cov.data.diagonal()[3::2]
-    pot = 0.5 * bath.masses * bath.frequencies**2 * xs
-    kin = 0.5 * ps / bath.masses
-    return float(np.sum(pot + kin))
 
 
 def recurrence_time(spec: BathSpec) -> float:

@@ -14,7 +14,7 @@ the first crossing from the relevant side is used and a flag is raised.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -140,20 +140,16 @@ def deficit_match(delta_i: float, h_s: float, e_full: float, e_half: float) -> f
     return delta_i * h_s / e_full + e_half / e_full
 
 
-def _band(solver, curve: CorrelationCurve, shift: float, *args) -> float:
-    shifted = CorrelationCurve(
-        t=curve.t,
-        measure=curve.measure,
-        f_values=curve.f_values,
-        mean=curve.mean + shift * curve.stderr,
-        stderr=curve.stderr,
-        n_samples=curve.n_samples,
-        h_system=curve.h_system,
-    )
-    try:
-        return solver(shifted, *args)[0]
-    except (NotReached, FlatCurve, DomainError):
-        return float("nan")
+def _band(solver, curve: CorrelationCurve, *args) -> tuple[float, float]:
+    """The fraction the solver finds on the mean curve shifted by -1 and +1 stderr, sorted."""
+
+    def shifted(shift: float) -> float:
+        try:
+            return solver(replace(curve, mean=curve.mean + shift * curve.stderr), *args)[0]
+        except (NotReached, FlatCurve, DomainError):
+            return float("nan")
+
+    return tuple(sorted((shifted(-1.0), shifted(+1.0))))
 
 
 def build_report(
@@ -192,22 +188,6 @@ def build_report(
         i_nr = float("nan")
         flags.append("i_nr_insufficient_grid")
 
-    f_e_band = tuple(
-        sorted(
-            (
-                _band(entanglement_redundancy, pe_curve, -1.0, delta_e),
-                _band(entanglement_redundancy, pe_curve, +1.0, delta_e),
-            )
-        )
-    )
-    f_i_band = tuple(
-        sorted(
-            (
-                _band(information_redundancy, pi_curve, -1.0, delta_i, h_s),
-                _band(information_redundancy, pi_curve, +1.0, delta_i, h_s),
-            )
-        )
-    )
     return RedundancyReport(
         t=t,
         r_e=r_e,
@@ -221,7 +201,7 @@ def build_report(
         h_s=h_s,
         e_full=e_full,
         e_half=e_half,
-        f_e_band=f_e_band,
-        f_i_band=f_i_band,
+        f_e_band=_band(entanglement_redundancy, pe_curve, delta_e),
+        f_i_band=_band(information_redundancy, pi_curve, delta_i, h_s),
         flags=tuple(flags),
     )

@@ -57,6 +57,7 @@ from .analytic import (
     BranchModelParams,
     d_total,
     entanglement_value,
+    k_value,
     mi_value,
     redundancy_estimate,
 )
@@ -97,23 +98,10 @@ _LATEST: dict = {}
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _physics(config: RunConfig) -> tuple:
-    return (
-        config.exponent,
-        config.cutoff,
-        config.coupling,
-        config.n_oscillators,
-        config.omega_s,
-        config.system_mass,
-        config.bath_mass,
-        config.squeezing,
-    )
-
-
 def simulation_pieces(config: RunConfig):
-    key = _physics(config)
+    spec = config.bath_spec()
+    key = (spec, config.squeezing)
     if key not in _PIECES:
-        spec = config.bath_spec()
         bath = discretize_bath(spec)
         prop = make_propagator(spec, bath)
         cov0 = initial_covariance(spec, bath, config.initial_state())
@@ -127,7 +115,7 @@ def _state_at(config: RunConfig, t: float, pure: bool):
 
     With ``pure`` the state's global purity is checked first (ImpureState).
     """
-    key = (_physics(config), t, pure)
+    key = (config.bath_spec(), config.squeezing, t, pure)
     if key not in _LATEST:
         _, _, prop, cov0 = simulation_pieces(config)
         cov = evolve(prop, cov0, t)
@@ -384,8 +372,7 @@ def _stage_files(stage: str, config: RunConfig, results: list[dict], curves: lis
     fs = config.f_grid or np.linspace(0.02, 1.0, 50).tolist()
     rows = []
     for t in config.times().tolist():
-        d = d_total(t, params)
-        k = d * params.delta_x**2
+        d, k = d_total(t, params), k_value(t, params)
         rows += [[t, f, d, k, entanglement_value(f, k), mi_value(f, k)] for f in fs]
     return [("analytic.csv", ["t", "f", "d_total", "d_dx2", "e_analytic", "mi_analytic"], rows)]
 
@@ -492,7 +479,7 @@ def compare_numeric_analytic(
     max_all = {"mi": 0.0, "neg": 0.0}
     for t in sorted(curves):
         mi_curve, pe_curve = curves[t]
-        k = d_total(t, params) * params.delta_x**2
+        k = k_value(t, params)
         for curve, tag, fn in ((mi_curve, "mi", mi_value), (pe_curve, "neg", entanglement_value)):
             for f, m in zip(curve.f_values, curve.mean):
                 ana = fn(f, k)

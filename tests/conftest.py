@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qbmlab.gaussian import CovarianceMatrix, symplectic_form
+from qbmlab.gaussian import CovarianceMatrix
+
+from oracles import symplectic_form
 
 
 def random_symplectic(rng: np.random.Generator, n_modes: int, scale: float = 0.7) -> np.ndarray:

@@ -1,0 +1,155 @@
+"""Reference implementations that only the tests call.
+
+Closed forms, object-path correlation measures and Gaussian-state helpers
+that the tests compare the library against.  None of them runs in the
+pipeline.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from qbmlab.analytic import BranchModelParams, chi_value, mi_value, trajectory_amplitudes
+from qbmlab.correlations import BandPartition
+from qbmlab.errors import DimensionMismatch, DomainError, OverlapError, SubsetError
+from qbmlab.gaussian import (
+    CovarianceMatrix,
+    ModeSubset,
+    log_negativity,
+    partial_trace,
+    von_neumann_entropy,
+)
+from qbmlab.model import BathSpec, DiscretizedBath
+
+
+def symplectic_form(n_modes: int) -> np.ndarray:
+    """Return the canonical commutator matrix Omega for ``n_modes`` modes.
+
+    Block diagonal with 2x2 blocks [[0, 1], [-1, 0]]; satisfies
+    Omega @ Omega = -identity and Omega.T = -Omega.
+    """
+    if n_modes < 1:
+        raise DomainError(f"n_modes must be >= 1, got {n_modes}")
+    omega = np.zeros((2 * n_modes, 2 * n_modes))
+    idx = np.arange(n_modes)
+    omega[2 * idx, 2 * idx + 1] = 1.0
+    omega[2 * idx + 1, 2 * idx] = -1.0
+    return omega
+
+
+def mutual_information(cov: CovarianceMatrix, part_a: ModeSubset, part_b: ModeSubset) -> float:
+    """Mutual information I(A, B) = H(A) + H(B) - H(A, B) in nats.
+
+    Modes outside A u B are traced out first.  All three entropies are
+    computed from (partial traces of) the same covariance matrix.
+    """
+    set_a, set_b = set(part_a.indices), set(part_b.indices)
+    if set_a & set_b:
+        raise OverlapError(f"subsets overlap on modes {sorted(set_a & set_b)}")
+    if len(part_a) == 0 or len(part_b) == 0:
+        raise SubsetError("both subsets must be non-empty")
+    union = sorted(set_a | set_b)
+    if len(union) < cov.n_modes:
+        cov = partial_trace(cov, ModeSubset.of(union, cov.n_modes))
+        pos = {m: i for i, m in enumerate(union)}
+        part_a = ModeSubset.of([pos[m] for m in part_a.indices], len(union))
+        part_b = ModeSubset.of([pos[m] for m in part_b.indices], len(union))
+    h_a = von_neumann_entropy(partial_trace(cov, part_a))
+    h_b = von_neumann_entropy(partial_trace(cov, part_b))
+    h_ab = von_neumann_entropy(cov)
+    return h_a + h_b - h_ab
+
+
+def direct_system_entropy(cov: CovarianceMatrix) -> float:
+    """H(S) of the reduced state of mode 0."""
+    return von_neumann_entropy(partial_trace(cov, ModeSubset.of([0], cov.n_modes)))
+
+
+def direct_correlations(cov: CovarianceMatrix, h_s: float, modes: tuple[int, ...]) -> tuple[float, float]:
+    """(I(S : E), negativity of S vs E) of the bath modes E, read off the reduced state of S u E.
+
+    No purity is assumed: I(S : E) = H(S) + H(E) - H(S u E).
+    """
+    joint = partial_trace(cov, ModeSubset.of((0,) + modes, cov.n_modes))
+    h_bath = von_neumann_entropy(partial_trace(joint, ModeSubset.of(range(1, joint.n_modes), joint.n_modes)))
+    return h_s + h_bath - von_neumann_entropy(joint), log_negativity(joint, ModeSubset.of([0], joint.n_modes))
+
+
+def direct_bands(cov: CovarianceMatrix, bands: BandPartition) -> tuple[float, np.ndarray, np.ndarray]:
+    """(H(S), per-band MI, per-band negativity) through the object API (the slow path)."""
+    h_s = direct_system_entropy(cov)
+    mi, neg = np.array([direct_correlations(cov, h_s, block) for block in bands.band_members]).T
+    return h_s, mi, neg
+
+
+def bath_energy(spec: BathSpec, bath: DiscretizedBath, cov: CovarianceMatrix) -> float:
+    """Expected energy stored in the bath oscillators alone (no coupling term)."""
+    if cov.n_modes != bath.n_oscillators + 1:
+        raise DimensionMismatch(
+            f"state has {cov.n_modes} modes, expected {bath.n_oscillators + 1}"
+        )
+    xs = cov.data.diagonal()[2::2]
+    ps = cov.data.diagonal()[3::2]
+    pot = 0.5 * bath.masses * bath.frequencies**2 * xs
+    kin = 0.5 * ps / bath.masses
+    return float(np.sum(pot + kin))
+
+
+def trajectory_amplitude(n: int, t: float, params: BranchModelParams) -> tuple[float, float]:
+    """(a_n(t), adot_n(t)) for a single bath mode index."""
+    a, adot = trajectory_amplitudes(t, params)
+    return float(a[n]), float(adot[n])
+
+
+def d_superohmic_closed(t: float, params: BranchModelParams) -> float:
+    """High-cutoff super-Ohmic closed form of d(t).
+
+    (m gamma0 / 2 pi) sin^2(Omega t) on the momentum-delocalized branch
+    (r < 0), which vanishes at t = k pi / Omega (recoherence); on the
+    position-delocalized branch (r >= 0) the switch-on kick leaves the
+    floor (m gamma0 / 2 pi)(1 + cos^2(Omega t)) that never vanishes.  Valid
+    for t well above 1/cutoff.
+    """
+    gamma0 = _gamma0_of(params)
+    base = params.mass * gamma0 / (2.0 * math.pi)
+    if params.r >= 0:
+        return base * (1.0 + math.cos(params.omega_s * t) ** 2)
+    return base * math.sin(params.omega_s * t) ** 2
+
+
+def _gamma0_of(params: BranchModelParams) -> float:
+    # recover gamma0 from the discretized couplings: for the n = 3 family
+    # c_k^2/(2 m_k w_k) = J(w_k) dw and J(cutoff) = 2 m gamma0 cutoff / pi
+    bath = params.bath
+    j_top = bath.couplings[-1] ** 2 / (2.0 * bath.masses[-1] * bath.frequencies[-1])
+    dw = bath.frequencies[-1] - bath.frequencies[-2] if bath.n_oscillators > 1 else bath.frequencies[-1]
+    return float(j_top / dw * math.pi / (2.0 * params.mass * bath.frequencies[-1]))
+
+
+def mi_slope_value(f: float, k: float) -> float:
+    """Exact derivative of mi_value in f (singular at f = 0 and f = 1)."""
+    if not 0.0 < f < 1.0:
+        raise DomainError(f"slope defined on (0, 1) only, got {f}")
+
+    def h_prime(chi: float) -> float:
+        return math.log((chi + 0.5) / (chi - 0.5))
+
+    cf, cc = chi_value(f, k), chi_value(1.0 - f, k)
+    return k * (h_prime(cf) / cf + h_prime(cc) / cc)
+
+
+def e_asymptotic_value(f: float, k: float) -> float:
+    """Large-k expansion (1/2) ln[(1+3f)^3 / ((1-f)(1+3f)^2 + 2f/k)]."""
+    if f < 0.0 or f > 1.0:
+        raise DomainError(f"fraction must lie in [0, 1], got {f}")
+    if k <= 0.0:
+        raise DomainError("asymptotic form needs k > 0")
+    beta = 1.0 + 3.0 * f
+    return 0.5 * math.log(beta**3 / ((1.0 - f) * beta**2 + 2.0 * f / k))
+
+
+def i_nr_value(k: float, step: float = 1e-4) -> float:
+    """Non-redundant information: centered difference of mi_value at f = 1/2."""
+    return (mi_value(0.5 + 0.5 * step, k) - mi_value(0.5 - 0.5 * step, k)) / step

@@ -4,23 +4,20 @@ import pytest
 from qbmlab.analytic import (
     BranchModelParams,
     chi_value,
-    d_superohmic_closed,
     d_total,
-    e_asymptotic_value,
     e_universal,
     entanglement_value,
-    i_nr_value,
-    mi_slope_value,
     mi_value,
     mode_d_values,
     redundancy_estimate,
     redundancy_estimate_value,
-    trajectory_amplitude,
     trajectory_amplitudes,
 )
 from qbmlab.errors import DomainError
 from qbmlab.gaussian import entropy_function
 from qbmlab.model import BathSpec, DiscretizedBath, discretize_bath
+
+from oracles import d_superohmic_closed, e_asymptotic_value, i_nr_value, mi_slope_value, trajectory_amplitude
 
 
 def super_ohmic_params(r: float, cutoff=300.0, n_osc=2000, coupling=0.1) -> BranchModelParams:

@@ -18,12 +18,7 @@ from qbmlab.correlations import (
     system_entropy,
 )
 from qbmlab.errors import BadBandCount, DomainError, EmptyFraction, ImpureState
-from qbmlab.gaussian import (
-    ModeSubset,
-    log_negativity,
-    partial_trace,
-    von_neumann_entropy,
-)
+from qbmlab.gaussian import ModeSubset, log_negativity
 from qbmlab.model import (
     BathSpec,
     SqueezedInitialState,
@@ -34,6 +29,7 @@ from qbmlab.model import (
 )
 
 from conftest import random_state
+from oracles import direct_bands, direct_correlations, direct_system_entropy
 
 
 def evolved_state(n_osc=24, t=2.0, r=-5.0, exponent=0.5, cutoff=20.0):
@@ -75,7 +71,7 @@ class TestBandPartition:
         bath, cov = evolved_state()
         bands = band_partition(24, 1, bath.frequencies)
         result = band_correlations(cov, bands, t=2.0)
-        h_s = von_neumann_entropy(partial_trace(cov, ModeSubset.of([0], cov.n_modes)))
+        h_s = direct_system_entropy(cov)
         assert result.mi[0] == pytest.approx(2 * h_s, abs=1e-6)
 
 
@@ -93,6 +89,36 @@ class TestBandCorrelations:
         result = band_correlations(cov, band_partition(24, 8, bath.frequencies), t=2.0)
         assert np.all(result.mi >= -1e-9)
         assert np.all(result.neg >= 0.0)
+
+
+class TestBandsAgainstDirectPath:
+    """band_correlations and system_entropy on arrays equal the object path (direct_bands) bit for bit."""
+
+    @staticmethod
+    def assert_bitwise(cov, bands):
+        h_s, mi, neg = direct_bands(cov, bands)
+        got = band_correlations(cov, bands)
+        assert np.float64(system_entropy(cov)).tobytes() == np.float64(h_s).tobytes()
+        assert got.mi.tobytes() == mi.tobytes()
+        assert got.neg.tobytes() == neg.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n_bath=st.integers(min_value=1, max_value=9),
+        pure=st.booleans(),
+        data=st.data(),
+    )
+    def test_random_states(self, seed, n_bath, pure, data):
+        cov = random_state(np.random.default_rng(seed), n_bath + 1, pure=pure)
+        n_bands = data.draw(st.integers(min_value=1, max_value=n_bath))
+        self.assert_bitwise(cov, band_partition(n_bath, n_bands))
+
+    @pytest.mark.parametrize("r", [-5.0, 5.0])
+    @pytest.mark.parametrize("t", [10.0 / 39.0, 5.128, 10.0])
+    def test_desk_state(self, r, t):
+        bath, cov = evolved_state(n_osc=150, t=t, r=r)
+        self.assert_bitwise(cov, band_partition(150, 30, bath.frequencies))
 
 
 class TestDefaultFGrid:
@@ -279,15 +305,8 @@ def direct_samples(cov, sampler, t_index=0):
     n = cov.n_modes
     n_bath = n - 1
     grid = [float(f) for f in sampler.grid_for(n_bath)]
-    h_s = von_neumann_entropy(partial_trace(cov, ModeSubset.of([0], n)))
+    h_s = direct_system_entropy(cov)
     out = {m: {f: [] for f in grid} for m in ("mi", "neg")}
-
-    def direct(modes):
-        joint = partial_trace(cov, ModeSubset.of((0,) + modes, n))
-        h_bath = von_neumann_entropy(partial_trace(cov, ModeSubset.of(modes, n)))
-        mi = h_s + h_bath - von_neumann_entropy(joint)
-        return mi, log_negativity(joint, ModeSubset.of([0], joint.n_modes))
-
     for f in grid[:-1]:
         mirror = next((g for g in grid if abs(g - (1.0 - f)) < 1e-9), None)
         if f > 0.5 and mirror is not None:
@@ -298,7 +317,7 @@ def direct_samples(cov, sampler, t_index=0):
             if mirror is not None:
                 pairs.append((mirror, tuple(m for m in range(1, n) if m not in drawn)))
             for g, modes in pairs:
-                mi, neg = direct(modes)
+                mi, neg = direct_correlations(cov, h_s, modes)
                 out["mi"][g].append(mi)
                 out["neg"][g].append(neg)
     return out

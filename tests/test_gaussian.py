@@ -13,12 +13,10 @@ from qbmlab.gaussian import (
     check_purity,
     entropy_function,
     log_negativity,
-    mutual_information,
     partial_trace,
     partial_transpose,
     purification,
     symplectic_eigenvalues,
-    symplectic_form,
     take_counts,
     validate_state,
     von_neumann_entropy,
@@ -26,6 +24,7 @@ from qbmlab.gaussian import (
 )
 
 from conftest import random_state, random_symplectic, two_mode_squeezed
+from oracles import mutual_information, symplectic_form
 
 # Frozen 40-digit evaluations of the closed-form entropy function.
 H_AT_1 = 0.9547712524422192276756357339256119888957
@@ -77,17 +76,17 @@ class TestCovarianceMatrix:
 class TestSymplecticEigenvalues:
     def test_vacuum(self):
         spec = symplectic_eigenvalues(vacuum(1))
-        assert spec.values == pytest.approx([0.5], abs=1e-14)
+        assert spec == pytest.approx([0.5], abs=1e-14)
 
     def test_pure_squeezed_single_mode(self):
         s = 1.3
         cov = CovarianceMatrix(np.diag([np.exp(2 * s) / 2, np.exp(-2 * s) / 2]))
-        assert symplectic_eigenvalues(cov).values == pytest.approx([0.5], abs=1e-12)
+        assert symplectic_eigenvalues(cov) == pytest.approx([0.5], abs=1e-12)
 
     def test_matches_independent_complex_eigensolve(self, rng):
         for _ in range(6):
             cov = random_state(rng, 3)
-            ours = symplectic_eigenvalues(cov).values
+            ours = symplectic_eigenvalues(cov)
             theirs = oracle_spectrum(cov.data)
             assert ours == pytest.approx(theirs, rel=1e-8)
 
@@ -96,8 +95,8 @@ class TestSymplecticEigenvalues:
             cov = random_state(rng, n_modes)
             t = random_symplectic(rng, n_modes)
             conj = CovarianceMatrix(t @ cov.data @ t.T)
-            assert symplectic_eigenvalues(conj).values == pytest.approx(
-                symplectic_eigenvalues(cov).values, rel=1e-8
+            assert symplectic_eigenvalues(conj) == pytest.approx(
+                symplectic_eigenvalues(cov), rel=1e-8
             )
 
     def test_pairing_failure_on_corrupted_matrix(self):
@@ -242,17 +241,16 @@ class TestPartialTrace:
         ))
         out = partial_trace(cov, ModeSubset.of([0], 3))
         assert np.allclose(out.data, sys_block)
-        assert out.labels == (0,)
 
     def test_out_of_range_raises_index_error(self, rng):
         cov = random_state(rng, 2)
         with pytest.raises(IndexError):
-            partial_trace(cov, ModeSubset(indices=(0, 5), complement_size=0))
+            partial_trace(cov, ModeSubset(indices=(0, 5)))
 
     def test_empty_keep_raises(self, rng):
         cov = random_state(rng, 2)
         with pytest.raises(SubsetError):
-            partial_trace(cov, ModeSubset(indices=(), complement_size=2))
+            partial_trace(cov, ModeSubset(indices=()))
 
     def test_marginals_match_wavefunction_quadrature(self):
         # Oracle: brute-force grid integration of a 3-mode Gaussian
@@ -319,14 +317,14 @@ class TestPartialTranspose:
     def test_two_mode_squeezed_spectrum(self):
         s = 1.0
         tilde = partial_transpose(two_mode_squeezed(s), ModeSubset.of([0], 2))
-        spec = symplectic_eigenvalues(tilde).values
+        spec = symplectic_eigenvalues(tilde)
         assert spec[0] == pytest.approx(np.exp(-2.0) / 2.0, rel=1e-10)
         assert spec[1] == pytest.approx(np.exp(2.0) / 2.0, rel=1e-10)
 
     def test_empty_or_full_subset_rejected(self, rng):
         cov = random_state(rng, 2)
         with pytest.raises(SubsetError):
-            partial_transpose(cov, ModeSubset(indices=(), complement_size=2))
+            partial_transpose(cov, ModeSubset(indices=()))
         with pytest.raises(SubsetError):
             partial_transpose(cov, ModeSubset.of([0, 1], 2))
 
@@ -415,7 +413,7 @@ class TestWilliamson:
     @given(seed=SEEDS, n_modes=st.integers(min_value=1, max_value=8), pure=st.booleans())
     def test_round_trip(self, seed, n_modes, pure):
         cov = random_state(np.random.default_rng(seed), n_modes, pure=pure)
-        nu, sym = williamson(cov)
+        nu, sym = williamson(cov.data)
         scale = float(np.max(np.abs(cov.data)))
         omega = symplectic_form(n_modes)
         rebuilt = sym @ np.diag(np.repeat(nu, 2)) @ sym.T
@@ -426,7 +424,7 @@ class TestWilliamson:
 
     def test_thermal_product_is_its_own_normal_form(self):
         nus = np.array([0.5, 1.25, 3.0])
-        nu, sym = williamson(CovarianceMatrix(np.diag(np.repeat(nus, 2))))
+        nu, sym = williamson(np.diag(np.repeat(nus, 2)))
         assert np.allclose(nu, nus, rtol=0, atol=1e-14)
         # distinct eigenvalues: S can only rotate each mode in its own phase space
         for j in range(3):
@@ -439,9 +437,9 @@ class TestWilliamson:
         # symmetric and finite, so the constructor accepts it; Cholesky does not
         cov = CovarianceMatrix(np.diag([0.5, 0.5, -1.0, 1.0]))
         with pytest.raises(DomainError, match="positive-definite"):
-            williamson(cov)
+            williamson(cov.data)
         with pytest.raises(DomainError, match="positive-definite"):
-            purification(cov, ModeSubset.of([0], 2))
+            purification(cov.data, np.arange(2))
 
 
 class TestPurification:
@@ -451,10 +449,9 @@ class TestPurification:
         # masks 1 .. 2^(n-1) - 2 leave neither side empty
         cov, near, far = split_pure_state(seed, n_modes, 1 + near_mask % (2 ** (n_modes - 1) - 2))
         joint = partial_trace(cov, ModeSubset.of((0,) + near, n_modes))
-        partner = purification(joint, ModeSubset.of([0], joint.n_modes))
+        partner = CovarianceMatrix(purification(joint.data, np.arange(2)))
         direct = partial_trace(cov, ModeSubset.of((0,) + far, n_modes))
         assert partner.n_modes <= joint.n_modes + 1
-        assert partner.labels[0] == 0
         assert np.array_equal(partner.data[:2, :2], joint.data[:2, :2])
         got = log_negativity(partner, ModeSubset.of([0], partner.n_modes)) if partner.n_modes > 1 else 0.0
         assert got == pytest.approx(log_negativity(direct, ModeSubset.of([0], direct.n_modes)), abs=1e-10)
@@ -462,14 +459,14 @@ class TestPurification:
 
     def test_pure_state_has_no_partners(self, rng):
         cov = random_state(rng, 4, pure=True)
-        partner = purification(cov, ModeSubset.of([0], 4))
+        partner = CovarianceMatrix(purification(cov.data, np.arange(2)))
         assert partner.n_modes == 1
         assert np.array_equal(partner.data, cov.data[:2, :2])
 
     def test_two_mode_squeezed_marginal(self):
         # one half of a two-mode squeezed vacuum is purified by a copy of the other
         tms = two_mode_squeezed(0.8)
-        partner = purification(partial_trace(tms, ModeSubset.of([0], 2)), ModeSubset.of([0], 1))
+        partner = CovarianceMatrix(purification(partial_trace(tms, ModeSubset.of([0], 2)).data, np.arange(2)))
         assert partner.n_modes == 2
         assert log_negativity(partner, ModeSubset.of([0], 2)) == pytest.approx(1.6, rel=1e-12)
 

@@ -1,13 +1,17 @@
 import hashlib
+import importlib
 import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 import qbmlab.cli as cli_mod
+import qbmlab.correlations as correlations_mod
+import qbmlab.gaussian as gaussian_mod
 import qbmlab.runner as runner_mod
 from qbmlab.cli import main
 from qbmlab.config import parse_config
@@ -216,6 +220,53 @@ class TestChunks:
         loads = [sum((min(round(f * 150), 150 - round(f * 150)) + 2) ** 3 for f, _ in part) for part in parts]
         largest = (75 + 2) ** 3
         assert max(loads) - min(loads) <= largest
+
+
+class TestOnePath:
+    def test_time_point_runs_on_arrays(self, tmp_path, monkeypatch):
+        # state, bands and curves of a time point call no object API and
+        # build no CovarianceMatrix but the model's initial and evolved states
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a pipeline stage called the object API")
+
+        monkeypatch.setattr(gaussian_mod.ModeSubset, "of", forbidden)
+        for name in ("partial_trace", "von_neumann_entropy", "log_negativity"):
+            monkeypatch.setattr(gaussian_mod, name, forbidden)
+            monkeypatch.setattr(correlations_mod, name, forbidden, raising=False)
+        built, init = [], gaussian_mod.CovarianceMatrix.__init__
+
+        def counted_init(self, data):
+            built.append(data.shape)
+            init(self, data)
+
+        monkeypatch.setattr(gaussian_mod.CovarianceMatrix, "__init__", counted_init)
+        monkeypatch.setattr(runner_mod, "_PIECES", {})
+        monkeypatch.setattr(runner_mod, "_LATEST", {})
+        cfg = tiny_config(tmp_path)
+        plan = fraction_plan(_sampler(cfg).grid_for(cfg.n_oscillators), cfg.n_oscillators)
+        wants = ("state", "bands", "curves")
+        out = runner_mod._chunk_task((asdict(cfg), 1, float(cfg.times()[1]), wants, plan))
+        assert {"state", "bands", "samples"} <= out.keys()
+        assert built == [(62, 62), (62, 62)]
+
+
+def test_benchmark_names_resolve():
+    """Every qbmlab name that perfbench/tracing.py and perfbench/workloads.py read still exists."""
+    names = {
+        "config": ("RunConfig", "parse_config"),
+        "model": ("discretize_bath", "make_propagator", "initial_covariance", "evolve"),
+        "gaussian": ("ModeSubset", "partial_trace", "von_neumann_entropy", "log_negativity", "validate_state"),
+        "correlations": ("partial_trace", "von_neumann_entropy", "pi_pe_plots", "band_correlations",
+                         "band_partition", "FractionSampler"),
+        "redundancy": ("build_report",),
+        "runner": ("simulation_pieces", "branch_params", "load_curves", "usable_cpu_count", "run_experiment"),
+        "cli": (),
+    }
+    missing = []
+    for module, wanted in names.items():
+        imported = importlib.import_module(f"qbmlab.{module}")
+        missing += [f"{module}.{name}" for name in wanted if not hasattr(imported, name)]
+    assert not missing
 
 
 class TestWriteCsv:
