@@ -77,13 +77,13 @@ def build_parser() -> argparse.ArgumentParser:
         "peplot": "averaged entanglement curves over random fractions",
         "redundancy": "R_E / R_I / I_NR reports (runs the curve stages first)",
         "analytic": "closed-form branch-model curves on the same grids",
-        "compare": "numeric curves, simulated afresh, against the closed-form model",
+        "compare": "numeric curves, simulated or read with --curves-dir, against the closed-form model",
         "all": "every stage in one run",
     }
     for name, desc in descriptions.items():
         p = sub.add_parser(name, help=desc, description=desc)
         _add_config_flags(p)
-        if name == "redundancy":
+        if name in ("redundancy", "compare"):
             p.add_argument(
                 "--curves-dir",
                 dest="curves_dir",
@@ -123,7 +123,7 @@ def main(argv: list[str] | None = None) -> int:
 
     _warn_recurrence(config)
     curves_dir = getattr(args, "curves_dir", None) or None
-    stages = ("redundancy",) if curves_dir else STAGE_COMMANDS[args.command]
+    stages = (args.command,) if curves_dir else STAGE_COMMANDS[args.command]
     try:
         manifest = run_experiment(config, stages, curves_dir=curves_dir)
         for entry in manifest.files:

@@ -24,11 +24,22 @@ ImpureState).  Purity lets every draw be evaluated on its smaller side: for
 a split of the N bath modes into k <= N/2 and N - k, no sampled block holds
 more than k + 2 modes (see _split).  On a desk time point (N = 150, 20
 samples) this cuts the summed cost (2 x modes)^3 of the spectra twentyfold,
-from 9.2e9 to 4.7e8.
+from 9.2e9 to 4.7e8.  Purity also gives the f = 1 negativity in closed form
+from the 2 x 2 system block (_pure_negativity), so the largest block is
+S u E_c at f = 1/2 (76 modes on the desk grid).
 
-Bands, H(S) and fractions run on one path: index-array blocks of the
-covariance array (_block, system first), whose entropies and partial
-transpose go straight to gaussian._spectrum_of (_entropy, _negativity).
+The draws of one grid point that select equally many bath modes have
+blocks of one size, so _split evaluates them as stacks (_blocks) through
+gaussian._spectra (one cholesky, row swap, matmul and eigvalsh per stack)
+and gaussian.purification (the same with a complex eigh), each matrix bit
+for bit as alone, in slices of at most STACK_BYTES.  The Williamson
+decomposition behind a purification also gives H(S u E_f).
+draw_cost models the time of one draw from the blocks it takes; the runner
+balances its chunks with it.
+
+Bands and H(S) run on the same kernels one block at a time: index-array
+blocks of the covariance array (_block, system first), whose entropies and
+partial transpose go to the same kernels (_entropy, _negativities).
 band_correlations reads each band off the block of S and its members and
 makes no purity assumption; H(S) is the entropy of the 2 x 2 system block.
 """
@@ -45,6 +56,7 @@ from .gaussian import (
     ModeSubset,
     _entropy_of_values,
     _negativity_of_values,
+    _spectra,
     _spectrum_of,
     check_purity,
     purification,
@@ -114,7 +126,7 @@ def band_correlations(cov: CovarianceMatrix, bands: BandPartition, t: float = 0.
         bath[np.array(block) - 1] = True
         joint = _block(cov.data, bath)
         mi[i] = h_s + _entropy(joint[2:, 2:]) - _entropy(joint)
-        neg[i] = _negativity(joint)
+        neg[i] = _negativities(joint[None])[0]
     return BandCorrelations(t=t, band_edges=bands.band_edges, mi=mi, neg=neg)
 
 
@@ -264,19 +276,47 @@ def fraction_plan(grid: np.ndarray, units: int) -> list[tuple[float, float | Non
     ]
 
 
-# _entropy and _negativity take exactly symmetric blocks (principal blocks of
-# a CovarianceMatrix's data, or a purification of one), so _spectrum_of is
-# told their symmetry defect is 0.
+#: Working-memory budget of one stacked operand: the draws of a grid point
+#: go through _split in slices of blocks of at most this many bytes as
+#: complex128 (the Williamson decomposition's operands; at least one block).
+#: A whole 20-draw stack of 76-mode blocks takes 3.7 MB per real operand,
+#: and a desk time point's fraction_samples then peaks at 22 MB under
+#: tracemalloc; with this budget it peaks at 2.9 MB and runs as fast.
+STACK_BYTES = 1 << 19
+
+
+# The blocks below are exactly symmetric (principal blocks of a
+# CovarianceMatrix's data, or a purification of one), as _spectra and
+# _spectrum_of with symmetry defect 0 require.
 def _entropy(block: np.ndarray) -> float:
     return _entropy_of_values(_spectrum_of(block, 0.0))
 
 
-def _negativity(block: np.ndarray) -> float:
-    """Logarithmic negativity of S (rows 0 and 1) against the rest of a system-first block."""
-    flipped = block.copy()
-    flipped[1] *= -1.0
-    flipped[:, 1] *= -1.0
-    return _negativity_of_values(_spectrum_of(flipped, 0.0))
+def _flip_system(blocks: np.ndarray) -> np.ndarray:
+    """Partial transpose of S (rows and columns 1) of a system-first block or stack of blocks."""
+    flipped = blocks.copy()
+    flipped[..., 1, :] *= -1.0
+    flipped[..., :, 1] *= -1.0
+    return flipped
+
+
+def _negativities(stack: np.ndarray) -> np.ndarray:
+    """Logarithmic negativity of S (rows 0 and 1) against the rest, for each system-first block of a stack."""
+    return np.array([_negativity_of_values(tilde) for tilde in _spectra(_flip_system(stack))])
+
+
+def _pure_negativity(data: np.ndarray) -> float:
+    """Logarithmic negativity of S against all the rest of a globally pure state.
+
+    In the mode-wise normal form of a pure bipartite state (Botero & Reznik,
+    PRA 67, 052311 (2003)) S pairs with one bath mode in a two-mode squeezed
+    state, so E = arccosh(2 nu_S) with nu_S = sqrt(det sigma_S).  Its
+    partially transposed eigenvalue 1 / (4 (nu_S + sqrt(nu_S^2 - 1/4)))
+    goes through _negativity_of_values, which zeroes values in the NU_TOL
+    band.  Only valid after gaussian.check_purity passed.
+    """
+    nu = np.sqrt(data[0, 0] * data[1, 1] - data[0, 1] ** 2)
+    return _negativity_of_values(np.array([0.25 / (nu + np.sqrt(max(nu * nu - 0.25, 0.0)))]))
 
 
 def _block(data: np.ndarray, bath: np.ndarray) -> np.ndarray:
@@ -285,37 +325,104 @@ def _block(data: np.ndarray, bath: np.ndarray) -> np.ndarray:
     return data[np.ix_(rows, rows)]
 
 
-def _split(data: np.ndarray, h_s: float, drawn: np.ndarray, rest_neg: bool):
-    """(MI, MI, negativity, negativity) of S with the drawn bath modes (a mask) and with the rest.
+def _blocks(data: np.ndarray, baths: np.ndarray) -> np.ndarray:
+    """Stack of _block for each row of an (n, N) stack of masks that select equally many modes."""
+    keep = np.repeat(np.column_stack((np.ones(len(baths), dtype=bool), baths)), 2, axis=1)
+    rows = np.nonzero(keep)[1].reshape(len(baths), -1)
+    return data[rows[:, :, None], rows[:, None, :]]
 
-    Only the smaller side ("near") and S u near are extracted.  With global
-    purity H(S u far) = H(near) and H(far) = H(S u near), so
+
+def _purified(n_near: int, n_bath: int) -> bool:
+    """Whether _split reads the far negativity off a purification of S u near (at most n_near + 2 modes)."""
+    return n_near + 1 < n_bath - n_near
+
+
+#: Modelled seconds of one draw on one BLAS thread (draw_cost): a fixed
+#: part, and parts per squared row count (2M)^2 of each stacked spectrum and
+#: of each Williamson decomposition that _split takes.  Fitted to every
+#: fraction point of three desk time points (BENCH_batched_fractions.json).
+#: At these sizes (up to 152 rows) a block's time grows about as (2M)^2: the
+#: rms relative error of the fit is 0.17, against 0.26 for a cubic one.
+DRAW_COST_FIXED = 9.7e-5
+DRAW_COST_SPECTRUM = 5.9e-8
+DRAW_COST_WILLIAMSON = 1.75e-7
+
+
+def draw_blocks(n_drawn: int, n_bath: int, mirrored: bool) -> tuple[list[int], list[int]]:
+    """Row counts 2M of the spectra and of the Williamson decompositions that _split takes for one draw.
+
+    The partner blocks of a purification hold S and one ancilla per mixed
+    mode (a dozen modes or fewer on the desk states); their spectra are left
+    to the fixed part of draw_cost.
+    """
+    near = min(n_drawn, n_bath - n_drawn)
+    drawn_near = 2 * n_drawn <= n_bath
+    want_far = not drawn_near or mirrored
+    joint = 2 * near + 2
+    spectra, williamson = [2 * near], []
+    if want_far and _purified(near, n_bath):
+        williamson.append(joint)
+    else:
+        spectra.append(joint)
+        if want_far:
+            spectra.append(2 * (n_bath - near) + 2)
+    if drawn_near or mirrored:
+        spectra.append(joint)
+    return spectra, williamson
+
+
+def draw_cost(n_drawn: int, n_bath: int, mirrored: bool) -> float:
+    """Modelled seconds of one draw of n_drawn of the n_bath bath modes (draw_blocks)."""
+    spectra, williamson = draw_blocks(n_drawn, n_bath, mirrored)
+    return (
+        DRAW_COST_FIXED
+        + DRAW_COST_SPECTRUM * sum(m * m for m in spectra)
+        + DRAW_COST_WILLIAMSON * sum(m * m for m in williamson)
+    )
+
+
+def _split(data: np.ndarray, h_s: float, drawn: np.ndarray, rest_neg: bool) -> np.ndarray:
+    """(MI, MI, negativity, negativity) of S with the drawn bath modes and with the rest, per draw.
+
+    drawn is an (n, N) stack of bath masks that all select the same number
+    of modes, and the result has shape (4, n).  Only the smaller side
+    ("near") and S u near are extracted, as one stack per block kind.  With
+    global purity H(S u far) = H(near) and H(far) = H(S u near), so
         I(S : near) = H(S) + H(near) - H(S u near),
         I(S : far)  = H(S) + H(S u near) - H(near).
     The negativity against far is read off a Gaussian purification of
-    S u near (at most |near| + 2 modes) when that block is smaller than
-    S u far, else off S u far directly.  The rest's negativity is computed
-    only when rest_neg is set, else it is None.
+    S u near when that block is smaller than S u far (_purified), else off
+    the stack of S u far directly; a purified draw takes H(S u near) from
+    the Williamson eigenvalues of the same decomposition.  The rest's
+    negativity is computed only when rest_neg is set, else it is NaN, and
+    so is the drawn side's when only the rest is wanted.
     """
-    drawn_near = 2 * np.count_nonzero(drawn) <= drawn.size
+    n_bath = drawn.shape[1]
+    drawn_near = 2 * np.count_nonzero(drawn[0]) <= n_bath
     near = drawn if drawn_near else ~drawn
-    joint = _block(data, near)
-    h_near, h_joint = _entropy(joint[2:, 2:]), _entropy(joint)
+    n_near = int(np.count_nonzero(near[0]))
+    joints = _blocks(data, near)
+    h_near = _entropy_of_values(_spectra(joints[:, 2:, 2:]))
+    neg_near = neg_far = np.full(len(joints), np.nan)
+    want_far = not drawn_near or rest_neg
+    if want_far and _purified(n_near, n_bath):
+        nu, partners = purification(joints, np.arange(2))
+        h_joint, neg_far = _entropy_of_values(nu), np.zeros(len(joints))
+        sizes = np.array([len(p) for p in partners])  # one ancilla per mixed mode
+        for size in set(sizes.tolist()) - {2}:  # S alone: no entanglement
+            same = np.flatnonzero(sizes == size)
+            neg_far[same] = _negativities(np.array([partners[i] for i in same]))
+    else:
+        h_joint = _entropy_of_values(_spectra(joints))
+        if want_far:
+            neg_far = _negativities(_blocks(data, ~near))
+    if drawn_near or rest_neg:
+        neg_near = _negativities(joints)
     mi_near = h_s + h_near - h_joint
     mi_far = h_s + h_joint - h_near
-    neg_near = neg_far = None
-    if drawn_near or rest_neg:
-        neg_near = _negativity(joint)
-    if not drawn_near or rest_neg:
-        n_near = np.count_nonzero(near)
-        if n_near + 1 < near.size - n_near:
-            partner = purification(joint, np.arange(2))
-            neg_far = _negativity(partner) if len(partner) > 2 else 0.0
-        else:
-            neg_far = _negativity(_block(data, ~near))
     if drawn_near:
-        return mi_near, mi_far, neg_near, neg_far
-    return mi_far, mi_near, neg_far, neg_near
+        return np.array([mi_near, mi_far, neg_near, neg_far])
+    return np.array([mi_far, mi_near, neg_far, neg_near])
 
 
 def fraction_samples(
@@ -328,11 +435,13 @@ def fraction_samples(
     """{"mi" and "neg": {grid point: per-sample values}} of the grid points that part of a plan fills.
 
     data is the covariance array (a CovarianceMatrix's, system first) of a
-    globally pure state, which the caller checks, and h_s its H(S).  Each
-    draw is split with a mask over the bath modes and evaluated on its
-    smaller side (_split).  At f = 1 the mutual information is 2 H(S) and
-    the negativity is read off the whole state.  A self-mirrored point
-    (f = 1/2) lists draw and complement interleaved.
+    globally pure state, which the caller checks, and h_s its H(S).  The
+    draws of a grid point are masks over the bath modes; those that select
+    equally many modes go through _split as stacks of at most STACK_BYTES
+    per block, each evaluated on its smaller side.  At f = 1 the mutual
+    information is 2 H(S) and the negativity is read off sigma_S
+    (_pure_negativity).  A self-mirrored point (f = 1/2) lists draw and
+    complement interleaved.
     """
     n_bath = data.shape[0] // 2 - 1
     units = sampler.n_units(n_bath)
@@ -349,13 +458,22 @@ def fraction_samples(
     for f, mirror in plan:
         size = int(round(f * units))
         if size == units:
-            record(f, 2.0 * h_s, _negativity(data))
+            record(f, 2.0 * h_s, _pure_negativity(data))
             continue
+        picked = np.zeros((sampler.samples_per_point, units), dtype=bool)
         for s_idx in range(sampler.samples_per_point):
-            picked = np.zeros(units, dtype=bool)
-            picked[_draw(sampler, size, units, s_idx, t_index)] = True
-            drawn = picked[unit_of_mode]
-            mi_f, mi_c, neg_f, neg_c = _split(data, h_s, drawn, mirror is not None)
+            picked[s_idx, _draw(sampler, size, units, s_idx, t_index)] = True
+        drawn = picked[:, unit_of_mode]
+        n_drawn = np.count_nonzero(drawn, axis=1)
+        values = np.empty((4, len(drawn)))
+        for count in sorted(set(n_drawn.tolist())):
+            same = np.flatnonzero(n_drawn == count)
+            rows = 2 * min(count, n_bath - count) + 2
+            step = max(1, STACK_BYTES // (16 * rows * rows))
+            for lo in range(0, len(same), step):
+                part = same[lo : lo + step]
+                values[:, part] = _split(data, h_s, drawn[part], mirror is not None)
+        for mi_f, mi_c, neg_f, neg_c in values.T.tolist():
             record(f, mi_f, neg_f)
             if mirror is not None:
                 record(mirror, mi_c, neg_c)

@@ -8,8 +8,9 @@ all symplectic eigenvalues >= 1/2.
 
 All entropies and the logarithmic negativity are reported in nats.
 
-The pipeline runs the array kernels: _spectrum_of (every symplectic
-spectrum, with the counters take_counts returns), _entropy_of_values,
+The pipeline runs the array kernels: _spectra (the symplectic spectra of a
+stack of equal-size blocks) and _spectrum_of (one block, also unphysical
+ones), both counted by take_counts; _entropy_of_values,
 _negativity_of_values, williamson, purification, check_purity and
 validate_state.  CovarianceMatrix is the validated full state that the
 model builds.  ModeSubset, partial_trace, partial_transpose,
@@ -54,9 +55,10 @@ PURITY_TOL = 1e-8
 #: two-mode squeezing sqrt(nu^2 - 1/4) of order 1e-8.
 PURE_MODE_RTOL = 1e-13
 
-#: Work done by _spectrum_of since the last take_counts(): spectra taken,
-#: their summed cost (2M)^3, the largest block in modes and svd fallbacks.
-_COUNTS = dict.fromkeys(("spectra", "block_cost", "block_modes_max", "svd_fallbacks"), 0)
+#: Work done since the last take_counts(): spectra taken (a Williamson
+#: decomposition counts as one), their summed cost (2M)^3, the largest block
+#: in modes, svd fallbacks, and Williamson decompositions.
+_COUNTS = dict.fromkeys(("spectra", "block_cost", "block_modes_max", "svd_fallbacks", "williamson"), 0)
 
 
 def take_counts() -> dict[str, int]:
@@ -64,6 +66,13 @@ def take_counts() -> dict[str, int]:
     counts = dict(_COUNTS)
     _COUNTS.update(dict.fromkeys(_COUNTS, 0))
     return counts
+
+
+def _count_spectra(n: int, rows: int) -> None:
+    """Add n spectra of blocks with ``rows`` = 2M rows to the counters."""
+    _COUNTS["spectra"] += n
+    _COUNTS["block_cost"] += n * rows**3
+    _COUNTS["block_modes_max"] = max(_COUNTS["block_modes_max"], rows // 2)
 
 
 @dataclass(frozen=True)
@@ -127,43 +136,77 @@ class ValidityReport:
     passed: bool
 
 
-def _pair_moduli(moduli: np.ndarray, scale: float) -> np.ndarray:
-    """Collapse 2M sorted moduli into M pairs, verifying agreement.
+def _pair_moduli(moduli: np.ndarray, scale) -> np.ndarray:
+    """Collapse 2M moduli (the last axis) into M pairs, ascending, verifying agreement.
 
     The pairing test is relative (PAIRING_RTOL) with an absolute floor set by
     the matrix scale: tiny partial-transpose eigenvalues of a large matrix
     carry absolute eigensolver noise, so a purely relative test would reject
-    genuine spectra.
+    genuine spectra.  For a stack of spectra, scale holds one value per
+    spectrum.
     """
-    moduli = np.sort(moduli)
-    lo = moduli[0::2]
-    hi = moduli[1::2]
-    tol = PAIRING_RTOL * np.maximum(hi, 1e-300) + 1e-12 * scale
+    moduli = np.sort(moduli, axis=-1)
+    lo = moduli[..., 0::2]
+    hi = moduli[..., 1::2]
+    tol = PAIRING_RTOL * np.maximum(hi, 1e-300) + 1e-12 * np.asarray(scale)[..., None]
     bad = hi - lo > tol
     if np.any(bad):
         k = int(np.argmax(bad))
         raise PairingFailure(
-            f"moduli {lo[k]:.12e} and {hi[k]:.12e} do not pair within tolerance"
+            f"moduli {lo.flat[k]:.12e} and {hi.flat[k]:.12e} do not pair within tolerance"
         )
     return 0.5 * (lo + hi)
 
 
 def _omega_times(matrix: np.ndarray) -> np.ndarray:
-    """Omega @ matrix, by swapping each (x, p) row pair and negating the new p row."""
+    """Omega @ matrix (of each matrix of a stack), by swapping each (x, p) row pair and negating the new p row."""
     out = np.empty_like(matrix)
-    out[0::2] = matrix[1::2]
-    out[1::2] = -matrix[0::2]
+    out[..., 0::2, :] = matrix[..., 1::2, :]
+    out[..., 1::2, :] = -matrix[..., 0::2, :]
     return out
 
 
 def _cholesky_form(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cholesky factor L of sigma = L L^T and the antisymmetric K = L^T Omega L.
 
-    Omega L is a row swap with a sign flip, so K costs one matmul.  Raises
-    numpy.linalg.LinAlgError when sigma is not positive definite.
+    Omega L is a row swap with a sign flip, so K costs one matmul.  Works on
+    one matrix or a stack.  Raises numpy.linalg.LinAlgError when a matrix is
+    not positive definite.
     """
     chol = np.linalg.cholesky(sigma)
-    return chol, chol.T @ _omega_times(chol)
+    return chol, np.swapaxes(chol, -1, -2) @ _omega_times(chol)
+
+
+def _cholesky_spectra(stack: np.ndarray) -> np.ndarray:
+    """Symplectic spectra of an (n, 2M, 2M) stack of positive-definite matrices, shape (n, M).
+
+    Raises numpy.linalg.LinAlgError, counting nothing, when a matrix of the
+    stack is not positive definite.  Every step (cholesky, the row swap,
+    matmul, eigvalsh) runs on the whole stack; LAPACK and BLAS still see one
+    matrix at a time, so each spectrum is bit for bit the one-matrix result.
+    """
+    _, form = _cholesky_form(stack)
+    n, rows = stack.shape[0], stack.shape[-1]
+    _count_spectra(n, rows)
+    gram = np.linalg.eigvalsh(np.swapaxes(form, -1, -2) @ form)
+    moduli = np.sqrt(gram)
+    for i in np.flatnonzero(~(gram[:, 0] >= GRAM_RTOL * gram[:, -1])):  # NaN falls back too
+        _COUNTS["svd_fallbacks"] += 1
+        moduli[i] = np.linalg.svd(form[i], compute_uv=False)
+    return _pair_moduli(moduli, np.maximum(np.max(np.abs(stack), axis=(1, 2)), 1e-300))
+
+
+def _spectra(stack: np.ndarray) -> np.ndarray:
+    """Symplectic spectra of an (n, 2M, 2M) stack of exactly symmetric matrices, shape (n, M), rows ascending.
+
+    Each row equals _spectrum_of(stack[i], 0.0) bit for bit.  If any matrix
+    is not positive definite the stack goes through _spectrum_of one matrix
+    at a time.  Callers bound the stack's size (correlations.STACK_BYTES).
+    """
+    try:
+        return _cholesky_spectra(stack)
+    except np.linalg.LinAlgError:
+        return np.array([_spectrum_of(sigma, 0.0) for sigma in stack])
 
 
 def _spectrum_of(sigma: np.ndarray, symmetry_defect: float | None = None) -> np.ndarray:
@@ -182,7 +225,7 @@ def _spectrum_of(sigma: np.ndarray, symmetry_defect: float | None = None) -> np.
     two-mode squeezed state at s = 3 (partial-transpose spread e^12) gives
     its negativity to only 6e-9 relative, and at s = 4 its moduli fail to
     pair.  So when gram[0] < GRAM_RTOL * gram[-1], or the Gram spectrum is
-    NaN, the values come from svd(K) instead.
+    NaN, the values come from svd(K) instead (_cholesky_spectra).
 
     Falls back to the complex eigensolve of Omega.sigma when sigma is not
     positive definite, so diagnostic calls on unphysical matrices still
@@ -190,28 +233,16 @@ def _spectrum_of(sigma: np.ndarray, symmetry_defect: float | None = None) -> np.
     computed here unless the caller passes it.  Every call adds to the
     counters that take_counts() returns.
     """
-    _COUNTS["spectra"] += 1
-    _COUNTS["block_cost"] += sigma.shape[0] ** 3
-    _COUNTS["block_modes_max"] = max(_COUNTS["block_modes_max"], sigma.shape[0] // 2)
     scale = max(float(np.max(np.abs(sigma))), 1e-300)
     if symmetry_defect is None:
         symmetry_defect = float(np.max(np.abs(sigma - sigma.T)))
-    moduli = None
     if symmetry_defect <= SYMMETRY_TOL * scale:
         try:
-            _, form = _cholesky_form(sigma)
+            return _cholesky_spectra(sigma[None])[0]
         except np.linalg.LinAlgError:
-            moduli = None  # not positive definite; diagnose via the eig path
-        else:
-            gram = np.linalg.eigvalsh(form.T @ form)
-            if gram[0] >= GRAM_RTOL * gram[-1]:  # False for NaN, which falls back too
-                moduli = np.sqrt(gram)
-            else:
-                _COUNTS["svd_fallbacks"] += 1
-                moduli = np.linalg.svd(form, compute_uv=False)
-    if moduli is None:
-        moduli = np.abs(np.linalg.eigvals(_omega_times(sigma)))
-    return _pair_moduli(moduli, scale)
+            pass  # not positive definite; diagnose via the eig path
+    _count_spectra(1, sigma.shape[0])
+    return _pair_moduli(np.abs(np.linalg.eigvals(_omega_times(sigma))), scale)
 
 
 def symplectic_eigenvalues(cov: CovarianceMatrix) -> np.ndarray:
@@ -240,7 +271,8 @@ def entropy_function(nu: float) -> float:
     return float(a * np.log(a) - b * np.log(b))
 
 
-def _entropy_of_values(values: np.ndarray) -> float:
+def _entropy_of_values(values: np.ndarray):
+    """Sum of h(nu) over the last axis: a float for one spectrum, an array for a stack of them."""
     values = np.asarray(values, dtype=float)
     if np.any(values < 0.5 - NU_TOL):
         worst = float(values.min())
@@ -248,7 +280,8 @@ def _entropy_of_values(values: np.ndarray) -> float:
     a = values + 0.5
     b = np.clip(values - 0.5, 0.0, None)
     terms = a * np.log(a) - np.where(b > 0.0, b * np.log(np.where(b > 0.0, b, 1.0)), 0.0)
-    return float(np.sum(terms))
+    total = np.sum(terms, axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 def von_neumann_entropy(cov: CovarianceMatrix) -> float:
@@ -298,51 +331,72 @@ def _negativity_of_values(tilde: np.ndarray) -> float:
 
 
 def williamson(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Williamson normal form sigma = S D S^T of a positive-definite state.
+    """Williamson normal form sigma = S D S^T of a positive-definite state, or of each of a stack.
 
     Returns (nu, S): the symplectic eigenvalues nu ascending, and S with
-    S Omega S^T = Omega, where D = diag(nu_1, nu_1, ..., nu_M, nu_M).
-    Cholesky sigma = L L^T; the Hermitian matrix i L^T Omega L has
-    eigenvalues +-nu_j.  An eigenvector u_j of +nu_j gives the columns
-    sqrt(2) (Im u_j, Re u_j) of an orthogonal O that brings L^T Omega L to
-    the blocks nu_j [[0, 1], [-1, 0]], and S = L O D^(-1/2).  Raises
-    DomainError when sigma is not numerically positive definite.
+    S Omega S^T = Omega, where D = diag(nu_1, nu_1, ..., nu_M, nu_M); a
+    stack keeps its leading axis.  Cholesky sigma = L L^T; the Hermitian
+    matrix i L^T Omega L has eigenvalues +-nu_j.  An eigenvector u_j of
+    +nu_j gives the columns sqrt(2) (Im u_j, Re u_j) of an orthogonal O that
+    brings L^T Omega L to the blocks nu_j [[0, 1], [-1, 0]], and
+    S = L O D^(-1/2).  Every step runs on the whole stack, and each matrix
+    comes out bit for bit as alone.  Raises DomainError when a matrix is not
+    numerically positive definite, and PairingFailure when the eigenvalues
+    do not come in +-nu pairs (_pair_moduli).  The eigenvalues are not
+    squared, so nu needs no Gram guard.  Each decomposition counts as one
+    spectrum of its matrix and one ``williamson`` in take_counts().
     """
-    n = sigma.shape[0] // 2
+    n = sigma.shape[-1] // 2
     try:
         chol, form = _cholesky_form(sigma)
     except np.linalg.LinAlgError as exc:
         raise DomainError("Williamson normal form needs a positive-definite matrix") from exc
+    count = chol[..., 0, 0].size
+    _count_spectra(count, sigma.shape[-1])
+    _COUNTS["williamson"] += count
     values, vectors = np.linalg.eigh(1j * form)
-    nu = values[n:]
-    ortho = np.empty((2 * n, 2 * n))
-    ortho[:, 0::2] = np.sqrt(2.0) * vectors[:, n:].imag
-    ortho[:, 1::2] = np.sqrt(2.0) * vectors[:, n:].real
-    return nu, (chol @ ortho) / np.sqrt(np.repeat(nu, 2))
+    _pair_moduli(np.abs(values), np.maximum(np.max(np.abs(sigma), axis=(-2, -1)), 1e-300))
+    nu = values[..., n:]
+    ortho = np.empty(sigma.shape)
+    ortho[..., 0::2] = np.sqrt(2.0) * vectors[..., n:].imag
+    ortho[..., 1::2] = np.sqrt(2.0) * vectors[..., n:].real
+    return nu, (chol @ ortho) / np.sqrt(np.repeat(nu, 2, axis=-1))[..., None, :]
 
 
-def purification(sigma: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The kept rows of sigma together with the partners of a Gaussian purification.
+def purification(stack: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(nu, blocks) of an (n, 2M, 2M) stack: Williamson eigenvalues, and kept rows with purification partners.
 
+    nu (shape (n, M)) give the entropy of each matrix sigma of the stack
+    (_entropy_of_values), so a caller needs no second decomposition of it.
     rows are the (x, p) rows of the kept modes.  Each mixed Williamson mode
     of sigma (nu_j above 1/2 by more than PURE_MODE_RTOL of the scale) gets
     one ancilla, two-mode squeezed with it so that the pair is pure; the
-    other modes of sigma are traced out.  The result holds the kept modes
-    first, then the ancillas.  If sigma is the reduced state of a pure
-    state on sigma u R, every purification differs from R only by a local
-    symplectic on the partner side, so (kept, ancillas) and (kept, R) share
-    entropies and logarithmic negativity (Holevo & Werner, PRA 63, 032312
-    (2001); Botero & Reznik, PRA 67, 052311 (2003)).  With no mixed mode
-    the kept modes come back alone.
+    other modes of sigma are traced out.  Each block holds the kept modes
+    first, then the ancillas, so the blocks' sizes can differ.  If sigma is
+    the reduced state of a pure state on sigma u R, every purification
+    differs from R only by a local symplectic on the partner side, so
+    (kept, ancillas) and (kept, R) share entropies and logarithmic
+    negativity (Holevo & Werner, PRA 63, 032312 (2001); Botero & Reznik,
+    PRA 67, 052311 (2003)).  With no mixed mode the kept modes come back
+    alone.
     """
-    nu, sym = williamson(sigma)
-    scale = max(float(np.max(np.abs(sigma))), 1.0)
-    mixed = np.flatnonzero(nu - 0.5 > PURE_MODE_RTOL * scale)
-    nu_mixed = np.repeat(nu[mixed], 2)
-    squeeze = np.sqrt(nu_mixed**2 - 0.25)
-    squeeze[1::2] *= -1.0  # the pair's momenta anti-correlate
-    cross = sym[np.ix_(rows, _rows(mixed))] * squeeze
-    return np.block([[sigma[np.ix_(rows, rows)], cross], [cross.T, np.diag(nu_mixed)]])
+    nu, sym = williamson(stack)
+    scales = np.maximum(np.max(np.abs(stack), axis=(1, 2)), 1.0)
+    kept, r = stack[:, rows[:, None], rows], len(rows)
+    blocks = []
+    for i in range(len(stack)):
+        mixed = np.flatnonzero(nu[i] - 0.5 > PURE_MODE_RTOL * scales[i])
+        nu_mixed = np.repeat(nu[i, mixed], 2)
+        squeeze = np.sqrt(nu_mixed**2 - 0.25)
+        squeeze[1::2] *= -1.0  # the pair's momenta anti-correlate
+        cross = sym[i][np.ix_(rows, _rows(mixed))] * squeeze
+        block = np.zeros((r + len(nu_mixed),) * 2)
+        block[:r, :r] = kept[i]
+        block[:r, r:] = cross
+        block[r:, :r] = cross.T
+        block[r:, r:][np.diag_indices(len(nu_mixed))] = nu_mixed
+        blocks.append(block)
+    return nu, blocks
 
 
 def check_purity(cov: CovarianceMatrix) -> float:

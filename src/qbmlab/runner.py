@@ -18,7 +18,8 @@ earlier run persisted there (``load_curves``); then nothing is simulated.
 The unit of parallel work is one part ("chunk") of one time point's
 fraction plan (correlations.fraction_plan).  With W workers and n time
 points, each time point splits into max(1, min(plan size, ceil(4 W / n)))
-chunks of near-equal cost, so a few time points still keep every worker
+chunks of near-equal modelled cost (correlations.draw_cost), so a few
+time points still keep every worker
 busy while a long time grid stays at one item per point.  Chunk 0 also
 carries the state diagnostics, the bands and f = 1.  Items go to a pool of
 spawned worker processes in time order; each worker keeps the state of its
@@ -67,6 +68,7 @@ from .correlations import (
     FractionSampler,
     band_correlations,
     band_partition,
+    draw_cost,
     fraction_curves,
     fraction_plan,
     fraction_samples,
@@ -141,19 +143,20 @@ def _chunk_count(n_sampled: int, workers: int, n_times: int) -> int:
     return max(1, min(n_sampled, math.ceil(4 * workers / n_times)))
 
 
-def _split_plan(plan: list, units: int, n_chunks: int) -> list[list]:
+def _split_plan(plan: list, units: int, n_chunks: int, n_bath: int) -> list[list]:
     """The plan in n_chunks parts of near-equal cost; f = 1 goes to part 0.
 
     Greedy, largest first: each sampled point goes to the part with the
-    least cost so far.  A point of k units costs (min(k, units - k) + 2)^3,
-    cubic in its largest block.
+    least cost so far.  A point costs the modelled time of its draws
+    (correlations.draw_cost), with k units read as k n_bath / units bath
+    modes.
     """
     parts: list[list] = [[] for _ in range(n_chunks)]
-    loads = [0] * n_chunks
+    loads = [0.0] * n_chunks
 
-    def cost(entry) -> int:
+    def cost(entry) -> float:
         k = round(entry[0] * units)
-        return (min(k, units - k) + 2) ** 3
+        return 0.0 if k == units else draw_cost(round(k * n_bath / units), n_bath, entry[1] is not None)
 
     for entry in sorted(plan, key=cost, reverse=True):
         if round(entry[0] * units) == units:
@@ -272,7 +275,7 @@ def _run_time_points(config: RunConfig, wants: tuple[str, ...]) -> tuple[list[di
         grid = sampler.grid_for(config.n_oscillators)
         plan = fraction_plan(grid, units)
         n_sampled = sum(round(f * units) < units for f, _ in plan)
-        parts = _split_plan(plan, units, _chunk_count(n_sampled, workers, len(times)))
+        parts = _split_plan(plan, units, _chunk_count(n_sampled, workers, len(times)), config.n_oscillators)
     config_dict = asdict(config)
     payloads = [
         (config_dict, i, t, wants if j == 0 else ("curves",), part)
@@ -377,6 +380,18 @@ def _stage_files(stage: str, config: RunConfig, results: list[dict], curves: lis
     return [("analytic.csv", ["t", "f", "d_total", "d_dx2", "e_analytic", "mi_analytic"], rows)]
 
 
+def _merged_files(manifest_path: str, files: list[dict]) -> list[dict]:
+    """files, after the entries of the manifest already at manifest_path for files that still exist and are not in files."""
+    outdir, names = os.path.dirname(manifest_path), {f["name"] for f in files}
+    try:
+        with open(manifest_path, encoding="utf-8") as fh:
+            earlier = json.load(fh)["files"]
+        kept = [e for e in earlier if e["name"] not in names and os.path.exists(os.path.join(outdir, e["name"]))]
+    except (OSError, ValueError, KeyError, TypeError):
+        return files  # no earlier manifest, or one that cannot be read
+    return kept + files
+
+
 def run_experiment(
     config: RunConfig,
     stages: tuple[str, ...] = ("bands", "piplot", "peplot", "redundancy"),
@@ -388,6 +403,12 @@ def run_experiment(
     earlier run of the same run id persisted there instead of simulating
     them.  Outputs are deterministic functions of the configuration and the
     curves; on failure, files already written by this invocation are removed.
+
+    The manifest file ``<run_id>_manifest.json`` lists the files of every
+    command run with this run id and outdir: the entries of the manifest
+    already there for files that still exist and that this command did not
+    rewrite, then this command's files.  Its other fields, and the returned
+    RunManifest's files, are this command's.
     """
     for stage in stages:
         if stage not in ALL_STAGES:
@@ -450,8 +471,11 @@ def run_experiment(
                 for p in written
             ],
         )
-        written.append(f"{prefix}_manifest.json")
-        _write_json(written[-1], asdict(manifest))
+        path = f"{prefix}_manifest.json"
+        record = asdict(manifest)
+        record["files"] = _merged_files(path, manifest.files)
+        written.append(path)
+        _write_json(path, record)
     except BaseException:
         for path in written:
             try:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from qbmlab.correlations import (
     band_correlations,
     band_partition,
     default_f_grid,
+    draw_blocks,
     fraction_curves,
     fraction_plan,
     fraction_samples,
@@ -17,8 +20,10 @@ from qbmlab.correlations import (
     sample_fraction,
     system_entropy,
 )
+from qbmlab.correlations import _split
 from qbmlab.errors import BadBandCount, DomainError, EmptyFraction, ImpureState
-from qbmlab.gaussian import ModeSubset, log_negativity
+import qbmlab.correlations as correlations_mod
+from qbmlab.gaussian import ModeSubset, _spectrum_of, log_negativity, take_counts
 from qbmlab.model import (
     BathSpec,
     SqueezedInitialState,
@@ -30,6 +35,12 @@ from qbmlab.model import (
 
 from conftest import random_state
 from oracles import direct_bands, direct_correlations, direct_system_entropy
+
+
+#: The f = 1 negativity is arccosh(2 sqrt(det sigma_S)), read off the 2 x 2
+#: block, against the 151-mode spectrum of log_negativity: they differ by
+#: rounding only, at most 4e-12 on the desk states at r = -5 and 5.
+F_ONE_NEG_TOL = 1e-11
 
 
 def evolved_state(n_osc=24, t=2.0, r=-5.0, exponent=0.5, cutoff=20.0):
@@ -239,11 +250,11 @@ class TestPePlot:
         curve = pe_plot(cov, FractionSampler(seed=2, samples_per_point=4))
         assert np.allclose(curve.mean, 0.0)
 
-    def test_f_one_equals_full_negativity_exactly(self):
+    def test_f_one_equals_full_negativity(self):
         _, cov = evolved_state(t=2.0)
         curve = pe_plot(cov, FractionSampler(seed=4, samples_per_point=2), t=2.0)
         full = log_negativity(cov, ModeSubset.of([0], cov.n_modes))
-        assert curve.mean[-1] == full
+        assert curve.mean[-1] == pytest.approx(full, rel=0, abs=F_ONE_NEG_TOL)
         assert curve.stderr[-1] == 0.0
         assert curve.n_samples[-1] == 1
 
@@ -354,8 +365,97 @@ class TestSmallerSideAgainstDirectPath:
         _, cov = evolved_state(n_osc=150, t=t, r=-5.0)
         sampler = FractionSampler(seed=12345, samples_per_point=2)
         mi_curve, neg_curve = assert_matches_direct(cov, sampler, t=t, t_index=t_index)
-        assert neg_curve.mean[-1] == log_negativity(cov, ModeSubset.of([0], cov.n_modes))
+        full = log_negativity(cov, ModeSubset.of([0], cov.n_modes))
+        assert neg_curve.mean[-1] == pytest.approx(full, rel=0, abs=F_ONE_NEG_TOL)
         assert mi_curve.mean[-1] == 2.0 * mi_curve.h_system
+
+
+class TestStackedEngine:
+    """Stacks give the one-block-at-a-time results bit for bit, and the direct path within 1e-10."""
+
+    @staticmethod
+    def assert_stacking_changes_no_bit(cov, sampler, t_index=0):
+        grid = sampler.grid_for(cov.n_modes - 1)
+        plan = fraction_plan(grid, sampler.n_units(cov.n_modes - 1))
+        h_s = system_entropy(cov)
+        runs = [fraction_samples(cov.data, h_s, sampler, plan, t_index)]
+        with pytest.MonkeyPatch.context() as patch:
+            # slices of a few small blocks, so that some slices are partial
+            patch.setattr(correlations_mod, "STACK_BYTES", 1 << 11)
+            runs.append(fraction_samples(cov.data, h_s, sampler, plan, t_index))
+            # every spectrum alone, and stacks sliced to one block
+            patch.setattr(correlations_mod, "_spectra", lambda stack: np.array([_spectrum_of(m, 0.0) for m in stack]))
+            patch.setattr(correlations_mod, "STACK_BYTES", 1)
+            alone = fraction_samples(cov.data, h_s, sampler, plan, t_index)
+        for run in runs:
+            for m in ("mi", "neg"):
+                for f in grid:
+                    assert np.array(run[m][f]).tobytes() == np.array(alone[m][f]).tobytes(), (m, f)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n_bath=st.integers(min_value=2, max_value=9),
+        ks=st.sets(st.integers(min_value=1, max_value=8), min_size=1),
+        band=st.booleans(),
+    )
+    def test_random_pure_states(self, seed, n_bath, ks, band):
+        cov = random_state(np.random.default_rng(seed), n_bath + 1, pure=True)
+        units = max(2, n_bath // 2) if band else n_bath  # uneven bands give draws of unequal size
+        grid = sorted({k for k in ks if k < units} | {units})
+        sampler = FractionSampler(
+            seed=seed,
+            samples_per_point=5,
+            f_grid=np.array(grid) / units,
+            unit="band" if band else "oscillator",
+            n_bands=units if band else None,
+        )
+        self.assert_stacking_changes_no_bit(cov, sampler)
+
+    @pytest.mark.parametrize("r", [-5.0, 5.0])
+    @pytest.mark.parametrize("t_index, t", [(1, 10.0 / 39.0), (20, 5.128), (39, 10.0)])
+    def test_desk_state(self, r, t_index, t):
+        _, cov = evolved_state(n_osc=150, t=t, r=r)
+        sampler = FractionSampler(seed=54321, samples_per_point=2)
+        self.assert_stacking_changes_no_bit(cov, sampler, t_index)
+        mi_curve, neg_curve = assert_matches_direct(cov, sampler, t=t, t_index=t_index)
+        full = log_negativity(cov, ModeSubset.of([0], cov.n_modes))
+        assert neg_curve.mean[-1] == pytest.approx(full, rel=0, abs=F_ONE_NEG_TOL)
+
+    def test_desk_time_point_memory(self):
+        # stacks are sliced to STACK_BYTES: a desk time point peaks at 2.9 MB,
+        # and at 22 MB with whole 20-draw stacks
+        _, cov = evolved_state(n_osc=150, t=5.128, r=-5.0)
+        sampler = FractionSampler(seed=1, samples_per_point=20)
+        plan = fraction_plan(sampler.grid_for(150), 150)
+        h_s = system_entropy(cov)
+        tracemalloc.start()
+        try:
+            fraction_samples(cov.data, h_s, sampler, plan, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+
+class TestDrawCost:
+    @pytest.mark.parametrize("mirrored", [False, True])
+    @pytest.mark.parametrize("n_drawn", range(1, 8))
+    def test_blocks_are_those_split_takes(self, rng, n_drawn, mirrored):
+        cov = random_state(rng, 9, pure=True)
+        drawn = np.zeros((1, 8), dtype=bool)
+        drawn[0, :n_drawn] = True
+        spectra, williamson = draw_blocks(n_drawn, 8, mirrored)
+        h_s = system_entropy(cov)
+        take_counts()
+        _split(cov.data, h_s, drawn, mirrored)
+        counts = take_counts()
+        assert counts["williamson"] == len(williamson)
+        # a purification adds the spectrum of its partner block, which the model leaves out:
+        # S and one ancilla per mixed mode of S u near, which are all mixed in a random state
+        near = min(n_drawn, 8 - n_drawn)
+        partner = 1 + min(near + 1, 8 - near) if williamson else 0
+        assert counts["block_cost"] - 8 * partner**3 == sum(m**3 for m in spectra + williamson)
 
 
 class TestFractionPlan:
@@ -417,6 +517,14 @@ class TestChunkedPlan:
 
 
 class TestImpureState:
+    def test_rejected_before_any_spectrum(self, rng):
+        # the f = 1 closed form holds for pure states only, so purity is checked first
+        cov = random_state(rng, 7, pure=False)
+        take_counts()
+        with pytest.raises(ImpureState):
+            pi_pe_plots(cov, FractionSampler(seed=1, samples_per_point=2))
+        assert take_counts()["spectra"] == 0
+
     def test_fraction_plots_reject_it(self, rng):
         cov = random_state(rng, 7, pure=False)
         sampler = FractionSampler(seed=1, samples_per_point=2)

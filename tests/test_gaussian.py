@@ -9,6 +9,8 @@ from qbmlab.gaussian import (
     CovarianceMatrix,
     ModeSubset,
     _cholesky_form,
+    _entropy_of_values,
+    _spectra,
     _spectrum_of,
     check_purity,
     entropy_function,
@@ -173,14 +175,64 @@ class TestSpectrumKernel:
         assert got == pytest.approx([0.5, 0.5 * np.sqrt(spread), 0.5 * spread], rel=1e-12)
 
 
+class TestStackedSpectra:
+    """_spectra on a stack equals _spectrum_of one matrix at a time, bit for bit and count for count."""
+
+    @staticmethod
+    def one_by_one(stack):
+        take_counts()
+        want = np.array([_spectrum_of(sigma, 0.0) for sigma in stack])
+        return want, take_counts()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=SEEDS,
+        n_modes=st.integers(min_value=1, max_value=12),
+        n=st.integers(min_value=1, max_value=6),
+        transpose=st.booleans(),
+    )
+    def test_rows_equal_one_matrix_results(self, seed, n_modes, n, transpose):
+        rng = np.random.default_rng(seed)
+        stack = np.array([random_state(rng, n_modes, pure=bool(rng.integers(2))).data for _ in range(n)])
+        if transpose and n_modes > 1:
+            # a partial transpose of mode 0 spreads some spectra past the Gram guard
+            stack[:, 1] *= -1.0
+            stack[:, :, 1] *= -1.0
+        want, counts = self.one_by_one(stack)
+        got = _spectra(stack)
+        assert take_counts() == counts
+        assert got.tobytes() == want.tobytes()
+
+    def test_entropies_of_a_stack_equal_one_by_one(self, rng):
+        nus = np.array([_spectrum_of(random_state(rng, 5, pure=False).data) for _ in range(4)])
+        assert _entropy_of_values(nus).tobytes() == np.array([_entropy_of_values(nu) for nu in nus]).tobytes()
+
+    def test_not_positive_definite_goes_one_by_one(self, rng):
+        good = random_state(rng, 2, pure=False).data
+        stack = np.array([good, np.diag([0.5, 0.5, -1.0, 1.0]), good])
+        want, counts = self.one_by_one(stack)
+        got = _spectra(stack)
+        assert take_counts() == counts
+        assert counts["spectra"] == 3
+        assert got.tobytes() == want.tobytes()
+
+
 class TestSpectrumCounters:
     def test_counts_every_spectrum_then_resets(self):
         take_counts()
         von_neumann_entropy(vacuum(3))
         # the partial transpose of a strongly squeezed pair spreads past the Gram guard
         assert log_negativity(two_mode_squeezed(3.0), ModeSubset.of([0], 2)) == pytest.approx(6.0, rel=1e-10)
-        assert take_counts() == {"spectra": 2, "block_cost": 6**3 + 4**3, "block_modes_max": 3, "svd_fallbacks": 1}
-        assert take_counts() == {"spectra": 0, "block_cost": 0, "block_modes_max": 0, "svd_fallbacks": 0}
+        assert take_counts() == {
+            "spectra": 2, "block_cost": 6**3 + 4**3, "block_modes_max": 3, "svd_fallbacks": 1, "williamson": 0
+        }
+        assert take_counts() == dict.fromkeys(("spectra", "block_cost", "block_modes_max", "svd_fallbacks", "williamson"), 0)
+
+    def test_williamson_counts_as_one_spectrum(self):
+        take_counts()
+        nu, _ = purification(np.array([two_mode_squeezed(0.8).data] * 3), np.arange(2))
+        assert take_counts() == {"spectra": 3, "block_cost": 3 * 4**3, "block_modes_max": 2, "svd_fallbacks": 0, "williamson": 3}
+        assert nu[1] == pytest.approx([0.5, 0.5], abs=1e-12)  # a pure state: every Williamson eigenvalue is 1/2
 
 
 class TestEntropyFunction:
@@ -439,7 +491,7 @@ class TestWilliamson:
         with pytest.raises(DomainError, match="positive-definite"):
             williamson(cov.data)
         with pytest.raises(DomainError, match="positive-definite"):
-            purification(cov.data, np.arange(2))
+            purification(cov.data[None], np.arange(2))
 
 
 class TestPurification:
@@ -449,26 +501,44 @@ class TestPurification:
         # masks 1 .. 2^(n-1) - 2 leave neither side empty
         cov, near, far = split_pure_state(seed, n_modes, 1 + near_mask % (2 ** (n_modes - 1) - 2))
         joint = partial_trace(cov, ModeSubset.of((0,) + near, n_modes))
-        partner = CovarianceMatrix(purification(joint.data, np.arange(2)))
+        nu, blocks = purification(joint.data[None], np.arange(2))
+        partner = CovarianceMatrix(blocks[0])
         direct = partial_trace(cov, ModeSubset.of((0,) + far, n_modes))
         assert partner.n_modes <= joint.n_modes + 1
         assert np.array_equal(partner.data[:2, :2], joint.data[:2, :2])
         got = log_negativity(partner, ModeSubset.of([0], partner.n_modes)) if partner.n_modes > 1 else 0.0
         assert got == pytest.approx(log_negativity(direct, ModeSubset.of([0], direct.n_modes)), abs=1e-10)
         assert von_neumann_entropy(partner) == pytest.approx(von_neumann_entropy(direct), abs=1e-10)
+        # the Williamson eigenvalues give the joint block's entropy without a second spectrum
+        assert _entropy_of_values(nu[0]) == pytest.approx(von_neumann_entropy(joint), abs=1e-10)
 
     def test_pure_state_has_no_partners(self, rng):
         cov = random_state(rng, 4, pure=True)
-        partner = CovarianceMatrix(purification(cov.data, np.arange(2)))
+        partner = CovarianceMatrix(purification(cov.data[None], np.arange(2))[1][0])
         assert partner.n_modes == 1
         assert np.array_equal(partner.data, cov.data[:2, :2])
 
     def test_two_mode_squeezed_marginal(self):
         # one half of a two-mode squeezed vacuum is purified by a copy of the other
         tms = two_mode_squeezed(0.8)
-        partner = CovarianceMatrix(purification(partial_trace(tms, ModeSubset.of([0], 2)).data, np.arange(2)))
+        nu, blocks = purification(partial_trace(tms, ModeSubset.of([0], 2)).data[None], np.arange(2))
+        partner = CovarianceMatrix(blocks[0])
         assert partner.n_modes == 2
         assert log_negativity(partner, ModeSubset.of([0], 2)) == pytest.approx(1.6, rel=1e-12)
+        assert nu[0] == pytest.approx([0.5 * np.cosh(1.6)], rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=SEEDS, n_modes=st.integers(min_value=1, max_value=8), n=st.integers(min_value=1, max_value=5))
+    def test_stack_equals_one_matrix_at_a_time(self, seed, n_modes, n):
+        rng = np.random.default_rng(seed)
+        stack = np.array([random_state(rng, n_modes, pure=bool(rng.integers(2))).data for _ in range(n)])
+        nu, blocks = purification(stack, np.arange(2))
+        nu_s, sym_s = williamson(stack)
+        for i, sigma in enumerate(stack):
+            nu_i, blocks_i = purification(sigma[None], np.arange(2))
+            assert nu[i].tobytes() == nu_i[0].tobytes() == nu_s[i].tobytes()
+            assert blocks[i].tobytes() == blocks_i[0].tobytes()
+            assert sym_s[i].tobytes() == williamson(sigma)[1].tobytes()
 
 
 class TestCheckPurity:

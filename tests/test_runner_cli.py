@@ -16,7 +16,14 @@ import qbmlab.runner as runner_mod
 from qbmlab.cli import main
 from qbmlab.config import parse_config
 from qbmlab.errors import ImpureState, QbmError
-from qbmlab.correlations import band_correlations, band_partition, default_f_grid, fraction_plan, pi_pe_plots
+from qbmlab.correlations import (
+    band_correlations,
+    band_partition,
+    default_f_grid,
+    draw_cost,
+    fraction_plan,
+    pi_pe_plots,
+)
 from qbmlab.gaussian import take_counts
 from qbmlab.model import evolve
 from qbmlab.runner import (
@@ -210,15 +217,15 @@ class TestChunks:
     @pytest.mark.parametrize("n_chunks", [1, 2, 3, 8])
     def test_split_covers_the_plan_once(self, n_chunks):
         plan = fraction_plan(default_f_grid(150), 150)
-        parts = _split_plan(plan, 150, n_chunks)
+        parts = _split_plan(plan, 150, n_chunks, 150)
         assert len(parts) == n_chunks and all(parts)
         assert sorted(e for part in parts for e in part) == sorted(plan)
         assert (1.0, None) in parts[0]
 
     def test_split_balances_cost(self):
-        parts = _split_plan(fraction_plan(default_f_grid(150), 150), 150, 3)
-        loads = [sum((min(round(f * 150), 150 - round(f * 150)) + 2) ** 3 for f, _ in part) for part in parts]
-        largest = (75 + 2) ** 3
+        parts = _split_plan(fraction_plan(default_f_grid(150), 150), 150, 3, 150)
+        loads = [sum(draw_cost(round(f * 150), 150, m is not None) for f, m in part if f < 1) for part in parts]
+        largest = max(draw_cost(k, 150, True) for k in range(1, 76))
         assert max(loads) - min(loads) <= largest
 
 
@@ -479,6 +486,45 @@ class TestCli:
             assert len(data) == entry["bytes"], entry["name"]
         expected_dir = str(outdir) if command == "redundancy" else None
         assert manifest["config"]["curves_dir"] == expected_dir
+
+    def test_compare_from_curves_dir(self, tmp_path, monkeypatch, capsys):
+        flags = ["--n-oscillators", "30", "--n-times", "4", "--t-max", "3.0", "--samples", "3", "--n-bands", "6"]
+        cfg = tiny_config(tmp_path / "curves", run_id="cmp")
+        run_experiment(cfg, ("piplot", "peplot"))
+        simulated = tiny_config(tmp_path / "simulated", run_id="cmp")
+        run_experiment(simulated, ("compare",))
+
+        def no_time_points(*a, **k):
+            raise AssertionError("compare evaluated a time point")
+
+        monkeypatch.setattr(runner_mod, "_run_time_points", no_time_points)
+        out = tmp_path / "out"
+        rc = main(["compare", "--curves-dir", cfg.outdir, *flags, "--outdir", str(out), "--run-id", "cmp"])
+        assert rc == 0
+        assert "max relative deviation" in capsys.readouterr().out
+        assert digest_dir(out) == digest_dir(simulated.outdir)
+
+    def test_manifest_keeps_earlier_commands_files(self, tmp_path, capsys):
+        flags = [*TINY_DESK, "--profile", "desk", "--outdir", str(tmp_path), "--run-id", "m"]
+        assert main(["piplot", *flags]) == 0
+        capsys.readouterr()
+        assert main(["peplot", *flags]) == 0
+        printed = [os.path.basename(p) for p in capsys.readouterr().out.split()]
+        assert printed == ["m_neg.csv", "m_neg.json"]
+        with open(tmp_path / "m_manifest.json") as fh:
+            manifest = json.load(fh)
+        assert [entry["name"] for entry in manifest["files"]] == ["m_mi.csv", "m_mi.json", "m_neg.csv", "m_neg.json"]
+        for entry in manifest["files"]:
+            data = (tmp_path / entry["name"]).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == entry["sha256"], entry["name"]
+        assert manifest["stages"] == ["peplot"]
+
+    def test_unreadable_manifest_is_replaced(self, tmp_path):
+        cfg = tiny_config(tmp_path, run_id="m")
+        (tmp_path / "m_manifest.json").write_text('{"files": [{"sha256": "no name"}]}')
+        run_experiment(cfg, ("analytic",))
+        with open(tmp_path / "m_manifest.json") as fh:
+            assert [entry["name"] for entry in json.load(fh)["files"]] == ["m_analytic.csv"]
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QBM_SEED", "777")
