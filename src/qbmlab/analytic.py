@@ -147,16 +147,6 @@ def mi_value(f: float, k: float) -> float:
     )
 
 
-def e_universal(f: float) -> float:
-    """Large-squeezing limit (1/2) ln((1+3f)/(1-f)), independent of the bath.
-
-    An upper bound for the entanglement whenever dissipation is present.
-    """
-    if f < 0.0 or f >= 1.0:
-        raise DomainError(f"fraction must lie in [0, 1), got {f}")
-    return 0.5 * math.log((1.0 + 3.0 * f) / (1.0 - f))
-
-
 def k_value(t: float, params: BranchModelParams) -> float:
     """The branch model's k = d(t) dx^2 at time t."""
     return d_total(t, params) * params.delta_x**2
@@ -167,7 +157,7 @@ def redundancy_estimate_value(deficit: float, k: float) -> float:
 
     A = 2 chi(1) = sqrt(1 + 8k) is the symplectic area of the system's
     reduced state in ground-state units, and E(1) = arccosh(A).  In the
-    large-squeezing limit E(f) tends to e_universal(f); solving
+    large-squeezing limit E(f) tends to (1/2) ln((1+3f)/(1-f)); solving
     E(1 - f_E) = deficit * E(1) on that curve gives
 
         R_E = 1 / f_E = (e^(2 deficit E(1)) + 3) / 4

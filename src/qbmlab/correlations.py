@@ -2,21 +2,20 @@
 
 Two ways of splitting the environment are supported: contiguous frequency
 bands (band_correlations) and random fractions of a given size f
-(pi_plot / pe_plot).  Fraction sampling is paired: every random subset
-drawn at f is reused as its complement at 1 - f, which makes the purity
-identity I(f) + I(1-f) = 2 H(S) hold per sample and halves the number of
-draws.
+(pi_pe_plots).  Fraction sampling is paired: every random subset drawn at
+f is reused as its complement at 1 - f, which makes the purity identity
+I(f) + I(1-f) = 2 H(S) hold per sample and halves the number of draws.
 
 A PI/PE evaluation has three steps.  fraction_plan lists the sampled grid
 points, each with the mirror point that its complements fill.
-fraction_samples evaluates any part of a plan on index arrays of the
-covariance array, and fraction_curves reduces the merged samples to
-curves, both measures at once.  pi_pe_plots runs the whole plan as one
-part (pi_plot and pe_plot return one of its two curves); the runner
-splits it into parts that workers evaluate in any order.  Each grid point
-is filled by exactly one part, and every draw is keyed on (seed, t-index,
-subset size, sample-index), so neither the split nor the worker count
-changes a number.
+fraction_samples evaluates a contiguous range of sample indices at every
+grid point of the plan, on index arrays of the covariance array, and
+fraction_curves reduces the merged samples to curves, both measures at
+once.  pi_pe_plots evaluates every sample index in one range; the runner
+cuts the indices into slices that workers evaluate in any order, and
+merges each grid point's values in slice order, which is sample order.
+Every draw is keyed on (seed, t-index, subset size, sample-index), so
+neither the cut nor the worker count changes a number.
 
 The fraction plots rely on global purity of the closed dynamics, checked
 once per time point (gaussian.check_purity; an impure state raises
@@ -34,8 +33,6 @@ gaussian._spectra (one cholesky, row swap, matmul and eigvalsh per stack)
 and gaussian.purification (the same with a complex eigh), each matrix bit
 for bit as alone, in slices of at most STACK_BYTES.  The Williamson
 decomposition behind a purification also gives H(S u E_f).
-draw_cost models the time of one draw from the blocks it takes; the runner
-balances its chunks with it.
 
 Bands and H(S) run on the same kernels one block at a time: index-array
 blocks of the covariance array (_block, system first), whose entropies and
@@ -50,10 +47,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadBandCount, DomainError, EmptyFraction
+from .errors import BadBandCount, DomainError
 from .gaussian import (
     CovarianceMatrix,
-    ModeSubset,
     _entropy_of_values,
     _negativity_of_values,
     _spectra,
@@ -206,27 +202,6 @@ class FractionSampler:
         return self.f_grid
 
 
-def sample_fraction(
-    sampler: FractionSampler,
-    f: float,
-    units: int,
-    sample_index: int = 0,
-    t_index: int = 0,
-) -> ModeSubset:
-    """Uniform subset of round(f * units) unit indices, without replacement.
-
-    Deterministic for fixed (seed, t_index, subset size, sample_index).
-    """
-    size = int(round(f * units))
-    if size < 1:
-        raise EmptyFraction(f"fraction {f} of {units} units rounds to zero")
-    if size > units:
-        raise DomainError(f"fraction {f} exceeds one")
-    if size == units:
-        return ModeSubset.of(range(units), units)
-    return ModeSubset.of(sorted(int(i) for i in _draw(sampler, size, units, sample_index, t_index)), units)
-
-
 def _draw(sampler: FractionSampler, size: int, units: int, sample_index: int, t_index: int) -> np.ndarray:
     """size distinct unit indices, unsorted, from the stream of (seed, t_index, size, sample_index)."""
     seq = np.random.SeedSequence((int(sampler.seed) & 0xFFFFFFFFFFFFFFFF, t_index, size, sample_index))
@@ -244,7 +219,6 @@ class CorrelationCurve:
     stderr: np.ndarray
     n_samples: np.ndarray
     h_system: float
-    samples: dict | None = None
 
     def __post_init__(self):
         n = len(self.f_values)
@@ -252,12 +226,6 @@ class CorrelationCurve:
             raise DomainError("curve arrays must have equal length")
         if np.any(self.stderr < 0):
             raise DomainError("standard errors must be >= 0")
-
-    def value_at(self, f: float) -> float:
-        idx = int(np.argmin(np.abs(self.f_values - f)))
-        if abs(self.f_values[idx] - f) > 1e-9:
-            raise DomainError(f"fraction {f} not on the curve grid")
-        return float(self.mean[idx])
 
 
 def fraction_plan(grid: np.ndarray, units: int) -> list[tuple[float, float | None]]:
@@ -337,50 +305,6 @@ def _purified(n_near: int, n_bath: int) -> bool:
     return n_near + 1 < n_bath - n_near
 
 
-#: Modelled seconds of one draw on one BLAS thread (draw_cost): a fixed
-#: part, and parts per squared row count (2M)^2 of each stacked spectrum and
-#: of each Williamson decomposition that _split takes.  Fitted to every
-#: fraction point of three desk time points (BENCH_batched_fractions.json).
-#: At these sizes (up to 152 rows) a block's time grows about as (2M)^2: the
-#: rms relative error of the fit is 0.17, against 0.26 for a cubic one.
-DRAW_COST_FIXED = 9.7e-5
-DRAW_COST_SPECTRUM = 5.9e-8
-DRAW_COST_WILLIAMSON = 1.75e-7
-
-
-def draw_blocks(n_drawn: int, n_bath: int, mirrored: bool) -> tuple[list[int], list[int]]:
-    """Row counts 2M of the spectra and of the Williamson decompositions that _split takes for one draw.
-
-    The partner blocks of a purification hold S and one ancilla per mixed
-    mode (a dozen modes or fewer on the desk states); their spectra are left
-    to the fixed part of draw_cost.
-    """
-    near = min(n_drawn, n_bath - n_drawn)
-    drawn_near = 2 * n_drawn <= n_bath
-    want_far = not drawn_near or mirrored
-    joint = 2 * near + 2
-    spectra, williamson = [2 * near], []
-    if want_far and _purified(near, n_bath):
-        williamson.append(joint)
-    else:
-        spectra.append(joint)
-        if want_far:
-            spectra.append(2 * (n_bath - near) + 2)
-    if drawn_near or mirrored:
-        spectra.append(joint)
-    return spectra, williamson
-
-
-def draw_cost(n_drawn: int, n_bath: int, mirrored: bool) -> float:
-    """Modelled seconds of one draw of n_drawn of the n_bath bath modes (draw_blocks)."""
-    spectra, williamson = draw_blocks(n_drawn, n_bath, mirrored)
-    return (
-        DRAW_COST_FIXED
-        + DRAW_COST_SPECTRUM * sum(m * m for m in spectra)
-        + DRAW_COST_WILLIAMSON * sum(m * m for m in williamson)
-    )
-
-
 def _split(data: np.ndarray, h_s: float, drawn: np.ndarray, rest_neg: bool) -> np.ndarray:
     """(MI, MI, negativity, negativity) of S with the drawn bath modes and with the rest, per draw.
 
@@ -429,19 +353,22 @@ def fraction_samples(
     data: np.ndarray,
     h_s: float,
     sampler: FractionSampler,
-    plan: list[tuple[float, float | None]],
+    sample_indices: range,
     t_index: int = 0,
 ) -> dict[str, dict[float, list[float]]]:
-    """{"mi" and "neg": {grid point: per-sample values}} of the grid points that part of a plan fills.
+    """{"mi" and "neg": {grid point: per-sample values}} of a range of sample indices at every grid point.
 
     data is the covariance array (a CovarianceMatrix's, system first) of a
-    globally pure state, which the caller checks, and h_s its H(S).  The
-    draws of a grid point are masks over the bath modes; those that select
-    equally many modes go through _split as stacks of at most STACK_BYTES
-    per block, each evaluated on its smaller side.  At f = 1 the mutual
-    information is 2 H(S) and the negativity is read off sigma_S
-    (_pure_negativity).  A self-mirrored point (f = 1/2) lists draw and
-    complement interleaved.
+    globally pure state, which the caller checks, and h_s its H(S).  Every
+    grid point of the plan (fraction_plan) is drawn at each index of
+    sample_indices, a contiguous range; the values come in index order.
+    The draws of a grid point are masks over the bath modes; those that
+    select equally many modes go through _split as stacks of at most
+    STACK_BYTES per block, each evaluated on its smaller side.  At f = 1
+    the mutual information is 2 H(S) and the negativity is read off
+    sigma_S (_pure_negativity), recorded once, by the range that starts at
+    index 0.  A self-mirrored point (f = 1/2) lists draw and complement
+    interleaved.
     """
     n_bath = data.shape[0] // 2 - 1
     units = sampler.n_units(n_bath)
@@ -455,14 +382,15 @@ def fraction_samples(
         out["mi"].setdefault(f, []).append(mi)
         out["neg"].setdefault(f, []).append(neg)
 
-    for f, mirror in plan:
+    for f, mirror in fraction_plan(sampler.grid_for(n_bath), units):
         size = int(round(f * units))
         if size == units:
-            record(f, 2.0 * h_s, _pure_negativity(data))
+            if sample_indices.start == 0:
+                record(f, 2.0 * h_s, _pure_negativity(data))
             continue
-        picked = np.zeros((sampler.samples_per_point, units), dtype=bool)
-        for s_idx in range(sampler.samples_per_point):
-            picked[s_idx, _draw(sampler, size, units, s_idx, t_index)] = True
+        picked = np.zeros((len(sample_indices), units), dtype=bool)
+        for row, s_idx in enumerate(sample_indices):
+            picked[row, _draw(sampler, size, units, s_idx, t_index)] = True
         drawn = picked[:, unit_of_mode]
         n_drawn = np.count_nonzero(drawn, axis=1)
         values = np.empty((4, len(drawn)))
@@ -485,9 +413,8 @@ def fraction_curves(
     samples: dict[str, dict[float, list[float]]],
     h_s: float,
     t: float = 0.0,
-    keep_samples: bool = False,
 ) -> dict[str, CorrelationCurve]:
-    """Mean and standard error at every grid point, from the merged samples of a whole plan."""
+    """Mean and standard error at every grid point, from the merged samples of every sample index."""
     out: dict[str, CorrelationCurve] = {}
     for m, values in samples.items():
         lists = [values[float(f)] for f in grid]
@@ -499,39 +426,8 @@ def fraction_curves(
             stderr=np.array([np.std(v, ddof=1) / np.sqrt(len(v)) if len(v) > 1 else 0.0 for v in lists]),
             n_samples=np.array([len(v) for v in lists]),
             h_system=h_s,
-            samples={float(f): np.array(v) for f, v in zip(grid, lists)} if keep_samples else None,
         )
     return out
-
-
-def pi_plot(
-    cov: CovarianceMatrix,
-    sampler: FractionSampler,
-    t: float = 0.0,
-    t_index: int = 0,
-    keep_samples: bool = False,
-) -> CorrelationCurve:
-    """Partial information plot: averaged I(S, E_f) over random fractions.
-
-    Requires a globally pure state, as the closed dynamics gives; raises
-    ImpureState otherwise.  The returned curve carries H(S) so consumers
-    can subtract it.
-    """
-    return pi_pe_plots(cov, sampler, t, t_index, keep_samples)[0]
-
-
-def pe_plot(
-    cov: CovarianceMatrix,
-    sampler: FractionSampler,
-    t: float = 0.0,
-    t_index: int = 0,
-    keep_samples: bool = False,
-) -> CorrelationCurve:
-    """Partial entanglement plot: averaged negativity of {S} vs E_f.
-
-    Requires a globally pure state; raises ImpureState otherwise.
-    """
-    return pi_pe_plots(cov, sampler, t, t_index, keep_samples)[1]
 
 
 def pi_pe_plots(
@@ -539,16 +435,16 @@ def pi_pe_plots(
     sampler: FractionSampler,
     t: float = 0.0,
     t_index: int = 0,
-    keep_samples: bool = False,
 ) -> tuple[CorrelationCurve, CorrelationCurve]:
-    """Both plots over the same sampled subsets (shared draws), the whole plan evaluated as one part.
+    """The PI-plot (averaged I(S, E_f)) and PE-plot (averaged negativity of {S} vs E_f) over shared draws.
 
-    Requires a globally pure state; raises ImpureState otherwise.
+    Every sample index is evaluated in one range.  Requires a globally pure
+    state, as the closed dynamics gives; raises ImpureState otherwise.  The
+    curves carry H(S) so consumers can subtract it.
     """
-    n_bath = cov.n_modes - 1
-    grid = sampler.grid_for(n_bath)
+    grid = sampler.grid_for(cov.n_modes - 1)
     check_purity(cov)
     h_s = system_entropy(cov)
-    samples = fraction_samples(cov.data, h_s, sampler, fraction_plan(grid, sampler.n_units(n_bath)), t_index)
-    curves = fraction_curves(grid, samples, h_s, t, keep_samples)
+    samples = fraction_samples(cov.data, h_s, sampler, range(sampler.samples_per_point), t_index)
+    curves = fraction_curves(grid, samples, h_s, t)
     return curves["mi"], curves["neg"]

@@ -52,10 +52,6 @@ class BadBandCount(QbmError):
     """Requested number of frequency bands is out of range."""
 
 
-class EmptyFraction(QbmError):
-    """Fraction rounds to zero sampling units."""
-
-
 class NotReached(QbmError):
     """Redundancy threshold never attained on the measured grid."""
 

@@ -14,9 +14,9 @@ ones), both counted by take_counts; _entropy_of_values,
 _negativity_of_values, williamson, purification, check_purity and
 validate_state.  CovarianceMatrix is the validated full state that the
 model builds.  ModeSubset, partial_trace, partial_transpose,
-von_neumann_entropy, log_negativity and symplectic_eigenvalues form the
-reference API on CovarianceMatrix objects: the tests' direct-path oracles
-and the benchmark's tracer read it, and it reaches the same kernel.
+von_neumann_entropy and log_negativity form the reference API on
+CovarianceMatrix objects: the tests' direct-path oracles and the
+benchmark's tracer read it, and it reaches the same kernel.
 """
 
 from __future__ import annotations
@@ -243,15 +243,6 @@ def _spectrum_of(sigma: np.ndarray, symmetry_defect: float | None = None) -> np.
             pass  # not positive definite; diagnose via the eig path
     _count_spectra(1, sigma.shape[0])
     return _pair_moduli(np.abs(np.linalg.eigvals(_omega_times(sigma))), scale)
-
-
-def symplectic_eigenvalues(cov: CovarianceMatrix) -> np.ndarray:
-    """Symplectic spectrum {nu_j} of a covariance matrix, ascending.
-
-    Raises PairingFailure when the 2M moduli do not collapse into M pairs
-    within tolerance, which signals a corrupted input.
-    """
-    return _spectrum_of(cov.data)
 
 
 def entropy_function(nu: float) -> float:

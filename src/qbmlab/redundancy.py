@@ -128,18 +128,6 @@ def non_redundant_info(curve: CorrelationCurve) -> float:
     return float((y[i_hi] - y[i_lo]) / (f[i_hi] - f[i_lo]))
 
 
-def deficit_match(delta_i: float, h_s: float, e_full: float, e_half: float) -> float:
-    """Deficit delta_E at which both redundancies coincide.
-
-    delta_E = delta_i H(S)/E(1) + E(1/2)/E(1); in the large-squeezing limit
-    H(S)/E(1) -> 1 while E(1/2) stays bounded by ln(sqrt 5), so the two
-    deficits become identical.
-    """
-    if e_full <= 0.0:
-        raise DomainError(f"E(1) must be positive, got {e_full}")
-    return delta_i * h_s / e_full + e_half / e_full
-
-
 def _band(solver, curve: CorrelationCurve, *args) -> tuple[float, float]:
     """The fraction the solver finds on the mean curve shifted by -1 and +1 stderr, sorted."""
 

@@ -15,27 +15,28 @@ The curves that redundancy and compare read come from the time points of
 the run itself or, with ``curves_dir``, from the piplot and peplot files an
 earlier run persisted there (``load_curves``); then nothing is simulated.
 
-The unit of parallel work is one part ("chunk") of one time point's
-fraction plan (correlations.fraction_plan).  With W workers and n time
-points, each time point splits into max(1, min(plan size, ceil(4 W / n)))
-chunks of near-equal modelled cost (correlations.draw_cost), so a few
-time points still keep every worker
-busy while a long time grid stays at one item per point.  Chunk 0 also
-carries the state diagnostics, the bands and f = 1.  Items go to a pool of
-spawned worker processes in time order; each worker keeps the state of its
-latest time point, so a run of chunks of one point evolves it once.  The
-runner merges each point's chunks and reduces them to curves in grid
-order.  A serial run (workers = 1) is a pool of one, and a run whose
-stages need no time point starts no pool.
+The unit of parallel work is one slice ("chunk") of one time point's
+sample indices, evaluated at every grid point of the fraction plan
+(correlations.fraction_samples).  Chunks of equal sample count cost the
+same.  With W workers and n time points, a time point is cut into
+min(samples, W) contiguous slices of near-equal size when n < 4 W, so
+every worker gets equal items, and stays whole on a longer grid or with
+one worker.  Chunk 0 also carries the state diagnostics, the bands and
+f = 1.  Items go to a pool of spawned worker processes in time order;
+each worker keeps the state of its latest time point, so a run of chunks
+of one point evolves it once.  The runner extends each grid point's
+values by the chunks in order, which is sample order, and reduces them to
+curves in grid order.  A serial run (workers = 1) is a pool of one, and a
+run whose stages need no time point starts no pool.
 
 Every worker starts with single-threaded BLAS, so W workers occupy W CPUs
 and the floating-point reduction order does not depend on the worker
-count.  Draws are keyed on indices and each grid point is filled by one
-chunk, so serial and parallel runs emit identical bytes.  Every data file
-is CSV or JSON without timestamps; the manifest (which records wall-clock
-timings, spectrum counts and content digests) is the only
-non-reproducible output.  This module writes every file of a run; a
-failed run removes the files it wrote.
+count.  Draws are keyed on indices and every grid point lists its values
+in sample order whatever the cut, so serial and parallel runs emit
+identical bytes.  Every data file is CSV or JSON without timestamps; the
+manifest (which records wall-clock timings, spectrum counts and content
+digests) is the only non-reproducible output.  This module writes every
+file of a run; a failed run removes the files it wrote.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 import multiprocessing
 import os
 import time
@@ -68,9 +68,7 @@ from .correlations import (
     FractionSampler,
     band_correlations,
     band_partition,
-    draw_cost,
     fraction_curves,
-    fraction_plan,
     fraction_samples,
     system_entropy,
 )
@@ -138,39 +136,20 @@ def _sampler(config: RunConfig) -> FractionSampler:
     )
 
 
-def _chunk_count(n_sampled: int, workers: int, n_times: int) -> int:
-    """Chunks per time point: enough for about four items per worker, at most one per sampled point."""
-    return max(1, min(n_sampled, math.ceil(4 * workers / n_times)))
+def _chunk_count(samples: int, workers: int, n_times: int) -> int:
+    """Chunks per time point: one per worker on a short grid, at most one per sample."""
+    return 1 if n_times >= 4 * workers else min(samples, workers)
 
 
-def _split_plan(plan: list, units: int, n_chunks: int, n_bath: int) -> list[list]:
-    """The plan in n_chunks parts of near-equal cost; f = 1 goes to part 0.
-
-    Greedy, largest first: each sampled point goes to the part with the
-    least cost so far.  A point costs the modelled time of its draws
-    (correlations.draw_cost), with k units read as k n_bath / units bath
-    modes.
-    """
-    parts: list[list] = [[] for _ in range(n_chunks)]
-    loads = [0.0] * n_chunks
-
-    def cost(entry) -> float:
-        k = round(entry[0] * units)
-        return 0.0 if k == units else draw_cost(round(k * n_bath / units), n_bath, entry[1] is not None)
-
-    for entry in sorted(plan, key=cost, reverse=True):
-        if round(entry[0] * units) == units:
-            parts[0].append(entry)
-            continue
-        i = loads.index(min(loads))
-        parts[i].append(entry)
-        loads[i] += cost(entry)
-    return parts
+def _slices(samples: int, n_chunks: int) -> list[range]:
+    """range(samples) cut into n_chunks contiguous slices whose sizes differ by at most one."""
+    cuts = [samples * j // n_chunks for j in range(n_chunks + 1)]
+    return [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
 
 def _chunk_task(args) -> dict:
     """One chunk of one time point (runs in worker processes)."""
-    config_dict, t_index, t, wants, part = args
+    config_dict, t_index, t, wants, sample_indices = args
     config = RunConfig(**config_dict)
     take_counts()  # count this chunk only
     spec, bath = simulation_pieces(config)[:2]
@@ -194,7 +173,7 @@ def _chunk_task(args) -> dict:
             "neg": bc.neg.tolist(),
         }
     if "curves" in wants:
-        out["samples"] = fraction_samples(cov.data, h_s, _sampler(config), part, t_index)
+        out["samples"] = fraction_samples(cov.data, h_s, _sampler(config), sample_indices, t_index)
     out["counts"] = take_counts()
     return out
 
@@ -268,19 +247,15 @@ def _run_time_points(config: RunConfig, wants: tuple[str, ...]) -> tuple[list[di
     times = [float(t) for t in config.times()]
     # bound the pool by usable CPUs: beyond that, extra processes only contend
     workers = min(config.workers, usable_cpu_count())
-    parts: list = [None]
+    n_chunks = 1
     if "curves" in wants:
-        sampler = _sampler(config)
-        units = sampler.n_units(config.n_oscillators)
-        grid = sampler.grid_for(config.n_oscillators)
-        plan = fraction_plan(grid, units)
-        n_sampled = sum(round(f * units) < units for f, _ in plan)
-        parts = _split_plan(plan, units, _chunk_count(n_sampled, workers, len(times)), config.n_oscillators)
+        grid = _sampler(config).grid_for(config.n_oscillators)
+        n_chunks = _chunk_count(config.samples, workers, len(times))
     config_dict = asdict(config)
     payloads = [
-        (config_dict, i, t, wants if j == 0 else ("curves",), part)
+        (config_dict, i, t, wants if j == 0 else ("curves",), sample_indices)
         for i, t in enumerate(times)
-        for j, part in enumerate(parts)
+        for j, sample_indices in enumerate(_slices(config.samples, n_chunks))
     ]
     # spawn, not fork: a forked child inherits the parent's already-loaded,
     # multi-threaded BLAS; a spawned one loads it under the pinned variables
@@ -294,8 +269,10 @@ def _run_time_points(config: RunConfig, wants: tuple[str, ...]) -> tuple[list[di
     for item in items:
         point = points[item["t_index"]]
         point.update({k: item[k] for k in ("state", "bands", "h_s") if k in item})
+        # items come in payload order, so each grid point's values stay in sample order
         for m, values in item.get("samples", {}).items():
-            point["samples"].setdefault(m, {}).update(values)
+            for f, v in values.items():
+                point["samples"].setdefault(m, {}).setdefault(f, []).extend(v)
         for k, v in item["counts"].items():
             counts[k] = max(counts[k], v) if k == "block_modes_max" else counts[k] + v
     if "curves" in wants:
@@ -523,28 +500,39 @@ def compare_numeric_analytic(
 
 
 def load_curves(outdir: str, run_id: str) -> dict[float, tuple[CorrelationCurve, CorrelationCurve]]:
-    """Rebuild per-time curves from previously persisted CSV + sidecar files."""
+    """Rebuild per-time curves from previously persisted CSV + sidecar files.
+
+    A file that is missing or cannot be parsed, or a CSV time that its
+    sidecar does not list, raises OSError that names the file.
+    """
     out: dict[float, dict[str, CorrelationCurve]] = {}
     for measure in ("mi", "neg"):
         csv_path = os.path.join(outdir, f"{run_id}_{measure}.csv")
         side_path = os.path.join(outdir, f"{run_id}_{measure}.json")
-        with open(side_path, "r", encoding="utf-8") as fh:
-            sidecar = json.load(fh)
-        h_by_t = dict(zip(sidecar["t_values"], sidecar["h_system"]))
-        per_t: dict[float, list] = {}
-        with open(csv_path, "r", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                per_t.setdefault(float(row["t"]), []).append(row)
-        for t, rws in per_t.items():
-            rws.sort(key=lambda r: float(r["f"]))
-            curve = CorrelationCurve(
-                t=t,
-                measure=measure,
-                f_values=np.array([float(r["f"]) for r in rws]),
-                mean=np.array([float(r["mean"]) for r in rws]),
-                stderr=np.array([float(r["stderr"]) for r in rws]),
-                n_samples=np.array([int(r["n_samples"]) for r in rws]),
-                h_system=float(h_by_t[t]),
-            )
-            out.setdefault(t, {})[measure] = curve
+        path = side_path  # the file being parsed, for the error message
+        try:
+            with open(side_path, "r", encoding="utf-8") as fh:
+                sidecar = json.load(fh)
+            h_by_t = dict(zip(sidecar["t_values"], sidecar["h_system"]))
+            path = csv_path
+            per_t: dict[float, list] = {}
+            with open(csv_path, "r", encoding="utf-8") as fh:
+                for row in csv.DictReader(fh):
+                    per_t.setdefault(float(row["t"]), []).append(row)
+            for t, rws in per_t.items():
+                if t not in h_by_t:
+                    raise OSError(f"{side_path}: lists no t = {t!r} of {csv_path}")
+                rws.sort(key=lambda r: float(r["f"]))
+                curve = CorrelationCurve(
+                    t=t,
+                    measure=measure,
+                    f_values=np.array([float(r["f"]) for r in rws]),
+                    mean=np.array([float(r["mean"]) for r in rws]),
+                    stderr=np.array([float(r["stderr"]) for r in rws]),
+                    n_samples=np.array([int(r["n_samples"]) for r in rws]),
+                    h_system=float(h_by_t[t]),
+                )
+                out.setdefault(t, {})[measure] = curve
+        except (ValueError, KeyError, TypeError) as exc:
+            raise OSError(f"{path}: cannot parse: {type(exc).__name__}: {exc}") from exc
     return {t: (d["mi"], d["neg"]) for t, d in sorted(out.items()) if "mi" in d and "neg" in d}

@@ -12,11 +12,12 @@ import math
 import numpy as np
 
 from qbmlab.analytic import BranchModelParams, chi_value, mi_value, trajectory_amplitudes
-from qbmlab.correlations import BandPartition
+from qbmlab.correlations import BandPartition, CorrelationCurve, FractionSampler, _draw, _purified
 from qbmlab.errors import DimensionMismatch, DomainError, OverlapError, SubsetError
 from qbmlab.gaussian import (
     CovarianceMatrix,
     ModeSubset,
+    _spectrum_of,
     log_negativity,
     partial_trace,
     von_neumann_entropy,
@@ -37,6 +38,11 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     omega[2 * idx, 2 * idx + 1] = 1.0
     omega[2 * idx + 1, 2 * idx] = -1.0
     return omega
+
+
+def symplectic_eigenvalues(cov: CovarianceMatrix) -> np.ndarray:
+    """Symplectic spectrum {nu_j} of a covariance matrix, ascending (PairingFailure on a corrupted one)."""
+    return _spectrum_of(cov.data)
 
 
 def mutual_information(cov: CovarianceMatrix, part_a: ModeSubset, part_b: ModeSubset) -> float:
@@ -82,6 +88,55 @@ def direct_bands(cov: CovarianceMatrix, bands: BandPartition) -> tuple[float, np
     h_s = direct_system_entropy(cov)
     mi, neg = np.array([direct_correlations(cov, h_s, block) for block in bands.band_members]).T
     return h_s, mi, neg
+
+
+def sample_fraction(
+    sampler: FractionSampler,
+    f: float,
+    units: int,
+    sample_index: int = 0,
+    t_index: int = 0,
+) -> ModeSubset:
+    """The engine's draw of round(f * units) unit indices as a ModeSubset.
+
+    Deterministic for fixed (seed, t_index, subset size, sample_index).
+    """
+    size = int(round(f * units))
+    if not 1 <= size <= units:
+        raise DomainError(f"fraction {f} of {units} units selects {size} units")
+    if size == units:
+        return ModeSubset.of(range(units), units)
+    return ModeSubset.of(sorted(int(i) for i in _draw(sampler, size, units, sample_index, t_index)), units)
+
+
+def draw_blocks(n_drawn: int, n_bath: int, mirrored: bool) -> tuple[list[int], list[int]]:
+    """Row counts 2M of the spectra and of the Williamson decompositions that _split takes for one draw.
+
+    The partner blocks of a purification (S and one ancilla per mixed
+    mode) are left out.
+    """
+    near = min(n_drawn, n_bath - n_drawn)
+    drawn_near = 2 * n_drawn <= n_bath
+    want_far = not drawn_near or mirrored
+    joint = 2 * near + 2
+    spectra, williamson = [2 * near], []
+    if want_far and _purified(near, n_bath):
+        williamson.append(joint)
+    else:
+        spectra.append(joint)
+        if want_far:
+            spectra.append(2 * (n_bath - near) + 2)
+    if drawn_near or mirrored:
+        spectra.append(joint)
+    return spectra, williamson
+
+
+def curve_value(curve: CorrelationCurve, f: float) -> float:
+    """The curve's mean at the grid point f."""
+    idx = int(np.argmin(np.abs(curve.f_values - f)))
+    if abs(curve.f_values[idx] - f) > 1e-9:
+        raise DomainError(f"fraction {f} not on the curve grid")
+    return float(curve.mean[idx])
 
 
 def bath_energy(spec: BathSpec, bath: DiscretizedBath, cov: CovarianceMatrix) -> float:
@@ -140,6 +195,16 @@ def mi_slope_value(f: float, k: float) -> float:
     return k * (h_prime(cf) / cf + h_prime(cc) / cc)
 
 
+def e_universal(f: float) -> float:
+    """Large-squeezing limit (1/2) ln((1+3f)/(1-f)), independent of the bath.
+
+    An upper bound for the entanglement whenever dissipation is present.
+    """
+    if f < 0.0 or f >= 1.0:
+        raise DomainError(f"fraction must lie in [0, 1), got {f}")
+    return 0.5 * math.log((1.0 + 3.0 * f) / (1.0 - f))
+
+
 def e_asymptotic_value(f: float, k: float) -> float:
     """Large-k expansion (1/2) ln[(1+3f)^3 / ((1-f)(1+3f)^2 + 2f/k)]."""
     if f < 0.0 or f > 1.0:
@@ -153,3 +218,15 @@ def e_asymptotic_value(f: float, k: float) -> float:
 def i_nr_value(k: float, step: float = 1e-4) -> float:
     """Non-redundant information: centered difference of mi_value at f = 1/2."""
     return (mi_value(0.5 + 0.5 * step, k) - mi_value(0.5 - 0.5 * step, k)) / step
+
+
+def deficit_match(delta_i: float, h_s: float, e_full: float, e_half: float) -> float:
+    """Deficit delta_E at which both redundancies coincide.
+
+    delta_E = delta_i H(S)/E(1) + E(1/2)/E(1); in the large-squeezing limit
+    H(S)/E(1) -> 1 while E(1/2) stays bounded by ln(sqrt 5), so the two
+    deficits become identical.
+    """
+    if e_full <= 0.0:
+        raise DomainError(f"E(1) must be positive, got {e_full}")
+    return delta_i * h_s / e_full + e_half / e_full

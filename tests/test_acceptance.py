@@ -25,14 +25,11 @@ from qbmlab.correlations import (
     FractionSampler,
     band_correlations,
     band_partition,
+    fraction_samples,
     pi_pe_plots,
-    pi_plot,
+    system_entropy,
 )
-from qbmlab.gaussian import (
-    ModeSubset,
-    log_negativity,
-    symplectic_eigenvalues,
-)
+from qbmlab.gaussian import ModeSubset, log_negativity
 from qbmlab.model import (
     BathSpec,
     SqueezedInitialState,
@@ -45,7 +42,7 @@ from qbmlab.model import (
 from qbmlab.redundancy import entanglement_redundancy
 from qbmlab.runner import compare_numeric_analytic, run_experiment, usable_cpu_count
 
-from oracles import i_nr_value
+from oracles import curve_value, i_nr_value, symplectic_eigenvalues
 
 
 @contextmanager
@@ -175,19 +172,20 @@ def test_criterion_3_paired_complement_symmetry(desk_model):
     spec, bath, prop, cov0 = desk_model
     with criterion("3", "per-sample |I(f) + I(1-f) - 2 H(S)| <= 1e-6 at every f"):
         cov = evolve(prop, cov0, 5.0)
-        curve = pi_plot(cov, FractionSampler(seed=11, samples_per_point=20), t=5.0, keep_samples=True)
-        h_s = curve.h_system
+        sampler = FractionSampler(seed=11, samples_per_point=20)
+        h_s = system_entropy(cov)
+        samples = fraction_samples(cov.data, h_s, sampler, range(20))["mi"]
         worst = 0.0
-        grid = list(curve.f_values)
+        grid = list(sampler.grid_for(cov.n_modes - 1))
         for f in grid:
             mirrors = [g for g in grid if abs(1.0 - f - g) < 1e-9]
             if f >= 1.0 or not mirrors:
                 continue
-            left = curve.samples[float(f)]
+            left = np.array(samples[float(f)])
             if abs(mirrors[0] - f) < 1e-12:
                 sums = left[0::2] + left[1::2]
             else:
-                sums = left + curve.samples[float(mirrors[0])]
+                sums = left + np.array(samples[float(mirrors[0])])
             worst = max(worst, float(np.max(np.abs(sums - 2.0 * h_s))))
         assert worst <= 1e-6, f"worst per-sample defect {worst:.3e}"
 
@@ -199,11 +197,11 @@ def test_criterion_4_universal_plateau(super_ohmic_run):
         assert run["k_amplitude"] >= 100.0, f"regime threshold not met: {run['k_amplitude']:.1f}"
         for f in (0.2, 0.4, 0.6, 0.8):
             universal = 0.5 * np.log((1 + 3 * f) / (1 - f))
-            got = pe.value_at(f)
+            got = curve_value(pe, f)
             dev = abs(got - universal) / universal
             assert dev <= 0.10, f"f={f}: E={got:.4f} vs universal {universal:.4f} ({dev:.1%})"
         plateau = 0.5 * np.log(5.0)
-        got_half = pe.value_at(0.5)
+        got_half = curve_value(pe, 0.5)
         assert abs(got_half - plateau) / plateau <= 0.10, f"E(1/2) = {got_half:.4f}"
         assert got_half <= plateau + 0.02, f"E(1/2) = {got_half:.4f} exceeds bound"
 
@@ -212,8 +210,8 @@ def test_criterion_5_non_redundant_information(super_ohmic_run):
     run = super_ohmic_run
     mi = run["mi"]
     with criterion("5", "I_NR near 2: numeric within 15%, closed form within 1%"):
-        i04 = mi.value_at(0.4)
-        i06 = mi.value_at(0.6)
+        i04 = curve_value(mi, 0.4)
+        i06 = curve_value(mi, 0.6)
         numeric = (i06 - i04) / 0.2
         assert abs(numeric - 2.0) / 2.0 <= 0.15, f"numeric I_NR = {numeric:.3f}"
         analytic = i_nr_value(run["k_amplitude"])

@@ -5,7 +5,6 @@ from qbmlab.analytic import (
     BranchModelParams,
     chi_value,
     d_total,
-    e_universal,
     entanglement_value,
     mi_value,
     mode_d_values,
@@ -17,7 +16,14 @@ from qbmlab.errors import DomainError
 from qbmlab.gaussian import entropy_function
 from qbmlab.model import BathSpec, DiscretizedBath, discretize_bath
 
-from oracles import d_superohmic_closed, e_asymptotic_value, i_nr_value, mi_slope_value, trajectory_amplitude
+from oracles import (
+    d_superohmic_closed,
+    e_asymptotic_value,
+    e_universal,
+    i_nr_value,
+    mi_slope_value,
+    trajectory_amplitude,
+)
 
 
 def super_ohmic_params(r: float, cutoff=300.0, n_osc=2000, coupling=0.1) -> BranchModelParams:

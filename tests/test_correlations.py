@@ -10,18 +10,14 @@ from qbmlab.correlations import (
     band_correlations,
     band_partition,
     default_f_grid,
-    draw_blocks,
     fraction_curves,
     fraction_plan,
     fraction_samples,
-    pe_plot,
     pi_pe_plots,
-    pi_plot,
-    sample_fraction,
     system_entropy,
 )
 from qbmlab.correlations import _split
-from qbmlab.errors import BadBandCount, DomainError, EmptyFraction, ImpureState
+from qbmlab.errors import BadBandCount, DomainError, ImpureState
 import qbmlab.correlations as correlations_mod
 from qbmlab.gaussian import ModeSubset, _spectrum_of, log_negativity, take_counts
 from qbmlab.model import (
@@ -34,7 +30,13 @@ from qbmlab.model import (
 )
 
 from conftest import random_state
-from oracles import direct_bands, direct_correlations, direct_system_entropy
+from oracles import (
+    direct_bands,
+    direct_correlations,
+    direct_system_entropy,
+    draw_blocks,
+    sample_fraction,
+)
 
 
 #: The f = 1 negativity is arccosh(2 sqrt(det sigma_S)), read off the 2 x 2
@@ -173,8 +175,9 @@ class TestSampleFraction:
         assert a.indices != b.indices
 
     def test_empty_fraction_rejected(self):
-        with pytest.raises(EmptyFraction):
-            sample_fraction(FractionSampler(seed=1), 0.01, 10)
+        # 0.01 of 10 units rounds to no unit
+        with pytest.raises(DomainError):
+            FractionSampler(seed=1, f_grid=np.array([0.01, 1.0])).grid_for(10)
 
     def test_uniform_marginal_frequencies(self):
         sampler = FractionSampler(seed=5)
@@ -192,37 +195,37 @@ class TestPiPlot:
         spec = BathSpec(exponent=0.5, cutoff=20.0, coupling=0.1, n_oscillators=20, omega_s=3.0)
         bath = discretize_bath(spec)
         cov = initial_covariance(spec, bath, SqueezedInitialState.from_r(-5.0, spec))
-        curve = pi_plot(cov, FractionSampler(seed=2, samples_per_point=4))
+        curve = pi_pe_plots(cov, FractionSampler(seed=2, samples_per_point=4))[0]
         assert np.allclose(curve.mean, 0.0, atol=1e-9)
 
     def test_paired_symmetry_exact_per_sample(self):
         _, cov = evolved_state(t=3.0)
         sampler = FractionSampler(seed=11, samples_per_point=6)
-        curve = pi_plot(cov, sampler, t=3.0, keep_samples=True)
-        h_s = curve.h_system
-        grid = curve.f_values
+        h_s = system_entropy(cov)
+        samples = fraction_samples(cov.data, h_s, sampler, range(6))["mi"]
+        grid = sampler.grid_for(cov.n_modes - 1)
         for f in grid:
             mirrors = [g for g in grid if abs(1.0 - f - g) < 1e-9]
             if f >= 1.0 or not mirrors:
                 continue
-            left = curve.samples[float(f)]
+            left = np.array(samples[float(f)])
             if abs(mirrors[0] - f) < 1e-12:
                 # self-mirrored point: draw and complement interleave
                 sums = left[0::2] + left[1::2]
             else:
-                right = curve.samples[float(mirrors[0])]
+                right = np.array(samples[float(mirrors[0])])
                 assert len(left) == len(right)
                 sums = left + right
             assert np.max(np.abs(sums - 2 * h_s)) <= 1e-6
 
     def test_value_at_one_is_2hs_exactly(self):
         _, cov = evolved_state(t=2.0)
-        curve = pi_plot(cov, FractionSampler(seed=3, samples_per_point=2), t=2.0)
+        curve = pi_pe_plots(cov, FractionSampler(seed=3, samples_per_point=2), t=2.0)[0]
         assert curve.mean[-1] == 2.0 * curve.h_system
 
     def test_mean_nonnegative_and_monotone_within_noise(self):
         _, cov = evolved_state(t=4.0)
-        curve = pi_plot(cov, FractionSampler(seed=9, samples_per_point=8), t=4.0)
+        curve = pi_pe_plots(cov, FractionSampler(seed=9, samples_per_point=8), t=4.0)[0]
         assert np.all(curve.mean >= -1e-10)
         slack = 2 * (curve.stderr[1:] + curve.stderr[:-1])
         assert np.all(np.diff(curve.mean) >= -slack - 1e-9)
@@ -230,8 +233,8 @@ class TestPiPlot:
     def test_reproducible(self):
         _, cov = evolved_state(t=2.0)
         sampler = FractionSampler(seed=21, samples_per_point=3)
-        a = pi_plot(cov, sampler, t=2.0, t_index=5)
-        b = pi_plot(cov, sampler, t=2.0, t_index=5)
+        a = pi_pe_plots(cov, sampler, t=2.0, t_index=5)[0]
+        b = pi_pe_plots(cov, sampler, t=2.0, t_index=5)[0]
         assert np.array_equal(a.mean, b.mean)
         assert np.array_equal(a.stderr, b.stderr)
 
@@ -239,7 +242,7 @@ class TestPiPlot:
         _, cov = evolved_state()
         sampler = FractionSampler(seed=1, f_grid=np.array([0.333, 1.0]))
         with pytest.raises(DomainError):
-            pi_plot(cov, sampler)
+            pi_pe_plots(cov, sampler)
 
 
 class TestPePlot:
@@ -247,12 +250,12 @@ class TestPePlot:
         spec = BathSpec(exponent=0.5, cutoff=20.0, coupling=0.1, n_oscillators=20, omega_s=3.0)
         bath = discretize_bath(spec)
         cov = initial_covariance(spec, bath, SqueezedInitialState.from_r(-5.0, spec))
-        curve = pe_plot(cov, FractionSampler(seed=2, samples_per_point=4))
+        curve = pi_pe_plots(cov, FractionSampler(seed=2, samples_per_point=4))[1]
         assert np.allclose(curve.mean, 0.0)
 
     def test_f_one_equals_full_negativity(self):
         _, cov = evolved_state(t=2.0)
-        curve = pe_plot(cov, FractionSampler(seed=4, samples_per_point=2), t=2.0)
+        curve = pi_pe_plots(cov, FractionSampler(seed=4, samples_per_point=2), t=2.0)[1]
         full = log_negativity(cov, ModeSubset.of([0], cov.n_modes))
         assert curve.mean[-1] == pytest.approx(full, rel=0, abs=F_ONE_NEG_TOL)
         assert curve.stderr[-1] == 0.0
@@ -260,13 +263,13 @@ class TestPePlot:
 
     def test_small_fraction_entanglement_small(self):
         _, cov = evolved_state(t=2.0)
-        curve = pe_plot(cov, FractionSampler(seed=4, samples_per_point=6), t=2.0)
+        curve = pi_pe_plots(cov, FractionSampler(seed=4, samples_per_point=6), t=2.0)[1]
         assert curve.mean[0] < 0.25 * curve.mean[-1]
 
     def test_band_unit_sampling(self):
         _, cov = evolved_state(n_osc=24, t=2.0)
         sampler = FractionSampler(seed=6, samples_per_point=3, unit="band", n_bands=8)
-        curve = pe_plot(cov, sampler, t=2.0)
+        curve = pi_pe_plots(cov, sampler, t=2.0)[1]
         assert curve.f_values[-1] == 1.0
         ks = curve.f_values * 8
         assert np.allclose(ks, np.round(ks))
@@ -276,7 +279,7 @@ class TestPlotStructure:
     def test_pi_plot_sharp_growth_then_plateau(self):
         # late-time dissipative curve: steep initial rise, flat middle
         _, cov = evolved_state(n_osc=48, t=5.0)
-        curve = pi_plot(cov, FractionSampler(seed=13, samples_per_point=10), t=5.0)
+        curve = pi_pe_plots(cov, FractionSampler(seed=13, samples_per_point=10), t=5.0)[0]
         f, m = curve.f_values, curve.mean
         early = (m[2] - m[0]) / (f[2] - f[0])
         mid_lo = int(np.argmin(np.abs(f - 0.4)))
@@ -292,17 +295,6 @@ class TestPlotStructure:
         bc = band_correlations(cov, band_partition(150, 15, bath.frequencies), t=0.05)
         top = bc.band_edges[int(np.argmax(bc.mi))]
         assert top > 10 * spec.omega_s
-
-
-class TestSharedDraws:
-    def test_pi_pe_share_subsets(self):
-        _, cov = evolved_state(t=2.0)
-        sampler = FractionSampler(seed=8, samples_per_point=3)
-        mi_curve, neg_curve = pi_pe_plots(cov, sampler, t=2.0)
-        mi_alone = pi_plot(cov, sampler, t=2.0)
-        neg_alone = pe_plot(cov, sampler, t=2.0)
-        assert np.array_equal(mi_curve.mean, mi_alone.mean)
-        assert np.array_equal(neg_curve.mean, neg_alone.mean)
 
 
 def direct_samples(cov, sampler, t_index=0):
@@ -334,16 +326,15 @@ def direct_samples(cov, sampler, t_index=0):
     return out
 
 
-def assert_matches_direct(cov, sampler, t=0.0, t_index=0):
-    mi_curve, neg_curve = pi_pe_plots(cov, sampler, t=t, t_index=t_index, keep_samples=True)
+def assert_matches_direct(cov, sampler, t_index=0):
+    samples = fraction_samples(cov.data, system_entropy(cov), sampler, range(sampler.samples_per_point), t_index)
     expected = direct_samples(cov, sampler, t_index)
-    for curve in (mi_curve, neg_curve):
-        for f in curve.f_values[:-1]:
-            got = curve.samples[float(f)]
-            want = np.array(expected[curve.measure][float(f)])
+    for m in ("mi", "neg"):
+        for f in sampler.grid_for(cov.n_modes - 1)[:-1]:
+            got = np.array(samples[m][float(f)])
+            want = np.array(expected[m][float(f)])
             assert got.shape == want.shape
-            assert np.max(np.abs(got - want)) <= 1e-10, (curve.measure, f)
-    return mi_curve, neg_curve
+            assert np.max(np.abs(got - want)) <= 1e-10, (m, f)
 
 
 class TestSmallerSideAgainstDirectPath:
@@ -364,7 +355,8 @@ class TestSmallerSideAgainstDirectPath:
     def test_desk_state(self, t_index, t):
         _, cov = evolved_state(n_osc=150, t=t, r=-5.0)
         sampler = FractionSampler(seed=12345, samples_per_point=2)
-        mi_curve, neg_curve = assert_matches_direct(cov, sampler, t=t, t_index=t_index)
+        assert_matches_direct(cov, sampler, t_index=t_index)
+        mi_curve, neg_curve = pi_pe_plots(cov, sampler, t=t, t_index=t_index)
         full = log_negativity(cov, ModeSubset.of([0], cov.n_modes))
         assert neg_curve.mean[-1] == pytest.approx(full, rel=0, abs=F_ONE_NEG_TOL)
         assert mi_curve.mean[-1] == 2.0 * mi_curve.h_system
@@ -376,17 +368,17 @@ class TestStackedEngine:
     @staticmethod
     def assert_stacking_changes_no_bit(cov, sampler, t_index=0):
         grid = sampler.grid_for(cov.n_modes - 1)
-        plan = fraction_plan(grid, sampler.n_units(cov.n_modes - 1))
+        every = range(sampler.samples_per_point)
         h_s = system_entropy(cov)
-        runs = [fraction_samples(cov.data, h_s, sampler, plan, t_index)]
+        runs = [fraction_samples(cov.data, h_s, sampler, every, t_index)]
         with pytest.MonkeyPatch.context() as patch:
             # slices of a few small blocks, so that some slices are partial
             patch.setattr(correlations_mod, "STACK_BYTES", 1 << 11)
-            runs.append(fraction_samples(cov.data, h_s, sampler, plan, t_index))
+            runs.append(fraction_samples(cov.data, h_s, sampler, every, t_index))
             # every spectrum alone, and stacks sliced to one block
             patch.setattr(correlations_mod, "_spectra", lambda stack: np.array([_spectrum_of(m, 0.0) for m in stack]))
             patch.setattr(correlations_mod, "STACK_BYTES", 1)
-            alone = fraction_samples(cov.data, h_s, sampler, plan, t_index)
+            alone = fraction_samples(cov.data, h_s, sampler, every, t_index)
         for run in runs:
             for m in ("mi", "neg"):
                 for f in grid:
@@ -418,7 +410,8 @@ class TestStackedEngine:
         _, cov = evolved_state(n_osc=150, t=t, r=r)
         sampler = FractionSampler(seed=54321, samples_per_point=2)
         self.assert_stacking_changes_no_bit(cov, sampler, t_index)
-        mi_curve, neg_curve = assert_matches_direct(cov, sampler, t=t, t_index=t_index)
+        assert_matches_direct(cov, sampler, t_index=t_index)
+        neg_curve = pi_pe_plots(cov, sampler, t=t, t_index=t_index)[1]
         full = log_negativity(cov, ModeSubset.of([0], cov.n_modes))
         assert neg_curve.mean[-1] == pytest.approx(full, rel=0, abs=F_ONE_NEG_TOL)
 
@@ -427,11 +420,10 @@ class TestStackedEngine:
         # and at 22 MB with whole 20-draw stacks
         _, cov = evolved_state(n_osc=150, t=5.128, r=-5.0)
         sampler = FractionSampler(seed=1, samples_per_point=20)
-        plan = fraction_plan(sampler.grid_for(150), 150)
         h_s = system_entropy(cov)
         tracemalloc.start()
         try:
-            fraction_samples(cov.data, h_s, sampler, plan, 20)
+            fraction_samples(cov.data, h_s, sampler, range(20), 20)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -473,7 +465,7 @@ class TestFractionPlan:
 
 
 class TestChunkedPlan:
-    """Any split of a plan, evaluated in any order and merged, gives the one-part curves bit for bit."""
+    """Any cut of the sample indices into slices, evaluated in any order and merged in slice order, gives pi_pe_plots bit for bit."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -484,36 +476,37 @@ class TestChunkedPlan:
     )
     def test_any_split_any_order(self, seed, n_bath, band, data):
         cov = random_state(np.random.default_rng(seed), n_bath + 1, pure=True)
+        # bands of unequal size when units does not divide n_bath
         units = data.draw(st.integers(min_value=2, max_value=n_bath)) if band else n_bath
         ks = data.draw(st.sets(st.integers(min_value=1, max_value=units - 1)))
+        samples = data.draw(st.integers(min_value=1, max_value=6))
         sampler = FractionSampler(
             seed=seed,
-            samples_per_point=2,
+            samples_per_point=samples,
             f_grid=np.array(sorted(ks | {units})) / units,
             unit="band" if band else "oscillator",
             n_bands=units if band else None,
         )
-        grid = sampler.grid_for(n_bath)
-        mi_curve, neg_curve = pi_pe_plots(cov, sampler, t=1.5, t_index=4, keep_samples=True)
+        want = pi_pe_plots(cov, sampler, t=1.5, t_index=4)
 
-        plan = data.draw(st.permutations(fraction_plan(grid, units)))
-        labels = data.draw(st.lists(st.integers(0, 3), min_size=len(plan), max_size=len(plan)))
+        between = data.draw(st.lists(st.booleans(), min_size=samples - 1, max_size=samples - 1))
+        cuts = [0] + [i + 1 for i, cut in enumerate(between) if cut] + [samples]
+        slices = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
         h_s = system_entropy(cov)
+        parts = {}
+        for j in data.draw(st.permutations(range(len(slices)))):
+            parts[j] = fraction_samples(cov.data, h_s, sampler, slices[j], t_index=4)
         merged: dict = {"mi": {}, "neg": {}}
-        for label in data.draw(st.permutations(sorted(set(labels)))):
-            part = [entry for entry, lab in zip(plan, labels) if lab == label]
-            for m, values in fraction_samples(cov.data, h_s, sampler, part, t_index=4).items():
-                merged[m].update(values)
-        got = fraction_curves(grid, merged, h_s, t=1.5, keep_samples=True)
+        for j in range(len(slices)):
+            for m, values in parts[j].items():
+                for f, v in values.items():
+                    merged[m].setdefault(f, []).extend(v)
+        got = fraction_curves(sampler.grid_for(n_bath), merged, h_s, t=1.5)
 
-        for want in (mi_curve, neg_curve):
-            curve = got[want.measure]
+        for curve in want:
             for name in ("f_values", "mean", "stderr", "n_samples"):
-                assert getattr(curve, name).tobytes() == getattr(want, name).tobytes(), name
-            assert curve.h_system == want.h_system
-            assert curve.samples.keys() == want.samples.keys()
-            for f in want.samples:
-                assert curve.samples[f].tobytes() == want.samples[f].tobytes()
+                assert getattr(got[curve.measure], name).tobytes() == getattr(curve, name).tobytes(), name
+            assert got[curve.measure].h_system == curve.h_system
 
 
 class TestImpureState:
@@ -527,11 +520,12 @@ class TestImpureState:
 
     def test_fraction_plots_reject_it(self, rng):
         cov = random_state(rng, 7, pure=False)
-        sampler = FractionSampler(seed=1, samples_per_point=2)
-        with pytest.raises(ImpureState):
-            pi_plot(cov, sampler)
-        with pytest.raises(ImpureState):
-            pe_plot(cov, sampler)
+        for sampler in (
+            FractionSampler(seed=1, samples_per_point=2, f_grid=np.array([0.5, 1.0])),
+            FractionSampler(seed=1, samples_per_point=2, unit="band", n_bands=3),
+        ):
+            with pytest.raises(ImpureState):
+                pi_pe_plots(cov, sampler)
 
     def test_band_correlations_accept_it(self, rng):
         cov = random_state(rng, 7, pure=False)

@@ -18,7 +18,6 @@ from qbmlab.gaussian import (
     partial_trace,
     partial_transpose,
     purification,
-    symplectic_eigenvalues,
     take_counts,
     validate_state,
     von_neumann_entropy,
@@ -26,7 +25,7 @@ from qbmlab.gaussian import (
 )
 
 from conftest import random_state, random_symplectic, two_mode_squeezed
-from oracles import mutual_information, symplectic_form
+from oracles import mutual_information, symplectic_eigenvalues, symplectic_form
 
 # Frozen 40-digit evaluations of the closed-form entropy function.
 H_AT_1 = 0.9547712524422192276756357339256119888957

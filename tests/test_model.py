@@ -6,7 +6,6 @@ from qbmlab.errors import DimensionMismatch, DomainError, NegativeEigenvalue
 from qbmlab.gaussian import (
     ModeSubset,
     partial_trace,
-    symplectic_eigenvalues,
     validate_state,
     von_neumann_entropy,
 )
@@ -25,7 +24,7 @@ from qbmlab.model import (
     total_energy,
 )
 
-from oracles import bath_energy
+from oracles import bath_energy, symplectic_eigenvalues
 
 
 def sub_ohmic(n_osc=60, coupling=0.1):

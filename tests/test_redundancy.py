@@ -8,11 +8,12 @@ from qbmlab.errors import DomainError, FlatCurve, InsufficientGrid, NotReached
 from qbmlab.gaussian import entropy_function
 from qbmlab.redundancy import (
     build_report,
-    deficit_match,
     entanglement_redundancy,
     information_redundancy,
     non_redundant_info,
 )
+
+from oracles import deficit_match
 
 
 def make_curve(f, y, measure="neg", h_system=0.0, stderr=None):

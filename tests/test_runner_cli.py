@@ -16,20 +16,14 @@ import qbmlab.runner as runner_mod
 from qbmlab.cli import main
 from qbmlab.config import parse_config
 from qbmlab.errors import ImpureState, QbmError
-from qbmlab.correlations import (
-    band_correlations,
-    band_partition,
-    default_f_grid,
-    draw_cost,
-    fraction_plan,
-    pi_pe_plots,
-)
+from qbmlab.correlations import band_correlations, band_partition, pi_pe_plots
 from qbmlab.gaussian import take_counts
 from qbmlab.model import evolve
 from qbmlab.runner import (
     _chunk_count,
+    _chunk_task,
     _sampler,
-    _split_plan,
+    _slices,
     _write_csv,
     branch_params,
     load_curves,
@@ -98,19 +92,28 @@ class TestRunExperiment:
         run_experiment(tiny_config(b_dir, workers=3), ("piplot", "peplot"))
         assert digest_dir(a_dir) == digest_dir(b_dir)
 
-    @pytest.mark.parametrize("unit", ["oscillator", "band"])
-    def test_single_time_point_bytes_independent_of_workers(self, tmp_path, unit):
-        # one time point is split into chunks for each worker count
+    @pytest.mark.parametrize(
+        "unit, samples",
+        [
+            pytest.param("oscillator", 3, id="oscillator"),
+            pytest.param("band", 3, id="band"),
+            pytest.param("oscillator", 5, id="oscillator-5"),
+            pytest.param("band", 7, id="band-7"),
+        ],
+    )
+    def test_single_time_point_bytes_independent_of_workers(self, tmp_path, unit, samples):
+        # two workers cut the time point's samples into two slices of unequal size
         runs = {}
         for workers in (1, 2):
-            cfg = tiny_config(tmp_path / str(workers), n_times=1, t_min=2.0, t_max=2.0, unit=unit, workers=workers)
+            cfg = tiny_config(
+                tmp_path / str(workers), n_times=1, t_min=2.0, t_max=2.0, unit=unit, samples=samples, workers=workers
+            )
             run_experiment(cfg, ("evolve", "bands", "piplot", "peplot", "redundancy"))
             runs[workers] = digest_dir(cfg.outdir)
         assert runs[1] == runs[2]
         assert len(runs[1]) == 8  # state, bands, two curve CSVs and sidecars, two redundancy files
 
-    def test_manifest_counts_every_spectrum(self, tmp_path):
-        # one worker, two chunks per time point: the cached state is evolved once
+    def test_manifest_counts_every_spectrum(self, tmp_path, monkeypatch):
         cfg = tiny_config(tmp_path, n_times=2)
         manifest = run_experiment(cfg, ("bands", "piplot", "peplot"))
         _, bath, prop, cov0 = simulation_pieces(cfg)
@@ -121,6 +124,17 @@ class TestRunExperiment:
             pi_pe_plots(cov, _sampler(cfg), t=t, t_index=i)
         assert manifest.counts == take_counts()
         assert manifest.counts["spectra"] > 0
+
+        # two chunks of one time point in one process: the cached state is evolved once
+        evolved = []
+        monkeypatch.setattr(runner_mod, "evolve", lambda *a: evolved.append(a[-1]) or evolve(*a))
+        monkeypatch.setattr(runner_mod, "_LATEST", {})
+        t = float(cfg.times()[1])
+        chunks = [_chunk_task((asdict(cfg), 1, t, ("curves",), part)) for part in _slices(cfg.samples, 2)]
+        assert evolved == [t]
+        take_counts()
+        pi_pe_plots(evolve(prop, cov0, t), _sampler(cfg), t=t, t_index=1)
+        assert sum(c["counts"]["spectra"] for c in chunks) == take_counts()["spectra"]
 
     def test_redundancy_from_persisted_curves(self, tmp_path):
         cfg = tiny_config(tmp_path / "pipeline")
@@ -208,25 +222,26 @@ class TestChunks:
             assert _chunk_count(12, workers, n_times) == 1
 
     def test_few_time_points_split(self):
-        assert _chunk_count(12, 2, 3) == 3
-        assert _chunk_count(12, 2, 1) == 8
-        assert _chunk_count(12, 1, 3) == 2
-        assert _chunk_count(5, 8, 1) == 5  # at most one chunk per sampled point
-        assert _chunk_count(0, 2, 1) == 1
+        assert _chunk_count(20, 2, 3) == 2  # desk-curves: six equal items for two workers
+        assert _chunk_count(20, 2, 1) == 2
+        assert _chunk_count(20, 8, 31) == 8
+        assert _chunk_count(20, 1, 3) == 1  # one worker never splits
+        assert _chunk_count(3, 8, 1) == 3  # at most one chunk per sample
+        assert _chunk_count(1, 2, 1) == 1
 
     @pytest.mark.parametrize("n_chunks", [1, 2, 3, 8])
     def test_split_covers_the_plan_once(self, n_chunks):
-        plan = fraction_plan(default_f_grid(150), 150)
-        parts = _split_plan(plan, 150, n_chunks, 150)
-        assert len(parts) == n_chunks and all(parts)
-        assert sorted(e for part in parts for e in part) == sorted(plan)
-        assert (1.0, None) in parts[0]
+        # the slices cut the sample indices in order; each is drawn at every grid point of the plan
+        for samples in (n_chunks, 20, 23):
+            slices = _slices(samples, n_chunks)
+            assert len(slices) == n_chunks and all(slices)
+            assert [i for part in slices for i in part] == list(range(samples))
 
     def test_split_balances_cost(self):
-        parts = _split_plan(fraction_plan(default_f_grid(150), 150), 150, 3, 150)
-        loads = [sum(draw_cost(round(f * 150), 150, m is not None) for f, m in part if f < 1) for part in parts]
-        largest = max(draw_cost(k, 150, True) for k in range(1, 76))
-        assert max(loads) - min(loads) <= largest
+        # every draw of a sample index costs the same, so equal sizes balance the chunks
+        for samples, n_chunks in ((20, 2), (20, 3), (23, 8), (5, 5)):
+            sizes = [len(part) for part in _slices(samples, n_chunks)]
+            assert max(sizes) - min(sizes) <= 1
 
 
 class TestOnePath:
@@ -250,9 +265,8 @@ class TestOnePath:
         monkeypatch.setattr(runner_mod, "_PIECES", {})
         monkeypatch.setattr(runner_mod, "_LATEST", {})
         cfg = tiny_config(tmp_path)
-        plan = fraction_plan(_sampler(cfg).grid_for(cfg.n_oscillators), cfg.n_oscillators)
         wants = ("state", "bands", "curves")
-        out = runner_mod._chunk_task((asdict(cfg), 1, float(cfg.times()[1]), wants, plan))
+        out = _chunk_task((asdict(cfg), 1, float(cfg.times()[1]), wants, range(cfg.samples)))
         assert {"state", "bands", "samples"} <= out.keys()
         assert built == [(62, 62), (62, 62)]
 
@@ -433,6 +447,29 @@ class TestCli:
         )
         assert rc == 4
         assert "i/o error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "suffix, corrupt",
+        [
+            pytest.param("mi.json", lambda text: text[: len(text) // 2], id="truncated-sidecar"),
+            pytest.param("neg.csv", lambda text: text.replace(",0.0,0.0,3,neg", ",x,0.0,3,neg", 1), id="non-numeric-mean"),
+            pytest.param("mi.json", lambda text: json.dumps({**json.loads(text), "t_values": [-1.0, 1.0, 2.0, 3.0]}),
+                         id="time-missing-from-sidecar"),
+        ],
+    )
+    def test_malformed_curves_dir_exit_code(self, tmp_path, capsys, suffix, corrupt):
+        cfg = tiny_config(tmp_path / "curves", run_id="bad")
+        run_experiment(cfg, ("piplot", "peplot"))
+        path = tmp_path / "curves" / f"bad_{suffix}"
+        path.write_text(corrupt(path.read_text()))
+        out = tmp_path / "out"
+        flags = ["--n-oscillators", "30", "--n-times", "4", "--t-max", "3.0", "--samples", "3", "--n-bands", "6"]
+        capsys.readouterr()
+        rc = main(["redundancy", "--curves-dir", cfg.outdir, *flags, "--outdir", str(out), "--run-id", "bad"])
+        assert rc == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"i/o error: {path}: "), err
+        assert os.listdir(out) == []
 
     def test_failed_reanalysis_leaves_no_output(self, tmp_path):
         cfg = tiny_config(tmp_path / "curves", run_id="fail")
