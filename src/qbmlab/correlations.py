@@ -20,19 +20,22 @@ neither the cut nor the worker count changes a number.
 The fraction plots rely on global purity of the closed dynamics, checked
 once per time point (gaussian.check_purity; an impure state raises
 ImpureState).  Purity lets every draw be evaluated on its smaller side: for
-a split of the N bath modes into k <= N/2 and N - k, no sampled block holds
-more than k + 2 modes (see _split).  On a desk time point (N = 150, 20
-samples) this cuts the summed cost (2 x modes)^3 of the spectra twentyfold,
-from 9.2e9 to 4.7e8.  Purity also gives the f = 1 negativity in closed form
-from the 2 x 2 system block (_pure_negativity), so the largest block is
-S u E_c at f = 1/2 (76 modes on the desk grid).
+a split of the N bath modes into k <= N/2 and N - k, the only block
+extracted is S u near, of k + 1 modes, and its purification partner (S and
+one ancilla per mixed mode) stands in for S u far (see _split).  Purity
+also gives the f = 1 negativity in closed form from the 2 x 2 system block
+(_pure_negativity), so the largest block is S u E_f at f = 1/2 (76 modes
+on the desk grid).
 
+Each draw factors S u near once (gaussian._factor: L, K = L^T Omega L and
+K^T K) and reads everything off that factor: the real Williamson form
+(gaussian.purification: one eigh of K^T K) gives H(S u near) and the
+partner, and the partial transpose on S comes from the same L
+(gaussian._transposed_spectra: one eigvalsh).  On a desk time point (N =
+150, 20 samples) the summed cost (2 x modes)^3 of the spectra is 2.5e8.
 The draws of one grid point that select equally many bath modes have
-blocks of one size, so _split evaluates them as stacks (_blocks) through
-gaussian._spectra (one cholesky, row swap, matmul and eigvalsh per stack)
-and gaussian.purification (the same with a complex eigh), each matrix bit
-for bit as alone, in slices of at most STACK_BYTES.  The Williamson
-decomposition behind a purification also gives H(S u E_f).
+blocks of one size, so _split evaluates them as stacks (_blocks), each
+matrix bit for bit as alone, in slices of at most STACK_BYTES.
 
 Bands and H(S) run on the same kernels one block at a time: index-array
 blocks of the covariance array (_block, system first), whose entropies and
@@ -51,9 +54,11 @@ from .errors import BadBandCount, DomainError
 from .gaussian import (
     CovarianceMatrix,
     _entropy_of_values,
+    _factor,
+    _gram_spectra,
     _negativity_of_values,
-    _spectra,
     _spectrum_of,
+    _transposed_spectra,
     check_purity,
     purification,
 )
@@ -246,10 +251,9 @@ def fraction_plan(grid: np.ndarray, units: int) -> list[tuple[float, float | Non
 
 #: Working-memory budget of one stacked operand: the draws of a grid point
 #: go through _split in slices of blocks of at most this many bytes as
-#: complex128 (the Williamson decomposition's operands; at least one block).
-#: A whole 20-draw stack of 76-mode blocks takes 3.7 MB per real operand,
-#: and a desk time point's fraction_samples then peaks at 22 MB under
-#: tracemalloc; with this budget it peaks at 2.9 MB and runs as fast.
+#: float64 (at least one block).  A whole 20-draw stack of 76-mode blocks
+#: takes 3.7 MB per operand, and a desk time point's fraction_samples then
+#: peaks at 23 MB under tracemalloc; with this budget it peaks at 3.3 MB.
 STACK_BYTES = 1 << 19
 
 
@@ -260,17 +264,12 @@ def _entropy(block: np.ndarray) -> float:
     return _entropy_of_values(_spectrum_of(block, 0.0))
 
 
-def _flip_system(blocks: np.ndarray) -> np.ndarray:
-    """Partial transpose of S (rows and columns 1) of a system-first block or stack of blocks."""
-    flipped = blocks.copy()
-    flipped[..., 1, :] *= -1.0
-    flipped[..., :, 1] *= -1.0
-    return flipped
+def _negativities(stack: np.ndarray, factor: tuple | None = None) -> np.ndarray:
+    """Logarithmic negativity of S (rows 0 and 1) against the rest, for each system-first block of a stack.
 
-
-def _negativities(stack: np.ndarray) -> np.ndarray:
-    """Logarithmic negativity of S (rows 0 and 1) against the rest, for each system-first block of a stack."""
-    return np.array([_negativity_of_values(tilde) for tilde in _spectra(_flip_system(stack))])
+    factor is the stack's (L, K, K^T K) when the caller has it.
+    """
+    return np.array([_negativity_of_values(tilde) for tilde in _transposed_spectra(stack, factor)])
 
 
 def _pure_negativity(data: np.ndarray) -> float:
@@ -300,48 +299,33 @@ def _blocks(data: np.ndarray, baths: np.ndarray) -> np.ndarray:
     return data[rows[:, :, None], rows[:, None, :]]
 
 
-def _purified(n_near: int, n_bath: int) -> bool:
-    """Whether _split reads the far negativity off a purification of S u near (at most n_near + 2 modes)."""
-    return n_near + 1 < n_bath - n_near
-
-
 def _split(data: np.ndarray, h_s: float, drawn: np.ndarray, rest_neg: bool) -> np.ndarray:
     """(MI, MI, negativity, negativity) of S with the drawn bath modes and with the rest, per draw.
 
     drawn is an (n, N) stack of bath masks that all select the same number
-    of modes, and the result has shape (4, n).  Only the smaller side
-    ("near") and S u near are extracted, as one stack per block kind.  With
-    global purity H(S u far) = H(near) and H(far) = H(S u near), so
+    of modes, and the result has shape (4, n).  Only S u near, for the
+    smaller side ("near"), is extracted, as one stack, and factored once
+    (gaussian._factor).  Its Williamson decomposition gives H(S u near) and
+    a purification partner (S and one ancilla per mixed mode; see
+    gaussian.purification), which stands in for S u far.  With global
+    purity H(S u far) = H(near), H(far) = H(S u near) and H(near) =
+    H(S u ancillas), so
         I(S : near) = H(S) + H(near) - H(S u near),
         I(S : far)  = H(S) + H(S u near) - H(near).
-    The negativity against far is read off a Gaussian purification of
-    S u near when that block is smaller than S u far (_purified), else off
-    the stack of S u far directly; a purified draw takes H(S u near) from
-    the Williamson eigenvalues of the same decomposition.  The rest's
-    negativity is computed only when rest_neg is set, else it is NaN, and
-    so is the drawn side's when only the rest is wanted.
+    The negativity against far is read off the partner, and the one against
+    near off the partial transpose of S u near from the same factor, only
+    when the drawn side is near or rest_neg is set; else it is NaN.
     """
-    n_bath = drawn.shape[1]
-    drawn_near = 2 * np.count_nonzero(drawn[0]) <= n_bath
-    near = drawn if drawn_near else ~drawn
-    n_near = int(np.count_nonzero(near[0]))
-    joints = _blocks(data, near)
-    h_near = _entropy_of_values(_spectra(joints[:, 2:, 2:]))
-    neg_near = neg_far = np.full(len(joints), np.nan)
-    want_far = not drawn_near or rest_neg
-    if want_far and _purified(n_near, n_bath):
-        nu, partners = purification(joints, np.arange(2))
-        h_joint, neg_far = _entropy_of_values(nu), np.zeros(len(joints))
-        sizes = np.array([len(p) for p in partners])  # one ancilla per mixed mode
-        for size in set(sizes.tolist()) - {2}:  # S alone: no entanglement
-            same = np.flatnonzero(sizes == size)
-            neg_far[same] = _negativities(np.array([partners[i] for i in same]))
-    else:
-        h_joint = _entropy_of_values(_spectra(joints))
-        if want_far:
-            neg_far = _negativities(_blocks(data, ~near))
-    if drawn_near or rest_neg:
-        neg_near = _negativities(joints)
+    drawn_near = 2 * np.count_nonzero(drawn[0]) <= drawn.shape[1]
+    joints = _blocks(data, drawn if drawn_near else ~drawn)
+    factor = _factor(joints)
+    nu, partners = purification(joints, factor)
+    h_joint, h_near, neg_far = _entropy_of_values(nu), np.empty(len(joints)), np.empty(len(joints))
+    for idx, blocks in partners:
+        chol, form, gram = _factor(blocks)
+        h_near[idx] = _entropy_of_values(_gram_spectra(blocks, form, gram))
+        neg_far[idx] = _negativities(blocks, (chol, form, gram))
+    neg_near = _negativities(joints, factor) if drawn_near or rest_neg else np.full(len(joints), np.nan)
     mi_near = h_s + h_near - h_joint
     mi_far = h_s + h_joint - h_near
     if drawn_near:
@@ -397,7 +381,7 @@ def fraction_samples(
         for count in sorted(set(n_drawn.tolist())):
             same = np.flatnonzero(n_drawn == count)
             rows = 2 * min(count, n_bath - count) + 2
-            step = max(1, STACK_BYTES // (16 * rows * rows))
+            step = max(1, STACK_BYTES // (8 * rows * rows))
             for lo in range(0, len(same), step):
                 part = same[lo : lo + step]
                 values[:, part] = _split(data, h_s, drawn[part], mirror is not None)

@@ -8,15 +8,18 @@ all symplectic eigenvalues >= 1/2.
 
 All entropies and the logarithmic negativity are reported in nats.
 
-The pipeline runs the array kernels: _spectra (the symplectic spectra of a
-stack of equal-size blocks) and _spectrum_of (one block, also unphysical
-ones), both counted by take_counts; _entropy_of_values,
-_negativity_of_values, williamson, purification, check_purity and
-validate_state.  CovarianceMatrix is the validated full state that the
-model builds.  ModeSubset, partial_trace, partial_transpose,
-von_neumann_entropy and log_negativity form the reference API on
-CovarianceMatrix objects: the tests' direct-path oracles and the
-benchmark's tracer read it, and it reaches the same kernel.
+The pipeline runs the array kernels, each counted by take_counts:
+_spectrum_of (one block, also unphysical ones); purification (the real
+Williamson form of a stack of equal-size blocks and the purification
+partners of mode 0), _gram_spectra and _transposed_spectra (spectra of a
+stack, and of its partial transpose on mode 0, from one Cholesky factor,
+_factor); with _entropy_of_values, _negativity_of_values, check_purity and
+validate_state.  _complex_williamson, the Williamson form in complex
+arithmetic, is purification's fallback.  CovarianceMatrix is the
+validated full state that the model builds.  ModeSubset, partial_trace,
+partial_transpose, von_neumann_entropy and log_negativity form the
+reference API on CovarianceMatrix objects: the tests' direct-path oracles
+and the benchmark's tracer read it, and it reaches the same kernel.
 """
 
 from __future__ import annotations
@@ -34,9 +37,10 @@ NU_TOL = 1e-9
 #: Relative tolerance for collapsing the 2M moduli of Omega.sigma into M pairs.
 PAIRING_RTOL = 1e-8
 
-#: Gram-path guard of _spectrum_of: when gram[0] < GRAM_RTOL * gram[-1] (a
-#: spread nu_max/nu_min above about 316) the squared spectrum has lost too
-#: many digits of nu_min, and svd(K) is taken instead.
+#: Gram-path guard: when gram[0] < GRAM_RTOL * gram[-1] (a spread
+#: nu_max/nu_min above about 316) the squared spectrum has lost too many
+#: digits of nu_min, and _gram_spectra takes svd(K) instead, purification
+#: _complex_williamson.
 GRAM_RTOL = 1e-5
 
 #: Corruption guard: raw inputs with relative asymmetry beyond this are
@@ -50,15 +54,31 @@ SYMMETRY_TOL = 1e-8
 PURITY_TOL = 1e-8
 
 #: Williamson eigenvalues within this of 1/2, relative to the matrix scale,
-#: are pure modes and get no purifying ancilla.  Eigensolver noise (about
-#: 1e-16 of the scale) on a pure mode would otherwise turn into a spurious
-#: two-mode squeezing sqrt(nu^2 - 1/4) of order 1e-8.
-PURE_MODE_RTOL = 1e-13
+#: are pure modes and get no purifying ancilla.  The partner block stands in
+#: for H(near) (correlations._split), which holds only if every mode that
+#: carries entropy has its ancilla: on desk blocks a cut at 1e-13 of the
+#: scale misses up to 7.9e-11 of H(near), and 1e-15 misses at most 3.1e-12.
+#: Eigensolver noise puts some pure modes up to about 5e-15 of the scale
+#: above 1/2; their spurious ancillas squeeze by a few 1e-7 and carry
+#: about 1e-12 of entropy.
+PURE_MODE_RTOL = 1e-15
+
+#: Run-time check of purification's real Williamson vectors (_mode_pairs):
+#: each mixed mode's residual |K b - nu a| / nu and its vectors' departure
+#: from orthonormality must not exceed this.  Within the Gram guard the
+#: residual of an eigh vector is at most about 1e-16 x 1e5; desk blocks
+#: read at most 4.7e-14.
+WILLIAMSON_RTOL = 1e-10
 
 #: Work done since the last take_counts(): spectra taken (a Williamson
 #: decomposition counts as one), their summed cost (2M)^3, the largest block
-#: in modes, svd fallbacks, and Williamson decompositions.
-_COUNTS = dict.fromkeys(("spectra", "block_cost", "block_modes_max", "svd_fallbacks", "williamson"), 0)
+#: in modes, svd fallbacks, Williamson decompositions, and of these the
+#: ones that purification repaired by Gram-Schmidt or took through
+#: _complex_williamson.
+_COUNTS = dict.fromkeys(
+    ("spectra", "block_cost", "block_modes_max", "svd_fallbacks", "williamson", "pairing_repairs", "williamson_fallbacks"),
+    0,
+)
 
 
 def take_counts() -> dict[str, int]:
@@ -136,8 +156,8 @@ class ValidityReport:
     passed: bool
 
 
-def _pair_moduli(moduli: np.ndarray, scale) -> np.ndarray:
-    """Collapse 2M moduli (the last axis) into M pairs, ascending, verifying agreement.
+def _sorted_pairs(moduli: np.ndarray, scale) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lo, hi, bad): 2M moduli (the last axis) sorted into M (lower, upper) pairs, and which pairs disagree.
 
     The pairing test is relative (PAIRING_RTOL) with an absolute floor set by
     the matrix scale: tiny partial-transpose eigenvalues of a large matrix
@@ -149,7 +169,12 @@ def _pair_moduli(moduli: np.ndarray, scale) -> np.ndarray:
     lo = moduli[..., 0::2]
     hi = moduli[..., 1::2]
     tol = PAIRING_RTOL * np.maximum(hi, 1e-300) + 1e-12 * np.asarray(scale)[..., None]
-    bad = hi - lo > tol
+    return lo, hi, hi - lo > tol
+
+
+def _pair_moduli(moduli: np.ndarray, scale) -> np.ndarray:
+    """Collapse 2M moduli (the last axis) into M pairs, ascending; PairingFailure when a pair disagrees (_sorted_pairs)."""
+    lo, hi, bad = _sorted_pairs(moduli, scale)
     if np.any(bad):
         k = int(np.argmax(bad))
         raise PairingFailure(
@@ -177,36 +202,100 @@ def _cholesky_form(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return chol, np.swapaxes(chol, -1, -2) @ _omega_times(chol)
 
 
+def _gram(form: np.ndarray) -> np.ndarray:
+    """K^T K of K or of each K of a stack."""
+    return np.swapaxes(form, -1, -2) @ form
+
+
+def _factor(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(L, K, K^T K) of each matrix of a stack (_cholesky_form); DomainError when one is not positive definite."""
+    try:
+        chol, form = _cholesky_form(stack)
+    except np.linalg.LinAlgError as exc:
+        raise DomainError("Williamson normal form needs a positive-definite matrix") from exc
+    return chol, form, _gram(form)
+
+
+def _gram_spectra(stack: np.ndarray, form: np.ndarray, gram: np.ndarray, shift: np.ndarray | None = None) -> np.ndarray:
+    """Symplectic spectra (n, M) of an (n, 2M, 2M) stack from its K and K^T K.
+
+    The moduli are the square roots of eigvalsh(K^T K); past the Gram guard
+    (gram[0] < GRAM_RTOL * gram[-1], or NaN) they come from svd(K) instead.
+    For a partial transpose, gram is K~^T K~ and shift the c of each matrix
+    (_flip), which turns K into K~ for the svd.  eigvalsh runs on the whole
+    stack; LAPACK still sees one matrix at a time, so each spectrum is bit
+    for bit the one-matrix result.
+    """
+    n, rows = stack.shape[0], stack.shape[-1]
+    _count_spectra(n, rows)
+    values = np.linalg.eigvalsh(gram)
+    moduli = np.sqrt(values)
+    for i in np.flatnonzero(~(values[:, 0] >= GRAM_RTOL * values[:, -1])):  # NaN falls back too
+        _COUNTS["svd_fallbacks"] += 1
+        form_i = form[i].copy()
+        if shift is not None:
+            form_i[0, 1] -= shift[i]
+            form_i[1, 0] += shift[i]
+        moduli[i] = np.linalg.svd(form_i, compute_uv=False)
+    return _pair_moduli(moduli, np.maximum(np.max(np.abs(stack), axis=(1, 2)), 1e-300))
+
+
 def _cholesky_spectra(stack: np.ndarray) -> np.ndarray:
     """Symplectic spectra of an (n, 2M, 2M) stack of positive-definite matrices, shape (n, M).
 
     Raises numpy.linalg.LinAlgError, counting nothing, when a matrix of the
     stack is not positive definite.  Every step (cholesky, the row swap,
-    matmul, eigvalsh) runs on the whole stack; LAPACK and BLAS still see one
-    matrix at a time, so each spectrum is bit for bit the one-matrix result.
+    matmul, eigvalsh) runs on the whole stack, each matrix bit for bit as
+    alone.
     """
     _, form = _cholesky_form(stack)
-    n, rows = stack.shape[0], stack.shape[-1]
-    _count_spectra(n, rows)
-    gram = np.linalg.eigvalsh(np.swapaxes(form, -1, -2) @ form)
-    moduli = np.sqrt(gram)
-    for i in np.flatnonzero(~(gram[:, 0] >= GRAM_RTOL * gram[:, -1])):  # NaN falls back too
-        _COUNTS["svd_fallbacks"] += 1
-        moduli[i] = np.linalg.svd(form[i], compute_uv=False)
-    return _pair_moduli(moduli, np.maximum(np.max(np.abs(stack), axis=(1, 2)), 1e-300))
+    return _gram_spectra(stack, form, _gram(form))
 
 
-def _spectra(stack: np.ndarray) -> np.ndarray:
-    """Symplectic spectra of an (n, 2M, 2M) stack of exactly symmetric matrices, shape (n, M), rows ascending.
+def _flip(chol: np.ndarray, form: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(c, K~^T K~) of the partial transpose on mode 0 of each matrix of a stack, from its L, K and K^T K.
 
-    Each row equals _spectrum_of(stack[i], 0.0) bit for bit.  If any matrix
-    is not positive definite the stack goes through _spectrum_of one matrix
-    at a time.  Callers bound the stack's size (correlations.STACK_BYTES).
+    The partial transpose P sigma P (P negates row and column 1) factors as
+    (P L)(P L)^T, so K~ = L^T (P Omega P) L, and P Omega P is Omega with its
+    first 2 x 2 block negated.  L is lower-triangular with mode 0 first, so
+    K~ is K with c = 2 L00 L11 taken from [0, 1] and added to [1, 0].  Its
+    Gram is K^T K with c K[1] added to row and column 0, c K[0] taken from
+    row and column 1, and c^2 added to [0, 0] and [1, 1]: no second
+    Cholesky or matmul.
     """
-    try:
-        return _cholesky_spectra(stack)
-    except np.linalg.LinAlgError:
-        return np.array([_spectrum_of(sigma, 0.0) for sigma in stack])
+    c = 2.0 * chol[:, 0, 0] * chol[:, 1, 1]
+    up, down = c[:, None] * form[:, 1, :], c[:, None] * form[:, 0, :]
+    out = gram.copy()
+    out[:, 0, :] += up
+    out[:, :, 0] += up
+    out[:, 1, :] -= down
+    out[:, :, 1] -= down
+    out[:, 0, 0] += c * c
+    out[:, 1, 1] += c * c
+    return c, out
+
+
+def _transposed_spectra(stack: np.ndarray, factor: tuple | None = None) -> np.ndarray:
+    """Symplectic spectra (n, M) of the partial transpose on mode 0 of each matrix of a stack.
+
+    They are read off the matrix's own factor (_flip), which the caller
+    passes as (L, K, K^T K) when it has it.  If a matrix is not positive
+    definite the stack goes one matrix at a time, and that matrix through
+    the eig path of _spectrum_of.
+    """
+    if factor is None:
+        try:
+            chol, form = _cholesky_form(stack)
+        except np.linalg.LinAlgError:
+            if len(stack) > 1:
+                return np.array([_transposed_spectra(sigma[None])[0] for sigma in stack])
+            flip = np.ones(stack.shape[-1])
+            flip[1] = -1.0
+            return _spectrum_of(stack[0] * flip * flip[:, None], 0.0)[None]
+        factor = chol, form, _gram(form)
+    chol, form, gram = factor
+    shift, flipped = _flip(chol, form, gram)
+    return _gram_spectra(stack, form, flipped, shift)
 
 
 def _spectrum_of(sigma: np.ndarray, symmetry_defect: float | None = None) -> np.ndarray:
@@ -321,30 +410,23 @@ def _negativity_of_values(tilde: np.ndarray) -> float:
     return max(0.0, -float(np.sum(np.log(2.0 * negative))))
 
 
-def williamson(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Williamson normal form sigma = S D S^T of a positive-definite state, or of each of a stack.
+def _complex_williamson(sigma: np.ndarray, chol: np.ndarray, form: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Williamson normal form sigma = S D S^T of a positive-definite matrix, or of each of a stack, from its factor.
 
     Returns (nu, S): the symplectic eigenvalues nu ascending, and S with
     S Omega S^T = Omega, where D = diag(nu_1, nu_1, ..., nu_M, nu_M); a
-    stack keeps its leading axis.  Cholesky sigma = L L^T; the Hermitian
-    matrix i L^T Omega L has eigenvalues +-nu_j.  An eigenvector u_j of
+    stack keeps its leading axis.  chol and form are L and K = L^T Omega L
+    (_cholesky_form); nothing is counted.  Raises PairingFailure when the
+    eigenvalues do not come in +-nu pairs (_pair_moduli).  purification
+    takes the same form in real arithmetic, and this one when its check
+    fails.  The Hermitian matrix i K has eigenvalues +-nu_j.  An eigenvector u_j of
     +nu_j gives the columns sqrt(2) (Im u_j, Re u_j) of an orthogonal O that
-    brings L^T Omega L to the blocks nu_j [[0, 1], [-1, 0]], and
-    S = L O D^(-1/2).  Every step runs on the whole stack, and each matrix
-    comes out bit for bit as alone.  Raises DomainError when a matrix is not
-    numerically positive definite, and PairingFailure when the eigenvalues
-    do not come in +-nu pairs (_pair_moduli).  The eigenvalues are not
-    squared, so nu needs no Gram guard.  Each decomposition counts as one
-    spectrum of its matrix and one ``williamson`` in take_counts().
+    brings K to the blocks nu_j [[0, 1], [-1, 0]], and S = L O D^(-1/2).
+    Every step runs on the whole stack, and each matrix comes out bit for
+    bit as alone.  The eigenvalues are not squared, so nu needs no Gram
+    guard.
     """
     n = sigma.shape[-1] // 2
-    try:
-        chol, form = _cholesky_form(sigma)
-    except np.linalg.LinAlgError as exc:
-        raise DomainError("Williamson normal form needs a positive-definite matrix") from exc
-    count = chol[..., 0, 0].size
-    _count_spectra(count, sigma.shape[-1])
-    _COUNTS["williamson"] += count
     values, vectors = np.linalg.eigh(1j * form)
     _pair_moduli(np.abs(values), np.maximum(np.max(np.abs(sigma), axis=(-2, -1)), 1e-300))
     nu = values[..., n:]
@@ -354,40 +436,120 @@ def williamson(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nu, (chol @ ortho) / np.sqrt(np.repeat(nu, 2, axis=-1))[..., None, :]
 
 
-def purification(stack: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """(nu, blocks) of an (n, 2M, 2M) stack: Williamson eigenvalues, and kept rows with purification partners.
+def _mode_pairs(form: np.ndarray, vectors: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(basis, defect, overlap) of the top p pairs of eigh(K^T K) of each K of a stack, in real arithmetic.
 
+    vectors are the eigenvectors of K^T K, ascending, and nu (n, p) the top
+    p symplectic eigenvalues, descending.  Pair j takes a_j, the upper
+    eigenvector of its pair, after Gram-Schmidt against the earlier pairs,
+    and b_j = -K a_j / nu_j, so that K a_j = -nu_j b_j and K b_j = nu_j a_j;
+    basis (n, 2p, 2M) holds a_1, b_1, a_2, b_2, ... as rows, the columns of
+    O.  In a near-degenerate cluster eigh returns any orthonormal basis of
+    the cluster's subspace, so a raw a_j need not be orthogonal to an
+    earlier b_k; for a well-separated pair the projection removes only
+    rounding.  When less than half of a_j is left, the other eigenvector of
+    its pair is taken if more of it is.  defect[:, j] is the largest of
+    |K b_j - nu_j a_j| / nu_j, ||b_j| - 1| and |b_j . q| over a_j and the
+    earlier vectors q; overlap[:, j] is the largest |a_j . q| of the raw
+    a_j.  Every step works on one pair of each matrix and sums along the
+    last axis, so a matrix's first pairs do not depend on p or on the rest
+    of the stack.
+    """
+    n, rows, p = vectors.shape[0], vectors.shape[-1], nu.shape[1]
+    every, by_row = np.arange(n), np.swapaxes(vectors, 1, 2)
+    basis, defect, overlap = np.empty((n, 2 * p, rows)), np.zeros((n, p)), np.zeros((n, p))
+    for j in range(p):
+        done = basis[:, : 2 * j]
+        cand = by_row[:, [rows - 1 - 2 * j, rows - 2 - 2 * j]]
+        if j:
+            proj = cand @ np.swapaxes(done, 1, 2)
+            overlap[:, j] = np.max(np.abs(proj[:, 0]), axis=1)
+            cand = cand - proj @ done
+            cand = cand - (cand @ np.swapaxes(done, 1, 2)) @ done  # twice is enough for classical Gram-Schmidt
+        norms = np.sqrt(np.sum(cand * cand, axis=2))
+        pick = ((norms[:, 0] < 0.5) & (norms[:, 1] > norms[:, 0])).astype(int)
+        a = cand[every, pick] / norms[every, pick][:, None]
+        b = -(form @ a[:, :, None])[:, :, 0] / nu[:, j, None]
+        residual = np.linalg.norm((form @ b[:, :, None])[:, :, 0] - nu[:, j, None] * a, axis=1) / nu[:, j]
+        basis[:, 2 * j], basis[:, 2 * j + 1] = a, b
+        against = np.max(np.abs(basis[:, : 2 * j + 1] @ b[:, :, None]), axis=(1, 2))
+        defect[:, j] = np.maximum(np.maximum(residual, np.abs(np.linalg.norm(b, axis=1) - 1.0)), against)
+    return basis, defect, overlap
+
+
+def purification(stack: np.ndarray, factor: tuple | None = None) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """(nu, partners) of an (n, 2M, 2M) stack: Williamson eigenvalues, and purification partners of mode 0.
+
+    factor is the stack's (L, K, K^T K) (_factor) when the caller has it.
     nu (shape (n, M)) give the entropy of each matrix sigma of the stack
     (_entropy_of_values), so a caller needs no second decomposition of it.
-    rows are the (x, p) rows of the kept modes.  Each mixed Williamson mode
-    of sigma (nu_j above 1/2 by more than PURE_MODE_RTOL of the scale) gets
-    one ancilla, two-mode squeezed with it so that the pair is pure; the
-    other modes of sigma are traced out.  Each block holds the kept modes
-    first, then the ancillas, so the blocks' sizes can differ.  If sigma is
+    Each mixed Williamson mode of sigma (nu_j above 1/2 by more than
+    PURE_MODE_RTOL of the scale) gets one ancilla, two-mode squeezed with it
+    so that the pair is pure; the other modes of sigma are traced out.
+    partners lists (indices into the stack, blocks) per number of mixed
+    modes: each block holds mode 0 first, then the ancillas.  If sigma is
     the reduced state of a pure state on sigma u R, every purification
     differs from R only by a local symplectic on the partner side, so
-    (kept, ancillas) and (kept, R) share entropies and logarithmic
+    (mode 0, ancillas) and (mode 0, R) share entropies and logarithmic
     negativity (Holevo & Werner, PRA 63, 032312 (2001); Botero & Reznik,
-    PRA 67, 052311 (2003)).  With no mixed mode the kept modes come back
-    alone.
+    PRA 67, 052311 (2003)), and the block's entropy is that of sigma
+    without mode 0.  With no mixed mode the block is mode 0 alone.
+
+    The normal form is taken in real arithmetic: eigh(K^T K) gives nu^2 in
+    pairs (_sorted_pairs) and the columns (a_j, b_j) of the orthogonal O
+    with O^T K O = blocks nu_j [[0, 1], [-1, 0]] (_mode_pairs).  Then
+    S = L O D^(-1/2), and the partner needs only rows 0 and 1 of S, from
+    L[:2, :2] and O[:2].  Checked per matrix: every mixed mode's defect must
+    be at most WILLIAMSON_RTOL.  A matrix whose raw eigenvectors overlapped
+    an earlier pair by more than that was repaired by the Gram-Schmidt step
+    (``pairing_repairs``).  A matrix that fails the check, or whose moduli
+    trip the Gram guard or do not pair, goes through _complex_williamson
+    with the same factor (``williamson_fallbacks``).  Each matrix's result
+    does not depend on the rest of the stack.  Each decomposition counts
+    as one spectrum and one ``williamson``.
     """
-    nu, sym = williamson(stack)
-    scales = np.maximum(np.max(np.abs(stack), axis=(1, 2)), 1.0)
-    kept, r = stack[:, rows[:, None], rows], len(rows)
-    blocks = []
-    for i in range(len(stack)):
-        mixed = np.flatnonzero(nu[i] - 0.5 > PURE_MODE_RTOL * scales[i])
-        nu_mixed = np.repeat(nu[i, mixed], 2)
+    n, rows = stack.shape[0], stack.shape[-1]
+    chol, form, gram = _factor(stack) if factor is None else factor
+    _count_spectra(n, rows)
+    _COUNTS["williamson"] += n
+    scales = np.maximum(np.max(np.abs(stack), axis=(1, 2)), 1e-300)
+    values, vectors = np.linalg.eigh(gram)
+    lo, hi, unpaired = _sorted_pairs(np.sqrt(values), scales)
+    nu = 0.5 * (lo + hi)
+    n_mixed = np.count_nonzero(nu - 0.5 > PURE_MODE_RTOL * np.maximum(scales, 1.0)[:, None], axis=1)
+    fallback = ~(values[:, 0] >= GRAM_RTOL * values[:, -1]) | np.any(unpaired, axis=1)
+    p = int(np.max(n_mixed[~fallback], initial=0))
+    top = np.ascontiguousarray(nu[:, ::-1][:, :p])
+    basis, defect, overlap = _mode_pairs(form, vectors, top)
+    first = np.arange(p) < n_mixed[:, None]  # each matrix's own mixed modes
+    _COUNTS["pairing_repairs"] += int(np.count_nonzero(np.any(first & (overlap > WILLIAMSON_RTOL), axis=1) & ~fallback))
+    fallback |= np.any(first & ~(defect <= WILLIAMSON_RTOL), axis=1)
+    # rows 0 and 1 of S = L O D^(-1/2), elementwise (L[0, 1] = 0)
+    root = np.sqrt(np.repeat(top, 2, axis=1))
+    o_0, o_1 = basis[:, :, 0], basis[:, :, 1]
+    s_rows = np.stack((chol[:, 0, 0, None] * o_0, chol[:, 1, 0, None] * o_0 + chol[:, 1, 1, None] * o_1), axis=1)
+    s_rows /= root[:, None, :]
+    mixed = [(s_rows[i, :, : 2 * m], top[i, :m]) for i, m in enumerate(n_mixed.tolist())]
+    for i in np.flatnonzero(fallback).tolist():
+        _COUNTS["williamson_fallbacks"] += 1
+        nu[i], sym = _complex_williamson(stack[i], chol[i], form[i])
+        keep = np.flatnonzero(nu[i] - 0.5 > PURE_MODE_RTOL * max(scales[i], 1.0))
+        mixed[i] = (sym[:2, _rows(keep)], nu[i, keep])
+    sizes = np.array([len(nu_i) for _, nu_i in mixed])
+    partners = []
+    for m in sorted(set(sizes.tolist())):
+        idx = np.flatnonzero(sizes == m)
+        nu_mixed = np.repeat(np.array([mixed[i][1] for i in idx]).reshape(len(idx), m), 2, axis=1)
         squeeze = np.sqrt(nu_mixed**2 - 0.25)
-        squeeze[1::2] *= -1.0  # the pair's momenta anti-correlate
-        cross = sym[i][np.ix_(rows, _rows(mixed))] * squeeze
-        block = np.zeros((r + len(nu_mixed),) * 2)
-        block[:r, :r] = kept[i]
-        block[:r, r:] = cross
-        block[r:, :r] = cross.T
-        block[r:, r:][np.diag_indices(len(nu_mixed))] = nu_mixed
-        blocks.append(block)
-    return nu, blocks
+        squeeze[:, 1::2] *= -1.0  # the pair's momenta anti-correlate
+        cross = np.array([mixed[i][0] for i in idx]).reshape(len(idx), 2, 2 * m) * squeeze[:, None, :]
+        blocks = np.zeros((len(idx), 2 + 2 * m, 2 + 2 * m))
+        blocks[:, :2, :2] = stack[idx, :2, :2]
+        blocks[:, :2, 2:] = cross
+        blocks[:, 2:, :2] = np.swapaxes(cross, 1, 2)
+        blocks[:, 2:, 2:][:, np.arange(2 * m), np.arange(2 * m)] = nu_mixed
+        partners.append((idx, blocks))
+    return nu, partners
 
 
 def check_purity(cov: CovarianceMatrix) -> float:

@@ -24,10 +24,12 @@ every worker gets equal items, and stays whole on a longer grid or with
 one worker.  Chunk 0 also carries the state diagnostics, the bands and
 f = 1.  Items go to a pool of spawned worker processes in time order;
 each worker keeps the state of its latest time point, so a run of chunks
-of one point evolves it once.  The runner extends each grid point's
-values by the chunks in order, which is sample order, and reduces them to
-curves in grid order.  A serial run (workers = 1) is a pool of one, and a
-run whose stages need no time point starts no pool.
+of one point evolves it once, and chunk 0 counts that work in the
+manifest, so the counts do not depend on which worker takes a chunk.
+The runner extends each grid point's values by the chunks in order,
+which is sample order, and reduces them to curves in grid order.  A
+serial run (workers = 1) is a pool of one, and a run whose stages need
+no time point starts no pool.
 
 Every worker starts with single-threaded BLAS, so W workers occupy W CPUs
 and the floating-point reduction order does not depend on the worker
@@ -111,19 +113,30 @@ def simulation_pieces(config: RunConfig):
 
 
 def _state_at(config: RunConfig, t: float, pure: bool):
-    """(sigma(t), H(S)), kept for the next chunk of the same time point.
+    """(sigma(t), H(S), the spectrum counts of that work), kept for the next chunk of the same time point.
 
     With ``pure`` the state's global purity is checked first (ImpureState).
+    The work is counted apart from the running counters, so that a run
+    counts it once per time point (in chunk 0), whichever worker evolves it.
     """
     key = (config.bath_spec(), config.squeezing, t, pure)
     if key not in _LATEST:
         _, _, prop, cov0 = simulation_pieces(config)
+        take_counts()
         cov = evolve(prop, cov0, t)
         if pure:
             check_purity(cov)
+        h_s = system_entropy(cov)
         _LATEST.clear()
-        _LATEST[key] = (cov, system_entropy(cov))
+        _LATEST[key] = (cov, h_s, take_counts())
     return _LATEST[key]
+
+
+def _add_counts(total: dict, counts: dict) -> dict:
+    """total with counts added, in place: block_modes_max is a maximum, every other count a sum."""
+    for k, v in counts.items():
+        total[k] = max(total.get(k, 0), v) if k == "block_modes_max" else total.get(k, 0) + v
+    return total
 
 
 def _sampler(config: RunConfig) -> FractionSampler:
@@ -151,9 +164,9 @@ def _chunk_task(args) -> dict:
     """One chunk of one time point (runs in worker processes)."""
     config_dict, t_index, t, wants, sample_indices = args
     config = RunConfig(**config_dict)
-    take_counts()  # count this chunk only
     spec, bath = simulation_pieces(config)[:2]
-    cov, h_s = _state_at(config, t, "curves" in wants)
+    cov, h_s, state_counts = _state_at(config, t, "curves" in wants)
+    take_counts()  # count this chunk only
     out: dict = {"t_index": t_index, "h_s": h_s}
     if "state" in wants:
         report = validate_state(cov)
@@ -175,6 +188,8 @@ def _chunk_task(args) -> dict:
     if "curves" in wants:
         out["samples"] = fraction_samples(cov.data, h_s, _sampler(config), sample_indices, t_index)
     out["counts"] = take_counts()
+    if sample_indices.start == 0:  # the time point's state work, once
+        _add_counts(out["counts"], state_counts)
     return out
 
 
@@ -265,7 +280,7 @@ def _run_time_points(config: RunConfig, wants: tuple[str, ...]) -> tuple[list[di
         items = list(pool.map(_chunk_task, payloads, chunksize=1))
 
     points = [{"t": t, "samples": {}} for t in times]
-    counts = dict.fromkeys(items[0]["counts"], 0)
+    counts: dict = {}
     for item in items:
         point = points[item["t_index"]]
         point.update({k: item[k] for k in ("state", "bands", "h_s") if k in item})
@@ -273,8 +288,7 @@ def _run_time_points(config: RunConfig, wants: tuple[str, ...]) -> tuple[list[di
         for m, values in item.get("samples", {}).items():
             for f, v in values.items():
                 point["samples"].setdefault(m, {}).setdefault(f, []).extend(v)
-        for k, v in item["counts"].items():
-            counts[k] = max(counts[k], v) if k == "block_modes_max" else counts[k] + v
+        _add_counts(counts, item["counts"])
     if "curves" in wants:
         for point in points:
             curves = fraction_curves(grid, point["samples"], point["h_s"], point["t"])

@@ -12,11 +12,16 @@ import math
 import numpy as np
 
 from qbmlab.analytic import BranchModelParams, chi_value, mi_value, trajectory_amplitudes
-from qbmlab.correlations import BandPartition, CorrelationCurve, FractionSampler, _draw, _purified
+from qbmlab.correlations import BandPartition, CorrelationCurve, FractionSampler, _draw
 from qbmlab.errors import DimensionMismatch, DomainError, OverlapError, SubsetError
 from qbmlab.gaussian import (
+    PURE_MODE_RTOL,
     CovarianceMatrix,
     ModeSubset,
+    _cholesky_spectra,
+    _complex_williamson,
+    _factor,
+    _rows,
     _spectrum_of,
     log_negativity,
     partial_trace,
@@ -43,6 +48,18 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 def symplectic_eigenvalues(cov: CovarianceMatrix) -> np.ndarray:
     """Symplectic spectrum {nu_j} of a covariance matrix, ascending (PairingFailure on a corrupted one)."""
     return _spectrum_of(cov.data)
+
+
+def stacked_spectra(stack: np.ndarray) -> np.ndarray:
+    """Symplectic spectra (n, M) of a stack of exactly symmetric matrices, each row _spectrum_of(stack[i], 0.0) bit for bit.
+
+    If any matrix is not positive definite the stack goes through
+    _spectrum_of one matrix at a time.
+    """
+    try:
+        return _cholesky_spectra(stack)
+    except np.linalg.LinAlgError:
+        return np.array([_spectrum_of(sigma, 0.0) for sigma in stack])
 
 
 def mutual_information(cov: CovarianceMatrix, part_a: ModeSubset, part_b: ModeSubset) -> float:
@@ -112,23 +129,56 @@ def sample_fraction(
 def draw_blocks(n_drawn: int, n_bath: int, mirrored: bool) -> tuple[list[int], list[int]]:
     """Row counts 2M of the spectra and of the Williamson decompositions that _split takes for one draw.
 
-    The partner blocks of a purification (S and one ancilla per mixed
-    mode) are left out.
+    Every draw decomposes S u near; the partial transpose of S u near is
+    taken when its negativity is wanted.  The partner blocks of the
+    purification (S and one ancilla per mixed mode; a spectrum and a
+    partial transpose each) are left out.
     """
     near = min(n_drawn, n_bath - n_drawn)
-    drawn_near = 2 * n_drawn <= n_bath
-    want_far = not drawn_near or mirrored
     joint = 2 * near + 2
-    spectra, williamson = [2 * near], []
-    if want_far and _purified(near, n_bath):
-        williamson.append(joint)
-    else:
-        spectra.append(joint)
-        if want_far:
-            spectra.append(2 * (n_bath - near) + 2)
-    if drawn_near or mirrored:
-        spectra.append(joint)
-    return spectra, williamson
+    drawn_near = 2 * n_drawn <= n_bath
+    return ([joint] if drawn_near or mirrored else []), [joint]
+
+
+def flip_system(blocks: np.ndarray) -> np.ndarray:
+    """Partial transpose of S (rows and columns 1) of a system-first block or stack of blocks."""
+    flipped = blocks.copy()
+    flipped[..., 1, :] *= -1.0
+    flipped[..., :, 1] *= -1.0
+    return flipped
+
+
+def williamson(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(nu, S) of the Williamson form of sigma, or of each of a stack, in complex arithmetic (gaussian._complex_williamson).
+
+    DomainError when a matrix is not positive definite.
+    """
+    chol, form, _ = _factor(sigma)
+    return _complex_williamson(sigma, chol, form)
+
+
+def complex_purification(stack: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(nu, blocks): purification partners of mode 0 of each matrix of a stack, from the complex williamson.
+
+    The same partners as gaussian.purification, one block per matrix (mode
+    0, then one ancilla per mixed mode, ascending in nu).
+    """
+    nu, sym = williamson(stack)
+    scales = np.maximum(np.max(np.abs(stack), axis=(1, 2)), 1.0)
+    blocks = []
+    for i in range(len(stack)):
+        mixed = np.flatnonzero(nu[i] - 0.5 > PURE_MODE_RTOL * scales[i])
+        nu_mixed = np.repeat(nu[i, mixed], 2)
+        squeeze = np.sqrt(nu_mixed**2 - 0.25)
+        squeeze[1::2] *= -1.0
+        cross = sym[i][:2, _rows(mixed)] * squeeze
+        block = np.zeros((2 + len(nu_mixed),) * 2)
+        block[:2, :2] = stack[i, :2, :2]
+        block[:2, 2:] = cross
+        block[2:, :2] = cross.T
+        block[2:, 2:][np.diag_indices(len(nu_mixed))] = nu_mixed
+        blocks.append(block)
+    return nu, blocks
 
 
 def curve_value(curve: CorrelationCurve, f: float) -> float:

@@ -10,8 +10,8 @@ from qbmlab.gaussian import (
     ModeSubset,
     _cholesky_form,
     _entropy_of_values,
-    _spectra,
     _spectrum_of,
+    _transposed_spectra,
     check_purity,
     entropy_function,
     log_negativity,
@@ -21,11 +21,18 @@ from qbmlab.gaussian import (
     take_counts,
     validate_state,
     von_neumann_entropy,
-    williamson,
 )
 
 from conftest import random_state, random_symplectic, two_mode_squeezed
-from oracles import mutual_information, symplectic_eigenvalues, symplectic_form
+from oracles import (
+    complex_purification,
+    flip_system,
+    mutual_information,
+    stacked_spectra,
+    symplectic_eigenvalues,
+    symplectic_form,
+    williamson,
+)
 
 # Frozen 40-digit evaluations of the closed-form entropy function.
 H_AT_1 = 0.9547712524422192276756357339256119888957
@@ -33,6 +40,21 @@ H_AT_SQRT5_HALF = 1.076022352410010097223583082376513563561
 
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+NO_COUNTS = dict.fromkeys(
+    ("spectra", "block_cost", "block_modes_max", "svd_fallbacks", "williamson", "pairing_repairs", "williamson_fallbacks"),
+    0,
+)
+
+#: Real against complex purification: the partners' entropies and
+#: negativities, and the Williamson eigenvalues, agree to rounding of the
+#: scale; measured at most 1e-13 on these random states.
+PURIFICATION_TOL = 1e-10
+
+#: The partial-transpose spectrum from sigma's own factor (_flip) against a
+#: Cholesky of the flipped matrix: the Gram entries differ by rounding,
+#: measured at most 1e-14 relative to the largest value on these states.
+FLIP_RTOL = 1e-11
 
 
 def vacuum(n_modes: int) -> CovarianceMatrix:
@@ -175,7 +197,7 @@ class TestSpectrumKernel:
 
 
 class TestStackedSpectra:
-    """_spectra on a stack equals _spectrum_of one matrix at a time, bit for bit and count for count."""
+    """The stacked kernel (oracles.stacked_spectra) on a stack equals _spectrum_of one matrix at a time, bit for bit and count for count."""
 
     @staticmethod
     def one_by_one(stack):
@@ -198,7 +220,7 @@ class TestStackedSpectra:
             stack[:, 1] *= -1.0
             stack[:, :, 1] *= -1.0
         want, counts = self.one_by_one(stack)
-        got = _spectra(stack)
+        got = stacked_spectra(stack)
         assert take_counts() == counts
         assert got.tobytes() == want.tobytes()
 
@@ -210,7 +232,7 @@ class TestStackedSpectra:
         good = random_state(rng, 2, pure=False).data
         stack = np.array([good, np.diag([0.5, 0.5, -1.0, 1.0]), good])
         want, counts = self.one_by_one(stack)
-        got = _spectra(stack)
+        got = stacked_spectra(stack)
         assert take_counts() == counts
         assert counts["spectra"] == 3
         assert got.tobytes() == want.tobytes()
@@ -222,15 +244,14 @@ class TestSpectrumCounters:
         von_neumann_entropy(vacuum(3))
         # the partial transpose of a strongly squeezed pair spreads past the Gram guard
         assert log_negativity(two_mode_squeezed(3.0), ModeSubset.of([0], 2)) == pytest.approx(6.0, rel=1e-10)
-        assert take_counts() == {
-            "spectra": 2, "block_cost": 6**3 + 4**3, "block_modes_max": 3, "svd_fallbacks": 1, "williamson": 0
-        }
-        assert take_counts() == dict.fromkeys(("spectra", "block_cost", "block_modes_max", "svd_fallbacks", "williamson"), 0)
+        assert take_counts() == {**NO_COUNTS, "spectra": 2, "block_cost": 6**3 + 4**3, "block_modes_max": 3, "svd_fallbacks": 1}
+        assert take_counts() == NO_COUNTS
 
     def test_williamson_counts_as_one_spectrum(self):
+        # a purification counts its decomposition only; _split takes the partners' spectra
         take_counts()
-        nu, _ = purification(np.array([two_mode_squeezed(0.8).data] * 3), np.arange(2))
-        assert take_counts() == {"spectra": 3, "block_cost": 3 * 4**3, "block_modes_max": 2, "svd_fallbacks": 0, "williamson": 3}
+        nu, _ = purification(np.array([two_mode_squeezed(0.8).data] * 3))
+        assert take_counts() == {**NO_COUNTS, "spectra": 3, "block_cost": 3 * 4**3, "block_modes_max": 2, "williamson": 3}
         assert nu[1] == pytest.approx([0.5, 0.5], abs=1e-12)  # a pure state: every Williamson eigenvalue is 1/2
 
 
@@ -490,7 +511,32 @@ class TestWilliamson:
         with pytest.raises(DomainError, match="positive-definite"):
             williamson(cov.data)
         with pytest.raises(DomainError, match="positive-definite"):
-            purification(cov.data[None], np.arange(2))
+            purification(cov.data[None])
+
+
+def partner_blocks(partners, n: int) -> list:
+    """The partner block of each of n matrices, from purification's (indices, blocks) groups."""
+    out = [None] * n
+    for idx, blocks in partners:
+        for i, block in zip(idx.tolist(), blocks):
+            out[i] = block
+    return out
+
+
+def entropy_and_negativity(block: np.ndarray) -> tuple[float, float]:
+    """(H, negativity of mode 0 against the rest) of a system-first block, through the object API."""
+    cov = CovarianceMatrix(block)
+    neg = log_negativity(cov, ModeSubset.of([0], cov.n_modes)) if cov.n_modes > 1 else 0.0
+    return von_neumann_entropy(cov), neg
+
+
+def degenerate_pairs(seed: int, nu: float = 1.7) -> np.ndarray:
+    """S u near where near holds two modes with the same Williamson eigenvalue nu, mixed with S by a random symplectic.
+
+    It is the reduced state of S with two identical two-mode squeezed pairs.
+    """
+    t = random_symplectic(np.random.default_rng(seed), 3)
+    return t @ np.diag([0.5, 0.5, nu, nu, nu, nu]) @ t.T
 
 
 class TestPurification:
@@ -500,28 +546,31 @@ class TestPurification:
         # masks 1 .. 2^(n-1) - 2 leave neither side empty
         cov, near, far = split_pure_state(seed, n_modes, 1 + near_mask % (2 ** (n_modes - 1) - 2))
         joint = partial_trace(cov, ModeSubset.of((0,) + near, n_modes))
-        nu, blocks = purification(joint.data[None], np.arange(2))
-        partner = CovarianceMatrix(blocks[0])
+        nu, partners = purification(joint.data[None])
+        partner = CovarianceMatrix(partner_blocks(partners, 1)[0])
         direct = partial_trace(cov, ModeSubset.of((0,) + far, n_modes))
         assert partner.n_modes <= joint.n_modes + 1
         assert np.array_equal(partner.data[:2, :2], joint.data[:2, :2])
         got = log_negativity(partner, ModeSubset.of([0], partner.n_modes)) if partner.n_modes > 1 else 0.0
         assert got == pytest.approx(log_negativity(direct, ModeSubset.of([0], direct.n_modes)), abs=1e-10)
         assert von_neumann_entropy(partner) == pytest.approx(von_neumann_entropy(direct), abs=1e-10)
+        # S u near u ancillas is pure, so H(near) = H(S u ancillas)
+        near_block = partial_trace(cov, ModeSubset.of(near, n_modes))
+        assert von_neumann_entropy(partner) == pytest.approx(von_neumann_entropy(near_block), abs=1e-10)
         # the Williamson eigenvalues give the joint block's entropy without a second spectrum
         assert _entropy_of_values(nu[0]) == pytest.approx(von_neumann_entropy(joint), abs=1e-10)
 
     def test_pure_state_has_no_partners(self, rng):
         cov = random_state(rng, 4, pure=True)
-        partner = CovarianceMatrix(purification(cov.data[None], np.arange(2))[1][0])
+        partner = CovarianceMatrix(partner_blocks(purification(cov.data[None])[1], 1)[0])
         assert partner.n_modes == 1
         assert np.array_equal(partner.data, cov.data[:2, :2])
 
     def test_two_mode_squeezed_marginal(self):
         # one half of a two-mode squeezed vacuum is purified by a copy of the other
         tms = two_mode_squeezed(0.8)
-        nu, blocks = purification(partial_trace(tms, ModeSubset.of([0], 2)).data[None], np.arange(2))
-        partner = CovarianceMatrix(blocks[0])
+        nu, partners = purification(partial_trace(tms, ModeSubset.of([0], 2)).data[None])
+        partner = CovarianceMatrix(partner_blocks(partners, 1)[0])
         assert partner.n_modes == 2
         assert log_negativity(partner, ModeSubset.of([0], 2)) == pytest.approx(1.6, rel=1e-12)
         assert nu[0] == pytest.approx([0.5 * np.cosh(1.6)], rel=1e-12)
@@ -531,13 +580,88 @@ class TestPurification:
     def test_stack_equals_one_matrix_at_a_time(self, seed, n_modes, n):
         rng = np.random.default_rng(seed)
         stack = np.array([random_state(rng, n_modes, pure=bool(rng.integers(2))).data for _ in range(n)])
-        nu, blocks = purification(stack, np.arange(2))
+        if n > 1:
+            stack[-1] = degenerate_pairs(seed)[: 2 * n_modes, : 2 * n_modes] if n_modes <= 3 else stack[-1]
+        nu, partners = purification(stack)
+        blocks = partner_blocks(partners, n)
         nu_s, sym_s = williamson(stack)
         for i, sigma in enumerate(stack):
-            nu_i, blocks_i = purification(sigma[None], np.arange(2))
-            assert nu[i].tobytes() == nu_i[0].tobytes() == nu_s[i].tobytes()
-            assert blocks[i].tobytes() == blocks_i[0].tobytes()
+            nu_i, partners_i = purification(sigma[None])
+            assert nu[i].tobytes() == nu_i[0].tobytes()
+            assert blocks[i].tobytes() == partner_blocks(partners_i, 1)[0].tobytes()
+            assert nu_s[i].tobytes() == williamson(sigma)[0].tobytes()
             assert sym_s[i].tobytes() == williamson(sigma)[1].tobytes()
+
+
+class TestRealPurification:
+    """purification (real arithmetic) against the complex williamson's partners (oracles.complex_purification)."""
+
+    @staticmethod
+    def assert_matches_complex(stack):
+        nu, partners = purification(stack)
+        nu_c, blocks_c = complex_purification(stack)
+        scale = np.maximum(np.max(np.abs(stack), axis=(1, 2)), 1.0)
+        assert np.all(np.abs(nu - nu_c) <= PURIFICATION_TOL * scale[:, None])
+        # the two may differ by an ancilla of a mode that noise puts just past PURE_MODE_RTOL
+        for block, block_c in zip(partner_blocks(partners, len(stack)), blocks_c):
+            assert entropy_and_negativity(block) == pytest.approx(entropy_and_negativity(block_c), abs=PURIFICATION_TOL)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=SEEDS, n_modes=st.integers(min_value=3, max_value=9), near_mask=st.integers(min_value=0))
+    def test_random_pure_states(self, seed, n_modes, near_mask):
+        cov, near, _ = split_pure_state(seed, n_modes, 1 + near_mask % (2 ** (n_modes - 1) - 2))
+        take_counts()
+        self.assert_matches_complex(partial_trace(cov, ModeSubset.of((0,) + near, n_modes)).data[None])
+        assert take_counts()["williamson_fallbacks"] == 0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_exact_degeneracy_takes_the_repair(self, seed):
+        take_counts()
+        self.assert_matches_complex(degenerate_pairs(seed)[None])
+        counts = take_counts()
+        assert (counts["pairing_repairs"], counts["williamson_fallbacks"]) == (1, 0)
+
+    def test_spread_past_the_gram_guard_takes_the_fallback(self):
+        # S two-mode squeezed at s = 4 with a far mode, and a vacuum near mode:
+        # S u near has nu = 1/2 and cosh(8)/2, a spread of 2981
+        sigma = np.zeros((4, 4))
+        sigma[:2, :2] = two_mode_squeezed(4.0).data[:2, :2]
+        sigma[2:, 2:] = 0.5 * np.eye(2)
+        take_counts()
+        nu, partners = purification(sigma[None])
+        assert take_counts()["williamson_fallbacks"] == 1
+        assert nu[0] == pytest.approx([0.5, 0.5 * np.cosh(8.0)], rel=1e-12)
+        # the partner is a two-mode squeezed vacuum at s = 4: pure, up to the rounding of its scale 1.5e3
+        h, neg = entropy_and_negativity(partner_blocks(partners, 1)[0])
+        assert (h, neg) == pytest.approx((0.0, 8.0), abs=1e-8)
+        self.assert_matches_complex(sigma[None])
+
+
+class TestTransposedSpectra:
+    """The partial transpose on mode 0 from sigma's own factor, against a Cholesky of the flipped matrix."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=SEEDS, n_modes=st.integers(min_value=1, max_value=10), n=st.integers(min_value=1, max_value=4))
+    def test_equals_spectra_of_the_flipped_stack(self, seed, n_modes, n):
+        rng = np.random.default_rng(seed)
+        stack = np.array([random_state(rng, n_modes, pure=bool(rng.integers(2))).data for _ in range(n)])
+        got, want = _transposed_spectra(stack), stacked_spectra(flip_system(stack))
+        assert np.all(np.abs(got - want) <= FLIP_RTOL * np.max(want, axis=1, keepdims=True))
+        for i, sigma in enumerate(stack):
+            assert got[i].tobytes() == _transposed_spectra(sigma[None])[0].tobytes()
+
+    def test_spread_past_the_gram_guard_takes_svd(self):
+        take_counts()
+        tilde = _transposed_spectra(two_mode_squeezed(3.0).data[None])[0]
+        assert take_counts()["svd_fallbacks"] == 1
+        assert tilde == pytest.approx([0.5 * np.exp(-6.0), 0.5 * np.exp(6.0)], rel=1e-12)
+
+    def test_not_positive_definite_goes_one_by_one(self, rng):
+        good = random_state(rng, 2, pure=False).data
+        stack = np.array([good, np.diag([0.5, 0.5, -1.0, 1.0]), good])
+        got = _transposed_spectra(stack)
+        assert got[0].tobytes() == got[2].tobytes() == _transposed_spectra(good[None])[0].tobytes()
+        assert got[1] == pytest.approx(_spectrum_of(flip_system(stack[1]), 0.0), rel=1e-12)
 
 
 class TestCheckPurity:

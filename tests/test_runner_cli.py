@@ -113,6 +113,14 @@ class TestRunExperiment:
         assert runs[1] == runs[2]
         assert len(runs[1]) == 8  # state, bands, two curve CSVs and sidecars, two redundancy files
 
+    def test_counts_independent_of_workers(self, tmp_path):
+        # two workers cut each time point into two slices, and either may evolve a point
+        counts = [
+            run_experiment(tiny_config(tmp_path / str(w), n_times=2, workers=w), ("piplot", "peplot")).counts
+            for w in (1, 2)
+        ]
+        assert counts[0] == counts[1]
+
     def test_manifest_counts_every_spectrum(self, tmp_path, monkeypatch):
         cfg = tiny_config(tmp_path, n_times=2)
         manifest = run_experiment(cfg, ("bands", "piplot", "peplot"))
