@@ -312,20 +312,23 @@ def _split(data: np.ndarray, h_s: float, drawn: np.ndarray, rest_neg: bool) -> n
     H(S u ancillas), so
         I(S : near) = H(S) + H(near) - H(S u near),
         I(S : far)  = H(S) + H(S u near) - H(near).
-    The negativity against far is read off the partner, and the one against
-    near off the partial transpose of S u near from the same factor, only
-    when the drawn side is near or rest_neg is set; else it is NaN.
+    The negativity against far is read off the partner's partial
+    transpose, and the one against near off that of S u near from the same
+    factor, each only when it is wanted (the drawn side, or both sides when
+    rest_neg is set); the other is NaN.
     """
     drawn_near = 2 * np.count_nonzero(drawn[0]) <= drawn.shape[1]
+    want_near, want_far = drawn_near or rest_neg, not drawn_near or rest_neg
     joints = _blocks(data, drawn if drawn_near else ~drawn)
     factor = _factor(joints)
     nu, partners = purification(joints, factor)
-    h_joint, h_near, neg_far = _entropy_of_values(nu), np.empty(len(joints)), np.empty(len(joints))
+    h_joint, h_near, neg_far = _entropy_of_values(nu), np.empty(len(joints)), np.full(len(joints), np.nan)
     for idx, blocks in partners:
         chol, form, gram = _factor(blocks)
         h_near[idx] = _entropy_of_values(_gram_spectra(blocks, form, gram))
-        neg_far[idx] = _negativities(blocks, (chol, form, gram))
-    neg_near = _negativities(joints, factor) if drawn_near or rest_neg else np.full(len(joints), np.nan)
+        if want_far:
+            neg_far[idx] = _negativities(blocks, (chol, form, gram))
+    neg_near = _negativities(joints, factor) if want_near else np.full(len(joints), np.nan)
     mi_near = h_s + h_near - h_joint
     mi_far = h_s + h_joint - h_near
     if drawn_near:

@@ -57,10 +57,16 @@ PURITY_TOL = 1e-8
 #: are pure modes and get no purifying ancilla.  The partner block stands in
 #: for H(near) (correlations._split), which holds only if every mode that
 #: carries entropy has its ancilla: on desk blocks a cut at 1e-13 of the
-#: scale misses up to 7.9e-11 of H(near), and 1e-15 misses at most 3.1e-12.
-#: Eigensolver noise puts some pure modes up to about 5e-15 of the scale
-#: above 1/2; their spurious ancillas squeeze by a few 1e-7 and carry
-#: about 1e-12 of entropy.
+#: scale misses up to 7.9e-11 of H(near), and 1e-15 misses at most 3.1e-12
+#: (3.8e-12 at 300 oscillators).  The cut sits inside the rounding noise of
+#: a pure mode, which comes from K itself, not from squaring: on random
+#: pure states it reaches 23 eps x scale on the Gram path, on |K a| and on
+#: the complex form alike, and on desk blocks the Gram and complex nu of
+#: modes near 1/2 agree within 0.8 eps x scale.  So a partner may hold an
+#: ancilla that exact arithmetic would not give.  Such an ancilla carries
+#: the h(nu) that its mode adds to H(S u near), which moves the partner
+#: entropy toward H(near); a cut above the noise (16 eps x nu_max x scale)
+#: misses up to 9.5e-12 of H(near) on desk blocks.
 PURE_MODE_RTOL = 1e-15
 
 #: Run-time check of purification's real Williamson vectors (_mode_pairs):

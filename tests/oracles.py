@@ -131,8 +131,9 @@ def draw_blocks(n_drawn: int, n_bath: int, mirrored: bool) -> tuple[list[int], l
 
     Every draw decomposes S u near; the partial transpose of S u near is
     taken when its negativity is wanted.  The partner blocks of the
-    purification (S and one ancilla per mixed mode; a spectrum and a
-    partial transpose each) are left out.
+    purification (S and one ancilla per mixed mode; a spectrum each, and a
+    partial transpose when the far side's negativity is wanted) are left
+    out.
     """
     near = min(n_drawn, n_bath - n_drawn)
     joint = 2 * near + 2

@@ -57,15 +57,21 @@ F_ONE_NEG_TOL = 1e-11
 
 #: A band's negativity comes from the partial transpose of its block's own
 #: Cholesky factor (gaussian._flip), the object path's from a Cholesky of the
-#: flipped block.  Both square the spectrum, so near the Gram guard each
-#: carries up to about 1e-16 x 1e5 relative error in nu~^2; measured at most
-#: 3.1e-14 on the desk states and 3.9e-12 on random states.
-BAND_NEG_TOL = 1e-10
+#: flipped block.  On the desk states the two differ by at most 3.1e-14; the
+#: tolerance is that of the curve files.
+BAND_NEG_TOL = 1e-11
+
+#: The same on random states, whose partial transposes reach the Gram guard:
+#: both paths square the spectrum, so near a spread of 1e5 each nu~^2 carries
+#: about 1e-16 x 1e5 relative error, and 1e-11 does not hold.  Measured over
+#: 20,000 random states: median 4e-16, 99.9 % below 4.2e-12, largest 1.4e-11.
+RANDOM_BAND_NEG_TOL = 3e-11
 
 #: Desk blocks: real against complex purification (Williamson eigenvalues,
 #: the partners' mutual information with S and negativity), and the partner
 #: entropy against H(near).  The partner's entropy misses the modes that
-#: PURE_MODE_RTOL leaves out; measured at most 3.1e-12 on the desk states.
+#: PURE_MODE_RTOL leaves out; measured at most 3.1e-12 on the desk states,
+#: and 3.8e-12 at 300 oscillators.
 DESK_TOL = 1e-11
 
 #: The partial-transpose spectrum from a block's own factor against a
@@ -133,15 +139,15 @@ class TestBandCorrelations:
 
 
 class TestBandsAgainstDirectPath:
-    """band_correlations and system_entropy on arrays equal the object path (direct_bands): H(S) and MI bit for bit, negativity within BAND_NEG_TOL."""
+    """band_correlations and system_entropy on arrays equal the object path (direct_bands): H(S) and MI bit for bit, negativity within a named tolerance."""
 
     @staticmethod
-    def assert_bitwise(cov, bands):
+    def assert_bitwise(cov, bands, neg_tol):
         h_s, mi, neg = direct_bands(cov, bands)
         got = band_correlations(cov, bands)
         assert np.float64(system_entropy(cov)).tobytes() == np.float64(h_s).tobytes()
         assert got.mi.tobytes() == mi.tobytes()
-        assert np.max(np.abs(got.neg - neg)) <= BAND_NEG_TOL
+        assert np.max(np.abs(got.neg - neg)) <= neg_tol
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -153,13 +159,13 @@ class TestBandsAgainstDirectPath:
     def test_random_states(self, seed, n_bath, pure, data):
         cov = random_state(np.random.default_rng(seed), n_bath + 1, pure=pure)
         n_bands = data.draw(st.integers(min_value=1, max_value=n_bath))
-        self.assert_bitwise(cov, band_partition(n_bath, n_bands))
+        self.assert_bitwise(cov, band_partition(n_bath, n_bands), RANDOM_BAND_NEG_TOL)
 
     @pytest.mark.parametrize("r", [-5.0, 5.0])
     @pytest.mark.parametrize("t", [10.0 / 39.0, 5.128, 10.0])
     def test_desk_state(self, r, t):
         bath, cov = evolved_state(n_osc=150, t=t, r=r)
-        self.assert_bitwise(cov, band_partition(150, 30, bath.frequencies))
+        self.assert_bitwise(cov, band_partition(150, 30, bath.frequencies), BAND_NEG_TOL)
 
 
 class TestDefaultFGrid:
@@ -487,6 +493,23 @@ class TestDeskBlocks:
             assert np.all(np.abs(tilde - want) <= FLIP_RTOL * np.max(want, axis=1, keepdims=True))
         assert take_counts()["williamson_fallbacks"] == 0
 
+    @pytest.mark.parametrize("r", [-5.0, 5.0])
+    @pytest.mark.parametrize("t_index, t", [(1, 10.0 / 39.0), (20, 5.128), (39, 10.0)])
+    def test_partner_entropy_at_300_oscillators(self, r, t_index, t):
+        # H(near) = H(S u ancillas) on blocks of up to 151 modes: the modes that
+        # PURE_MODE_RTOL leaves without an ancilla carry no entropy that shows
+        _, cov = evolved_state(n_osc=300, t=t, r=r)
+        sampler = FractionSampler(seed=3, samples_per_point=2)
+        for size in (1, 30, 150):
+            drawn = np.zeros((2, 300), dtype=bool)
+            for s_idx in range(2):
+                drawn[s_idx, _draw(sampler, size, 300, s_idx, t_index)] = True
+            joints = _blocks(cov.data, drawn)
+            for idx, blocks in purification(joints)[1]:
+                for i, block in zip(idx.tolist(), blocks):
+                    near = CovarianceMatrix(joints[i, 2:, 2:])
+                    assert abs(von_neumann_entropy(CovarianceMatrix(block)) - von_neumann_entropy(near)) <= DESK_TOL
+
 
 class TestDrawCost:
     @pytest.mark.parametrize("mirrored", [False, True])
@@ -498,14 +521,16 @@ class TestDrawCost:
         spectra, williamson = draw_blocks(n_drawn, 8, mirrored)
         h_s = system_entropy(cov)
         # each partner block (S and one ancilla per mixed mode of S u near) takes a
-        # spectrum and a partial transpose, which the model leaves out
+        # spectrum, and a partial transpose when the far side's negativity is
+        # wanted, which the model leaves out
         _, partners = purification(_blocks(cov.data, drawn if 2 * n_drawn <= 8 else ~drawn))
-        partner_cost = 2 * sum(len(block) ** 3 for _, blocks in partners for block in blocks)
+        want_far = 2 * n_drawn > 8 or mirrored
+        partner_cost = (1 + want_far) * sum(len(block) ** 3 for _, blocks in partners for block in blocks)
         take_counts()
         _split(cov.data, h_s, drawn, mirrored)
         counts = take_counts()
         assert counts["williamson"] == len(williamson)
-        assert counts["spectra"] == len(spectra) + len(williamson) + 2
+        assert counts["spectra"] == len(spectra) + len(williamson) + 1 + want_far
         assert counts["block_cost"] - partner_cost == sum(m**3 for m in spectra + williamson)
 
 
