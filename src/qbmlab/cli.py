@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .config import parse_config
+from .config import BASE_DEFAULTS, parse_config
 from .errors import QbmError, ValidationError
 from .model import recurrence_time
 from .runner import run_experiment
@@ -105,12 +105,7 @@ def _warn_recurrence(config) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    flag_keys = (
-        "profile exponent cutoff coupling n_oscillators omega_s squeezing system_mass "
-        "bath_mass t_min t_max n_times seed samples unit n_bands f_grid delta_e delta_i "
-        "outdir run_id workers"
-    ).split()
-    overrides = {k: getattr(args, k, None) for k in flag_keys}
+    overrides = {k: getattr(args, k, None) for k in ("profile", *BASE_DEFAULTS)}
     try:
         config = parse_config(path=args.config, overrides=overrides)
     except ValidationError as exc:

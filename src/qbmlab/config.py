@@ -46,6 +46,10 @@ BASE_DEFAULTS = dict(
     workers=1,
 )
 
+#: Fields that choose where and how a run executes, not what it computes;
+#: the other fields of BASE_DEFAULTS form the physics key and the run id.
+RUN_FIELDS = ("outdir", "run_id", "workers")
+
 #: Profile overrides applied before file/flag values.
 PROFILES = {
     "full": {},
@@ -97,12 +101,7 @@ class RunConfig:
         return np.linspace(self.t_min, self.t_max, self.n_times)
 
     def physics_key(self) -> dict:
-        keys = (
-            "exponent cutoff coupling n_oscillators omega_s system_mass bath_mass "
-            "squeezing t_min t_max n_times seed samples unit n_bands f_grid delta_e delta_i"
-        ).split()
-        d = asdict(self)
-        return {k: d[k] for k in keys}
+        return {k: v for k, v in asdict(self).items() if k not in RUN_FIELDS}
 
 
 def _parse_value(raw: str):
@@ -249,7 +248,7 @@ def parse_config(
         check(all(b > a for a, b in zip(grid, grid[1:])), "f_grid: must be strictly increasing")
 
     if merged["run_id"] is None:
-        merged["run_id"] = default_run_id({k: merged[k] for k in sorted(BASE_DEFAULTS) if k not in ("outdir", "run_id", "workers")})
+        merged["run_id"] = default_run_id({k: merged[k] for k in BASE_DEFAULTS if k not in RUN_FIELDS})
     merged["run_id"] = str(merged["run_id"])
     check(bool(_RUN_ID_RE.match(merged["run_id"])), f"run_id: not filesystem-safe ({merged['run_id']!r})")
 

@@ -33,15 +33,15 @@ K^T K) and reads everything off that factor: the real Williamson form
 partner, and the partial transpose on S comes from the same L
 (gaussian._transposed_spectra: one eigvalsh).  On a desk time point (N =
 150, 20 samples) the summed cost (2 x modes)^3 of the spectra is 2.5e8.
-The draws of one grid point that select equally many bath modes have
-blocks of one size, so _split evaluates them as stacks (_blocks), each
-matrix bit for bit as alone, in slices of at most STACK_BYTES.
 
-Bands and H(S) run on the same kernels one block at a time: index-array
-blocks of the covariance array (_block, system first), whose entropies and
-partial transpose go to the same kernels (_entropy, _negativities).
-band_correlations reads each band off the block of S and its members and
-makes no purity assumption; H(S) is the entropy of the 2 x 2 system block.
+Bands run on the same engine: band_correlations makes one mask per band,
+factors the block of S u band once for H(S u band) and its partial
+transpose, and the band's own block for H(band) (_band_values); it makes
+no purity assumption.  Draws and bands alike go through _in_stacks: masks
+that select equally many bath modes have blocks of one size, so they are
+evaluated as stacks (_blocks, system first), each matrix bit for bit as
+alone, in slices of at most STACK_BYTES.  H(S) is the entropy of the 2 x
+2 system block (gaussian._spectrum_of).
 """
 
 from __future__ import annotations
@@ -116,24 +116,20 @@ class BandCorrelations:
 def band_correlations(cov: CovarianceMatrix, bands: BandPartition, t: float = 0.0) -> BandCorrelations:
     """MI(S, band) and negativity of {S} vs band after tracing the rest.
 
-    Each band is read off the block of S and its members; no purity is
-    assumed, so impure states are accepted.
+    Each band is read off the block of S and its members (_band_values); no
+    purity is assumed, so impure states are accepted.
     """
     h_s = system_entropy(cov)
-    mi = np.empty(bands.n_bands)
-    neg = np.empty(bands.n_bands)
+    masks = np.zeros((bands.n_bands, cov.n_modes - 1), dtype=bool)
     for i, block in enumerate(bands.band_members):
-        bath = np.zeros(cov.n_modes - 1, dtype=bool)
-        bath[np.array(block) - 1] = True
-        joint = _block(cov.data, bath)
-        mi[i] = h_s + _entropy(joint[2:, 2:]) - _entropy(joint)
-        neg[i] = _negativities(joint[None])[0]
+        masks[i, np.array(block) - 1] = True
+    mi, neg = _in_stacks(masks, lambda part: _band_values(cov.data, h_s, part), lambda count: count)
     return BandCorrelations(t=t, band_edges=bands.band_edges, mi=mi, neg=neg)
 
 
 def system_entropy(cov: CovarianceMatrix) -> float:
     """H(S), the von Neumann entropy of the system mode 0."""
-    return _entropy(cov.data[:2, :2])
+    return _entropy_of_values(_spectrum_of(cov.data[:2, :2], 0.0))
 
 
 def default_f_grid(n_units: int, n_points: int = 24) -> np.ndarray:
@@ -249,27 +245,12 @@ def fraction_plan(grid: np.ndarray, units: int) -> list[tuple[float, float | Non
     ]
 
 
-#: Working-memory budget of one stacked operand: the draws of a grid point
-#: go through _split in slices of blocks of at most this many bytes as
+#: Working-memory budget of one stacked operand: draws and bands are
+#: evaluated (_in_stacks) in slices of blocks of at most this many bytes as
 #: float64 (at least one block).  A whole 20-draw stack of 76-mode blocks
 #: takes 3.7 MB per operand, and a desk time point's fraction_samples then
 #: peaks at 23 MB under tracemalloc; with this budget it peaks at 3.3 MB.
 STACK_BYTES = 1 << 19
-
-
-# The blocks below are exactly symmetric (principal blocks of a
-# CovarianceMatrix's data, or a purification of one), as _spectra and
-# _spectrum_of with symmetry defect 0 require.
-def _entropy(block: np.ndarray) -> float:
-    return _entropy_of_values(_spectrum_of(block, 0.0))
-
-
-def _negativities(stack: np.ndarray, factor: tuple | None = None) -> np.ndarray:
-    """Logarithmic negativity of S (rows 0 and 1) against the rest, for each system-first block of a stack.
-
-    factor is the stack's (L, K, K^T K) when the caller has it.
-    """
-    return np.array([_negativity_of_values(tilde) for tilde in _transposed_spectra(stack, factor)])
 
 
 def _pure_negativity(data: np.ndarray) -> float:
@@ -286,17 +267,47 @@ def _pure_negativity(data: np.ndarray) -> float:
     return _negativity_of_values(np.array([0.25 / (nu + np.sqrt(max(nu * nu - 0.25, 0.0)))]))
 
 
-def _block(data: np.ndarray, bath: np.ndarray) -> np.ndarray:
-    """Block of S and the bath modes that the mask ``bath`` selects, system first."""
-    rows = np.flatnonzero(np.repeat(np.concatenate(([True], bath)), 2))
-    return data[np.ix_(rows, rows)]
-
-
 def _blocks(data: np.ndarray, baths: np.ndarray) -> np.ndarray:
-    """Stack of _block for each row of an (n, N) stack of masks that select equally many modes."""
+    """Blocks of S and the bath modes of each row of an (n, N) stack of masks that select equally many modes, system first."""
     keep = np.repeat(np.column_stack((np.ones(len(baths), dtype=bool), baths)), 2, axis=1)
     rows = np.nonzero(keep)[1].reshape(len(baths), -1)
     return data[rows[:, :, None], rows[:, None, :]]
+
+
+def _in_stacks(masks: np.ndarray, evaluate, modes) -> np.ndarray:
+    """Columns evaluate(masks[part]) of every row of an (n, N) stack of bath masks, in row order.
+
+    Masks that select equally many bath modes, count, have blocks of one
+    size, modes(count) + 1 modes, so they go to evaluate together, in
+    slices of at most STACK_BYTES per block.  Every kernel gives each block
+    of a stack bit for bit its result alone, so the cut changes no value.
+    """
+    counts = np.count_nonzero(masks, axis=1)
+    order, columns = [], []
+    for count in sorted(set(counts.tolist())):
+        same = np.flatnonzero(counts == count)
+        rows = 2 * modes(count) + 2
+        step = max(1, STACK_BYTES // (8 * rows * rows))
+        for lo in range(0, len(same), step):
+            order.append(same[lo : lo + step])
+            columns.append(evaluate(masks[order[-1]]))
+    return np.concatenate(columns, axis=1)[:, np.argsort(np.concatenate(order))]
+
+
+def _band_values(data: np.ndarray, h_s: float, bands: np.ndarray) -> np.ndarray:
+    """(MI, negativity) of S with the bath modes of each mask of a stack (_blocks), shape (2, n).
+
+    The block of S u band is factored once (gaussian._factor): it gives
+    H(S u band) and the partial transpose on S.  The band's own block
+    gives H(band), and I(S : band) = H(S) + H(band) - H(S u band).
+    """
+    joints = _blocks(data, bands)
+    chol, form, gram = _factor(joints)
+    alone = joints[:, 2:, 2:]
+    h_band = _entropy_of_values(_gram_spectra(alone, *_factor(alone)[1:]))
+    h_joint = _entropy_of_values(_gram_spectra(joints, form, gram))
+    neg = _negativity_of_values(_transposed_spectra(joints, (chol, form, gram)))
+    return np.array([h_s + h_band - h_joint, neg])
 
 
 def _split(data: np.ndarray, h_s: float, drawn: np.ndarray, rest_neg: bool) -> np.ndarray:
@@ -327,8 +338,8 @@ def _split(data: np.ndarray, h_s: float, drawn: np.ndarray, rest_neg: bool) -> n
         chol, form, gram = _factor(blocks)
         h_near[idx] = _entropy_of_values(_gram_spectra(blocks, form, gram))
         if want_far:
-            neg_far[idx] = _negativities(blocks, (chol, form, gram))
-    neg_near = _negativities(joints, factor) if want_near else np.full(len(joints), np.nan)
+            neg_far[idx] = _negativity_of_values(_transposed_spectra(blocks, (chol, form, gram)))
+    neg_near = _negativity_of_values(_transposed_spectra(joints, factor)) if want_near else np.full(len(joints), np.nan)
     mi_near = h_s + h_near - h_joint
     mi_far = h_s + h_joint - h_near
     if drawn_near:
@@ -349,9 +360,8 @@ def fraction_samples(
     globally pure state, which the caller checks, and h_s its H(S).  Every
     grid point of the plan (fraction_plan) is drawn at each index of
     sample_indices, a contiguous range; the values come in index order.
-    The draws of a grid point are masks over the bath modes; those that
-    select equally many modes go through _split as stacks of at most
-    STACK_BYTES per block, each evaluated on its smaller side.  At f = 1
+    The draws of a grid point are masks over the bath modes, evaluated on
+    their smaller side (_split) in stacks (_in_stacks).  At f = 1
     the mutual information is 2 H(S) and the negativity is read off
     sigma_S (_pure_negativity), recorded once, by the range that starts at
     index 0.  A self-mirrored point (f = 1/2) lists draw and complement
@@ -379,15 +389,9 @@ def fraction_samples(
         for row, s_idx in enumerate(sample_indices):
             picked[row, _draw(sampler, size, units, s_idx, t_index)] = True
         drawn = picked[:, unit_of_mode]
-        n_drawn = np.count_nonzero(drawn, axis=1)
-        values = np.empty((4, len(drawn)))
-        for count in sorted(set(n_drawn.tolist())):
-            same = np.flatnonzero(n_drawn == count)
-            rows = 2 * min(count, n_bath - count) + 2
-            step = max(1, STACK_BYTES // (8 * rows * rows))
-            for lo in range(0, len(same), step):
-                part = same[lo : lo + step]
-                values[:, part] = _split(data, h_s, drawn[part], mirror is not None)
+        values = _in_stacks(
+            drawn, lambda part: _split(data, h_s, part, mirror is not None), lambda count: min(count, n_bath - count)
+        )
         for mi_f, mi_c, neg_f, neg_c in values.T.tolist():
             record(f, mi_f, neg_f)
             if mirror is not None:

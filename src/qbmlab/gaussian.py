@@ -8,18 +8,20 @@ all symplectic eigenvalues >= 1/2.
 
 All entropies and the logarithmic negativity are reported in nats.
 
-The pipeline runs the array kernels, each counted by take_counts:
-_spectrum_of (one block, also unphysical ones); purification (the real
-Williamson form of a stack of equal-size blocks and the purification
-partners of mode 0), _gram_spectra and _transposed_spectra (spectra of a
-stack, and of its partial transpose on mode 0, from one Cholesky factor,
-_factor); with _entropy_of_values, _negativity_of_values, check_purity and
-validate_state.  _complex_williamson, the Williamson form in complex
-arithmetic, is purification's fallback.  CovarianceMatrix is the
+The pipeline runs the array kernels on stacks of equal-size blocks, each
+counted by take_counts.  _factor takes a block's Cholesky factor L,
+K = L^T Omega L and K^T K once, and every spectrum of the block is read
+off it: _gram_spectra, _transposed_spectra (the partial transpose on mode
+0) and purification (the real Williamson form and the purification
+partners of mode 0; _complex_williamson is its fallback).
+_entropy_of_values and _negativity_of_values reduce one spectrum or a
+stack.  _spectrum_of is the one entry point for a raw matrix that may be
+unphysical (H(S), validate_state, the object API); it takes the eig path
+when the matrix is not positive definite.  CovarianceMatrix is the
 validated full state that the model builds.  ModeSubset, partial_trace,
 partial_transpose, von_neumann_entropy and log_negativity form the
-reference API on CovarianceMatrix objects: the tests' direct-path oracles
-and the benchmark's tracer read it, and it reaches the same kernel.
+reference API on CovarianceMatrix objects, which the tests' direct-path
+oracles and the benchmark's tracer read.
 """
 
 from __future__ import annotations
@@ -197,29 +199,19 @@ def _omega_times(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cholesky_form(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky factor L of sigma = L L^T and the antisymmetric K = L^T Omega L.
-
-    Omega L is a row swap with a sign flip, so K costs one matmul.  Works on
-    one matrix or a stack.  Raises numpy.linalg.LinAlgError when a matrix is
-    not positive definite.
-    """
-    chol = np.linalg.cholesky(sigma)
-    return chol, np.swapaxes(chol, -1, -2) @ _omega_times(chol)
-
-
-def _gram(form: np.ndarray) -> np.ndarray:
-    """K^T K of K or of each K of a stack."""
-    return np.swapaxes(form, -1, -2) @ form
-
-
 def _factor(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(L, K, K^T K) of each matrix of a stack (_cholesky_form); DomainError when one is not positive definite."""
+    """(L, K, K^T K) of a matrix or of each matrix of a stack: sigma = L L^T and the antisymmetric K = L^T Omega L.
+
+    Omega L is a row swap with a sign flip, so K costs one matmul.  Every
+    step runs on the whole stack, each matrix bit for bit as alone.  Raises
+    DomainError, counting nothing, when a matrix is not positive definite.
+    """
     try:
-        chol, form = _cholesky_form(stack)
+        chol = np.linalg.cholesky(stack)
     except np.linalg.LinAlgError as exc:
         raise DomainError("Williamson normal form needs a positive-definite matrix") from exc
-    return chol, form, _gram(form)
+    form = np.swapaxes(chol, -1, -2) @ _omega_times(chol)
+    return chol, form, np.swapaxes(form, -1, -2) @ form
 
 
 def _gram_spectra(stack: np.ndarray, form: np.ndarray, gram: np.ndarray, shift: np.ndarray | None = None) -> np.ndarray:
@@ -246,18 +238,6 @@ def _gram_spectra(stack: np.ndarray, form: np.ndarray, gram: np.ndarray, shift: 
     return _pair_moduli(moduli, np.maximum(np.max(np.abs(stack), axis=(1, 2)), 1e-300))
 
 
-def _cholesky_spectra(stack: np.ndarray) -> np.ndarray:
-    """Symplectic spectra of an (n, 2M, 2M) stack of positive-definite matrices, shape (n, M).
-
-    Raises numpy.linalg.LinAlgError, counting nothing, when a matrix of the
-    stack is not positive definite.  Every step (cholesky, the row swap,
-    matmul, eigvalsh) runs on the whole stack, each matrix bit for bit as
-    alone.
-    """
-    _, form = _cholesky_form(stack)
-    return _gram_spectra(stack, form, _gram(form))
-
-
 def _flip(chol: np.ndarray, form: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(c, K~^T K~) of the partial transpose on mode 0 of each matrix of a stack, from its L, K and K^T K.
 
@@ -281,24 +261,8 @@ def _flip(chol: np.ndarray, form: np.ndarray, gram: np.ndarray) -> tuple[np.ndar
     return c, out
 
 
-def _transposed_spectra(stack: np.ndarray, factor: tuple | None = None) -> np.ndarray:
-    """Symplectic spectra (n, M) of the partial transpose on mode 0 of each matrix of a stack.
-
-    They are read off the matrix's own factor (_flip), which the caller
-    passes as (L, K, K^T K) when it has it.  If a matrix is not positive
-    definite the stack goes one matrix at a time, and that matrix through
-    the eig path of _spectrum_of.
-    """
-    if factor is None:
-        try:
-            chol, form = _cholesky_form(stack)
-        except np.linalg.LinAlgError:
-            if len(stack) > 1:
-                return np.array([_transposed_spectra(sigma[None])[0] for sigma in stack])
-            flip = np.ones(stack.shape[-1])
-            flip[1] = -1.0
-            return _spectrum_of(stack[0] * flip * flip[:, None], 0.0)[None]
-        factor = chol, form, _gram(form)
+def _transposed_spectra(stack: np.ndarray, factor: tuple) -> np.ndarray:
+    """Symplectic spectra (n, M) of the partial transpose on mode 0 of each matrix of a stack, read off its factor (L, K, K^T K) (_flip)."""
     chol, form, gram = factor
     shift, flipped = _flip(chol, form, gram)
     return _gram_spectra(stack, form, flipped, shift)
@@ -320,7 +284,7 @@ def _spectrum_of(sigma: np.ndarray, symmetry_defect: float | None = None) -> np.
     two-mode squeezed state at s = 3 (partial-transpose spread e^12) gives
     its negativity to only 6e-9 relative, and at s = 4 its moduli fail to
     pair.  So when gram[0] < GRAM_RTOL * gram[-1], or the Gram spectrum is
-    NaN, the values come from svd(K) instead (_cholesky_spectra).
+    NaN, the values come from svd(K) instead (_gram_spectra).
 
     Falls back to the complex eigensolve of Omega.sigma when sigma is not
     positive definite, so diagnostic calls on unphysical matrices still
@@ -333,9 +297,11 @@ def _spectrum_of(sigma: np.ndarray, symmetry_defect: float | None = None) -> np.
         symmetry_defect = float(np.max(np.abs(sigma - sigma.T)))
     if symmetry_defect <= SYMMETRY_TOL * scale:
         try:
-            return _cholesky_spectra(sigma[None])[0]
-        except np.linalg.LinAlgError:
+            _, form, gram = _factor(sigma[None])
+        except DomainError:
             pass  # not positive definite; diagnose via the eig path
+        else:
+            return _gram_spectra(sigma[None], form, gram)[0]
     _count_spectra(1, sigma.shape[0])
     return _pair_moduli(np.abs(np.linalg.eigvals(_omega_times(sigma))), scale)
 
@@ -408,12 +374,15 @@ def log_negativity(cov: CovarianceMatrix, party_a: ModeSubset) -> float:
     return _negativity_of_values(_spectrum_of(partial_transpose(cov, party_a).data))
 
 
-def _negativity_of_values(tilde: np.ndarray) -> float:
-    """Logarithmic negativity from a partially transposed symplectic spectrum."""
-    negative = tilde[tilde < 0.5 - NU_TOL]
-    if negative.size == 0:
-        return 0.0
-    return max(0.0, -float(np.sum(np.log(2.0 * negative))))
+def _negativity_of_values(tilde: np.ndarray):
+    """Logarithmic negativity from partially transposed symplectic spectra (the last axis): a float for one spectrum, an array for a stack of them.
+
+    Only values below 1/2 - NU_TOL count, and the result is never -0.0.
+    """
+    tilde = np.asarray(tilde, dtype=float)
+    logs = np.log(2.0 * np.where(tilde < 0.5 - NU_TOL, tilde, 0.5))  # ln 1 = 0 for the rest
+    total = 0.0 - np.sum(logs, axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 def _complex_williamson(sigma: np.ndarray, chol: np.ndarray, form: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -422,7 +391,7 @@ def _complex_williamson(sigma: np.ndarray, chol: np.ndarray, form: np.ndarray) -
     Returns (nu, S): the symplectic eigenvalues nu ascending, and S with
     S Omega S^T = Omega, where D = diag(nu_1, nu_1, ..., nu_M, nu_M); a
     stack keeps its leading axis.  chol and form are L and K = L^T Omega L
-    (_cholesky_form); nothing is counted.  Raises PairingFailure when the
+    (_factor); nothing is counted.  Raises PairingFailure when the
     eigenvalues do not come in +-nu pairs (_pair_moduli).  purification
     takes the same form in real arithmetic, and this one when its check
     fails.  The Hermitian matrix i K has eigenvalues +-nu_j.  An eigenvector u_j of

@@ -18,9 +18,9 @@ from qbmlab.gaussian import (
     PURE_MODE_RTOL,
     CovarianceMatrix,
     ModeSubset,
-    _cholesky_spectra,
     _complex_williamson,
     _factor,
+    _gram_spectra,
     _rows,
     _spectrum_of,
     log_negativity,
@@ -53,13 +53,15 @@ def symplectic_eigenvalues(cov: CovarianceMatrix) -> np.ndarray:
 def stacked_spectra(stack: np.ndarray) -> np.ndarray:
     """Symplectic spectra (n, M) of a stack of exactly symmetric matrices, each row _spectrum_of(stack[i], 0.0) bit for bit.
 
-    If any matrix is not positive definite the stack goes through
-    _spectrum_of one matrix at a time.
+    The stack is factored once (_factor) and its spectra read off that
+    factor (_gram_spectra); if any matrix is not positive definite the stack
+    goes through _spectrum_of one matrix at a time.
     """
     try:
-        return _cholesky_spectra(stack)
-    except np.linalg.LinAlgError:
+        _, form, gram = _factor(stack)
+    except DomainError:
         return np.array([_spectrum_of(sigma, 0.0) for sigma in stack])
+    return _gram_spectra(stack, form, gram)
 
 
 def mutual_information(cov: CovarianceMatrix, part_a: ModeSubset, part_b: ModeSubset) -> float:

@@ -75,6 +75,11 @@ class TestParseConfig:
         c = parse_config(overrides={"seed": 999}, env={})
         assert c.run_id != a.run_id
 
+    def test_default_run_ids_pinned(self):
+        # the run id hashes the physics fields; a refactor of the field lists must not move it
+        assert parse_config(overrides={"profile": "desk"}, env={}).run_id == "qbm_44e803acb0"
+        assert parse_config(env={}).run_id == "qbm_2d52ba7134"
+
     def test_unsafe_run_id_rejected(self):
         with pytest.raises(ValidationError):
             parse_config(overrides={"run_id": "bad/../id"}, env={})

@@ -22,6 +22,7 @@ import qbmlab.correlations as correlations_mod
 from qbmlab.gaussian import (
     CovarianceMatrix,
     ModeSubset,
+    _factor,
     _transposed_spectra,
     log_negativity,
     purification,
@@ -165,7 +166,17 @@ class TestBandsAgainstDirectPath:
     @pytest.mark.parametrize("t", [10.0 / 39.0, 5.128, 10.0])
     def test_desk_state(self, r, t):
         bath, cov = evolved_state(n_osc=150, t=t, r=r)
-        self.assert_bitwise(cov, band_partition(150, 30, bath.frequencies), BAND_NEG_TOL)
+        # 29 bands hold 6 and 5 modes: two stacks of different block sizes
+        for n_bands in (30, 29):
+            self.assert_bitwise(cov, band_partition(150, n_bands, bath.frequencies), BAND_NEG_TOL)
+
+    @pytest.mark.parametrize("n_bands", [1, 7, 24])
+    def test_three_spectra_per_band(self, n_bands):
+        # H(S), then per band H(band), H(S u band) and the partial transpose of S u band
+        bath, cov = evolved_state()
+        take_counts()
+        band_correlations(cov, band_partition(24, n_bands, bath.frequencies))
+        assert take_counts()["spectra"] == 3 * n_bands + 1
 
 
 class TestDefaultFGrid:
@@ -489,7 +500,7 @@ class TestDeskBlocks:
                     assert abs(von_neumann_entropy(CovarianceMatrix(block)) - von_neumann_entropy(near)) <= DESK_TOL
                     assert abs(h - h_c) <= DESK_TOL and abs(neg - neg_c) <= DESK_TOL
             # the partial transpose from each block's own factor
-            tilde, want = _transposed_spectra(joints), stacked_spectra(flip_system(joints))
+            tilde, want = _transposed_spectra(joints, _factor(joints)), stacked_spectra(flip_system(joints))
             assert np.all(np.abs(tilde - want) <= FLIP_RTOL * np.max(want, axis=1, keepdims=True))
         assert take_counts()["williamson_fallbacks"] == 0
 

@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 from qbmlab.errors import DomainError, ImpureState, OverlapError, PairingFailure, SubsetError
 from qbmlab.gaussian import (
     GRAM_RTOL,
+    NU_TOL,
     CovarianceMatrix,
     ModeSubset,
-    _cholesky_form,
     _entropy_of_values,
+    _factor,
+    _negativity_of_values,
     _spectrum_of,
     _transposed_spectra,
     check_purity,
@@ -189,8 +191,7 @@ class TestSpectrumKernel:
     @pytest.mark.parametrize("spread", [1.0, 100.0, 316.0, 316.3, 317.0, 1e3, 1e6])
     def test_fallback_exactly_below_guard(self, svd_calls, spread):
         sigma = np.diag(np.repeat([0.5, 0.5 * spread, 0.5 * np.sqrt(spread)], 2))
-        _, form = _cholesky_form(sigma)
-        gram = np.linalg.eigvalsh(form.T @ form)
+        gram = np.linalg.eigvalsh(_factor(sigma)[2])
         got = _spectrum_of(sigma)
         assert len(svd_calls) == int(gram[0] < GRAM_RTOL * gram[-1])
         assert got == pytest.approx([0.5, 0.5 * np.sqrt(spread), 0.5 * spread], rel=1e-12)
@@ -645,23 +646,36 @@ class TestTransposedSpectra:
     def test_equals_spectra_of_the_flipped_stack(self, seed, n_modes, n):
         rng = np.random.default_rng(seed)
         stack = np.array([random_state(rng, n_modes, pure=bool(rng.integers(2))).data for _ in range(n)])
-        got, want = _transposed_spectra(stack), stacked_spectra(flip_system(stack))
+        got, want = _transposed_spectra(stack, _factor(stack)), stacked_spectra(flip_system(stack))
         assert np.all(np.abs(got - want) <= FLIP_RTOL * np.max(want, axis=1, keepdims=True))
         for i, sigma in enumerate(stack):
-            assert got[i].tobytes() == _transposed_spectra(sigma[None])[0].tobytes()
+            assert got[i].tobytes() == _transposed_spectra(sigma[None], _factor(sigma[None]))[0].tobytes()
 
     def test_spread_past_the_gram_guard_takes_svd(self):
+        sigma = two_mode_squeezed(3.0).data[None]
         take_counts()
-        tilde = _transposed_spectra(two_mode_squeezed(3.0).data[None])[0]
+        tilde = _transposed_spectra(sigma, _factor(sigma))[0]
         assert take_counts()["svd_fallbacks"] == 1
         assert tilde == pytest.approx([0.5 * np.exp(-6.0), 0.5 * np.exp(6.0)], rel=1e-12)
 
-    def test_not_positive_definite_goes_one_by_one(self, rng):
-        good = random_state(rng, 2, pure=False).data
-        stack = np.array([good, np.diag([0.5, 0.5, -1.0, 1.0]), good])
-        got = _transposed_spectra(stack)
-        assert got[0].tobytes() == got[2].tobytes() == _transposed_spectra(good[None])[0].tobytes()
-        assert got[1] == pytest.approx(_spectrum_of(flip_system(stack[1]), 0.0), rel=1e-12)
+
+class TestNegativityOfValues:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=SEEDS, n_modes=st.integers(min_value=2, max_value=8), n=st.integers(min_value=1, max_value=5))
+    def test_stack_equals_one_by_one(self, seed, n_modes, n):
+        rng = np.random.default_rng(seed)
+        stack = np.array([random_state(rng, n_modes, pure=bool(rng.integers(2))).data for _ in range(n)])
+        tilde = _transposed_spectra(stack, _factor(stack))
+        # the sum over the values below 1/2 alone, one spectrum at a time
+        want = np.array([0.0 - np.sum(np.log(2.0 * row[row < 0.5 - NU_TOL])) for row in tilde])
+        assert _negativity_of_values(tilde).tobytes() == want.tobytes()
+        assert [_negativity_of_values(row) for row in tilde] == want.tolist()
+
+    def test_separable_spectra_give_plus_zero(self):
+        tilde = np.array([[0.5, 0.7], [0.5 - 0.5 * NU_TOL, 2.0], [0.5, 0.5]])
+        got = _negativity_of_values(tilde)
+        assert got.tobytes() == np.zeros(3).tobytes()  # +0.0, not -0.0
+        assert not np.signbit(_negativity_of_values(tilde[0]))
 
 
 class TestCheckPurity:

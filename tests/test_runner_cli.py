@@ -121,7 +121,7 @@ class TestRunExperiment:
         ]
         assert counts[0] == counts[1]
 
-    def test_manifest_counts_every_spectrum(self, tmp_path, monkeypatch):
+    def test_manifest_counts_every_spectrum(self, tmp_path):
         cfg = tiny_config(tmp_path, n_times=2)
         manifest = run_experiment(cfg, ("bands", "piplot", "peplot"))
         _, bath, prop, cov0 = simulation_pieces(cfg)
@@ -133,13 +133,9 @@ class TestRunExperiment:
         assert manifest.counts == take_counts()
         assert manifest.counts["spectra"] > 0
 
-        # two chunks of one time point in one process: the cached state is evolved once
-        evolved = []
-        monkeypatch.setattr(runner_mod, "evolve", lambda *a: evolved.append(a[-1]) or evolve(*a))
-        monkeypatch.setattr(runner_mod, "_LATEST", {})
+        # two chunks of one time point: the state work counts once, in chunk 0
         t = float(cfg.times()[1])
         chunks = [_chunk_task((asdict(cfg), 1, t, ("curves",), part)) for part in _slices(cfg.samples, 2)]
-        assert evolved == [t]
         take_counts()
         pi_pe_plots(evolve(prop, cov0, t), _sampler(cfg), t=t, t_index=1)
         assert sum(c["counts"]["spectra"] for c in chunks) == take_counts()["spectra"]
@@ -221,6 +217,7 @@ class TestRunExperiment:
         for row in t0_rows:
             assert float(row["analytic"]) == 0.0
             assert abs(float(row["numeric"])) < 1e-8
+            assert row["below_analytic"] == "False"  # rounding below an analytic 0 is no deviation
 
 
 class TestChunks:
@@ -271,7 +268,6 @@ class TestOnePath:
 
         monkeypatch.setattr(gaussian_mod.CovarianceMatrix, "__init__", counted_init)
         monkeypatch.setattr(runner_mod, "_PIECES", {})
-        monkeypatch.setattr(runner_mod, "_LATEST", {})
         cfg = tiny_config(tmp_path)
         wants = ("state", "bands", "curves")
         out = _chunk_task((asdict(cfg), 1, float(cfg.times()[1]), wants, range(cfg.samples)))
@@ -463,6 +459,9 @@ class TestCli:
             pytest.param("neg.csv", lambda text: text.replace(",0.0,0.0,3,neg", ",x,0.0,3,neg", 1), id="non-numeric-mean"),
             pytest.param("mi.json", lambda text: json.dumps({**json.loads(text), "t_values": [-1.0, 1.0, 2.0, 3.0]}),
                          id="time-missing-from-sidecar"),
+            pytest.param("neg.csv", lambda text: "".join(
+                line for line in text.splitlines(keepends=True) if not line.startswith("3.0,")
+            ), id="time-missing-from-csv"),
         ],
     )
     def test_malformed_curves_dir_exit_code(self, tmp_path, capsys, suffix, corrupt):
@@ -478,6 +477,15 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"i/o error: {path}: "), err
         assert os.listdir(out) == []
+
+    def test_curve_files_of_different_times(self, tmp_path):
+        cfg = tiny_config(tmp_path, run_id="bad")
+        run_experiment(cfg, ("piplot", "peplot"))
+        csv_path, side_path = (tmp_path / f"bad_neg.{ext}" for ext in ("csv", "json"))
+        csv_path.write_text("".join(line for line in csv_path.read_text().splitlines(keepends=True) if not line.startswith("3.0,")))
+        side_path.write_text(json.dumps({**json.loads(side_path.read_text()), "t_values": [0.0, 1.0, 2.0], "h_system": [0.0] * 3}))
+        with pytest.raises(OSError, match="only the mi file holds t = 3.0"):
+            load_curves(cfg.outdir, "bad")
 
     def test_failed_reanalysis_leaves_no_output(self, tmp_path):
         cfg = tiny_config(tmp_path / "curves", run_id="fail")
