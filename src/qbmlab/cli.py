@@ -1,10 +1,11 @@
 """Command-line interface.
 
-Subcommands select pipeline stages; flags mirror the run configuration and
-take precedence over the config file, which takes precedence over the
-profile defaults.  QBM_SEED in the environment overrides the seed from any
-source.  Exit codes: 0 success, 2 configuration error, 3 numerical
-failure, 4 I/O error.
+Subcommands select pipeline stages.  Each RunConfig field has one
+``--kebab-name`` flag, whose text parse_config converts and checks as it
+does a config-file value.  Flags take precedence over the config file,
+which takes precedence over the profile defaults.  QBM_SEED in the
+environment overrides the seed from any source.  Exit codes: 0 success,
+2 configuration error, 3 numerical failure, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
-from .config import BASE_DEFAULTS, parse_config
+from .config import RunConfig, parse_config
 from .errors import QbmError, ValidationError
 from .model import recurrence_time
 from .runner import run_experiment
@@ -31,37 +33,18 @@ STAGE_COMMANDS = {
 }
 
 
+#: the argument group that each of these run fields opens, in RunConfig's field order
+_GROUPS = {"exponent": "model", "t_min": "grids and sampling", "delta_e": "redundancy and output"}
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    """--config, --profile and one --kebab-name flag per RunConfig field, passed on as text."""
     p.add_argument("--config", metavar="PATH", help="flat key = value config file")
-    p.add_argument("--profile", choices=["full", "desk"], help="parameter profile")
-    g = p.add_argument_group("model")
-    g.add_argument("--exponent", type=float, help="spectral density power (1 Ohmic, 0.5 sub-, 3 super-Ohmic)")
-    g.add_argument("--cutoff", type=float, help="frequency cutoff")
-    g.add_argument("--coupling", type=float, help="coupling rate gamma0")
-    g.add_argument("--n-oscillators", type=int, dest="n_oscillators", help="bath size N")
-    g.add_argument("--omega-s", type=float, dest="omega_s", help="renormalized system frequency")
-    g.add_argument("--squeezing", type=float, help="squeezing parameter r")
-    g.add_argument("--system-mass", type=float, dest="system_mass")
-    g.add_argument("--bath-mass", type=float, dest="bath_mass")
-    g = p.add_argument_group("grids and sampling")
-    g.add_argument("--t-min", type=float, dest="t_min")
-    g.add_argument("--t-max", type=float, dest="t_max")
-    g.add_argument("--n-times", type=int, dest="n_times")
-    g.add_argument("--seed", type=int, help="sampler seed (QBM_SEED overrides)")
-    g.add_argument("--samples", type=int, help="fraction samples per point")
-    g.add_argument("--unit", choices=["oscillator", "band"], help="fraction sampling unit")
-    g.add_argument("--n-bands", type=int, dest="n_bands")
-    g.add_argument("--f-grid", dest="f_grid", help="comma-separated fractions")
-    g = p.add_argument_group("redundancy and output")
-    g.add_argument("--delta-e", type=float, dest="delta_e", help="entanglement deficit")
-    g.add_argument("--delta-i", type=float, dest="delta_i", help="information deficit")
-    g.add_argument("--outdir", help="output directory")
-    g.add_argument("--run-id", dest="run_id", help="output file prefix")
-    g.add_argument(
-        "--workers",
-        type=int,
-        help="worker processes, each with single-threaded BLAS (bounded by the usable CPUs; 1 runs serially)",
-    )
+    p.add_argument("--profile", help="parameter profile")
+    for f in fields(RunConfig):
+        if f.name in _GROUPS:
+            group = p.add_argument_group(_GROUPS[f.name])
+        group.add_argument("--" + f.name.replace("_", "-"), dest=f.name, help=f.metadata["help"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,7 +88,7 @@ def _warn_recurrence(config) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {k: getattr(args, k, None) for k in ("profile", *BASE_DEFAULTS)}
+    overrides = {k: getattr(args, k) for k in ("profile", *(f.name for f in fields(RunConfig)))}
     try:
         config = parse_config(path=args.config, overrides=overrides)
     except ValidationError as exc:

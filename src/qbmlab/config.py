@@ -1,53 +1,33 @@
-"""Run configuration: defaults, config-file parsing, and validation.
+"""Run configuration: the run fields, config-file parsing, and validation.
+
+``RunConfig`` declares each run field once: its type, its default, its
+checks with the messages they print, and the help of its ``--flag``.  The
+CLI flags and ``parse_config``'s conversion and checks are derived from it.
 
 Configuration sources are merged with precedence
     QBM_SEED environment variable (seed only) > command-line flags >
     config file > profile defaults.
-The config file is flat ``key = value`` text; '#' starts a comment.
-Every violated field is reported at once.
+Flags and config-file values arrive as text.  Each value is converted once,
+by its field's type, so an integer field takes integer text only, and is
+checked once; typed values passed from Python take the same path.  The
+config file is flat ``key = value`` text; '#' starts a comment outside a
+double-quoted value.  Every violated field is reported at once.
 """
-
-from __future__ import annotations
 
 import hashlib
 import json
 import math
 import os
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .errors import ValidationError
 from .model import BathSpec, SqueezedInitialState
 
-#: Baseline parameter set: sub-Ohmic dissipative environment at full scale.
-BASE_DEFAULTS = dict(
-    exponent=0.5,
-    cutoff=20.0,
-    coupling=0.1,
-    n_oscillators=600,
-    omega_s=3.0,
-    system_mass=1.0,
-    bath_mass=1.0,
-    squeezing=-5.0,
-    t_min=0.0,
-    t_max=10.0,
-    n_times=40,
-    seed=12345,
-    samples=20,
-    unit="oscillator",
-    n_bands=30,
-    f_grid=None,
-    delta_e=0.2,
-    delta_i=0.1,
-    outdir="out",
-    run_id=None,
-    workers=1,
-)
-
 #: Fields that choose where and how a run executes, not what it computes;
-#: the other fields of BASE_DEFAULTS form the physics key and the run id.
+#: the other fields of RunConfig form the physics key and the run id.
 RUN_FIELDS = ("outdir", "run_id", "workers")
 
 #: Profile overrides applied before file/flag values.
@@ -57,31 +37,68 @@ PROFILES = {
 }
 
 _RUN_ID_RE = re.compile(r"^[A-Za-z0-9._-]+$")
+#: a line up to its first '#' outside double quotes
+_BODY_RE = re.compile(r'(?:[^"#]|"[^"]*"?)*')
+
+# A check is (ok, message): where ok(value) fails, "field: message" is
+# reported, with the value formatted into message.
+_POSITIVE = (lambda v: v > 0, "must be > 0 (got {!r})")
+_NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0 (got {!r})")
+_AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1 (got {!r})")
+_DEFICIT = (lambda v: 0 < v < 1, "must lie in (0, 1) (got {!r})")
+
+
+def _fractions(value) -> tuple[float, ...]:
+    """f_grid from comma- or space-separated text, or from a sequence of numbers."""
+    if isinstance(value, str):
+        value = value.replace(",", " ").split()
+    return tuple(float(v) for v in value)
+
+
+def _field(default, help=None, *checks, parse=None, unparsable="cannot interpret {!r}"):
+    """A run field: its default, --flag help and checks, and parse where the annotated type cannot convert it."""
+    return field(default=default, metadata=dict(help=help, checks=checks, parse=parse, unparsable=unparsable))
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    exponent: float
-    cutoff: float
-    coupling: float
-    n_oscillators: int
-    omega_s: float
-    system_mass: float
-    bath_mass: float
-    squeezing: float
-    t_min: float
-    t_max: float
-    n_times: int
-    seed: int
-    samples: int
-    unit: str
-    n_bands: int
-    f_grid: tuple[float, ...] | None
-    delta_e: float
-    delta_i: float
-    outdir: str
-    run_id: str
-    workers: int
+    """One run's settings; each field declares its default, --flag help and checks (see _field).
+
+    The defaults are the baseline: a sub-Ohmic dissipative environment at full scale.
+    """
+
+    exponent: float = _field(0.5, "spectral density power (1 Ohmic, 0.5 sub-, 3 super-Ohmic)", _POSITIVE)
+    cutoff: float = _field(20.0, "frequency cutoff", _POSITIVE)
+    coupling: float = _field(0.1, "coupling rate gamma0", _NON_NEGATIVE)
+    n_oscillators: int = _field(600, "bath size N", _AT_LEAST_ONE)
+    omega_s: float = _field(3.0, "renormalized system frequency", _POSITIVE)
+    system_mass: float = _field(1.0, None, _POSITIVE)
+    bath_mass: float = _field(1.0, None, _POSITIVE)
+    squeezing: float = _field(-5.0, "squeezing parameter r")
+    t_min: float = _field(0.0, None, _NON_NEGATIVE)
+    t_max: float = _field(10.0, None, _NON_NEGATIVE)
+    n_times: int = _field(40, None, _AT_LEAST_ONE)
+    seed: int = _field(12345, "sampler seed (QBM_SEED overrides)")
+    samples: int = _field(20, "fraction samples per point", _AT_LEAST_ONE)
+    unit: str = _field(
+        "oscillator", "fraction sampling unit",
+        (lambda v: v in ("oscillator", "band"), "must be 'oscillator' or 'band' (got {!r})"),
+    )
+    n_bands: int = _field(30, None, _AT_LEAST_ONE)
+    f_grid: tuple[float, ...] | None = _field(
+        None, "comma-separated fractions",
+        (lambda grid: all(0 < f <= 1 for f in grid), "fractions must lie in (0, 1]"),
+        (lambda grid: all(b > a for a, b in zip(grid, grid[1:])), "must be strictly increasing"),
+        parse=_fractions, unparsable="cannot parse {!r} as a list of fractions",
+    )
+    delta_e: float = _field(0.2, "entanglement deficit", _DEFICIT)
+    delta_i: float = _field(0.1, "information deficit", _DEFICIT)
+    outdir: str = _field("out", "output directory")
+    #: None until parse_config derives it from the physics key
+    run_id: str = _field(None, "output file prefix", (lambda v: bool(_RUN_ID_RE.match(v)), "not filesystem-safe ({!r})"))
+    workers: int = _field(
+        1, "worker processes, each with single-threaded BLAS (bounded by the usable CPUs; 1 runs serially)", _AT_LEAST_ONE
+    )
 
     def bath_spec(self) -> BathSpec:
         return BathSpec(
@@ -104,30 +121,19 @@ class RunConfig:
         return {k: v for k, v in asdict(self).items() if k not in RUN_FIELDS}
 
 
-def _parse_value(raw: str):
+def _parse_value(raw: str) -> str:
     raw = raw.strip()
     if raw.startswith('"') and raw.endswith('"') and len(raw) >= 2:
         return raw[1:-1]
-    low = raw.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        pass
     return raw
 
 
 def read_config_file(path: str) -> dict:
-    """Parse flat ``key = value`` text; '#' comments; quoted strings allowed."""
+    """Parse flat ``key = value`` text into text values; '#' comments; quoted strings allowed."""
     out: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
+            body = _BODY_RE.match(line).group().strip()
             if not body:
                 continue
             if "=" not in body:
@@ -135,15 +141,6 @@ def read_config_file(path: str) -> dict:
             key, raw = body.split("=", 1)
             out[key.strip()] = _parse_value(raw)
     return out
-
-
-def _coerce_f_grid(value) -> tuple[float, ...] | None:
-    if value is None:
-        return None
-    if isinstance(value, str):
-        parts = [p for p in value.replace(",", " ").split() if p]
-        value = [float(p) for p in parts]
-    return tuple(float(v) for v in value)
 
 
 def default_run_id(params: dict) -> str:
@@ -161,7 +158,6 @@ def parse_config(
     Raises ValidationError listing every violated field at once.
     """
     env = os.environ if env is None else env
-    merged = dict(BASE_DEFAULTS)
     problems: list[str] = []
 
     file_values = read_config_file(path) if path else {}
@@ -171,63 +167,47 @@ def parse_config(
     if profile not in PROFILES:
         problems.append(f"profile: unknown profile {profile!r} (choose from {sorted(PROFILES)})")
         profile = "full"
-    merged.update(PROFILES[profile])
+    merged = {f.name: f.default for f in fields(RunConfig)} | PROFILES[profile]
 
-    known = set(BASE_DEFAULTS) | {"profile"}
     for source_name, values in (("config file", file_values), ("flags", overrides)):
         for key, val in values.items():
-            if key not in known:
-                problems.append(f"{key}: unknown key (from {source_name})")
-            elif key != "profile":
+            if key in merged:
                 merged[key] = val
+            elif key != "profile":
+                problems.append(f"{key}: unknown key (from {source_name})")
 
-    if "QBM_SEED" in env and env["QBM_SEED"] != "":
+    if env.get("QBM_SEED"):
         try:
             merged["seed"] = int(env["QBM_SEED"])
         except ValueError:
             problems.append(f"seed: QBM_SEED={env['QBM_SEED']!r} is not an integer")
 
-    try:
-        merged["f_grid"] = _coerce_f_grid(merged.get("f_grid"))
-    except (TypeError, ValueError):
-        problems.append(f"f_grid: cannot parse {merged.get('f_grid')!r} as a list of fractions")
-        merged["f_grid"] = None
+    parsed = set()
+    for f in fields(RunConfig):
+        value = merged[f.name]
+        if value is None:
+            continue
+        try:
+            value = merged[f.name] = (f.metadata["parse"] or f.type)(value)
+        except (TypeError, ValueError, OverflowError):
+            problems.append(f"{f.name}: " + f.metadata["unparsable"].format(value))
+            continue
+        if f.type is float and not math.isfinite(value):
+            problems.append(f"{f.name}: must be finite (got {value})")
+            continue
+        parsed.add(f.name)
+
+    if merged["run_id"] is None:
+        merged["run_id"] = default_run_id({k: v for k, v in merged.items() if k not in RUN_FIELDS})
+        parsed.add("run_id")
+    for f in fields(RunConfig):
+        if f.name in parsed:
+            value = merged[f.name]
+            problems += [f"{f.name}: " + message.format(value) for ok, message in f.metadata["checks"] if not ok(value)]
 
     def check(cond: bool, message: str):
         if not cond:
             problems.append(message)
-
-    numeric = {
-        "exponent": (float, lambda v: v > 0, "must be > 0"),
-        "cutoff": (float, lambda v: v > 0, "must be > 0"),
-        "coupling": (float, lambda v: v >= 0, "must be >= 0"),
-        "n_oscillators": (int, lambda v: v >= 1, "must be >= 1"),
-        "omega_s": (float, lambda v: v > 0, "must be > 0"),
-        "system_mass": (float, lambda v: v > 0, "must be > 0"),
-        "bath_mass": (float, lambda v: v > 0, "must be > 0"),
-        "squeezing": (float, lambda v: True, ""),
-        "t_min": (float, lambda v: v >= 0, "must be >= 0"),
-        "t_max": (float, lambda v: v >= 0, "must be >= 0"),
-        "n_times": (int, lambda v: v >= 1, "must be >= 1"),
-        "seed": (int, lambda v: True, ""),
-        "samples": (int, lambda v: v >= 1, "must be >= 1"),
-        "n_bands": (int, lambda v: v >= 1, "must be >= 1"),
-        "delta_e": (float, lambda v: 0 < v < 1, "must lie in (0, 1)"),
-        "delta_i": (float, lambda v: 0 < v < 1, "must lie in (0, 1)"),
-        "workers": (int, lambda v: v >= 1, "must be >= 1"),
-    }
-    parsed = set()
-    for key, (cast, ok, msg) in numeric.items():
-        try:
-            merged[key] = cast(merged[key])
-        except (TypeError, ValueError, OverflowError):
-            problems.append(f"{key}: cannot interpret {merged[key]!r}")
-            continue
-        if cast is float and not math.isfinite(merged[key]):
-            problems.append(f"{key}: must be finite (got {merged[key]})")
-            continue
-        parsed.add(key)
-        check(ok(merged[key]), f"{key}: {msg} (got {merged[key]})")
 
     if {"t_min", "t_max", "n_times"} <= parsed:
         check(merged["t_max"] >= merged["t_min"], "t_max: must be >= t_min")
@@ -236,23 +216,12 @@ def parse_config(
             merged["n_times"] == 1 or merged["t_max"] != merged["t_min"],
             f"t_max: must be > t_min when n_times > 1 (got t_min = t_max = {merged['t_min']})",
         )
-    check(merged["unit"] in ("oscillator", "band"), f"unit: must be 'oscillator' or 'band' (got {merged['unit']!r})")
     if {"n_bands", "n_oscillators"} <= parsed:
         check(
             merged["n_bands"] <= merged["n_oscillators"],
             f"n_bands: must be <= n_oscillators (got {merged['n_bands']} > {merged['n_oscillators']})",
         )
-    if merged["f_grid"] is not None:
-        grid = merged["f_grid"]
-        check(all(0 < f <= 1 for f in grid), "f_grid: fractions must lie in (0, 1]")
-        check(all(b > a for a, b in zip(grid, grid[1:])), "f_grid: must be strictly increasing")
-
-    if merged["run_id"] is None:
-        merged["run_id"] = default_run_id({k: merged[k] for k in BASE_DEFAULTS if k not in RUN_FIELDS})
-    merged["run_id"] = str(merged["run_id"])
-    check(bool(_RUN_ID_RE.match(merged["run_id"])), f"run_id: not filesystem-safe ({merged['run_id']!r})")
 
     if problems:
         raise ValidationError(problems)
-    merged.pop("profile", None)
     return RunConfig(**merged)

@@ -32,10 +32,6 @@ class SubsetError(QbmError):
     """Mode subset is empty, full, or otherwise unusable for a bipartition."""
 
 
-class OverlapError(QbmError):
-    """Two mode subsets that must be disjoint intersect."""
-
-
 class NegativeEigenvalue(QbmError):
     """Potential matrix has an eigenvalue below the clamp threshold."""
 

@@ -61,7 +61,7 @@ from .analytic import (
     entanglement_value,
     k_value,
     mi_value,
-    redundancy_estimate,
+    redundancy_estimate_value,
 )
 from .config import RunConfig
 from .correlations import (
@@ -324,15 +324,11 @@ def _stage_files(stage: str, config: RunConfig, results: list[dict], curves: lis
         ]
     if stage == "redundancy":
         params = branch_params(config)
-        reports = [
-            build_report(
-                mi.t, pe, mi, config.delta_e, config.delta_i,
-                redundancy_estimate(config.delta_e, mi.t, params)
-                if mi.t > 0 and d_total(mi.t, params) > 0
-                else float("nan"),
-            )
-            for mi, pe in curves
-        ]
+        reports = []
+        for mi, pe in curves:
+            d = d_total(mi.t, params) if mi.t > 0 else 0.0
+            estimate = redundancy_estimate_value(config.delta_e, d * params.delta_x**2) if d > 0 else float("nan")
+            reports.append(build_report(mi.t, pe, mi, config.delta_e, config.delta_i, estimate))
         rows = [[rep.t, rep.r_e, rep.r_i, rep.i_nr, rep.analytic_r_e, "|".join(rep.flags)] for rep in reports]
         return [("redundancy.csv", ["t", "r_e", "r_i", "i_nr", "analytic_r_e", "flags"], rows)] + [
             (f"redundancy_{i:03d}.json", None, asdict(rep)) for i, rep in enumerate(reports)
@@ -346,7 +342,8 @@ def _stage_files(stage: str, config: RunConfig, results: list[dict], curves: lis
     fs = config.f_grid or np.linspace(0.02, 1.0, 50).tolist()
     rows = []
     for t in config.times().tolist():
-        d, k = d_total(t, params), k_value(t, params)
+        d = d_total(t, params)
+        k = d * params.delta_x**2
         rows += [[t, f, d, k, entanglement_value(f, k), mi_value(f, k)] for f in fs]
     return [("analytic.csv", ["t", "f", "d_total", "d_dx2", "e_analytic", "mi_analytic"], rows)]
 

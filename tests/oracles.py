@@ -13,7 +13,7 @@ import numpy as np
 
 from qbmlab.analytic import BranchModelParams, chi_value, mi_value, trajectory_amplitudes
 from qbmlab.correlations import BandPartition, CorrelationCurve, FractionSampler, _draw
-from qbmlab.errors import DimensionMismatch, DomainError, OverlapError, SubsetError
+from qbmlab.errors import DimensionMismatch, DomainError, QbmError, SubsetError
 from qbmlab.gaussian import (
     PURE_MODE_RTOL,
     CovarianceMatrix,
@@ -28,6 +28,10 @@ from qbmlab.gaussian import (
     von_neumann_entropy,
 )
 from qbmlab.model import BathSpec, DiscretizedBath
+
+
+class OverlapError(QbmError):
+    """Two mode subsets that must be disjoint intersect."""
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:

@@ -1,7 +1,19 @@
+from dataclasses import fields
+from types import SimpleNamespace
+
 import pytest
 
-from qbmlab.config import parse_config, read_config_file
+from qbmlab import cli
+from qbmlab.config import RunConfig, parse_config, read_config_file
 from qbmlab.errors import ValidationError
+
+#: valid text for every run field, each different from the field's default
+FIELD_TEXT = dict(
+    exponent="3", cutoff="300", coupling="0.8", n_oscillators="60", omega_s="2.5", system_mass="2",
+    bath_mass="0.5", squeezing="-3", t_min="0.5", t_max="2", n_times="3", seed="7", samples="4",
+    unit="band", n_bands="6", f_grid="0.25, 0.5, 1", delta_e="0.3", delta_i="0.05", outdir="runs/probe",
+    run_id="probe", workers="2",
+)
 
 
 class TestParseConfig:
@@ -107,6 +119,33 @@ class TestParseConfig:
             parse_config(path=str(path), env={})
         assert {p.split(":")[0] for p in err.value.problems} == {"t_min", "n_bands", "n_times"}
 
+    @pytest.mark.parametrize("line, field", [("samples = true", "samples"), ("n_times = 4.5", "n_times")])
+    def test_integer_fields_take_integer_text(self, tmp_path, line, field):
+        path = tmp_path / "run.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(ValidationError) as err:
+            parse_config(path=str(path), env={})
+        assert [p.split(":")[0] for p in err.value.problems] == [field]
+
+    def test_one_fraction_in_file(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("f_grid = 0.5\n")
+        assert parse_config(path=str(path), env={}).f_grid == (0.5,)
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)])
+    def test_flag_and_file_line_agree(self, tmp_path, monkeypatch, name):
+        # both reach parse_config as text, so both take one conversion and one set of checks
+        monkeypatch.delenv("QBM_SEED", raising=False)
+        text = FIELD_TEXT[name]
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{name} = {text}\n")
+        from_file = parse_config(path=str(path), env={})
+        seen = []
+        monkeypatch.setattr(cli, "run_experiment", lambda config, *a, **k: seen.append(config) or SimpleNamespace(files=[]))
+        assert cli.main(["evolve", "--" + name.replace("_", "-"), text]) == 0
+        assert seen == [from_file]
+        assert getattr(from_file, name) != getattr(parse_config(env={}), name)
+
     def test_times_grid(self):
         cfg = parse_config(overrides={"t_min": 1.0, "t_max": 3.0, "n_times": 5}, env={})
         assert cfg.times().tolist() == [1.0, 1.5, 2.0, 2.5, 3.0]
@@ -114,10 +153,16 @@ class TestParseConfig:
 
 class TestConfigFileParser:
     def test_types(self, tmp_path):
+        # values stay text; parse_config converts each by its field's type
         path = tmp_path / "kv.cfg"
         path.write_text('a = 1\nb = 2.5\nc = "text"\nd = plain\ne = true\n')
         got = read_config_file(str(path))
-        assert got == {"a": 1, "b": 2.5, "c": "text", "d": "plain", "e": True}
+        assert got == {"a": "1", "b": "2.5", "c": "text", "d": "plain", "e": "true"}
+
+    def test_hash_inside_quotes_is_text(self, tmp_path):
+        path = tmp_path / "kv.cfg"
+        path.write_text('outdir = "out#1"  # comment\nrun_id = a # "b#c"\n')
+        assert read_config_file(str(path)) == {"outdir": "out#1", "run_id": "a"}
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "kv.cfg"

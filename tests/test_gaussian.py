@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbmlab.errors import DomainError, ImpureState, OverlapError, PairingFailure, SubsetError
+from qbmlab.errors import DomainError, ImpureState, PairingFailure, SubsetError
 from qbmlab.gaussian import (
     GRAM_RTOL,
     NU_TOL,
@@ -27,6 +27,7 @@ from qbmlab.gaussian import (
 
 from conftest import random_state, random_symplectic, two_mode_squeezed
 from oracles import (
+    OverlapError,
     complex_purification,
     flip_system,
     mutual_information,

@@ -4,7 +4,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ import qbmlab.correlations as correlations_mod
 import qbmlab.gaussian as gaussian_mod
 import qbmlab.runner as runner_mod
 from qbmlab.cli import main
-from qbmlab.config import parse_config
+from qbmlab.config import RunConfig, parse_config
 from qbmlab.errors import ImpureState, QbmError
 from qbmlab.correlations import band_correlations, band_partition, pi_pe_plots
 from qbmlab.gaussian import take_counts
@@ -340,6 +340,23 @@ class TestCli:
         rc = main(["bands", "--cutoff", "-3", "--outdir", str(tmp_path)])
         assert rc == 2
         assert "cutoff" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--unit", "--profile"])
+    def test_unknown_choice_exit_code(self, tmp_path, capsys, flag):
+        rc = main(["bands", flag, "foo", "--outdir", str(tmp_path / "out")])
+        assert rc == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"config error: {flag[2:]}: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_one_flag_per_field(self):
+        subparsers = next(a for a in cli_mod.build_parser()._actions if a.dest == "command").choices
+        for command, parser in subparsers.items():
+            for field in fields(RunConfig):
+                actions = [a for a in parser._actions if a.dest == field.name]
+                assert [a.option_strings for a in actions] == [["--" + field.name.replace("_", "-")]], command
+                # the flag passes text on; parse_config converts and checks it
+                assert (actions[0].type, actions[0].choices) == (None, None)
 
     def test_recurrence_warning(self, tmp_path, capsys):
         rc = main(
