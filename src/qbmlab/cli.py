@@ -86,8 +86,31 @@ def _warn_recurrence(config) -> None:
         )
 
 
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argv with each ``--flag VALUE`` whose VALUE is a negative float written ``--flag=VALUE``.
+
+    argparse reads -5e-1 and -inf as options, and -0.5 as a value.
+    """
+    out: list[str] = []
+    for arg in argv:
+        flag = out[-1] if out else ""
+        if flag.startswith("--") and len(flag) > 2 and "=" not in flag and arg.startswith("-") and _is_float(arg):
+            out[-1] = f"{flag}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     overrides = {k: getattr(args, k) for k in ("profile", *(f.name for f in fields(RunConfig)))}
     try:
         config = parse_config(path=args.config, overrides=overrides)

@@ -9,7 +9,8 @@ Configuration sources are merged with precedence
     config file > profile defaults.
 Flags and config-file values arrive as text.  Each value is converted once,
 by its field's type, so an integer field takes integer text only, and is
-checked once; typed values passed from Python take the same path.  The
+checked once; typed values passed from Python take the same path, where
+an integer field also takes an int (not a bool, and not a float).  The
 config file is flat ``key = value`` text; '#' starts a comment outside a
 double-quoted value.  Every violated field is reported at once.
 """
@@ -53,6 +54,13 @@ def _fractions(value) -> tuple[float, ...]:
     if isinstance(value, str):
         value = value.replace(",", " ").split()
     return tuple(float(v) for v in value)
+
+
+def _integer(value) -> int:
+    """An integer field from an int or integer text; int() would truncate a float and count a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"not an integer: {value!r}")
+    return int(value)
 
 
 def _field(default, help=None, *checks, parse=None, unparsable="cannot interpret {!r}"):
@@ -188,7 +196,7 @@ def parse_config(
         if value is None:
             continue
         try:
-            value = merged[f.name] = (f.metadata["parse"] or f.type)(value)
+            value = merged[f.name] = (f.metadata["parse"] or (_integer if f.type is int else f.type))(value)
         except (TypeError, ValueError, OverflowError):
             problems.append(f"{f.name}: " + f.metadata["unparsable"].format(value))
             continue

@@ -22,7 +22,7 @@ same.  With W workers and n time points, a time point is cut into
 min(samples, W) contiguous slices of near-equal size when n < 4 W, so
 every worker gets equal items, and stays whole on a longer grid or with
 one worker.  Chunk 0 also carries the state diagnostics, the bands and
-f = 1.  Items go to a pool of spawned worker processes in time order.
+f = 1.  Items go to a pool of worker processes in time order.
 Every chunk evolves its time point, and only chunk 0 counts that work in
 the manifest, so the counts do not depend on which worker takes a chunk.
 The runner extends each grid point's values by the chunks in order,
@@ -30,9 +30,23 @@ which is sample order, and reduces them to curves in grid order.  A
 serial run (workers = 1) is a pool of one, and a run whose stages need
 no time point starts no pool.
 
-Every worker starts with single-threaded BLAS, so W workers occupy W CPUs
-and the floating-point reduction order does not depend on the worker
-count.  Draws are keyed on indices and every grid point lists its values
+Workers fork from a forkserver that has imported this module, and with
+it numpy; where the platform has no forkserver (Windows) they are
+spawned.  The forkserver starts with the process's first pool, inside the
+single-threaded BLAS environment, so every worker it forks runs BLAS on
+one thread, and each chunk checks that.  It holds only imported modules:
+each pool's workers, with their simulation-pieces cache, exit when the
+pool shuts down.  So a process that starts many pools pays the
+interpreter and import start-up once.  An exit hook stops the forkserver
+and the resource tracker, so no process outlives the interpreter.
+Workers still import the caller's main module, whose entry point must be
+guarded.  Each chunk reports its worker's CPU seconds and peak RSS for
+the manifest, since the caller's RUSAGE_CHILDREN does not see the
+forkserver's children.
+
+With one BLAS thread per worker, W workers occupy W CPUs and the
+floating-point reduction order does not depend on the worker count.
+Draws are keyed on indices and every grid point lists its values
 in sample order whatever the cut, so serial and parallel runs emit
 identical bytes.  Every data file is CSV or JSON without timestamps; the
 manifest (which records wall-clock timings, spectrum counts and content
@@ -42,15 +56,24 @@ file of a run; a failed run removes the files it wrote.
 
 from __future__ import annotations
 
+import atexit
 import csv
+import functools
 import hashlib
 import json
 import multiprocessing
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from multiprocessing import forkserver, resource_tracker
+
+try:
+    import resource
+except ImportError:  # Windows
+    resource = None
 
 import numpy as np
 
@@ -93,8 +116,11 @@ _SIMULATING_STAGES = ("evolve", "bands", "piplot", "peplot")
 _PIECES: dict = {}
 
 #: Thread-count variables pinned to 1 in every worker.  BLAS reads them once,
-#: when numpy loads it, so they must be in place before the worker starts.
+#: when numpy loads it, so they must be in place before the forkserver starts.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+#: never fork the caller: its children would share its already-loaded, multi-threaded BLAS
+_START_METHOD = "forkserver" if "forkserver" in multiprocessing.get_all_start_methods() else "spawn"
 
 
 def simulation_pieces(config: RunConfig):
@@ -137,8 +163,22 @@ def _slices(samples: int, n_chunks: int) -> list[range]:
     return [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
 
+def _peak_rss_mb() -> float | None:
+    """This process's peak resident set size in MB (ru_maxrss is KiB, but bytes on macOS); None without resource."""
+    if resource is None:
+        return None
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (1 << (20 if sys.platform == "darwin" else 10))
+
+
 def _chunk_task(args) -> dict:
     """One chunk of one time point (runs in worker processes)."""
+    for var in _BLAS_THREAD_VARS:
+        if os.environ.get(var) != "1":
+            raise QbmError(
+                f"worker BLAS is not pinned to one thread: {var} is {os.environ.get(var)!r}, not '1' "
+                "(was the forkserver started by other code?)"
+            )
+    cpu0 = time.process_time()
     config_dict, t_index, t, wants, sample_indices = args
     config = RunConfig(**config_dict)
     spec, bath, prop, cov0 = simulation_pieces(config)
@@ -170,6 +210,7 @@ def _chunk_task(args) -> dict:
     if "curves" in wants:
         out["samples"] = fraction_samples(cov.data, h_s, _sampler(config), sample_indices, t_index)
     out["counts"] = take_counts()
+    out["usage"] = (time.process_time() - cpu0, _peak_rss_mb())
     return out
 
 
@@ -179,7 +220,10 @@ class RunManifest:
     code_version: str
     config: dict
     stages: list
+    #: wall-clock seconds per step; worker_cpu sums the CPU seconds of the pool's chunks
     timings_s: dict
+    #: the largest peak RSS of any pool worker; None when the run started no pool
+    worker_peak_rss_mb: float | None
     #: spectrum counts summed over the run's chunks (gaussian.take_counts)
     counts: dict
     files: list
@@ -224,7 +268,7 @@ def usable_cpu_count() -> int:
 
 @contextmanager
 def _single_threaded_blas_env():
-    """Set _BLAS_THREAD_VARS to 1 in os.environ, which spawned children inherit."""
+    """Set _BLAS_THREAD_VARS to 1 in os.environ, which the forkserver or a spawned child inherits."""
     saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
     os.environ.update({var: "1" for var in _BLAS_THREAD_VARS})
     try:
@@ -237,8 +281,34 @@ def _single_threaded_blas_env():
                 os.environ[var] = value
 
 
-def _run_time_points(config: RunConfig, wants: tuple[str, ...]) -> tuple[list[dict], dict]:
-    """Per time point: t, and the state, bands and (PI, PE) curves it wants; and the summed spectrum counts."""
+def _stop_helpers() -> None:
+    """Stop and reap the forkserver and the resource tracker (private API: each is skipped without _stop)."""
+    for helper in (forkserver._forkserver, resource_tracker._resource_tracker):
+        stop = getattr(helper, "_stop", None)
+        if stop is not None:
+            stop()
+
+
+@functools.cache
+def _context():
+    """The pools' context.  The first call preloads this module in the forkserver and registers _stop_helpers."""
+    context = multiprocessing.get_context(_START_METHOD)
+    if _START_METHOD == "forkserver":
+        context.set_forkserver_preload([__name__])
+    atexit.register(_stop_helpers)
+    return context
+
+
+@contextmanager
+def _pool(workers: int):
+    """A pool of workers whose BLAS runs one thread; the forkserver, if it starts here, starts pinned."""
+    with _single_threaded_blas_env(), ProcessPoolExecutor(max_workers=workers, mp_context=_context()) as pool:
+        yield pool
+
+
+def _run_time_points(config: RunConfig, wants: tuple[str, ...]) -> tuple[list[dict], dict, float, float | None]:
+    """Per time point: t, and the state, bands and (PI, PE) curves it wants; the summed spectrum counts;
+    the chunks' summed CPU seconds; and the largest peak RSS of a worker in MB (None where it cannot be read)."""
     times = [float(t) for t in config.times()]
     # bound the pool by usable CPUs: beyond that, extra processes only contend
     workers = min(config.workers, usable_cpu_count())
@@ -252,11 +322,7 @@ def _run_time_points(config: RunConfig, wants: tuple[str, ...]) -> tuple[list[di
         for i, t in enumerate(times)
         for j, sample_indices in enumerate(_slices(config.samples, n_chunks))
     ]
-    # spawn, not fork: a forked child inherits the parent's already-loaded,
-    # multi-threaded BLAS; a spawned one loads it under the pinned variables
-    with _single_threaded_blas_env(), ProcessPoolExecutor(
-        max_workers=min(workers, len(payloads)), mp_context=multiprocessing.get_context("spawn")
-    ) as pool:
+    with _pool(min(workers, len(payloads))) as pool:
         items = list(pool.map(_chunk_task, payloads, chunksize=1))
 
     points = [{"t": t, "samples": {}} for t in times]
@@ -273,7 +339,8 @@ def _run_time_points(config: RunConfig, wants: tuple[str, ...]) -> tuple[list[di
         for point in points:
             curves = fraction_curves(grid, point["samples"], point["h_s"], point["t"])
             point["curves"] = (curves["mi"], curves["neg"])
-    return points, counts
+    cpu, peaks = zip(*(item["usage"] for item in items))
+    return points, counts, sum(cpu), max((p for p in peaks if p is not None), default=None)
 
 
 def branch_params(config: RunConfig):
@@ -398,10 +465,12 @@ def run_experiment(
     try:
         results: list[dict] = []
         counts: dict = {}
+        peak_rss_mb = None
         if wants:
             t0 = time.perf_counter()
-            results, counts = _run_time_points(config, tuple(wants))
+            results, counts, worker_cpu, peak_rss_mb = _run_time_points(config, tuple(wants))
             timings["simulate"] = time.perf_counter() - t0
+            timings["worker_cpu"] = worker_cpu
         if curves_dir is None:
             curves = [r["curves"] for r in results if "curves" in r]
         else:
@@ -433,6 +502,7 @@ def run_experiment(
             },
             stages=list(stages),
             timings_s={k: round(v, 6) for k, v in timings.items()},
+            worker_peak_rss_mb=peak_rss_mb,
             counts=counts,
             files=[
                 {"name": os.path.basename(p), "sha256": _sha256(p), "bytes": os.path.getsize(p)}

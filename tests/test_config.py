@@ -127,6 +127,14 @@ class TestParseConfig:
             parse_config(path=str(path), env={})
         assert [p.split(":")[0] for p in err.value.problems] == [field]
 
+    @pytest.mark.parametrize("value", [4.5, True])
+    def test_integer_fields_take_no_float_or_bool(self, value):
+        # int() would run 4.5 as 4 times and True as 1 time
+        with pytest.raises(ValidationError) as err:
+            parse_config(overrides={"n_times": value}, env={})
+        assert err.value.problems == [f"n_times: cannot interpret {value!r}"]
+        assert parse_config(overrides={"n_times": 4}, env={}).n_times == 4
+
     def test_one_fraction_in_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("f_grid = 0.5\n")

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from dataclasses import asdict, fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -48,6 +49,20 @@ def tiny_config(outdir, run_id="t", **kw):
 
 #: a desk-physics run small enough for a CLI test
 TINY_DESK = ("--n-oscillators", "8", "--n-times", "2", "--n-bands", "2", "--samples", "2")
+
+
+@pytest.fixture
+def pinned_blas(monkeypatch):
+    """The single-threaded BLAS pins that _chunk_task checks, for a call in this process."""
+    for var in runner_mod._BLAS_THREAD_VARS:
+        monkeypatch.setenv(var, "1")
+
+
+def _worker_report() -> tuple[dict, int]:
+    """(BLAS pins, live threads) of a pool worker after a matmul large enough to wake a BLAS thread pool."""
+    a = np.ones((400, 400))
+    a @ a
+    return {var: os.environ.get(var) for var in runner_mod._BLAS_THREAD_VARS}, len(os.listdir("/proc/self/task"))
 
 
 def child_env() -> dict:
@@ -121,7 +136,7 @@ class TestRunExperiment:
         ]
         assert counts[0] == counts[1]
 
-    def test_manifest_counts_every_spectrum(self, tmp_path):
+    def test_manifest_counts_every_spectrum(self, tmp_path, pinned_blas):
         cfg = tiny_config(tmp_path, n_times=2)
         manifest = run_experiment(cfg, ("bands", "piplot", "peplot"))
         _, bath, prop, cov0 = simulation_pieces(cfg)
@@ -220,6 +235,75 @@ class TestRunExperiment:
             assert row["below_analytic"] == "False"  # rounding below an analytic 0 is no deviation
 
 
+class TestWorkers:
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads under /proc (Linux)")
+    def test_workers_run_one_blas_thread(self, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        with runner_mod._pool(2) as pool:
+            reports = [pool.submit(_worker_report).result() for _ in range(4)]
+        for pins, threads in reports:
+            assert pins == {var: "1" for var in runner_mod._BLAS_THREAD_VARS}
+            assert threads == 1
+        assert "OPENBLAS_NUM_THREADS" not in os.environ  # the caller's environment is restored
+
+    def test_unpinned_chunk_raises(self, tmp_path, pinned_blas, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "4")
+        cfg = tiny_config(tmp_path)
+        with pytest.raises(QbmError, match="OMP_NUM_THREADS is '4'"):
+            _chunk_task((asdict(cfg), 0, 0.0, ("curves",), range(cfg.samples)))
+
+    def test_forkserver_started_without_pins_fails_the_command(self, tmp_path):
+        if runner_mod._START_METHOD != "forkserver":
+            pytest.skip("no forkserver on this platform")
+        # other code starts the forkserver first, so its workers load BLAS unpinned
+        script = (
+            "import multiprocessing, sys\n"
+            "from concurrent.futures import ProcessPoolExecutor\n"
+            "with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context('forkserver')) as pool:\n"
+            "    pool.submit(abs, -1).result()\n"
+            "from qbmlab.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        env = {k: v for k, v in child_env().items() if k not in runner_mod._BLAS_THREAD_VARS}
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "piplot", "--profile", "desk", *TINY_DESK, "--outdir", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "numerical failure: worker BLAS is not pinned to one thread: OPENBLAS_NUM_THREADS" in proc.stderr
+        assert not os.listdir(out)
+
+    def test_no_process_outlives_the_command(self, tmp_path):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qbmlab.cli", "all", "--profile", "desk", *TINY_DESK, "--workers", "2",
+             "--outdir", str(tmp_path), "--run-id", "pg"],
+            env=child_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, start_new_session=True,
+        )
+        _, err = proc.communicate()
+        assert proc.returncode == 0, err
+        # the command led a new process group: the forkserver, the resource
+        # tracker and every worker belonged to it, and none is left
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+
+    def test_manifest_records_worker_usage(self, tmp_path):
+        cfg = tiny_config(tmp_path / "pipeline", workers=2)
+        manifest = run_experiment(cfg, ("piplot", "peplot"))
+        cpu = manifest.timings_s["worker_cpu"]
+        # a chunk's CPU seconds cannot exceed the pool's wall-clock on its single thread
+        assert 0 < cpu <= 2 * manifest.timings_s["simulate"]
+        assert manifest.worker_peak_rss_mb > 1  # a worker holds numpy and the model
+        with open(tmp_path / "pipeline" / "t_manifest.json") as fh:
+            record = json.load(fh)
+        assert record["timings_s"]["worker_cpu"] == cpu
+        assert record["worker_peak_rss_mb"] == manifest.worker_peak_rss_mb
+
+        reanalysis = run_experiment(tiny_config(tmp_path / "re"), ("redundancy",), curves_dir=cfg.outdir)
+        assert "worker_cpu" not in reanalysis.timings_s
+        assert reanalysis.worker_peak_rss_mb is None
+
+
 class TestChunks:
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     def test_one_chunk_per_time_point_on_long_grids(self, workers):
@@ -250,7 +334,7 @@ class TestChunks:
 
 
 class TestOnePath:
-    def test_time_point_runs_on_arrays(self, tmp_path, monkeypatch):
+    def test_time_point_runs_on_arrays(self, tmp_path, monkeypatch, pinned_blas):
         # state, bands and curves of a time point call no object API and
         # build no CovarianceMatrix but the model's initial and evolved states
         def forbidden(*args, **kwargs):
@@ -427,6 +511,15 @@ class TestCli:
         assert rc == 2
         assert "squeezing: must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_negative_exponent_notation_value(self, tmp_path, monkeypatch, capsys):
+        # argparse alone reads -5e-1 and -inf as options and exits 2
+        seen = []
+        monkeypatch.setattr(cli_mod, "run_experiment", lambda config, *a, **k: seen.append(config) or SimpleNamespace(files=[]))
+        assert main(["analytic", "--squeezing", "-5e-1", "--outdir", str(tmp_path)]) == 0
+        assert seen[0].squeezing == -0.5
+        assert main(["analytic", "--squeezing", "-inf", "--outdir", str(tmp_path)]) == 2
+        assert "config error: squeezing: must be finite (got -inf)" in capsys.readouterr().err.splitlines()
 
     def test_overflowing_squeezing_exit_code(self, tmp_path, capsys):
         # r = 400 is finite, but e^(2r) overflows the state; the purity check stops the run
