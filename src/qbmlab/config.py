@@ -10,14 +10,16 @@ Configuration sources are merged with precedence
 Flags and config-file values arrive as text.  Each value is converted once,
 by its field's type, so an integer field takes integer text only, and is
 checked once; typed values passed from Python take the same path, where
-an integer field also takes an int (not a bool, and not a float).  The
-config file is flat ``key = value`` text; '#' starts a comment outside a
-double-quoted value.  Every violated field is reported at once.
+an integer field also takes a Python or numpy integer (not a bool, and not
+a float).  The config file is flat ``key = value`` text; '#' starts a
+comment outside a double-quoted value.  Every violated field is reported
+at once.
 """
 
 import hashlib
 import json
 import math
+import operator
 import os
 import re
 from dataclasses import asdict, dataclass, field, fields
@@ -57,10 +59,10 @@ def _fractions(value) -> tuple[float, ...]:
 
 
 def _integer(value) -> int:
-    """An integer field from an int or integer text; int() would truncate a float and count a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
+    """An integer field from integer text or an integer; int() would truncate a float and count a bool."""
+    if isinstance(value, bool):
         raise TypeError(f"not an integer: {value!r}")
-    return int(value)
+    return int(value) if isinstance(value, str) else operator.index(value)
 
 
 def _field(default, help=None, *checks, parse=None, unparsable="cannot interpret {!r}"):

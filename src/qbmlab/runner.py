@@ -36,13 +36,17 @@ spawned.  The forkserver starts with the process's first pool, inside the
 single-threaded BLAS environment, so every worker it forks runs BLAS on
 one thread, and each chunk checks that.  It holds only imported modules:
 each pool's workers, with their simulation-pieces cache, exit when the
-pool shuts down.  So a process that starts many pools pays the
-interpreter and import start-up once.  An exit hook stops the forkserver
-and the resource tracker, so no process outlives the interpreter.
-Workers still import the caller's main module, whose entry point must be
-guarded.  Each chunk reports its worker's CPU seconds and peak RSS for
-the manifest, since the caller's RUSAGE_CHILDREN does not see the
-forkserver's children.
+pool shuts down.  So a process that starts many pools (a sweep script,
+the test suite, the benchmark's loops) pays the interpreter and import
+start-up once; a one-shot command starts one pool and gains nothing.
+A process has one forkserver and one resource tracker, and this module
+takes both over: a forkserver pool that other code of the process starts
+later also preloads this module and pins BLAS to one thread.  When the
+process exits, after multiprocessing has joined its children, both are
+stopped and reaped, so no process outlives the interpreter.  Workers
+still import the caller's main module, whose entry point must be
+guarded.  The workers are children of the forkserver, not of the caller,
+so the caller's RUSAGE_CHILDREN does not count them.
 
 With one BLAS thread per worker, W workers occupy W CPUs and the
 floating-point reduction order does not depend on the worker count.
@@ -56,24 +60,17 @@ file of a run; a failed run removes the files it wrote.
 
 from __future__ import annotations
 
-import atexit
 import csv
 import functools
 import hashlib
 import json
 import multiprocessing
 import os
-import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from multiprocessing import forkserver, resource_tracker
-
-try:
-    import resource
-except ImportError:  # Windows
-    resource = None
+from multiprocessing import forkserver, resource_tracker, util
 
 import numpy as np
 
@@ -163,13 +160,6 @@ def _slices(samples: int, n_chunks: int) -> list[range]:
     return [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
 
-def _peak_rss_mb() -> float | None:
-    """This process's peak resident set size in MB (ru_maxrss is KiB, but bytes on macOS); None without resource."""
-    if resource is None:
-        return None
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (1 << (20 if sys.platform == "darwin" else 10))
-
-
 def _chunk_task(args) -> dict:
     """One chunk of one time point (runs in worker processes)."""
     for var in _BLAS_THREAD_VARS:
@@ -178,7 +168,6 @@ def _chunk_task(args) -> dict:
                 f"worker BLAS is not pinned to one thread: {var} is {os.environ.get(var)!r}, not '1' "
                 "(was the forkserver started by other code?)"
             )
-    cpu0 = time.process_time()
     config_dict, t_index, t, wants, sample_indices = args
     config = RunConfig(**config_dict)
     spec, bath, prop, cov0 = simulation_pieces(config)
@@ -210,7 +199,6 @@ def _chunk_task(args) -> dict:
     if "curves" in wants:
         out["samples"] = fraction_samples(cov.data, h_s, _sampler(config), sample_indices, t_index)
     out["counts"] = take_counts()
-    out["usage"] = (time.process_time() - cpu0, _peak_rss_mb())
     return out
 
 
@@ -220,10 +208,7 @@ class RunManifest:
     code_version: str
     config: dict
     stages: list
-    #: wall-clock seconds per step; worker_cpu sums the CPU seconds of the pool's chunks
     timings_s: dict
-    #: the largest peak RSS of any pool worker; None when the run started no pool
-    worker_peak_rss_mb: float | None
     #: spectrum counts summed over the run's chunks (gaussian.take_counts)
     counts: dict
     files: list
@@ -282,7 +267,7 @@ def _single_threaded_blas_env():
 
 
 def _stop_helpers() -> None:
-    """Stop and reap the forkserver and the resource tracker (private API: each is skipped without _stop)."""
+    """Stop and reap the process's forkserver and resource tracker (private API: each is skipped without _stop)."""
     for helper in (forkserver._forkserver, resource_tracker._resource_tracker):
         stop = getattr(helper, "_stop", None)
         if stop is not None:
@@ -291,11 +276,12 @@ def _stop_helpers() -> None:
 
 @functools.cache
 def _context():
-    """The pools' context.  The first call preloads this module in the forkserver and registers _stop_helpers."""
+    """The pools' context.  The first call preloads this module in the forkserver and has _stop_helpers
+    run at exit, after multiprocessing's own exit handler has joined the process's children."""
     context = multiprocessing.get_context(_START_METHOD)
     if _START_METHOD == "forkserver":
         context.set_forkserver_preload([__name__])
-    atexit.register(_stop_helpers)
+    util.Finalize(None, _stop_helpers, exitpriority=-1)
     return context
 
 
@@ -306,9 +292,8 @@ def _pool(workers: int):
         yield pool
 
 
-def _run_time_points(config: RunConfig, wants: tuple[str, ...]) -> tuple[list[dict], dict, float, float | None]:
-    """Per time point: t, and the state, bands and (PI, PE) curves it wants; the summed spectrum counts;
-    the chunks' summed CPU seconds; and the largest peak RSS of a worker in MB (None where it cannot be read)."""
+def _run_time_points(config: RunConfig, wants: tuple[str, ...]) -> tuple[list[dict], dict]:
+    """Per time point: t, and the state, bands and (PI, PE) curves it wants; and the summed spectrum counts."""
     times = [float(t) for t in config.times()]
     # bound the pool by usable CPUs: beyond that, extra processes only contend
     workers = min(config.workers, usable_cpu_count())
@@ -339,8 +324,7 @@ def _run_time_points(config: RunConfig, wants: tuple[str, ...]) -> tuple[list[di
         for point in points:
             curves = fraction_curves(grid, point["samples"], point["h_s"], point["t"])
             point["curves"] = (curves["mi"], curves["neg"])
-    cpu, peaks = zip(*(item["usage"] for item in items))
-    return points, counts, sum(cpu), max((p for p in peaks if p is not None), default=None)
+    return points, counts
 
 
 def branch_params(config: RunConfig):
@@ -465,12 +449,10 @@ def run_experiment(
     try:
         results: list[dict] = []
         counts: dict = {}
-        peak_rss_mb = None
         if wants:
             t0 = time.perf_counter()
-            results, counts, worker_cpu, peak_rss_mb = _run_time_points(config, tuple(wants))
+            results, counts = _run_time_points(config, tuple(wants))
             timings["simulate"] = time.perf_counter() - t0
-            timings["worker_cpu"] = worker_cpu
         if curves_dir is None:
             curves = [r["curves"] for r in results if "curves" in r]
         else:
@@ -502,7 +484,6 @@ def run_experiment(
             },
             stages=list(stages),
             timings_s={k: round(v, 6) for k, v in timings.items()},
-            worker_peak_rss_mb=peak_rss_mb,
             counts=counts,
             files=[
                 {"name": os.path.basename(p), "sha256": _sha256(p), "bytes": os.path.getsize(p)}

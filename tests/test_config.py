@@ -1,6 +1,7 @@
 from dataclasses import fields
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from qbmlab import cli
@@ -127,13 +128,17 @@ class TestParseConfig:
             parse_config(path=str(path), env={})
         assert [p.split(":")[0] for p in err.value.problems] == [field]
 
-    @pytest.mark.parametrize("value", [4.5, True])
+    @pytest.mark.parametrize(
+        "value", [4.5, True, np.float64(4.5), np.True_], ids=["float", "bool", "numpy-float", "numpy-bool"]
+    )
     def test_integer_fields_take_no_float_or_bool(self, value):
         # int() would run 4.5 as 4 times and True as 1 time
         with pytest.raises(ValidationError) as err:
             parse_config(overrides={"n_times": value}, env={})
         assert err.value.problems == [f"n_times: cannot interpret {value!r}"]
-        assert parse_config(overrides={"n_times": 4}, env={}).n_times == 4
+        for integer in (4, np.int64(4)):  # sweeps build overrides with np.arange
+            n_times = parse_config(overrides={"n_times": integer}, env={}).n_times
+            assert n_times == 4 and type(n_times) is int
 
     def test_one_fraction_in_file(self, tmp_path):
         path = tmp_path / "run.cfg"

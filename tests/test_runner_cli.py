@@ -287,22 +287,6 @@ class TestWorkers:
         with pytest.raises(ProcessLookupError):
             os.killpg(proc.pid, 0)
 
-    def test_manifest_records_worker_usage(self, tmp_path):
-        cfg = tiny_config(tmp_path / "pipeline", workers=2)
-        manifest = run_experiment(cfg, ("piplot", "peplot"))
-        cpu = manifest.timings_s["worker_cpu"]
-        # a chunk's CPU seconds cannot exceed the pool's wall-clock on its single thread
-        assert 0 < cpu <= 2 * manifest.timings_s["simulate"]
-        assert manifest.worker_peak_rss_mb > 1  # a worker holds numpy and the model
-        with open(tmp_path / "pipeline" / "t_manifest.json") as fh:
-            record = json.load(fh)
-        assert record["timings_s"]["worker_cpu"] == cpu
-        assert record["worker_peak_rss_mb"] == manifest.worker_peak_rss_mb
-
-        reanalysis = run_experiment(tiny_config(tmp_path / "re"), ("redundancy",), curves_dir=cfg.outdir)
-        assert "worker_cpu" not in reanalysis.timings_s
-        assert reanalysis.worker_peak_rss_mb is None
-
 
 class TestChunks:
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
