@@ -9,9 +9,9 @@ all symplectic eigenvalues >= 1/2.
 All entropies and the logarithmic negativity are reported in nats.
 
 The pipeline runs the array kernels on stacks of equal-size blocks, each
-counted by take_counts.  _factor takes a block's Cholesky factor L,
-K = L^T Omega L and K^T K once, and every spectrum of the block is read
-off it: _gram_spectra, _transposed_spectra (the partial transpose on mode
+counted by take_counts.  _factor takes a block's Cholesky factor L, K =
+L^T Omega L (half a product, _skew_product) and K^T K once, and every
+spectrum of the block is read off it: _gram_spectra, _transposed_spectra (the partial transpose on mode
 0) and purification (the real Williamson form and the purification
 partners of mode 0; _complex_williamson is its fallback).
 _entropy_of_values and _negativity_of_values reduce one spectrum or a
@@ -199,18 +199,27 @@ def _omega_times(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
+def _skew_product(matrix: np.ndarray) -> np.ndarray:
+    """M^T Omega M (of each matrix of a stack), exactly antisymmetric: W - W^T with W = M[0::2]^T M[1::2].
+
+    Omega pairs each x row with its p row, so this is half the flops of M^T (Omega M).
+    """
+    half = np.swapaxes(matrix[..., 0::2, :], -1, -2) @ matrix[..., 1::2, :]
+    return half - np.swapaxes(half, -1, -2)
+
+
 def _factor(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(L, K, K^T K) of a matrix or of each matrix of a stack: sigma = L L^T and the antisymmetric K = L^T Omega L.
 
-    Omega L is a row swap with a sign flip, so K costs one matmul.  Every
-    step runs on the whole stack, each matrix bit for bit as alone.  Raises
-    DomainError, counting nothing, when a matrix is not positive definite.
+    K comes from half a product (_skew_product).  Every step runs on the
+    whole stack, each matrix bit for bit as alone.  Raises DomainError,
+    counting nothing, when a matrix is not positive definite.
     """
     try:
         chol = np.linalg.cholesky(stack)
     except np.linalg.LinAlgError as exc:
         raise DomainError("Williamson normal form needs a positive-definite matrix") from exc
-    form = np.swapaxes(chol, -1, -2) @ _omega_times(chol)
+    form = _skew_product(chol)
     return chol, form, np.swapaxes(form, -1, -2) @ form
 
 
@@ -531,11 +540,10 @@ def check_purity(cov: CovarianceMatrix) -> float:
     """Global-purity defect max|(Omega.sigma)^2 + I/4|; raises ImpureState past PURITY_TOL.
 
     A state is pure exactly when every symplectic eigenvalue is 1/2, that is
-    when (Omega.sigma)^2 = -I/4.  The tolerance is relative to the matrix
-    scale, as for SYMMETRY_TOL.
+    when (Omega.sigma)^2 = Omega (sigma^T Omega sigma) = -I/4 (half a product,
+    _skew_product).  The tolerance is relative to the matrix scale, as for SYMMETRY_TOL.
     """
-    omega_sigma = _omega_times(cov.data)
-    square = omega_sigma @ omega_sigma
+    square = _omega_times(_skew_product(cov.data))
     square[np.diag_indices_from(square)] += 0.25
     defect = float(np.max(np.abs(square)))
     scale = max(float(np.max(np.abs(cov.data))), 1.0)

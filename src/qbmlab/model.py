@@ -253,15 +253,20 @@ def symplectic_propagator(prop: Propagator, t: float) -> np.ndarray:
 
 
 def evolve(prop: Propagator, cov: CovarianceMatrix, t: float) -> CovarianceMatrix:
-    """Exact covariance at time t: sigma(t) = S(t) sigma(0) S(t)^T."""
+    """Exact covariance sigma(t) = S(t) sigma(0) S(t)^T = A A^T of a product state, with A = S(t) sqrt(sigma(0)).
+
+    sigma(0) must be diagonal and nonnegative, as initial_covariance builds
+    it (else DomainError); the one symmetric product is exactly symmetric.
+    """
     if cov.n_modes != prop.n_modes:
-        raise DimensionMismatch(
-            f"state has {cov.n_modes} modes but propagator has {prop.n_modes}"
-        )
+        raise DimensionMismatch(f"state has {cov.n_modes} modes but propagator has {prop.n_modes}")
+    variances = cov.data.diagonal()
+    if np.count_nonzero(cov.data) != np.count_nonzero(variances) or np.any(variances < 0.0):
+        raise DomainError("evolve needs a product state: sigma(0) must be diagonal and nonnegative")
     if t == 0.0:
         return CovarianceMatrix(cov.data)
-    s = symplectic_propagator(prop, t)
-    return CovarianceMatrix(s @ cov.data @ s.T)
+    root = symplectic_propagator(prop, t) * np.sqrt(variances)
+    return CovarianceMatrix(root @ root.T)
 
 
 def initial_covariance(
@@ -278,34 +283,20 @@ def initial_covariance(
     return CovarianceMatrix(np.diag(diag))
 
 
-def hamiltonian_matrix(spec: BathSpec, bath: DiscretizedBath) -> np.ndarray:
-    """Quadratic form M of the Hamiltonian in interleaved ordering.
-
-    <H> = 1/2 trace(M sigma); the x block is the unweighted potential
-    (with counterterm and couplings), the p block is diag(1/m_i).
-    """
-    n = bath.n_oscillators
-    masses = mode_masses(spec, bath)
-    m = np.zeros((2 * (n + 1), 2 * (n + 1)))
-    x = 2 * np.arange(n + 1)
-    vx = np.zeros((n + 1, n + 1))
-    vx[0, 0] = spec.system_mass * (spec.omega_s**2 + bath.counterterm / spec.system_mass)
-    idx = np.arange(1, n + 1)
-    vx[idx, idx] = bath.masses * bath.frequencies**2
-    vx[0, idx] = bath.couplings
-    vx[idx, 0] = bath.couplings
-    m[np.ix_(x, x)] = vx
-    m[x + 1, x + 1] = 1.0 / masses
-    return m
-
-
 def total_energy(spec: BathSpec, bath: DiscretizedBath, cov: CovarianceMatrix) -> float:
-    """Expected energy <H> = 1/2 trace(M sigma) of the full network."""
+    """Expected energy <H> = 1/2 trace(M sigma) of the full network, in O(N).
+
+    The Hamiltonian's form M is diagonal (the unweighted potential with the
+    counterterm in x, 1/m_i in p) but for the couplings M[x_0, x_k] = M[x_k, x_0] = c_k.
+    """
     if cov.n_modes != bath.n_oscillators + 1:
-        raise DimensionMismatch(
-            f"state has {cov.n_modes} modes, expected {bath.n_oscillators + 1}"
-        )
-    return 0.5 * float(np.sum(hamiltonian_matrix(spec, bath) * cov.data))
+        raise DimensionMismatch(f"state has {cov.n_modes} modes, expected {bath.n_oscillators + 1}")
+    stiffness = np.concatenate(
+        ([spec.system_mass * (spec.omega_s**2 + bath.counterterm / spec.system_mass)], bath.masses * bath.frequencies**2)
+    )
+    variances = cov.data.diagonal()
+    potential = stiffness @ variances[0::2] + 2.0 * (bath.couplings @ cov.data[0, 2::2])
+    return 0.5 * float(potential + variances[1::2] @ (1.0 / mode_masses(spec, bath)))
 
 
 def recurrence_time(spec: BathSpec) -> float:

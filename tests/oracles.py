@@ -21,13 +21,14 @@ from qbmlab.gaussian import (
     _complex_williamson,
     _factor,
     _gram_spectra,
+    _omega_times,
     _rows,
     _spectrum_of,
     log_negativity,
     partial_trace,
     von_neumann_entropy,
 )
-from qbmlab.model import BathSpec, DiscretizedBath
+from qbmlab.model import BathSpec, DiscretizedBath, Propagator, mode_masses, symplectic_propagator
 
 
 class OverlapError(QbmError):
@@ -66,6 +67,45 @@ def stacked_spectra(stack: np.ndarray) -> np.ndarray:
     except DomainError:
         return np.array([_spectrum_of(sigma, 0.0) for sigma in stack])
     return _gram_spectra(stack, form, gram)
+
+
+def dense_evolve(prop: Propagator, cov: CovarianceMatrix, t: float) -> np.ndarray:
+    """S(t) sigma(0) S(t)^T as two dense products, for any sigma(0) (model.evolve forms A A^T of a product state)."""
+    s = symplectic_propagator(prop, t)
+    return s @ cov.data @ s.T
+
+
+def dense_skew_product(matrix: np.ndarray) -> np.ndarray:
+    """M^T (Omega M) of a matrix or of each of a stack as one full product (gaussian._skew_product takes half)."""
+    return np.swapaxes(matrix, -1, -2) @ _omega_times(matrix)
+
+
+def dense_purity_square(sigma: np.ndarray) -> np.ndarray:
+    """(Omega sigma)(Omega sigma) as one full product (gaussian.check_purity takes Omega (sigma^T Omega sigma))."""
+    omega_sigma = _omega_times(sigma)
+    return omega_sigma @ omega_sigma
+
+
+def hamiltonian_matrix(spec: BathSpec, bath: DiscretizedBath) -> np.ndarray:
+    """Quadratic form M of the Hamiltonian in interleaved ordering.
+
+    <H> = 1/2 trace(M sigma); the x block is the unweighted potential
+    (with counterterm and couplings), the p block is diag(1/m_i).
+    model.total_energy reads the same sum off M's sparse structure.
+    """
+    n = bath.n_oscillators
+    masses = mode_masses(spec, bath)
+    m = np.zeros((2 * (n + 1), 2 * (n + 1)))
+    x = 2 * np.arange(n + 1)
+    vx = np.zeros((n + 1, n + 1))
+    vx[0, 0] = spec.system_mass * (spec.omega_s**2 + bath.counterterm / spec.system_mass)
+    idx = np.arange(1, n + 1)
+    vx[idx, idx] = bath.masses * bath.frequencies**2
+    vx[0, idx] = bath.couplings
+    vx[idx, 0] = bath.couplings
+    m[np.ix_(x, x)] = vx
+    m[x + 1, x + 1] = 1.0 / masses
+    return m
 
 
 def mutual_information(cov: CovarianceMatrix, part_a: ModeSubset, part_b: ModeSubset) -> float:

@@ -12,6 +12,8 @@ from qbmlab.gaussian import (
     _entropy_of_values,
     _factor,
     _negativity_of_values,
+    _omega_times,
+    _skew_product,
     _spectrum_of,
     _transposed_spectra,
     check_purity,
@@ -29,6 +31,8 @@ from conftest import random_state, random_symplectic, two_mode_squeezed
 from oracles import (
     OverlapError,
     complex_purification,
+    dense_purity_square,
+    dense_skew_product,
     flip_system,
     mutual_information,
     stacked_spectra,
@@ -196,6 +200,25 @@ class TestSpectrumKernel:
         got = _spectrum_of(sigma)
         assert len(svd_calls) == int(gram[0] < GRAM_RTOL * gram[-1])
         assert got == pytest.approx([0.5, 0.5 * np.sqrt(spread), 0.5 * spread], rel=1e-12)
+
+
+def product_bound(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Elementwise bound on the gap between two summation orders of the terms of left @ right: (terms + 1) eps |left| |right|."""
+    return (left.shape[-1] + 1) * np.finfo(float).eps * (np.abs(left) @ np.abs(right))
+
+
+class TestSkewProduct:
+    """_skew_product (W - W^T from half a product) against the full product M^T (Omega M) (oracles.dense_skew_product)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=SEEDS, n_modes=st.integers(min_value=1, max_value=12), n=st.integers(min_value=1, max_value=5))
+    def test_matches_full_product_and_is_antisymmetric(self, seed, n_modes, n):
+        stack = np.random.default_rng(seed).standard_normal((n, 2 * n_modes, 2 * n_modes))
+        got = _skew_product(stack)
+        assert np.array_equal(got, -np.swapaxes(got, 1, 2))
+        assert np.all(np.abs(got - dense_skew_product(stack)) <= product_bound(np.swapaxes(stack, 1, 2), _omega_times(stack)))
+        for i, matrix in enumerate(stack):
+            assert got[i].tobytes() == _skew_product(matrix[None])[0].tobytes()
 
 
 class TestStackedSpectra:
@@ -685,6 +708,14 @@ class TestCheckPurity:
     def test_pure_states_pass(self, seed, n_modes):
         cov = random_state(np.random.default_rng(seed), n_modes, pure=True)
         assert check_purity(cov) <= 1e-12 * max(float(np.max(np.abs(cov.data))), 1.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=SEEDS, n_modes=st.integers(min_value=1, max_value=10), pure=st.booleans())
+    def test_square_matches_full_product(self, seed, n_modes, pure):
+        sigma = random_state(np.random.default_rng(seed), n_modes, pure=pure).data
+        got = _omega_times(_skew_product(sigma))
+        omega_sigma = _omega_times(sigma)
+        assert np.all(np.abs(got - dense_purity_square(sigma)) <= product_bound(omega_sigma, omega_sigma))
 
     def test_mixed_state_raises(self, rng):
         with pytest.raises(ImpureState):

@@ -4,7 +4,11 @@ from scipy.integrate import quad
 
 from qbmlab.errors import DimensionMismatch, DomainError, NegativeEigenvalue
 from qbmlab.gaussian import (
+    CovarianceMatrix,
     ModeSubset,
+    _factor,
+    _omega_times,
+    _skew_product,
     partial_trace,
     validate_state,
     von_neumann_entropy,
@@ -24,13 +28,50 @@ from qbmlab.model import (
     total_energy,
 )
 
-from oracles import bath_energy, symplectic_eigenvalues
+from oracles import (
+    bath_energy,
+    dense_evolve,
+    dense_purity_square,
+    dense_skew_product,
+    hamiltonian_matrix,
+    symplectic_eigenvalues,
+)
+
+#: The half products of the state layer against the dense formulas they
+#: replace (oracles.dense_evolve, dense_skew_product, dense_purity_square),
+#: relative to the state's scale (its square for the purity product).
+#: Measured at most 2.6e-16 on the desk bath at r = +-5 and at N = 600.
+HALF_PRODUCT_RTOL = 1e-14
+
+#: model.total_energy against 1/2 trace(M sigma) of the dense form
+#: (oracles.hamiltonian_matrix); measured at most 1.3e-16.
+ENERGY_RTOL = 1e-12
+
+#: (bath size, r, t): the desk bath at three desk times, and one full-profile time.
+DESK_AND_FULL = [(150, r, t) for r in (-5.0, 5.0) for t in (10.0 / 39.0, 5.128, 10.0)] + [(600, -5.0, 5.128)]
 
 
 def sub_ohmic(n_osc=60, coupling=0.1):
     return BathSpec(
         exponent=0.5, cutoff=20.0, coupling=coupling, n_oscillators=n_osc, omega_s=3.0
     )
+
+
+@pytest.fixture(scope="module")
+def evolved():
+    """evolved(n_osc, r, t) -> (spec, bath, prop, sigma(0), sigma(t)) on the sub-Ohmic bath; each bath is built once."""
+    built = {}
+
+    def get(n_osc, r, t):
+        if n_osc not in built:
+            spec = sub_ohmic(n_osc=n_osc)
+            bath = discretize_bath(spec)
+            built[n_osc] = (spec, bath, make_propagator(spec, bath))
+        spec, bath, prop = built[n_osc]
+        cov0 = initial_covariance(spec, bath, SqueezedInitialState.from_r(r, spec))
+        return spec, bath, prop, cov0, evolve(prop, cov0, t)
+
+    return get
 
 
 def rk4_fundamental(a_mat: np.ndarray, t_end: float, h: float) -> np.ndarray:
@@ -233,6 +274,45 @@ class TestEvolve:
         with pytest.raises(DimensionMismatch):
             evolve(make_propagator(sub_ohmic(n_osc=5), other), cov, 1.0)
 
+    @pytest.mark.parametrize(
+        "entries, value",
+        [(((0, 2), (2, 0)), 1e-3), (((0, 1), (1, 0)), -1e-3), (((4, 7), (7, 4)), 1e-12), (((3, 3),), -0.5)],
+    )
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_correlated_or_negative_initial_state_raises(self, entries, value, t):
+        spec = sub_ohmic(n_osc=4)
+        bath = discretize_bath(spec)
+        data = initial_covariance(spec, bath, SqueezedInitialState.from_r(-5.0, spec)).data.copy()
+        for entry in entries:
+            data[entry] = value
+        with pytest.raises(DomainError):
+            evolve(make_propagator(spec, bath), CovarianceMatrix(data), t)
+
+
+class TestHalfProducts:
+    """sigma(t) = A A^T, K = W - W^T and Omega (sigma Omega sigma) against the dense products they replace."""
+
+    @pytest.mark.parametrize("n_osc, r, t", DESK_AND_FULL)
+    def test_evolve_matches_dense_product(self, evolved, n_osc, r, t):
+        _, _, prop, cov0, cov = evolved(n_osc, r, t)
+        scale = np.max(np.abs(cov.data))
+        assert np.max(np.abs(cov.data - dense_evolve(prop, cov0, t))) <= HALF_PRODUCT_RTOL * scale
+
+    @pytest.mark.parametrize("n_osc, r, t", DESK_AND_FULL)
+    def test_form_matches_dense_product(self, evolved, n_osc, r, t):
+        cov = evolved(n_osc, r, t)[-1]
+        chol, form, _ = _factor(cov.data[None])
+        assert np.array_equal(form, -np.swapaxes(form, 1, 2))  # exactly antisymmetric
+        scale = np.max(np.abs(cov.data))
+        assert np.max(np.abs(form - dense_skew_product(chol))) <= HALF_PRODUCT_RTOL * scale
+
+    @pytest.mark.parametrize("n_osc, r, t", DESK_AND_FULL)
+    def test_purity_square_matches_dense_product(self, evolved, n_osc, r, t):
+        cov = evolved(n_osc, r, t)[-1]
+        square = _omega_times(_skew_product(cov.data))
+        scale = np.max(np.abs(cov.data))
+        assert np.max(np.abs(square - dense_purity_square(cov.data))) <= HALF_PRODUCT_RTOL * scale**2
+
 
 class TestPropagatorProperties:
     def test_semigroup(self, rng):
@@ -284,6 +364,12 @@ class TestEnergy:
         cov = initial_covariance(spec, bath, SqueezedInitialState.from_r(0.0, spec))
         expected = 0.5 * spec.omega_s + 0.5 * np.sum(bath.frequencies)
         assert total_energy(spec, bath, cov) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("n_osc, r, t", DESK_AND_FULL + [(150, 5.0, 0.0)])
+    def test_matches_dense_quadratic_form(self, evolved, n_osc, r, t):
+        spec, bath, _, _, cov = evolved(n_osc, r, t)
+        want = 0.5 * float(np.sum(hamiltonian_matrix(spec, bath) * cov.data))
+        assert total_energy(spec, bath, cov) == pytest.approx(want, rel=ENERGY_RTOL)
 
     def test_conserved_along_evolution(self):
         spec = sub_ohmic(n_osc=30)
