@@ -16,12 +16,13 @@ spectrum of the block is read off it: _gram_spectra, _transposed_spectra (the pa
 partners of mode 0; _complex_williamson is its fallback).
 _entropy_of_values and _negativity_of_values reduce one spectrum or a
 stack.  _spectrum_of is the one entry point for a raw matrix that may be
-unphysical (H(S), validate_state, the object API); it takes the eig path
-when the matrix is not positive definite.  CovarianceMatrix is the
-validated full state that the model builds.  ModeSubset, partial_trace,
-partial_transpose, von_neumann_entropy and log_negativity form the
-reference API on CovarianceMatrix objects, which the tests' direct-path
-oracles and the benchmark's tracer read.
+unphysical (H(S), the object API); it takes the eig path when the matrix
+is not positive definite.  CovarianceMatrix is the validated full state
+that the model builds, and check_purity the pipeline's one check of it.
+ModeSubset, partial_trace, partial_transpose, von_neumann_entropy,
+log_negativity and validate_state (the oracle of check_purity's bound)
+form the reference API on CovarianceMatrix objects, which the tests'
+direct-path oracles and the benchmark's tracer read.
 """
 
 from __future__ import annotations
@@ -127,11 +128,11 @@ class CovarianceMatrix:
 
     The constructor symmetrizes its input; non-finite entries, and asymmetry
     beyond ``SYMMETRY_TOL`` (relative to the matrix scale), are rejected as
-    corrupted data.  By convention mode 0 is the system S and modes 1..N
-    are bath oscillators.
+    corrupted data; ``symmetry_defect`` keeps the input's max|data - data^T|.
+    By convention mode 0 is the system S and modes 1..N are bath oscillators.
     """
 
-    __slots__ = ("n_modes", "data")
+    __slots__ = ("n_modes", "data", "symmetry_defect")
 
     def __init__(self, data: np.ndarray):
         data = np.asarray(data, dtype=float)
@@ -147,6 +148,7 @@ class CovarianceMatrix:
             raise DomainError(f"input matrix asymmetry {defect:.3e} too large to symmetrize")
         self.n_modes = n_modes
         self.data = 0.5 * (data + data.T)
+        self.symmetry_defect = defect
 
 
 def _rows(modes: Sequence[int]) -> np.ndarray:
@@ -537,29 +539,28 @@ def purification(stack: np.ndarray, factor: tuple | None = None) -> tuple[np.nda
 
 
 def check_purity(cov: CovarianceMatrix) -> float:
-    """Global-purity defect max|(Omega.sigma)^2 + I/4|; raises ImpureState past PURITY_TOL.
+    """Bound b = max row sum of |(Omega.sigma)^2 + I/4| on every |nu_j^2 - 1/4|; raises ImpureState past PURITY_TOL.
 
     A state is pure exactly when every symplectic eigenvalue is 1/2, that is
     when (Omega.sigma)^2 = Omega (sigma^T Omega sigma) = -I/4 (half a product,
-    _skew_product).  The tolerance is relative to the matrix scale, as for SYMMETRY_TOL.
+    _skew_product).  The gate is the largest entry, relative to the matrix scale as for SYMMETRY_TOL.
     """
     square = _omega_times(_skew_product(cov.data))
     square[np.diag_indices_from(square)] += 0.25
-    defect = float(np.max(np.abs(square)))
+    defect = float(np.max(np.abs(square, out=square)))
     scale = max(float(np.max(np.abs(cov.data))), 1.0)
     if not defect <= PURITY_TOL * scale:  # a NaN defect (overflow) fails too
         raise ImpureState(
             f"global purity defect {defect:.3e} exceeds {PURITY_TOL:.0e} x scale {scale:.3e}"
         )
-    return defect
+    return float(np.max(np.sum(square, axis=1)))
 
 
 def validate_state(cov: CovarianceMatrix) -> ValidityReport:
-    """Report minimum symplectic eigenvalue and symmetry defect (never raises)."""
-    defect = float(np.max(np.abs(cov.data - cov.data.T)))
+    """Report minimum symplectic eigenvalue and the input's symmetry defect (never raises); the oracle of check_purity's bound."""
     try:
-        min_nu = float(_spectrum_of(cov.data, defect)[0])
+        min_nu = float(_spectrum_of(cov.data, 0.0)[0])
     except PairingFailure:
         min_nu = float("nan")
-    passed = (min_nu >= 0.5 - NU_TOL) and (defect <= NU_TOL)
-    return ValidityReport(min_symplectic=min_nu, symmetry_defect=defect, passed=bool(passed))
+    passed = min_nu >= 0.5 - NU_TOL and cov.symmetry_defect <= NU_TOL
+    return ValidityReport(min_symplectic=min_nu, symmetry_defect=cov.symmetry_defect, passed=passed)

@@ -3,7 +3,7 @@
 A run evaluates the evolved covariance matrix on the configured time grid
 and derives per-stage data products:
 
-    evolve      state diagnostics (validity, energy, system entropy)
+    evolve      state diagnostics (purity bound, energy, system entropy)
     bands       per-band MI and negativity          (frequency-resolved)
     piplot      averaged mutual information curves  (PI-plots)
     peplot      averaged entanglement curves        (PE-plots)
@@ -23,8 +23,9 @@ min(samples, W) contiguous slices of near-equal size when n < 4 W, so
 every worker gets equal items, and stays whole on a longer grid or with
 one worker.  Chunk 0 also carries the state diagnostics, the bands and
 f = 1.  Items go to a pool of worker processes in time order.
-Every chunk evolves its time point, and only chunk 0 counts that work in
-the manifest, so the counts do not depend on which worker takes a chunk.
+Every chunk evolves its time point and checks its purity (ImpureState in
+every stage), and only chunk 0 counts that work in the manifest, so the
+counts do not depend on which worker takes a chunk.
 The runner extends each grid point's values by the chunks in order,
 which is sample order, and reduces them to curves in grid order.  A
 serial run (workers = 1) is a pool of one, and a run whose stages need
@@ -94,7 +95,7 @@ from .correlations import (
     system_entropy,
 )
 from .errors import QbmError
-from .gaussian import check_purity, take_counts, validate_state
+from .gaussian import check_purity, take_counts
 from .model import (
     discretize_bath,
     evolve,
@@ -173,17 +174,15 @@ def _chunk_task(args) -> dict:
     spec, bath, prop, cov0 = simulation_pieces(config)
     take_counts()  # count this chunk only
     cov = evolve(prop, cov0, t)
-    if "curves" in wants:
-        check_purity(cov)
+    bound = check_purity(cov)
     h_s = system_entropy(cov)
     if sample_indices.start:
         take_counts()  # a time point's state work counts once, in chunk 0
     out: dict = {"t_index": t_index, "h_s": h_s}
     if "state" in wants:
-        report = validate_state(cov)
         out["state"] = {
-            "min_symplectic": report.min_symplectic,
-            "symmetry_defect": report.symmetry_defect,
+            "min_symplectic": float(np.sqrt(max(0.25 - bound, 0.0))),  # a lower bound on every nu
+            "symmetry_defect": cov.symmetry_defect,
             "total_energy": total_energy(spec, bath, cov),
             "system_entropy": h_s,
         }

@@ -102,6 +102,17 @@ class TestCovarianceMatrix:
         with pytest.raises(DomainError, match="non-finite"):
             CovarianceMatrix(data)
 
+    def test_records_input_asymmetry(self, rng):
+        data = random_state(rng, 3).data  # stored symmetrized, so exactly symmetric
+        assert CovarianceMatrix(data).symmetry_defect == 0.0
+        scale = float(np.max(np.abs(data)))
+        data[0, 3] += 1e-12 * scale
+        cov = CovarianceMatrix(data)
+        assert cov.symmetry_defect == float(np.max(np.abs(data - data.T)))
+        assert cov.symmetry_defect == pytest.approx(1e-12 * scale, rel=1e-3)
+        assert np.array_equal(cov.data, cov.data.T)
+        assert validate_state(cov).symmetry_defect == cov.symmetry_defect
+
 
 class TestSymplecticEigenvalues:
     def test_vacuum(self):
@@ -716,6 +727,19 @@ class TestCheckPurity:
         got = _omega_times(_skew_product(sigma))
         omega_sigma = _omega_times(sigma)
         assert np.all(np.abs(got - dense_purity_square(sigma)) <= product_bound(omega_sigma, omega_sigma))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=SEEDS, n_modes=st.integers(min_value=2, max_value=10))
+    def test_bound_is_the_largest_row_sum(self, seed, n_modes):
+        # modes 1e-10 to 1e-9 above 1/2 pass the gate and lift (Omega sigma)^2 + I/4 well above rounding
+        rng = np.random.default_rng(seed)
+        nus = 0.5 + rng.uniform(1e-10, 1e-9, size=n_modes)
+        sym = random_symplectic(rng, n_modes)
+        cov = CovarianceMatrix(sym @ np.diag(np.repeat(nus, 2)) @ sym.T)
+        bound = check_purity(cov)
+        defect = np.abs(dense_purity_square(cov.data) + 0.25 * np.eye(2 * n_modes))
+        assert bound == pytest.approx(float(np.max(np.sum(defect, axis=1))), rel=1e-3)
+        assert bound >= np.max(nus**2 - 0.25)
 
     def test_mixed_state_raises(self, rng):
         with pytest.raises(ImpureState):

@@ -9,6 +9,8 @@ from qbmlab.gaussian import (
     _factor,
     _omega_times,
     _skew_product,
+    _spectrum_of,
+    check_purity,
     partial_trace,
     validate_state,
     von_neumann_entropy,
@@ -49,6 +51,15 @@ ENERGY_RTOL = 1e-12
 
 #: (bath size, r, t): the desk bath at three desk times, and one full-profile time.
 DESK_AND_FULL = [(150, r, t) for r in (-5.0, 5.0) for t in (10.0 / 39.0, 5.128, 10.0)] + [(600, -5.0, 5.128)]
+
+
+#: Slack, in eps x the state's scale, for the eigensolver's own rounding of
+#: nu around check_purity's bound b: at t = 0 b reads 5.6e-17 while
+#: _spectrum_of reads nu_min = 1/2 - 1.1e-16 (0.01 eps x scale at r = 5).
+BOUND_SLACK_EPS = 4.0
+
+#: (bath size, r, t): the desk bath at t = 0 and two later desk times, and one full-profile time.
+BOUND_STATES = [(150, r, t) for r in (-5.0, 5.0) for t in (0.0, 5.128, 10.0)] + [(600, -5.0, 5.128)]
 
 
 def sub_ohmic(n_osc=60, coupling=0.1):
@@ -297,6 +308,7 @@ class TestHalfProducts:
         _, _, prop, cov0, cov = evolved(n_osc, r, t)
         scale = np.max(np.abs(cov.data))
         assert np.max(np.abs(cov.data - dense_evolve(prop, cov0, t))) <= HALF_PRODUCT_RTOL * scale
+        assert cov.symmetry_defect == 0.0  # A A^T is one symmetric product
 
     @pytest.mark.parametrize("n_osc, r, t", DESK_AND_FULL)
     def test_form_matches_dense_product(self, evolved, n_osc, r, t):
@@ -312,6 +324,19 @@ class TestHalfProducts:
         square = _omega_times(_skew_product(cov.data))
         scale = np.max(np.abs(cov.data))
         assert np.max(np.abs(square - dense_purity_square(cov.data))) <= HALF_PRODUCT_RTOL * scale**2
+
+
+class TestPurityBound:
+    @pytest.mark.parametrize("n_osc, r, t", BOUND_STATES)
+    def test_spectrum_lies_within_the_bound(self, evolved, n_osc, r, t):
+        # the eigenvalues of (Omega sigma)^2 + I/4 are 1/4 - nu_j^2, and its
+        # largest row sum b bounds them: sqrt(1/4 - b) <= nu_j <= sqrt(1/4 + b)
+        cov = evolved(n_osc, r, t)[-1]
+        bound = check_purity(cov)
+        nu = _spectrum_of(cov.data)
+        slack = BOUND_SLACK_EPS * np.finfo(float).eps * float(np.max(np.abs(cov.data)))
+        assert np.all(nu >= np.sqrt(0.25 - bound) - slack)
+        assert np.all(nu <= np.sqrt(0.25 + bound) + slack)
 
 
 class TestPropagatorProperties:

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import importlib
 import json
@@ -18,7 +19,7 @@ from qbmlab.cli import main
 from qbmlab.config import RunConfig, parse_config
 from qbmlab.errors import ImpureState, QbmError
 from qbmlab.correlations import band_correlations, band_partition, pi_pe_plots
-from qbmlab.gaussian import take_counts
+from qbmlab.gaussian import CovarianceMatrix, check_purity, take_counts
 from qbmlab.model import evolve
 from qbmlab.runner import (
     _chunk_count,
@@ -220,10 +221,8 @@ class TestRunExperiment:
             summary = json.load(fh)
         assert set(summary["max_rel_dev_core"]) == {"mi", "neg"}
         assert summary["n_times"] == cfg.n_times
-        import csv as csv_mod
-
         with open(tmp_path / f"{cfg.run_id}_compare.csv") as fh:
-            rows = list(csv_mod.DictReader(fh))
+            rows = list(csv.DictReader(fh))
         for row in rows:
             for col in ("t", "f", "numeric", "analytic", "rel_dev"):
                 float(row[col])  # raises on a cell such as np.float64(0.35)
@@ -341,6 +340,31 @@ class TestOnePath:
         out = _chunk_task((asdict(cfg), 1, float(cfg.times()[1]), wants, range(cfg.samples)))
         assert {"state", "bands", "samples"} <= out.keys()
         assert built == [(62, 62), (62, 62)]
+
+
+class TestStateDiagnostics:
+    def test_state_csv_reads_the_purity_bound(self, tmp_path):
+        cfg = tiny_config(tmp_path, squeezing=-5.0)
+        run_experiment(cfg, ("evolve",))
+        with open(tmp_path / "t_state.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        _, _, prop, cov0 = simulation_pieces(cfg)
+        assert [float(row["t"]) for row in rows] == cfg.times().tolist()
+        for row in rows:
+            bound = check_purity(evolve(prop, cov0, float(row["t"])))
+            assert float(row["min_symplectic"]) == np.sqrt(max(0.25 - bound, 0.0))
+            assert float(row["symmetry_defect"]) == 0.0
+
+    @pytest.mark.parametrize("wants", [("state",), ("bands",)])
+    def test_impure_state_raises_without_curves(self, tmp_path, pinned_blas, monkeypatch, wants):
+        # pool workers fork from the forkserver and would not see the patch, so the chunk runs here
+        def mixed(prop, cov0, t):
+            return CovarianceMatrix(1.01 * evolve(prop, cov0, t).data)
+
+        monkeypatch.setattr(runner_mod, "evolve", mixed)
+        cfg = tiny_config(tmp_path)
+        with pytest.raises(ImpureState):
+            _chunk_task((asdict(cfg), 1, float(cfg.times()[1]), wants, range(cfg.samples)))
 
 
 def test_benchmark_names_resolve():
@@ -470,10 +494,8 @@ class TestCli:
             ]
         )
         assert rc == 0
-        import csv as csv_mod
-
         with open(tmp_path / "cells_analytic.csv") as fh:
-            rows = list(csv_mod.reader(fh))[1:]
+            rows = list(csv.reader(fh))[1:]
         assert len(rows) == 9
         for row in rows:
             for cell in row:
