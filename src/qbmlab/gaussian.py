@@ -124,31 +124,41 @@ class ModeSubset:
 
 
 class CovarianceMatrix:
-    """Second-moment matrix of an M-mode Gaussian state.
+    """Second-moment matrix of an M-mode Gaussian state, with ``scale`` = max(max|sigma|, 1).
 
-    The constructor symmetrizes its input; non-finite entries, and asymmetry
-    beyond ``SYMMETRY_TOL`` (relative to the matrix scale), are rejected as
-    corrupted data; ``symmetry_defect`` keeps the input's max|data - data^T|.
+    The constructor keeps a copy of raw input, symmetrized unless exactly
+    symmetric; non-finite entries (also after symmetrizing) and asymmetry
+    beyond ``SYMMETRY_TOL`` of the scale are rejected as corrupted data, and
+    ``symmetry_defect`` keeps the input's max|data - data^T|.
     By convention mode 0 is the system S and modes 1..N are bath oscillators.
     """
 
-    __slots__ = ("n_modes", "data", "symmetry_defect")
+    __slots__ = ("n_modes", "data", "symmetry_defect", "scale")
 
     def __init__(self, data: np.ndarray):
-        data = np.asarray(data, dtype=float)
+        self._keep(np.array(data, dtype=float), 0.0)
+        defect = float(np.max(np.abs(self.data - self.data.T)))
+        if defect > SYMMETRY_TOL * self.scale:
+            raise DomainError(f"input matrix asymmetry {defect:.3e} too large to symmetrize")
+        if defect:
+            with np.errstate(over="ignore"):
+                self._keep(0.5 * (self.data + self.data.T), defect)
+
+    @classmethod
+    def symmetric(cls, data: np.ndarray) -> "CovarianceMatrix":
+        """The state of a float matrix that is exactly symmetric by construction (model.evolve's A A^T, a diagonal sigma(0)), stored as given."""
+        cov = cls.__new__(cls)
+        cov._keep(data, 0.0)
+        return cov
+
+    def _keep(self, data: np.ndarray, defect: float) -> None:
+        """Store data with its defect and scale; DomainError on a shape other than 2M x 2M or a non-finite entry."""
         if data.ndim != 2 or data.shape[0] != data.shape[1] or data.shape[0] % 2:
             raise DomainError(f"covariance matrix must be 2M x 2M, got {data.shape}")
-        n_modes = data.shape[0] // 2
-        magnitude = float(np.max(np.abs(data)))  # NaN or inf if any entry is
-        if not np.isfinite(magnitude):
+        top, bottom = float(np.max(data)), float(np.min(data))  # NaN or inf if any entry is
+        if not (np.isfinite(top) and np.isfinite(bottom)):
             raise DomainError("covariance matrix has non-finite entries")
-        scale = max(magnitude, 1.0)
-        defect = float(np.max(np.abs(data - data.T)))
-        if defect > SYMMETRY_TOL * scale:
-            raise DomainError(f"input matrix asymmetry {defect:.3e} too large to symmetrize")
-        self.n_modes = n_modes
-        self.data = 0.5 * (data + data.T)
-        self.symmetry_defect = defect
+        self.n_modes, self.data, self.symmetry_defect, self.scale = data.shape[0] // 2, data, defect, max(top, -bottom, 1.0)
 
 
 def _rows(modes: Sequence[int]) -> np.ndarray:
@@ -542,16 +552,21 @@ def check_purity(cov: CovarianceMatrix) -> float:
     """Bound b = max row sum of |(Omega.sigma)^2 + I/4| on every |nu_j^2 - 1/4|; raises ImpureState past PURITY_TOL.
 
     A state is pure exactly when every symplectic eigenvalue is 1/2, that is
-    when (Omega.sigma)^2 = Omega (sigma^T Omega sigma) = -I/4 (half a product,
-    _skew_product).  The gate is the largest entry, relative to the matrix scale as for SYMMETRY_TOL.
+    when (Omega.sigma)^2 = Omega X = -I/4, X = sigma^T Omega sigma (half a
+    product, _skew_product).  Omega X + I/4 is X with its (x, p) row pairs
+    swapped, the new p rows negated and 1/4 on the diagonal, so X takes
+    +1/4 at (2k+1, 2k) and -1/4 at (2k, 2k+1) in place: the rows of |X| are
+    those of |Omega X + I/4|, pair-swapped (|-x + 1/4| = |x - 1/4|).  The
+    gate is the largest entry, relative to cov.scale as for SYMMETRY_TOL.
     """
-    square = _omega_times(_skew_product(cov.data))
-    square[np.diag_indices_from(square)] += 0.25
+    square = _skew_product(cov.data)
+    x_rows = np.arange(0, square.shape[0], 2)
+    square[x_rows + 1, x_rows] += 0.25
+    square[x_rows, x_rows + 1] -= 0.25
     defect = float(np.max(np.abs(square, out=square)))
-    scale = max(float(np.max(np.abs(cov.data))), 1.0)
-    if not defect <= PURITY_TOL * scale:  # a NaN defect (overflow) fails too
+    if not defect <= PURITY_TOL * cov.scale:  # a NaN defect (overflow) fails too
         raise ImpureState(
-            f"global purity defect {defect:.3e} exceeds {PURITY_TOL:.0e} x scale {scale:.3e}"
+            f"global purity defect {defect:.3e} exceeds {PURITY_TOL:.0e} x scale {cov.scale:.3e}"
         )
     return float(np.max(np.sum(square, axis=1)))
 

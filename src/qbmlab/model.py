@@ -222,57 +222,49 @@ def make_propagator(spec: BathSpec, bath: DiscretizedBath) -> Propagator:
     return build_propagator(potential_matrix(spec, bath), mode_masses(spec, bath))
 
 
-def symplectic_propagator(prop: Propagator, t: float) -> np.ndarray:
-    """Phase-space propagator S(t) in interleaved (x, p) ordering.
-
-    Assembled from cos(w t), sin(w t)/w and -w sin(w t) in the normal-mode
-    basis, with the w -> 0 limit sin(w t)/w -> t handled explicitly, then
-    scaled back from mass-weighted coordinates.
-    """
-    if t < 0:
-        raise DomainError(f"time must be >= 0, got {t}")
-    w = prop.eigenfrequencies
-    basis = prop.eigenbasis
-    cos_t = np.cos(w * t)
-    sin_over = np.where(w > 0.0, np.sin(w * t) / np.where(w > 0.0, w, 1.0), t)
-    w_sin = -w * np.sin(w * t)
-
-    xx = (basis * cos_t) @ basis.T
-    xp = (basis * sin_over) @ basis.T
-    px = (basis * w_sin) @ basis.T
-
-    root_m = prop.mass_scaling
-    inv_m = 1.0 / root_m
-    n = prop.n_modes
-    s = np.zeros((2 * n, 2 * n))
-    s[0::2, 0::2] = xx * inv_m[:, None] * root_m[None, :]
-    s[0::2, 1::2] = xp * inv_m[:, None] * inv_m[None, :]
-    s[1::2, 0::2] = px * root_m[:, None] * root_m[None, :]
-    s[1::2, 1::2] = xx * root_m[:, None] * inv_m[None, :]
-    return s
-
-
 def evolve(prop: Propagator, cov: CovarianceMatrix, t: float) -> CovarianceMatrix:
     """Exact covariance sigma(t) = S(t) sigma(0) S(t)^T = A A^T of a product state, with A = S(t) sqrt(sigma(0)).
 
-    sigma(0) must be diagonal and nonnegative, as initial_covariance builds
-    it (else DomainError); the one symmetric product is exactly symmetric.
+    The four (x, p) blocks of S(t) come from cos(w t), sin(w t)/w (t at
+    w = 0) and -w sin(w t) in the normal-mode basis; each takes its mass
+    scalings and then sqrt(sigma(0)) on its way into its strided block of A,
+    so S(t) is never formed.  sigma(0) must be diagonal and nonnegative, as
+    initial_covariance builds it (else DomainError).  A A^T is one
+    symmetric product, exactly symmetric (CovarianceMatrix.symmetric).
     """
     if cov.n_modes != prop.n_modes:
         raise DimensionMismatch(f"state has {cov.n_modes} modes but propagator has {prop.n_modes}")
+    if t < 0:
+        raise DomainError(f"time must be >= 0, got {t}")
     variances = cov.data.diagonal()
     if np.count_nonzero(cov.data) != np.count_nonzero(variances) or np.any(variances < 0.0):
         raise DomainError("evolve needs a product state: sigma(0) must be diagonal and nonnegative")
     if t == 0.0:
-        return CovarianceMatrix(cov.data)
-    root = symplectic_propagator(prop, t) * np.sqrt(variances)
-    return CovarianceMatrix(root @ root.T)
+        return cov
+    w, basis, root_m = prop.eigenfrequencies, prop.eigenbasis, prop.mass_scaling
+    sin_over = np.where(w > 0.0, np.sin(w * t) / np.where(w > 0.0, w, 1.0), t)
+    xx = (basis * np.cos(w * t)) @ basis.T
+    xp = (basis * sin_over) @ basis.T
+    px = (basis * (-w * np.sin(w * t))) @ basis.T
+    inv_m, root_var = 1.0 / root_m, np.sqrt(variances)
+    root = np.empty((2 * prop.n_modes, 2 * prop.n_modes))
+    # block of A at rows i::2, columns j::2: its row and column mass scalings, then sqrt(sigma(0)) of its columns
+    for (i, j), block, left, right in (
+        ((0, 0), xx.copy(), inv_m, root_m),
+        ((0, 1), xp, inv_m, inv_m),
+        ((1, 0), px, root_m, root_m),
+        ((1, 1), xx, root_m, inv_m),
+    ):
+        block *= left[:, None]
+        block *= right
+        np.multiply(block, root_var[j::2], out=root[i::2, j::2])
+    return CovarianceMatrix.symmetric(root @ root.T)
 
 
 def initial_covariance(
     spec: BathSpec, bath: DiscretizedBath, init: SqueezedInitialState
 ) -> CovarianceMatrix:
-    """Product state: squeezed system times bath oscillator ground states."""
+    """Product state: squeezed system times bath oscillator ground states, diagonal (CovarianceMatrix.symmetric)."""
     n = bath.n_oscillators
     diag = np.empty(2 * (n + 1))
     diag[0] = init.delta_x**2
@@ -280,7 +272,7 @@ def initial_covariance(
     mw = bath.masses * bath.frequencies
     diag[2::2] = 0.5 / mw
     diag[3::2] = 0.5 * mw
-    return CovarianceMatrix(np.diag(diag))
+    return CovarianceMatrix.symmetric(np.diag(diag))
 
 
 def total_energy(spec: BathSpec, bath: DiscretizedBath, cov: CovarianceMatrix) -> float:

@@ -25,21 +25,23 @@ one worker.  Chunk 0 also carries the state diagnostics, the bands and
 f = 1.  Items go to a pool of worker processes in time order.
 Every chunk evolves its time point and checks its purity (ImpureState in
 every stage), and only chunk 0 counts that work in the manifest, so the
-counts do not depend on which worker takes a chunk.
-The runner extends each grid point's values by the chunks in order,
-which is sample order, and reduces them to curves in grid order.  A
-serial run (workers = 1) is a pool of one, and a run whose stages need
-no time point starts no pool.
+counts do not depend on which worker takes a chunk; the manifest sums
+each chunk's wall-clock per layer.  The runner extends
+each grid point's values by the chunks in order, which is sample order,
+and reduces them to curves in grid order.  A serial run (workers = 1)
+is a pool of one, and a run whose stages need no time point starts no
+pool.
 
 Workers fork from a forkserver that has imported this module, and with
 it numpy; where the platform has no forkserver (Windows) they are
 spawned.  The forkserver starts with the process's first pool, inside the
 single-threaded BLAS environment, so every worker it forks runs BLAS on
-one thread, and each chunk checks that.  It holds only imported modules:
-each pool's workers, with their simulation-pieces cache, exit when the
-pool shuts down.  So a process that starts many pools (a sweep script,
-the test suite, the benchmark's loops) pays the interpreter and import
-start-up once; a one-shot command starts one pool and gains nothing.
+one thread, and each chunk checks that; with the package's import root
+on its PYTHONPATH the preload finds the package.  It holds only imported
+modules: each pool's workers, with their simulation-pieces cache, exit
+when the pool shuts down.  So a process that starts many pools (a sweep
+script, the test suite, the benchmark's loops) pays the interpreter and
+import start-up once; a one-shot command starts one pool and gains nothing.
 A process has one forkserver and one resource tracker, and this module
 takes both over: a forkserver pool that other code of the process starts
 later also preloads this module and pins BLAS to one thread.  When the
@@ -67,6 +69,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import site
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -173,12 +176,15 @@ def _chunk_task(args) -> dict:
     config = RunConfig(**config_dict)
     spec, bath, prop, cov0 = simulation_pieces(config)
     take_counts()  # count this chunk only
+    start = time.perf_counter()
     cov = evolve(prop, cov0, t)
+    evolved = time.perf_counter()
     bound = check_purity(cov)
+    elapsed = {"model.evolve": evolved - start, "gaussian.check_purity": time.perf_counter() - evolved}
     h_s = system_entropy(cov)
     if sample_indices.start:
         take_counts()  # a time point's state work counts once, in chunk 0
-    out: dict = {"t_index": t_index, "h_s": h_s}
+    out: dict = {"t_index": t_index, "h_s": h_s, "elapsed": elapsed}
     if "state" in wants:
         out["state"] = {
             "min_symplectic": float(np.sqrt(max(0.25 - bound, 0.0))),  # a lower bound on every nu
@@ -187,6 +193,7 @@ def _chunk_task(args) -> dict:
             "system_entropy": h_s,
         }
     if "bands" in wants:
+        start = time.perf_counter()
         bands = band_partition(config.n_oscillators, config.n_bands, bath.frequencies)
         bc = band_correlations(cov, bands, t=t)
         out["bands"] = {
@@ -195,8 +202,11 @@ def _chunk_task(args) -> dict:
             "mi": bc.mi.tolist(),
             "neg": bc.neg.tolist(),
         }
+        elapsed["correlations.bands"] = time.perf_counter() - start
     if "curves" in wants:
+        start = time.perf_counter()
         out["samples"] = fraction_samples(cov.data, h_s, _sampler(config), sample_indices, t_index)
+        elapsed["correlations.curves"] = time.perf_counter() - start
     out["counts"] = take_counts()
     return out
 
@@ -210,6 +220,8 @@ class RunManifest:
     timings_s: dict
     #: spectrum counts summed over the run's chunks (gaussian.take_counts)
     counts: dict
+    #: worker wall-clock per layer (model.evolve, gaussian.check_purity, correlations.bands and .curves), summed over chunks
+    layer_timings_s: dict
     files: list
 
 
@@ -251,10 +263,19 @@ def usable_cpu_count() -> int:
 
 
 @contextmanager
-def _single_threaded_blas_env():
-    """Set _BLAS_THREAD_VARS to 1 in os.environ, which the forkserver or a spawned child inherits."""
-    saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
+def _worker_env():
+    """Set _BLAS_THREAD_VARS to 1, and put the package's import root (unless a site directory) first on PYTHONPATH, in os.environ, which the forkserver or a spawned child inherits.
+
+    The forkserver does not apply the caller's sys.path (Python 3.11), so
+    without the root a package found through a sys.path insert (pytest's
+    ``pythonpath``) fails the preload silently, and each worker imports
+    numpy and qbmlab itself.
+    """
+    saved = {var: os.environ.get(var) for var in (*_BLAS_THREAD_VARS, "PYTHONPATH")}
     os.environ.update({var: "1" for var in _BLAS_THREAD_VARS})
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    if root not in (*site.getsitepackages(), site.getusersitepackages()):
+        os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (root, saved["PYTHONPATH"]) if p)
     try:
         yield
     finally:
@@ -287,12 +308,12 @@ def _context():
 @contextmanager
 def _pool(workers: int):
     """A pool of workers whose BLAS runs one thread; the forkserver, if it starts here, starts pinned."""
-    with _single_threaded_blas_env(), ProcessPoolExecutor(max_workers=workers, mp_context=_context()) as pool:
+    with _worker_env(), ProcessPoolExecutor(max_workers=workers, mp_context=_context()) as pool:
         yield pool
 
 
-def _run_time_points(config: RunConfig, wants: tuple[str, ...]) -> tuple[list[dict], dict]:
-    """Per time point: t, and the state, bands and (PI, PE) curves it wants; and the summed spectrum counts."""
+def _run_time_points(config: RunConfig, wants: tuple[str, ...]) -> tuple[list[dict], dict, dict]:
+    """Per time point: t, and the state, bands and (PI, PE) curves it wants; and the summed spectrum counts and layer timings."""
     times = [float(t) for t in config.times()]
     # bound the pool by usable CPUs: beyond that, extra processes only contend
     workers = min(config.workers, usable_cpu_count())
@@ -311,6 +332,7 @@ def _run_time_points(config: RunConfig, wants: tuple[str, ...]) -> tuple[list[di
 
     points = [{"t": t, "samples": {}} for t in times]
     counts: dict = {}
+    elapsed: dict = {}
     for item in items:
         point = points[item["t_index"]]
         point.update({k: item[k] for k in ("state", "bands", "h_s") if k in item})
@@ -319,11 +341,12 @@ def _run_time_points(config: RunConfig, wants: tuple[str, ...]) -> tuple[list[di
             for f, v in values.items():
                 point["samples"].setdefault(m, {}).setdefault(f, []).extend(v)
         _add_counts(counts, item["counts"])
+        _add_counts(elapsed, item["elapsed"])
     if "curves" in wants:
         for point in points:
             curves = fraction_curves(grid, point["samples"], point["h_s"], point["t"])
             point["curves"] = (curves["mi"], curves["neg"])
-    return points, counts
+    return points, counts, elapsed
 
 
 def branch_params(config: RunConfig):
@@ -448,9 +471,10 @@ def run_experiment(
     try:
         results: list[dict] = []
         counts: dict = {}
+        elapsed: dict = {}
         if wants:
             t0 = time.perf_counter()
-            results, counts = _run_time_points(config, tuple(wants))
+            results, counts, elapsed = _run_time_points(config, tuple(wants))
             timings["simulate"] = time.perf_counter() - t0
         if curves_dir is None:
             curves = [r["curves"] for r in results if "curves" in r]
@@ -484,6 +508,7 @@ def run_experiment(
             stages=list(stages),
             timings_s={k: round(v, 6) for k, v in timings.items()},
             counts=counts,
+            layer_timings_s={k: round(v, 6) for k, v in elapsed.items()},
             files=[
                 {"name": os.path.basename(p), "sha256": _sha256(p), "bytes": os.path.getsize(p)}
                 for p in written

@@ -13,9 +13,10 @@ import numpy as np
 
 from qbmlab.analytic import BranchModelParams, chi_value, mi_value, trajectory_amplitudes
 from qbmlab.correlations import BandPartition, CorrelationCurve, FractionSampler, _draw
-from qbmlab.errors import DimensionMismatch, DomainError, QbmError, SubsetError
+from qbmlab.errors import DimensionMismatch, DomainError, ImpureState, QbmError, SubsetError
 from qbmlab.gaussian import (
     PURE_MODE_RTOL,
+    PURITY_TOL,
     CovarianceMatrix,
     ModeSubset,
     _complex_williamson,
@@ -23,12 +24,13 @@ from qbmlab.gaussian import (
     _gram_spectra,
     _omega_times,
     _rows,
+    _skew_product,
     _spectrum_of,
     log_negativity,
     partial_trace,
     von_neumann_entropy,
 )
-from qbmlab.model import BathSpec, DiscretizedBath, Propagator, mode_masses, symplectic_propagator
+from qbmlab.model import BathSpec, DiscretizedBath, Propagator, mode_masses
 
 
 class OverlapError(QbmError):
@@ -67,6 +69,56 @@ def stacked_spectra(stack: np.ndarray) -> np.ndarray:
     except DomainError:
         return np.array([_spectrum_of(sigma, 0.0) for sigma in stack])
     return _gram_spectra(stack, form, gram)
+
+
+def symplectic_propagator(prop: Propagator, t: float) -> np.ndarray:
+    """Phase-space propagator S(t) in interleaved (x, p) ordering (model.evolve writes S(t) sqrt(sigma(0)) without forming it).
+
+    Assembled from cos(w t), sin(w t)/w and -w sin(w t) in the normal-mode
+    basis, with the w -> 0 limit sin(w t)/w -> t handled explicitly, then
+    scaled back from mass-weighted coordinates.
+    """
+    if t < 0:
+        raise DomainError(f"time must be >= 0, got {t}")
+    w = prop.eigenfrequencies
+    basis = prop.eigenbasis
+    cos_t = np.cos(w * t)
+    sin_over = np.where(w > 0.0, np.sin(w * t) / np.where(w > 0.0, w, 1.0), t)
+    w_sin = -w * np.sin(w * t)
+
+    xx = (basis * cos_t) @ basis.T
+    xp = (basis * sin_over) @ basis.T
+    px = (basis * w_sin) @ basis.T
+
+    root_m = prop.mass_scaling
+    inv_m = 1.0 / root_m
+    n = prop.n_modes
+    s = np.zeros((2 * n, 2 * n))
+    s[0::2, 0::2] = xx * inv_m[:, None] * root_m[None, :]
+    s[0::2, 1::2] = xp * inv_m[:, None] * inv_m[None, :]
+    s[1::2, 0::2] = px * root_m[:, None] * root_m[None, :]
+    s[1::2, 1::2] = xx * root_m[:, None] * inv_m[None, :]
+    return s
+
+
+def two_pass_evolve(prop: Propagator, cov: CovarianceMatrix, t: float) -> np.ndarray:
+    """sigma(t) of a product state in two passes: A = S(t) sqrt(sigma(0)), then A A^T symmetrized as 0.5 (P + P^T) (model.evolve forms A in one pass)."""
+    if t == 0.0:
+        return 0.5 * (cov.data + cov.data.T)
+    root = symplectic_propagator(prop, t) * np.sqrt(cov.data.diagonal())
+    product = root @ root.T
+    return 0.5 * (product + product.T)
+
+
+def omega_copy_purity(cov: CovarianceMatrix) -> float:
+    """gaussian.check_purity with Omega X formed as a copy and the scale read again (check_purity works on X in place)."""
+    square = _omega_times(_skew_product(cov.data))
+    square[np.diag_indices_from(square)] += 0.25
+    defect = float(np.max(np.abs(square, out=square)))
+    scale = max(float(np.max(np.abs(cov.data))), 1.0)
+    if not defect <= PURITY_TOL * scale:
+        raise ImpureState(f"global purity defect {defect:.3e} exceeds {PURITY_TOL:.0e} x scale {scale:.3e}")
+    return float(np.max(np.sum(square, axis=1)))
 
 
 def dense_evolve(prop: Propagator, cov: CovarianceMatrix, t: float) -> np.ndarray:

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,6 +38,7 @@ from oracles import (
     dense_skew_product,
     flip_system,
     mutual_information,
+    omega_copy_purity,
     stacked_spectra,
     symplectic_eigenvalues,
     symplectic_form,
@@ -112,6 +116,32 @@ class TestCovarianceMatrix:
         assert cov.symmetry_defect == pytest.approx(1e-12 * scale, rel=1e-3)
         assert np.array_equal(cov.data, cov.data.T)
         assert validate_state(cov).symmetry_defect == cov.symmetry_defect
+
+    def test_exactly_symmetric_input_is_stored_as_given(self):
+        data = np.diag([1e308, 1.0])  # 0.5 (data + data^T) would overflow to inf
+        cov = CovarianceMatrix(data)
+        assert np.array_equal(cov.data, data) and cov.data is not data
+        assert cov.symmetry_defect == 0.0 and cov.scale == 1e308
+
+    def test_overflowing_symmetrization_rejected(self):
+        big = np.finfo(float).max
+        data = np.array([[1.0, big], [np.nextafter(big, 0.0), 1.0]])  # asymmetric by one ulp
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected, not a RuntimeWarning
+            with pytest.raises(DomainError, match="non-finite"):
+                CovarianceMatrix(data)
+
+    def test_symmetric_states_skip_the_symmetry_passes(self, rng):
+        data = random_state(rng, 3).data
+        cov = CovarianceMatrix.symmetric(data)
+        assert cov.data is data and cov.symmetry_defect == 0.0 and cov.n_modes == 3
+        assert cov.scale == max(float(np.max(np.abs(data))), 1.0)
+        assert CovarianceMatrix.symmetric(0.25 * np.eye(2)).scale == 1.0
+        data[1, 2] = np.nan
+        with pytest.raises(DomainError, match="non-finite"):
+            CovarianceMatrix.symmetric(data)
+        with pytest.raises(DomainError, match="2M x 2M"):
+            CovarianceMatrix.symmetric(np.eye(3))
 
 
 class TestSymplecticEigenvalues:
@@ -740,6 +770,27 @@ class TestCheckPurity:
         defect = np.abs(dense_purity_square(cov.data) + 0.25 * np.eye(2 * n_modes))
         assert bound == pytest.approx(float(np.max(np.sum(defect, axis=1))), rel=1e-3)
         assert bound >= np.max(nus**2 - 0.25)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=SEEDS, n_modes=st.integers(min_value=1, max_value=10), lift=st.sampled_from([0.0, 1e-10, 1e-6]))
+    def test_in_place_bound_matches_omega_copy(self, seed, n_modes, lift):
+        # pure, slightly mixed (b well above rounding) and impure (1e-6) states
+        rng = np.random.default_rng(seed)
+        sym = random_symplectic(rng, n_modes)
+        cov = CovarianceMatrix(sym @ np.diag(np.repeat(0.5 + lift * rng.uniform(1.0, 10.0, size=n_modes), 2)) @ sym.T)
+        try:
+            want = omega_copy_purity(cov)
+        except ImpureState as exc:
+            with pytest.raises(ImpureState, match=re.escape(str(exc))):
+                check_purity(cov)
+        else:
+            assert check_purity(cov) == want
+
+    def test_gate_is_relative_to_the_stored_scale(self):
+        # |nu^2 - 1/4| = 1e-7 lies between PURITY_TOL and PURITY_TOL x scale (1e3)
+        cov = CovarianceMatrix(np.diag([1e3, (0.25 + 1e-7) / 1e3]))
+        assert cov.scale == 1e3
+        assert check_purity(cov) == omega_copy_purity(cov) == pytest.approx(1e-7, rel=1e-6)
 
     def test_mixed_state_raises(self, rng):
         with pytest.raises(ImpureState):

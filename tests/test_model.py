@@ -26,7 +26,6 @@ from qbmlab.model import (
     potential_matrix,
     recurrence_time,
     spectral_density,
-    symplectic_propagator,
     total_energy,
 )
 
@@ -36,7 +35,10 @@ from oracles import (
     dense_purity_square,
     dense_skew_product,
     hamiltonian_matrix,
+    omega_copy_purity,
     symplectic_eigenvalues,
+    symplectic_propagator,
+    two_pass_evolve,
 )
 
 #: The half products of the state layer against the dense formulas they
@@ -51,6 +53,10 @@ ENERGY_RTOL = 1e-12
 
 #: (bath size, r, t): the desk bath at three desk times, and one full-profile time.
 DESK_AND_FULL = [(150, r, t) for r in (-5.0, 5.0) for t in (10.0 / 39.0, 5.128, 10.0)] + [(600, -5.0, 5.128)]
+
+
+#: (bath size, r, t): the desk bath at t = 0 and three desk times, and one full-profile time.
+ONE_PASS_STATES = [(150, r, 0.0) for r in (-5.0, 5.0)] + DESK_AND_FULL
 
 
 #: Slack, in eps x the state's scale, for the eigensolver's own rounding of
@@ -324,6 +330,34 @@ class TestHalfProducts:
         square = _omega_times(_skew_product(cov.data))
         scale = np.max(np.abs(cov.data))
         assert np.max(np.abs(square - dense_purity_square(cov.data))) <= HALF_PRODUCT_RTOL * scale**2
+
+
+class TestOnePassState:
+    """model.evolve and check_purity against the two-pass forms they replace (oracles.two_pass_evolve, omega_copy_purity), bit for bit."""
+
+    @pytest.mark.parametrize("n_osc, r, t", ONE_PASS_STATES)
+    def test_state_matches_two_pass_evolve(self, evolved, n_osc, r, t):
+        _, _, prop, cov0, cov = evolved(n_osc, r, t)
+        assert np.array_equal(cov.data, two_pass_evolve(prop, cov0, t))
+        assert np.array_equal(cov.data, cov.data.T)  # the syrk product is exactly symmetric
+        assert cov.symmetry_defect == 0.0
+        assert cov.scale == max(float(np.max(np.abs(cov.data))), 1.0)
+
+    @pytest.mark.parametrize("t", [0.0, 10.0 / 39.0, 5.128, 10.0])
+    def test_unequal_masses_match_two_pass_evolve(self, t):
+        # unit masses make the mass scalings exact in any order; these do not
+        spec = BathSpec(exponent=0.5, cutoff=20.0, coupling=0.1, n_oscillators=150, omega_s=3.0, system_mass=2.3, bath_mass=0.7)
+        bath = discretize_bath(spec)
+        prop = make_propagator(spec, bath)
+        cov0 = initial_covariance(spec, bath, SqueezedInitialState.from_r(-5.0, spec))
+        cov = evolve(prop, cov0, t)
+        assert np.array_equal(cov.data, two_pass_evolve(prop, cov0, t))
+        assert check_purity(cov) == omega_copy_purity(cov)
+
+    @pytest.mark.parametrize("n_osc, r, t", ONE_PASS_STATES)
+    def test_purity_bound_matches_omega_copy(self, evolved, n_osc, r, t):
+        cov = evolved(n_osc, r, t)[-1]
+        assert check_purity(cov) == omega_copy_purity(cov)
 
 
 class TestPurityBound:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, fields
 from types import SimpleNamespace
 
@@ -93,6 +94,32 @@ class TestRunExperiment:
             path = tmp_path / f["name"]
             assert path.exists()
             assert hashlib.sha256(path.read_bytes()).hexdigest() == f["sha256"]
+
+    @pytest.mark.parametrize("stages", [("evolve", "bands", "piplot"), ("evolve",)])
+    def test_manifest_sums_worker_layer_timings(self, tmp_path, stages):
+        cfg = tiny_config(tmp_path, workers=2)
+        manifest = run_experiment(cfg, stages)
+        with open(tmp_path / f"{cfg.run_id}_manifest.json") as fh:
+            written = json.load(fh)["layer_timings_s"]
+        assert written == manifest.layer_timings_s
+        layers = {"model.evolve", "gaussian.check_purity"} | ({"correlations.bands", "correlations.curves"} if len(stages) > 1 else set())
+        assert set(written) == layers  # the layers that ran
+        assert all(isinstance(v, float) and v >= 0.0 for v in written.values())
+        assert written["model.evolve"] > 0.0 and written["gaussian.check_purity"] > 0.0
+        assert set(written).isdisjoint(manifest.timings_s)  # apart from the per-stage write times
+
+    def test_layer_timings_are_summed_over_chunks(self, tmp_path, monkeypatch, pinned_blas):
+        # a clock that ticks once per reading, and the chunks run in this process
+        @contextmanager
+        def in_process(workers):
+            yield SimpleNamespace(map=lambda fn, items, chunksize: map(fn, items))
+
+        ticks = iter(range(10**6))
+        monkeypatch.setattr(runner_mod, "time", SimpleNamespace(perf_counter=lambda: float(next(ticks))))
+        monkeypatch.setattr(runner_mod, "_pool", in_process)
+        cfg = tiny_config(tmp_path)
+        _, _, elapsed = runner_mod._run_time_points(cfg, ("state", "bands", "curves"))
+        assert elapsed == dict.fromkeys(("model.evolve", "gaussian.check_purity", "correlations.bands", "correlations.curves"), float(cfg.n_times))
 
     def test_reruns_are_byte_identical(self, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
@@ -273,6 +300,27 @@ class TestWorkers:
         assert "numerical failure: worker BLAS is not pinned to one thread: OPENBLAS_NUM_THREADS" in proc.stderr
         assert not os.listdir(out)
 
+    def test_forkserver_preloads_a_package_found_through_sys_path(self, tmp_path):
+        if runner_mod._START_METHOD != "forkserver":
+            pytest.skip("no forkserver on this platform")
+        # qbmlab is importable only through a sys.path insert, as under pytest's
+        # pythonpath; a worker that finds numpy and qbmlab.runner loaded got them
+        # from the forkserver's preload, since nothing else imports them there
+        src = os.path.dirname(os.path.dirname(runner_mod.__file__))
+        probe = "sorted({'numpy', 'qbmlab.runner'} & set(__import__('sys').modules))"
+        script = (
+            "import os, sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "from qbmlab import runner\n"
+            "with runner._pool(1) as pool:\n"
+            f"    print(pool.submit(eval, {probe!r}).result())\n"
+            "print(os.environ.get('PYTHONPATH'))\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["['numpy', 'qbmlab.runner']", "None"]  # and PYTHONPATH is restored
+
     def test_no_process_outlives_the_command(self, tmp_path):
         proc = subprocess.Popen(
             [sys.executable, "-m", "qbmlab.cli", "all", "--profile", "desk", *TINY_DESK, "--workers", "2",
@@ -327,13 +375,18 @@ class TestOnePath:
         for name in ("partial_trace", "von_neumann_entropy", "log_negativity"):
             monkeypatch.setattr(gaussian_mod, name, forbidden)
             monkeypatch.setattr(correlations_mod, name, forbidden, raising=False)
-        built, init = [], gaussian_mod.CovarianceMatrix.__init__
+        built, init, symmetric = [], gaussian_mod.CovarianceMatrix.__init__, gaussian_mod.CovarianceMatrix.symmetric
 
         def counted_init(self, data):
             built.append(data.shape)
             init(self, data)
 
+        def counted_symmetric(data):
+            built.append(data.shape)
+            return symmetric(data)
+
         monkeypatch.setattr(gaussian_mod.CovarianceMatrix, "__init__", counted_init)
+        monkeypatch.setattr(gaussian_mod.CovarianceMatrix, "symmetric", counted_symmetric)
         monkeypatch.setattr(runner_mod, "_PIECES", {})
         cfg = tiny_config(tmp_path)
         wants = ("state", "bands", "curves")
