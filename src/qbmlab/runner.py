@@ -26,7 +26,8 @@ f = 1.  Items go to a pool of worker processes in time order.
 Every chunk evolves its time point and checks its purity (ImpureState in
 every stage), and only chunk 0 counts that work in the manifest, so the
 counts do not depend on which worker takes a chunk; the manifest sums
-each chunk's wall-clock per layer.  The runner extends
+each chunk's wall-clock per layer, and the pieces' build where a chunk
+made it.  The runner extends
 each grid point's values by the chunks in order, which is sample order,
 and reduces them to curves in grid order.  A serial run (workers = 1)
 is a pool of one, and a run whose stages need no time point starts no
@@ -37,11 +38,23 @@ it numpy; where the platform has no forkserver (Windows) they are
 spawned.  The forkserver starts with the process's first pool, inside the
 single-threaded BLAS environment, so every worker it forks runs BLAS on
 one thread, and each chunk checks that; with the package's import root
-on its PYTHONPATH the preload finds the package.  It holds only imported
-modules: each pool's workers, with their simulation-pieces cache, exit
-when the pool shuts down.  So a process that starts many pools (a sweep
-script, the test suite, the benchmark's loops) pays the interpreter and
-import start-up once; a one-shot command starts one pool and gains nothing.
+on its PYTHONPATH the preload finds the package.  Its environment also
+carries the physics (bath spec and squeezing) of the run that starts it,
+and the preload builds that run's simulation pieces (bath, propagator,
+sigma(0)) on one BLAS thread, so they hold the bytes a worker would build.
+Only the forkserver's preload builds them: a spawned worker, or any other
+process that imports this module, does not.  Every worker the forkserver
+forks inherits them, read-only and shared copy-on-write, and skips the
+build; the manifest's runner.simulation_pieces reads 0 for its chunks.  A
+run of other physics builds its own pieces in each worker, as before, and
+the forkserver keeps the first run's pieces resident until the process
+exits.  A failed build leaves the forkserver without pieces, and the
+worker then rebuilds and raises.  Each pool's workers exit when the pool
+shuts down, so nothing but those first pieces carries from one call to
+the next.  A process that starts many pools (the test suite, the
+benchmark's loops) pays the interpreter and import start-up once, and
+skips the build in every run with the first run's physics; a one-shot
+command or a sweep over physics gains nothing from the pieces.
 A process has one forkserver and one resource tracker, and this module
 takes both over: a forkserver pool that other code of the process starts
 later also preloads this module and pins BLAS to one thread.  When the
@@ -70,6 +83,7 @@ import json
 import multiprocessing
 import os
 import site
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -116,6 +130,10 @@ _SIMULATING_STAGES = ("evolve", "bands", "piplot", "peplot")
 # per-process cache of the heavy simulation pieces of the physics config
 _PIECES: dict = {}
 
+#: The forkserver's environment variable holding the physics (bath spec and squeezing, as JSON)
+#: of the run that starts it; its preload of this module builds their pieces (_preload_pieces).
+_PHYSICS_VAR = "QBM_FORKSERVER_PHYSICS"
+
 #: Thread-count variables pinned to 1 in every worker.  BLAS reads them once,
 #: when numpy loads it, so they must be in place before the forkserver starts.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -124,16 +142,48 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
 _START_METHOD = "forkserver" if "forkserver" in multiprocessing.get_all_start_methods() else "spawn"
 
 
+def _pieces_key(config: RunConfig) -> tuple:
+    return config.bath_spec(), config.squeezing
+
+
 def simulation_pieces(config: RunConfig):
-    spec = config.bath_spec()
-    key = (spec, config.squeezing)
+    """(spec, bath, propagator, sigma(0)) of the config's physics, cached per process.
+
+    Their arrays are read-only: the forkserver's workers share one copy.
+    """
+    key = _pieces_key(config)
     if key not in _PIECES:
+        spec = key[0]
         bath = discretize_bath(spec)
         prop = make_propagator(spec, bath)
         cov0 = initial_covariance(spec, bath, config.initial_state())
+        for array in (bath.frequencies, bath.couplings, bath.masses, prop.eigenfrequencies, prop.eigenbasis,
+                      prop.mass_scaling, cov0.data):
+            array.flags.writeable = False
         _PIECES.clear()  # one config per process is the common case
         _PIECES[key] = (spec, bath, prop, cov0)
     return _PIECES[key]
+
+
+def _in_forkserver_preload() -> bool:
+    """Whether this module is being imported by the forkserver's preload (multiprocessing.forkserver.main),
+    not by a spawned worker or any other process that inherited _PHYSICS_VAR."""
+    frame = sys._getframe()
+    while frame is not None and frame.f_code is not forkserver.main.__code__:
+        frame = frame.f_back
+    return frame is not None
+
+
+def _preload_pieces() -> None:
+    """Build the pieces of the physics in _PHYSICS_VAR, if set: run in the forkserver, so that every
+    worker it forks inherits them.  Any failure leaves _PIECES empty, and the worker then rebuilds
+    and raises as without the preload; the forkserver itself must not die of it."""
+    physics = os.environ.get(_PHYSICS_VAR)
+    if physics:
+        try:
+            simulation_pieces(RunConfig(**json.loads(physics)))
+        except Exception:
+            _PIECES.clear()
 
 
 def _add_counts(total: dict, counts: dict) -> dict:
@@ -174,13 +224,16 @@ def _chunk_task(args) -> dict:
             )
     config_dict, t_index, t, wants, sample_indices = args
     config = RunConfig(**config_dict)
+    cached = _pieces_key(config) in _PIECES  # preloaded, or built by an earlier chunk
+    start = time.perf_counter()
     spec, bath, prop, cov0 = simulation_pieces(config)
+    elapsed = {"runner.simulation_pieces": 0.0 if cached else time.perf_counter() - start}
     take_counts()  # count this chunk only
     start = time.perf_counter()
     cov = evolve(prop, cov0, t)
     evolved = time.perf_counter()
     bound = check_purity(cov)
-    elapsed = {"model.evolve": evolved - start, "gaussian.check_purity": time.perf_counter() - evolved}
+    elapsed.update({"model.evolve": evolved - start, "gaussian.check_purity": time.perf_counter() - evolved})
     h_s = system_entropy(cov)
     if sample_indices.start:
         take_counts()  # a time point's state work counts once, in chunk 0
@@ -220,7 +273,8 @@ class RunManifest:
     timings_s: dict
     #: spectrum counts summed over the run's chunks (gaussian.take_counts)
     counts: dict
-    #: worker wall-clock per layer (model.evolve, gaussian.check_purity, correlations.bands and .curves), summed over chunks
+    #: worker wall-clock per layer (runner.simulation_pieces, model.evolve, gaussian.check_purity,
+    #: correlations.bands and .curves), summed over chunks
     layer_timings_s: dict
     files: list
 
@@ -263,20 +317,24 @@ def usable_cpu_count() -> int:
 
 
 @contextmanager
-def _worker_env():
-    """Set _BLAS_THREAD_VARS to 1, and put the package's import root (unless a site directory) first on PYTHONPATH, in os.environ, which the forkserver or a spawned child inherits.
+def _worker_env(config: RunConfig):
+    """Set _BLAS_THREAD_VARS to 1, _PHYSICS_VAR to the config's physics, and put the package's import root (unless a site directory) first on PYTHONPATH, in os.environ, which the forkserver or a spawned child inherits.
 
     The forkserver does not apply the caller's sys.path (Python 3.11), so
     without the root a package found through a sys.path insert (pytest's
     ``pythonpath``) fails the preload silently, and each worker imports
     numpy and qbmlab itself.
     """
-    saved = {var: os.environ.get(var) for var in (*_BLAS_THREAD_VARS, "PYTHONPATH")}
-    os.environ.update({var: "1" for var in _BLAS_THREAD_VARS})
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    if root not in (*site.getsitepackages(), site.getusersitepackages()):
-        os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (root, saved["PYTHONPATH"]) if p)
+    # the config's bath spec may raise (a config built in Python is not validated): before any write
+    physics = json.dumps({**asdict(config.bath_spec()), "squeezing": config.squeezing},
+                         default=lambda scalar: scalar.item())  # a numpy scalar as its Python value
+    saved = {var: os.environ.get(var) for var in (*_BLAS_THREAD_VARS, _PHYSICS_VAR, "PYTHONPATH")}
     try:
+        os.environ.update({var: "1" for var in _BLAS_THREAD_VARS})
+        os.environ[_PHYSICS_VAR] = physics
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        if root not in (*site.getsitepackages(), site.getusersitepackages()):
+            os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (root, saved["PYTHONPATH"]) if p)
         yield
     finally:
         for var, value in saved.items():
@@ -306,9 +364,9 @@ def _context():
 
 
 @contextmanager
-def _pool(workers: int):
-    """A pool of workers whose BLAS runs one thread; the forkserver, if it starts here, starts pinned."""
-    with _worker_env(), ProcessPoolExecutor(max_workers=workers, mp_context=_context()) as pool:
+def _pool(workers: int, config: RunConfig):
+    """A pool of workers whose BLAS runs one thread; the forkserver, if it starts here, starts pinned and preloads config's pieces."""
+    with _worker_env(config), ProcessPoolExecutor(max_workers=workers, mp_context=_context()) as pool:
         yield pool
 
 
@@ -327,7 +385,7 @@ def _run_time_points(config: RunConfig, wants: tuple[str, ...]) -> tuple[list[di
         for i, t in enumerate(times)
         for j, sample_indices in enumerate(_slices(config.samples, n_chunks))
     ]
-    with _pool(min(workers, len(payloads))) as pool:
+    with _pool(min(workers, len(payloads)), config) as pool:
         items = list(pool.map(_chunk_task, payloads, chunksize=1))
 
     points = [{"t": t, "samples": {}} for t in times]
@@ -609,3 +667,7 @@ def load_curves(outdir: str, run_id: str) -> dict[float, tuple[CorrelationCurve,
         if len(d) < 2:
             raise OSError(f"{csv_paths[0]} and {csv_paths[1]}: only the {next(iter(d))} file holds t = {t!r}")
     return {t: (d["mi"], d["neg"]) for t, d in sorted(out.items())}
+
+
+if _in_forkserver_preload():
+    _preload_pieces()

@@ -2,11 +2,13 @@ import csv
 import hashlib
 import importlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,7 +20,7 @@ import qbmlab.gaussian as gaussian_mod
 import qbmlab.runner as runner_mod
 from qbmlab.cli import main
 from qbmlab.config import RunConfig, parse_config
-from qbmlab.errors import ImpureState, QbmError
+from qbmlab.errors import DomainError, EigensolveFailure, ImpureState, NegativeEigenvalue, QbmError
 from qbmlab.correlations import band_correlations, band_partition, pi_pe_plots
 from qbmlab.gaussian import CovarianceMatrix, check_purity, take_counts
 from qbmlab.model import evolve
@@ -102,7 +104,9 @@ class TestRunExperiment:
         with open(tmp_path / f"{cfg.run_id}_manifest.json") as fh:
             written = json.load(fh)["layer_timings_s"]
         assert written == manifest.layer_timings_s
-        layers = {"model.evolve", "gaussian.check_purity"} | ({"correlations.bands", "correlations.curves"} if len(stages) > 1 else set())
+        layers = {"runner.simulation_pieces", "model.evolve", "gaussian.check_purity"} | (
+            {"correlations.bands", "correlations.curves"} if len(stages) > 1 else set()
+        )
         assert set(written) == layers  # the layers that ran
         assert all(isinstance(v, float) and v >= 0.0 for v in written.values())
         assert written["model.evolve"] > 0.0 and written["gaussian.check_purity"] > 0.0
@@ -111,15 +115,18 @@ class TestRunExperiment:
     def test_layer_timings_are_summed_over_chunks(self, tmp_path, monkeypatch, pinned_blas):
         # a clock that ticks once per reading, and the chunks run in this process
         @contextmanager
-        def in_process(workers):
+        def in_process(workers, config):
             yield SimpleNamespace(map=lambda fn, items, chunksize: map(fn, items))
 
         ticks = iter(range(10**6))
         monkeypatch.setattr(runner_mod, "time", SimpleNamespace(perf_counter=lambda: float(next(ticks))))
         monkeypatch.setattr(runner_mod, "_pool", in_process)
+        monkeypatch.setattr(runner_mod, "_PIECES", {})
         cfg = tiny_config(tmp_path)
         _, _, elapsed = runner_mod._run_time_points(cfg, ("state", "bands", "curves"))
-        assert elapsed == dict.fromkeys(("model.evolve", "gaussian.check_purity", "correlations.bands", "correlations.curves"), float(cfg.n_times))
+        layers = ("model.evolve", "gaussian.check_purity", "correlations.bands", "correlations.curves")
+        # the first chunk builds the pieces; the others find them cached and count 0
+        assert elapsed == {"runner.simulation_pieces": 1.0, **dict.fromkeys(layers, float(cfg.n_times))}
 
     def test_reruns_are_byte_identical(self, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
@@ -263,9 +270,9 @@ class TestRunExperiment:
 
 class TestWorkers:
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads under /proc (Linux)")
-    def test_workers_run_one_blas_thread(self, monkeypatch):
+    def test_workers_run_one_blas_thread(self, tmp_path, monkeypatch):
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-        with runner_mod._pool(2) as pool:
+        with runner_mod._pool(2, tiny_config(tmp_path)) as pool:
             reports = [pool.submit(_worker_report).result() for _ in range(4)]
         for pins, threads in reports:
             assert pins == {var: "1" for var in runner_mod._BLAS_THREAD_VARS}
@@ -306,20 +313,25 @@ class TestWorkers:
         # qbmlab is importable only through a sys.path insert, as under pytest's
         # pythonpath; a worker that finds numpy and qbmlab.runner loaded got them
         # from the forkserver's preload, since nothing else imports them there
+        # and the worker holds the pieces of the pool's physics, which the preload built
         src = os.path.dirname(os.path.dirname(runner_mod.__file__))
         probe = "sorted({'numpy', 'qbmlab.runner'} & set(__import__('sys').modules))"
+        pieces = "[key[0].n_oscillators for key in __import__('sys').modules['qbmlab.runner']._PIECES]"
         script = (
             "import os, sys\n"
             f"sys.path.insert(0, {src!r})\n"
             "from qbmlab import runner\n"
-            "with runner._pool(1) as pool:\n"
+            "from qbmlab.config import RunConfig\n"
+            "with runner._pool(1, RunConfig(n_oscillators=8)) as pool:\n"
             f"    print(pool.submit(eval, {probe!r}).result())\n"
-            "print(os.environ.get('PYTHONPATH'))\n"
+            f"    print(pool.submit(eval, {pieces!r}).result())\n"
+            "print(os.environ.get('PYTHONPATH'), os.environ.get(runner._PHYSICS_VAR))\n"
         )
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", runner_mod._PHYSICS_VAR)}
         proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["['numpy', 'qbmlab.runner']", "None"]  # and PYTHONPATH is restored
+        # PYTHONPATH and the physics variable are restored
+        assert proc.stdout.splitlines() == ["['numpy', 'qbmlab.runner']", "[8]", "None None"]
 
     def test_no_process_outlives_the_command(self, tmp_path):
         proc = subprocess.Popen(
@@ -331,6 +343,164 @@ class TestWorkers:
         assert proc.returncode == 0, err
         # the command led a new process group: the forkserver, the resource
         # tracker and every worker belonged to it, and none is left
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+
+
+#: Runs each CLI argument list of argv[1] (JSON) in this process, in turn, then prints whether a fresh
+#: worker of the forkserver holds pieces array_equal to those a pinned worker builds for the same physics.
+_SEQUENCE_SCRIPT = """
+import json, os, sys
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
+
+import numpy as np
+
+from qbmlab import runner
+from qbmlab.cli import main
+from qbmlab.config import RunConfig
+
+
+def pieces_in_worker(rebuild):
+    \"\"\"The key and pieces a fresh worker holds before its first task, or, with rebuild, those it builds.\"\"\"
+    assert all(os.environ[var] == "1" for var in runner._BLAS_THREAD_VARS)
+    (key, pieces), = runner._PIECES.items()
+    if rebuild:
+        runner._PIECES.clear()
+        pieces = runner.simulation_pieces(RunConfig(**asdict(key[0]), squeezing=key[1]))
+    return key, pieces
+
+
+if __name__ == "__main__":
+    for argv in json.loads(sys.argv[1]):
+        assert main(argv) == 0
+    with ProcessPoolExecutor(1, mp_context=runner._context()) as pool:
+        (key, preloaded), (_, built) = (pool.submit(pieces_in_worker, rebuild).result() for rebuild in (False, True))
+    arrays = [(p[1].frequencies, p[1].couplings, p[2].eigenfrequencies, p[2].eigenbasis, p[3].data)
+              for p in (preloaded, built)]
+    print(json.dumps({
+        "n_oscillators": key[0].n_oscillators,
+        "equal": [bool(np.array_equal(a, b)) for a, b in zip(*arrays)],
+    }))
+"""
+
+
+def _pieces_seconds(outdir, run_id) -> float:
+    with open(os.path.join(outdir, f"{run_id}_manifest.json")) as fh:
+        return json.load(fh)["layer_timings_s"]["runner.simulation_pieces"]
+
+
+class TestForkserverPieces:
+    @pytest.mark.parametrize("numpy_scalars", [False, True])
+    def test_preload_builds_the_pool_physics(self, tmp_path, monkeypatch, numpy_scalars):
+        # the forkserver's environment comes from _worker_env, and its preload runs _preload_pieces
+        cfg = tiny_config(tmp_path, squeezing=2.5)
+        if numpy_scalars:  # as a config built in Python may hold them
+            cfg = replace(cfg, n_oscillators=np.int64(cfg.n_oscillators), cutoff=np.float32(16.0))
+        monkeypatch.setattr(runner_mod, "_PIECES", {})
+        with runner_mod._worker_env(cfg):
+            runner_mod._preload_pieces()
+        assert list(runner_mod._PIECES) == [runner_mod._pieces_key(cfg)]
+        assert runner_mod._PHYSICS_VAR not in os.environ
+
+    @pytest.mark.parametrize("error", [NegativeEigenvalue, EigensolveFailure, MemoryError])
+    def test_failed_preload_leaves_no_pieces(self, tmp_path, monkeypatch, error):
+        def broken(*args, **kwargs):
+            raise error("propagator")
+
+        cfg = tiny_config(tmp_path)
+        monkeypatch.setattr(runner_mod, "_PIECES", {})
+        monkeypatch.setattr(runner_mod, "make_propagator", broken)
+        with runner_mod._worker_env(cfg):
+            runner_mod._preload_pieces()  # the forkserver survives
+        assert runner_mod._PIECES == {}
+        with pytest.raises(error):  # and the worker rebuilds and raises
+            simulation_pieces(cfg)
+
+    def test_unbuildable_physics_leaves_the_environment(self, tmp_path, monkeypatch):
+        # a config built in Python is not validated: its bath spec raises in _worker_env, before any write
+        monkeypatch.setenv("PYTHONPATH", "caller")
+        for var in runner_mod._BLAS_THREAD_VARS:
+            monkeypatch.setenv(var, "3")
+        monkeypatch.delenv(runner_mod._PHYSICS_VAR, raising=False)
+        before = dict(os.environ)
+        with pytest.raises(DomainError):
+            run_experiment(replace(tiny_config(tmp_path), cutoff=-1.0), ("evolve",))
+        assert dict(os.environ) == before
+
+    def test_spawned_worker_builds_no_pieces_at_import(self, tmp_path):
+        # _PHYSICS_VAR reaches a spawned worker too, but only the forkserver's preload builds
+        probe = "len(__import__('importlib').import_module('qbmlab.runner')._PIECES)"
+        with runner_mod._worker_env(tiny_config(tmp_path)), ProcessPoolExecutor(
+            1, mp_context=multiprocessing.get_context("spawn")
+        ) as pool:
+            assert pool.submit(eval, probe).result() == 0
+
+    def test_pieces_are_read_only(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(runner_mod, "_PIECES", {})
+        _, bath, prop, cov0 = simulation_pieces(tiny_config(tmp_path))
+        arrays = (bath.frequencies, bath.couplings, bath.masses, prop.eigenfrequencies, prop.eigenbasis,
+                  prop.mass_scaling, cov0.data)
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array *= 1.0
+
+    @pytest.mark.skipif(runner_mod._START_METHOD != "forkserver", reason="no forkserver on this platform")
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_runs_on_preloaded_pieces_write_fresh_bytes(self, tmp_path, workers):
+        def argv(n_oscillators, outdir):
+            return ["all", "--profile", "desk", "--n-oscillators", str(n_oscillators), "--n-times", "2",
+                    "--n-bands", "2", "--samples", "3", "--workers", str(workers),
+                    "--outdir", str(tmp_path / outdir), "--run-id", "seq"]
+
+        # one process: 8 oscillators twice (the forkserver preloads them), then 9
+        script = tmp_path / "sequence.py"
+        script.write_text(_SEQUENCE_SCRIPT)
+        runs = [argv(8, "a1"), argv(8, "a2"), argv(9, "b")]
+        proc = subprocess.run([sys.executable, str(script), json.dumps(runs)], env=child_env(),
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == {"n_oscillators": 8, "equal": [True] * 5}
+        for n_oscillators, outdir in ((8, "fresh_a"), (9, "fresh_b")):
+            proc = subprocess.run([sys.executable, "-m", "qbmlab.cli", *argv(n_oscillators, outdir)],
+                                  env=child_env(), capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+        fresh_a = digest_dir(tmp_path / "fresh_a")
+        assert len(fresh_a) == 11  # state, bands, two curve CSVs and sidecars, three redundancy and two compare files
+        assert digest_dir(tmp_path / "a1") == digest_dir(tmp_path / "a2") == fresh_a
+        assert digest_dir(tmp_path / "b") == digest_dir(tmp_path / "fresh_b")
+        # a run of the physics that started the forkserver builds no pieces; a run of other physics builds its own
+        for outdir in ("a1", "a2", "fresh_a", "fresh_b"):
+            assert _pieces_seconds(tmp_path / outdir, "seq") == 0.0
+        assert _pieces_seconds(tmp_path / "b", "seq") > 0.0
+
+    def test_two_runs_leave_no_process(self, tmp_path):
+        # two runs, then the resource tracker stopped as perfbench/run.py stops it: a pool that
+        # outlived its run would hold the tracker's fd, and that stop would wait forever
+        script = (
+            "import sys\n"
+            "from multiprocessing import resource_tracker\n"
+            "from qbmlab.config import parse_config\n"
+            "from qbmlab.runner import run_experiment\n"
+            "for outdir in sys.argv[1:]:\n"
+            "    config = parse_config(overrides=dict(profile='desk', n_oscillators=8, n_times=2, n_bands=2,\n"
+            "                                         samples=2, workers=2, outdir=outdir), env={})\n"
+            "    run_experiment(config, ('evolve', 'piplot'))\n"
+            "stop = getattr(resource_tracker._resource_tracker, '_stop', None)\n"
+            "if stop is not None:\n"
+            "    stop()\n"
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, str(tmp_path / "a"), str(tmp_path / "b")],
+            env=child_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, start_new_session=True,
+        )
+        try:
+            _, err = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, 9)
+            proc.communicate()
+            pytest.fail("two runs and the tracker's stop did not exit within 120 s")
+        assert proc.returncode == 0, err
         with pytest.raises(ProcessLookupError):
             os.killpg(proc.pid, 0)
 
