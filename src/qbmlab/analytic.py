@@ -170,11 +170,3 @@ def redundancy_estimate_value(deficit: float, k: float) -> float:
     area = 2.0 * chi_value(1.0, k)
     return float(((area + math.sqrt(area**2 - 1.0)) ** (2.0 * deficit) + 3.0) / 4.0)
 
-
-def redundancy_estimate(deficit: float, t: float, params: BranchModelParams) -> float:
-    """Entanglement-redundancy estimate at time t for a concrete bath.
-
-    Depends on the bath and on Omega_S only through k = d(t) dx^2; see
-    redundancy_estimate_value.
-    """
-    return redundancy_estimate_value(deficit, k_value(t, params))

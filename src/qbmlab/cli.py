@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
         "piplot": "averaged mutual-information curves over random fractions",
         "peplot": "averaged entanglement curves over random fractions",
         "redundancy": "R_E / R_I / I_NR reports (runs the curve stages first)",
-        "analytic": "closed-form branch-model curves on the same grids",
+        "analytic": "closed-form branch-model curves on the time grid, at f_grid or else 50 fractions from 0.02 to 1",
         "compare": "numeric curves, simulated or read with --curves-dir, against the closed-form model",
         "all": "every stage in one run",
     }

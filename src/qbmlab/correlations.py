@@ -40,8 +40,9 @@ transpose, and the band's own block for H(band) (_band_values); it makes
 no purity assumption.  Draws and bands alike go through _in_stacks: masks
 that select equally many bath modes have blocks of one size, so they are
 evaluated as stacks (_blocks, system first), each matrix bit for bit as
-alone, in slices of at most STACK_BYTES.  H(S) is the entropy of the 2 x
-2 system block (gaussian._spectrum_of).
+alone, in slices of at most STACK_BYTES.  H(S) = h(nu_S) and the f = 1
+negativity arccosh(2 nu_S) read one nu_S = sqrt(det sigma_S) of the 2 x 2
+system block (_system_nu); no function here takes a spectrum of it.
 """
 
 from __future__ import annotations
@@ -52,12 +53,12 @@ import numpy as np
 
 from .errors import BadBandCount, DomainError
 from .gaussian import (
+    NU_TOL,
     CovarianceMatrix,
     _entropy_of_values,
     _factor,
     _gram_spectra,
     _negativity_of_values,
-    _spectrum_of,
     _transposed_spectra,
     check_purity,
     purification,
@@ -128,8 +129,20 @@ def band_correlations(cov: CovarianceMatrix, bands: BandPartition, t: float = 0.
 
 
 def system_entropy(cov: CovarianceMatrix) -> float:
-    """H(S), the von Neumann entropy of the system mode 0."""
-    return _entropy_of_values(_spectrum_of(cov.data[:2, :2], 0.0))
+    """H(S) = h(nu_S), the von Neumann entropy of the system mode 0 (_system_nu)."""
+    return _entropy_of_values([_system_nu(cov.data)])
+
+
+def _system_nu(data: np.ndarray) -> float:
+    """nu_S = sqrt(det sigma_S), the symplectic eigenvalue of the 2 x 2 system block of a covariance array.
+
+    Valid for any single-mode state, pure or not.  A determinant below
+    (1/2 - NU_TOL)^2, or NaN, is unphysical and raises DomainError.
+    """
+    det = data[0, 0] * data[1, 1] - data[0, 1] ** 2
+    if not det >= (0.5 - NU_TOL) ** 2:
+        raise DomainError(f"system block determinant {det} below (1/2 - {NU_TOL})^2")
+    return np.sqrt(det)
 
 
 def default_f_grid(n_units: int, n_points: int = 24) -> np.ndarray:
@@ -258,12 +271,12 @@ def _pure_negativity(data: np.ndarray) -> float:
 
     In the mode-wise normal form of a pure bipartite state (Botero & Reznik,
     PRA 67, 052311 (2003)) S pairs with one bath mode in a two-mode squeezed
-    state, so E = arccosh(2 nu_S) with nu_S = sqrt(det sigma_S).  Its
+    state, so E = arccosh(2 nu_S) with the nu_S of H(S) (_system_nu).  Its
     partially transposed eigenvalue 1 / (4 (nu_S + sqrt(nu_S^2 - 1/4)))
     goes through _negativity_of_values, which zeroes values in the NU_TOL
     band.  Only valid after gaussian.check_purity passed.
     """
-    nu = np.sqrt(data[0, 0] * data[1, 1] - data[0, 1] ** 2)
+    nu = _system_nu(data)
     return _negativity_of_values(np.array([0.25 / (nu + np.sqrt(max(nu * nu - 0.25, 0.0)))]))
 
 

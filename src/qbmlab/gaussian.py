@@ -16,9 +16,11 @@ spectrum of the block is read off it: _gram_spectra, _transposed_spectra (the pa
 partners of mode 0; _complex_williamson is its fallback).
 _entropy_of_values and _negativity_of_values reduce one spectrum or a
 stack.  _spectrum_of is the one entry point for a raw matrix that may be
-unphysical (H(S), the object API); it takes the eig path when the matrix
-is not positive definite.  CovarianceMatrix is the validated full state
-that the model builds, and check_purity the pipeline's one check of it.
+unphysical (the object API); it takes the eig path when the matrix is not
+positive definite.  No pipeline function calls it: H(S) is h(nu_S) of the
+2 x 2 system block (correlations.system_entropy).  CovarianceMatrix is the
+validated full state that the model builds, and check_purity the
+pipeline's one check of it.
 ModeSubset, partial_trace, partial_transpose, von_neumann_entropy,
 log_negativity and validate_state (the oracle of check_purity's bound)
 form the reference API on CovarianceMatrix objects, which the tests'
@@ -345,13 +347,16 @@ def entropy_function(nu: float) -> float:
 
 
 def _entropy_of_values(values: np.ndarray):
-    """Sum of h(nu) over the last axis: a float for one spectrum, an array for a stack of them."""
+    """Sum of h(nu) over the last axis: a float for one spectrum, an array for a stack of them.
+
+    Values in [1/2 - NU_TOL, 1/2] count as exactly 1/2, as in entropy_function.
+    """
     values = np.asarray(values, dtype=float)
     if np.any(values < 0.5 - NU_TOL):
         worst = float(values.min())
         raise DomainError(f"symplectic eigenvalue {worst} below 1/2 - {NU_TOL}")
-    a = values + 0.5
-    b = np.clip(values - 0.5, 0.0, None)
+    values = np.maximum(values, 0.5)
+    a, b = values + 0.5, values - 0.5
     terms = a * np.log(a) - np.where(b > 0.0, b * np.log(np.where(b > 0.0, b, 1.0)), 0.0)
     total = np.sum(terms, axis=-1)
     return float(total) if total.ndim == 0 else total

@@ -9,7 +9,8 @@ and derives per-stage data products:
     peplot      averaged entanglement curves        (PE-plots)
     redundancy  R_E / R_I / I_NR reports from the curves
     compare     numeric curves against the closed-form branch model
-    analytic    closed-form branch-model curves on the time and f grids
+    analytic    closed-form branch-model curves on the time grid and on the
+                run's f_grid, else on 50 points linspace(0.02, 1, 50)
 
 The curves that redundancy and compare read come from the time points of
 the run itself or, with ``curves_dir``, from the piplot and peplot files an
@@ -457,8 +458,8 @@ def _stage_files(stage: str, config: RunConfig, results: list[dict], curves: lis
         params = branch_params(config)
         reports = []
         for mi, pe in curves:
-            d = d_total(mi.t, params) if mi.t > 0 else 0.0
-            estimate = redundancy_estimate_value(config.delta_e, d * params.delta_x**2) if d > 0 else float("nan")
+            k = k_value(mi.t, params)
+            estimate = redundancy_estimate_value(config.delta_e, k) if k > 0 else float("nan")
             reports.append(build_report(mi.t, pe, mi, config.delta_e, config.delta_i, estimate))
         rows = [[rep.t, rep.r_e, rep.r_i, rep.i_nr, rep.analytic_r_e, "|".join(rep.flags)] for rep in reports]
         return [("redundancy.csv", ["t", "r_e", "r_i", "i_nr", "analytic_r_e", "flags"], rows)] + [
@@ -471,11 +472,8 @@ def _stage_files(stage: str, config: RunConfig, results: list[dict], curves: lis
     # analytic
     params = branch_params(config)
     fs = config.f_grid or np.linspace(0.02, 1.0, 50).tolist()
-    rows = []
-    for t in config.times().tolist():
-        d = d_total(t, params)
-        k = d * params.delta_x**2
-        rows += [[t, f, d, k, entanglement_value(f, k), mi_value(f, k)] for f in fs]
+    points = [(t, d_total(t, params), k_value(t, params)) for t in config.times().tolist()]
+    rows = [[t, f, d, k, entanglement_value(f, k), mi_value(f, k)] for t, d, k in points for f in fs]
     return [("analytic.csv", ["t", "f", "d_total", "d_dx2", "e_analytic", "mi_analytic"], rows)]
 
 

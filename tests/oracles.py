@@ -198,11 +198,10 @@ def direct_correlations(cov: CovarianceMatrix, h_s: float, modes: tuple[int, ...
     return h_s + h_bath - von_neumann_entropy(joint), log_negativity(joint, ModeSubset.of([0], joint.n_modes))
 
 
-def direct_bands(cov: CovarianceMatrix, bands: BandPartition) -> tuple[float, np.ndarray, np.ndarray]:
-    """(H(S), per-band MI, per-band negativity) through the object API (the slow path)."""
-    h_s = direct_system_entropy(cov)
+def direct_bands(cov: CovarianceMatrix, h_s: float, bands: BandPartition) -> tuple[np.ndarray, np.ndarray]:
+    """(per-band MI, per-band negativity) through the object API (the slow path), given H(S)."""
     mi, neg = np.array([direct_correlations(cov, h_s, block) for block in bands.band_members]).T
-    return h_s, mi, neg
+    return mi, neg
 
 
 def sample_fraction(

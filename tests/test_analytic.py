@@ -6,9 +6,9 @@ from qbmlab.analytic import (
     chi_value,
     d_total,
     entanglement_value,
+    k_value,
     mi_value,
     mode_d_values,
-    redundancy_estimate,
     redundancy_estimate_value,
     trajectory_amplitudes,
 )
@@ -234,13 +234,13 @@ class TestRedundancyEstimate:
         for omega_s in (1.0, 3.0, 16.0):
             params = BranchModelParams(r=-5.0, omega_s=omega_s, bath=bath)
             k = d_total(t, params) * params.delta_x**2
-            assert redundancy_estimate(0.2, t, params) == pytest.approx(
+            assert redundancy_estimate_value(0.2, k_value(t, params)) == pytest.approx(
                 redundancy_estimate_value(0.2, k), rel=1e-12
             )
 
     def test_deficit_to_zero_limit(self):
         params = toy_params(-5.0)
-        assert redundancy_estimate(1e-9, 1.0, params) == pytest.approx(1.0, rel=1e-6)
+        assert redundancy_estimate_value(1e-9, k_value(1.0, params)) == pytest.approx(1.0, rel=1e-6)
 
     def test_agrees_with_exponential_form(self):
         # solving e_universal(1 - f_E) = deficit E(1) gives 1/f_E = (e^(2 deficit E(1)) + 3) / 4

@@ -16,14 +16,17 @@ from qbmlab.correlations import (
     pi_pe_plots,
     system_entropy,
 )
-from qbmlab.correlations import _blocks, _draw, _split
+from qbmlab.correlations import _blocks, _draw, _split, _system_nu
 from qbmlab.errors import BadBandCount, DomainError, ImpureState
 import qbmlab.correlations as correlations_mod
 from qbmlab.gaussian import (
+    NU_TOL,
     CovarianceMatrix,
     ModeSubset,
     _factor,
+    _spectrum_of,
     _transposed_spectra,
+    entropy_function,
     log_negativity,
     purification,
     take_counts,
@@ -50,6 +53,25 @@ from oracles import (
     stacked_spectra,
 )
 
+
+#: nu_S = sqrt(det sigma_S) (_system_nu) against an oracle, in units of
+#: eps x kappa x nu_S, where kappa = (|s00 s11| + s01^2) / nu_S^2 is the
+#: condition of the determinant: s00 s11 and s01^2 each carry rounding of
+#: half an eps, which their difference det = nu_S^2 keeps.  Against the
+#: determinant in np.longdouble, measured at most 0.9 over 4,000 random
+#: one-mode states (kappa up to 1.4e3), the desk states at r = -5 and 5 and
+#: the rotated squeezed modes (kappa 1.1e4).
+NU_S_DET_EPS = 2.0
+
+#: The same against the spectral route (gaussian._spectrum_of, whose Cholesky
+#: step s11 - s01^2 / s00 cancels as much): measured at most 1.9.
+NU_S_SPECTRAL_EPS = 4.0
+
+#: H(S) = h(nu_S) against the object path's H(S) (von_neumann_entropy of the
+#: system block, through _spectrum_of): the two nu_S differ by the rounding
+#: above; measured at most 1.1e-13 over 5,000 random states and 1.7e-14 on
+#: the desk states at r = -5 and 5.
+H_S_TOL = 1e-12
 
 #: The f = 1 negativity is arccosh(2 sqrt(det sigma_S)), read off the 2 x 2
 #: block, against the 151-mode spectrum of log_negativity: they differ by
@@ -140,13 +162,14 @@ class TestBandCorrelations:
 
 
 class TestBandsAgainstDirectPath:
-    """band_correlations and system_entropy on arrays equal the object path (direct_bands): H(S) and MI bit for bit, negativity within a named tolerance."""
+    """band_correlations equals the object path (direct_bands) given the same H(S): MI bit for bit, negativity within a named tolerance; H(S) itself matches the spectral route within H_S_TOL."""
 
     @staticmethod
     def assert_bitwise(cov, bands, neg_tol):
-        h_s, mi, neg = direct_bands(cov, bands)
+        h_s = system_entropy(cov)
+        mi, neg = direct_bands(cov, h_s, bands)
         got = band_correlations(cov, bands)
-        assert np.float64(system_entropy(cov)).tobytes() == np.float64(h_s).tobytes()
+        assert abs(h_s - direct_system_entropy(cov)) <= H_S_TOL
         assert got.mi.tobytes() == mi.tobytes()
         assert np.max(np.abs(got.neg - neg)) <= neg_tol
 
@@ -172,11 +195,86 @@ class TestBandsAgainstDirectPath:
 
     @pytest.mark.parametrize("n_bands", [1, 7, 24])
     def test_three_spectra_per_band(self, n_bands):
-        # H(S), then per band H(band), H(S u band) and the partial transpose of S u band
+        # per band H(band), H(S u band) and the partial transpose of S u band; H(S) takes none
         bath, cov = evolved_state()
         take_counts()
         band_correlations(cov, band_partition(24, n_bands, bath.frequencies))
-        assert take_counts()["spectra"] == 3 * n_bands + 1
+        assert take_counts()["spectra"] == 3 * n_bands
+
+
+class TestSystemNu:
+    """nu_S = sqrt(det sigma_S), the one nu_S of H(S) and of the f = 1 negativity."""
+
+    @staticmethod
+    def assert_matches_oracles(data):
+        nu = _system_nu(data)
+        s00, s11, s01 = data[0, 0], data[1, 1], data[0, 1]
+        scale = np.finfo(float).eps * (abs(s00 * s11) + s01 * s01) / nu
+        wide = np.longdouble
+        assert abs(wide(nu) - np.sqrt(wide(s00) * wide(s11) - wide(s01) ** 2)) <= NU_S_DET_EPS * scale
+        assert abs(nu - _spectrum_of(data[:2, :2], 0.0)[0]) <= NU_S_SPECTRAL_EPS * scale
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), pure=st.booleans())
+    def test_random_one_mode_states(self, seed, pure):
+        self.assert_matches_oracles(random_state(np.random.default_rng(seed), 1, pure=pure).data)
+
+    @pytest.mark.parametrize("r", [-5.0, 5.0])
+    def test_rotated_squeezed_mode(self, r):
+        # a squeezed vacuum rotated by 45 degrees: s00 s11 is about 1.4e3, det = 1/4
+        rot = np.array([[1.0, -1.0], [1.0, 1.0]]) * np.sqrt(0.5)
+        data = rot @ np.diag([0.5 * np.exp(r), 0.5 * np.exp(-r)]) @ rot.T
+        assert data[0, 0] * data[1, 1] > 1e3
+        self.assert_matches_oracles(data)
+
+    @pytest.mark.parametrize("r", [-5.0, 5.0])
+    def test_desk_time_points(self, r):
+        for t in np.linspace(0.0, 10.0, 40):
+            self.assert_matches_oracles(evolved_state(n_osc=150, t=t, r=r)[1].data)
+
+    @pytest.mark.parametrize(
+        "system",
+        [np.diag([0.4, 0.5]), np.diag([0.5 - 1e-8, 0.5]), np.array([[1.0, 1.0], [1.0, 0.5]])],
+    )
+    def test_unphysical_system_block_raises(self, system):
+        data = 0.5 * np.eye(4)
+        data[:2, :2] = system
+        with pytest.raises(DomainError, match="determinant"):
+            _system_nu(data)
+        # band_correlations accepts any state, and reads H(S) first
+        with pytest.raises(DomainError, match="determinant"):
+            band_correlations(CovarianceMatrix(data), band_partition(1, 1))
+
+    def test_nan_determinant_raises(self):
+        data = 0.5 * np.eye(4)
+        data[0, 0] = np.nan
+        with pytest.raises(DomainError, match="determinant"):
+            _system_nu(data)
+
+    def test_clamp_band_is_a_pure_mode(self):
+        data = 0.5 * np.eye(4)
+        data[0, 0] = 0.5 - 1e-10  # det = (1/2 - 1e-10) / 2 is above (1/2 - NU_TOL)^2
+        assert _system_nu(data) >= 0.5 - NU_TOL
+        assert system_entropy(CovarianceMatrix(data)) == 0.0
+
+    def test_f_one_end_points_read_one_nu(self, monkeypatch):
+        # I(S : E) = 2 h(nu_S) and E(1) = arccosh(2 nu_S) at f = 1, with every nu_S from _system_nu
+        _, cov = evolved_state(n_osc=150, t=5.128, r=-5.0)
+        read = []
+
+        def spy(data):
+            read.append(_system_nu(data))
+            return read[-1]
+
+        monkeypatch.setattr(correlations_mod, "_system_nu", spy)
+        mi_curve, neg_curve = pi_pe_plots(cov, FractionSampler(seed=2, samples_per_point=2))
+        nu = read[0]
+        assert len(read) == 2 and read[1] == nu
+        assert nu > 1.0
+        assert mi_curve.f_values[-1] == 1.0
+        assert mi_curve.mean[-1] == 2.0 * mi_curve.h_system
+        assert mi_curve.h_system == pytest.approx(entropy_function(nu), rel=1e-15)
+        assert neg_curve.mean[-1] == pytest.approx(np.arccosh(2.0 * nu), rel=1e-14)
 
 
 class TestDefaultFGrid:

@@ -328,6 +328,10 @@ class TestEntropyFunction:
     def test_clamp_band(self):
         assert entropy_function(0.5 - 1e-10) == 0.0
 
+    def test_stacked_kernel_clamps_the_band(self):
+        # a pure mode a little below 1/2 adds exactly nothing, as in entropy_function
+        assert _entropy_of_values(np.array([[0.5 - 1e-10, 1.0]]))[0] == entropy_function(1.0)
+
     def test_below_band_raises(self):
         with pytest.raises(DomainError):
             entropy_function(0.5 - 1e-8)

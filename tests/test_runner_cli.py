@@ -18,6 +18,7 @@ import qbmlab.cli as cli_mod
 import qbmlab.correlations as correlations_mod
 import qbmlab.gaussian as gaussian_mod
 import qbmlab.runner as runner_mod
+from qbmlab.analytic import k_value, redundancy_estimate_value
 from qbmlab.cli import main
 from qbmlab.config import RunConfig, parse_config
 from qbmlab.errors import DomainError, EigensolveFailure, ImpureState, NegativeEigenvalue, QbmError
@@ -203,6 +204,19 @@ class TestRunExperiment:
         ]
         pipeline = digest_dir(cfg.outdir)
         assert digest_dir(cfg2.outdir) == {name: pipeline[name] for name in names}
+
+    def test_analytic_estimate_reads_k_value(self, tmp_path):
+        # analytic_r_e is the estimate at k(t) of analytic.k_value, and NaN where k = 0 (t = 0)
+        cfg = tiny_config(tmp_path)
+        _, _, prop, cov0 = simulation_pieces(cfg)
+        times = cfg.times().tolist()
+        curves = [pi_pe_plots(evolve(prop, cov0, t), _sampler(cfg), t=t, t_index=i) for i, t in enumerate(times)]
+        rows = runner_mod._stage_files("redundancy", cfg, [], curves)[0][2]
+        params = branch_params(cfg)
+        assert [row[0] for row in rows] == times and times[0] == 0.0
+        assert np.isnan(rows[0][4])
+        for row in rows[1:]:
+            assert row[4] == redundancy_estimate_value(cfg.delta_e, k_value(row[0], params))
 
     def test_curves_dir_excludes_simulating_stages(self, tmp_path):
         cfg = tiny_config(tmp_path)
@@ -563,6 +577,20 @@ class TestOnePath:
         out = _chunk_task((asdict(cfg), 1, float(cfg.times()[1]), wants, range(cfg.samples)))
         assert {"state", "bands", "samples"} <= out.keys()
         assert built == [(62, 62), (62, 62)]
+
+    def test_pipeline_takes_no_raw_spectrum(self, monkeypatch, pinned_blas):
+        # H(S) and the f = 1 negativity read sqrt(det sigma_S); only the object API reaches _spectrum_of
+        def raw_route(*args, **kwargs):
+            raise AssertionError("a pipeline function reached gaussian._spectrum_of")
+
+        assert not hasattr(correlations_mod, "_spectrum_of")
+        monkeypatch.setattr(gaussian_mod, "_spectrum_of", raw_route)
+        cfg = parse_config(overrides=dict(profile="desk"), env={})
+        t_index, t = 20, float(cfg.times()[20])
+        out = _chunk_task((asdict(cfg), t_index, t, ("state", "bands", "curves"), range(cfg.samples)))
+        assert {"state", "bands", "samples"} <= out.keys()
+        _, _, prop, cov0 = simulation_pieces(cfg)
+        pi_pe_plots(evolve(prop, cov0, t), _sampler(cfg), t=t, t_index=t_index)
 
 
 class TestStateDiagnostics:
