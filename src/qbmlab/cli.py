@@ -21,15 +21,19 @@ from .errors import QbmError, ValidationError
 from .model import recurrence_time
 from .runner import run_experiment
 
-STAGE_COMMANDS = {
-    "evolve": ("evolve",),
-    "bands": ("bands",),
-    "piplot": ("piplot",),
-    "peplot": ("peplot",),
-    "redundancy": ("piplot", "peplot", "redundancy"),
-    "compare": ("compare",),
-    "analytic": ("analytic",),
-    "all": ("evolve", "bands", "piplot", "peplot", "redundancy", "compare"),
+#: (stages, help) of each subcommand, in --help order
+COMMANDS = {
+    "evolve": (("evolve",), "state diagnostics along the time grid (validity, energy, entropy)"),
+    "bands": (("bands",), "MI and entanglement between the system and frequency bands"),
+    "piplot": (("piplot",), "averaged mutual-information curves over random fractions"),
+    "peplot": (("peplot",), "averaged entanglement curves over random fractions"),
+    "redundancy": (("piplot", "peplot", "redundancy"), "R_E / R_I / I_NR reports (runs the curve stages first)"),
+    "analytic": (
+        ("analytic",),
+        "closed-form branch-model curves on the time grid, at f_grid or else 50 fractions from 0.02 to 1",
+    ),
+    "compare": (("compare",), "numeric curves, simulated or read with --curves-dir, against the closed-form model"),
+    "all": (("evolve", "bands", "piplot", "peplot", "redundancy", "compare"), "every stage in one run"),
 }
 
 
@@ -53,17 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Decoherence-redundancy experiments for a Brownian oscillator in a discretized bath.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "evolve": "state diagnostics along the time grid (validity, energy, entropy)",
-        "bands": "MI and entanglement between the system and frequency bands",
-        "piplot": "averaged mutual-information curves over random fractions",
-        "peplot": "averaged entanglement curves over random fractions",
-        "redundancy": "R_E / R_I / I_NR reports (runs the curve stages first)",
-        "analytic": "closed-form branch-model curves on the time grid, at f_grid or else 50 fractions from 0.02 to 1",
-        "compare": "numeric curves, simulated or read with --curves-dir, against the closed-form model",
-        "all": "every stage in one run",
-    }
-    for name, desc in descriptions.items():
+    for name, (_, desc) in COMMANDS.items():
         p = sub.add_parser(name, help=desc, description=desc)
         _add_config_flags(p)
         if name in ("redundancy", "compare"):
@@ -112,20 +106,11 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     overrides = {k: getattr(args, k) for k in ("profile", *(f.name for f in fields(RunConfig)))}
+    curves_dir = getattr(args, "curves_dir", None) or None
+    stages = (args.command,) if curves_dir else COMMANDS[args.command][0]
     try:
         config = parse_config(path=args.config, overrides=overrides)
-    except ValidationError as exc:
-        for problem in exc.problems:
-            print(f"config error: {problem}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 4
-
-    _warn_recurrence(config)
-    curves_dir = getattr(args, "curves_dir", None) or None
-    stages = (args.command,) if curves_dir else STAGE_COMMANDS[args.command]
-    try:
+        _warn_recurrence(config)
         manifest = run_experiment(config, stages, curves_dir=curves_dir)
         for entry in manifest.files:
             print(os.path.join(config.outdir, entry["name"]))

@@ -10,8 +10,10 @@ A PI/PE evaluation has three steps.  fraction_plan lists the sampled grid
 points, each with the mirror point that its complements fill.
 fraction_samples evaluates a contiguous range of sample indices at every
 grid point of the plan, on index arrays of the covariance array, and
-fraction_curves reduces the merged samples to curves, both measures at
-once.  pi_pe_plots evaluates every sample index in one range; the runner
+fraction_curves reduces the merged samples to the (PI, PE) pair of
+curves.  Every draw is evaluated on both sides, both measures at once
+(_split); a point whose mirror is off the grid keeps its drawn side
+only.  pi_pe_plots evaluates every sample index in one range; the runner
 cuts the indices into slices that workers evaluate in any order, and
 merges each grid point's values in slice order, which is sample order.
 Every draw is keyed on (seed, t-index, subset size, sample-index), so
@@ -323,7 +325,7 @@ def _band_values(data: np.ndarray, h_s: float, bands: np.ndarray) -> np.ndarray:
     return np.array([h_s + h_band - h_joint, neg])
 
 
-def _split(data: np.ndarray, h_s: float, drawn: np.ndarray, rest_neg: bool) -> np.ndarray:
+def _split(data: np.ndarray, h_s: float, drawn: np.ndarray) -> np.ndarray:
     """(MI, MI, negativity, negativity) of S with the drawn bath modes and with the rest, per draw.
 
     drawn is an (n, N) stack of bath masks that all select the same number
@@ -338,21 +340,18 @@ def _split(data: np.ndarray, h_s: float, drawn: np.ndarray, rest_neg: bool) -> n
         I(S : far)  = H(S) + H(S u near) - H(near).
     The negativity against far is read off the partner's partial
     transpose, and the one against near off that of S u near from the same
-    factor, each only when it is wanted (the drawn side, or both sides when
-    rest_neg is set); the other is NaN.
+    factor.  Both sides are always evaluated.
     """
     drawn_near = 2 * np.count_nonzero(drawn[0]) <= drawn.shape[1]
-    want_near, want_far = drawn_near or rest_neg, not drawn_near or rest_neg
     joints = _blocks(data, drawn if drawn_near else ~drawn)
     factor = _factor(joints)
     nu, partners = purification(joints, factor)
-    h_joint, h_near, neg_far = _entropy_of_values(nu), np.empty(len(joints)), np.full(len(joints), np.nan)
+    h_joint, h_near, neg_far = _entropy_of_values(nu), np.empty(len(joints)), np.empty(len(joints))
     for idx, blocks in partners:
         chol, form, gram = _factor(blocks)
         h_near[idx] = _entropy_of_values(_gram_spectra(blocks, form, gram))
-        if want_far:
-            neg_far[idx] = _negativity_of_values(_transposed_spectra(blocks, (chol, form, gram)))
-    neg_near = _negativity_of_values(_transposed_spectra(joints, factor)) if want_near else np.full(len(joints), np.nan)
+        neg_far[idx] = _negativity_of_values(_transposed_spectra(blocks, (chol, form, gram)))
+    neg_near = _negativity_of_values(_transposed_spectra(joints, factor))
     mi_near = h_s + h_near - h_joint
     mi_far = h_s + h_joint - h_near
     if drawn_near:
@@ -402,9 +401,7 @@ def fraction_samples(
         for row, s_idx in enumerate(sample_indices):
             picked[row, _draw(sampler, size, units, s_idx, t_index)] = True
         drawn = picked[:, unit_of_mode]
-        values = _in_stacks(
-            drawn, lambda part: _split(data, h_s, part, mirror is not None), lambda count: min(count, n_bath - count)
-        )
+        values = _in_stacks(drawn, lambda part: _split(data, h_s, part), lambda count: min(count, n_bath - count))
         for mi_f, mi_c, neg_f, neg_c in values.T.tolist():
             record(f, mi_f, neg_f)
             if mirror is not None:
@@ -417,12 +414,12 @@ def fraction_curves(
     samples: dict[str, dict[float, list[float]]],
     h_s: float,
     t: float = 0.0,
-) -> dict[str, CorrelationCurve]:
-    """Mean and standard error at every grid point, from the merged samples of every sample index."""
-    out: dict[str, CorrelationCurve] = {}
-    for m, values in samples.items():
-        lists = [values[float(f)] for f in grid]
-        out[m] = CorrelationCurve(
+) -> tuple[CorrelationCurve, CorrelationCurve]:
+    """The PI and PE curves: mean and standard error at every grid point, from the merged samples of every sample index."""
+
+    def curve(m: str) -> CorrelationCurve:
+        lists = [samples[m][float(f)] for f in grid]
+        return CorrelationCurve(
             t=t,
             measure=m,
             f_values=np.asarray(grid, dtype=float),
@@ -431,7 +428,8 @@ def fraction_curves(
             n_samples=np.array([len(v) for v in lists]),
             h_system=h_s,
         )
-    return out
+
+    return curve("mi"), curve("neg")
 
 
 def pi_pe_plots(
@@ -442,13 +440,13 @@ def pi_pe_plots(
 ) -> tuple[CorrelationCurve, CorrelationCurve]:
     """The PI-plot (averaged I(S, E_f)) and PE-plot (averaged negativity of {S} vs E_f) over shared draws.
 
-    Every sample index is evaluated in one range.  Requires a globally pure
-    state, as the closed dynamics gives; raises ImpureState otherwise.  The
-    curves carry H(S) so consumers can subtract it.
+    Every sample index is evaluated in one range, and fraction_curves makes
+    the pair.  Requires a globally pure state, as the closed dynamics gives;
+    raises ImpureState otherwise.  The curves carry H(S) so consumers can
+    subtract it.
     """
     grid = sampler.grid_for(cov.n_modes - 1)
     check_purity(cov)
     h_s = system_entropy(cov)
     samples = fraction_samples(cov.data, h_s, sampler, range(sampler.samples_per_point), t_index)
-    curves = fraction_curves(grid, samples, h_s, t)
-    return curves["mi"], curves["neg"]
+    return fraction_curves(grid, samples, h_s, t)

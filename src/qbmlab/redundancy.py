@@ -163,7 +163,7 @@ def build_report(
     f_e = r_e = float("nan")
     try:
         f_e, r_e = entanglement_redundancy(pe_curve, delta_e)
-    except (NotReached, FlatCurve) as exc:
+    except (NotReached, FlatCurve, DomainError) as exc:
         flags.append(f"pe_{type(exc).__name__.lower()}")
     f_i = r_i = float("nan")
     try:

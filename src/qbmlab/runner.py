@@ -25,14 +25,14 @@ every worker gets equal items, and stays whole on a longer grid or with
 one worker.  Chunk 0 also carries the state diagnostics, the bands and
 f = 1.  Items go to a pool of worker processes in time order.
 Every chunk evolves its time point and checks its purity (ImpureState in
-every stage), and only chunk 0 counts that work in the manifest, so the
-counts do not depend on which worker takes a chunk; the manifest sums
-each chunk's wall-clock per layer, and the pieces' build where a chunk
-made it.  The runner extends
-each grid point's values by the chunks in order, which is sample order,
-and reduces them to curves in grid order.  A serial run (workers = 1)
-is a pool of one, and a run whose stages need no time point starts no
-pool.
+every stage); neither step, nor H(S), takes a counted spectrum, so the
+manifest's counts do not depend on the cut or on which worker takes a
+chunk.  The manifest sums each chunk's wall-clock per layer, and the
+pieces' build where a chunk made it.  The runner extends each grid
+point's values by the chunks in order, which is sample order, and
+reduces them to the (PI, PE) pair of curves in grid order.  A serial run
+(workers = 1) is a pool of one, and a run whose stages need no time
+point starts no pool.
 
 Workers fork from a forkserver that has imported this module, and with
 it numpy; where the platform has no forkserver (Windows) they are
@@ -229,15 +229,13 @@ def _chunk_task(args) -> dict:
     start = time.perf_counter()
     spec, bath, prop, cov0 = simulation_pieces(config)
     elapsed = {"runner.simulation_pieces": 0.0 if cached else time.perf_counter() - start}
-    take_counts()  # count this chunk only
+    take_counts()  # count this chunk only; evolve, check_purity and H(S) count no spectra
     start = time.perf_counter()
     cov = evolve(prop, cov0, t)
     evolved = time.perf_counter()
     bound = check_purity(cov)
     elapsed.update({"model.evolve": evolved - start, "gaussian.check_purity": time.perf_counter() - evolved})
     h_s = system_entropy(cov)
-    if sample_indices.start:
-        take_counts()  # a time point's state work counts once, in chunk 0
     out: dict = {"t_index": t_index, "h_s": h_s, "elapsed": elapsed}
     if "state" in wants:
         out["state"] = {
@@ -403,8 +401,7 @@ def _run_time_points(config: RunConfig, wants: tuple[str, ...]) -> tuple[list[di
         _add_counts(elapsed, item["elapsed"])
     if "curves" in wants:
         for point in points:
-            curves = fraction_curves(grid, point["samples"], point["h_s"], point["t"])
-            point["curves"] = (curves["mi"], curves["neg"])
+            point["curves"] = fraction_curves(grid, point["samples"], point["h_s"], point["t"])
     return points, counts, elapsed
 
 
@@ -466,7 +463,7 @@ def _stage_files(stage: str, config: RunConfig, results: list[dict], curves: lis
             (f"redundancy_{i:03d}.json", None, asdict(rep)) for i, rep in enumerate(reports)
         ]
     if stage == "compare":
-        rows, summary = compare_numeric_analytic(config, {mi.t: (mi, pe) for mi, pe in curves})
+        rows, summary = compare_numeric_analytic(config, curves)
         header = ["t", "f", "measure_tag", "numeric", "analytic", "rel_dev", "below_analytic"]
         return [("compare.csv", header, rows), ("compare_summary.json", None, summary)]
     # analytic
@@ -587,21 +584,23 @@ def run_experiment(
 
 def compare_numeric_analytic(
     config: RunConfig,
-    curves: dict[float, tuple[CorrelationCurve, CorrelationCurve]],
+    curves: list[tuple[CorrelationCurve, CorrelationCurve]],
 ) -> tuple[list[list], dict]:
     """Numeric curve means against the closed-form branch model per (t, f).
 
-    Returns CSV rows and a summary with the maximum relative deviation over
-    the core window f in [0.1, 0.9] (and over all f < 1).  In dissipative
-    regimes the closed form is an upper bound; points where the numeric
-    value falls below a closed-form value above 1e-12 are marked, not failed.
+    curves holds one (PI curve, PE curve) pair per time point, in time
+    order.  Returns CSV rows and a summary with the maximum relative
+    deviation over the core window f in [0.1, 0.9] (and over all f < 1).
+    In dissipative regimes the closed form is an upper bound; points where
+    the numeric value falls below a closed-form value above 1e-12 are
+    marked, not failed.
     """
     params = branch_params(config)
     rows: list[list] = []
     max_core = {"mi": 0.0, "neg": 0.0}
     max_all = {"mi": 0.0, "neg": 0.0}
-    for t in sorted(curves):
-        mi_curve, pe_curve = curves[t]
+    for mi_curve, pe_curve in curves:
+        t = mi_curve.t
         k = k_value(t, params)
         for curve, tag, fn in ((mi_curve, "mi", mi_value), (pe_curve, "neg", entanglement_value)):
             for f, m in zip(curve.f_values, curve.mean):

@@ -223,19 +223,15 @@ def sample_fraction(
     return ModeSubset.of(sorted(int(i) for i in _draw(sampler, size, units, sample_index, t_index)), units)
 
 
-def draw_blocks(n_drawn: int, n_bath: int, mirrored: bool) -> tuple[list[int], list[int]]:
+def draw_blocks(n_drawn: int, n_bath: int) -> tuple[list[int], list[int]]:
     """Row counts 2M of the spectra and of the Williamson decompositions that _split takes for one draw.
 
-    Every draw decomposes S u near; the partial transpose of S u near is
-    taken when its negativity is wanted.  The partner blocks of the
-    purification (S and one ancilla per mixed mode; a spectrum each, and a
-    partial transpose when the far side's negativity is wanted) are left
-    out.
+    Every draw decomposes S u near and takes its partial transpose.  The
+    partner blocks of the purification (S and one ancilla per mixed mode;
+    a spectrum and a partial transpose each) are left out.
     """
-    near = min(n_drawn, n_bath - n_drawn)
-    joint = 2 * near + 2
-    drawn_near = 2 * n_drawn <= n_bath
-    return ([joint] if drawn_near or mirrored else []), [joint]
+    joint = 2 * min(n_drawn, n_bath - n_drawn) + 2
+    return [joint], [joint]
 
 
 def flip_system(blocks: np.ndarray) -> np.ndarray:

@@ -238,7 +238,7 @@ def test_criterion_6_numeric_vs_closed_form(super_ohmic_run):
             ),
             env={},
         )
-        _, summary = compare_numeric_analytic(cfg, curves={run["t"]: (run["mi"], run["pe"])})
+        _, summary = compare_numeric_analytic(cfg, curves=[(run["mi"], run["pe"])])
         dev_mi = summary["max_rel_dev_core"]["mi"]
         dev_ne = summary["max_rel_dev_core"]["neg"]
         assert dev_mi <= 0.10, f"MI deviation {dev_mi:.1%}"

@@ -621,26 +621,34 @@ class TestDeskBlocks:
 
 
 class TestDrawCost:
-    @pytest.mark.parametrize("mirrored", [False, True])
+    @pytest.mark.parametrize("complement", [False, True])
     @pytest.mark.parametrize("n_drawn", range(1, 8))
-    def test_blocks_are_those_split_takes(self, rng, n_drawn, mirrored):
+    def test_blocks_are_those_split_takes(self, rng, n_drawn, complement):
+        # a draw and its complement take the blocks of the smaller side and
+        # return both sides, in swapped order
         cov = random_state(rng, 9, pure=True)
         drawn = np.zeros((1, 8), dtype=bool)
         drawn[0, :n_drawn] = True
-        spectra, williamson = draw_blocks(n_drawn, 8, mirrored)
+        mask = ~drawn if complement else drawn
+        spectra, williamson = draw_blocks(n_drawn, 8)  # a draw and its complement share the smaller side's size
         h_s = system_entropy(cov)
         # each partner block (S and one ancilla per mixed mode of S u near) takes a
-        # spectrum, and a partial transpose when the far side's negativity is
-        # wanted, which the model leaves out
-        _, partners = purification(_blocks(cov.data, drawn if 2 * n_drawn <= 8 else ~drawn))
-        want_far = 2 * n_drawn > 8 or mirrored
-        partner_cost = (1 + want_far) * sum(len(block) ** 3 for _, blocks in partners for block in blocks)
+        # spectrum and a partial transpose, which the model leaves out
+        _, partners = purification(_blocks(cov.data, mask if 2 * np.count_nonzero(mask) <= 8 else ~mask))
+        partner_cost = 2 * sum(len(block) ** 3 for _, blocks in partners for block in blocks)
         take_counts()
-        _split(cov.data, h_s, drawn, mirrored)
+        values = _split(cov.data, h_s, mask)
         counts = take_counts()
         assert counts["williamson"] == len(williamson)
-        assert counts["spectra"] == len(spectra) + len(williamson) + 1 + want_far
+        assert counts["spectra"] == len(spectra) + len(williamson) + 2
         assert counts["block_cost"] - partner_cost == sum(m**3 for m in spectra + williamson)
+        assert not np.any(np.isnan(values))
+        if complement:
+            # bit for bit from the same smaller side; an even split takes the other
+            # half, within the direct path's 1e-10
+            swapped = _split(cov.data, h_s, drawn)[[1, 0, 3, 2]]
+            tol = 0.0 if 2 * n_drawn != 8 else 1e-10
+            assert np.max(np.abs(values - swapped)) <= tol
 
 
 class TestFractionPlan:
@@ -696,10 +704,11 @@ class TestChunkedPlan:
                     merged[m].setdefault(f, []).extend(v)
         got = fraction_curves(sampler.grid_for(n_bath), merged, h_s, t=1.5)
 
-        for curve in want:
+        for mine, curve in zip(got, want, strict=True):
+            assert mine.measure == curve.measure
             for name in ("f_values", "mean", "stderr", "n_samples"):
-                assert getattr(got[curve.measure], name).tobytes() == getattr(curve, name).tobytes(), name
-            assert got[curve.measure].h_system == curve.h_system
+                assert getattr(mine, name).tobytes() == getattr(curve, name).tobytes(), name
+            assert mine.h_system == curve.h_system
 
 
 class TestImpureState:

@@ -336,6 +336,24 @@ class TestEntropyFunction:
         with pytest.raises(DomainError):
             entropy_function(0.5 - 1e-8)
 
+    def test_scalar_and_stacked_kernels_agree(self, rng):
+        # analytic's scalar h and the pipeline's stacked one, bit for bit
+        nus = np.concatenate(
+            (
+                0.5 + rng.exponential(3.0, 2000),
+                0.5 + np.geomspace(1e-15, 1e-3, 200),
+                0.5 - rng.uniform(0.0, NU_TOL, 200),  # the band counts as exactly 1/2
+                [0.5, 0.5 - NU_TOL, 1.0, np.sqrt(5.0) / 2.0],
+            )
+        )
+        stacked = _entropy_of_values(nus[:, None])
+        assert stacked.tobytes() == np.array([entropy_function(nu) for nu in nus]).tobytes()
+        below = 0.5 - 2.0 * NU_TOL
+        with pytest.raises(DomainError):
+            entropy_function(below)
+        with pytest.raises(DomainError):
+            _entropy_of_values(np.array([[1.0, below]]))
+
     def test_value_at_one(self):
         assert entropy_function(1.0) == pytest.approx(H_AT_1, rel=1e-14)
 

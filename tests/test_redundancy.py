@@ -217,6 +217,16 @@ class TestBuildReport:
         assert "pe_notreached" in report.flags
         assert np.isnan(report.r_e)
 
+    def test_pe_curve_without_f_one_is_flagged(self):
+        # a custom f grid without f = 1: no E(1), so R_E is NaN and flagged, not raised
+        pe = analytic_pe_curve(100.0, n_pts=400)
+        pi = analytic_pi_curve(100.0, n_pts=400)
+        cut = make_curve(pe.f_values[:-1], pe.mean[:-1])
+        report = build_report(1.0, cut, pi)
+        assert "pe_domainerror" in report.flags
+        assert np.isnan(report.r_e) and np.isnan(report.f_e) and np.isnan(report.e_full)
+        assert report.r_i == build_report(1.0, pe, pi).r_i
+
     def test_non_monotone_flag(self):
         f = np.linspace(0.05, 1.0, 20)
         y = 2.0 * f

@@ -701,6 +701,38 @@ class TestCli:
                 # the flag passes text on; parse_config converts and checks it
                 assert (actions[0].type, actions[0].choices) == (None, None)
 
+    def test_command_table(self, tmp_path, monkeypatch):
+        # the stages each subcommand hands over, which take --curves-dir, and the --help order
+        expected = {
+            "evolve": ("evolve",),
+            "bands": ("bands",),
+            "piplot": ("piplot",),
+            "peplot": ("peplot",),
+            "redundancy": ("piplot", "peplot", "redundancy"),
+            "analytic": ("analytic",),
+            "compare": ("compare",),
+            "all": ("evolve", "bands", "piplot", "peplot", "redundancy", "compare"),
+        }
+        reuses = ("redundancy", "compare")
+        parser = cli_mod.build_parser()
+        assert "{" + ",".join(expected) + "}" in parser.format_help()
+        subparsers = next(a for a in parser._actions if a.dest == "command").choices
+        assert list(subparsers) == list(expected)
+        seen = []
+        monkeypatch.setattr(
+            cli_mod, "run_experiment",
+            lambda config, stages, curves_dir=None: seen.append((stages, curves_dir)) or SimpleNamespace(files=[]),
+        )
+        (tmp_path / "c_compare_summary.json").write_text('{"max_rel_dev_core": {"mi": 0.0, "neg": 0.0}}')
+        flags = ["--outdir", str(tmp_path), "--run-id", "c"]
+        for command, stages in expected.items():
+            assert any(a.dest == "curves_dir" for a in subparsers[command]._actions) == (command in reuses), command
+            assert main([command, *flags]) == 0
+            assert seen.pop() == (stages, None), command
+        for command in reuses:
+            assert main([command, "--curves-dir", str(tmp_path), *flags]) == 0
+            assert seen.pop() == ((command,), str(tmp_path)), command
+
     def test_recurrence_warning(self, tmp_path, capsys):
         rc = main(
             [
