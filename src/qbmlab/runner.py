@@ -34,31 +34,33 @@ reduces them to the (PI, PE) pair of curves in grid order.  A serial run
 (workers = 1) is a pool of one, and a run whose stages need no time
 point starts no pool.
 
-Workers fork from a forkserver that has imported this module, and with
-it numpy; where the platform has no forkserver (Windows) they are
-spawned.  The forkserver starts with the process's first pool, inside the
-single-threaded BLAS environment, so every worker it forks runs BLAS on
-one thread, and each chunk checks that; with the package's import root
-on its PYTHONPATH the preload finds the package.  Its environment also
-carries the physics (bath spec and squeezing) of the run that starts it,
-and the preload builds that run's simulation pieces (bath, propagator,
-sigma(0)) on one BLAS thread, so they hold the bytes a worker would build.
-Only the forkserver's preload builds them: a spawned worker, or any other
-process that imports this module, does not.  Every worker the forkserver
-forks inherits them, read-only and shared copy-on-write, and skips the
-build; the manifest's runner.simulation_pieces reads 0 for its chunks.  A
-run of other physics builds its own pieces in each worker, as before, and
-the forkserver keeps the first run's pieces resident until the process
-exits.  A failed build leaves the forkserver without pieces, and the
-worker then rebuilds and raises.  Each pool's workers exit when the pool
-shuts down, so nothing but those first pieces carries from one call to
-the next.  A process that starts many pools (the test suite, the
-benchmark's loops) pays the interpreter and import start-up once, and
-skips the build in every run with the first run's physics; a one-shot
-command or a sweep over physics gains nothing from the pieces.
+Workers fork from a forkserver that has imported the package's _preload
+module, and with it this module and numpy; where the platform has no
+forkserver (Windows) they are spawned.  The forkserver starts with the
+process's first pool, inside the single-threaded BLAS environment, so every
+worker it forks runs BLAS on one thread, and each chunk checks that; with
+the package's import root on its PYTHONPATH the preload finds the package.
+Its environment also carries the physics (bath spec and squeezing) of the
+run that starts it, and importing _preload builds that run's simulation
+pieces (bath, propagator, sigma(0)) on one BLAS thread (_preload_pieces),
+so they hold the bytes a worker would build.  The forkserver's preload list
+names _preload alone and nothing else imports it, so no other process
+builds pieces at import: a spawned worker, or any process that imports this
+module, does not.  Every worker the forkserver forks inherits them,
+read-only and shared copy-on-write, and skips the build; the manifest's
+runner.simulation_pieces reads 0 for its chunks.  A run of other physics
+builds its own pieces in each worker, as before, and the forkserver keeps
+the first run's pieces resident until the process exits.  A failed build
+leaves the forkserver without pieces, and the worker then rebuilds and
+raises.  Each pool's workers exit when the pool shuts down, so nothing but
+those first pieces carries from one call to the next.  A process that
+starts many pools (the test suite, the benchmark's loops) pays the
+interpreter and import start-up once, and skips the build in every run
+with the first run's physics; a one-shot command or a sweep over physics
+gains nothing from the pieces.
 A process has one forkserver and one resource tracker, and this module
 takes both over: a forkserver pool that other code of the process starts
-later also preloads this module and pins BLAS to one thread.  When the
+later also preloads _preload and pins BLAS to one thread.  When the
 process exits, after multiprocessing has joined its children, both are
 stopped and reaped, so no process outlives the interpreter.  Workers
 still import the caller's main module, whose entry point must be
@@ -84,10 +86,9 @@ import json
 import multiprocessing
 import os
 import site
-import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass
 from multiprocessing import forkserver, resource_tracker, util
 
@@ -112,7 +113,7 @@ from .correlations import (
     fraction_samples,
     system_entropy,
 )
-from .errors import QbmError
+from .errors import DomainError, QbmError, ValidationError
 from .gaussian import check_purity, take_counts
 from .model import (
     discretize_bath,
@@ -132,7 +133,7 @@ _SIMULATING_STAGES = ("evolve", "bands", "piplot", "peplot")
 _PIECES: dict = {}
 
 #: The forkserver's environment variable holding the physics (bath spec and squeezing, as JSON)
-#: of the run that starts it; its preload of this module builds their pieces (_preload_pieces).
+#: of the run that starts it; its preload (the _preload module) builds their pieces (_preload_pieces).
 _PHYSICS_VAR = "QBM_FORKSERVER_PHYSICS"
 
 #: Thread-count variables pinned to 1 in every worker.  BLAS reads them once,
@@ -166,25 +167,14 @@ def simulation_pieces(config: RunConfig):
     return _PIECES[key]
 
 
-def _in_forkserver_preload() -> bool:
-    """Whether this module is being imported by the forkserver's preload (multiprocessing.forkserver.main),
-    not by a spawned worker or any other process that inherited _PHYSICS_VAR."""
-    frame = sys._getframe()
-    while frame is not None and frame.f_code is not forkserver.main.__code__:
-        frame = frame.f_back
-    return frame is not None
-
-
 def _preload_pieces() -> None:
-    """Build the pieces of the physics in _PHYSICS_VAR, if set: run in the forkserver, so that every
-    worker it forks inherits them.  Any failure leaves _PIECES empty, and the worker then rebuilds
-    and raises as without the preload; the forkserver itself must not die of it."""
+    """Build the pieces of the physics in _PHYSICS_VAR, if set: the _preload module runs this in the
+    forkserver, so that every worker it forks inherits them.  A failure stores nothing, and the worker
+    then rebuilds and raises as without the preload; the forkserver itself must not die of it."""
     physics = os.environ.get(_PHYSICS_VAR)
     if physics:
-        try:
+        with suppress(Exception):  # simulation_pieces stores nothing unless the whole build succeeds
             simulation_pieces(RunConfig(**json.loads(physics)))
-        except Exception:
-            _PIECES.clear()
 
 
 def _add_counts(total: dict, counts: dict) -> dict:
@@ -223,8 +213,7 @@ def _chunk_task(args) -> dict:
                 f"worker BLAS is not pinned to one thread: {var} is {os.environ.get(var)!r}, not '1' "
                 "(was the forkserver started by other code?)"
             )
-    config_dict, t_index, t, wants, sample_indices = args
-    config = RunConfig(**config_dict)
+    config, t_index, t, wants, sample_indices = args
     cached = _pieces_key(config) in _PIECES  # preloaded, or built by an earlier chunk
     start = time.perf_counter()
     spec, bath, prop, cov0 = simulation_pieces(config)
@@ -353,11 +342,11 @@ def _stop_helpers() -> None:
 
 @functools.cache
 def _context():
-    """The pools' context.  The first call preloads this module in the forkserver and has _stop_helpers
-    run at exit, after multiprocessing's own exit handler has joined the process's children."""
+    """The pools' context.  The first call has the forkserver preload the _preload module alone, and
+    has _stop_helpers run at exit, after multiprocessing's own exit handler has joined the process's children."""
     context = multiprocessing.get_context(_START_METHOD)
     if _START_METHOD == "forkserver":
-        context.set_forkserver_preload([__name__])
+        context.set_forkserver_preload(["qbmlab._preload"])
     util.Finalize(None, _stop_helpers, exitpriority=-1)
     return context
 
@@ -376,11 +365,15 @@ def _run_time_points(config: RunConfig, wants: tuple[str, ...]) -> tuple[list[di
     workers = min(config.workers, usable_cpu_count())
     n_chunks = 1
     if "curves" in wants:
-        grid = _sampler(config).grid_for(config.n_oscillators)
+        sampler = _sampler(config)
+        try:  # a grid that the sampling units cannot hold is a configuration error
+            grid = sampler.grid_for(config.n_oscillators)
+        except DomainError as exc:
+            field = "f_grid" if config.f_grid is not None else "n_bands" if config.unit == "band" else "n_oscillators"
+            raise ValidationError([f"{field}: {exc}"]) from exc
         n_chunks = _chunk_count(config.samples, workers, len(times))
-    config_dict = asdict(config)
     payloads = [
-        (config_dict, i, t, wants if j == 0 else ("curves",), sample_indices)
+        (config, i, t, wants if j == 0 else ("curves",), sample_indices)
         for i, t in enumerate(times)
         for j, sample_indices in enumerate(_slices(config.samples, n_chunks))
     ]
@@ -664,7 +657,3 @@ def load_curves(outdir: str, run_id: str) -> dict[float, tuple[CorrelationCurve,
         if len(d) < 2:
             raise OSError(f"{csv_paths[0]} and {csv_paths[1]}: only the {next(iter(d))} file holds t = {t!r}")
     return {t: (d["mi"], d["neg"]) for t, d in sorted(out.items())}
-
-
-if _in_forkserver_preload():
-    _preload_pieces()

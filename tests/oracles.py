@@ -7,12 +7,22 @@ pipeline.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
 from qbmlab.analytic import BranchModelParams, chi_value, mi_value, trajectory_amplitudes
-from qbmlab.correlations import BandPartition, CorrelationCurve, FractionSampler, _draw
+from qbmlab.correlations import (
+    BandPartition,
+    CorrelationCurve,
+    FractionSampler,
+    _draw,
+    _in_stacks,
+    _pure_negativity,
+    _split,
+    band_partition,
+)
 from qbmlab.errors import DimensionMismatch, DomainError, ImpureState, QbmError, SubsetError
 from qbmlab.gaussian import (
     PURE_MODE_RTOL,
@@ -221,6 +231,43 @@ def sample_fraction(
     if size == units:
         return ModeSubset.of(range(units), units)
     return ModeSubset.of(sorted(int(i) for i in _draw(sampler, size, units, sample_index, t_index)), units)
+
+
+def exact_fraction_means(data: np.ndarray, h_s: float, sampler: FractionSampler) -> tuple[np.ndarray, np.ndarray]:
+    """(means, standard deviations) over uniform subsets at every grid point of the sampler, exactly; rows MI and negativity.
+
+    At each grid point f < 1 every subset of round(f * units) sampling units
+    (bath modes, or the bands of band_partition) is evaluated once, on the
+    stacked engine (_split via _in_stacks): the mean of a row is the
+    estimand of the sampler's mean, with no sampling error, and its
+    standard deviation over the subsets, divided by sqrt(samples), is the
+    exact standard error of a mean of that many independent draws.  At
+    f = 1 the one subset is the whole environment, which fraction_samples
+    reads in closed form: 2 H(S) and _pure_negativity.  data is the
+    covariance array of a globally pure state and h_s its H(S).  The cost
+    grows as 2^units: 14 bath modes take about 1.5 s.
+    """
+    n_bath = data.shape[0] // 2 - 1
+    units = sampler.n_units(n_bath)
+    unit_of_mode = np.arange(n_bath)
+    if sampler.unit == "band":
+        unit_of_mode = np.repeat(np.arange(units), [len(b) for b in band_partition(n_bath, units).band_members])
+    means, sds = [], []
+    for f in sampler.grid_for(n_bath):
+        size = int(round(f * units))
+        if size == units:
+            means.append([2.0 * h_s, _pure_negativity(data)])
+            sds.append([0.0, 0.0])
+            continue
+        subsets = np.array(list(itertools.combinations(range(units), size)))
+        picked = np.zeros((len(subsets), units), dtype=bool)
+        np.put_along_axis(picked, subsets, True, axis=1)
+        values = _in_stacks(
+            picked[:, unit_of_mode], lambda part: _split(data, h_s, part), lambda count: min(count, n_bath - count)
+        )[[0, 2]]  # MI and negativity of the drawn side
+        means.append(np.mean(values, axis=1))
+        sds.append(np.std(values, axis=1))
+    return np.array(means).T, np.array(sds).T
 
 
 def draw_blocks(n_drawn: int, n_bath: int) -> tuple[list[int], list[int]]:

@@ -17,6 +17,7 @@ from qbmlab.correlations import (
     system_entropy,
 )
 from qbmlab.correlations import _blocks, _draw, _split, _system_nu
+from qbmlab.config import parse_config
 from qbmlab.errors import BadBandCount, DomainError, ImpureState
 import qbmlab.correlations as correlations_mod
 from qbmlab.gaussian import (
@@ -40,6 +41,7 @@ from qbmlab.model import (
     initial_covariance,
     make_propagator,
 )
+from qbmlab.runner import _sampler, simulation_pieces
 
 from conftest import random_state
 from oracles import (
@@ -48,6 +50,7 @@ from oracles import (
     direct_correlations,
     direct_system_entropy,
     draw_blocks,
+    exact_fraction_means,
     flip_system,
     sample_fraction,
     stacked_spectra,
@@ -100,6 +103,11 @@ DESK_TOL = 1e-11
 #: The partial-transpose spectrum from a block's own factor against a
 #: Cholesky of the flipped block, relative to the largest value.
 FLIP_RTOL = 1e-11
+
+#: I(f) + I(1 - f) = 2 H(S) for the exact uniform-subset means at N = 14 on
+#: desk physics (t = 3 and 6, either unit): each draw's two sides sum to
+#: 2 H(S) up to rounding; measured at most 6.9e-13.
+EXACT_PURITY_TOL = 1e-11
 
 
 def evolved_state(n_osc=24, t=2.0, r=-5.0, exponent=0.5, cutoff=20.0):
@@ -649,6 +657,32 @@ class TestDrawCost:
             swapped = _split(cov.data, h_s, drawn)[[1, 0, 3, 2]]
             tol = 0.0 if 2 * n_drawn != 8 else 1e-10
             assert np.max(np.abs(values - swapped)) <= tol
+
+
+class TestExactSubsetMeans:
+    """The sampler against the exact mean over every subset (oracles.exact_fraction_means), at N = 14 on desk physics."""
+
+    @pytest.mark.parametrize("unit", ["oscillator", "band"])
+    @pytest.mark.parametrize("t_index, t", [(12, 3.0), (23, 6.0)])  # the draw keys of the nearest desk times
+    def test_sampled_means_against_exact(self, unit, t_index, t):
+        cfg = parse_config(overrides=dict(profile="desk", n_oscillators=14, n_bands=7, unit=unit), env={})
+        _, _, prop, cov0 = simulation_pieces(cfg)
+        cov = evolve(prop, cov0, t)
+        sampler, h_s = _sampler(cfg), system_entropy(cov)
+        mean, sd = exact_fraction_means(cov.data, h_s, sampler)
+        # within 4 exact standard errors of a mean of 20 draws; at f = 1/2, whose 40 values are 20
+        # draws and their complements, sd / sqrt(20) bounds the standard error from above.  The
+        # curves' own 20-sample stderr is not used: where one mode carries most of the negativity,
+        # 20 draws of k = 1 miss it often, and the sample spread then understates the error
+        for curve, m, s in zip(pi_pe_plots(cov, sampler, t=t, t_index=t_index), mean, sd):
+            assert np.all(np.abs(curve.mean - m) <= 4 * s / np.sqrt(cfg.samples)), curve.measure
+        # tracing out part of E_f raises neither I(S : E_f) nor the negativity, so the exact curves rise with f
+        assert np.all(np.diff(mean, axis=1) >= 0.0)
+        # the grid is every k / units, so reversing the points f < 1 pairs each f with 1 - f
+        units = sampler.n_units(cfg.n_oscillators)
+        assert np.array_equal(np.rint(sampler.grid_for(cfg.n_oscillators) * units), np.arange(1, units + 1))
+        mi = mean[0, :-1]
+        assert np.max(np.abs(mi + mi[::-1] - 2.0 * h_s)) <= EXACT_PURITY_TOL
 
 
 class TestFractionPlan:

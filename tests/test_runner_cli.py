@@ -8,7 +8,7 @@ import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, fields, replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -184,9 +184,9 @@ class TestRunExperiment:
         assert manifest.counts == take_counts()
         assert manifest.counts["spectra"] > 0
 
-        # two chunks of one time point: the state work counts once, in chunk 0
+        # two chunks of one time point count together what one pi_pe_plots of it counts
         t = float(cfg.times()[1])
-        chunks = [_chunk_task((asdict(cfg), 1, t, ("curves",), part)) for part in _slices(cfg.samples, 2)]
+        chunks = [_chunk_task((cfg, 1, t, ("curves",), part)) for part in _slices(cfg.samples, 2)]
         take_counts()
         pi_pe_plots(evolve(prop, cov0, t), _sampler(cfg), t=t, t_index=1)
         assert sum(c["counts"]["spectra"] for c in chunks) == take_counts()["spectra"]
@@ -297,7 +297,7 @@ class TestWorkers:
         monkeypatch.setenv("OMP_NUM_THREADS", "4")
         cfg = tiny_config(tmp_path)
         with pytest.raises(QbmError, match="OMP_NUM_THREADS is '4'"):
-            _chunk_task((asdict(cfg), 0, 0.0, ("curves",), range(cfg.samples)))
+            _chunk_task((cfg, 0, 0.0, ("curves",), range(cfg.samples)))
 
     def test_forkserver_started_without_pins_fails_the_command(self, tmp_path):
         if runner_mod._START_METHOD != "forkserver":
@@ -519,6 +519,23 @@ class TestForkserverPieces:
             os.killpg(proc.pid, 0)
 
 
+class TestPreloadModule:
+    def test_only_the_preload_module_builds_pieces_at_import(self, tmp_path):
+        # fresh interpreters whose environment carries the physics, as the forkserver's does:
+        # importing the runner builds nothing, importing _preload (the forkserver's preload) builds it
+        cfg = tiny_config(tmp_path, squeezing=2.5)
+        with runner_mod._worker_env(cfg):
+            env = {**child_env(), runner_mod._PHYSICS_VAR: os.environ[runner_mod._PHYSICS_VAR]}
+        keys = "print(repr(list(__import__('qbmlab.runner').runner._PIECES)))"
+        outputs = []
+        for module in ("qbmlab.runner", "qbmlab._preload"):
+            proc = subprocess.run([sys.executable, "-c", f"import {module}\n{keys}"], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout.strip())
+        assert outputs == ["[]", repr([runner_mod._pieces_key(cfg)])]
+
+
 class TestChunks:
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     def test_one_chunk_per_time_point_on_long_grids(self, workers):
@@ -574,7 +591,7 @@ class TestOnePath:
         monkeypatch.setattr(runner_mod, "_PIECES", {})
         cfg = tiny_config(tmp_path)
         wants = ("state", "bands", "curves")
-        out = _chunk_task((asdict(cfg), 1, float(cfg.times()[1]), wants, range(cfg.samples)))
+        out = _chunk_task((cfg, 1, float(cfg.times()[1]), wants, range(cfg.samples)))
         assert {"state", "bands", "samples"} <= out.keys()
         assert built == [(62, 62), (62, 62)]
 
@@ -587,7 +604,7 @@ class TestOnePath:
         monkeypatch.setattr(gaussian_mod, "_spectrum_of", raw_route)
         cfg = parse_config(overrides=dict(profile="desk"), env={})
         t_index, t = 20, float(cfg.times()[20])
-        out = _chunk_task((asdict(cfg), t_index, t, ("state", "bands", "curves"), range(cfg.samples)))
+        out = _chunk_task((cfg, t_index, t, ("state", "bands", "curves"), range(cfg.samples)))
         assert {"state", "bands", "samples"} <= out.keys()
         _, _, prop, cov0 = simulation_pieces(cfg)
         pi_pe_plots(evolve(prop, cov0, t), _sampler(cfg), t=t, t_index=t_index)
@@ -615,7 +632,7 @@ class TestStateDiagnostics:
         monkeypatch.setattr(runner_mod, "evolve", mixed)
         cfg = tiny_config(tmp_path)
         with pytest.raises(ImpureState):
-            _chunk_task((asdict(cfg), 1, float(cfg.times()[1]), wants, range(cfg.samples)))
+            _chunk_task((cfg, 1, float(cfg.times()[1]), wants, range(cfg.samples)))
 
 
 def test_benchmark_names_resolve():
@@ -683,6 +700,28 @@ class TestCli:
         rc = main(["bands", "--cutoff", "-3", "--outdir", str(tmp_path)])
         assert rc == 2
         assert "cutoff" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, problem",
+        [
+            pytest.param(("--f-grid", "0.31,1"), "f_grid: every fraction must be k/150 with integer k >= 1",
+                         id="oscillators"),
+            pytest.param(("--unit", "band", "--n-bands", "7", "--f-grid", "0.5,1"),
+                         "f_grid: every fraction must be k/7", id="bands"),
+            pytest.param(("--unit", "band", "--n-bands", "1"), "n_bands: need at least two sampling units",
+                         id="one-band"),
+            pytest.param(("--n-oscillators", "1", "--n-bands", "1", "--t-max", "0.1"),
+                         "n_oscillators: need at least two sampling units", id="one-oscillator"),
+        ],
+    )
+    def test_grid_the_units_cannot_hold_exit_code(self, tmp_path, capsys, flags, problem):
+        # a configuration error, found when the curves' grid is made, before any pool or file
+        out = tmp_path / "out"
+        rc = main(["piplot", "--profile", "desk", "--n-times", "1", *flags, "--outdir", str(out)])
+        assert rc == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"config error: {problem}")
+        assert os.listdir(out) == []
 
     @pytest.mark.parametrize("flag", ["--unit", "--profile"])
     def test_unknown_choice_exit_code(self, tmp_path, capsys, flag):
