@@ -58,6 +58,10 @@ class BranchModelParams:
             raise DomainError(f"omega_s must be positive, got {self.omega_s}")
         if self.mass <= 0:
             raise DomainError(f"mass must be positive, got {self.mass}")
+        try:
+            self.delta_x**2  # k_value's factor; a float's ** raises OverflowError
+        except OverflowError:
+            raise DomainError(f"r = {self.r!r} takes the branch model's delta_x^2 beyond the float range") from None
 
     @property
     def delta_x0(self) -> float:

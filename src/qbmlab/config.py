@@ -26,8 +26,9 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import ValidationError
-from .model import BathSpec, SqueezedInitialState
+from .analytic import BranchModelParams
+from .errors import DomainError, ValidationError
+from .model import BathSpec, SqueezedInitialState, discretize_bath
 
 #: Fields that choose where and how a run executes, not what it computes;
 #: the other fields of RunConfig form the physics key and the run id.
@@ -234,4 +235,10 @@ def parse_config(
 
     if problems:
         raise ValidationError(problems)
-    return RunConfig(**merged)
+    config = RunConfig(**merged)
+    try:  # sigma(0) and the branch model square spreads of order e^(|r| / 2), which may leave the float range
+        config.initial_state()
+        BranchModelParams(config.squeezing, config.omega_s, discretize_bath(config.bath_spec()), config.system_mass)
+    except DomainError as exc:
+        raise ValidationError([f"squeezing: {exc}"]) from exc
+    return config

@@ -148,7 +148,7 @@ class CovarianceMatrix:
 
     @classmethod
     def symmetric(cls, data: np.ndarray) -> "CovarianceMatrix":
-        """The state of a float matrix that is exactly symmetric by construction (model.evolve's A A^T, a diagonal sigma(0)), stored as given."""
+        """The state of a float matrix that is exactly symmetric by construction (model.evolve's A A^T, or at t = 0 the dense diagonal of its product state), stored as given."""
         cov = cls.__new__(cls)
         cov._keep(data, 0.0)
         return cov

@@ -103,8 +103,48 @@ class SqueezedInitialState:
 
     @classmethod
     def from_r(cls, r: float, spec: BathSpec) -> "SqueezedInitialState":
-        dx = math.sqrt(math.exp(r) / (2.0 * spec.system_mass * spec.omega_s))
-        return cls(r=r, delta_x=dx, delta_p=0.5 / dx)
+        """The state of squeezing r; DomainError where dx^2 or dp^2 would overflow or underflow a float."""
+        try:
+            dx = math.sqrt(math.exp(r) / (2.0 * spec.system_mass * spec.omega_s))
+            dp = 0.5 / dx
+            fits = 0.0 < dx**2 < math.inf and 0.0 < dp**2 < math.inf  # a float's ** raises OverflowError
+        except (OverflowError, ZeroDivisionError):
+            fits = False
+        if not fits:
+            raise DomainError(f"r = {r!r} takes the squeezed variances dx^2, dp^2 beyond the float range")
+        return cls(r=r, delta_x=dx, delta_p=dp)
+
+
+class ProductState(CovarianceMatrix):
+    """sigma(0) of a product of single-mode states without x-p correlations, held as its 2M variances.
+
+    variances lists (x_1, p_1, ..., x_M, p_M), each positive and finite
+    (else DomainError); it is read-only.  ``data`` builds the dense
+    diagonal each time it is read, read-only, so only a caller that reads
+    it pays the (2M)^2 floats: evolve reads the variances alone.
+    """
+
+    __slots__ = ("variances",)
+
+    def __init__(self, variances: np.ndarray):
+        variances = np.array(variances, dtype=float)
+        if variances.ndim != 1 or variances.size == 0 or variances.size % 2:
+            raise DomainError(f"a product state needs 2M variances, got shape {variances.shape}")
+        if not np.all((variances > 0.0) & (variances < np.inf)):  # NaN fails both
+            raise DomainError("a product state's variances must be positive and finite")
+        variances.flags.writeable = False
+        self.variances = variances
+        # the dense diagonal's scale: its largest entry, as _keep reads it
+        self.n_modes, self.symmetry_defect, self.scale = variances.size // 2, 0.0, max(float(np.max(variances)), 1.0)
+
+    @property
+    def data(self) -> np.ndarray:
+        data = np.diag(self.variances)
+        data.flags.writeable = False
+        return data
+
+    def __reduce__(self):
+        return ProductState, (self.variances,)  # pickled as its variances, not through the data property
 
 
 @dataclass(frozen=True)
@@ -222,31 +262,32 @@ def make_propagator(spec: BathSpec, bath: DiscretizedBath) -> Propagator:
     return build_propagator(potential_matrix(spec, bath), mode_masses(spec, bath))
 
 
-def evolve(prop: Propagator, cov: CovarianceMatrix, t: float) -> CovarianceMatrix:
+def evolve(prop: Propagator, cov: ProductState, t: float) -> CovarianceMatrix:
     """Exact covariance sigma(t) = S(t) sigma(0) S(t)^T = A A^T of a product state, with A = S(t) sqrt(sigma(0)).
 
     The four (x, p) blocks of S(t) come from cos(w t), sin(w t)/w (t at
     w = 0) and -w sin(w t) in the normal-mode basis; each takes its mass
-    scalings and then sqrt(sigma(0)) on its way into its strided block of A,
-    so S(t) is never formed.  sigma(0) must be diagonal and nonnegative, as
-    initial_covariance builds it (else DomainError).  A A^T is one
-    symmetric product, exactly symmetric (CovarianceMatrix.symmetric).
+    scalings and then the square roots of sigma(0)'s variances on its way
+    into its strided block of A, so neither S(t) nor a dense sigma(0) is
+    formed.  sigma(0) must be a ProductState, as initial_covariance builds
+    it (any other state raises DomainError); at t = 0 the result is its
+    dense diagonal.  A A^T is one symmetric product, exactly symmetric
+    (CovarianceMatrix.symmetric).
     """
+    if not isinstance(cov, ProductState):
+        raise DomainError("evolve needs a product state (ProductState, as initial_covariance builds it)")
     if cov.n_modes != prop.n_modes:
         raise DimensionMismatch(f"state has {cov.n_modes} modes but propagator has {prop.n_modes}")
     if t < 0:
         raise DomainError(f"time must be >= 0, got {t}")
-    variances = cov.data.diagonal()
-    if np.count_nonzero(cov.data) != np.count_nonzero(variances) or np.any(variances < 0.0):
-        raise DomainError("evolve needs a product state: sigma(0) must be diagonal and nonnegative")
     if t == 0.0:
-        return cov
+        return CovarianceMatrix.symmetric(cov.data)
     w, basis, root_m = prop.eigenfrequencies, prop.eigenbasis, prop.mass_scaling
     sin_over = np.where(w > 0.0, np.sin(w * t) / np.where(w > 0.0, w, 1.0), t)
     xx = (basis * np.cos(w * t)) @ basis.T
     xp = (basis * sin_over) @ basis.T
     px = (basis * (-w * np.sin(w * t))) @ basis.T
-    inv_m, root_var = 1.0 / root_m, np.sqrt(variances)
+    inv_m, root_var = 1.0 / root_m, np.sqrt(cov.variances)
     root = np.empty((2 * prop.n_modes, 2 * prop.n_modes))
     # block of A at rows i::2, columns j::2: its row and column mass scalings, then sqrt(sigma(0)) of its columns
     for (i, j), block, left, right in (
@@ -261,22 +302,20 @@ def evolve(prop: Propagator, cov: CovarianceMatrix, t: float) -> CovarianceMatri
     return CovarianceMatrix.symmetric(root @ root.T)
 
 
-def initial_covariance(
-    spec: BathSpec, bath: DiscretizedBath, init: SqueezedInitialState
-) -> CovarianceMatrix:
-    """Product state: squeezed system times bath oscillator ground states, diagonal (CovarianceMatrix.symmetric)."""
+def initial_covariance(spec: BathSpec, bath: DiscretizedBath, init: SqueezedInitialState) -> ProductState:
+    """Product state: squeezed system times bath oscillator ground states, held as its 2(N + 1) variances."""
     n = bath.n_oscillators
-    diag = np.empty(2 * (n + 1))
-    diag[0] = init.delta_x**2
-    diag[1] = init.delta_p**2
+    variances = np.empty(2 * (n + 1))
+    variances[0] = init.delta_x**2
+    variances[1] = init.delta_p**2
     mw = bath.masses * bath.frequencies
-    diag[2::2] = 0.5 / mw
-    diag[3::2] = 0.5 * mw
-    return CovarianceMatrix.symmetric(np.diag(diag))
+    variances[2::2] = 0.5 / mw
+    variances[3::2] = 0.5 * mw
+    return ProductState(variances)
 
 
 def total_energy(spec: BathSpec, bath: DiscretizedBath, cov: CovarianceMatrix) -> float:
-    """Expected energy <H> = 1/2 trace(M sigma) of the full network, in O(N).
+    """Expected energy <H> = 1/2 trace(M sigma) of the full network, in O(N) once cov.data is read.
 
     The Hamiltonian's form M is diagonal (the unweighted potential with the
     counterterm in x, 1/m_i in p) but for the couplings M[x_0, x_k] = M[x_k, x_0] = c_k.
@@ -286,8 +325,9 @@ def total_energy(spec: BathSpec, bath: DiscretizedBath, cov: CovarianceMatrix) -
     stiffness = np.concatenate(
         ([spec.system_mass * (spec.omega_s**2 + bath.counterterm / spec.system_mass)], bath.masses * bath.frequencies**2)
     )
-    variances = cov.data.diagonal()
-    potential = stiffness @ variances[0::2] + 2.0 * (bath.couplings @ cov.data[0, 2::2])
+    data = cov.data
+    variances = data.diagonal()
+    potential = stiffness @ variances[0::2] + 2.0 * (bath.couplings @ data[0, 2::2])
     return 0.5 * float(potential + variances[1::2] @ (1.0 / mode_masses(spec, bath)))
 
 

@@ -42,17 +42,18 @@ worker it forks runs BLAS on one thread, and each chunk checks that; with
 the package's import root on its PYTHONPATH the preload finds the package.
 Its environment also carries the physics (bath spec and squeezing) of the
 run that starts it, and importing _preload builds that run's simulation
-pieces (bath, propagator, sigma(0)) on one BLAS thread (_preload_pieces),
-so they hold the bytes a worker would build.  The forkserver's preload list
-names _preload alone and nothing else imports it, so no other process
-builds pieces at import: a spawned worker, or any process that imports this
-module, does not.  Every worker the forkserver forks inherits them,
-read-only and shared copy-on-write, and skips the build; the manifest's
-runner.simulation_pieces reads 0 for its chunks.  A run of other physics
-builds its own pieces in each worker, as before, and the forkserver keeps
-the first run's pieces resident until the process exits.  A failed build
-leaves the forkserver without pieces, and the worker then rebuilds and
-raises.  Each pool's workers exit when the pool shuts down, so nothing but
+pieces (bath, propagator, and sigma(0) as its variance vector) on one BLAS
+thread (_preload_pieces), so they hold the bytes a worker would build.
+At N = 600 their arrays hold 2.9 MB, nearly all of it the eigenbasis.
+The forkserver's preload list names _preload alone and nothing else
+imports it, so no other process builds pieces at import: a spawned
+worker, or any process that imports this module, does not.  Every worker
+the forkserver forks inherits them, read-only and shared copy-on-write,
+and skips the build; the manifest's runner.simulation_pieces reads 0 for
+its chunks.  A run of other physics builds its own pieces in each worker,
+as before, and the forkserver keeps the first run's pieces resident until
+the process exits.  A failed build leaves the forkserver without pieces,
+and the worker then rebuilds and raises.  Each pool's workers exit when the pool shuts down, so nothing but
 those first pieces carries from one call to the next.  A process that
 starts many pools (the test suite, the benchmark's loops) pays the
 interpreter and import start-up once, and skips the build in every run
@@ -151,7 +152,8 @@ def _pieces_key(config: RunConfig) -> tuple:
 def simulation_pieces(config: RunConfig):
     """(spec, bath, propagator, sigma(0)) of the config's physics, cached per process.
 
-    Their arrays are read-only: the forkserver's workers share one copy.
+    sigma(0) is a ProductState, held as its variance vector.  Their arrays
+    are read-only: the forkserver's workers share one copy.
     """
     key = _pieces_key(config)
     if key not in _PIECES:
@@ -160,7 +162,7 @@ def simulation_pieces(config: RunConfig):
         prop = make_propagator(spec, bath)
         cov0 = initial_covariance(spec, bath, config.initial_state())
         for array in (bath.frequencies, bath.couplings, bath.masses, prop.eigenfrequencies, prop.eigenbasis,
-                      prop.mass_scaling, cov0.data):
+                      prop.mass_scaling):  # sigma(0)'s variances are read-only already
             array.flags.writeable = False
         _PIECES.clear()  # one config per process is the common case
         _PIECES[key] = (spec, bath, prop, cov0)

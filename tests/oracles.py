@@ -40,7 +40,7 @@ from qbmlab.gaussian import (
     partial_trace,
     von_neumann_entropy,
 )
-from qbmlab.model import BathSpec, DiscretizedBath, Propagator, mode_masses
+from qbmlab.model import BathSpec, DiscretizedBath, Propagator, SqueezedInitialState, mode_masses
 
 
 class OverlapError(QbmError):
@@ -129,6 +129,18 @@ def omega_copy_purity(cov: CovarianceMatrix) -> float:
     if not defect <= PURITY_TOL * scale:
         raise ImpureState(f"global purity defect {defect:.3e} exceeds {PURITY_TOL:.0e} x scale {scale:.3e}")
     return float(np.max(np.sum(square, axis=1)))
+
+
+def dense_initial_covariance(spec: BathSpec, bath: DiscretizedBath, init: SqueezedInitialState) -> CovarianceMatrix:
+    """sigma(0) as a dense diagonal matrix (model.initial_covariance holds its variances alone)."""
+    n = bath.n_oscillators
+    diag = np.empty(2 * (n + 1))
+    diag[0] = init.delta_x**2
+    diag[1] = init.delta_p**2
+    mw = bath.masses * bath.frequencies
+    diag[2::2] = 0.5 / mw
+    diag[3::2] = 0.5 * mw
+    return CovarianceMatrix.symmetric(np.diag(diag))
 
 
 def dense_evolve(prop: Propagator, cov: CovarianceMatrix, t: float) -> np.ndarray:

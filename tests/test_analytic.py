@@ -43,6 +43,14 @@ def toy_params(r: float) -> BranchModelParams:
     return BranchModelParams(r=r, omega_s=3.0, bath=bath)
 
 
+class TestBranchModelParams:
+    @pytest.mark.parametrize("r", [800.0, -800.0])
+    def test_overflowing_spread_raises(self, r):
+        # delta_x = delta_x0 e^(|r| / 2) is a float here, but k_value's delta_x^2 is not
+        with pytest.raises(DomainError, match="float range"):
+            toy_params(r)
+
+
 class TestTrajectoryAmplitudes:
     @pytest.mark.parametrize("r", [-5.0, 5.0, 0.0])
     def test_zero_at_t_zero(self, r):

@@ -103,6 +103,21 @@ class TestParseConfig:
             parse_config(overrides={key: value}, env={})
         assert err.value.problems == [f"{key}: must be finite (got {value})"]
 
+    @pytest.mark.parametrize(
+        "overrides, part",
+        [
+            ({"squeezing": 800.0}, "squeezed variances"),
+            ({"squeezing": -800.0}, "squeezed variances"),
+            # sigma(0) fits, but the branch model's delta_x^2 = e^705 / (2 m Omega_S) does not
+            ({"squeezing": -705.0, "system_mass": 1e-3, "omega_s": 1e-3}, "branch model's delta_x^2"),
+        ],
+    )
+    def test_unrepresentable_squeezing_rejected(self, overrides, part):
+        with pytest.raises(ValidationError) as err:
+            parse_config(overrides=overrides, env={})
+        [problem] = err.value.problems
+        assert problem.startswith("squeezing: ") and part in problem
+
     def test_repeated_times_rejected(self):
         # curves are keyed by t: two time points at t = 1 would merge into one curve
         with pytest.raises(ValidationError) as err:

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -17,6 +19,7 @@ from qbmlab.gaussian import (
 )
 from qbmlab.model import (
     BathSpec,
+    ProductState,
     SqueezedInitialState,
     build_propagator,
     discretize_bath,
@@ -32,6 +35,7 @@ from qbmlab.model import (
 from oracles import (
     bath_energy,
     dense_evolve,
+    dense_initial_covariance,
     dense_purity_square,
     dense_skew_product,
     hamiltonian_matrix,
@@ -255,6 +259,52 @@ class TestInitialCovariance:
         with pytest.raises(DomainError):
             SqueezedInitialState(r=0.0, delta_x=1.0, delta_p=1.0)
 
+    @pytest.mark.parametrize("r", [800.0, -800.0, 710.0, -745.0])
+    def test_unrepresentable_squeezing_raises(self, r):
+        # e^r overflows, or a variance overflows or underflows to 0
+        with pytest.raises(DomainError, match="float range"):
+            SqueezedInitialState.from_r(r, sub_ohmic(n_osc=3))
+
+    @pytest.mark.parametrize("r", [-5.0, 5.0])
+    def test_holds_the_variances_of_the_dense_diagonal(self, r):
+        spec = sub_ohmic(n_osc=8)
+        bath = discretize_bath(spec)
+        init = SqueezedInitialState.from_r(r, spec)
+        cov, dense = initial_covariance(spec, bath, init), dense_initial_covariance(spec, bath, init)
+        assert isinstance(cov, ProductState)
+        assert np.array_equal(cov.variances, dense.data.diagonal())
+        assert np.array_equal(cov.data, dense.data)
+        assert (cov.n_modes, cov.symmetry_defect, cov.scale) == (dense.n_modes, 0.0, dense.scale)
+        for array in (cov.variances, cov.data):
+            with pytest.raises(ValueError, match="read-only"):
+                array *= 1.0
+
+
+class TestProductState:
+    @pytest.mark.parametrize("bad", [-0.5, 0.0, np.nan, np.inf])
+    def test_rejects_a_variance_that_is_not_positive_and_finite(self, bad):
+        variances = np.full(6, 0.5)
+        variances[3] = bad
+        with pytest.raises(DomainError, match="positive and finite"):
+            ProductState(variances)
+
+    @pytest.mark.parametrize("shape", [(0,), (5,), (2, 2)])
+    def test_rejects_other_than_2m_variances(self, shape):
+        with pytest.raises(DomainError, match="2M variances"):
+            ProductState(np.full(shape, 0.5))
+
+    def test_pickles_as_its_variances(self):
+        cov = ProductState(np.array([0.5, 0.5, 2.0, 0.125]))
+        back = pickle.loads(pickle.dumps(cov))
+        assert np.array_equal(back.variances, cov.variances) and back.scale == cov.scale == 2.0
+        assert not back.variances.flags.writeable
+
+    def test_copies_its_input(self):
+        variances = np.full(4, 0.5)
+        cov = ProductState(variances)
+        variances[0] = 2.0
+        assert cov.variances[0] == 0.5 and cov.scale == 1.0
+
 
 class TestEvolve:
     def test_t_zero_identity(self):
@@ -293,17 +343,35 @@ class TestEvolve:
 
     @pytest.mark.parametrize(
         "entries, value",
-        [(((0, 2), (2, 0)), 1e-3), (((0, 1), (1, 0)), -1e-3), (((4, 7), (7, 4)), 1e-12), (((3, 3),), -0.5)],
+        [(((0, 2), (2, 0)), 1e-3), (((0, 1), (1, 0)), -1e-3), (((4, 7), (7, 4)), 1e-12), (((3, 3),), -0.5), ((), 0.0)],
     )
     @pytest.mark.parametrize("t", [0.0, 1.0])
     def test_correlated_or_negative_initial_state_raises(self, entries, value, t):
+        # a dense matrix, correlated or not, is no product state; nor are a negative or NaN variance
         spec = sub_ohmic(n_osc=4)
         bath = discretize_bath(spec)
-        data = initial_covariance(spec, bath, SqueezedInitialState.from_r(-5.0, spec)).data.copy()
+        cov0 = initial_covariance(spec, bath, SqueezedInitialState.from_r(-5.0, spec))
+        data = np.array(cov0.data)
         for entry in entries:
             data[entry] = value
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="product state"):
             evolve(make_propagator(spec, bath), CovarianceMatrix(data), t)
+        for bad in (-0.5, np.nan):
+            variances = np.array(cov0.variances)
+            variances[3] = bad
+            with pytest.raises(DomainError):
+                evolve(make_propagator(spec, bath), ProductState(variances), t)
+
+
+class TestDenseSigma0:
+    """evolve on the variances against the two-pass evolve of the dense sigma(0) it replaces (oracles.two_pass_evolve), bit for bit."""
+
+    @pytest.mark.parametrize("n_osc, r, t", [(n, r, t) for n in (150, 600) for r in (-5.0, 5.0) for t in (0.0, 5.128)])
+    def test_state_matches_dense_sigma0(self, evolved, n_osc, r, t):
+        spec, bath, prop, cov0, cov = evolved(n_osc, r, t)
+        dense = dense_initial_covariance(spec, bath, SqueezedInitialState.from_r(r, spec))
+        assert np.array_equal(cov.data, two_pass_evolve(prop, dense, t))
+        assert cov.scale == max(float(np.max(np.abs(cov.data))), 1.0)
 
 
 class TestHalfProducts:

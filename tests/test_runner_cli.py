@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import importlib
 import json
@@ -9,7 +10,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import fields, replace
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ import pytest
 import qbmlab.cli as cli_mod
 import qbmlab.correlations as correlations_mod
 import qbmlab.gaussian as gaussian_mod
+import qbmlab.model as model_mod
 import qbmlab.runner as runner_mod
 from qbmlab.analytic import k_value, redundancy_estimate_value
 from qbmlab.cli import main
@@ -24,7 +26,7 @@ from qbmlab.config import RunConfig, parse_config
 from qbmlab.errors import DomainError, EigensolveFailure, ImpureState, NegativeEigenvalue, QbmError
 from qbmlab.correlations import band_correlations, band_partition, pi_pe_plots
 from qbmlab.gaussian import CovarianceMatrix, check_purity, take_counts
-from qbmlab.model import evolve
+from qbmlab.model import discretize_bath, evolve, initial_covariance, make_propagator, total_energy
 from qbmlab.runner import (
     _chunk_count,
     _chunk_task,
@@ -36,6 +38,8 @@ from qbmlab.runner import (
     run_experiment,
     simulation_pieces,
 )
+
+from oracles import hamiltonian_matrix
 
 
 def tiny_config(outdir, run_id="t", **kw):
@@ -399,6 +403,21 @@ if __name__ == "__main__":
 """
 
 
+def _arrays_of(root) -> list[np.ndarray]:
+    """Every array that owns its memory and is reachable from root through object references (types and modules aside)."""
+    seen, stack, arrays = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, ModuleType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray) and obj.base is None:
+            arrays.append(obj)
+        else:  # a view leads to its base
+            stack.extend(gc.get_referents(obj))
+    return arrays
+
+
 def _pieces_seconds(outdir, run_id) -> float:
     with open(os.path.join(outdir, f"{run_id}_manifest.json")) as fh:
         return json.load(fh)["layer_timings_s"]["runner.simulation_pieces"]
@@ -454,10 +473,20 @@ class TestForkserverPieces:
         monkeypatch.setattr(runner_mod, "_PIECES", {})
         _, bath, prop, cov0 = simulation_pieces(tiny_config(tmp_path))
         arrays = (bath.frequencies, bath.couplings, bath.masses, prop.eigenfrequencies, prop.eigenbasis,
-                  prop.mass_scaling, cov0.data)
+                  prop.mass_scaling, cov0.variances)
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array *= 1.0
+
+    def test_full_pieces_hold_no_square_state(self, monkeypatch):
+        # bytes, not RSS: sigma(0) is its 2(N + 1) variances, and the 601 x 601 eigenbasis is most of the rest
+        monkeypatch.setattr(runner_mod, "_PIECES", {})
+        cfg = parse_config(overrides=dict(profile="full"), env={})
+        arrays = _arrays_of(simulation_pieces(cfg))
+        n_state = 2 * (cfg.n_oscillators + 1)
+        assert len(arrays) == 7  # the bath's 3, the propagator's 3 and the variances
+        assert all(array.size != n_state**2 for array in arrays)
+        assert sum(array.nbytes for array in arrays) < 3.5e6
 
     @pytest.mark.skipif(runner_mod._START_METHOD != "forkserver", reason="no forkserver on this platform")
     @pytest.mark.parametrize("workers", [1, 2])
@@ -567,10 +596,15 @@ class TestChunks:
 
 class TestOnePath:
     def test_time_point_runs_on_arrays(self, tmp_path, monkeypatch, pinned_blas):
-        # state, bands and curves of a time point call no object API and
-        # build no CovarianceMatrix but the model's initial and evolved states
+        # state, bands and curves of a time point call no object API, build
+        # no CovarianceMatrix but the evolved state, and never read sigma(0) densely
         def forbidden(*args, **kwargs):
             raise AssertionError("a pipeline stage called the object API")
+
+        def dense_sigma0(self):
+            raise AssertionError("a pipeline stage read the dense sigma(0)")
+
+        monkeypatch.setattr(model_mod.ProductState, "data", property(dense_sigma0))
 
         monkeypatch.setattr(gaussian_mod.ModeSubset, "of", forbidden)
         for name in ("partial_trace", "von_neumann_entropy", "log_negativity"):
@@ -593,7 +627,7 @@ class TestOnePath:
         wants = ("state", "bands", "curves")
         out = _chunk_task((cfg, 1, float(cfg.times()[1]), wants, range(cfg.samples)))
         assert {"state", "bands", "samples"} <= out.keys()
-        assert built == [(62, 62), (62, 62)]
+        assert built == [(62, 62)]
 
     def test_pipeline_takes_no_raw_spectrum(self, monkeypatch, pinned_blas):
         # H(S) and the f = 1 negativity read sqrt(det sigma_S); only the object API reaches _spectrum_of
@@ -652,6 +686,38 @@ def test_benchmark_names_resolve():
         imported = importlib.import_module(f"qbmlab.{module}")
         missing += [f"{module}.{name}" for name in wanted if not hasattr(imported, name)]
     assert not missing
+
+
+class TestBenchmarkContract:
+    """What perfbench/workloads.py (model_of, checks.Oracle) and the traced chain do with sigma(0), on a tiny config."""
+
+    @pytest.fixture
+    def model(self, tmp_path):
+        cfg = tiny_config(tmp_path, squeezing=-5.0)
+        spec = cfg.bath_spec()
+        bath = discretize_bath(spec)
+        return cfg, spec, bath, initial_covariance(spec, bath, cfg.initial_state())
+
+    def test_dense_sigma0_is_the_diagonal(self, model):
+        cfg, spec, bath, cov0 = model
+        init = cfg.initial_state()
+        mw = bath.masses * bath.frequencies
+        want = np.diag(np.concatenate([[init.delta_x**2, init.delta_p**2], np.column_stack((0.5 / mw, 0.5 * mw)).ravel()]))
+        sigma0 = np.array(cov0.data)
+        assert sigma0.shape == (62, 62)
+        assert np.array_equal(sigma0, want)
+
+    def test_evolve_at_zero_and_later(self, model):
+        cfg, spec, bath, cov0 = model
+        prop = make_propagator(spec, bath)
+        assert np.array_equal(evolve(prop, cov0, 0.0).data, cov0.data)
+        later = evolve(prop, cov0, float(cfg.times()[1]))
+        assert later.n_modes == cov0.n_modes and np.all(np.isfinite(later.data))
+
+    def test_total_energy_of_sigma0(self, model):
+        _, spec, bath, cov0 = model
+        want = 0.5 * float(np.sum(hamiltonian_matrix(spec, bath) * np.array(cov0.data)))
+        assert total_energy(spec, bath, cov0) == pytest.approx(want, rel=1e-12)
 
 
 class TestWriteCsv:
@@ -838,6 +904,16 @@ class TestCli:
         rc = main(["all", "--profile", "desk", *TINY_DESK, "--squeezing", squeezing, "--outdir", str(out)])
         assert rc == 2
         assert "squeezing: must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evolve", "analytic"])
+    @pytest.mark.parametrize("squeezing", ["800", "-800"])
+    def test_unrepresentable_squeezing_exit_code(self, tmp_path, capsys, command, squeezing):
+        # e^800 overflows a float and e^-800 underflows to 0, so the squeezed variances would not exist
+        out = tmp_path / "out"
+        rc = main([command, "--profile", "desk", "--n-times", "2", f"--squeezing={squeezing}", "--outdir", str(out)])
+        assert rc == 2
+        assert "config error: squeezing: " in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_exponent_notation_value(self, tmp_path, monkeypatch, capsys):
