@@ -119,18 +119,25 @@ def d_total(t: float, params: BranchModelParams) -> float:
 def entanglement_value(f: float, k: float) -> float:
     """Branch-model logarithmic negativity E(f) for kept fraction f.
 
-    Evaluated in the cancellation-free form
-        E = -1/2 ln(1 - 8 phi / (1 + sqrt(1 + 2 phi / (k beta))))
-    with beta = 1 + 3f and phi = f / beta; clamped below at zero.
+    E = -1/2 ln(1 - 8 phi / (1 + s)), with beta = 1 + 3f, phi = f / beta,
+    x = 2 phi / (k beta) and s = sqrt(1 + x); clamped below at zero.  Since
+    s - 1 = x / (1 + s), the bracket equals
+
+        (2 (1 - f) / beta + x / (1 + s)) / (1 + s),
+
+    a sum of two non-negative terms, which is how it is evaluated: the
+    written form cancels to 0 at f = 1 once x falls below the float64
+    resolution (k near 1e15), where E(1) = arccosh(sqrt(1 + 8k)) is finite.
     """
     if f < 0.0 or f > 1.0:
         raise DomainError(f"fraction must lie in [0, 1], got {f}")
     if f == 0.0 or k <= 0.0:
         return 0.0
     beta = 1.0 + 3.0 * f
-    phi = f / beta
-    bracket = 1.0 - 8.0 * phi / (1.0 + math.sqrt(1.0 + 2.0 * phi / (k * beta)))
-    if bracket <= 0.0:
+    x = 2.0 * (f / beta) / (k * beta)
+    one_s = 1.0 + math.sqrt(1.0 + x)
+    bracket = (2.0 * (1.0 - f) / beta + x / one_s) / one_s
+    if bracket <= 0.0:  # f = 1 at k = inf
         return float("inf")
     return max(0.0, -0.5 * math.log(bracket))
 

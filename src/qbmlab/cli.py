@@ -6,14 +6,30 @@ does a config-file value.  Flags take precedence over the config file,
 which takes precedence over the profile defaults.  QBM_SEED in the
 environment overrides the seed from any source.  Exit codes: 0 success,
 2 configuration error, 3 numerical failure, 4 I/O error.
+
+The CLI's own process runs BLAS on one thread: importing this module before
+numpy sets each BLAS thread variable that the caller left unset to 1.  It
+runs no BLAS kernel whose result depends on the thread count (every
+spectrum, evolve and purity check runs in a pinned pool worker), so the
+bytes do not change; a second BLAS thread would only spin while the process
+loads curves and writes files.  A process that has imported numpy already
+keeps its environment.  Only the simulating stages start a pool, and only
+they load the pool machinery (runner._pool).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
+
+from . import _BLAS_THREAD_VARS
+
+if "numpy" not in sys.modules:  # BLAS reads the variables once, when numpy loads it
+    for var in _BLAS_THREAD_VARS:
+        os.environ.setdefault(var, "1")
+
+import argparse
+import json
 from dataclasses import fields
 
 from .config import RunConfig, parse_config

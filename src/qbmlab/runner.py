@@ -35,8 +35,13 @@ reduces them to the (PI, PE) pair of curves in grid order.  A serial run
 point starts no pool.
 
 Workers fork from a forkserver that has imported the package's _preload
-module, and with it this module and numpy; where the platform has no
-forkserver (Windows) they are spawned.  The forkserver starts with the
+module, and with it this module, numpy and the pool's worker loop
+(concurrent.futures.process), so a forked worker imports none of them;
+where the platform has no forkserver (Windows) they are spawned.  This
+module imports the pool machinery (the executor, the forkserver, the
+resource tracker) only where a pool starts (_pool, _context,
+_stop_helpers), so a run that starts no pool, such as a CLI command that
+reads persisted curves, does not load it.  The forkserver starts with the
 process's first pool, inside the single-threaded BLAS environment, so every
 worker it forks runs BLAS on one thread, and each chunk checks that; with
 the package's import root on its PYTHONPATH the preload finds the package.
@@ -88,14 +93,12 @@ import multiprocessing
 import os
 import site
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass
-from multiprocessing import forkserver, resource_tracker, util
 
 import numpy as np
 
-from . import __version__
+from . import _BLAS_THREAD_VARS, __version__
 from .analytic import (
     BranchModelParams,
     d_total,
@@ -136,10 +139,6 @@ _PIECES: dict = {}
 #: The forkserver's environment variable holding the physics (bath spec and squeezing, as JSON)
 #: of the run that starts it; its preload (the _preload module) builds their pieces (_preload_pieces).
 _PHYSICS_VAR = "QBM_FORKSERVER_PHYSICS"
-
-#: Thread-count variables pinned to 1 in every worker.  BLAS reads them once,
-#: when numpy loads it, so they must be in place before the forkserver starts.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 #: never fork the caller: its children would share its already-loaded, multi-threaded BLAS
 _START_METHOD = "forkserver" if "forkserver" in multiprocessing.get_all_start_methods() else "spawn"
@@ -336,6 +335,8 @@ def _worker_env(config: RunConfig):
 
 def _stop_helpers() -> None:
     """Stop and reap the process's forkserver and resource tracker (private API: each is skipped without _stop)."""
+    from multiprocessing import forkserver, resource_tracker
+
     for helper in (forkserver._forkserver, resource_tracker._resource_tracker):
         stop = getattr(helper, "_stop", None)
         if stop is not None:
@@ -346,6 +347,8 @@ def _stop_helpers() -> None:
 def _context():
     """The pools' context.  The first call has the forkserver preload the _preload module alone, and
     has _stop_helpers run at exit, after multiprocessing's own exit handler has joined the process's children."""
+    from multiprocessing import util
+
     context = multiprocessing.get_context(_START_METHOD)
     if _START_METHOD == "forkserver":
         context.set_forkserver_preload(["qbmlab._preload"])
@@ -355,7 +358,11 @@ def _context():
 
 @contextmanager
 def _pool(workers: int, config: RunConfig):
-    """A pool of workers whose BLAS runs one thread; the forkserver, if it starts here, starts pinned and preloads config's pieces."""
+    """A pool of workers whose BLAS runs one thread; the forkserver, if it starts here, starts pinned and preloads config's pieces.
+
+    The pool machinery is imported here, so a run that starts no pool does not load it."""
+    from concurrent.futures import ProcessPoolExecutor
+
     with _worker_env(config), ProcessPoolExecutor(max_workers=workers, mp_context=_context()) as pool:
         yield pool
 

@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,26 @@ class TestEntanglementValue:
         for k in (0.5, 50.0):
             vals = [entanglement_value(float(f), k) for f in fs]
             assert np.all(np.diff(vals) >= -1e-12)
+
+    @pytest.mark.parametrize("k, expected", [(1e6, 8.640623261632), (1e15, 19.0023), (1e42, 50.0872)])
+    def test_full_fraction_is_finite_at_large_k(self, k, expected):
+        # E(1) = arccosh(sqrt(1 + 8k)); the bracket 1 - 8 phi / (1 + s) cancels to 0 here once
+        # 2 phi / (k beta) falls below float64 resolution, so it must be evaluated without the difference
+        value = entanglement_value(1.0, k)
+        assert value == pytest.approx(np.arccosh(np.sqrt(1.0 + 8.0 * k)), rel=1e-14)
+        assert value == pytest.approx(expected, abs=1e-4)
+
+    @pytest.mark.parametrize("k", [1e-3, 0.7, 40.0, 1e6, 6e9, 1e15])
+    def test_matches_the_written_form_in_high_precision(self, k):
+        # the written form -1/2 ln(1 - 8 phi / (1 + sqrt(1 + 2 phi / (k beta)))) at 40 digits
+        for f in (0.02, 0.31, 0.5, 0.97, 1.0):
+            with localcontext() as ctx:
+                ctx.prec = 40
+                fd, kd = Decimal(f), Decimal(k)
+                beta = 1 + 3 * fd
+                phi = fd / beta
+                exact = -(1 - 8 * phi / (1 + (1 + 2 * phi / (kd * beta)).sqrt())).ln() / 2
+            assert entanglement_value(f, k) == pytest.approx(float(exact), rel=1e-13)
 
 
 class TestChiAndMi:

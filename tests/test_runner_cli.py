@@ -236,7 +236,7 @@ class TestRunExperiment:
         def no_pool(*a, **k):
             raise AssertionError("a worker pool was started")
 
-        monkeypatch.setattr(runner_mod, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(runner_mod, "_pool", no_pool)
         out = tiny_config(tmp_path / "out")
         manifest = run_experiment(out, ("analytic",))
         assert [f["name"] for f in manifest.files] == ["t_analytic.csv"]
@@ -565,6 +565,42 @@ class TestPreloadModule:
         assert outputs == ["[]", repr([runner_mod._pieces_key(cfg)])]
 
 
+#: the pool machinery that only a pool's start (runner._pool) or the forkserver's preload imports
+_POOL_MODULES = ("concurrent.futures.process", "multiprocessing.forkserver", "multiprocessing.resource_tracker")
+
+
+def _fresh_interpreter(script: str, **env) -> list[str]:
+    """The stdout lines of script, run by a fresh interpreter without the BLAS variables or the physics, plus env."""
+    dropped = (*runner_mod._BLAS_THREAD_VARS, runner_mod._PHYSICS_VAR)
+    base = {k: v for k, v in child_env().items() if k not in dropped}
+    proc = subprocess.run([sys.executable, "-c", script], env={**base, **env},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+class TestCliProcess:
+    def test_cli_import_leaves_the_pool_machinery_out(self):
+        script = f"import sys\nimport qbmlab.cli\nprint(sorted(set({_POOL_MODULES!r}) & set(sys.modules)))"
+        assert _fresh_interpreter(script) == ["[]"]
+
+    def test_preload_imports_the_worker_loop(self):
+        # the forkserver imports it once, and every worker it forks inherits it
+        script = "import sys\nimport qbmlab._preload\nprint('concurrent.futures.process' in sys.modules)"
+        assert _fresh_interpreter(script) == ["True"]
+
+    @pytest.mark.parametrize("caller, expected", [(None, "1"), ("3", "3")])
+    def test_cli_pins_unset_blas_variables(self, caller, expected):
+        script = "import os\nimport qbmlab.cli\nprint(os.environ.get('OPENBLAS_NUM_THREADS'))"
+        env = {} if caller is None else {"OPENBLAS_NUM_THREADS": caller}
+        assert _fresh_interpreter(script, **env) == [expected]
+
+    def test_cli_imported_after_numpy_leaves_the_environment(self):
+        script = ("import os\nimport numpy\nimport qbmlab.cli\n"
+                  f"print([os.environ.get(var) for var in {runner_mod._BLAS_THREAD_VARS!r}])")
+        assert _fresh_interpreter(script) == ["[None, None, None]"]
+
+
 class TestChunks:
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     def test_one_chunk_per_time_point_on_long_grids(self, workers):
@@ -889,6 +925,21 @@ class TestCli:
             for cell in row:
                 float(cell)  # raises on a cell such as np.float64(0.18)
 
+    @pytest.mark.parametrize("squeezing", ["40", "100"])
+    def test_analytic_full_fraction_is_finite_at_large_squeezing(self, tmp_path, squeezing):
+        # at r = 40 the desk k is above 5e16, where E(1) = arccosh(sqrt(1 + 8k)) is near 21
+        rc = main(["analytic", "--profile", "desk", "--n-times", "4", "--f-grid", "0.5,1.0",
+                   f"--squeezing={squeezing}", "--outdir", str(tmp_path), "--run-id", "big"])
+        assert rc == 0
+        with open(tmp_path / "big_analytic.csv") as fh:
+            rows = [row for row in csv.DictReader(fh) if float(row["t"]) > 0.0]
+        assert len(rows) == 6
+        for row in rows:
+            k = float(row["d_dx2"])
+            assert k > 1e14
+            if float(row["f"]) == 1.0:
+                assert float(row["e_analytic"]) == pytest.approx(np.arccosh(np.sqrt(1.0 + 8.0 * k)), rel=1e-14)
+
     def test_impure_state_exit_code(self, tmp_path, monkeypatch, capsys):
         def impure(*a, **k):
             raise ImpureState("global purity defect 1.0e-02 exceeds 1e-08 x scale 1.0e+00")
@@ -1111,12 +1162,14 @@ class TestCli:
         assert (tmp_path / "sub_bands.csv").exists()
 
     def test_data_bytes_independent_of_caller_blas_threads(self, tmp_path):
-        # BLAS results depend on its thread count; workers pin it to one, so
-        # the caller's default (one thread per CPU) must give the same bytes
+        # BLAS results depend on its thread count; workers pin it to one, so a
+        # caller's multi-threaded setting, which the CLI's own process keeps,
+        # must give the same bytes as the default (the CLI pins unset variables)
         thread_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
         base_env = {k: v for k, v in child_env().items() if k not in thread_vars}
         digests = {}
-        for label, extra in (("default", {}), ("single", {"OPENBLAS_NUM_THREADS": "1"})):
+        for label, extra in (("default", {}), ("single", {"OPENBLAS_NUM_THREADS": "1"}),
+                             ("two", {"OPENBLAS_NUM_THREADS": "2"})):
             outdir = tmp_path / label
             proc = subprocess.run(
                 [sys.executable, "-m", "qbmlab.cli", "redundancy", "--profile", "desk",
@@ -1128,5 +1181,5 @@ class TestCli:
             )
             assert proc.returncode == 0, proc.stderr
             digests[label] = digest_dir(outdir)
-        assert digests["default"] == digests["single"]
+        assert digests["default"] == digests["single"] == digests["two"]
         assert len(digests["default"]) > 0
