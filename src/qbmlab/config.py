@@ -122,6 +122,19 @@ class RunConfig:
             bath_mass=self.bath_mass,
         )
 
+    def physics(self) -> dict:
+        """The fields that fix the simulated state: the bath spec's (which checks them) and the squeezing.
+
+        Runs that agree on them share simulation pieces, and curves persisted
+        by one can be reanalysed by the other, whatever their sampling fields
+        and deficits.
+        """
+        return {**asdict(self.bath_spec()), "squeezing": self.squeezing}
+
+    def branch_params(self) -> BranchModelParams:
+        """Closed-form model parameters; they need the discretized bath only."""
+        return BranchModelParams(self.squeezing, self.omega_s, discretize_bath(self.bath_spec()), self.system_mass)
+
     def initial_state(self) -> SqueezedInitialState:
         return SqueezedInitialState.from_r(self.squeezing, self.bath_spec())
 
@@ -238,7 +251,7 @@ def parse_config(
     config = RunConfig(**merged)
     try:  # sigma(0) and the branch model square spreads of order e^(|r| / 2), which may leave the float range
         config.initial_state()
-        BranchModelParams(config.squeezing, config.omega_s, discretize_bath(config.bath_spec()), config.system_mass)
+        config.branch_params()
     except DomainError as exc:
         raise ValidationError([f"squeezing: {exc}"]) from exc
     return config

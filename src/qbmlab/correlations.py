@@ -10,14 +10,16 @@ A PI/PE evaluation has three steps.  fraction_plan lists the sampled grid
 points, each with the mirror point that its complements fill.
 fraction_samples evaluates a contiguous range of sample indices at every
 grid point of the plan, on index arrays of the covariance array, and
-fraction_curves reduces the merged samples to the (PI, PE) pair of
-curves.  Every draw is evaluated on both sides, both measures at once
+fraction_curves reduces the samples of every slice to the (PI, PE) pair
+of curves.  Every draw is evaluated on both sides, both measures at once
 (_split); a point whose mirror is off the grid keeps its drawn side
 only.  pi_pe_plots evaluates every sample index in one range; the runner
 cuts the indices into slices that workers evaluate in any order, and
-merges each grid point's values in slice order, which is sample order.
-Every draw is keyed on (seed, t-index, subset size, sample-index), so
-neither the cut nor the worker count changes a number.
+passes them to fraction_curves in slice order.  fraction_curves extends
+each grid point's values by the slices in that order, which is sample
+order, and reduces them to the curves in grid order.  Every draw is
+keyed on (seed, t-index, subset size, sample-index), so neither the cut
+nor the worker count changes a number.
 
 The fraction plots rely on global purity of the closed dynamics, checked
 once per time point (gaussian.check_purity; an impure state raises
@@ -411,14 +413,19 @@ def fraction_samples(
 
 def fraction_curves(
     grid: np.ndarray,
-    samples: dict[str, dict[float, list[float]]],
+    slices: list[dict[str, dict[float, list[float]]]],
     h_s: float,
     t: float = 0.0,
 ) -> tuple[CorrelationCurve, CorrelationCurve]:
-    """The PI and PE curves: mean and standard error at every grid point, from the merged samples of every sample index."""
+    """The PI and PE curves: mean and standard error at every grid point, from the fraction_samples of every slice.
+
+    slices cut the sample indices into contiguous ranges and come in range
+    order, so each grid point's values, taken slice after slice, come in
+    sample order; only the slice that starts at index 0 holds f = 1.
+    """
 
     def curve(m: str) -> CorrelationCurve:
-        lists = [samples[m][float(f)] for f in grid]
+        lists = [[v for part in slices for v in part[m].get(float(f), ())] for f in grid]
         return CorrelationCurve(
             t=t,
             measure=m,
@@ -449,4 +456,4 @@ def pi_pe_plots(
     check_purity(cov)
     h_s = system_entropy(cov)
     samples = fraction_samples(cov.data, h_s, sampler, range(sampler.samples_per_point), t_index)
-    return fraction_curves(grid, samples, h_s, t)
+    return fraction_curves(grid, [samples], h_s, t)

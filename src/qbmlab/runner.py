@@ -14,7 +14,8 @@ and derives per-stage data products:
 
 The curves that redundancy and compare read come from the time points of
 the run itself or, with ``curves_dir``, from the piplot and peplot files an
-earlier run persisted there (``load_curves``); then nothing is simulated.
+earlier run persisted there (``load_curves``); then nothing is simulated,
+and that run must have had the command's physics (RunConfig.physics).
 
 The unit of parallel work is one slice ("chunk") of one time point's
 sample indices, evaluated at every grid point of the fraction plan
@@ -27,12 +28,12 @@ f = 1.  Items go to a pool of worker processes in time order.
 Every chunk evolves its time point and checks its purity (ImpureState in
 every stage); neither step, nor H(S), takes a counted spectrum, so the
 manifest's counts do not depend on the cut or on which worker takes a
-chunk.  The manifest sums each chunk's wall-clock per layer, and the
-pieces' build where a chunk made it.  The runner extends each grid
-point's values by the chunks in order, which is sample order, and
-reduces them to the (PI, PE) pair of curves in grid order.  A serial run
-(workers = 1) is a pool of one, and a run whose stages need no time
-point starts no pool.
+chunk.  The manifest sums each chunk's counts (gaussian.merge_counts) and
+wall-clock per layer, and the pieces' build where a chunk made it.  The
+runner keeps each time point's chunks in slice order, and
+correlations.fraction_curves reduces them to the (PI, PE) pair of curves.
+A serial run (workers = 1) is a pool of one, and a run whose stages need
+no time point starts no pool.
 
 Workers fork from a forkserver that has imported the package's _preload
 module, and with it this module, numpy and the pool's worker loop
@@ -93,6 +94,7 @@ import multiprocessing
 import os
 import site
 import time
+from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass
 
@@ -100,7 +102,6 @@ import numpy as np
 
 from . import _BLAS_THREAD_VARS, __version__
 from .analytic import (
-    BranchModelParams,
     d_total,
     entanglement_value,
     k_value,
@@ -118,7 +119,7 @@ from .correlations import (
     system_entropy,
 )
 from .errors import DomainError, QbmError, ValidationError
-from .gaussian import check_purity, take_counts
+from .gaussian import check_purity, merge_counts, take_counts
 from .model import (
     discretize_bath,
     evolve,
@@ -145,7 +146,7 @@ _START_METHOD = "forkserver" if "forkserver" in multiprocessing.get_all_start_me
 
 
 def _pieces_key(config: RunConfig) -> tuple:
-    return config.bath_spec(), config.squeezing
+    return tuple(config.physics().items())
 
 
 def simulation_pieces(config: RunConfig):
@@ -156,7 +157,7 @@ def simulation_pieces(config: RunConfig):
     """
     key = _pieces_key(config)
     if key not in _PIECES:
-        spec = key[0]
+        spec = config.bath_spec()
         bath = discretize_bath(spec)
         prop = make_propagator(spec, bath)
         cov0 = initial_covariance(spec, bath, config.initial_state())
@@ -178,21 +179,9 @@ def _preload_pieces() -> None:
             simulation_pieces(RunConfig(**json.loads(physics)))
 
 
-def _add_counts(total: dict, counts: dict) -> dict:
-    """total with counts added, in place: block_modes_max is a maximum, every other count a sum."""
-    for k, v in counts.items():
-        total[k] = max(total.get(k, 0), v) if k == "block_modes_max" else total.get(k, 0) + v
-    return total
-
-
 def _sampler(config: RunConfig) -> FractionSampler:
-    return FractionSampler(
-        seed=config.seed,
-        samples_per_point=config.samples,
-        f_grid=None if config.f_grid is None else np.array(config.f_grid),
-        unit=config.unit,
-        n_bands=config.n_bands if config.unit == "band" else None,
-    )
+    return FractionSampler(seed=config.seed, samples_per_point=config.samples, f_grid=config.f_grid,
+                           unit=config.unit, n_bands=config.n_bands)
 
 
 def _chunk_count(samples: int, workers: int, n_times: int) -> int:
@@ -260,7 +249,7 @@ class RunManifest:
     config: dict
     stages: list
     timings_s: dict
-    #: spectrum counts summed over the run's chunks (gaussian.take_counts)
+    #: spectrum counts of the run's chunks (gaussian.take_counts), merged by gaussian.merge_counts
     counts: dict
     #: worker wall-clock per layer (runner.simulation_pieces, model.evolve, gaussian.check_purity,
     #: correlations.bands and .curves), summed over chunks
@@ -315,8 +304,7 @@ def _worker_env(config: RunConfig):
     numpy and qbmlab itself.
     """
     # the config's bath spec may raise (a config built in Python is not validated): before any write
-    physics = json.dumps({**asdict(config.bath_spec()), "squeezing": config.squeezing},
-                         default=lambda scalar: scalar.item())  # a numpy scalar as its Python value
+    physics = json.dumps(config.physics(), default=lambda scalar: scalar.item())  # a numpy scalar as its Python value
     saved = {var: os.environ.get(var) for var in (*_BLAS_THREAD_VARS, _PHYSICS_VAR, "PYTHONPATH")}
     try:
         os.environ.update({var: "1" for var in _BLAS_THREAD_VARS})
@@ -389,30 +377,24 @@ def _run_time_points(config: RunConfig, wants: tuple[str, ...]) -> tuple[list[di
     with _pool(min(workers, len(payloads)), config) as pool:
         items = list(pool.map(_chunk_task, payloads, chunksize=1))
 
-    points = [{"t": t, "samples": {}} for t in times]
+    points = [{"t": t, "samples": []} for t in times]
     counts: dict = {}
-    elapsed: dict = {}
+    elapsed = Counter()
     for item in items:
         point = points[item["t_index"]]
         point.update({k: item[k] for k in ("state", "bands", "h_s") if k in item})
-        # items come in payload order, so each grid point's values stay in sample order
-        for m, values in item.get("samples", {}).items():
-            for f, v in values.items():
-                point["samples"].setdefault(m, {}).setdefault(f, []).extend(v)
-        _add_counts(counts, item["counts"])
-        _add_counts(elapsed, item["elapsed"])
+        if "samples" in item:  # items come in payload order, so a time point's slices stay in slice order
+            point["samples"].append(item["samples"])
+        merge_counts(counts, item["counts"])
+        elapsed.update(item["elapsed"])
     if "curves" in wants:
         for point in points:
             point["curves"] = fraction_curves(grid, point["samples"], point["h_s"], point["t"])
     return points, counts, elapsed
 
 
-def branch_params(config: RunConfig):
-    """Closed-form model parameters; they need the discretized bath only."""
-    bath = discretize_bath(config.bath_spec())
-    return BranchModelParams(
-        r=config.squeezing, omega_s=config.omega_s, bath=bath, mass=config.system_mass
-    )
+#: the closed-form model parameters of a config, by the name the stages and the benchmark's probe call
+branch_params = RunConfig.branch_params
 
 
 def _stage_files(stage: str, config: RunConfig, results: list[dict], curves: list[tuple]) -> list[tuple]:
@@ -497,8 +479,10 @@ def run_experiment(
 
     With ``curves_dir``, redundancy and compare read the curves that an
     earlier run of the same run id persisted there instead of simulating
-    them.  Outputs are deterministic functions of the configuration and the
-    curves; on failure, files already written by this invocation are removed.
+    them; curves of other physics (RunConfig.physics) raise ValidationError
+    before any file is written.  Outputs are deterministic functions of the
+    configuration and the curves; on failure, files already written by this
+    invocation are removed.
 
     The manifest file ``<run_id>_manifest.json`` lists the files of every
     command run with this run id and outdir: the entries of the manifest
@@ -535,7 +519,7 @@ def run_experiment(
             curves = [r["curves"] for r in results if "curves" in r]
         else:
             t0 = time.perf_counter()
-            curves = list(load_curves(curves_dir, config.run_id).values())
+            curves = list(load_curves(curves_dir, config.run_id, config.physics()).values())
             timings["load_curves"] = time.perf_counter() - t0
 
         for stage in ALL_STAGES:
@@ -623,12 +607,17 @@ def compare_numeric_analytic(
     return rows, summary
 
 
-def load_curves(outdir: str, run_id: str) -> dict[float, tuple[CorrelationCurve, CorrelationCurve]]:
+def load_curves(
+    outdir: str, run_id: str, physics: dict | None = None
+) -> dict[float, tuple[CorrelationCurve, CorrelationCurve]]:
     """Rebuild per-time curves from previously persisted CSV + sidecar files.
 
     A file that is missing or cannot be parsed, a CSV time that its sidecar
     does not list or a sidecar time that its CSV lacks, and mi and neg
-    files of different times raise OSError that names the files.
+    files of different times raise OSError that names the files.  With
+    ``physics`` (RunConfig.physics), each sidecar's recorded config must
+    hold these values: a sidecar that lacks one cannot be parsed, and one
+    that differs raises ValidationError naming every field that does.
     """
     out: dict[float, dict[str, CorrelationCurve]] = {}
     csv_paths = [os.path.join(outdir, f"{run_id}_{measure}.csv") for measure in ("mi", "neg")]
@@ -638,6 +627,12 @@ def load_curves(outdir: str, run_id: str) -> dict[float, tuple[CorrelationCurve,
         try:
             with open(side_path, "r", encoding="utf-8") as fh:
                 sidecar = json.load(fh)
+            if physics is not None:
+                recorded = sidecar["config"]
+                differ = [f"{k}: {side_path} holds curves of {k} = {recorded[k]!r}, not {v!r}"
+                          for k, v in physics.items() if recorded[k] != v]
+                if differ:
+                    raise ValidationError(differ)
             h_by_t = dict(zip(sidecar["t_values"], sidecar["h_system"]))
             path = csv_path
             per_t: dict[float, list] = {}

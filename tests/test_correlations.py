@@ -731,12 +731,7 @@ class TestChunkedPlan:
         parts = {}
         for j in data.draw(st.permutations(range(len(slices)))):
             parts[j] = fraction_samples(cov.data, h_s, sampler, slices[j], t_index=4)
-        merged: dict = {"mi": {}, "neg": {}}
-        for j in range(len(slices)):
-            for m, values in parts[j].items():
-                for f, v in values.items():
-                    merged[m].setdefault(f, []).extend(v)
-        got = fraction_curves(sampler.grid_for(n_bath), merged, h_s, t=1.5)
+        got = fraction_curves(sampler.grid_for(n_bath), [parts[j] for j in range(len(slices))], h_s, t=1.5)
 
         for mine, curve in zip(got, want, strict=True):
             assert mine.measure == curve.measure

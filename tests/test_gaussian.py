@@ -1,3 +1,4 @@
+import decimal
 import re
 import warnings
 
@@ -336,18 +337,32 @@ class TestEntropyFunction:
         with pytest.raises(DomainError):
             entropy_function(0.5 - 1e-8)
 
-    def test_scalar_and_stacked_kernels_agree(self, rng):
-        # analytic's scalar h and the pipeline's stacked one, bit for bit
+    def test_kernel_matches_high_precision(self, rng):
+        # the one h kernel against the written form (nu + 1/2) ln(nu + 1/2) - (nu - 1/2) ln(nu - 1/2)
+        # in 40 digits, from just above 1/2, where nu + 1/2 drops nu's low bits, to 1e17, where the two
+        # terms of about nu ln nu cancel in float64
         nus = np.concatenate(
             (
                 0.5 + rng.exponential(3.0, 2000),
                 0.5 + np.geomspace(1e-15, 1e-3, 200),
                 0.5 - rng.uniform(0.0, NU_TOL, 200),  # the band counts as exactly 1/2
                 [0.5, 0.5 - NU_TOL, 1.0, np.sqrt(5.0) / 2.0],
+                np.geomspace(1e3, 1e17, 15),
             )
         )
-        stacked = _entropy_of_values(nus[:, None])
-        assert stacked.tobytes() == np.array([entropy_function(nu) for nu in nus]).tobytes()
+        context = decimal.Context(prec=40)
+
+        def written(nu: float) -> float:
+            b = context.subtract(decimal.Decimal(nu), decimal.Decimal("0.5"))
+            if b <= 0:
+                return 0.0
+            a = context.add(b, 1)
+            return float(context.subtract(context.multiply(a, a.ln(context)), context.multiply(b, b.ln(context))))
+
+        want = np.array([written(float(nu)) for nu in nus])
+        got = _entropy_of_values(nus[:, None])
+        assert np.all(np.abs(got - want) <= 4.0 * np.finfo(float).eps * want)
+        assert entropy_function(1e17) == got[-1]
         below = 0.5 - 2.0 * NU_TOL
         with pytest.raises(DomainError):
             entropy_function(below)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import qbmlab.cli as cli_mod
+import qbmlab.config as config_mod
 import qbmlab.correlations as correlations_mod
 import qbmlab.gaussian as gaussian_mod
 import qbmlab.model as model_mod
@@ -334,7 +335,7 @@ class TestWorkers:
         # and the worker holds the pieces of the pool's physics, which the preload built
         src = os.path.dirname(os.path.dirname(runner_mod.__file__))
         probe = "sorted({'numpy', 'qbmlab.runner'} & set(__import__('sys').modules))"
-        pieces = "[key[0].n_oscillators for key in __import__('sys').modules['qbmlab.runner']._PIECES]"
+        pieces = "[spec.n_oscillators for spec, *_ in __import__('sys').modules['qbmlab.runner']._PIECES.values()]"
         script = (
             "import os, sys\n"
             f"sys.path.insert(0, {src!r})\n"
@@ -370,7 +371,6 @@ class TestWorkers:
 _SEQUENCE_SCRIPT = """
 import json, os, sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
 
 import numpy as np
 
@@ -385,7 +385,7 @@ def pieces_in_worker(rebuild):
     (key, pieces), = runner._PIECES.items()
     if rebuild:
         runner._PIECES.clear()
-        pieces = runner.simulation_pieces(RunConfig(**asdict(key[0]), squeezing=key[1]))
+        pieces = runner.simulation_pieces(RunConfig(**dict(key)))
     return key, pieces
 
 
@@ -397,7 +397,7 @@ if __name__ == "__main__":
     arrays = [(p[1].frequencies, p[1].couplings, p[2].eigenfrequencies, p[2].eigenbasis, p[3].data)
               for p in (preloaded, built)]
     print(json.dumps({
-        "n_oscillators": key[0].n_oscillators,
+        "n_oscillators": dict(key)["n_oscillators"],
         "equal": [bool(np.array_equal(a, b)) for a, b in zip(*arrays)],
     }))
 """
@@ -771,7 +771,9 @@ class TestBranchParams:
         def no_propagator(*a, **k):
             raise AssertionError("branch_params built a propagator")
 
-        monkeypatch.setattr(runner_mod, "make_propagator", no_propagator)
+        # wherever the builder could reach it: the model that defines it and every module that imports it
+        for module in (model_mod, runner_mod, config_mod):
+            monkeypatch.setattr(module, "make_propagator", no_propagator, raising=False)
         monkeypatch.setattr(runner_mod, "_PIECES", {})
         got = branch_params(cfg)
         assert (got.r, got.omega_s, got.mass) == (expected.r, expected.omega_s, expected.mass)
@@ -925,9 +927,10 @@ class TestCli:
             for cell in row:
                 float(cell)  # raises on a cell such as np.float64(0.18)
 
-    @pytest.mark.parametrize("squeezing", ["40", "100"])
+    @pytest.mark.parametrize("squeezing", ["40", "80", "100"])
     def test_analytic_full_fraction_is_finite_at_large_squeezing(self, tmp_path, squeezing):
-        # at r = 40 the desk k is above 5e16, where E(1) = arccosh(sqrt(1 + 8k)) is near 21
+        # at r = 40 the desk k is above 5e16, where E(1) = arccosh(sqrt(1 + 8k)) is near 21, and
+        # I(1) = 2 h(chi(1)) with chi(1) = sqrt(1/4 + 2k) above 3e8, where h(chi) = ln(chi) + 1 + O(chi^-2)
         rc = main(["analytic", "--profile", "desk", "--n-times", "4", "--f-grid", "0.5,1.0",
                    f"--squeezing={squeezing}", "--outdir", str(tmp_path), "--run-id", "big"])
         assert rc == 0
@@ -939,6 +942,9 @@ class TestCli:
             assert k > 1e14
             if float(row["f"]) == 1.0:
                 assert float(row["e_analytic"]) == pytest.approx(np.arccosh(np.sqrt(1.0 + 8.0 * k)), rel=1e-14)
+                mi = float(row["mi_analytic"])
+                assert mi > 0.0
+                assert mi == pytest.approx(2.0 * (np.log(np.sqrt(0.25 + 2.0 * k)) + 1.0), rel=1e-14)
 
     def test_impure_state_exit_code(self, tmp_path, monkeypatch, capsys):
         def impure(*a, **k):
@@ -1121,6 +1127,42 @@ class TestCli:
         assert rc == 0
         assert "max relative deviation" in capsys.readouterr().out
         assert digest_dir(out) == digest_dir(simulated.outdir)
+
+    def test_curves_dir_of_other_physics_exit_code(self, tmp_path, capsys):
+        # curves made at r = -5 with cutoff 20 are not reanalysed at r = 5 with cutoff 16
+        cfg = tiny_config(tmp_path / "curves", run_id="c")
+        run_experiment(cfg, ("piplot", "peplot"))
+        flags = ["--n-oscillators", "30", "--n-times", "4", "--t-max", "3.0", "--samples", "3", "--n-bands", "6"]
+        out = tmp_path / "out"
+        for command in ("redundancy", "compare"):
+            rc = main([command, "--curves-dir", cfg.outdir, *flags, "--squeezing=5", "--cutoff", "16",
+                       "--outdir", str(out), "--run-id", "c"])
+            assert rc == 2
+            problems = capsys.readouterr().err.splitlines()
+            assert [line.split(":")[:2] for line in problems] == [["config error", " cutoff"], ["config error", " squeezing"]]
+            assert list(out.iterdir()) == []  # no file written
+
+    def test_curves_dir_of_other_sampling_is_read(self, tmp_path, capsys):
+        # the sampling fields (seed, samples, unit, n_bands), workers and the deficits are not physics
+        cfg = tiny_config(tmp_path / "curves", run_id="c", samples=2, seed=99)
+        run_experiment(cfg, ("piplot", "peplot"))
+        flags = ["--n-oscillators", "30", "--n-times", "4", "--t-max", "3.0", "--n-bands", "5", "--samples", "7",
+                 "--seed", "3", "--unit", "band", "--workers", "2", "--delta-e", "0.3", "--delta-i", "0.2"]
+        for command in ("redundancy", "compare"):
+            rc = main([command, "--curves-dir", cfg.outdir, *flags, "--outdir", str(tmp_path / command), "--run-id", "c"])
+            assert rc == 0, capsys.readouterr().err
+
+    def test_curves_dir_without_physics_exit_code(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path / "curves", run_id="c")
+        run_experiment(cfg, ("piplot", "peplot"))
+        sidecar = tmp_path / "curves" / "c_neg.json"
+        payload = json.loads(sidecar.read_text())
+        del payload["config"]["squeezing"]
+        sidecar.write_text(json.dumps(payload))
+        flags = ["--n-oscillators", "30", "--n-times", "4", "--t-max", "3.0", "--samples", "3", "--n-bands", "6"]
+        rc = main(["redundancy", "--curves-dir", cfg.outdir, *flags, "--outdir", str(tmp_path / "out"), "--run-id", "c"])
+        assert rc == 4
+        assert "c_neg.json: cannot parse: KeyError" in capsys.readouterr().err
 
     def test_manifest_keeps_earlier_commands_files(self, tmp_path, capsys):
         flags = [*TINY_DESK, "--profile", "desk", "--outdir", str(tmp_path), "--run-id", "m"]

@@ -29,3 +29,35 @@ def test_no_unused_top_level_import(path):
             if (alias.asname or alias.name.split(".")[0]) not in used
         ]
     assert not unused
+
+
+def test_no_unreferenced_private_name():
+    # no linter runs on the package: a private function, class or assignment at module level (not a
+    # dunder) that nothing in the package reads, by name, attribute or import, lost its last caller
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    unreferenced = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [target.id for target in targets if isinstance(target, ast.Name)]
+            else:
+                continue
+            unreferenced += [
+                f"{name}:{node.lineno}: {private}"
+                for private in defined
+                if private.startswith("_") and not (private.startswith("__") and private.endswith("__"))
+                and private not in referenced
+            ]
+    assert not unreferenced
