@@ -16,7 +16,11 @@ are validated.
 
 The dimensionless combination k = d(t) * dx^2 (dx the spread of the
 delocalized quadrature) controls everything; the *_value functions below
-take k directly, and k_value evaluates it at time t for a concrete bath.
+take k directly, and k_value evaluates it for a concrete bath.  Every form
+is an array expression: the time functions take a vector of times and work
+on a trailing axis of bath modes, and the *_value functions broadcast over
+f and k, so a caller evaluates a whole (t, f) grid in one call (mi_value's
+three h in one kernel call).  A scalar argument gives a numpy float64.
 """
 
 from __future__ import annotations
@@ -72,8 +76,8 @@ class BranchModelParams:
         return self.delta_x0 * math.exp(0.5 * abs(self.r))
 
 
-def trajectory_amplitudes(t: float, params: BranchModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Response amplitudes (a_n, adot_n) of every bath mode at time t.
+def trajectory_amplitudes(t, params: BranchModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Response amplitudes (a_n, adot_n) of every bath mode at the times t, on a trailing axis of modes.
 
     r >= 0: the oscillator is driven by cos(Omega t) starting at rest, so
     a_n ~ cos(Omega t) - cos(w_n t); the sudden switch-on kicks every
@@ -82,6 +86,7 @@ def trajectory_amplitudes(t: float, params: BranchModelParams) -> tuple[np.ndarr
     Modes with |w_n^2 - Omega^2| below the resonance window use the secular
     (L'Hopital) limit instead of the raw quotient.
     """
+    t = np.asarray(t, dtype=float)[..., None]
     w = params.bath.frequencies
     omg = params.omega_s
     denom = w**2 - omg**2
@@ -102,8 +107,8 @@ def trajectory_amplitudes(t: float, params: BranchModelParams) -> tuple[np.ndarr
     return a, adot
 
 
-def mode_d_values(t: float, params: BranchModelParams) -> np.ndarray:
-    """Per-mode decoherence contributions d_n(t) >= 0."""
+def mode_d_values(t, params: BranchModelParams) -> np.ndarray:
+    """Per-mode decoherence contributions d_n(t) >= 0, on a trailing axis of modes."""
     bath = params.bath
     a, adot = trajectory_amplitudes(t, params)
     return bath.couplings**2 * (bath.frequencies**2 * a**2 + adot**2) / (
@@ -111,57 +116,64 @@ def mode_d_values(t: float, params: BranchModelParams) -> np.ndarray:
     )
 
 
-def d_total(t: float, params: BranchModelParams) -> float:
-    """Aggregate decoherence function d(t) = sum_n d_n(t)."""
-    return float(np.sum(mode_d_values(t, params)))
+def d_total(t, params: BranchModelParams):
+    """Aggregate decoherence function d(t) = sum_n d_n(t) at each time t."""
+    return mode_d_values(t, params).sum(axis=-1)[()]
 
 
-def entanglement_value(f: float, k: float) -> float:
-    """Branch-model logarithmic negativity E(f) for kept fraction f.
+def k_value(t, params: BranchModelParams):
+    """The branch model's k = d(t) dx^2 at each time t."""
+    return d_total(t, params) * params.delta_x**2
+
+
+def _fractions(f) -> np.ndarray:
+    """f as an array, every fraction checked to lie in [0, 1]: the closed forms' one domain check."""
+    f = np.asarray(f, dtype=float)
+    outside = (f < 0.0) | (f > 1.0)
+    if outside.any():
+        raise DomainError(f"fraction must lie in [0, 1], got {f[outside].flat[0]}")
+    return f
+
+
+def entanglement_value(f, k):
+    """Branch-model logarithmic negativity E(f) for kept fraction f, broadcast over f and k.
 
     E = -1/2 ln(1 - 8 phi / (1 + s)), with beta = 1 + 3f, phi = f / beta,
-    x = 2 phi / (k beta) and s = sqrt(1 + x); clamped below at zero.  Since
-    s - 1 = x / (1 + s), the bracket equals
+    x = 2 phi / (k beta) and s = sqrt(1 + x); zero at f = 0 or k <= 0, and
+    clamped below at zero.  Since s - 1 = x / (1 + s), the bracket equals
 
         (2 (1 - f) / beta + x / (1 + s)) / (1 + s),
 
     a sum of two non-negative terms, which is how it is evaluated: the
     written form cancels to 0 at f = 1 once x falls below the float64
     resolution (k near 1e15), where E(1) = arccosh(sqrt(1 + 8k)) is finite.
+    At k = inf the bracket is 0 at f = 1, and E(1) = inf.
     """
-    if f < 0.0 or f > 1.0:
-        raise DomainError(f"fraction must lie in [0, 1], got {f}")
-    if f == 0.0 or k <= 0.0:
-        return 0.0
+    f, k = _fractions(f), np.asarray(k, dtype=float)
     beta = 1.0 + 3.0 * f
-    x = 2.0 * (f / beta) / (k * beta)
-    one_s = 1.0 + math.sqrt(1.0 + x)
-    bracket = (2.0 * (1.0 - f) / beta + x / one_s) / one_s
-    if bracket <= 0.0:  # f = 1 at k = inf
-        return float("inf")
-    return max(0.0, -0.5 * math.log(bracket))
+    with np.errstate(divide="ignore", invalid="ignore"):  # f = 0 or k <= 0, masked below
+        x = 2.0 * (f / beta) / (k * beta)
+        one_s = 1.0 + np.sqrt(1.0 + x)
+        bracket = (2.0 * (1.0 - f) / beta + x / one_s) / one_s
+        value = np.maximum(-0.5 * np.log(bracket), 0.0)
+    return np.where((f == 0.0) | (k <= 0.0), 0.0, value)[()]
 
 
-def chi_value(f: float, k: float) -> float:
+def chi_value(f, k):
     """Symplectic eigenvalue chi(f) = sqrt(1/4 + 2 f k); chi(0) = 1/2."""
-    if f < 0.0 or f > 1.0:
-        raise DomainError(f"fraction must lie in [0, 1], got {f}")
-    return math.sqrt(0.25 + 2.0 * f * max(k, 0.0))
+    return np.sqrt(0.25 + 2.0 * _fractions(f) * np.maximum(k, 0.0))[()]
 
 
-def mi_value(f: float, k: float) -> float:
-    """Branch-model mutual information h(chi(1)) + h(chi(f)) - h(chi(1-f)), the three h in one kernel call."""
-    h_one, h_f, h_rest = _entropy_of_values([[chi_value(1.0, k)], [chi_value(f, k)], [chi_value(1.0 - f, k)]])
-    return float(h_one + h_f - h_rest)
+def mi_value(f, k):
+    """Branch-model mutual information h(chi(1)) + h(chi(f)) - h(chi(1-f)), every h in one kernel call."""
+    f = _fractions(f)
+    chis = np.broadcast_arrays(chi_value(1.0, k), chi_value(f, k), chi_value(1.0 - f, k))
+    h_one, h_f, h_rest = _entropy_of_values(np.stack(chis)[..., None])
+    return (h_one + h_f - h_rest)[()]
 
 
-def k_value(t: float, params: BranchModelParams) -> float:
-    """The branch model's k = d(t) dx^2 at time t."""
-    return d_total(t, params) * params.delta_x**2
-
-
-def redundancy_estimate_value(deficit: float, k: float) -> float:
-    """Large-squeezing entanglement-redundancy estimate for a given k.
+def redundancy_estimate_value(deficit: float, k):
+    """Large-squeezing entanglement-redundancy estimate at each k; NaN where k <= 0.
 
     A = 2 chi(1) = sqrt(1 + 8k) is the symplectic area of the system's
     reduced state in ground-state units, and E(1) = arccosh(A).  In the
@@ -176,5 +188,5 @@ def redundancy_estimate_value(deficit: float, k: float) -> float:
     if not 0.0 < deficit < 1.0:
         raise DomainError(f"deficit must lie in (0, 1), got {deficit}")
     area = 2.0 * chi_value(1.0, k)
-    return float(((area + math.sqrt(area**2 - 1.0)) ** (2.0 * deficit) + 3.0) / 4.0)
-
+    estimate = ((area + np.sqrt(area**2 - 1.0)) ** (2.0 * deficit) + 3.0) / 4.0
+    return np.where(np.asarray(k) > 0.0, estimate, np.nan)[()]

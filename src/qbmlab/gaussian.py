@@ -16,11 +16,12 @@ spectrum of the block is read off it: _gram_spectra, _transposed_spectra (the pa
 partners of mode 0; _complex_williamson is its fallback).
 _entropy_of_values and _negativity_of_values reduce one spectrum or a
 stack; the first is the package's one evaluation of the bosonic entropy
-h(nu), which entropy_function gives for one value and analytic's closed
-forms read.  merge_counts adds the counters of several take_counts, each
-by its own rule (block_modes_max is a maximum).  _spectrum_of is the one
-entry point for a raw matrix that may be unphysical (the object API); it
-takes the eig path when the matrix is not positive definite.  No
+h(nu), which entropy_function gives for one value and analytic.mi_value
+reads once for a whole grid of closed-form cells.  merge_counts adds the
+counters of several take_counts, each by its own rule (block_modes_max is
+a maximum).  _spectrum_of is the one entry point for a raw matrix that may
+be unphysical (the object API); it takes the eig path when the matrix is
+not positive definite.  No
 pipeline function calls it: H(S) is h(nu_S) of the 2 x 2 system block
 (correlations.system_entropy).  CovarianceMatrix is the validated full
 state that the model builds, and check_purity the pipeline's one check of
@@ -363,7 +364,7 @@ def _entropy_of_values(values: np.ndarray):
     noise on pure states cannot produce NaN; a value below raises DomainError.
     """
     values = np.asarray(values, dtype=float)
-    if (values < 0.5 - NU_TOL).any():  # the methods, not np.any and np.sum: analytic calls this per (t, f)
+    if (values < 0.5 - NU_TOL).any():
         worst = float(values.min())
         raise DomainError(f"symplectic eigenvalue {worst} below 1/2 - {NU_TOL}")
     b = np.maximum(values - 0.5, 0.0)

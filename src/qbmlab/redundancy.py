@@ -152,7 +152,8 @@ def build_report(
     flags: list[str] = []
     h_s = pi_curve.h_system
     e_full = float(pe_curve.mean[-1]) if abs(pe_curve.f_values[-1] - 1.0) < 1e-9 else float("nan")
-    e_half = float(np.interp(0.5, pe_curve.f_values, pe_curve.mean))
+    f = pe_curve.f_values  # np.interp would clamp to the nearest edge where the grid does not bracket 1/2
+    e_half = float(np.interp(0.5, f, pe_curve.mean)) if f[0] <= 0.5 <= f[-1] else float("nan")
     if not _is_monotone(pe_curve.mean):
         flags.append("pe_non_monotone")
     if not _is_monotone(pi_curve.mean):

@@ -216,23 +216,15 @@ def _chunk_task(args) -> dict:
     elapsed.update({"model.evolve": evolved - start, "gaussian.check_purity": time.perf_counter() - evolved})
     h_s = system_entropy(cov)
     out: dict = {"t_index": t_index, "h_s": h_s, "elapsed": elapsed}
-    if "state" in wants:
-        out["state"] = {
-            "min_symplectic": float(np.sqrt(max(0.25 - bound, 0.0))),  # a lower bound on every nu
-            "symmetry_defect": cov.symmetry_defect,
-            "total_energy": total_energy(spec, bath, cov),
-            "system_entropy": h_s,
-        }
+    if "state" in wants:  # state.csv's cells after t; min_symplectic, the first, is a lower bound on every nu
+        min_symplectic = float(np.sqrt(max(0.25 - bound, 0.0)))
+        out["state"] = [min_symplectic, cov.symmetry_defect, total_energy(spec, bath, cov), h_s]
     if "bands" in wants:
         start = time.perf_counter()
         bands = band_partition(config.n_oscillators, config.n_bands, bath.frequencies)
         bc = band_correlations(cov, bands, t=t)
-        out["bands"] = {
-            "centers": bc.band_edges.tolist(),
-            "sizes": [len(b) for b in bands.band_members],
-            "mi": bc.mi.tolist(),
-            "neg": bc.neg.tolist(),
-        }
+        cells = zip(bc.band_edges.tolist(), bands.band_members, bc.mi.tolist(), bc.neg.tolist())
+        out["bands"] = [[j, center, len(members), mi, neg] for j, (center, members, mi, neg) in enumerate(cells)]
         elapsed["correlations.bands"] = time.perf_counter() - start
     if "curves" in wants:
         start = time.perf_counter()
@@ -403,17 +395,10 @@ def _stage_files(stage: str, config: RunConfig, results: list[dict], curves: lis
     ``curves`` holds one (PI curve, PE curve) pair per time point, in time order.
     """
     if stage == "evolve":
-        columns = ["min_symplectic", "symmetry_defect", "total_energy", "system_entropy"]
-        rows = [[r["t"], *(r["state"][c] for c in columns)] for r in results]
-        return [("state.csv", ["t", *columns], rows)]
+        rows = [[r["t"], *r["state"]] for r in results]
+        return [("state.csv", ["t", "min_symplectic", "symmetry_defect", "total_energy", "system_entropy"], rows)]
     if stage == "bands":
-        rows = [
-            [r["t"], j, c, s, mi, neg]
-            for r in results
-            for j, (c, s, mi, neg) in enumerate(
-                zip(r["bands"]["centers"], r["bands"]["sizes"], r["bands"]["mi"], r["bands"]["neg"])
-            )
-        ]
+        rows = [[r["t"], *row] for r in results for row in r["bands"]]
         return [("bands.csv", ["t", "band_index", "band_center", "band_size", "mi", "neg"], rows)]
     if stage in ("piplot", "peplot"):
         pick = ("piplot", "peplot").index(stage)
@@ -436,12 +421,12 @@ def _stage_files(stage: str, config: RunConfig, results: list[dict], curves: lis
             (f"{measure}.json", None, sidecar),
         ]
     if stage == "redundancy":
-        params = branch_params(config)
-        reports = []
-        for mi, pe in curves:
-            k = k_value(mi.t, params)
-            estimate = redundancy_estimate_value(config.delta_e, k) if k > 0 else float("nan")
-            reports.append(build_report(mi.t, pe, mi, config.delta_e, config.delta_i, estimate))
+        k = k_value([mi.t for mi, _ in curves], branch_params(config))
+        estimates = redundancy_estimate_value(config.delta_e, k).tolist()
+        reports = [
+            build_report(mi.t, pe, mi, config.delta_e, config.delta_i, estimate)
+            for (mi, pe), estimate in zip(curves, estimates)
+        ]
         rows = [[rep.t, rep.r_e, rep.r_i, rep.i_nr, rep.analytic_r_e, "|".join(rep.flags)] for rep in reports]
         return [("redundancy.csv", ["t", "r_e", "r_i", "i_nr", "analytic_r_e", "flags"], rows)] + [
             (f"redundancy_{i:03d}.json", None, asdict(rep)) for i, rep in enumerate(reports)
@@ -450,11 +435,17 @@ def _stage_files(stage: str, config: RunConfig, results: list[dict], curves: lis
         rows, summary = compare_numeric_analytic(config, curves)
         header = ["t", "f", "measure_tag", "numeric", "analytic", "rel_dev", "below_analytic"]
         return [("compare.csv", header, rows), ("compare_summary.json", None, summary)]
-    # analytic
+    # analytic: the whole (t, f) table from one d(t) per time
     params = branch_params(config)
-    fs = config.f_grid or np.linspace(0.02, 1.0, 50).tolist()
-    points = [(t, d_total(t, params), k_value(t, params)) for t in config.times().tolist()]
-    rows = [[t, f, d, k, entanglement_value(f, k), mi_value(f, k)] for t, d, k in points for f in fs]
+    times, fs = config.times(), np.asarray(config.f_grid or np.linspace(0.02, 1.0, 50))
+    d = d_total(times, params)
+    k = d * params.delta_x**2  # k_value's product
+    e, mi = entanglement_value(fs, k[:, None]).tolist(), mi_value(fs, k[:, None]).tolist()
+    rows = [
+        [t, f, d_t, k_t, e_tf, mi_tf]
+        for t, d_t, k_t, e_t, mi_t in zip(times.tolist(), d.tolist(), k.tolist(), e, mi)
+        for f, e_tf, mi_tf in zip(fs.tolist(), e_t, mi_t)
+    ]
     return [("analytic.csv", ["t", "f", "d_total", "d_dx2", "e_analytic", "mi_analytic"], rows)]
 
 
@@ -579,25 +570,22 @@ def compare_numeric_analytic(
     deviation over the core window f in [0.1, 0.9] (and over all f < 1).
     In dissipative regimes the closed form is an upper bound; points where
     the numeric value falls below a closed-form value above 1e-12 are
-    marked, not failed.
+    marked, not failed.  Each closed form is evaluated once, on every cell.
     """
-    params = branch_params(config)
-    rows: list[list] = []
-    max_core = {"mi": 0.0, "neg": 0.0}
-    max_all = {"mi": 0.0, "neg": 0.0}
-    for mi_curve, pe_curve in curves:
-        t = mi_curve.t
-        k = k_value(t, params)
-        for curve, tag, fn in ((mi_curve, "mi", mi_value), (pe_curve, "neg", entanglement_value)):
-            for f, m in zip(curve.f_values, curve.mean):
-                ana = fn(f, k)
-                counted = ana > 1e-12  # an analytic value of 0 gives no deviation and no bound
-                rel = abs(m - ana) / abs(ana) if counted else 0.0
-                rows.append([t, f, tag, m, ana, rel, counted and m < ana])
-                if counted:
-                    max_all[tag] = max(max_all[tag], rel)
-                    if 0.1 - 1e-9 <= f <= 0.9 + 1e-9:
-                        max_core[tag] = max(max_core[tag], rel)
+    ordered = [curve for pair in curves for curve in pair]  # the rows' order: each time's mi, then its neg curve
+    sizes = [len(c.f_values) for c in ordered]
+    times = [mi.t for mi, _ in curves]
+    t, k = (np.repeat(np.repeat(values, 2), sizes) for values in (times, k_value(times, branch_params(config))))
+    tags = np.repeat(np.array(["mi", "neg"] * len(curves), dtype=str), sizes)
+    f, m = (np.concatenate([np.empty(0), *(getattr(c, name) for c in ordered)]) for name in ("f_values", "mean"))
+    ana = np.where(tags == "mi", mi_value(f, k), entanglement_value(f, k))
+    counted = ana > 1e-12  # an analytic value of 0 gives no deviation and no bound
+    rel = np.divide(np.abs(m - ana), np.abs(ana), out=np.zeros_like(ana), where=counted)
+    core = (0.1 - 1e-9 <= f) & (f <= 0.9 + 1e-9)
+    max_all = {tag: float(rel.max(initial=0.0, where=tags == tag)) for tag in ("mi", "neg")}
+    max_core = {tag: float(rel.max(initial=0.0, where=core & (tags == tag))) for tag in ("mi", "neg")}
+    cells = (t, f, tags, m, ana, rel, counted & (m < ana))
+    rows = [list(row) for row in zip(*(column.tolist() for column in cells))]
     summary = {
         "max_rel_dev_core": max_core,
         "max_rel_dev_all": max_all,

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from qbmlab.analytic import BranchModelParams, chi_value, mi_value, trajectory_amplitudes
+from qbmlab.analytic import BranchModelParams, mode_d_values, trajectory_amplitudes
 from qbmlab.correlations import (
     BandPartition,
     CorrelationCurve,
@@ -36,6 +36,7 @@ from qbmlab.gaussian import (
     _rows,
     _skew_product,
     _spectrum_of,
+    entropy_function,
     log_negativity,
     partial_trace,
     von_neumann_entropy,
@@ -386,15 +387,61 @@ def _gamma0_of(params: BranchModelParams) -> float:
     return float(j_top / dw * math.pi / (2.0 * params.mass * bath.frequencies[-1]))
 
 
+def d_total_at(t: float, params: BranchModelParams) -> float:
+    """d(t) at one time, the modes summed on their own: the per-time form of analytic.d_total."""
+    return float(np.sum(mode_d_values(float(t), params)))
+
+
+def k_value_at(t: float, params: BranchModelParams) -> float:
+    """k = d(t) dx^2 at one time: the per-time form of analytic.k_value."""
+    return d_total_at(t, params) * params.delta_x**2
+
+
+def entanglement_cell(f: float, k: float) -> float:
+    """One cell of analytic.entanglement_value, in math on Python floats."""
+    if f < 0.0 or f > 1.0:
+        raise DomainError(f"fraction must lie in [0, 1], got {f}")
+    if f == 0.0 or k <= 0.0:
+        return 0.0
+    beta = 1.0 + 3.0 * f
+    x = 2.0 * (f / beta) / (k * beta)
+    one_s = 1.0 + math.sqrt(1.0 + x)
+    bracket = (2.0 * (1.0 - f) / beta + x / one_s) / one_s
+    if bracket <= 0.0:  # f = 1 at k = inf
+        return float("inf")
+    return max(0.0, -0.5 * math.log(bracket))
+
+
+def chi_cell(f: float, k: float) -> float:
+    """One cell of analytic.chi_value, sqrt(1/4 + 2 f k)."""
+    if f < 0.0 or f > 1.0:
+        raise DomainError(f"fraction must lie in [0, 1], got {f}")
+    return math.sqrt(0.25 + 2.0 * f * max(k, 0.0))
+
+
+def mi_cell(f: float, k: float) -> float:
+    """One cell of analytic.mi_value: h(chi(1)) + h(chi(f)) - h(chi(1 - f)), one h at a time."""
+    h_one, h_f, h_rest = (entropy_function(chi_cell(x, k)) for x in (1.0, f, 1.0 - f))
+    return h_one + h_f - h_rest
+
+
+def redundancy_estimate_cell(deficit: float, k: float) -> float:
+    """One value of analytic.redundancy_estimate_value, in math on Python floats; NaN where k <= 0."""
+    if k <= 0.0:
+        return float("nan")
+    area = 2.0 * chi_cell(1.0, k)
+    return ((area + math.sqrt(area**2 - 1.0)) ** (2.0 * deficit) + 3.0) / 4.0
+
+
 def mi_slope_value(f: float, k: float) -> float:
-    """Exact derivative of mi_value in f (singular at f = 0 and f = 1)."""
+    """Exact derivative of mi_cell in f (singular at f = 0 and f = 1)."""
     if not 0.0 < f < 1.0:
         raise DomainError(f"slope defined on (0, 1) only, got {f}")
 
     def h_prime(chi: float) -> float:
         return math.log((chi + 0.5) / (chi - 0.5))
 
-    cf, cc = chi_value(f, k), chi_value(1.0 - f, k)
+    cf, cc = chi_cell(f, k), chi_cell(1.0 - f, k)
     return k * (h_prime(cf) / cf + h_prime(cc) / cc)
 
 
@@ -419,8 +466,8 @@ def e_asymptotic_value(f: float, k: float) -> float:
 
 
 def i_nr_value(k: float, step: float = 1e-4) -> float:
-    """Non-redundant information: centered difference of mi_value at f = 1/2."""
-    return (mi_value(0.5 + 0.5 * step, k) - mi_value(0.5 - 0.5 * step, k)) / step
+    """Non-redundant information: centered difference of mi_cell at f = 1/2."""
+    return (mi_cell(0.5 + 0.5 * step, k) - mi_cell(0.5 - 0.5 * step, k)) / step
 
 
 def deficit_match(delta_i: float, h_s: float, e_full: float, e_half: float) -> float:

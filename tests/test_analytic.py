@@ -1,8 +1,11 @@
+from collections import Counter
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
+import qbmlab.analytic as analytic_mod
+import qbmlab.runner as runner_mod
 from qbmlab.analytic import (
     BranchModelParams,
     chi_value,
@@ -14,12 +17,20 @@ from qbmlab.analytic import (
     redundancy_estimate_value,
     trajectory_amplitudes,
 )
+from qbmlab.config import parse_config
+from qbmlab.correlations import CorrelationCurve
 from qbmlab.errors import DomainError
 from qbmlab.gaussian import entropy_function
 from qbmlab.model import BathSpec, DiscretizedBath, discretize_bath
 
 from oracles import (
+    chi_cell,
     d_superohmic_closed,
+    d_total_at,
+    entanglement_cell,
+    k_value_at,
+    mi_cell,
+    redundancy_estimate_cell,
     e_asymptotic_value,
     e_universal,
     i_nr_value,
@@ -278,3 +289,106 @@ class TestRedundancyEstimate:
         for k in (0.5, 2.0, 100.0, 1000.0, 1e5):
             exp_form = (np.exp(2.0 * deficit * entanglement_value(1.0, k)) + 3.0) / 4.0
             assert redundancy_estimate_value(deficit, k) == pytest.approx(exp_form, rel=1e-10)
+
+
+#: E, I and R_E of the array forms against the per-cell oracles.  Both take the same operations in the
+#: same order, but numpy's SIMD log and pow on a vector may round differently from libm on one value;
+#: 4 ulp is under 1e-15 relative.
+ULPS = 4
+
+
+def assert_within_ulps(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    got, want = got[~np.isnan(want)], want[~np.isnan(want)]
+    with np.errstate(invalid="ignore"):  # inf - inf; == holds there
+        assert np.all((got == want) | (np.abs(got - want) <= ULPS * np.spacing(np.abs(want))))
+
+
+def desk_config(r: float):
+    return parse_config(overrides=dict(profile="desk", squeezing=r), env={})
+
+
+def branch_curves(config) -> list[tuple[CorrelationCurve, CorrelationCurve]]:
+    """(PI, PE) pairs of the per-cell closed forms on 20 fractions at each time of the config."""
+    f = np.linspace(0.05, 1.0, 20)
+    pairs = []
+    for t in config.times().tolist():
+        k = k_value_at(t, config.branch_params())
+        common = dict(t=t, f_values=f, stderr=np.zeros_like(f), n_samples=np.ones(len(f), dtype=int),
+                      h_system=entropy_function(chi_cell(1.0, k)))
+        pairs.append((CorrelationCurve(measure="mi", mean=np.array([mi_cell(x, k) for x in f.tolist()]), **common),
+                      CorrelationCurve(measure="neg", mean=np.array([entanglement_cell(x, k) for x in f.tolist()]),
+                                       **common)))
+    return pairs
+
+
+class TestArrayFormsAgainstCells:
+    """Every closed form evaluated on a whole grid matches its per-cell oracle (oracles.*_cell)."""
+
+    @pytest.mark.parametrize("r", [-5.0, 5.0, 40.0, 80.0])
+    def test_desk_analytic_table(self, r):
+        config = desk_config(r)
+        params = config.branch_params()
+        rows = runner_mod._stage_files("analytic", config, [], [])[0][2]
+        assert len(rows) == 2000
+        t, f, d, k, e, mi = (np.array(column) for column in zip(*rows))
+        for time in np.unique(t):  # d and k bit for bit
+            at = t == time
+            assert np.all(d[at] == d_total_at(time, params)) and np.all(k[at] == k_value_at(time, params))
+        assert_within_ulps(e, [entanglement_cell(*cell) for cell in zip(f.tolist(), k.tolist())])
+        assert_within_ulps(mi, [mi_cell(*cell) for cell in zip(f.tolist(), k.tolist())])
+
+    @pytest.mark.parametrize("r", [-5.0, 5.0, 40.0, 80.0])
+    def test_desk_analytic_r_e(self, r):
+        config = desk_config(r)
+        params = config.branch_params()
+        rows = runner_mod._stage_files("redundancy", config, [], branch_curves(config))[0][2]
+        assert len(rows) == 40 and np.isnan(rows[0][4])  # t = 0, where k = 0
+        want = [redundancy_estimate_cell(config.delta_e, k_value_at(row[0], params)) for row in rows]
+        assert_within_ulps([row[4] for row in rows], want)
+
+    @pytest.mark.parametrize("stage, kernel_calls", [("analytic", 1), ("compare", 1), ("redundancy", 0)])
+    def test_one_evaluation_per_stage(self, monkeypatch, stage, kernel_calls):
+        # the h kernel and the mode amplitudes run once per stage, not once per (t, f) cell
+        config = desk_config(-5.0)
+        curves = branch_curves(config)
+        calls = Counter()
+        for name in ("_entropy_of_values", "trajectory_amplitudes"):
+            def counted(*args, _name=name, _fn=getattr(analytic_mod, name)):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(analytic_mod, name, counted)
+        runner_mod._stage_files(stage, config, [], curves)
+        assert calls["_entropy_of_values"] == kernel_calls and calls["trajectory_amplitudes"] == 1
+
+    def test_compare_cells_match_the_oracle(self):
+        config = desk_config(-5.0)
+        rows, _ = runner_mod.compare_numeric_analytic(config, branch_curves(config))
+        cell = {"mi": mi_cell, "neg": entanglement_cell}
+        k_by_t = {t: k_value_at(t, config.branch_params()) for t in config.times().tolist()}
+        assert_within_ulps([row[4] for row in rows], [cell[row[2]](row[1], k_by_t[row[0]]) for row in rows])
+
+    def test_scalars_give_float_literals(self):
+        scalars = (entanglement_value(0.5, 3.0), mi_value(0.5, 3.0), chi_value(0.5, 3.0), d_total(1.0, toy_params(5.0)),
+                   k_value(1.0, toy_params(5.0)), redundancy_estimate_value(0.2, 3.0))
+        for value in scalars:
+            assert np.ndim(value) == 0 and runner_mod._fmt(value) == repr(float(value))
+
+    def test_broadcasts_over_f_and_k(self):
+        f, k = np.linspace(0.0, 1.0, 7), np.array([[0.0], [0.3], [40.0], [1e42]])
+        for form, cell in ((entanglement_value, entanglement_cell), (chi_value, chi_cell), (mi_value, mi_cell)):
+            got = form(f, k)
+            assert got.shape == (len(k), len(f))
+            assert_within_ulps(got, [[cell(fj, ki) for fj in f.tolist()] for ki in k[:, 0].tolist()])
+        assert entanglement_value([0.5, 1.0], np.inf).tolist() == [entanglement_cell(0.5, np.inf), np.inf]
+
+    @pytest.mark.parametrize("form", [entanglement_value, chi_value, mi_value])
+    def test_any_fraction_outside_the_unit_interval_raises(self, form):
+        with pytest.raises(DomainError, match="fraction"):
+            form(np.array([0.5, 1.0 + 1e-12]), 3.0)
+
+    def test_estimate_is_nan_where_k_is_not_positive(self):
+        assert np.isnan(redundancy_estimate_value(0.2, [0.0, -1.0])).all()
+        assert redundancy_estimate_value(0.2, 1e-300) == pytest.approx(1.0)

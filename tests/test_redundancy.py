@@ -32,13 +32,13 @@ def make_curve(f, y, measure="neg", h_system=0.0, stderr=None):
 
 def analytic_pe_curve(k, n_pts=4000):
     f = np.arange(1, n_pts + 1) / n_pts
-    return make_curve(f, [entanglement_value(float(x), k) for x in f])
+    return make_curve(f, entanglement_value(f, k))
 
 
 def analytic_pi_curve(k, n_pts=4000):
     f = np.arange(1, n_pts + 1) / n_pts
     h_s = entropy_function(chi_value(1.0, k))
-    return make_curve(f, [mi_value(float(x), k) for x in f], measure="mi", h_system=h_s)
+    return make_curve(f, mi_value(f, k), measure="mi", h_system=h_s)
 
 
 class TestEntanglementRedundancy:
@@ -226,6 +226,20 @@ class TestBuildReport:
         assert "pe_domainerror" in report.flags
         assert np.isnan(report.r_e) and np.isnan(report.f_e) and np.isnan(report.e_full)
         assert report.r_i == build_report(1.0, pe, pi).r_i
+
+    @pytest.mark.parametrize("f", [[0.6, 0.8, 1.0], [0.1, 0.3, 0.45]])
+    def test_e_half_is_nan_on_a_grid_that_does_not_bracket_one_half(self, f):
+        # np.interp would read the nearest edge's mean as E(1/2), here above the bound
+        pe = make_curve(f, [3.0, 3.5, 4.0])
+        report = build_report(3.0, pe, analytic_pi_curve(100.0, n_pts=400))
+        assert np.isnan(report.e_half)
+        assert "e_half_above_bound" not in report.flags
+
+    def test_e_half_interpolates_on_a_grid_that_brackets_one_half(self):
+        pe = make_curve([0.4, 0.6, 1.0], [3.0, 3.5, 4.0])
+        report = build_report(3.0, pe, analytic_pi_curve(100.0, n_pts=400))
+        assert report.e_half == pytest.approx(3.25, rel=1e-15)
+        assert "e_half_above_bound" in report.flags
 
     def test_non_monotone_flag(self):
         f = np.linspace(0.05, 1.0, 20)
