@@ -16,10 +16,11 @@ are validated.
 
 The dimensionless combination k = d(t) * dx^2 (dx the spread of the
 delocalized quadrature) controls everything; the *_value functions below
-take k directly, and k_value evaluates it for a concrete bath.  Every form
-is an array expression: the time functions take a vector of times and work
-on a trailing axis of bath modes, and the *_value functions broadcast over
-f and k, so a caller evaluates a whole (t, f) grid in one call (mi_value's
+take k directly, and k_value evaluates it for a concrete bath (d_and_k
+gives d with it).  Every form is an array expression: the time functions
+take a vector of times and work on a trailing axis of bath modes (d_total
+over bounded blocks of times), and the *_value functions broadcast over f
+and k, so a caller evaluates a whole (t, f) grid in one call (mi_value's
 three h in one kernel call).  A scalar argument gives a numpy float64.
 """
 
@@ -36,6 +37,9 @@ from .model import DiscretizedBath
 
 #: Relative window around w = Omega_S inside which the secular limit is used.
 RESONANCE_WINDOW = 1e-9
+
+#: Times per block in d_total: a block's (times x modes) arrays at N = 600 take about 1 MB each.
+TIME_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -117,13 +121,25 @@ def mode_d_values(t, params: BranchModelParams) -> np.ndarray:
 
 
 def d_total(t, params: BranchModelParams):
-    """Aggregate decoherence function d(t) = sum_n d_n(t) at each time t."""
-    return mode_d_values(t, params).sum(axis=-1)[()]
+    """Aggregate decoherence function d(t) = sum_n d_n(t) at each time t.
+
+    The (times x modes) arrays are built TIME_BLOCK times at a time, so
+    memory stays bounded at any number of times.
+    """
+    t = np.asarray(t, dtype=float)
+    sums = [mode_d_values(t.flat[i : i + TIME_BLOCK], params).sum(axis=-1) for i in range(0, t.size or 1, TIME_BLOCK)]
+    return np.concatenate(sums).reshape(t.shape)[()]
+
+
+def d_and_k(t, params: BranchModelParams):
+    """d(t) and the branch model's k = d(t) dx^2 at each time t, from one evaluation of d."""
+    d = d_total(t, params)
+    return d, d * params.delta_x**2
 
 
 def k_value(t, params: BranchModelParams):
     """The branch model's k = d(t) dx^2 at each time t."""
-    return d_total(t, params) * params.delta_x**2
+    return d_and_k(t, params)[1]
 
 
 def _fractions(f) -> np.ndarray:

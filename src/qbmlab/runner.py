@@ -102,7 +102,7 @@ import numpy as np
 
 from . import _BLAS_THREAD_VARS, __version__
 from .analytic import (
-    d_total,
+    d_and_k,
     entanglement_value,
     k_value,
     mi_value,
@@ -436,16 +436,11 @@ def _stage_files(stage: str, config: RunConfig, results: list[dict], curves: lis
         header = ["t", "f", "measure_tag", "numeric", "analytic", "rel_dev", "below_analytic"]
         return [("compare.csv", header, rows), ("compare_summary.json", None, summary)]
     # analytic: the whole (t, f) table from one d(t) per time
-    params = branch_params(config)
     times, fs = config.times(), np.asarray(config.f_grid or np.linspace(0.02, 1.0, 50))
-    d = d_total(times, params)
-    k = d * params.delta_x**2  # k_value's product
-    e, mi = entanglement_value(fs, k[:, None]).tolist(), mi_value(fs, k[:, None]).tolist()
-    rows = [
-        [t, f, d_t, k_t, e_tf, mi_tf]
-        for t, d_t, k_t, e_t, mi_t in zip(times.tolist(), d.tolist(), k.tolist(), e, mi)
-        for f, e_tf, mi_tf in zip(fs.tolist(), e_t, mi_t)
-    ]
+    d, k = d_and_k(times, branch_params(config))
+    e, mi = entanglement_value(fs, k[:, None]), mi_value(fs, k[:, None])
+    columns = np.broadcast_arrays(times[:, None], fs, d[:, None], k[:, None], e, mi)  # (t, f) cells, f fastest
+    rows = [list(row) for row in zip(*(column.ravel().tolist() for column in columns))]
     return [("analytic.csv", ["t", "f", "d_total", "d_dx2", "e_analytic", "mi_analytic"], rows)]
 
 
@@ -575,10 +570,14 @@ def compare_numeric_analytic(
     ordered = [curve for pair in curves for curve in pair]  # the rows' order: each time's mi, then its neg curve
     sizes = [len(c.f_values) for c in ordered]
     times = [mi.t for mi, _ in curves]
-    t, k = (np.repeat(np.repeat(values, 2), sizes) for values in (times, k_value(times, branch_params(config))))
-    tags = np.repeat(np.array(["mi", "neg"] * len(curves), dtype=str), sizes)
-    f, m = (np.concatenate([np.empty(0), *(getattr(c, name) for c in ordered)]) for name in ("f_values", "mean"))
-    ana = np.where(tags == "mi", mi_value(f, k), entanglement_value(f, k))
+    t = np.repeat(np.repeat(times, 2), sizes)
+    k = np.repeat(np.repeat(k_value(times, branch_params(config)), 2), sizes)
+    tags = np.repeat(np.array(["mi", "neg"] * len(curves)), sizes)
+    f = np.concatenate([np.empty(0)] + [c.f_values for c in ordered])
+    m = np.concatenate([np.empty(0)] + [c.mean for c in ordered])
+    ana = np.empty_like(f)
+    for tag, form in (("mi", mi_value), ("neg", entanglement_value)):  # each form on its own cells only
+        ana[tags == tag] = form(f[tags == tag], k[tags == tag])
     counted = ana > 1e-12  # an analytic value of 0 gives no deviation and no bound
     rel = np.divide(np.abs(m - ana), np.abs(ana), out=np.zeros_like(ana), where=counted)
     core = (0.1 - 1e-9 <= f) & (f <= 0.9 + 1e-9)

@@ -363,6 +363,24 @@ class TestArrayFormsAgainstCells:
         runner_mod._stage_files(stage, config, [], curves)
         assert calls["_entropy_of_values"] == kernel_calls and calls["trajectory_amplitudes"] == 1
 
+    def test_d_total_works_in_bounded_blocks_of_times(self, monkeypatch):
+        # at any number of times the modes' (times x modes) arrays hold at most TIME_BLOCK times
+        params = desk_config(-5.0).branch_params()
+        times = np.linspace(0.0, 10.0, 2 * analytic_mod.TIME_BLOCK + 3)
+        sizes = []
+        amplitudes = analytic_mod.trajectory_amplitudes
+
+        def recorded(t, p):
+            sizes.append(np.size(t))
+            return amplitudes(t, p)
+
+        monkeypatch.setattr(analytic_mod, "trajectory_amplitudes", recorded)
+        d = d_total(times, params)
+        assert sizes == [analytic_mod.TIME_BLOCK, analytic_mod.TIME_BLOCK, 3]
+        assert d.tolist() == [d_total_at(t, params) for t in times.tolist()]
+        assert d_total(times.reshape(-1, 1), params).shape == (len(times), 1)
+        assert d_total([], params).shape == (0,)
+
     def test_compare_cells_match_the_oracle(self):
         config = desk_config(-5.0)
         rows, _ = runner_mod.compare_numeric_analytic(config, branch_curves(config))
