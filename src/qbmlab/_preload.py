@@ -1,15 +1,14 @@
-"""The forkserver's preload: importing it builds the pieces of the physics in its environment.
+"""The forkserver's preload: the modules that every worker it forks inherits.
 
-runner._context names this module, alone, in set_forkserver_preload, and
-nothing else imports it, so only the forkserver builds pieces at import
-(runner._preload_pieces).  It also imports the pool's worker loop
-(concurrent.futures.process), which the runner imports only where a pool
-starts, so that every worker the forkserver forks inherits it rather than
-importing it after the fork.
+runner._context names this module, alone, in set_forkserver_preload.  It
+imports the runner, and with it numpy and the rest of the package, and the
+pool's worker loop (concurrent.futures.process), which the runner imports
+only where a pool starts, so that every worker the forkserver forks
+inherits them rather than importing them after the fork.  It holds no
+data: each worker builds its run's simulation pieces itself
+(runner.simulation_pieces), so importing it builds nothing.
 """
 
 import concurrent.futures.process  # noqa: F401
 
-from .runner import _preload_pieces
-
-_preload_pieces()
+from . import runner  # noqa: F401

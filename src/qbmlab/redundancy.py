@@ -50,30 +50,16 @@ def _is_monotone(y: np.ndarray) -> bool:
     return bool(np.all(np.diff(y) >= -1e-12))
 
 
-def _crossing_from_top(f: np.ndarray, y: np.ndarray, level: float) -> float:
-    """Largest kept fraction u with curve(u) <= level (scan from u = 1 down)."""
-    for i in range(len(f) - 2, -1, -1):
+def _crossing(f: np.ndarray, y: np.ndarray, level: float, downward: bool) -> float:
+    """First fraction where the interpolated curve meets level, scanning its segments from the last
+    grid point down (downward) or from the first up; on a flat segment, the end nearer the scan's start."""
+    for i in range(len(f) - 2, -1, -1) if downward else range(len(f) - 1):
         lo, hi = y[i], y[i + 1]
         if lo <= level <= hi:
             if hi == lo:
-                return float(f[i + 1])
+                return float(f[i + 1] if downward else f[i])
             return float(f[i] + (level - lo) * (f[i + 1] - f[i]) / (hi - lo))
-    raise NotReached(
-        f"curve stays above {level:.6g} down to the smallest measured fraction"
-    )
-
-
-def _crossing_from_bottom(f: np.ndarray, y: np.ndarray, level: float) -> float:
-    """Smallest fraction where the curve first reaches level (scan from f_min up)."""
-    if y[0] >= level:
-        return float(f[0])
-    for i in range(len(f) - 1):
-        lo, hi = y[i], y[i + 1]
-        if lo <= level <= hi:
-            if hi == lo:
-                return float(f[i])
-            return float(f[i] + (level - lo) * (f[i + 1] - f[i]) / (hi - lo))
-    raise NotReached(f"curve never attains {level:.6g} on the measured grid")
+    raise NotReached(f"curve does not meet {level:.6g} on the measured grid")
 
 
 def entanglement_redundancy(curve: CorrelationCurve, deficit: float) -> tuple[float, float]:
@@ -92,7 +78,7 @@ def entanglement_redundancy(curve: CorrelationCurve, deficit: float) -> tuple[fl
     e_full = float(y[-1])
     if e_full < 1e-9:
         raise FlatCurve(f"E(1) = {e_full:.3e} below tolerance")
-    kept = _crossing_from_top(f, y, deficit * e_full)
+    kept = _crossing(f, y, deficit * e_full, downward=True)  # the largest kept fraction u with E(u) <= level
     f_e = 1.0 - kept
     return f_e, 1.0 / f_e
 
@@ -111,7 +97,8 @@ def information_redundancy(
         raise DomainError(f"H(S) must be positive, got {h_s}")
     f = np.asarray(curve.f_values, dtype=float)
     y = np.asarray(curve.mean, dtype=float)
-    f_i = _crossing_from_bottom(f, y, (1.0 - deficit) * h_s)
+    level = (1.0 - deficit) * h_s
+    f_i = float(f[0]) if y[0] >= level else _crossing(f, y, level, downward=False)
     return f_i, 1.0 / f_i
 
 

@@ -46,25 +46,17 @@ reads persisted curves, does not load it.  The forkserver starts with the
 process's first pool, inside the single-threaded BLAS environment, so every
 worker it forks runs BLAS on one thread, and each chunk checks that; with
 the package's import root on its PYTHONPATH the preload finds the package.
-Its environment also carries the physics (bath spec and squeezing) of the
-run that starts it, and importing _preload builds that run's simulation
-pieces (bath, propagator, and sigma(0) as its variance vector) on one BLAS
-thread (_preload_pieces), so they hold the bytes a worker would build.
-At N = 600 their arrays hold 2.9 MB, nearly all of it the eigenbasis.
-The forkserver's preload list names _preload alone and nothing else
-imports it, so no other process builds pieces at import: a spawned
-worker, or any process that imports this module, does not.  Every worker
-the forkserver forks inherits them, read-only and shared copy-on-write,
-and skips the build; the manifest's runner.simulation_pieces reads 0 for
-its chunks.  A run of other physics builds its own pieces in each worker,
-as before, and the forkserver keeps the first run's pieces resident until
-the process exits.  A failed build leaves the forkserver without pieces,
-and the worker then rebuilds and raises.  Each pool's workers exit when the pool shuts down, so nothing but
-those first pieces carries from one call to the next.  A process that
-starts many pools (the test suite, the benchmark's loops) pays the
-interpreter and import start-up once, and skips the build in every run
-with the first run's physics; a one-shot command or a sweep over physics
-gains nothing from the pieces.
+The forkserver holds modules, not data: there is one build path for the
+simulation pieces (bath, propagator, and sigma(0) as its variance vector;
+2.9 MB of arrays at N = 600, nearly all of it the eigenbasis).  Each
+worker builds them on one BLAS thread at its first chunk of a run and
+keeps them for its later chunks (simulation_pieces), and the manifest's
+runner.simulation_pieces reads 0 for a chunk whose worker had built them
+already.  Each pool's workers exit when the pool shuts down, so nothing
+but the forkserver's imports carries from one call to the next: a process
+that starts many pools (the test suite, the benchmark's loops) pays the
+interpreter and import start-up once.  A worker that exits abruptly
+(killed, or out of memory) fails the run with QbmError.
 A process has one forkserver and one resource tracker, and this module
 takes both over: a forkserver pool that other code of the process starts
 later also preloads _preload and pins BLAS to one thread.  When the
@@ -95,7 +87,7 @@ import os
 import site
 import time
 from collections import Counter
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -137,10 +129,6 @@ _SIMULATING_STAGES = ("evolve", "bands", "piplot", "peplot")
 # per-process cache of the heavy simulation pieces of the physics config
 _PIECES: dict = {}
 
-#: The forkserver's environment variable holding the physics (bath spec and squeezing, as JSON)
-#: of the run that starts it; its preload (the _preload module) builds their pieces (_preload_pieces).
-_PHYSICS_VAR = "QBM_FORKSERVER_PHYSICS"
-
 #: never fork the caller: its children would share its already-loaded, multi-threaded BLAS
 _START_METHOD = "forkserver" if "forkserver" in multiprocessing.get_all_start_methods() else "spawn"
 
@@ -153,7 +141,7 @@ def simulation_pieces(config: RunConfig):
     """(spec, bath, propagator, sigma(0)) of the config's physics, cached per process.
 
     sigma(0) is a ProductState, held as its variance vector.  Their arrays
-    are read-only: the forkserver's workers share one copy.
+    are read-only: every chunk a worker runs shares one copy.
     """
     key = _pieces_key(config)
     if key not in _PIECES:
@@ -167,16 +155,6 @@ def simulation_pieces(config: RunConfig):
         _PIECES.clear()  # one config per process is the common case
         _PIECES[key] = (spec, bath, prop, cov0)
     return _PIECES[key]
-
-
-def _preload_pieces() -> None:
-    """Build the pieces of the physics in _PHYSICS_VAR, if set: the _preload module runs this in the
-    forkserver, so that every worker it forks inherits them.  A failure stores nothing, and the worker
-    then rebuilds and raises as without the preload; the forkserver itself must not die of it."""
-    physics = os.environ.get(_PHYSICS_VAR)
-    if physics:
-        with suppress(Exception):  # simulation_pieces stores nothing unless the whole build succeeds
-            simulation_pieces(RunConfig(**json.loads(physics)))
 
 
 def _sampler(config: RunConfig) -> FractionSampler:
@@ -204,7 +182,7 @@ def _chunk_task(args) -> dict:
                 "(was the forkserver started by other code?)"
             )
     config, t_index, t, wants, sample_indices = args
-    cached = _pieces_key(config) in _PIECES  # preloaded, or built by an earlier chunk
+    cached = _pieces_key(config) in _PIECES  # built by an earlier chunk of this worker
     start = time.perf_counter()
     spec, bath, prop, cov0 = simulation_pieces(config)
     elapsed = {"runner.simulation_pieces": 0.0 if cached else time.perf_counter() - start}
@@ -287,20 +265,17 @@ def usable_cpu_count() -> int:
 
 
 @contextmanager
-def _worker_env(config: RunConfig):
-    """Set _BLAS_THREAD_VARS to 1, _PHYSICS_VAR to the config's physics, and put the package's import root (unless a site directory) first on PYTHONPATH, in os.environ, which the forkserver or a spawned child inherits.
+def _worker_env():
+    """Set _BLAS_THREAD_VARS to 1 and put the package's import root (unless a site directory) first on PYTHONPATH, in os.environ, which the forkserver or a spawned child inherits.
 
     The forkserver does not apply the caller's sys.path (Python 3.11), so
     without the root a package found through a sys.path insert (pytest's
     ``pythonpath``) fails the preload silently, and each worker imports
     numpy and qbmlab itself.
     """
-    # the config's bath spec may raise (a config built in Python is not validated): before any write
-    physics = json.dumps(config.physics(), default=lambda scalar: scalar.item())  # a numpy scalar as its Python value
-    saved = {var: os.environ.get(var) for var in (*_BLAS_THREAD_VARS, _PHYSICS_VAR, "PYTHONPATH")}
+    saved = {var: os.environ.get(var) for var in (*_BLAS_THREAD_VARS, "PYTHONPATH")}
     try:
         os.environ.update({var: "1" for var in _BLAS_THREAD_VARS})
-        os.environ[_PHYSICS_VAR] = physics
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         if root not in (*site.getsitepackages(), site.getusersitepackages()):
             os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (root, saved["PYTHONPATH"]) if p)
@@ -337,14 +312,18 @@ def _context():
 
 
 @contextmanager
-def _pool(workers: int, config: RunConfig):
-    """A pool of workers whose BLAS runs one thread; the forkserver, if it starts here, starts pinned and preloads config's pieces.
+def _pool(workers: int):
+    """A pool of workers whose BLAS runs one thread; the forkserver, if it starts here, starts pinned.
 
+    A worker that exits abruptly (killed, or out of memory) breaks the pool, which raises QbmError.
     The pool machinery is imported here, so a run that starts no pool does not load it."""
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
-    with _worker_env(config), ProcessPoolExecutor(max_workers=workers, mp_context=_context()) as pool:
-        yield pool
+    try:
+        with _worker_env(), ProcessPoolExecutor(max_workers=workers, mp_context=_context()) as pool:
+            yield pool
+    except BrokenExecutor as exc:
+        raise QbmError("a pool worker exited abruptly (killed, or out of memory)") from exc
 
 
 def _run_time_points(config: RunConfig, wants: tuple[str, ...]) -> tuple[list[dict], dict, dict]:
@@ -366,7 +345,7 @@ def _run_time_points(config: RunConfig, wants: tuple[str, ...]) -> tuple[list[di
         for i, t in enumerate(times)
         for j, sample_indices in enumerate(_slices(config.samples, n_chunks))
     ]
-    with _pool(min(workers, len(payloads)), config) as pool:
+    with _pool(min(workers, len(payloads))) as pool:
         items = list(pool.map(_chunk_task, payloads, chunksize=1))
 
     points = [{"t": t, "samples": []} for t in times]

@@ -7,6 +7,7 @@ from qbmlab.correlations import CorrelationCurve
 from qbmlab.errors import DomainError, FlatCurve, InsufficientGrid, NotReached
 from qbmlab.gaussian import entropy_function
 from qbmlab.redundancy import (
+    _crossing,
     build_report,
     entanglement_redundancy,
     information_redundancy,
@@ -139,6 +140,18 @@ class TestInformationRedundancy:
         h_s = curve.h_system
         lowered = make_curve(curve.f_values, 0.9 * curve.mean, measure="mi", h_system=h_s)
         assert information_redundancy(lowered, 0.1, h_s)[1] <= information_redundancy(curve, 0.1, h_s)[1]
+
+
+class TestCrossing:
+    @pytest.mark.parametrize("downward, expected", [(True, 0.75), (False, 0.25)])
+    def test_flat_segment_returns_the_end_nearer_the_scan_start(self, downward, expected):
+        assert _crossing(np.array([0.25, 0.75]), np.array([1.0, 1.0]), 1.0, downward) == expected
+
+    @pytest.mark.parametrize("downward", [True, False])
+    def test_falling_segments_never_cross(self, downward):
+        # a segment counts only where the curve rises through the level, in either scan
+        with pytest.raises(NotReached):
+            _crossing(np.array([0.25, 0.5, 1.0]), np.array([2.0, 1.0, 0.5]), 1.5, downward)
 
 
 class TestNonRedundantInfo:

@@ -3,11 +3,9 @@ import gc
 import hashlib
 import importlib
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import fields, replace
 from types import ModuleType, SimpleNamespace
@@ -121,7 +119,7 @@ class TestRunExperiment:
     def test_layer_timings_are_summed_over_chunks(self, tmp_path, monkeypatch, pinned_blas):
         # a clock that ticks once per reading, and the chunks run in this process
         @contextmanager
-        def in_process(workers, config):
+        def in_process(workers):
             yield SimpleNamespace(map=lambda fn, items, chunksize: map(fn, items))
 
         ticks = iter(range(10**6))
@@ -292,7 +290,7 @@ class TestWorkers:
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads under /proc (Linux)")
     def test_workers_run_one_blas_thread(self, tmp_path, monkeypatch):
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-        with runner_mod._pool(2, tiny_config(tmp_path)) as pool:
+        with runner_mod._pool(2) as pool:
             reports = [pool.submit(_worker_report).result() for _ in range(4)]
         for pins, threads in reports:
             assert pins == {var: "1" for var in runner_mod._BLAS_THREAD_VARS}
@@ -333,74 +331,61 @@ class TestWorkers:
         # qbmlab is importable only through a sys.path insert, as under pytest's
         # pythonpath; a worker that finds numpy and qbmlab.runner loaded got them
         # from the forkserver's preload, since nothing else imports them there
-        # and the worker holds the pieces of the pool's physics, which the preload built
         src = os.path.dirname(os.path.dirname(runner_mod.__file__))
         probe = "sorted({'numpy', 'qbmlab.runner'} & set(__import__('sys').modules))"
-        pieces = "[spec.n_oscillators for spec, *_ in __import__('sys').modules['qbmlab.runner']._PIECES.values()]"
         script = (
             "import os, sys\n"
             f"sys.path.insert(0, {src!r})\n"
             "from qbmlab import runner\n"
-            "from qbmlab.config import RunConfig\n"
-            "with runner._pool(1, RunConfig(n_oscillators=8)) as pool:\n"
+            "with runner._pool(1) as pool:\n"
             f"    print(pool.submit(eval, {probe!r}).result())\n"
-            f"    print(pool.submit(eval, {pieces!r}).result())\n"
-            "print(os.environ.get('PYTHONPATH'), os.environ.get(runner._PHYSICS_VAR))\n"
+            "print(os.environ.get('PYTHONPATH'))\n"
         )
-        env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", runner_mod._PHYSICS_VAR)}
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
         proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        # PYTHONPATH and the physics variable are restored
-        assert proc.stdout.splitlines() == ["['numpy', 'qbmlab.runner']", "[8]", "None None"]
+        # PYTHONPATH is restored
+        assert proc.stdout.splitlines() == ["['numpy', 'qbmlab.runner']", "None"]
+
+    def test_dead_worker_is_a_numerical_failure(self):
+        # a worker that exits abruptly breaks the pool; _pool turns that into a QbmError (exit 3)
+        with pytest.raises(QbmError, match="exited abruptly"), runner_mod._pool(1) as pool:
+            pool.submit(os._exit, 1).result()
 
     def test_no_process_outlives_the_command(self, tmp_path):
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "qbmlab.cli", "all", "--profile", "desk", *TINY_DESK, "--workers", "2",
-             "--outdir", str(tmp_path), "--run-id", "pg"],
-            env=child_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, start_new_session=True,
-        )
-        _, err = proc.communicate()
-        assert proc.returncode == 0, err
-        # the command led a new process group: the forkserver, the resource
-        # tracker and every worker belonged to it, and none is left
-        with pytest.raises(ProcessLookupError):
-            os.killpg(proc.pid, 0)
+        script = tmp_path / "killed_worker.py"
+        script.write_text(_KILLED_WORKER_SCRIPT)
+        argv = ["all", "--profile", "desk", *TINY_DESK, "--workers", "2", "--run-id", "pg"]
+        # a command that succeeds, and one whose workers are killed at their first chunk (exit 3)
+        for entry, outdir, code in ((["-m", "qbmlab.cli"], "ok", 0), ([str(script)], "killed", 3)):
+            os.makedirs(tmp_path / outdir)
+            proc = subprocess.Popen(
+                [sys.executable, *entry, *argv, "--outdir", str(tmp_path / outdir)],
+                env=child_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, start_new_session=True,
+            )
+            _, err = proc.communicate(timeout=300)
+            assert proc.returncode == code, err
+            # the command led a new process group: the forkserver, the resource
+            # tracker and every worker belonged to it, and none is left
+            with pytest.raises(ProcessLookupError):
+                os.killpg(proc.pid, 0)
+        failure = [line for line in err.splitlines() if not line.startswith("warning: t_max")]  # N = 8 recurs early
+        assert failure == ["numerical failure: a pool worker exited abruptly (killed, or out of memory)"]
+        assert not os.listdir(tmp_path / "killed")
 
 
-#: Runs each CLI argument list of argv[1] (JSON) in this process, in turn, then prints whether a fresh
-#: worker of the forkserver holds pieces array_equal to those a pinned worker builds for the same physics.
-_SEQUENCE_SCRIPT = """
-import json, os, sys
-from concurrent.futures import ProcessPoolExecutor
-
-import numpy as np
+#: The CLI, with every pool worker killed at its first chunk: a worker imports the caller's main
+#: module, and this one's top level replaces the runner's simulation_pieces there.
+_KILLED_WORKER_SCRIPT = """
+import os, signal, sys
 
 from qbmlab import runner
-from qbmlab.cli import main
-from qbmlab.config import RunConfig
 
-
-def pieces_in_worker(rebuild):
-    \"\"\"The key and pieces a fresh worker holds before its first task, or, with rebuild, those it builds.\"\"\"
-    assert all(os.environ[var] == "1" for var in runner._BLAS_THREAD_VARS)
-    (key, pieces), = runner._PIECES.items()
-    if rebuild:
-        runner._PIECES.clear()
-        pieces = runner.simulation_pieces(RunConfig(**dict(key)))
-    return key, pieces
-
+runner.simulation_pieces = lambda config: os.kill(os.getpid(), signal.SIGKILL)
 
 if __name__ == "__main__":
-    for argv in json.loads(sys.argv[1]):
-        assert main(argv) == 0
-    with ProcessPoolExecutor(1, mp_context=runner._context()) as pool:
-        (key, preloaded), (_, built) = (pool.submit(pieces_in_worker, rebuild).result() for rebuild in (False, True))
-    arrays = [(p[1].frequencies, p[1].couplings, p[2].eigenfrequencies, p[2].eigenbasis, p[3].data)
-              for p in (preloaded, built)]
-    print(json.dumps({
-        "n_oscillators": dict(key)["n_oscillators"],
-        "equal": [bool(np.array_equal(a, b)) for a, b in zip(*arrays)],
-    }))
+    from qbmlab.cli import main
+    sys.exit(main(sys.argv[1:]))
 """
 
 
@@ -425,50 +410,27 @@ def _pieces_seconds(outdir, run_id) -> float:
 
 
 class TestForkserverPieces:
-    @pytest.mark.parametrize("numpy_scalars", [False, True])
-    def test_preload_builds_the_pool_physics(self, tmp_path, monkeypatch, numpy_scalars):
-        # the forkserver's environment comes from _worker_env, and its preload runs _preload_pieces
-        cfg = tiny_config(tmp_path, squeezing=2.5)
-        if numpy_scalars:  # as a config built in Python may hold them
-            cfg = replace(cfg, n_oscillators=np.int64(cfg.n_oscillators), cutoff=np.float32(16.0))
-        monkeypatch.setattr(runner_mod, "_PIECES", {})
-        with runner_mod._worker_env(cfg):
-            runner_mod._preload_pieces()
-        assert list(runner_mod._PIECES) == [runner_mod._pieces_key(cfg)]
-        assert runner_mod._PHYSICS_VAR not in os.environ
-
     @pytest.mark.parametrize("error", [NegativeEigenvalue, EigensolveFailure, MemoryError])
-    def test_failed_preload_leaves_no_pieces(self, tmp_path, monkeypatch, error):
+    def test_failed_build_stores_no_pieces(self, tmp_path, monkeypatch, error):
         def broken(*args, **kwargs):
             raise error("propagator")
 
         cfg = tiny_config(tmp_path)
         monkeypatch.setattr(runner_mod, "_PIECES", {})
         monkeypatch.setattr(runner_mod, "make_propagator", broken)
-        with runner_mod._worker_env(cfg):
-            runner_mod._preload_pieces()  # the forkserver survives
-        assert runner_mod._PIECES == {}
-        with pytest.raises(error):  # and the worker rebuilds and raises
+        with pytest.raises(error):
             simulation_pieces(cfg)
+        assert runner_mod._PIECES == {}
 
     def test_unbuildable_physics_leaves_the_environment(self, tmp_path, monkeypatch):
-        # a config built in Python is not validated: its bath spec raises in _worker_env, before any write
+        # a config built in Python is not validated: its bath spec raises in the worker, before any write
         monkeypatch.setenv("PYTHONPATH", "caller")
         for var in runner_mod._BLAS_THREAD_VARS:
             monkeypatch.setenv(var, "3")
-        monkeypatch.delenv(runner_mod._PHYSICS_VAR, raising=False)
         before = dict(os.environ)
         with pytest.raises(DomainError):
             run_experiment(replace(tiny_config(tmp_path), cutoff=-1.0), ("evolve",))
         assert dict(os.environ) == before
-
-    def test_spawned_worker_builds_no_pieces_at_import(self, tmp_path):
-        # _PHYSICS_VAR reaches a spawned worker too, but only the forkserver's preload builds
-        probe = "len(__import__('importlib').import_module('qbmlab.runner')._PIECES)"
-        with runner_mod._worker_env(tiny_config(tmp_path)), ProcessPoolExecutor(
-            1, mp_context=multiprocessing.get_context("spawn")
-        ) as pool:
-            assert pool.submit(eval, probe).result() == 0
 
     def test_pieces_are_read_only(self, tmp_path, monkeypatch):
         monkeypatch.setattr(runner_mod, "_PIECES", {})
@@ -489,22 +451,19 @@ class TestForkserverPieces:
         assert all(array.size != n_state**2 for array in arrays)
         assert sum(array.nbytes for array in arrays) < 3.5e6
 
-    @pytest.mark.skipif(runner_mod._START_METHOD != "forkserver", reason="no forkserver on this platform")
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_runs_on_preloaded_pieces_write_fresh_bytes(self, tmp_path, workers):
+    def test_two_physics_in_one_process_write_fresh_bytes(self, tmp_path, workers):
         def argv(n_oscillators, outdir):
             return ["all", "--profile", "desk", "--n-oscillators", str(n_oscillators), "--n-times", "2",
                     "--n-bands", "2", "--samples", "3", "--workers", str(workers),
                     "--outdir", str(tmp_path / outdir), "--run-id", "seq"]
 
-        # one process: 8 oscillators twice (the forkserver preloads them), then 9
-        script = tmp_path / "sequence.py"
-        script.write_text(_SEQUENCE_SCRIPT)
-        runs = [argv(8, "a1"), argv(8, "a2"), argv(9, "b")]
-        proc = subprocess.run([sys.executable, str(script), json.dumps(runs)], env=child_env(),
+        # one process: 8 oscillators, then 9, then 8 again; then each physics in a fresh CLI process
+        script = "import json, sys\nfrom qbmlab.cli import main\nassert [main(a) for a in json.loads(sys.argv[1])] == [0] * 3"
+        runs = [argv(8, "a1"), argv(9, "b"), argv(8, "a2")]
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], env=child_env(),
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.splitlines()[-1]) == {"n_oscillators": 8, "equal": [True] * 5}
         for n_oscillators, outdir in ((8, "fresh_a"), (9, "fresh_b")):
             proc = subprocess.run([sys.executable, "-m", "qbmlab.cli", *argv(n_oscillators, outdir)],
                                   env=child_env(), capture_output=True, text=True, timeout=300)
@@ -513,10 +472,9 @@ class TestForkserverPieces:
         assert len(fresh_a) == 11  # state, bands, two curve CSVs and sidecars, three redundancy and two compare files
         assert digest_dir(tmp_path / "a1") == digest_dir(tmp_path / "a2") == fresh_a
         assert digest_dir(tmp_path / "b") == digest_dir(tmp_path / "fresh_b")
-        # a run of the physics that started the forkserver builds no pieces; a run of other physics builds its own
-        for outdir in ("a1", "a2", "fresh_a", "fresh_b"):
-            assert _pieces_seconds(tmp_path / outdir, "seq") == 0.0
-        assert _pieces_seconds(tmp_path / "b", "seq") > 0.0
+        # every run's workers build its own pieces: nothing carries from the run before
+        for outdir in ("a1", "b", "a2", "fresh_a", "fresh_b"):
+            assert _pieces_seconds(tmp_path / outdir, "seq") > 0.0
 
     def test_two_runs_leave_no_process(self, tmp_path):
         # two runs, then the resource tracker stopped as perfbench/run.py stops it: a pool that
@@ -549,31 +507,13 @@ class TestForkserverPieces:
             os.killpg(proc.pid, 0)
 
 
-class TestPreloadModule:
-    def test_only_the_preload_module_builds_pieces_at_import(self, tmp_path):
-        # fresh interpreters whose environment carries the physics, as the forkserver's does:
-        # importing the runner builds nothing, importing _preload (the forkserver's preload) builds it
-        cfg = tiny_config(tmp_path, squeezing=2.5)
-        with runner_mod._worker_env(cfg):
-            env = {**child_env(), runner_mod._PHYSICS_VAR: os.environ[runner_mod._PHYSICS_VAR]}
-        keys = "print(repr(list(__import__('qbmlab.runner').runner._PIECES)))"
-        outputs = []
-        for module in ("qbmlab.runner", "qbmlab._preload"):
-            proc = subprocess.run([sys.executable, "-c", f"import {module}\n{keys}"], env=env,
-                                  capture_output=True, text=True, timeout=120)
-            assert proc.returncode == 0, proc.stderr
-            outputs.append(proc.stdout.strip())
-        assert outputs == ["[]", repr([runner_mod._pieces_key(cfg)])]
-
-
 #: the pool machinery that only a pool's start (runner._pool) or the forkserver's preload imports
 _POOL_MODULES = ("concurrent.futures.process", "multiprocessing.forkserver", "multiprocessing.resource_tracker")
 
 
 def _fresh_interpreter(script: str, **env) -> list[str]:
-    """The stdout lines of script, run by a fresh interpreter without the BLAS variables or the physics, plus env."""
-    dropped = (*runner_mod._BLAS_THREAD_VARS, runner_mod._PHYSICS_VAR)
-    base = {k: v for k, v in child_env().items() if k not in dropped}
+    """The stdout lines of script, run by a fresh interpreter without the BLAS variables, plus env."""
+    base = {k: v for k, v in child_env().items() if k not in runner_mod._BLAS_THREAD_VARS}
     proc = subprocess.run([sys.executable, "-c", script], env={**base, **env},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -589,6 +529,11 @@ class TestCliProcess:
         # the forkserver imports it once, and every worker it forks inherits it
         script = "import sys\nimport qbmlab._preload\nprint('concurrent.futures.process' in sys.modules)"
         assert _fresh_interpreter(script) == ["True"]
+
+    def test_preload_builds_no_pieces(self):
+        # the forkserver holds modules only: every worker builds its run's pieces itself
+        script = "import qbmlab._preload\nfrom qbmlab import runner\nprint(runner._PIECES)"
+        assert _fresh_interpreter(script) == ["{}"]
 
     @pytest.mark.parametrize("caller, expected", [(None, "1"), ("3", "3")])
     def test_cli_pins_unset_blas_variables(self, caller, expected):
