@@ -33,10 +33,13 @@ on the desk grid).
 
 Each draw factors S u near once (gaussian._factor: L, K = L^T Omega L and
 K^T K) and reads everything off that factor: the real Williamson form
-(gaussian.purification: one eigh of K^T K) gives H(S u near) and the
-partner, and the partial transpose on S comes from the same L
-(gaussian._transposed_spectra: one eigvalsh).  On a desk time point (N =
-150, 20 samples) the summed cost (2 x modes)^3 of the spectra is 2.5e8.
+(gaussian.purification: one eigh of K^T K) gives H(S u near), the partner
+and the partial transpose on S.  The partial transpose differs from 1/2
+only on the mixed Williamson pairs and at most two pure pairs, so its
+eigvalsh runs on at most 2 m + 4 rows, m the mixed modes (at most 14 on
+desk blocks of up to 76 modes).  On a desk time point (N = 150, 20 samples)
+the summed cost (2 x modes)^3 of the spectra is 1.3e8 (2.5e8 with a
+full eigvalsh per partial transpose).
 
 Bands run on the same engine: band_correlations makes one mask per band,
 factors the block of S u band once for H(S u band) and its partial
@@ -63,6 +66,7 @@ from .gaussian import (
     _factor,
     _gram_spectra,
     _negativity_of_values,
+    _scales,
     _transposed_spectra,
     check_purity,
     purification,
@@ -321,8 +325,8 @@ def _band_values(data: np.ndarray, h_s: float, bands: np.ndarray) -> np.ndarray:
     joints = _blocks(data, bands)
     chol, form, gram = _factor(joints)
     alone = joints[:, 2:, 2:]
-    h_band = _entropy_of_values(_gram_spectra(alone, *_factor(alone)[1:]))
-    h_joint = _entropy_of_values(_gram_spectra(joints, form, gram))
+    h_band = _entropy_of_values(_gram_spectra(*_factor(alone)[1:], _scales(alone)))
+    h_joint = _entropy_of_values(_gram_spectra(form, gram, _scales(joints)))
     neg = _negativity_of_values(_transposed_spectra(joints, (chol, form, gram)))
     return np.array([h_s + h_band - h_joint, neg])
 
@@ -341,19 +345,21 @@ def _split(data: np.ndarray, h_s: float, drawn: np.ndarray) -> np.ndarray:
         I(S : near) = H(S) + H(near) - H(S u near),
         I(S : far)  = H(S) + H(S u near) - H(near).
     The negativity against far is read off the partner's partial
-    transpose, and the one against near off that of S u near from the same
-    factor.  Both sides are always evaluated.
+    transpose, and the one against near off that of S u near, which
+    purification takes on its restricted subspace.  Both sides are always
+    evaluated.
     """
     drawn_near = 2 * np.count_nonzero(drawn[0]) <= drawn.shape[1]
     joints = _blocks(data, drawn if drawn_near else ~drawn)
     factor = _factor(joints)
-    nu, partners = purification(joints, factor)
-    h_joint, h_near, neg_far = _entropy_of_values(nu), np.empty(len(joints)), np.empty(len(joints))
+    nu, partners, transposes = purification(joints, factor)
+    h_joint, h_near, neg_far, neg_near = _entropy_of_values(nu), *np.empty((3, len(joints)))
     for idx, blocks in partners:
         chol, form, gram = _factor(blocks)
-        h_near[idx] = _entropy_of_values(_gram_spectra(blocks, form, gram))
+        h_near[idx] = _entropy_of_values(_gram_spectra(form, gram, _scales(blocks)))
         neg_far[idx] = _negativity_of_values(_transposed_spectra(blocks, (chol, form, gram)))
-    neg_near = _negativity_of_values(_transposed_spectra(joints, factor))
+    for idx, tilde in transposes:
+        neg_near[idx] = _negativity_of_values(tilde)
     mi_near = h_s + h_near - h_joint
     mi_far = h_s + h_joint - h_near
     if drawn_near:

@@ -11,9 +11,15 @@ All entropies and the logarithmic negativity are reported in nats.
 The pipeline runs the array kernels on stacks of equal-size blocks, each
 counted by take_counts.  _factor takes a block's Cholesky factor L, K =
 L^T Omega L (half a product, _skew_product) and K^T K once, and every
-spectrum of the block is read off it: _gram_spectra, _transposed_spectra (the partial transpose on mode
-0) and purification (the real Williamson form and the purification
-partners of mode 0; _complex_williamson is its fallback).
+spectrum of the block is read off it: _gram_spectra, _transposed_spectra
+(the partial transpose on mode 0, by a full eigvalsh) and purification
+(the real Williamson form, the purification partners of mode 0 and the
+partial transpose on mode 0; _complex_williamson is its fallback).
+purification takes that partial transpose on the small subspace of the
+mixed Williamson pairs and the pure pairs that reach mode 0
+(_restricted_transposes), since every value outside it is 1/2;
+_transposed_spectra stays for the bands, the partners, the fallbacks and
+as the tests' oracle.
 _entropy_of_values and _negativity_of_values reduce one spectrum or a
 stack; the first is the package's one evaluation of the bosonic entropy
 h(nu), which entropy_function gives for one value and analytic.mi_value
@@ -86,13 +92,20 @@ PURE_MODE_RTOL = 1e-15
 #: read at most 4.7e-14.
 WILLIAMSON_RTOL = 1e-10
 
+#: _flip_space: a part of e0 or e1 outside a block's Williamson rows that is
+#: no longer than this is rounding, and gets no pure pair.  Left out, it
+#: moves K~ Q^T by at most c x 1e-12, far inside the WILLIAMSON_RTOL check;
+#: where the rows span the whole block it reads below 1e-30 on desk blocks.
+REACH_FLOOR = 1e-12
+
 #: Work done since the last take_counts(): spectra taken (a Williamson
 #: decomposition counts as one), their summed cost (2M)^3, the largest block
 #: in modes, svd fallbacks, Williamson decompositions, and of these the
 #: ones that purification repaired by Gram-Schmidt or took through
-#: _complex_williamson.
+#: _complex_williamson, and the ones whose partial transpose took the whole
+#: block (_restricted_transposes).
 _COUNTS = dict.fromkeys(
-    ("spectra", "block_cost", "block_modes_max", "svd_fallbacks", "williamson", "pairing_repairs", "williamson_fallbacks"),
+    ("spectra", "block_cost", "block_modes_max", "svd_fallbacks", "williamson", "pairing_repairs", "williamson_fallbacks", "transpose_fallbacks"),
     0,
 )
 
@@ -248,8 +261,13 @@ def _factor(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return chol, form, np.swapaxes(form, -1, -2) @ form
 
 
-def _gram_spectra(stack: np.ndarray, form: np.ndarray, gram: np.ndarray, shift: np.ndarray | None = None) -> np.ndarray:
-    """Symplectic spectra (n, M) of an (n, 2M, 2M) stack from its K and K^T K.
+def _scales(stack: np.ndarray) -> np.ndarray:
+    """max|sigma| of each matrix of a stack (the last two axes), floored at 1e-300: the scale of the pairing test (_sorted_pairs)."""
+    return np.maximum(np.max(np.abs(stack), axis=(-2, -1)), 1e-300)
+
+
+def _gram_spectra(form: np.ndarray, gram: np.ndarray, scales: np.ndarray, shift: np.ndarray | None = None) -> np.ndarray:
+    """Symplectic spectra (n, M) from an (n, 2M, 2M) stack of K and its K^T K, paired at the scales of their matrices (_scales).
 
     The moduli are the square roots of eigvalsh(K^T K); past the Gram guard
     (gram[0] < GRAM_RTOL * gram[-1], or NaN) they come from svd(K) instead.
@@ -258,8 +276,7 @@ def _gram_spectra(stack: np.ndarray, form: np.ndarray, gram: np.ndarray, shift: 
     stack; LAPACK still sees one matrix at a time, so each spectrum is bit
     for bit the one-matrix result.
     """
-    n, rows = stack.shape[0], stack.shape[-1]
-    _count_spectra(n, rows)
+    _count_spectra(form.shape[0], form.shape[-1])
     values = np.linalg.eigvalsh(gram)
     moduli = np.sqrt(values)
     for i in np.flatnonzero(~(values[:, 0] >= GRAM_RTOL * values[:, -1])):  # NaN falls back too
@@ -269,7 +286,7 @@ def _gram_spectra(stack: np.ndarray, form: np.ndarray, gram: np.ndarray, shift: 
             form_i[0, 1] -= shift[i]
             form_i[1, 0] += shift[i]
         moduli[i] = np.linalg.svd(form_i, compute_uv=False)
-    return _pair_moduli(moduli, np.maximum(np.max(np.abs(stack), axis=(1, 2)), 1e-300))
+    return _pair_moduli(moduli, scales)
 
 
 def _flip(chol: np.ndarray, form: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -299,7 +316,7 @@ def _transposed_spectra(stack: np.ndarray, factor: tuple) -> np.ndarray:
     """Symplectic spectra (n, M) of the partial transpose on mode 0 of each matrix of a stack, read off its factor (L, K, K^T K) (_flip)."""
     chol, form, gram = factor
     shift, flipped = _flip(chol, form, gram)
-    return _gram_spectra(stack, form, flipped, shift)
+    return _gram_spectra(form, flipped, _scales(stack), shift)
 
 
 def _spectrum_of(sigma: np.ndarray, symmetry_defect: float | None = None) -> np.ndarray:
@@ -335,7 +352,7 @@ def _spectrum_of(sigma: np.ndarray, symmetry_defect: float | None = None) -> np.
         except DomainError:
             pass  # not positive definite; diagnose via the eig path
         else:
-            return _gram_spectra(sigma[None], form, gram)[0]
+            return _gram_spectra(form, gram, scale)[0]
     _count_spectra(1, sigma.shape[0])
     return _pair_moduli(np.abs(np.linalg.eigvals(_omega_times(sigma))), scale)
 
@@ -440,7 +457,7 @@ def _complex_williamson(sigma: np.ndarray, chol: np.ndarray, form: np.ndarray) -
     """
     n = sigma.shape[-1] // 2
     values, vectors = np.linalg.eigh(1j * form)
-    _pair_moduli(np.abs(values), np.maximum(np.max(np.abs(sigma), axis=(-2, -1)), 1e-300))
+    _pair_moduli(np.abs(values), _scales(sigma))
     nu = values[..., n:]
     ortho = np.empty(sigma.shape)
     ortho[..., 0::2] = np.sqrt(2.0) * vectors[..., n:].imag
@@ -460,16 +477,17 @@ def _mode_pairs(form: np.ndarray, vectors: np.ndarray, nu: np.ndarray) -> tuple[
     the cluster's subspace, so a raw a_j need not be orthogonal to an
     earlier b_k; for a well-separated pair the projection removes only
     rounding.  When less than half of a_j is left, the other eigenvector of
-    its pair is taken if more of it is.  defect[:, j] is the largest of
+    its pair is taken if more of it is.  overlap[:, j] is the largest
+    |a_j . q| of the raw a_j over the earlier vectors q.  Once the basis is
+    built, one pass checks every pair: defect[:, j] is the largest of
     |K b_j - nu_j a_j| / nu_j, ||b_j| - 1| and |b_j . q| over a_j and the
-    earlier vectors q; overlap[:, j] is the largest |a_j . q| of the raw
-    a_j.  Every step works on one pair of each matrix and sums along the
-    last axis, so a matrix's first pairs do not depend on p or on the rest
-    of the stack.
+    earlier vectors q.  Every step works on one pair of each matrix, or on
+    a pair with the earlier ones, so a matrix's first pairs do not depend
+    on p or on the rest of the stack.
     """
     n, rows, p = vectors.shape[0], vectors.shape[-1], nu.shape[1]
     every, by_row = np.arange(n), np.swapaxes(vectors, 1, 2)
-    basis, defect, overlap = np.empty((n, 2 * p, rows)), np.zeros((n, p)), np.zeros((n, p))
+    basis, overlap = np.empty((n, 2 * p, rows)), np.zeros((n, p))
     for j in range(p):
         done = basis[:, : 2 * j]
         cand = by_row[:, [rows - 1 - 2 * j, rows - 2 - 2 * j]]
@@ -481,16 +499,101 @@ def _mode_pairs(form: np.ndarray, vectors: np.ndarray, nu: np.ndarray) -> tuple[
         norms = np.sqrt(np.sum(cand * cand, axis=2))
         pick = ((norms[:, 0] < 0.5) & (norms[:, 1] > norms[:, 0])).astype(int)
         a = cand[every, pick] / norms[every, pick][:, None]
-        b = -(form @ a[:, :, None])[:, :, 0] / nu[:, j, None]
-        residual = np.linalg.norm((form @ b[:, :, None])[:, :, 0] - nu[:, j, None] * a, axis=1) / nu[:, j]
-        basis[:, 2 * j], basis[:, 2 * j + 1] = a, b
-        against = np.max(np.abs(basis[:, : 2 * j + 1] @ b[:, :, None]), axis=(1, 2))
-        defect[:, j] = np.maximum(np.maximum(residual, np.abs(np.linalg.norm(b, axis=1) - 1.0)), against)
-    return basis, defect, overlap
+        basis[:, 2 * j], basis[:, 2 * j + 1] = a, -(form @ a[:, :, None])[:, :, 0] / nu[:, j, None]
+    a, b = basis[:, 0::2], basis[:, 1::2]
+    residual = np.linalg.norm(b @ np.swapaxes(form, 1, 2) - nu[:, :, None] * a, axis=2) / nu
+    earlier = np.arange(2 * p)[:, None] <= 2 * np.arange(p)  # [q, j]: q is a_j or an earlier vector
+    against = np.max(np.where(earlier, np.abs(basis @ np.swapaxes(b, 1, 2)), 0.0), axis=1, initial=0.0)
+    return basis, np.maximum(np.maximum(residual, np.abs(np.linalg.norm(b, axis=2) - 1.0)), against), overlap
 
 
-def purification(stack: np.ndarray, factor: tuple | None = None) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """(nu, partners) of an (n, 2M, 2M) stack: Williamson eigenvalues, and purification partners of mode 0.
+def _project_out(rows: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """rows (n, k, 2M) less their parts along the orthonormal rows of basis (n, q, 2M), once."""
+    return rows - (rows @ np.swapaxes(basis, 1, 2)) @ basis
+
+
+def _flip_space(form: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fill q (n, 2m + 4, 2M) with up to two pure pairs after its first 2m rows, so that its rows hold e0, e1 and a K-invariant subspace, per K of a stack; return (r, images).
+
+    The first 2m rows of q hold the m mixed Williamson pairs of each K, and
+    the rest are zero.  Every mode outside the mixed pairs is pure, so
+    there K = J / 2 with J^2 = -1: for a unit u there, 2 K u is a unit
+    vector orthogonal to u and to every earlier pair.  So e0, then e1, less
+    its parts along the rows so far (twice, as classical Gram-Schmidt
+    needs), gives the pair (u, 2 K u) when its length exceeds REACH_FLOOR;
+    2 K u is computed from the unit u, then projected out of the rows so
+    far once.  The pairs taken follow the mixed pairs, then zero rows; r
+    (0, 2 or 4) counts the pairs' rows, and images holds (K p)^T for each
+    of the last 4 rows p.  A u that is mostly rounding is a pure direction
+    like any other, with its own pair, so the subspace stays invariant.
+    """
+    n, rows = q.shape[0], q.shape[-1]
+    top, r, every = q.shape[1] - 4, np.zeros(n, dtype=int), np.arange(n)
+    for axis in (0, 1):
+        done = top + 2 * axis  # every row taken so far lies above
+        v = np.zeros((n, 1, rows))
+        v[:, 0, axis] = 1.0
+        v = _project_out(_project_out(v, q[:, :done]), q[:, :done])
+        length = np.sqrt(np.sum(v * v, axis=2, keepdims=True))
+        take = length > REACH_FLOOR
+        u = v * (take / np.maximum(length, REACH_FLOOR))  # zero where not taken, and so is 2 K u
+        q[every, top + r] = u[:, 0]
+        w = _project_out(2.0 * (u @ np.swapaxes(form, 1, 2)), q[:, : done + 1])
+        q[every, top + r + 1] = (w / np.maximum(np.sqrt(np.sum(w * w, axis=2, keepdims=True)), REACH_FLOOR))[:, 0]
+        r += 2 * take[:, 0, 0]
+    return r, q[:, top:] @ np.swapaxes(form, 1, 2)
+
+
+def _restricted_transposes(stack: np.ndarray, factor: tuple, scales: np.ndarray, basis: np.ndarray, nu: np.ndarray, n_mixed: np.ndarray, full: np.ndarray) -> list:
+    """Partial-transpose spectra on mode 0 of each matrix of a stack, on the subspace where they can differ from 1/2: (indices, spectra) groups.
+
+    factor is the stack's (L, K, K^T K) and scales its _scales; basis, nu,
+    n_mixed and full are purification's Williamson rows, eigenvalues and
+    mixed-mode counts, and which matrices fell back.  The flip is the
+    rank-2 update K~ = K - c (e0 e1^T - e1 e0^T) (_flip), so K~ equals K
+    outside any K-invariant subspace that holds e0 and e1.  Q holds the m
+    mixed pairs and the pure pairs that reach e0 and e1 (_flip_space), at
+    most 2 m + 4 rows, and every mode outside it is pure: those values are
+    1/2, and only the spectrum of Q K~ Q^T is taken (_gram_spectra; it
+    counts as one spectrum of that size).  K maps a mixed pair (a, b) to
+    (-nu b, nu a), as _mode_pairs checked, and the pure rows are multiplied
+    by K, so no product of K with the whole of Q is formed.  Checked per
+    matrix: Q must be K~-invariant, max |K~ q - Q^T Q K~ q| over its rows q
+    at most WILLIAMSON_RTOL x nu_max, which also holds Q orthonormal and e0
+    and e1 inside it.  A matrix that fails, or one marked full, takes
+    _transposed_spectra on the whole block (``transpose_fallbacks``).  A
+    matrix's arrays have 2 m + 4 rows whatever the rest of the stack holds,
+    so each spectrum is bit for bit its matrix's result alone.
+    """
+    chol, form, _ = factor
+    c, full, groups = 2.0 * chol[:, 0, 0] * chol[:, 1, 1], full.copy(), []
+    for m in sorted(set(n_mixed[~full].tolist())):
+        idx = np.flatnonzero((n_mixed == m) & ~full)
+        q = np.zeros((len(idx), 2 * m + 4, form.shape[-1]))
+        q[:, : 2 * m] = basis[idx, : 2 * m]
+        r, images = _flip_space(form if len(idx) == len(form) else form[idx], q)  # a copy only of a part
+        flipped, top = np.empty_like(q), nu[idx, ::-1][:, :m, None]  # rows (K q)^T, then (K~ q)^T
+        flipped[:, 0 : 2 * m : 2], flipped[:, 1 : 2 * m : 2] = -top * q[:, 1 : 2 * m : 2], top * q[:, 0 : 2 * m : 2]
+        flipped[:, 2 * m :] = images
+        flipped[:, :, 0] -= c[idx, None] * q[:, :, 1]
+        flipped[:, :, 1] += c[idx, None] * q[:, :, 0]
+        small = q @ np.swapaxes(flipped, 1, 2)  # Q K~ Q^T; the rows of pairs not taken are zero
+        flipped -= np.swapaxes(small, 1, 2) @ q  # the part of each K~ q outside Q
+        ok = np.sqrt(np.max(np.einsum("nij,nij->ni", flipped, flipped), axis=1)) <= WILLIAMSON_RTOL * nu[idx, -1]
+        full[idx[~ok]] = True
+        for size in sorted(set(r[ok].tolist())):
+            at = np.flatnonzero(ok & (r == size))
+            part = small[at, : 2 * m + size, : 2 * m + size]
+            groups.append((idx[at], _gram_spectra(part, np.swapaxes(part, 1, 2) @ part, scales[idx[at]])))
+    whole = np.flatnonzero(full)
+    if len(whole):
+        _COUNTS["transpose_fallbacks"] += len(whole)
+        groups.append((whole, _transposed_spectra(stack[whole], tuple(part[whole] for part in factor))))
+    return groups
+
+
+def purification(stack: np.ndarray, factor: tuple | None = None) -> tuple[np.ndarray, list, list]:
+    """(nu, partners, transposes) of an (n, 2M, 2M) stack: Williamson eigenvalues, purification partners of mode 0, and partial transposes on mode 0.
 
     factor is the stack's (L, K, K^T K) (_factor) when the caller has it.
     nu (shape (n, M)) give the entropy of each matrix sigma of the stack
@@ -519,12 +622,18 @@ def purification(stack: np.ndarray, factor: tuple | None = None) -> tuple[np.nda
     with the same factor (``williamson_fallbacks``).  Each matrix's result
     does not depend on the rest of the stack.  Each decomposition counts
     as one spectrum and one ``williamson``.
+
+    transposes lists (indices into the stack, spectra) groups of the
+    partial transpose on mode 0 of each sigma, read off the same
+    decomposition: its mixed pairs and at most two pure pairs hold every
+    value that can differ from 1/2 (_restricted_transposes, one spectrum of
+    at most 2 m + 4 rows per matrix; the values left out are 1/2).
     """
     n, rows = stack.shape[0], stack.shape[-1]
     chol, form, gram = _factor(stack) if factor is None else factor
     _count_spectra(n, rows)
     _COUNTS["williamson"] += n
-    scales = np.maximum(np.max(np.abs(stack), axis=(1, 2)), 1e-300)
+    scales = _scales(stack)
     values, vectors = np.linalg.eigh(gram)
     lo, hi, unpaired = _sorted_pairs(np.sqrt(values), scales)
     nu = 0.5 * (lo + hi)
@@ -533,6 +642,7 @@ def purification(stack: np.ndarray, factor: tuple | None = None) -> tuple[np.nda
     p = int(np.max(n_mixed[~fallback], initial=0))
     top = np.ascontiguousarray(nu[:, ::-1][:, :p])
     basis, defect, overlap = _mode_pairs(form, vectors, top)
+    del vectors  # a stack's worth of memory, and only its top pairs were needed
     first = np.arange(p) < n_mixed[:, None]  # each matrix's own mixed modes
     _COUNTS["pairing_repairs"] += int(np.count_nonzero(np.any(first & (overlap > WILLIAMSON_RTOL), axis=1) & ~fallback))
     fallback |= np.any(first & ~(defect <= WILLIAMSON_RTOL), axis=1)
@@ -561,7 +671,7 @@ def purification(stack: np.ndarray, factor: tuple | None = None) -> tuple[np.nda
         blocks[:, 2:, :2] = np.swapaxes(cross, 1, 2)
         blocks[:, 2:, 2:][:, np.arange(2 * m), np.arange(2 * m)] = nu_mixed
         partners.append((idx, blocks))
-    return nu, partners
+    return nu, partners, _restricted_transposes(stack, (chol, form, gram), scales, basis, nu, n_mixed, fallback)
 
 
 def check_purity(cov: CovarianceMatrix) -> float:
@@ -581,8 +691,10 @@ def check_purity(cov: CovarianceMatrix) -> float:
     square[x_rows, x_rows + 1] -= 0.25
     defect = float(np.max(np.abs(square, out=square)))
     if not defect <= PURITY_TOL * cov.scale:  # a NaN defect (overflow) fails too
+        floor = float(np.finfo(float).eps) * cov.scale * cov.scale  # no overflow error, unlike scale**2
         raise ImpureState(
-            f"global purity defect {defect:.3e} exceeds {PURITY_TOL:.0e} x scale {cov.scale:.3e}"
+            f"global purity defect {defect:.3e} exceeds {PURITY_TOL:.0e} x scale {cov.scale:.3e}; "
+            f"float64 rounding alone reaches about eps x scale^2 = {floor:.1e}"
         )
     return float(np.max(np.sum(square, axis=1)))
 

@@ -34,6 +34,7 @@ from qbmlab.gaussian import (
     _gram_spectra,
     _omega_times,
     _rows,
+    _scales,
     _skew_product,
     _spectrum_of,
     entropy_function,
@@ -79,7 +80,7 @@ def stacked_spectra(stack: np.ndarray) -> np.ndarray:
         _, form, gram = _factor(stack)
     except DomainError:
         return np.array([_spectrum_of(sigma, 0.0) for sigma in stack])
-    return _gram_spectra(stack, form, gram)
+    return _gram_spectra(form, gram, _scales(stack))
 
 
 def symplectic_propagator(prop: Propagator, t: float) -> np.ndarray:
@@ -283,15 +284,27 @@ def exact_fraction_means(data: np.ndarray, h_s: float, sampler: FractionSampler)
     return np.array(means).T, np.array(sds).T
 
 
-def draw_blocks(n_drawn: int, n_bath: int) -> tuple[list[int], list[int]]:
-    """Row counts 2M of the spectra and of the Williamson decompositions that _split takes for one draw.
+def draw_blocks(n_drawn: int, n_bath: int) -> int:
+    """Row count 2M of S u near, the block whose Williamson decomposition _split takes for one draw.
 
-    Every draw decomposes S u near and takes its partial transpose.  The
-    partner blocks of the purification (S and one ancilla per mixed mode;
-    a spectrum and a partial transpose each) are left out.
+    Its partial transpose is then taken on the block's restricted subspace
+    (gaussian._restricted_transposes), and the partner blocks of the
+    purification (S and one ancilla per mixed mode; a spectrum and a
+    partial transpose each) are left out.
     """
-    joint = 2 * min(n_drawn, n_bath - n_drawn) + 2
-    return [joint], [joint]
+    return 2 * min(n_drawn, n_bath - n_drawn) + 2
+
+
+def padded_transposes(groups: list, n: int, n_modes: int) -> np.ndarray:
+    """The (n, n_modes) partial-transpose spectra of purification's (indices, spectra) groups, each padded with 1/2 and sorted.
+
+    A restricted spectrum (gaussian._restricted_transposes) leaves out the
+    values of the pure modes outside its subspace, each exactly 1/2.
+    """
+    out = np.full((n, n_modes), 0.5)
+    for idx, tilde in groups:
+        out[idx, : tilde.shape[1]] = tilde
+    return np.sort(out, axis=1)
 
 
 def flip_system(blocks: np.ndarray) -> np.ndarray:

@@ -25,6 +25,7 @@ from qbmlab.gaussian import (
     CovarianceMatrix,
     ModeSubset,
     _factor,
+    _negativity_of_values,
     _spectrum_of,
     _transposed_spectra,
     entropy_function,
@@ -52,6 +53,7 @@ from oracles import (
     draw_blocks,
     exact_fraction_means,
     flip_system,
+    padded_transposes,
     sample_fraction,
     stacked_spectra,
 )
@@ -103,6 +105,15 @@ DESK_TOL = 1e-11
 #: The partial-transpose spectrum from a block's own factor against a
 #: Cholesky of the flipped block, relative to the largest value.
 FLIP_RTOL = 1e-11
+
+#: Desk blocks: the near side's partial transpose on its restricted subspace
+#: (purification's third result), padded with 1/2, against the whole block's
+#: (_transposed_spectra, and a Cholesky of the flipped block).  Each value
+#: within FLIP_RTOL of the largest (measured at most 3.5e-15 at 150 and 300
+#: oscillators), and the negativities within this: measured at most 7.3e-14
+#: on these blocks, and 1.1e-13 over the 9,600 draws of a desk run at r = -5,
+#: where either side differs from svd(K~) by up to 7.8e-14.
+RESTRICTED_NEG_TOL = 1e-12
 
 #: I(f) + I(1 - f) = 2 H(S) for the exact uniform-subset means at N = 14 on
 #: desk physics (t = 3 and 6, either unit): each draw's two sides sum to
@@ -580,6 +591,14 @@ class TestStackedEngine:
         assert peak < 4e6
 
 
+def assert_restricted_matches(joints, transposes):
+    """purification's restricted partial transposes of a stack of S u near blocks against both whole-block oracles."""
+    got = padded_transposes(transposes, len(joints), joints.shape[-1] // 2)
+    for want in (_transposed_spectra(joints, _factor(joints)), stacked_spectra(flip_system(joints))):
+        assert np.all(np.abs(got - want) <= FLIP_RTOL * np.max(want, axis=1, keepdims=True))
+        assert np.all(np.abs(_negativity_of_values(got) - _negativity_of_values(want)) <= RESTRICTED_NEG_TOL)
+
+
 class TestDeskBlocks:
     """The kernels of _split on S u near blocks of desk states at r = -5 and 5, against their oracles."""
 
@@ -594,7 +613,8 @@ class TestDeskBlocks:
             for s_idx in range(2):
                 drawn[s_idx, _draw(sampler, size, 150, s_idx, t_index)] = True
             joints = _blocks(cov.data, drawn)
-            nu, partners = purification(joints)
+            nu, partners, transposes = purification(joints)
+            assert_restricted_matches(joints, transposes)
             nu_c, blocks_c = complex_purification(joints)
             assert np.max(np.abs(nu - nu_c)) <= DESK_TOL
             for idx, blocks in partners:
@@ -608,7 +628,8 @@ class TestDeskBlocks:
             # the partial transpose from each block's own factor
             tilde, want = _transposed_spectra(joints, _factor(joints)), stacked_spectra(flip_system(joints))
             assert np.all(np.abs(tilde - want) <= FLIP_RTOL * np.max(want, axis=1, keepdims=True))
-        assert take_counts()["williamson_fallbacks"] == 0
+        counts = take_counts()
+        assert (counts["williamson_fallbacks"], counts["transpose_fallbacks"]) == (0, 0)
 
     @pytest.mark.parametrize("r", [-5.0, 5.0])
     @pytest.mark.parametrize("t_index, t", [(1, 10.0 / 39.0), (20, 5.128), (39, 10.0)])
@@ -622,7 +643,9 @@ class TestDeskBlocks:
             for s_idx in range(2):
                 drawn[s_idx, _draw(sampler, size, 300, s_idx, t_index)] = True
             joints = _blocks(cov.data, drawn)
-            for idx, blocks in purification(joints)[1]:
+            _, partners, transposes = purification(joints)
+            assert_restricted_matches(joints, transposes)
+            for idx, blocks in partners:
                 for i, block in zip(idx.tolist(), blocks):
                     near = CovarianceMatrix(joints[i, 2:, 2:])
                     assert abs(von_neumann_entropy(CovarianceMatrix(block)) - von_neumann_entropy(near)) <= DESK_TOL
@@ -638,18 +661,21 @@ class TestDrawCost:
         drawn = np.zeros((1, 8), dtype=bool)
         drawn[0, :n_drawn] = True
         mask = ~drawn if complement else drawn
-        spectra, williamson = draw_blocks(n_drawn, 8)  # a draw and its complement share the smaller side's size
+        joint = draw_blocks(n_drawn, 8)  # a draw and its complement share the smaller side's size
         h_s = system_entropy(cov)
-        # each partner block (S and one ancilla per mixed mode of S u near) takes a
-        # spectrum and a partial transpose, which the model leaves out
-        _, partners = purification(_blocks(cov.data, mask if 2 * np.count_nonzero(mask) <= 8 else ~mask))
-        partner_cost = 2 * sum(len(block) ** 3 for _, blocks in partners for block in blocks)
+        # each partner block (S and one ancilla per mixed mode of S u near) takes a spectrum and
+        # a partial transpose, which the model leaves out; the near side's partial transpose is
+        # taken on Q, the m mixed pairs and 0, 1 or 2 pure pairs, no more rows than the block's
+        _, partners, transposes = purification(_blocks(cov.data, mask if 2 * np.count_nonzero(mask) <= 8 else ~mask))
+        ((_, blocks),), ((_, tilde),) = partners, transposes
+        partner_cost, q_rows = 2 * len(blocks[0]) ** 3, 2 * tilde.shape[1]
+        assert q_rows - (len(blocks[0]) - 2) in (0, 2, 4) and q_rows <= joint
         take_counts()
         values = _split(cov.data, h_s, mask)
         counts = take_counts()
-        assert counts["williamson"] == len(williamson)
-        assert counts["spectra"] == len(spectra) + len(williamson) + 2
-        assert counts["block_cost"] - partner_cost == sum(m**3 for m in spectra + williamson)
+        assert counts["williamson"] == 1
+        assert counts["spectra"] == 1 + 1 + 2
+        assert counts["block_cost"] - partner_cost == joint**3 + q_rows**3
         assert not np.any(np.isnan(values))
         if complement:
             # bit for bit from the same smaller side; an even split takes the other

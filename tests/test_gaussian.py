@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qbmlab.gaussian as gaussian_mod
 from qbmlab.errors import DomainError, ImpureState, PairingFailure, SubsetError
 from qbmlab.gaussian import (
     GRAM_RTOL,
@@ -40,6 +41,7 @@ from oracles import (
     flip_system,
     mutual_information,
     omega_copy_purity,
+    padded_transposes,
     stacked_spectra,
     symplectic_eigenvalues,
     symplectic_form,
@@ -54,7 +56,7 @@ H_AT_SQRT5_HALF = 1.076022352410010097223583082376513563561
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 NO_COUNTS = dict.fromkeys(
-    ("spectra", "block_cost", "block_modes_max", "svd_fallbacks", "williamson", "pairing_repairs", "williamson_fallbacks"),
+    ("spectra", "block_cost", "block_modes_max", "svd_fallbacks", "williamson", "pairing_repairs", "williamson_fallbacks", "transpose_fallbacks"),
     0,
 )
 
@@ -67,6 +69,18 @@ PURIFICATION_TOL = 1e-10
 #: Cholesky of the flipped matrix: the Gram entries differ by rounding,
 #: measured at most 1e-14 relative to the largest value on these states.
 FLIP_RTOL = 1e-11
+
+#: The near side's partial transpose on its restricted subspace (purification's
+#: third result), padded with 1/2, against the whole block's spectrum
+#: (_transposed_spectra, and a Cholesky of the flipped block), relative to the
+#: largest value: measured at most 2.7e-14 over 3,000 random pure states of
+#: 3-9 modes, as the two whole-block paths differ (2.5e-14).
+RESTRICTED_RTOL = 1e-11
+
+#: The negativities of the same spectra: measured at most 6.7e-12, where a
+#: spread near the Gram guard costs every path digits (RANDOM_BAND_NEG_TOL of
+#: the correlation tests).
+RESTRICTED_NEG_TOL = 3e-11
 
 
 def vacuum(n_modes: int) -> CovarianceMatrix:
@@ -315,10 +329,12 @@ class TestSpectrumCounters:
         assert take_counts() == NO_COUNTS
 
     def test_williamson_counts_as_one_spectrum(self):
-        # a purification counts its decomposition only; _split takes the partners' spectra
+        # a purification counts its decomposition and the restricted partial transpose, one
+        # spectrum each; _split takes the partners' spectra.  A pure two-mode block has no
+        # mixed pair, and the pairs that reach e0 and e1 fill its 4 rows
         take_counts()
-        nu, _ = purification(np.array([two_mode_squeezed(0.8).data] * 3))
-        assert take_counts() == {**NO_COUNTS, "spectra": 3, "block_cost": 3 * 4**3, "block_modes_max": 2, "williamson": 3}
+        nu, _, _ = purification(np.array([two_mode_squeezed(0.8).data] * 3))
+        assert take_counts() == {**NO_COUNTS, "spectra": 6, "block_cost": 6 * 4**3, "block_modes_max": 2, "williamson": 3}
         assert nu[1] == pytest.approx([0.5, 0.5], abs=1e-12)  # a pure state: every Williamson eigenvalue is 1/2
 
 
@@ -649,7 +665,7 @@ class TestPurification:
         # masks 1 .. 2^(n-1) - 2 leave neither side empty
         cov, near, far = split_pure_state(seed, n_modes, 1 + near_mask % (2 ** (n_modes - 1) - 2))
         joint = partial_trace(cov, ModeSubset.of((0,) + near, n_modes))
-        nu, partners = purification(joint.data[None])
+        nu, partners, _ = purification(joint.data[None])
         partner = CovarianceMatrix(partner_blocks(partners, 1)[0])
         direct = partial_trace(cov, ModeSubset.of((0,) + far, n_modes))
         assert partner.n_modes <= joint.n_modes + 1
@@ -672,7 +688,7 @@ class TestPurification:
     def test_two_mode_squeezed_marginal(self):
         # one half of a two-mode squeezed vacuum is purified by a copy of the other
         tms = two_mode_squeezed(0.8)
-        nu, partners = purification(partial_trace(tms, ModeSubset.of([0], 2)).data[None])
+        nu, partners, _ = purification(partial_trace(tms, ModeSubset.of([0], 2)).data[None])
         partner = CovarianceMatrix(partner_blocks(partners, 1)[0])
         assert partner.n_modes == 2
         assert log_negativity(partner, ModeSubset.of([0], 2)) == pytest.approx(1.6, rel=1e-12)
@@ -685,13 +701,15 @@ class TestPurification:
         stack = np.array([random_state(rng, n_modes, pure=bool(rng.integers(2))).data for _ in range(n)])
         if n > 1:
             stack[-1] = degenerate_pairs(seed)[: 2 * n_modes, : 2 * n_modes] if n_modes <= 3 else stack[-1]
-        nu, partners = purification(stack)
+        nu, partners, transposes = purification(stack)
         blocks = partner_blocks(partners, n)
+        tilde = padded_transposes(transposes, n, n_modes)
         nu_s, sym_s = williamson(stack)
         for i, sigma in enumerate(stack):
-            nu_i, partners_i = purification(sigma[None])
+            nu_i, partners_i, transposes_i = purification(sigma[None])
             assert nu[i].tobytes() == nu_i[0].tobytes()
             assert blocks[i].tobytes() == partner_blocks(partners_i, 1)[0].tobytes()
+            assert tilde[i].tobytes() == padded_transposes(transposes_i, 1, n_modes)[0].tobytes()
             assert nu_s[i].tobytes() == williamson(sigma)[0].tobytes()
             assert sym_s[i].tobytes() == williamson(sigma)[1].tobytes()
 
@@ -701,7 +719,7 @@ class TestRealPurification:
 
     @staticmethod
     def assert_matches_complex(stack):
-        nu, partners = purification(stack)
+        nu, partners, _ = purification(stack)
         nu_c, blocks_c = complex_purification(stack)
         scale = np.maximum(np.max(np.abs(stack), axis=(1, 2)), 1.0)
         assert np.all(np.abs(nu - nu_c) <= PURIFICATION_TOL * scale[:, None])
@@ -731,13 +749,80 @@ class TestRealPurification:
         sigma[:2, :2] = two_mode_squeezed(4.0).data[:2, :2]
         sigma[2:, 2:] = 0.5 * np.eye(2)
         take_counts()
-        nu, partners = purification(sigma[None])
+        nu, partners, _ = purification(sigma[None])
         assert take_counts()["williamson_fallbacks"] == 1
         assert nu[0] == pytest.approx([0.5, 0.5 * np.cosh(8.0)], rel=1e-12)
         # the partner is a two-mode squeezed vacuum at s = 4: pure, up to the rounding of its scale 1.5e3
         h, neg = entropy_and_negativity(partner_blocks(partners, 1)[0])
         assert (h, neg) == pytest.approx((0.0, 8.0), abs=1e-8)
         self.assert_matches_complex(sigma[None])
+
+
+class TestRestrictedTransposes:
+    """The near side's partial transpose on its restricted subspace (purification's third result) against the whole block's."""
+
+    @staticmethod
+    def restricted(stack) -> tuple[np.ndarray, list[int]]:
+        """(padded spectra, modes of each restricted spectrum) of a stack, checked against both whole-block oracles."""
+        n, n_modes = len(stack), stack.shape[-1] // 2
+        take_counts()
+        groups = purification(stack)[2]
+        assert take_counts()["transpose_fallbacks"] == 0
+        got = padded_transposes(groups, n, n_modes)
+        for want in (_transposed_spectra(stack, _factor(stack)), stacked_spectra(flip_system(stack))):
+            assert np.all(np.abs(got - want) <= RESTRICTED_RTOL * np.max(want, axis=1, keepdims=True))
+            assert np.all(np.abs(_negativity_of_values(got) - _negativity_of_values(want)) <= RESTRICTED_NEG_TOL)
+        return got, [tilde.shape[1] for _, tilde in groups for _ in tilde]
+
+    @pytest.mark.parametrize("n_modes", range(3, 10))
+    def test_every_split_of_a_random_pure_state(self, n_modes):
+        whole = smaller = 0
+        for mask in range(1, 2 ** (n_modes - 1) - 1):
+            cov, near, _ = split_pure_state(n_modes, n_modes, mask)
+            (q_modes,) = self.restricted(partial_trace(cov, ModeSubset.of((0,) + near, n_modes)).data[None])[1]
+            whole += q_modes == len(near) + 1
+            smaller += q_modes < len(near) + 1
+        # Q spans the whole block when every mode is mixed; from 5 modes a large near side
+        # against a small far one leaves pure modes outside Q
+        assert whole and (smaller or n_modes < 5)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=SEEDS, n_modes=st.integers(min_value=3, max_value=9), near_mask=st.integers(min_value=0))
+    def test_random_pure_states(self, seed, n_modes, near_mask):
+        cov, near, _ = split_pure_state(seed, n_modes, 1 + near_mask % (2 ** (n_modes - 1) - 2))
+        self.restricted(partial_trace(cov, ModeSubset.of((0,) + near, n_modes)).data[None])
+
+    def test_williamson_fallback_takes_the_whole_block(self):
+        # TestRealPurification's spread past the Gram guard: the Williamson form falls back,
+        # so the partial transpose is taken on the whole block, as _transposed_spectra does
+        sigma = np.zeros((1, 4, 4))
+        sigma[0, :2, :2] = two_mode_squeezed(4.0).data[:2, :2]
+        sigma[0, 2:, 2:] = 0.5 * np.eye(2)
+        take_counts()
+        ((idx, tilde),) = purification(sigma)[2]
+        counts = take_counts()
+        assert (counts["williamson_fallbacks"], counts["transpose_fallbacks"]) == (1, 1)
+        assert idx.tolist() == [0] and tilde.tobytes() == _transposed_spectra(sigma, _factor(sigma)).tobytes()
+
+    def test_invariance_failure_takes_the_whole_block(self, monkeypatch):
+        # Q without its pure pairs leaves out part of e0, which K~ then carries out of Q: the
+        # check fails for every matrix, and each takes the whole block
+        stack = np.array([
+            partial_trace(cov, ModeSubset.of((0,) + near, 8)).data
+            for cov, near, _ in (split_pure_state(seed, 8, 0b0011111) for seed in range(3))
+        ])
+        flip_space = gaussian_mod._flip_space
+
+        def without_pure_pairs(form, q):
+            _, images = flip_space(form, q)
+            q[:, -4:] = images[:] = 0.0
+            return np.zeros(len(form), dtype=int), images
+
+        monkeypatch.setattr(gaussian_mod, "_flip_space", without_pure_pairs)
+        take_counts()
+        ((idx, tilde),) = purification(stack)[2]
+        assert take_counts()["transpose_fallbacks"] == 3
+        assert idx.tolist() == [0, 1, 2] and tilde.tobytes() == _transposed_spectra(stack, _factor(stack)).tobytes()
 
 
 class TestTransposedSpectra:

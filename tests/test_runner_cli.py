@@ -936,6 +936,16 @@ class TestCli:
         assert "global purity defect" in capsys.readouterr().err
         assert not os.listdir(out)
 
+    def test_squeezing_past_float64_exit_code(self, tmp_path, capsys):
+        # at r = 18 the stored desk sigma(t) is impure by float64 rounding alone: its scale is
+        # 1.2e7, so eps x scale^2 = 3.1e-2 sits within a factor of 4 of the gate, 1e-8 x scale
+        out = tmp_path / "out"
+        rc = main(["evolve", "--profile", "desk", "--n-times", "4", "--squeezing=18", "--outdir", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "global purity defect" in err and "float64 rounding alone reaches about eps x scale^2 = 3.1e-02" in err
+        assert not os.listdir(out)
+
     def test_redundancy_from_curves_dir(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path, run_id="reuse")
         run_experiment(cfg, ("piplot", "peplot"))
