@@ -385,7 +385,11 @@ def fraction_samples(
     the mutual information is 2 H(S) and the negativity is read off
     sigma_S (_pure_negativity), recorded once, by the range that starts at
     index 0.  A self-mirrored point (f = 1/2) lists draw and complement
-    interleaved.
+    interleaved.  The stacked eigh's vectors, and with them the
+    pairing_repairs count, depend on the BLAS thread count.  The CLI and
+    the pool workers run BLAS on one thread, so only a library caller that
+    sets OPENBLAS_NUM_THREADS=1 (or the equivalent) before numpy loads is
+    sure of their bytes.
     """
     n_bath = data.shape[0] // 2 - 1
     units = sampler.n_units(n_bath)
@@ -456,7 +460,8 @@ def pi_pe_plots(
     Every sample index is evaluated in one range, and fraction_curves makes
     the pair.  Requires a globally pure state, as the closed dynamics gives;
     raises ImpureState otherwise.  The curves carry H(S) so consumers can
-    subtract it.
+    subtract it.  Only on one BLAS thread are they sure to match the CLI's
+    bytes (fraction_samples).
     """
     grid = sampler.grid_for(cov.n_modes - 1)
     check_purity(cov)

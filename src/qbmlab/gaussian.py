@@ -18,8 +18,8 @@ partial transpose on mode 0; _complex_williamson is its fallback).
 purification takes that partial transpose on the small subspace of the
 mixed Williamson pairs and the pure pairs that reach mode 0
 (_restricted_transposes), since every value outside it is 1/2;
-_transposed_spectra stays for the bands, the partners, the fallbacks and
-as the tests' oracle.
+_transposed_spectra stays for the bands, the partners, the fallbacks, the
+blocks that subspace cannot shrink, and as the tests' oracle.
 _entropy_of_values and _negativity_of_values reduce one spectrum or a
 stack; the first is the package's one evaluation of the bosonic entropy
 h(nu), which entropy_function gives for one value and analytic.mi_value
@@ -103,9 +103,11 @@ REACH_FLOOR = 1e-12
 #: in modes, svd fallbacks, Williamson decompositions, and of these the
 #: ones that purification repaired by Gram-Schmidt or took through
 #: _complex_williamson, and the ones whose partial transpose took the whole
-#: block (_restricted_transposes).
+#: block because a check failed (_restricted_transposes); and the
+#: propagator builds that fell back to the dense eigh (model.make_propagator).
 _COUNTS = dict.fromkeys(
-    ("spectra", "block_cost", "block_modes_max", "svd_fallbacks", "williamson", "pairing_repairs", "williamson_fallbacks", "transpose_fallbacks"),
+    ("spectra", "block_cost", "block_modes_max", "svd_fallbacks", "williamson", "pairing_repairs", "williamson_fallbacks",
+     "transpose_fallbacks", "propagator_fallbacks"),
     0,
 )
 
@@ -561,14 +563,18 @@ def _restricted_transposes(stack: np.ndarray, factor: tuple, scales: np.ndarray,
     matrix: Q must be K~-invariant, max |K~ q - Q^T Q K~ q| over its rows q
     at most WILLIAMSON_RTOL x nu_max, which also holds Q orthonormal and e0
     and e1 inside it.  A matrix that fails, or one marked full, takes
-    _transposed_spectra on the whole block (``transpose_fallbacks``).  A
-    matrix's arrays have 2 m + 4 rows whatever the rest of the stack holds,
-    so each spectrum is bit for bit its matrix's result alone.
+    _transposed_spectra on the whole block (``transpose_fallbacks``).  So
+    does, by rule and uncounted, a matrix whose 2 m + 4 rows would not be
+    fewer than the block's: there Q cannot shrink the spectrum, and its
+    bookkeeping costs more than the whole block's eigvalsh.  A matrix's
+    arrays have 2 m + 4 rows whatever the rest of the stack holds, so each
+    spectrum is bit for bit its matrix's result alone.
     """
     chol, form, _ = factor
-    c, full, groups = 2.0 * chol[:, 0, 0] * chol[:, 1, 1], full.copy(), []
-    for m in sorted(set(n_mixed[~full].tolist())):
-        idx = np.flatnonzero((n_mixed == m) & ~full)
+    c, failed, groups = 2.0 * chol[:, 0, 0] * chol[:, 1, 1], full.copy(), []
+    small = ~failed & (2 * n_mixed + 4 >= form.shape[-1])
+    for m in sorted(set(n_mixed[~(failed | small)].tolist())):
+        idx = np.flatnonzero((n_mixed == m) & ~(failed | small))
         q = np.zeros((len(idx), 2 * m + 4, form.shape[-1]))
         q[:, : 2 * m] = basis[idx, : 2 * m]
         r, images = _flip_space(form if len(idx) == len(form) else form[idx], q)  # a copy only of a part
@@ -577,17 +583,17 @@ def _restricted_transposes(stack: np.ndarray, factor: tuple, scales: np.ndarray,
         flipped[:, 2 * m :] = images
         flipped[:, :, 0] -= c[idx, None] * q[:, :, 1]
         flipped[:, :, 1] += c[idx, None] * q[:, :, 0]
-        small = q @ np.swapaxes(flipped, 1, 2)  # Q K~ Q^T; the rows of pairs not taken are zero
-        flipped -= np.swapaxes(small, 1, 2) @ q  # the part of each K~ q outside Q
+        reduced = q @ np.swapaxes(flipped, 1, 2)  # Q K~ Q^T; the rows of pairs not taken are zero
+        flipped -= np.swapaxes(reduced, 1, 2) @ q  # the part of each K~ q outside Q
         ok = np.sqrt(np.max(np.einsum("nij,nij->ni", flipped, flipped), axis=1)) <= WILLIAMSON_RTOL * nu[idx, -1]
-        full[idx[~ok]] = True
+        failed[idx[~ok]] = True
         for size in sorted(set(r[ok].tolist())):
             at = np.flatnonzero(ok & (r == size))
-            part = small[at, : 2 * m + size, : 2 * m + size]
+            part = reduced[at, : 2 * m + size, : 2 * m + size]
             groups.append((idx[at], _gram_spectra(part, np.swapaxes(part, 1, 2) @ part, scales[idx[at]])))
-    whole = np.flatnonzero(full)
+    _COUNTS["transpose_fallbacks"] += int(np.count_nonzero(failed))
+    whole = np.flatnonzero(failed | small)
     if len(whole):
-        _COUNTS["transpose_fallbacks"] += len(whole)
         groups.append((whole, _transposed_spectra(stack[whole], tuple(part[whole] for part in factor))))
     return groups
 
@@ -627,7 +633,8 @@ def purification(stack: np.ndarray, factor: tuple | None = None) -> tuple[np.nda
     partial transpose on mode 0 of each sigma, read off the same
     decomposition: its mixed pairs and at most two pure pairs hold every
     value that can differ from 1/2 (_restricted_transposes, one spectrum of
-    at most 2 m + 4 rows per matrix; the values left out are 1/2).
+    at most 2 m + 4 rows per matrix; the values left out are 1/2), or, where
+    that subspace is no smaller than the block, the whole block's.
     """
     n, rows = stack.shape[0], stack.shape[-1]
     chol, form, gram = _factor(stack) if factor is None else factor

@@ -27,10 +27,12 @@ one worker.  Chunk 0 also carries the state diagnostics, the bands and
 f = 1.  Items go to a pool of worker processes in time order.
 Every chunk evolves its time point and checks its purity (ImpureState in
 every stage); neither step, nor H(S), takes a counted spectrum, so the
-manifest's counts do not depend on the cut or on which worker takes a
-chunk.  The manifest sums each chunk's counts (gaussian.merge_counts) and
-wall-clock per layer, and the pieces' build where a chunk made it.  The
-runner keeps each time point's chunks in slice order, and
+manifest's spectrum counts do not depend on the cut or on which worker
+takes a chunk (propagator_fallbacks counts each worker's build that fell
+back to the dense eigh).  The manifest sums each chunk's counts
+(gaussian.merge_counts) and wall-clock per layer, and the pieces' build
+where a chunk made it.  The runner keeps each time point's chunks in
+slice order, and
 correlations.fraction_curves reduces them to the (PI, PE) pair of curves.
 A serial run (workers = 1) is a pool of one, and a run whose stages need
 no time point starts no pool.
@@ -182,11 +184,11 @@ def _chunk_task(args) -> dict:
                 "(was the forkserver started by other code?)"
             )
     config, t_index, t, wants, sample_indices = args
+    take_counts()  # count this chunk only: the pieces' build (a propagator fallback) and its spectra
     cached = _pieces_key(config) in _PIECES  # built by an earlier chunk of this worker
     start = time.perf_counter()
     spec, bath, prop, cov0 = simulation_pieces(config)
     elapsed = {"runner.simulation_pieces": 0.0 if cached else time.perf_counter() - start}
-    take_counts()  # count this chunk only; evolve, check_purity and H(S) count no spectra
     start = time.perf_counter()
     cov = evolve(prop, cov0, t)
     evolved = time.perf_counter()

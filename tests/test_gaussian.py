@@ -56,7 +56,8 @@ H_AT_SQRT5_HALF = 1.076022352410010097223583082376513563561
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 NO_COUNTS = dict.fromkeys(
-    ("spectra", "block_cost", "block_modes_max", "svd_fallbacks", "williamson", "pairing_repairs", "williamson_fallbacks", "transpose_fallbacks"),
+    ("spectra", "block_cost", "block_modes_max", "svd_fallbacks", "williamson", "pairing_repairs", "williamson_fallbacks",
+     "transpose_fallbacks", "propagator_fallbacks"),
     0,
 )
 
@@ -803,6 +804,18 @@ class TestRestrictedTransposes:
         counts = take_counts()
         assert (counts["williamson_fallbacks"], counts["transpose_fallbacks"]) == (1, 1)
         assert idx.tolist() == [0] and tilde.tobytes() == _transposed_spectra(sigma, _factor(sigma)).tobytes()
+
+    def test_blocks_q_cannot_shrink_take_the_whole_block_uncounted(self):
+        # 3-mode blocks (S and two of five bath modes) of random pure states: every mode is mixed,
+        # so Q would have 2 m + 4 >= 6 rows, and the rule takes the whole block without counting it
+        stack = np.array([
+            partial_trace(cov, ModeSubset.of((0,) + near, 6)).data
+            for cov, near, _ in (split_pure_state(seed, 6, 0b00011) for seed in range(3))
+        ])
+        take_counts()
+        ((idx, tilde),) = purification(stack)[2]
+        assert take_counts()["transpose_fallbacks"] == 0
+        assert idx.tolist() == [0, 1, 2] and tilde.tobytes() == _transposed_spectra(stack, _factor(stack)).tobytes()
 
     def test_invariance_failure_takes_the_whole_block(self, monkeypatch):
         # Q without its pure pairs leaves out part of e0, which K~ then carries out of Q: the

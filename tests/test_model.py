@@ -1,9 +1,15 @@
+import hashlib
+import os
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from qbmlab import _BLAS_THREAD_VARS
+from qbmlab import model as model_mod
 from qbmlab.errors import DimensionMismatch, DomainError, NegativeEigenvalue
 from qbmlab.gaussian import (
     CovarianceMatrix,
@@ -14,11 +20,14 @@ from qbmlab.gaussian import (
     _spectrum_of,
     check_purity,
     partial_trace,
+    take_counts,
     validate_state,
     von_neumann_entropy,
 )
 from qbmlab.model import (
+    MODE_RTOL,
     BathSpec,
+    DiscretizedBath,
     ProductState,
     SqueezedInitialState,
     build_propagator,
@@ -26,6 +35,7 @@ from qbmlab.model import (
     evolve,
     initial_covariance,
     make_propagator,
+    mode_masses,
     potential_matrix,
     recurrence_time,
     spectral_density,
@@ -54,6 +64,17 @@ HALF_PRODUCT_RTOL = 1e-14
 #: model.total_energy against 1/2 trace(M sigma) of the dense form
 #: (oracles.hamiltonian_matrix); measured at most 1.3e-16.
 ENERGY_RTOL = 1e-12
+
+#: make_propagator's O(N^2) normal modes against the dense eigh of
+#: build_propagator: eigenvalues within MODE_EIG_RTOL of the largest
+#: (measured at most 7.1e-16 on the desk and full baths), and sigma(t)
+#: within MODE_STATE_RTOL of the state's scale (measured at most 4.7e-13 on
+#: the desk bath and 2.8e-12 on the full one, r = +-5, five desk times).
+#: The state's gap is the dense eigenvectors' error: against a 40-digit
+#: secular solve at N = 150 they are off by 1.8e-13, the O(N^2) ones by
+#: 5.6e-16.
+MODE_EIG_RTOL = 1e-14
+MODE_STATE_RTOL = 1e-11
 
 #: (bath size, r, t): the desk bath at three desk times, and one full-profile time.
 DESK_AND_FULL = [(150, r, t) for r in (-5.0, 5.0) for t in (10.0 / 39.0, 5.128, 10.0)] + [(600, -5.0, 5.128)]
@@ -231,6 +252,138 @@ class TestBuildPropagator:
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(NegativeEigenvalue):
             build_propagator(np.array([[-1.0]]))
+
+
+def dense_propagator(spec, bath):
+    """The oracle of make_propagator: the dense eigh of the potential matrix."""
+    return build_propagator(potential_matrix(spec, bath), mode_masses(spec, bath))
+
+
+def dense_arrowhead(a, d, z) -> np.ndarray:
+    v = np.diag(np.concatenate(([a], d)))
+    v[0, 1:] = v[1:, 0] = z
+    return v
+
+
+class TestNormalModes:
+    """make_propagator's O(N^2) normal modes of the arrowhead potential against the dense eigh."""
+
+    @pytest.mark.parametrize("n_osc", [150, 600])
+    def test_desk_and_full_match_the_dense_eigh(self, n_osc):
+        spec = sub_ohmic(n_osc=n_osc)
+        bath = discretize_bath(spec)
+        take_counts()
+        fast, dense = make_propagator(spec, bath), dense_propagator(spec, bath)
+        assert take_counts()["propagator_fallbacks"] == 0
+        scale = float(np.max(dense.eigenfrequencies)) ** 2
+        assert np.max(np.abs(fast.eigenfrequencies**2 - dense.eigenfrequencies**2)) <= MODE_EIG_RTOL * scale
+        assert np.max(np.abs(fast.eigenbasis.T @ fast.eigenbasis - np.eye(n_osc + 1))) <= MODE_RTOL
+        for r in (-5.0, 5.0):
+            cov0 = initial_covariance(spec, bath, SqueezedInitialState.from_r(r, spec))
+            for t in (10.0 / 39.0, 5.128, 10.0):
+                got, want = evolve(fast, cov0, t), evolve(dense, cov0, t)
+                assert np.max(np.abs(got.data - want.data)) <= MODE_STATE_RTOL * want.scale
+
+    def test_one_oscillator_closed_form(self):
+        spec = BathSpec(exponent=0.5, cutoff=6.0, coupling=0.3, n_oscillators=1, omega_s=3.0)
+        bath = discretize_bath(spec)
+        v = potential_matrix(spec, bath)
+        a, b, d = v[0, 0], v[0, 1], v[1, 1]
+        disc = np.sqrt((a - d) ** 2 + 4 * b**2)
+        take_counts()
+        prop = make_propagator(spec, bath)
+        assert take_counts()["propagator_fallbacks"] == 0
+        assert prop.eigenfrequencies**2 == pytest.approx([(a + d - disc) / 2, (a + d + disc) / 2], rel=1e-14)
+        lam = prop.eigenfrequencies**2
+        assert np.max(np.abs(v @ prop.eigenbasis - prop.eigenbasis * lam)) <= 1e-14 * lam[-1]
+
+    def test_uncoupled_bath_deflates(self):
+        # every coupling is zero: each mode is a normal mode of its own, in ascending order
+        spec = BathSpec(exponent=0.5, cutoff=20.0, coupling=0.0, n_oscillators=60, omega_s=3.0)
+        bath = discretize_bath(spec)
+        take_counts()
+        prop = make_propagator(spec, bath)
+        assert take_counts()["propagator_fallbacks"] == 0
+        order = np.argsort(np.concatenate(([spec.omega_s**2], bath.frequencies**2)), kind="stable")
+        assert np.array_equal(prop.eigenfrequencies**2, np.concatenate(([spec.omega_s**2], bath.frequencies**2))[order])
+        assert np.array_equal(prop.eigenbasis, np.eye(61)[:, order])
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_arrowheads_with_tiny_couplings(self, seed):
+        # a third of the couplings shrunk by 1e-6 to 1e-16, some to zero (deflated), the rest O(1)
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 80))
+        d = np.sort(rng.uniform(0.0, 10.0 ** rng.uniform(-1, 3), n))
+        z = rng.standard_normal(n) * 10.0 ** rng.uniform(-2, 1)
+        tiny = rng.random(n) < 0.35
+        z[tiny] *= 10.0 ** rng.uniform(-16, -6, np.count_nonzero(tiny))
+        z[rng.random(n) < 0.1] = 0.0
+        a = float(rng.normal() * np.max(d))
+        modes = model_mod._normal_modes(a, d, z)
+        assert modes is not None
+        lam, q = modes
+        v = dense_arrowhead(a, d, z)
+        want = np.linalg.eigvalsh(v)
+        scale = max(float(np.max(np.abs(want))), 1.0)
+        assert np.max(np.abs(lam - want)) <= MODE_EIG_RTOL * scale
+        assert np.max(np.abs(q.T @ q - np.eye(n + 1))) <= MODE_RTOL
+        assert np.max(np.abs(v @ q - q * lam)) <= MODE_RTOL * scale
+
+    def test_negative_eigenvalue_is_rejected_on_the_fast_path(self):
+        spec = sub_ohmic(n_osc=40)
+        bath = discretize_bath(spec)
+        short = DiscretizedBath(bath.frequencies, bath.couplings, bath.masses, bath.counterterm - 20.0)
+        take_counts()
+        with pytest.raises(NegativeEigenvalue):
+            make_propagator(spec, short)
+        assert take_counts()["propagator_fallbacks"] == 0
+        with pytest.raises(NegativeEigenvalue):
+            dense_propagator(spec, short)
+
+    @pytest.mark.parametrize("n_osc", [150, 600])
+    def test_desk_and_full_take_no_dense_eigh(self, monkeypatch, n_osc):
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("the dense eigh was called")
+
+        spec = sub_ohmic(n_osc=n_osc)
+        bath = discretize_bath(spec)
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        take_counts()
+        make_propagator(spec, bath)
+        assert take_counts()["propagator_fallbacks"] == 0
+
+    def test_failed_check_falls_back_and_counts(self, monkeypatch):
+        spec = sub_ohmic(n_osc=40)
+        bath = discretize_bath(spec)
+        monkeypatch.setattr(model_mod, "MODE_RTOL", 0.0)
+        take_counts()
+        prop = make_propagator(spec, bath)
+        assert take_counts()["propagator_fallbacks"] == 1
+        want = dense_propagator(spec, bath)
+        assert prop.eigenbasis.tobytes() == want.eigenbasis.tobytes()
+        assert prop.eigenfrequencies.tobytes() == want.eigenfrequencies.tobytes()
+
+    def test_bytes_do_not_depend_on_blas_threads(self):
+        script = (
+            "import hashlib\n"
+            "from qbmlab.model import BathSpec, discretize_bath, make_propagator\n"
+            "spec = BathSpec(exponent=0.5, cutoff=20.0, coupling=0.1, n_oscillators=600, omega_s=3.0)\n"
+            "prop = make_propagator(spec, discretize_bath(spec))\n"
+            "print(hashlib.sha256(prop.eigenfrequencies.tobytes() + prop.eigenbasis.tobytes()).hexdigest())\n"
+        )
+        src = os.path.dirname(os.path.dirname(model_mod.__file__))
+        base = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
+        base["PYTHONPATH"] = os.pathsep.join(filter(None, (src, base.get("PYTHONPATH"))))
+        digests = set()
+        for threads in ("1", "2"):
+            proc = subprocess.run([sys.executable, "-c", script], env={**base, "OPENBLAS_NUM_THREADS": threads},
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            digests.add(proc.stdout.strip())
+        spec = sub_ohmic(n_osc=600)
+        prop = make_propagator(spec, discretize_bath(spec))
+        digests.add(hashlib.sha256(prop.eigenfrequencies.tobytes() + prop.eigenbasis.tobytes()).hexdigest())
+        assert len(digests) == 1
 
 
 class TestInitialCovariance:

@@ -132,6 +132,19 @@ class TestRunExperiment:
         # the first chunk builds the pieces; the others find them cached and count 0
         assert elapsed == {"runner.simulation_pieces": 1.0, **dict.fromkeys(layers, float(cfg.n_times))}
 
+    def test_propagator_fallback_reaches_the_manifest(self, tmp_path, monkeypatch, pinned_blas):
+        # every check of the O(N^2) normal modes fails: the chunks, run in this process, build the
+        # pieces once, through the dense eigh, and the manifest counts that one build
+        @contextmanager
+        def in_process(workers):
+            yield SimpleNamespace(map=lambda fn, items, chunksize: map(fn, items))
+
+        monkeypatch.setattr(runner_mod, "_pool", in_process)
+        monkeypatch.setattr(runner_mod, "_PIECES", {})
+        monkeypatch.setattr(model_mod, "MODE_RTOL", 0.0)
+        manifest = run_experiment(tiny_config(tmp_path), ("evolve",))
+        assert manifest.counts["propagator_fallbacks"] == 1
+
     def test_reruns_are_byte_identical(self, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
         run_experiment(tiny_config(a_dir), ("bands", "piplot", "peplot", "redundancy"))
