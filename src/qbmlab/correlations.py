@@ -17,9 +17,15 @@ only.  pi_pe_plots evaluates every sample index in one range; the runner
 cuts the indices into slices that workers evaluate in any order, and
 passes them to fraction_curves in slice order.  fraction_curves extends
 each grid point's values by the slices in that order, which is sample
-order, and reduces them to the curves in grid order.  Every draw is
-keyed on (seed, t-index, subset size, sample-index), so neither the cut
-nor the worker count changes a number.
+order, and reduces them to the curves in grid order.
+
+The draws are nested.  Each sample orders the sampling units once, from
+the stream keyed on (seed, t-index, sample-index) (_permutation), and
+grid point k draws the first k units; its mirror holds the rest.  Each
+grid point's draw is still a uniform k-subset, so every point's mean has
+the uniform-subset estimand, while one sample's values rise with k, as
+the exact means do.  Neither the cut nor the worker count changes a
+number.
 
 The fraction plots rely on global purity of the closed dynamics, checked
 once per time point (gaussian.check_purity; an impure state raises
@@ -31,23 +37,32 @@ also gives the f = 1 negativity in closed form from the 2 x 2 system block
 (_pure_negativity), so the largest block is S u E_f at f = 1/2 (76 modes
 on the desk grid).
 
-Each draw factors S u near once (gaussian._factor: L, K = L^T Omega L and
-K^T K) and reads everything off that factor: the real Williamson form
+A sample's near sides are leading blocks of one matrix: with S first and
+the bath modes in the sample's unit order, S u near is the block of S and
+the first modes, or, where the complement is the smaller side, of S and
+the first modes of the reversed order.  So fraction_samples extracts and
+factors (gaussian._cholesky) the block of S and the largest near side of
+each end once per sample, and every draw takes the leading blocks of that
+block and of its L, the factor of a leading block.  From there each draw
+is factored as before (gaussian._factor: K = L^T Omega L and K^T K) and
+everything is read off that factor: the real Williamson form
 (gaussian.purification: one eigh of K^T K) gives H(S u near), the partner
 and the partial transpose on S.  The partial transpose differs from 1/2
 only on the mixed Williamson pairs and at most two pure pairs, so its
 eigvalsh runs on at most 2 m + 4 rows, m the mixed modes (at most 14 on
-desk blocks of up to 76 modes).  On a desk time point (N = 150, 20 samples)
-the summed cost (2 x modes)^3 of the spectra is 1.3e8 (2.5e8 with a
-full eigvalsh per partial transpose).
+desk blocks of up to 76 modes).  On a desk time point (N = 150, 20
+samples, 12 drawn grid points) that is 20 permutations and 20 Cholesky
+factors of 76-mode blocks for 240 draws, and the summed cost (2 x
+modes)^3 of the spectra is 1.3e8 (2.5e8 with a full eigvalsh per partial
+transpose).
 
-Bands run on the same engine: band_correlations makes one mask per band,
-factors the block of S u band once for H(S u band) and its partial
-transpose, and the band's own block for H(band) (_band_values); it makes
-no purity assumption.  Draws and bands alike go through _in_stacks: masks
-that select equally many bath modes have blocks of one size, so they are
-evaluated as stacks (_blocks, system first), each matrix bit for bit as
-alone, in slices of at most STACK_BYTES.  H(S) = h(nu_S) and the f = 1
+Bands run on the same kernels: band_correlations factors the block of
+S u band once for H(S u band) and its partial transpose, and the band's
+own block for H(band) (_band_values); it makes no purity assumption.
+Bands of one size go through _in_stacks as stacks, and the draws of one
+end and near-side size as stacks of leading blocks (_blocks, system
+first), each matrix bit for bit as alone; STACK_BYTES bounds the stacks.
+H(S) = h(nu_S) and the f = 1
 negativity arccosh(2 nu_S) read one nu_S = sqrt(det sigma_S) of the 2 x 2
 system block (_system_nu); no function here takes a spectrum of it.
 """
@@ -62,6 +77,7 @@ from .errors import BadBandCount, DomainError
 from .gaussian import (
     NU_TOL,
     CovarianceMatrix,
+    _cholesky,
     _entropy_of_values,
     _factor,
     _gram_spectra,
@@ -129,10 +145,11 @@ def band_correlations(cov: CovarianceMatrix, bands: BandPartition, t: float = 0.
     purity is assumed, so impure states are accepted.
     """
     h_s = system_entropy(cov)
-    masks = np.zeros((bands.n_bands, cov.n_modes - 1), dtype=bool)
-    for i, block in enumerate(bands.band_members):
-        masks[i, np.array(block) - 1] = True
-    mi, neg = _in_stacks(masks, lambda part: _band_values(cov.data, h_s, part), lambda count: count)
+    members = [np.array(block) for block in bands.band_members]
+    sizes = np.array([len(block) for block in members])
+    mi, neg = _in_stacks(
+        sizes, lambda idx: _band_values(cov.data, h_s, np.array([members[i] for i in idx])), lambda size: 2 * size + 2
+    )
     return BandCorrelations(t=t, band_edges=bands.band_edges, mi=mi, neg=neg)
 
 
@@ -212,6 +229,12 @@ class FractionSampler:
     def n_units(self, n_bath: int) -> int:
         return self.n_bands if self.unit == "band" else n_bath
 
+    def unit_of_mode(self, n_bath: int) -> np.ndarray:
+        """The sampling unit of each bath mode: the mode itself, or its band (band_partition)."""
+        if self.unit == "band":
+            return np.repeat(np.arange(self.n_bands), [len(b) for b in band_partition(n_bath, self.n_bands).band_members])
+        return np.arange(n_bath)
+
     def grid_for(self, n_bath: int) -> np.ndarray:
         units = self.n_units(n_bath)
         if self.f_grid is None:
@@ -224,10 +247,10 @@ class FractionSampler:
         return self.f_grid
 
 
-def _draw(sampler: FractionSampler, size: int, units: int, sample_index: int, t_index: int) -> np.ndarray:
-    """size distinct unit indices, unsorted, from the stream of (seed, t_index, size, sample_index)."""
-    seq = np.random.SeedSequence((int(sampler.seed) & 0xFFFFFFFFFFFFFFFF, t_index, size, sample_index))
-    return np.random.default_rng(seq).choice(units, size=size, replace=False)
+def _permutation(sampler: FractionSampler, units: int, sample_index: int, t_index: int) -> np.ndarray:
+    """The order of the sampling units in one sample, from the stream of (seed, t_index, sample_index): every grid point k draws its first k units."""
+    seq = np.random.SeedSequence((int(sampler.seed) & 0xFFFFFFFFFFFFFFFF, t_index, sample_index))
+    return np.random.default_rng(seq).permutation(units)
 
 
 @dataclass(frozen=True)
@@ -266,12 +289,17 @@ def fraction_plan(grid: np.ndarray, units: int) -> list[tuple[float, float | Non
     ]
 
 
-#: Working-memory budget of one stacked operand: draws and bands are
-#: evaluated (_in_stacks) in slices of blocks of at most this many bytes as
-#: float64 (at least one block).  A whole 20-draw stack of 76-mode blocks
-#: takes 3.7 MB per operand, and a desk time point's fraction_samples then
-#: peaks at 23 MB under tracemalloc; with this budget it peaks at 3.3 MB.
-STACK_BYTES = 1 << 19
+#: Working-memory budget of one stacked operand, as float64: fraction_samples
+#: evaluates its samples in slices whose prefix blocks (one per sample and
+#: end) take at most this many bytes, and bands go (_in_stacks) in slices of
+#: blocks of at most this many (at least one sample or block either way).
+#: A desk sample's prefix block of 76 modes takes 185 kB, so a 10-sample
+#: chunk is one slice and peaks at 10.9 MB under tracemalloc, and a
+#: 20-sample time point goes as 11 and 9 and peaks at 11.2 MB (20 MB as one
+#: slice); at 600 oscillators a slice holds one sample.  On 3 desk times of
+#: 2 x 10 samples (one BLAS thread), slices of 2 and of 5 samples took
+#: 1.5-1.9 and 1.1-1.5 times as long as slices of 10.
+STACK_BYTES = 1 << 21
 
 
 def _pure_negativity(data: np.ndarray) -> float:
@@ -288,41 +316,39 @@ def _pure_negativity(data: np.ndarray) -> float:
     return _negativity_of_values(np.array([0.25 / (nu + np.sqrt(max(nu * nu - 0.25, 0.0)))]))
 
 
-def _blocks(data: np.ndarray, baths: np.ndarray) -> np.ndarray:
-    """Blocks of S and the bath modes of each row of an (n, N) stack of masks that select equally many modes, system first."""
-    keep = np.repeat(np.column_stack((np.ones(len(baths), dtype=bool), baths)), 2, axis=1)
-    rows = np.nonzero(keep)[1].reshape(len(baths), -1)
+def _blocks(data: np.ndarray, modes: np.ndarray) -> np.ndarray:
+    """Blocks of S and the bath modes of each row of an (n, c) array of mode indices (1..N), system first, in row order."""
+    picked = np.column_stack((np.zeros(len(modes), dtype=int), modes))
+    rows = np.stack((2 * picked, 2 * picked + 1), axis=2).reshape(len(modes), -1)
     return data[rows[:, :, None], rows[:, None, :]]
 
 
-def _in_stacks(masks: np.ndarray, evaluate, modes) -> np.ndarray:
-    """Columns evaluate(masks[part]) of every row of an (n, N) stack of bath masks, in row order.
+def _in_stacks(keys: np.ndarray, evaluate, rows) -> np.ndarray:
+    """Columns evaluate(idx) of every item, in item order, where idx holds the indices of items of one key.
 
-    Masks that select equally many bath modes, count, have blocks of one
-    size, modes(count) + 1 modes, so they go to evaluate together, in
-    slices of at most STACK_BYTES per block.  Every kernel gives each block
-    of a stack bit for bit its result alone, so the cut changes no value.
+    Items of one key have blocks of one size, rows(key) rows, so they go to
+    evaluate together, in slices of at most STACK_BYTES per block.  Every
+    kernel gives each block of a stack bit for bit its result alone, so the
+    cut changes no value.
     """
-    counts = np.count_nonzero(masks, axis=1)
     order, columns = [], []
-    for count in sorted(set(counts.tolist())):
-        same = np.flatnonzero(counts == count)
-        rows = 2 * modes(count) + 2
-        step = max(1, STACK_BYTES // (8 * rows * rows))
+    for key in sorted(set(keys.tolist())):
+        same = np.flatnonzero(keys == key)
+        step = max(1, STACK_BYTES // (8 * rows(key) ** 2))
         for lo in range(0, len(same), step):
             order.append(same[lo : lo + step])
-            columns.append(evaluate(masks[order[-1]]))
+            columns.append(evaluate(order[-1]))
     return np.concatenate(columns, axis=1)[:, np.argsort(np.concatenate(order))]
 
 
-def _band_values(data: np.ndarray, h_s: float, bands: np.ndarray) -> np.ndarray:
-    """(MI, negativity) of S with the bath modes of each mask of a stack (_blocks), shape (2, n).
+def _band_values(data: np.ndarray, h_s: float, modes: np.ndarray) -> np.ndarray:
+    """(MI, negativity) of S with the bath modes of each row of an (n, c) array of mode indices (_blocks), shape (2, n).
 
     The block of S u band is factored once (gaussian._factor): it gives
     H(S u band) and the partial transpose on S.  The band's own block
     gives H(band), and I(S : band) = H(S) + H(band) - H(S u band).
     """
-    joints = _blocks(data, bands)
+    joints = _blocks(data, modes)
     chol, form, gram = _factor(joints)
     alone = joints[:, 2:, 2:]
     h_band = _entropy_of_values(_gram_spectra(*_factor(alone)[1:], _scales(alone)))
@@ -331,27 +357,24 @@ def _band_values(data: np.ndarray, h_s: float, bands: np.ndarray) -> np.ndarray:
     return np.array([h_s + h_band - h_joint, neg])
 
 
-def _split(data: np.ndarray, h_s: float, drawn: np.ndarray) -> np.ndarray:
-    """(MI, MI, negativity, negativity) of S with the drawn bath modes and with the rest, per draw.
+def _split(h_s: float, joints: np.ndarray, chol: np.ndarray) -> np.ndarray:
+    """(MI, MI, negativity, negativity) of S with the near bath modes of each block of a stack and with the rest, shape (4, n).
 
-    drawn is an (n, N) stack of bath masks that all select the same number
-    of modes, and the result has shape (4, n).  Only S u near, for the
-    smaller side ("near"), is extracted, as one stack, and factored once
-    (gaussian._factor).  Its Williamson decomposition gives H(S u near) and
-    a purification partner (S and one ancilla per mixed mode; see
-    gaussian.purification), which stands in for S u far.  With global
-    purity H(S u far) = H(near), H(far) = H(S u near) and H(near) =
-    H(S u ancillas), so
+    joints is an (n, 2c + 2, 2c + 2) stack of blocks of S u near, near the
+    smaller side of a split of the bath, and chol their Cholesky factors.
+    Only S u near is factored (gaussian._factor).  Its Williamson
+    decomposition gives H(S u near) and a purification partner (S and one
+    ancilla per mixed mode; see gaussian.purification), which stands in
+    for S u far.  With global purity H(S u far) = H(near), H(far) =
+    H(S u near) and H(near) = H(S u ancillas), so
         I(S : near) = H(S) + H(near) - H(S u near),
         I(S : far)  = H(S) + H(S u near) - H(near).
     The negativity against far is read off the partner's partial
     transpose, and the one against near off that of S u near, which
-    purification takes on its restricted subspace.  Both sides are always
-    evaluated.
+    purification takes on its restricted subspace.  The rows are near,
+    far, near, far.
     """
-    drawn_near = 2 * np.count_nonzero(drawn[0]) <= drawn.shape[1]
-    joints = _blocks(data, drawn if drawn_near else ~drawn)
-    factor = _factor(joints)
+    factor = _factor(joints, chol)
     nu, partners, transposes = purification(joints, factor)
     h_joint, h_near, neg_far, neg_near = _entropy_of_values(nu), *np.empty((3, len(joints)))
     for idx, blocks in partners:
@@ -360,11 +383,7 @@ def _split(data: np.ndarray, h_s: float, drawn: np.ndarray) -> np.ndarray:
         neg_far[idx] = _negativity_of_values(_transposed_spectra(blocks, (chol, form, gram)))
     for idx, tilde in transposes:
         neg_near[idx] = _negativity_of_values(tilde)
-    mi_near = h_s + h_near - h_joint
-    mi_far = h_s + h_joint - h_near
-    if drawn_near:
-        return np.array([mi_near, mi_far, neg_near, neg_far])
-    return np.array([mi_far, mi_near, neg_far, neg_near])
+    return np.array([h_s + h_near - h_joint, h_s + h_joint - h_near, neg_near, neg_far])
 
 
 def fraction_samples(
@@ -380,9 +399,21 @@ def fraction_samples(
     globally pure state, which the caller checks, and h_s its H(S).  Every
     grid point of the plan (fraction_plan) is drawn at each index of
     sample_indices, a contiguous range; the values come in index order.
-    The draws of a grid point are masks over the bath modes, evaluated on
-    their smaller side (_split) in stacks (_in_stacks).  At f = 1
-    the mutual information is 2 H(S) and the negativity is read off
+    The draws are nested: each sample orders the sampling units once
+    (_permutation), grid point k draws the first k units, and its mirror
+    holds the rest.  With the bath modes in that order (a band's modes in
+    a row, ascending) and S first, every near side (_split) is a leading
+    block: of this order where the draw is the smaller side, of the
+    reversed order where the complement is (unmirrored upper points, and
+    uneven bands).  So per sample and end, the block of S and the first K
+    modes, K the largest near side taken from that end, is extracted and
+    factored once (gaussian._cholesky), and each grid point takes the
+    leading blocks of both.  Draws of one end and near-side size go to
+    _split as one stack.  Each sample's K depends on its own order alone,
+    so neither its values nor the cut into slices depend on the other
+    samples.  The samples go through in slices whose largest blocks hold
+    at most STACK_BYTES per stacked operand (at least one sample).  At
+    f = 1 the mutual information is 2 H(S) and the negativity is read off
     sigma_S (_pure_negativity), recorded once, by the range that starts at
     index 0.  A self-mirrored point (f = 1/2) lists draw and complement
     interleaved.  The stacked eigh's vectors, and with them the
@@ -392,29 +423,45 @@ def fraction_samples(
     sure of their bytes.
     """
     n_bath = data.shape[0] // 2 - 1
-    units = sampler.n_units(n_bath)
-    unit_of_mode = np.arange(n_bath)
-    if sampler.unit == "band":
-        sizes = [len(b) for b in band_partition(n_bath, units).band_members]
-        unit_of_mode = np.repeat(np.arange(units), sizes)
+    units, unit_of_mode = sampler.n_units(n_bath), sampler.unit_of_mode(n_bath)
+    plan = [(f, mirror, int(round(f * units))) for f, mirror in fraction_plan(sampler.grid_for(n_bath), units)]
+    ks = np.array([k for _, _, k in plan if k < units], dtype=int)
+    perms = np.array([_permutation(sampler, units, s_idx, t_index) for s_idx in sample_indices])
+    # bath modes (1..N) in each sample's unit order, and how many the first k units hold
+    order = np.argsort(np.argsort(perms, axis=1)[:, unit_of_mode], axis=1, kind="stable") + 1
+    counts = np.cumsum(np.bincount(unit_of_mode, minlength=units)[perms], axis=1)[:, ks - 1]
+    ahead = 2 * counts <= n_bath  # the near side is the drawn prefix, else the complement
+    near = np.where(ahead, counts, n_bath - counts)
+    reach = np.array([np.max(np.where(side, near, 0), axis=1, initial=0) for side in (ahead, ~ahead)])
+    values = np.empty((4, len(perms), len(ks)))  # MI drawn, MI mirror, negativity drawn, negativity mirror
+    step = max(1, STACK_BYTES // (8 * (2 * int(np.max(reach, initial=0)) + 2) ** 2))
+    for lo in range(0, len(perms), step):
+        part = slice(lo, lo + step)
+        for end, (takes, modes) in enumerate(((ahead[part], order[part]), (~ahead[part], order[part, ::-1]))):
+            for top in sorted(set(reach[end, part].tolist()) - {0}):
+                rows = np.flatnonzero(reach[end, part] == top)
+                stack = _blocks(data, modes[rows, :top])
+                chol = _cholesky(stack)
+                for e, taken in enumerate(np.where(takes[rows], near[part][rows], 0).T):
+                    for size in sorted(set(taken.tolist()) - {0}):
+                        at = np.flatnonzero(taken == size)
+                        at = slice(None) if len(at) == len(taken) else at  # leading blocks as views, unless a part
+                        lead = (at, slice(2 * size + 2), slice(2 * size + 2))
+                        got = _split(h_s, stack[lead], chol[lead])
+                        values[:, lo + rows[at], e] = got if end == 0 else got[[1, 0, 3, 2]]
     out: dict[str, dict[float, list[float]]] = {"mi": {}, "neg": {}}
 
     def record(f: float, mi: float, neg: float):
         out["mi"].setdefault(f, []).append(mi)
         out["neg"].setdefault(f, []).append(neg)
 
-    for f, mirror in fraction_plan(sampler.grid_for(n_bath), units):
-        size = int(round(f * units))
-        if size == units:
+    columns = iter(range(len(ks)))
+    for f, mirror, k in plan:
+        if k == units:
             if sample_indices.start == 0:
                 record(f, 2.0 * h_s, _pure_negativity(data))
             continue
-        picked = np.zeros((len(sample_indices), units), dtype=bool)
-        for row, s_idx in enumerate(sample_indices):
-            picked[row, _draw(sampler, size, units, s_idx, t_index)] = True
-        drawn = picked[:, unit_of_mode]
-        values = _in_stacks(drawn, lambda part: _split(data, h_s, part), lambda count: min(count, n_bath - count))
-        for mi_f, mi_c, neg_f, neg_c in values.T.tolist():
+        for mi_f, mi_c, neg_f, neg_c in values[:, :, next(columns)].T.tolist():
             record(f, mi_f, neg_f)
             if mirror is not None:
                 record(mirror, mi_c, neg_c)

@@ -248,17 +248,24 @@ def _skew_product(matrix: np.ndarray) -> np.ndarray:
     return half - np.swapaxes(half, -1, -2)
 
 
-def _factor(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(L, K, K^T K) of a matrix or of each matrix of a stack: sigma = L L^T and the antisymmetric K = L^T Omega L.
-
-    K comes from half a product (_skew_product).  Every step runs on the
-    whole stack, each matrix bit for bit as alone.  Raises DomainError,
-    counting nothing, when a matrix is not positive definite.
-    """
+def _cholesky(stack: np.ndarray) -> np.ndarray:
+    """L with sigma = L L^T, of a matrix or of each matrix of a stack, each bit for bit as alone; DomainError when one is not positive definite."""
     try:
-        chol = np.linalg.cholesky(stack)
+        return np.linalg.cholesky(stack)
     except np.linalg.LinAlgError as exc:
         raise DomainError("Williamson normal form needs a positive-definite matrix") from exc
+
+
+def _factor(stack: np.ndarray, chol: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(L, K, K^T K) of a matrix or of each matrix of a stack: sigma = L L^T and the antisymmetric K = L^T Omega L.
+
+    K comes from half a product (_skew_product).  chol, when the caller has
+    L (the leading block of a larger matrix's factor is the factor of that
+    leading block), is used as given.  Every step runs on the whole stack,
+    each matrix bit for bit as alone.  Raises DomainError, counting
+    nothing, when a matrix is not positive definite (_cholesky).
+    """
+    chol = _cholesky(stack) if chol is None else chol
     form = _skew_product(chol)
     return chol, form, np.swapaxes(form, -1, -2) @ form
 

@@ -17,11 +17,12 @@ from qbmlab.correlations import (
     BandPartition,
     CorrelationCurve,
     FractionSampler,
-    _draw,
+    _blocks,
     _in_stacks,
+    _permutation,
     _pure_negativity,
     _split,
-    band_partition,
+    fraction_plan,
 )
 from qbmlab.errors import DimensionMismatch, DomainError, ImpureState, QbmError, SubsetError
 from qbmlab.gaussian import (
@@ -29,6 +30,7 @@ from qbmlab.gaussian import (
     PURITY_TOL,
     CovarianceMatrix,
     ModeSubset,
+    _cholesky,
     _complex_williamson,
     _factor,
     _gram_spectra,
@@ -235,16 +237,75 @@ def sample_fraction(
     sample_index: int = 0,
     t_index: int = 0,
 ) -> ModeSubset:
-    """The engine's draw of round(f * units) unit indices as a ModeSubset.
+    """The engine's draw of round(f * units) unit indices as a ModeSubset: the first units of the sample's order (correlations._permutation).
 
-    Deterministic for fixed (seed, t_index, subset size, sample_index).
+    Deterministic for fixed (seed, t_index, sample_index); the draws of one
+    sample at two sizes are nested.
     """
     size = int(round(f * units))
     if not 1 <= size <= units:
         raise DomainError(f"fraction {f} of {units} units selects {size} units")
     if size == units:
         return ModeSubset.of(range(units), units)
-    return ModeSubset.of(sorted(int(i) for i in _draw(sampler, size, units, sample_index, t_index)), units)
+    return ModeSubset.of(sorted(int(i) for i in _permutation(sampler, units, sample_index, t_index)[:size]), units)
+
+
+def mask_blocks(data: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Blocks of S and the bath modes of each row of an (n, N) stack of masks that select equally many modes, system first, modes ascending."""
+    return _blocks(data, np.nonzero(masks)[1].reshape(len(masks), -1) + 1)
+
+
+def mask_split(data: np.ndarray, h_s: float, drawn: np.ndarray) -> np.ndarray:
+    """(MI, MI, negativity, negativity) of S with the drawn bath modes and with the rest, per row of an (n, N) stack of masks of equal count.
+
+    The per-draw path: the smaller side's block is extracted from the mask
+    (mask_blocks, modes ascending) and factored alone, not read off a
+    sample's shared prefix factor as fraction_samples does.
+    """
+    drawn_near = 2 * np.count_nonzero(drawn[0]) <= drawn.shape[1]
+    joints = mask_blocks(data, drawn if drawn_near else ~drawn)
+    values = _split(h_s, joints, _cholesky(joints))
+    return values if drawn_near else values[[1, 0, 3, 2]]
+
+
+def _mask_values(data: np.ndarray, h_s: float, drawn: np.ndarray) -> np.ndarray:
+    """mask_split of every row of an (n, N) stack of masks, in stacks of equal count (correlations._in_stacks)."""
+    n_bath = drawn.shape[1]
+    counts = np.count_nonzero(drawn, axis=1)
+    return _in_stacks(counts, lambda idx: mask_split(data, h_s, drawn[idx]), lambda c: 2 * min(c, n_bath - c) + 2)
+
+
+def mask_samples(data: np.ndarray, h_s: float, sampler: FractionSampler, sample_indices: range, t_index: int = 0) -> dict:
+    """correlations.fraction_samples on the per-draw mask path, on the same nested subsets.
+
+    Each grid point's draw of each sample (the first k units of its order)
+    becomes a bath mask, evaluated by mask_split: the block of its smaller
+    side in ascending mode order, factored alone.  The result has
+    fraction_samples' layout.
+    """
+    n_bath = data.shape[0] // 2 - 1
+    units, unit_of_mode = sampler.n_units(n_bath), sampler.unit_of_mode(n_bath)
+    perms = [_permutation(sampler, units, s_idx, t_index) for s_idx in sample_indices]
+    out: dict = {"mi": {}, "neg": {}}
+
+    def record(f: float, mi: float, neg: float):
+        out["mi"].setdefault(f, []).append(mi)
+        out["neg"].setdefault(f, []).append(neg)
+
+    for f, mirror in fraction_plan(sampler.grid_for(n_bath), units):
+        size = int(round(f * units))
+        if size == units:
+            if sample_indices.start == 0:
+                record(f, 2.0 * h_s, _pure_negativity(data))
+            continue
+        picked = np.zeros((len(perms), units), dtype=bool)
+        for row, perm in enumerate(perms):
+            picked[row, perm[:size]] = True
+        for mi_f, mi_c, neg_f, neg_c in _mask_values(data, h_s, picked[:, unit_of_mode]).T.tolist():
+            record(f, mi_f, neg_f)
+            if mirror is not None:
+                record(mirror, mi_c, neg_c)
+    return out
 
 
 def exact_fraction_means(data: np.ndarray, h_s: float, sampler: FractionSampler) -> tuple[np.ndarray, np.ndarray]:
@@ -252,7 +313,7 @@ def exact_fraction_means(data: np.ndarray, h_s: float, sampler: FractionSampler)
 
     At each grid point f < 1 every subset of round(f * units) sampling units
     (bath modes, or the bands of band_partition) is evaluated once, on the
-    stacked engine (_split via _in_stacks): the mean of a row is the
+    per-draw mask path (mask_split in stacks): the mean of a row is the
     estimand of the sampler's mean, with no sampling error, and its
     standard deviation over the subsets, divided by sqrt(samples), is the
     exact standard error of a mean of that many independent draws.  At
@@ -262,10 +323,7 @@ def exact_fraction_means(data: np.ndarray, h_s: float, sampler: FractionSampler)
     grows as 2^units: 14 bath modes take about 1.5 s.
     """
     n_bath = data.shape[0] // 2 - 1
-    units = sampler.n_units(n_bath)
-    unit_of_mode = np.arange(n_bath)
-    if sampler.unit == "band":
-        unit_of_mode = np.repeat(np.arange(units), [len(b) for b in band_partition(n_bath, units).band_members])
+    units, unit_of_mode = sampler.n_units(n_bath), sampler.unit_of_mode(n_bath)
     means, sds = [], []
     for f in sampler.grid_for(n_bath):
         size = int(round(f * units))
@@ -276,16 +334,14 @@ def exact_fraction_means(data: np.ndarray, h_s: float, sampler: FractionSampler)
         subsets = np.array(list(itertools.combinations(range(units), size)))
         picked = np.zeros((len(subsets), units), dtype=bool)
         np.put_along_axis(picked, subsets, True, axis=1)
-        values = _in_stacks(
-            picked[:, unit_of_mode], lambda part: _split(data, h_s, part), lambda count: min(count, n_bath - count)
-        )[[0, 2]]  # MI and negativity of the drawn side
+        values = _mask_values(data, h_s, picked[:, unit_of_mode])[[0, 2]]  # MI and negativity of the drawn side
         means.append(np.mean(values, axis=1))
         sds.append(np.std(values, axis=1))
     return np.array(means).T, np.array(sds).T
 
 
 def draw_blocks(n_drawn: int, n_bath: int) -> int:
-    """Row count 2M of S u near, the block whose Williamson decomposition _split takes for one draw.
+    """Row count 2M of S u near, the block whose Williamson decomposition _split takes for one draw (mask_split).
 
     Its partial transpose is then taken on the block's restricted subspace
     (gaussian._restricted_transposes), and the partner blocks of the

@@ -589,6 +589,22 @@ class TestChunks:
             assert max(sizes) - min(sizes) <= 1
 
 
+class TestNestedDraws:
+    @pytest.mark.parametrize("unit", ["oscillator", "band"])
+    def test_curve_bytes_independent_of_workers_and_cuts(self, tmp_path, monkeypatch, unit):
+        # each sample's draws are keyed on (seed, t-index, sample index) and its prefix factors on its
+        # own order, so 1, 2 or 20 slices per time point, on 1 or 2 workers, write the same curves;
+        # 30 modes in 7 bands hold 5 and 4 modes
+        runs = {}
+        for workers, cut in ((1, 1), (2, 2), (1, 2), (1, 20), (2, 20)):
+            monkeypatch.setattr(runner_mod, "_chunk_count", lambda *args, cut=cut: cut)
+            cfg = tiny_config(tmp_path / f"{workers}-{cut}", n_times=2, samples=20, n_bands=7, unit=unit, workers=workers)
+            run_experiment(cfg, ("piplot", "peplot"))
+            runs[workers, cut] = digest_dir(cfg.outdir)
+        assert len(runs[1, 1]) == 4  # two curve CSVs and their sidecars
+        assert all(run == runs[1, 1] for run in runs.values())
+
+
 class TestOnePath:
     def test_time_point_runs_on_arrays(self, tmp_path, monkeypatch, pinned_blas):
         # state, bands and curves of a time point call no object API, build
