@@ -30,39 +30,39 @@ number.
 The fraction plots rely on global purity of the closed dynamics, checked
 once per time point (gaussian.check_purity; an impure state raises
 ImpureState).  Purity lets every draw be evaluated on its smaller side: for
-a split of the N bath modes into k <= N/2 and N - k, the only block
-extracted is S u near, of k + 1 modes, and its purification partner (S and
-one ancilla per mixed mode) stands in for S u far (see _split).  Purity
-also gives the f = 1 negativity in closed form from the 2 x 2 system block
-(_pure_negativity), so the largest block is S u E_f at f = 1/2 (76 modes
-on the desk grid).
+a split of the N bath modes into k <= N/2 and N - k, only S u near, near the
+k modes, is evaluated, and its purification partner (S and one ancilla per
+mixed mode) stands in for S u far (see _split).  Purity also gives the
+f = 1 negativity in closed form from the 2 x 2 system block
+(_pure_negativity).
 
-A sample's near sides are leading blocks of one matrix: with S first and
-the bath modes in the sample's unit order, S u near is the block of S and
-the first modes, or, where the complement is the smaller side, of S and
-the first modes of the reversed order.  So fraction_samples extracts and
-factors (gaussian._cholesky) the block of S and the largest near side of
-each end once per sample, and every draw takes the leading blocks of that
-block and of its L, the factor of a leading block.  From there each draw
-is factored as before (gaussian._factor: K = L^T Omega L and K^T K) and
-everything is read off that factor: the real Williamson form
-(gaussian.purification: one eigh of K^T K) gives H(S u near), the partner
-and the partial transpose on S.  The partial transpose differs from 1/2
-only on the mixed Williamson pairs and at most two pure pairs, so its
-eigvalsh runs on at most 2 m + 4 rows, m the mixed modes (at most 14 on
-desk blocks of up to 76 modes).  On a desk time point (N = 150, 20
-samples, 12 drawn grid points) that is 20 permutations and 20 Cholesky
-factors of 76-mode blocks for 240 draws, and the summed cost (2 x
-modes)^3 of the spectra is 1.3e8 (2.5e8 with a full eigvalsh per partial
-transpose).
+Purity also spares every near side its whole block.  A mode that is pure
+in the reduced state of near is in product with everything else (Botero &
+Reznik, PRA 67, 052311 (2003)), so S u near and S u (the mixed Williamson
+modes of near) share every entropy and the negativity on S.  A sample's
+near sides are runs of one order: with the bath modes in the sample's unit
+order, near is the first modes of that order, or, where the complement is
+the smaller side, of the reversed order.  So fraction_samples sweeps each
+sample's ends once (_sweep).  It visits the near sides of an end in
+increasing size, and each step takes the Williamson form
+(gaussian._mixed_modes) of the modes kept so far, diag(nu), bordered by
+the modes added since the previous near side.  It keeps the new mixed
+modes, with their covariances against S and the modes later steps add.
+Each near side's block of S and its kept modes then goes through _split,
+all blocks of one size of the range as one stack.  There everything is
+read off one factor (gaussian._factor: K = L^T Omega L and K^T K): the real
+Williamson form (gaussian.purification) gives H(S u near), the partner and
+the partial transpose on S.  On a desk time point (N = 150, 20 samples, 12
+drawn grid points) the steps take blocks of at most 32 modes and keep at
+most 13, and the summed cost (2 x modes)^3 of all spectra, steps included,
+is 2.2e7, against 1.3e8 for the whole near sides of up to 76 modes.
 
 Bands run on the same kernels: band_correlations factors the block of
 S u band once for H(S u band) and its partial transpose, and the band's
 own block for H(band) (_band_values); it makes no purity assumption.
-Bands of one size go through _in_stacks as stacks, and the draws of one
-end and near-side size as stacks of leading blocks (_blocks, system
-first), each matrix bit for bit as alone; STACK_BYTES bounds the stacks.
-H(S) = h(nu_S) and the f = 1
+Bands of one size go through _in_stacks as stacks (_blocks, system first),
+which STACK_BYTES bounds.  Every stack, of bands, steps or splits, gives
+each matrix bit for bit its result alone.  H(S) = h(nu_S) and the f = 1
 negativity arccosh(2 nu_S) read one nu_S = sqrt(det sigma_S) of the 2 x 2
 system block (_system_nu); no function here takes a spectrum of it.
 """
@@ -77,10 +77,10 @@ from .errors import BadBandCount, DomainError
 from .gaussian import (
     NU_TOL,
     CovarianceMatrix,
-    _cholesky,
     _entropy_of_values,
     _factor,
     _gram_spectra,
+    _mixed_modes,
     _negativity_of_values,
     _scales,
     _transposed_spectra,
@@ -289,16 +289,12 @@ def fraction_plan(grid: np.ndarray, units: int) -> list[tuple[float, float | Non
     ]
 
 
-#: Working-memory budget of one stacked operand, as float64: fraction_samples
-#: evaluates its samples in slices whose prefix blocks (one per sample and
-#: end) take at most this many bytes, and bands go (_in_stacks) in slices of
-#: blocks of at most this many (at least one sample or block either way).
-#: A desk sample's prefix block of 76 modes takes 185 kB, so a 10-sample
-#: chunk is one slice and peaks at 10.9 MB under tracemalloc, and a
-#: 20-sample time point goes as 11 and 9 and peaks at 11.2 MB (20 MB as one
-#: slice); at 600 oscillators a slice holds one sample.  On 3 desk times of
-#: 2 x 10 samples (one BLAS thread), slices of 2 and of 5 samples took
-#: 1.5-1.9 and 1.1-1.5 times as long as slices of 10.
+#: Working-memory budget of one stacked operand of bands, as float64:
+#: _in_stacks cuts the bands of one size into slices of blocks of at most
+#: this many bytes (at least one block).  Fraction sampling needs no such
+#: cut: its steps and splits take blocks of at most about 33 modes on the
+#: desk grid, and a desk time point of 20 samples peaks at 3.6-4.1 MB under
+#: tracemalloc.
 STACK_BYTES = 1 << 21
 
 
@@ -316,10 +312,15 @@ def _pure_negativity(data: np.ndarray) -> float:
     return _negativity_of_values(np.array([0.25 / (nu + np.sqrt(max(nu * nu - 0.25, 0.0)))]))
 
 
+def _quadratures(modes: np.ndarray) -> np.ndarray:
+    """Row indices of the covariance array for S and the modes of each row of an (n, c) array of mode indices (1..N): (n, 2c + 2), S's x and p first."""
+    picked = np.column_stack((np.zeros(len(modes), dtype=int), modes))
+    return np.stack((2 * picked, 2 * picked + 1), axis=2).reshape(len(modes), -1)
+
+
 def _blocks(data: np.ndarray, modes: np.ndarray) -> np.ndarray:
     """Blocks of S and the bath modes of each row of an (n, c) array of mode indices (1..N), system first, in row order."""
-    picked = np.column_stack((np.zeros(len(modes), dtype=int), modes))
-    rows = np.stack((2 * picked, 2 * picked + 1), axis=2).reshape(len(modes), -1)
+    rows = _quadratures(modes)
     return data[rows[:, :, None], rows[:, None, :]]
 
 
@@ -357,12 +358,12 @@ def _band_values(data: np.ndarray, h_s: float, modes: np.ndarray) -> np.ndarray:
     return np.array([h_s + h_band - h_joint, neg])
 
 
-def _split(h_s: float, joints: np.ndarray, chol: np.ndarray) -> np.ndarray:
+def _split(h_s: float, joints: np.ndarray) -> np.ndarray:
     """(MI, MI, negativity, negativity) of S with the near bath modes of each block of a stack and with the rest, shape (4, n).
 
     joints is an (n, 2c + 2, 2c + 2) stack of blocks of S u near, near the
-    smaller side of a split of the bath, and chol their Cholesky factors.
-    Only S u near is factored (gaussian._factor).  Its Williamson
+    smaller side of a split of the bath, or the modes that stand in for it
+    (_sweep).  Only S u near is factored (gaussian._factor).  Its Williamson
     decomposition gives H(S u near) and a purification partner (S and one
     ancilla per mixed mode; see gaussian.purification), which stands in
     for S u far.  With global purity H(S u far) = H(near), H(far) =
@@ -374,7 +375,7 @@ def _split(h_s: float, joints: np.ndarray, chol: np.ndarray) -> np.ndarray:
     purification takes on its restricted subspace.  The rows are near,
     far, near, far.
     """
-    factor = _factor(joints, chol)
+    factor = _factor(joints)
     nu, partners, transposes = purification(joints, factor)
     h_joint, h_near, neg_far, neg_near = _entropy_of_values(nu), *np.empty((3, len(joints)))
     for idx, blocks in partners:
@@ -384,6 +385,61 @@ def _split(h_s: float, joints: np.ndarray, chol: np.ndarray) -> np.ndarray:
     for idx, tilde in transposes:
         neg_near[idx] = _negativity_of_values(tilde)
     return np.array([h_s + h_near - h_joint, h_s + h_joint - h_near, neg_near, neg_far])
+
+
+def _sweep(data: np.ndarray, modes: np.ndarray, sizes: np.ndarray) -> list:
+    """The block of S and the kept modes of each near side of one end: (blocks, samples, columns) stacks.
+
+    modes (n, N) holds the bath modes (1..N) of each sample in the order of
+    this end, and sizes (n, c) the near-side size of each grid column that
+    the end takes, 0 where it does not; a sample's sizes are distinct.  Each
+    sample visits its near sides in increasing size, and each step adds the
+    modes between the previous near side and this one.  It keeps, for the
+    near side E, only its mixed Williamson modes: their nu and the
+    covariances of their quadratures with S and with the modes that later
+    steps add (gaussian._mixed_modes).  A step's block holds the kept modes,
+    diag(nu), bordered by the added modes' rows and columns.  Dropping a
+    pure mode is exact in a globally pure state, so the block of S and the
+    kept modes (S first, then diag(nu) bordered by their covariances with
+    S) shares every entropy and the negativity on S with S u E (_split).
+    Samples step together, grouped by their kept count and the modes they
+    add, so each sample's arrays are sized by its own counts alone.
+    """
+    quads = _quadratures(modes)
+    steps, columns = np.sort(sizes, axis=1), np.argsort(sizes, axis=1, kind="stable")
+    last = np.max(sizes, axis=1, initial=0)  # no step reads a mode past its sample's largest near side
+    kept = [(np.empty(0), np.empty((0, 2 + 2 * top))) for top in last.tolist()]
+    out = []
+    for q in range(steps.shape[1]):
+        groups: dict[tuple, list] = {}
+        for s in np.flatnonzero(steps[:, q]).tolist():
+            key = (len(kept[s][0]), int(steps[s, q - 1]) if q else 0, int(steps[s, q]), int(last[s]))
+            groups.setdefault(key, []).append(s)
+        for (m, lo, hi, top), members in groups.items():
+            idx, width = np.array(members), 2 * (hi - lo)
+            nu = np.array([kept[s][0] for s in members]).reshape(len(idx), m)
+            rows = np.array([kept[s][1] for s in members]).reshape(len(idx), 2 * m, 2 + 2 * (top - lo))
+            added = quads[idx, 2 + 2 * lo : 2 + 2 * hi]
+            later = np.concatenate((quads[idx, :2], quads[idx, 2 + 2 * hi : 2 + 2 * top]), axis=1)
+            block = np.zeros((len(idx), 2 * m + width, 2 * m + width))
+            block[:, np.arange(2 * m), np.arange(2 * m)] = np.repeat(nu, 2, axis=1)
+            block[:, : 2 * m, 2 * m :] = rows[:, :, 2 : 2 + width]
+            block[:, 2 * m :, : 2 * m] = np.swapaxes(rows[:, :, 2 : 2 + width], 1, 2)
+            block[:, 2 * m :, 2 * m :] = data[added[:, :, None], added[:, None, :]]
+            # the block's quadratures against S and the modes of later steps
+            rest = np.concatenate((rows[:, :, :2], rows[:, :, 2 + width :]), axis=2)
+            cross = np.concatenate((rest, data[added[:, :, None], later[:, None, :]]), axis=1)
+            for at, nu_kept, rows_kept in _mixed_modes(block, cross):
+                for s, pair in zip(idx[at].tolist(), zip(nu_kept, rows_kept)):
+                    kept[s] = pair
+                size = 2 + 2 * nu_kept.shape[1]
+                joints = np.zeros((len(at), size, size))
+                joints[:, :2, :2] = data[:2, :2]
+                joints[:, 2:, :2] = rows_kept[:, :, :2]
+                joints[:, :2, 2:] = np.swapaxes(rows_kept[:, :, :2], 1, 2)
+                joints[:, np.arange(2, size), np.arange(2, size)] = np.repeat(nu_kept, 2, axis=1)
+                out.append((joints, idx[at], columns[idx[at], q]))
+    return out
 
 
 def fraction_samples(
@@ -402,25 +458,22 @@ def fraction_samples(
     The draws are nested: each sample orders the sampling units once
     (_permutation), grid point k draws the first k units, and its mirror
     holds the rest.  With the bath modes in that order (a band's modes in
-    a row, ascending) and S first, every near side (_split) is a leading
-    block: of this order where the draw is the smaller side, of the
-    reversed order where the complement is (unmirrored upper points, and
-    uneven bands).  So per sample and end, the block of S and the first K
-    modes, K the largest near side taken from that end, is extracted and
-    factored once (gaussian._cholesky), and each grid point takes the
-    leading blocks of both.  Draws of one end and near-side size go to
-    _split as one stack.  Each sample's K depends on its own order alone,
-    so neither its values nor the cut into slices depend on the other
-    samples.  The samples go through in slices whose largest blocks hold
-    at most STACK_BYTES per stacked operand (at least one sample).  At
-    f = 1 the mutual information is 2 H(S) and the negativity is read off
-    sigma_S (_pure_negativity), recorded once, by the range that starts at
-    index 0.  A self-mirrored point (f = 1/2) lists draw and complement
-    interleaved.  The stacked eigh's vectors, and with them the
-    pairing_repairs count, depend on the BLAS thread count.  The CLI and
-    the pool workers run BLAS on one thread, so only a library caller that
-    sets OPENBLAS_NUM_THREADS=1 (or the equivalent) before numpy loads is
-    sure of their bytes.
+    a row, ascending), every near side (_split) is a leading run: of this
+    order where the draw is the smaller side, of the reversed order where
+    the complement is (unmirrored upper points, and uneven bands).  So
+    each sample sweeps each end once (_sweep), one step per near side,
+    keeping only the mixed Williamson modes of the near side so far, and
+    every near side's block of S and its kept modes goes to _split, all
+    blocks of one size of the range as one stack.  Each sample's values
+    depend on its own order alone, so they do not depend on the other
+    samples of the range.  At f = 1 the mutual information is 2 H(S) and
+    the negativity is read off sigma_S (_pure_negativity), recorded once,
+    by the range that starts at index 0.  A self-mirrored point (f = 1/2)
+    lists draw and complement interleaved.  The stacked eigh's vectors, and
+    with them the pairing_repairs count, depend on the BLAS thread count.
+    The CLI and the pool workers run BLAS on one thread, so only a library
+    caller that sets OPENBLAS_NUM_THREADS=1 (or the equivalent) before
+    numpy loads is sure of their bytes.
     """
     n_bath = data.shape[0] // 2 - 1
     units, unit_of_mode = sampler.n_units(n_bath), sampler.unit_of_mode(n_bath)
@@ -432,23 +485,17 @@ def fraction_samples(
     counts = np.cumsum(np.bincount(unit_of_mode, minlength=units)[perms], axis=1)[:, ks - 1]
     ahead = 2 * counts <= n_bath  # the near side is the drawn prefix, else the complement
     near = np.where(ahead, counts, n_bath - counts)
-    reach = np.array([np.max(np.where(side, near, 0), axis=1, initial=0) for side in (ahead, ~ahead)])
     values = np.empty((4, len(perms), len(ks)))  # MI drawn, MI mirror, negativity drawn, negativity mirror
-    step = max(1, STACK_BYTES // (8 * (2 * int(np.max(reach, initial=0)) + 2) ** 2))
-    for lo in range(0, len(perms), step):
-        part = slice(lo, lo + step)
-        for end, (takes, modes) in enumerate(((ahead[part], order[part]), (~ahead[part], order[part, ::-1]))):
-            for top in sorted(set(reach[end, part].tolist()) - {0}):
-                rows = np.flatnonzero(reach[end, part] == top)
-                stack = _blocks(data, modes[rows, :top])
-                chol = _cholesky(stack)
-                for e, taken in enumerate(np.where(takes[rows], near[part][rows], 0).T):
-                    for size in sorted(set(taken.tolist()) - {0}):
-                        at = np.flatnonzero(taken == size)
-                        at = slice(None) if len(at) == len(taken) else at  # leading blocks as views, unless a part
-                        lead = (at, slice(2 * size + 2), slice(2 * size + 2))
-                        got = _split(h_s, stack[lead], chol[lead])
-                        values[:, lo + rows[at], e] = got if end == 0 else got[[1, 0, 3, 2]]
+    by_size: dict[int, list] = {}
+    for end, (takes, modes) in enumerate(((ahead, order), (~ahead, order[:, ::-1]))):
+        for joints, rows, cols in _sweep(data, modes, np.where(takes, near, 0)):
+            by_size.setdefault(joints.shape[-1], []).append((joints, rows, cols, end))
+    for parts in by_size.values():
+        got, at = _split(h_s, np.concatenate([joints for joints, *_ in parts])), 0
+        for joints, rows, cols, end in parts:
+            part = got[:, at : at + len(joints)]
+            values[:, rows, cols] = part if end == 0 else part[[1, 0, 3, 2]]
+            at += len(joints)
     out: dict[str, dict[float, list[float]]] = {"mi": {}, "neg": {}}
 
     def record(f: float, mi: float, neg: float):

@@ -12,26 +12,28 @@ The pipeline runs the array kernels on stacks of equal-size blocks, each
 counted by take_counts.  _factor takes a block's Cholesky factor L, K =
 L^T Omega L (half a product, _skew_product) and K^T K once, and every
 spectrum of the block is read off it: _gram_spectra, _transposed_spectra
-(the partial transpose on mode 0, by a full eigvalsh) and purification
-(the real Williamson form, the purification partners of mode 0 and the
-partial transpose on mode 0; _complex_williamson is its fallback).
-purification takes that partial transpose on the small subspace of the
-mixed Williamson pairs and the pure pairs that reach mode 0
-(_restricted_transposes), since every value outside it is 1/2;
+(the partial transpose on mode 0, by a full eigvalsh) and the real
+Williamson form (_williamson, with its run-time check and its fallback
+_complex_williamson).  Two callers share that form: purification (the
+purification partners of mode 0 and the partial transpose on mode 0) and
+_mixed_modes (a block's mixed modes and their covariances with other
+quadratures: one step of correlations._sweep).  purification takes that
+partial transpose on the small subspace of the mixed Williamson pairs and
+the pure pairs that reach mode 0 (_restricted_transposes), since every
+value outside it is 1/2;
 _transposed_spectra stays for the bands, the partners, the fallbacks, the
 blocks that subspace cannot shrink, and as the tests' oracle.
 _entropy_of_values and _negativity_of_values reduce one spectrum or a
 stack; the first is the package's one evaluation of the bosonic entropy
 h(nu), which entropy_function gives for one value and analytic.mi_value
 reads once for a whole grid of closed-form cells.  merge_counts adds the
-counters of several take_counts, each by its own rule (block_modes_max is
-a maximum).  _spectrum_of is the one entry point for a raw matrix that may
-be unphysical (the object API); it takes the eig path when the matrix is
-not positive definite.  No
-pipeline function calls it: H(S) is h(nu_S) of the 2 x 2 system block
-(correlations.system_entropy).  CovarianceMatrix is the validated full
-state that the model builds, and check_purity the pipeline's one check of
-it.
+counters of several take_counts, each by its own rule (block_modes_max
+and kept_modes_max are maxima).  _spectrum_of is the one entry point for a
+raw matrix that may be unphysical (the object API); it takes the eig path
+when the matrix is not positive definite.  No pipeline function calls it:
+H(S) is h(nu_S) of the 2 x 2 system block (correlations.system_entropy).
+CovarianceMatrix is the validated full state that the model builds, and
+check_purity the pipeline's one check of it.
 ModeSubset, partial_trace, partial_transpose, von_neumann_entropy,
 log_negativity and validate_state (the oracle of check_purity's bound)
 form the reference API on CovarianceMatrix objects, which the tests'
@@ -55,7 +57,7 @@ PAIRING_RTOL = 1e-8
 
 #: Gram-path guard: when gram[0] < GRAM_RTOL * gram[-1] (a spread
 #: nu_max/nu_min above about 316) the squared spectrum has lost too many
-#: digits of nu_min, and _gram_spectra takes svd(K) instead, purification
+#: digits of nu_min, and _gram_spectra takes svd(K) instead, _williamson
 #: _complex_williamson.
 GRAM_RTOL = 1e-5
 
@@ -70,7 +72,8 @@ SYMMETRY_TOL = 1e-8
 PURITY_TOL = 1e-8
 
 #: Williamson eigenvalues within this of 1/2, relative to the matrix scale,
-#: are pure modes and get no purifying ancilla.  The partner block stands in
+#: are pure modes: they get no purifying ancilla, and a step of the fraction
+#: sweep drops them (_mixed_modes).  The partner block stands in
 #: for H(near) (correlations._split), which holds only if every mode that
 #: carries entropy has its ancilla: on desk blocks a cut at 1e-13 of the
 #: scale misses up to 7.9e-11 of H(near), and 1e-15 misses at most 3.1e-12
@@ -82,10 +85,12 @@ PURITY_TOL = 1e-8
 #: ancilla that exact arithmetic would not give.  Such an ancilla carries
 #: the h(nu) that its mode adds to H(S u near), which moves the partner
 #: entropy toward H(near); a cut above the noise (16 eps x nu_max x scale)
-#: misses up to 9.5e-12 of H(near) on desk blocks.
+#: misses up to 9.5e-12 of H(near) on desk blocks.  The modes the sweep
+#: keeps hold H(near) within 1.8e-12 at every drawn grid point of desk and
+#: 300-oscillator samples.
 PURE_MODE_RTOL = 1e-15
 
-#: Run-time check of purification's real Williamson vectors (_mode_pairs):
+#: Run-time check of _williamson's real Williamson vectors (_mode_pairs):
 #: each mixed mode's residual |K b - nu a| / nu and its vectors' departure
 #: from orthonormality must not exceed this.  Within the Gram guard the
 #: residual of an eigh vector is at most about 1e-16 x 1e5; desk blocks
@@ -100,14 +105,16 @@ REACH_FLOOR = 1e-12
 
 #: Work done since the last take_counts(): spectra taken (a Williamson
 #: decomposition counts as one), their summed cost (2M)^3, the largest block
-#: in modes, svd fallbacks, Williamson decompositions, and of these the
-#: ones that purification repaired by Gram-Schmidt or took through
-#: _complex_williamson, and the ones whose partial transpose took the whole
-#: block because a check failed (_restricted_transposes); and the
-#: propagator builds that fell back to the dense eigh (model.make_propagator).
+#: in modes, svd fallbacks, Williamson decompositions (_williamson, for
+#: purification and for every step of the fraction sweep), and of these the
+#: ones repaired by Gram-Schmidt or taken through _complex_williamson, and
+#: the ones whose partial transpose took the whole block because a check
+#: failed (_restricted_transposes); the propagator builds that fell back to
+#: the dense eigh (model.make_propagator); and the most mixed modes one
+#: step of the sweep kept (_mixed_modes).
 _COUNTS = dict.fromkeys(
     ("spectra", "block_cost", "block_modes_max", "svd_fallbacks", "williamson", "pairing_repairs", "williamson_fallbacks",
-     "transpose_fallbacks", "propagator_fallbacks"),
+     "transpose_fallbacks", "propagator_fallbacks", "kept_modes_max"),
     0,
 )
 
@@ -120,9 +127,9 @@ def take_counts() -> dict[str, int]:
 
 
 def merge_counts(total: dict, counts: dict) -> None:
-    """Add counts (take_counts) to total, in place: block_modes_max is a maximum, every other count a sum."""
+    """Add counts (take_counts) to total, in place: block_modes_max and kept_modes_max are maxima, every other count a sum."""
     for k, v in counts.items():
-        total[k] = max(total.get(k, 0), v) if k == "block_modes_max" else total.get(k, 0) + v
+        total[k] = max(total.get(k, 0), v) if k in ("block_modes_max", "kept_modes_max") else total.get(k, 0) + v
 
 
 def _count_spectra(n: int, rows: int) -> None:
@@ -248,24 +255,17 @@ def _skew_product(matrix: np.ndarray) -> np.ndarray:
     return half - np.swapaxes(half, -1, -2)
 
 
-def _cholesky(stack: np.ndarray) -> np.ndarray:
-    """L with sigma = L L^T, of a matrix or of each matrix of a stack, each bit for bit as alone; DomainError when one is not positive definite."""
-    try:
-        return np.linalg.cholesky(stack)
-    except np.linalg.LinAlgError as exc:
-        raise DomainError("Williamson normal form needs a positive-definite matrix") from exc
-
-
-def _factor(stack: np.ndarray, chol: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _factor(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(L, K, K^T K) of a matrix or of each matrix of a stack: sigma = L L^T and the antisymmetric K = L^T Omega L.
 
-    K comes from half a product (_skew_product).  chol, when the caller has
-    L (the leading block of a larger matrix's factor is the factor of that
-    leading block), is used as given.  Every step runs on the whole stack,
-    each matrix bit for bit as alone.  Raises DomainError, counting
-    nothing, when a matrix is not positive definite (_cholesky).
+    K comes from half a product (_skew_product).  Every step runs on the
+    whole stack, each matrix bit for bit as alone.  Raises DomainError,
+    counting nothing, when a matrix is not positive definite.
     """
-    chol = _cholesky(stack) if chol is None else chol
+    try:
+        chol = np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError as exc:
+        raise DomainError("Williamson normal form needs a positive-definite matrix") from exc
     form = _skew_product(chol)
     return chol, form, np.swapaxes(form, -1, -2) @ form
 
@@ -448,30 +448,28 @@ def _negativity_of_values(tilde: np.ndarray):
     return float(total) if total.ndim == 0 else total
 
 
-def _complex_williamson(sigma: np.ndarray, chol: np.ndarray, form: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Williamson normal form sigma = S D S^T of a positive-definite matrix, or of each of a stack, from its factor.
+def _complex_williamson(sigma: np.ndarray, form: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Williamson normal form sigma = S D S^T of a positive-definite matrix, or of each of a stack, from its K = L^T Omega L (_factor).
 
-    Returns (nu, S): the symplectic eigenvalues nu ascending, and S with
-    S Omega S^T = Omega, where D = diag(nu_1, nu_1, ..., nu_M, nu_M); a
-    stack keeps its leading axis.  chol and form are L and K = L^T Omega L
-    (_factor); nothing is counted.  Raises PairingFailure when the
-    eigenvalues do not come in +-nu pairs (_pair_moduli).  purification
-    takes the same form in real arithmetic, and this one when its check
-    fails.  The Hermitian matrix i K has eigenvalues +-nu_j.  An eigenvector u_j of
-    +nu_j gives the columns sqrt(2) (Im u_j, Re u_j) of an orthogonal O that
-    brings K to the blocks nu_j [[0, 1], [-1, 0]], and S = L O D^(-1/2).
-    Every step runs on the whole stack, and each matrix comes out bit for
-    bit as alone.  The eigenvalues are not squared, so nu needs no Gram
+    Returns (nu, O): the symplectic eigenvalues nu ascending, and the
+    orthogonal O with O^T K O = blocks nu_j [[0, 1], [-1, 0]], so that
+    S = L O D^(-1/2) with D = diag(nu_1, nu_1, ..., nu_M, nu_M); a stack
+    keeps its leading axis, and nothing is counted.  Raises PairingFailure
+    when the eigenvalues do not come in +-nu pairs (_pair_moduli).
+    _williamson takes the same form in real arithmetic, and this one when
+    its check fails.  The Hermitian matrix i K has eigenvalues +-nu_j.  An
+    eigenvector u_j of +nu_j gives the columns sqrt(2) (Im u_j, Re u_j) of
+    O.  Every step runs on the whole stack, and each matrix comes out bit
+    for bit as alone.  The eigenvalues are not squared, so nu needs no Gram
     guard.
     """
     n = sigma.shape[-1] // 2
     values, vectors = np.linalg.eigh(1j * form)
     _pair_moduli(np.abs(values), _scales(sigma))
-    nu = values[..., n:]
     ortho = np.empty(sigma.shape)
     ortho[..., 0::2] = np.sqrt(2.0) * vectors[..., n:].imag
     ortho[..., 1::2] = np.sqrt(2.0) * vectors[..., n:].real
-    return nu, (chol @ ortho) / np.sqrt(np.repeat(nu, 2, axis=-1))[..., None, :]
+    return values[..., n:], ortho
 
 
 def _mode_pairs(form: np.ndarray, vectors: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -605,6 +603,89 @@ def _restricted_transposes(stack: np.ndarray, factor: tuple, scales: np.ndarray,
     return groups
 
 
+def _williamson(stack: np.ndarray, factor: tuple, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(nu, n_mixed, basis, fallback): the Williamson form of each matrix sigma of an (n, 2M, 2M) stack, from its factor (L, K, K^T K) and _scales.
+
+    The form is taken in real arithmetic: eigh(K^T K) gives nu^2 in pairs
+    (_sorted_pairs; nu (n, M) ascending) and the columns (a_j, b_j) of the
+    orthogonal O with O^T K O = blocks nu_j [[0, 1], [-1, 0]] (_mode_pairs),
+    so that sigma = S D S^T with S = L O D^(-1/2).  n_mixed counts each
+    matrix's mixed modes, nu_j above 1/2 by more than PURE_MODE_RTOL of the
+    scale (floored at 1); the rest are pure.  basis (n, 2p, 2M) holds the
+    rows a_1, b_1, a_2, ... of the top p pairs, descending in nu, p the
+    largest n_mixed; a matrix's rows past its own 2 n_mixed are not read.
+    Checked per matrix: every mixed mode's defect must be at most
+    WILLIAMSON_RTOL.  A matrix whose raw eigenvectors overlapped an earlier
+    pair by more than that was repaired by the Gram-Schmidt step
+    (``pairing_repairs``).  A matrix that fails the check, or whose moduli
+    trip the Gram guard or do not pair, takes nu and O from
+    _complex_williamson instead (``williamson_fallbacks``), and fallback
+    marks it.  Each decomposition counts as one spectrum and one
+    ``williamson``, and each matrix's result does not depend on the rest of
+    the stack.
+    """
+    n, rows = stack.shape[0], stack.shape[-1]
+    form, gram = factor[1:]
+    _count_spectra(n, rows)
+    _COUNTS["williamson"] += n
+    values, vectors = np.linalg.eigh(gram)
+    lo, hi, unpaired = _sorted_pairs(np.sqrt(values), scales)
+    nu = 0.5 * (lo + hi)
+    floor = PURE_MODE_RTOL * np.maximum(scales, 1.0)[:, None]
+    n_mixed = np.count_nonzero(nu - 0.5 > floor, axis=1)
+    fallback = ~(values[:, 0] >= GRAM_RTOL * values[:, -1]) | np.any(unpaired, axis=1)
+    p = int(np.max(n_mixed[~fallback], initial=0))
+    basis, defect, overlap = _mode_pairs(form, vectors, np.ascontiguousarray(nu[:, ::-1][:, :p]))
+    del vectors  # a stack's worth of memory, and only its top pairs were needed
+    first = np.arange(p) < n_mixed[:, None]  # each matrix's own mixed modes
+    _COUNTS["pairing_repairs"] += int(np.count_nonzero(np.any(first & (overlap > WILLIAMSON_RTOL), axis=1) & ~fallback))
+    fallback |= np.any(first & ~(defect <= WILLIAMSON_RTOL), axis=1)
+    swaps = []
+    for i in np.flatnonzero(fallback).tolist():
+        nu[i], ortho = _complex_williamson(stack[i], form[i])
+        n_mixed[i] = np.count_nonzero(nu[i] - 0.5 > floor[i])
+        swaps.append((i, ortho.T.reshape(-1, 2, rows)[::-1].reshape(rows, rows)))  # rows a_j, b_j, top pair first
+    if swaps:
+        _COUNTS["williamson_fallbacks"] += len(swaps)
+        basis = np.pad(basis, ((0, 0), (0, 2 * int(np.max(n_mixed)) - basis.shape[1]), (0, 0)))
+        for i, pairs in swaps:
+            basis[i, : 2 * n_mixed[i]] = pairs[: 2 * n_mixed[i]]
+    return nu, n_mixed, basis, fallback
+
+
+def _mixed_modes(stack: np.ndarray, cross: np.ndarray) -> list:
+    """The mixed Williamson modes of each matrix of a stack with their covariances against other quadratures: (indices, nu, rows) groups of one mode count.
+
+    stack (n, 2M, 2M) holds covariance blocks sigma and cross (n, 2M, C)
+    the covariances of the same 2M quadratures x with C others.  Each
+    sigma = S D S^T (_williamson, with its check and counted fallback); its
+    new quadratures y = S^-1 x are uncorrelated modes with covariance D.  A
+    mode that _williamson counts as pure is dropped, the rest, m of them,
+    are kept, top first: nu (g, m) and rows (g, 2m, C), the covariances of
+    their quadratures with the C others, through S^-1 = -Omega S^T Omega =
+    -Omega D^(-1/2) O^T L^T Omega.  In a globally pure state a pure mode of
+    sigma is in product with everything else (Botero & Reznik, PRA 67,
+    052311 (2003)), so the kept modes stand in for the block in every
+    entropy and negativity with the rest.  Each group's arrays are sized
+    by its own m, so each matrix's result is bit for bit its result alone.
+    Counts ``kept_modes_max``.
+    """
+    chol, form, gram = _factor(stack)
+    nu, n_mixed, basis, _ = _williamson(stack, (chol, form, gram), _scales(stack))
+    _COUNTS["kept_modes_max"] = max(_COUNTS["kept_modes_max"], int(np.max(n_mixed, initial=0)))
+    top, groups = nu[:, ::-1], []
+    for m in sorted(set(n_mixed.tolist())):
+        idx = np.flatnonzero(n_mixed == m)
+        kept = np.ascontiguousarray(top[idx, :m])
+        lead = basis[idx, : 2 * m] @ np.swapaxes(chol[idx], 1, 2)  # O^T L^T of the kept pairs
+        turned = np.empty_like(lead)  # O^T L^T Omega
+        turned[:, :, 0::2], turned[:, :, 1::2] = -lead[:, :, 1::2], lead[:, :, 0::2]
+        rows = turned @ (cross if len(idx) == len(cross) else cross[idx])
+        rows /= np.sqrt(np.repeat(kept, 2, axis=1))[:, :, None]
+        groups.append((idx, kept, -_omega_times(rows)))
+    return groups
+
+
 def purification(stack: np.ndarray, factor: tuple | None = None) -> tuple[np.ndarray, list, list]:
     """(nu, partners, transposes) of an (n, 2M, 2M) stack: Williamson eigenvalues, purification partners of mode 0, and partial transposes on mode 0.
 
@@ -623,18 +704,10 @@ def purification(stack: np.ndarray, factor: tuple | None = None) -> tuple[np.nda
     PRA 67, 052311 (2003)), and the block's entropy is that of sigma
     without mode 0.  With no mixed mode the block is mode 0 alone.
 
-    The normal form is taken in real arithmetic: eigh(K^T K) gives nu^2 in
-    pairs (_sorted_pairs) and the columns (a_j, b_j) of the orthogonal O
-    with O^T K O = blocks nu_j [[0, 1], [-1, 0]] (_mode_pairs).  Then
-    S = L O D^(-1/2), and the partner needs only rows 0 and 1 of S, from
-    L[:2, :2] and O[:2].  Checked per matrix: every mixed mode's defect must
-    be at most WILLIAMSON_RTOL.  A matrix whose raw eigenvectors overlapped
-    an earlier pair by more than that was repaired by the Gram-Schmidt step
-    (``pairing_repairs``).  A matrix that fails the check, or whose moduli
-    trip the Gram guard or do not pair, goes through _complex_williamson
-    with the same factor (``williamson_fallbacks``).  Each matrix's result
-    does not depend on the rest of the stack.  Each decomposition counts
-    as one spectrum and one ``williamson``.
+    The normal form, with its check and fallback, is _williamson's: S =
+    L O D^(-1/2), and the partner needs only rows 0 and 1 of S, from
+    L[:2, :2] and O[:2].  Each matrix's result does not depend on the rest
+    of the stack.
 
     transposes lists (indices into the stack, spectra) groups of the
     partial transpose on mode 0 of each sigma, read off the same
@@ -643,42 +716,22 @@ def purification(stack: np.ndarray, factor: tuple | None = None) -> tuple[np.nda
     at most 2 m + 4 rows per matrix; the values left out are 1/2), or, where
     that subspace is no smaller than the block, the whole block's.
     """
-    n, rows = stack.shape[0], stack.shape[-1]
     chol, form, gram = _factor(stack) if factor is None else factor
-    _count_spectra(n, rows)
-    _COUNTS["williamson"] += n
     scales = _scales(stack)
-    values, vectors = np.linalg.eigh(gram)
-    lo, hi, unpaired = _sorted_pairs(np.sqrt(values), scales)
-    nu = 0.5 * (lo + hi)
-    n_mixed = np.count_nonzero(nu - 0.5 > PURE_MODE_RTOL * np.maximum(scales, 1.0)[:, None], axis=1)
-    fallback = ~(values[:, 0] >= GRAM_RTOL * values[:, -1]) | np.any(unpaired, axis=1)
-    p = int(np.max(n_mixed[~fallback], initial=0))
-    top = np.ascontiguousarray(nu[:, ::-1][:, :p])
-    basis, defect, overlap = _mode_pairs(form, vectors, top)
-    del vectors  # a stack's worth of memory, and only its top pairs were needed
-    first = np.arange(p) < n_mixed[:, None]  # each matrix's own mixed modes
-    _COUNTS["pairing_repairs"] += int(np.count_nonzero(np.any(first & (overlap > WILLIAMSON_RTOL), axis=1) & ~fallback))
-    fallback |= np.any(first & ~(defect <= WILLIAMSON_RTOL), axis=1)
+    nu, n_mixed, basis, fallback = _williamson(stack, (chol, form, gram), scales)
+    top = nu[:, ::-1][:, : basis.shape[1] // 2]
     # rows 0 and 1 of S = L O D^(-1/2), elementwise (L[0, 1] = 0)
     root = np.sqrt(np.repeat(top, 2, axis=1))
     o_0, o_1 = basis[:, :, 0], basis[:, :, 1]
     s_rows = np.stack((chol[:, 0, 0, None] * o_0, chol[:, 1, 0, None] * o_0 + chol[:, 1, 1, None] * o_1), axis=1)
     s_rows /= root[:, None, :]
-    mixed = [(s_rows[i, :, : 2 * m], top[i, :m]) for i, m in enumerate(n_mixed.tolist())]
-    for i in np.flatnonzero(fallback).tolist():
-        _COUNTS["williamson_fallbacks"] += 1
-        nu[i], sym = _complex_williamson(stack[i], chol[i], form[i])
-        keep = np.flatnonzero(nu[i] - 0.5 > PURE_MODE_RTOL * max(scales[i], 1.0))
-        mixed[i] = (sym[:2, _rows(keep)], nu[i, keep])
-    sizes = np.array([len(nu_i) for _, nu_i in mixed])
     partners = []
-    for m in sorted(set(sizes.tolist())):
-        idx = np.flatnonzero(sizes == m)
-        nu_mixed = np.repeat(np.array([mixed[i][1] for i in idx]).reshape(len(idx), m), 2, axis=1)
+    for m in sorted(set(n_mixed.tolist())):
+        idx = np.flatnonzero(n_mixed == m)
+        nu_mixed = np.repeat(top[idx, :m], 2, axis=1)
         squeeze = np.sqrt(nu_mixed**2 - 0.25)
         squeeze[:, 1::2] *= -1.0  # the pair's momenta anti-correlate
-        cross = np.array([mixed[i][0] for i in idx]).reshape(len(idx), 2, 2 * m) * squeeze[:, None, :]
+        cross = s_rows[idx, :, : 2 * m] * squeeze[:, None, :]
         blocks = np.zeros((len(idx), 2 + 2 * m, 2 + 2 * m))
         blocks[:, :2, :2] = stack[idx, :2, :2]
         blocks[:, :2, 2:] = cross

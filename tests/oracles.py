@@ -30,7 +30,6 @@ from qbmlab.gaussian import (
     PURITY_TOL,
     CovarianceMatrix,
     ModeSubset,
-    _cholesky,
     _complex_williamson,
     _factor,
     _gram_spectra,
@@ -259,12 +258,12 @@ def mask_split(data: np.ndarray, h_s: float, drawn: np.ndarray) -> np.ndarray:
     """(MI, MI, negativity, negativity) of S with the drawn bath modes and with the rest, per row of an (n, N) stack of masks of equal count.
 
     The per-draw path: the smaller side's block is extracted from the mask
-    (mask_blocks, modes ascending) and factored alone, not read off a
-    sample's shared prefix factor as fraction_samples does.
+    (mask_blocks, modes ascending) and factored whole, not read off the
+    kept Williamson modes of a sample's sweep as fraction_samples does.
     """
     drawn_near = 2 * np.count_nonzero(drawn[0]) <= drawn.shape[1]
     joints = mask_blocks(data, drawn if drawn_near else ~drawn)
-    values = _split(h_s, joints, _cholesky(joints))
+    values = _split(h_s, joints)
     return values if drawn_near else values[[1, 0, 3, 2]]
 
 
@@ -377,7 +376,8 @@ def williamson(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     DomainError when a matrix is not positive definite.
     """
     chol, form, _ = _factor(sigma)
-    return _complex_williamson(sigma, chol, form)
+    nu, ortho = _complex_williamson(sigma, form)
+    return nu, (chol @ ortho) / np.sqrt(np.repeat(nu, 2, axis=-1))[..., None, :]
 
 
 def complex_purification(stack: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:

@@ -20,16 +20,19 @@ from qbmlab.correlations import _blocks, _permutation, _system_nu
 from qbmlab.config import parse_config
 from qbmlab.errors import BadBandCount, DomainError, ImpureState
 import qbmlab.correlations as correlations_mod
+import qbmlab.gaussian as gaussian_mod
 from qbmlab.gaussian import (
     NU_TOL,
     CovarianceMatrix,
     ModeSubset,
+    _entropy_of_values,
     _factor,
     _negativity_of_values,
     _spectrum_of,
     _transposed_spectra,
     entropy_function,
     log_negativity,
+    partial_trace,
     purification,
     take_counts,
     von_neumann_entropy,
@@ -102,7 +105,10 @@ RANDOM_BAND_NEG_TOL = 3e-11
 #: the partners' mutual information with S and negativity), and the partner
 #: entropy against H(near).  The partner's entropy misses the modes that
 #: PURE_MODE_RTOL leaves out; measured at most 3.1e-12 on the desk states,
-#: and 3.8e-12 at 300 oscillators.
+#: and 3.8e-12 at 300 oscillators.  The same bound holds the sum of h(nu)
+#: over the modes a sweep keeps against H(near) of the whole block
+#: (TestSweep): measured at most 1.7e-12 on the desk states and 1.8e-12 at
+#: 300 oscillators.
 DESK_TOL = 1e-11
 
 #: The partial-transpose spectrum from a block's own factor against a
@@ -124,12 +130,12 @@ RESTRICTED_NEG_TOL = 1e-12
 EXACT_PURITY_TOL = 1e-11
 
 
-#: fraction_samples (each near side a leading block of its sample's one
-#: prefix factor, modes in draw order) against the per-draw mask path
-#: (oracles.mask_samples: each block in ascending mode order, factored
-#: alone) on the same nested subsets.  Measured at most 1.7e-12 (desk r = 5,
-#: t = 10/39), and at most 2.5e-13 at the other desk points, at 300
-#: oscillators, on uneven bands and on grids with unmirrored upper points.
+#: fraction_samples (each near side read off the mixed modes its sample's
+#: sweep kept) against the per-draw mask path (oracles.mask_samples: each
+#: near side's whole block in ascending mode order) on the same nested
+#: subsets.  Measured at most 1.7e-12 (300 oscillators), 1.4e-12 at the
+#: desk points (r = 5, t = 10/39) and on uneven bands, and 9.0e-13 on a
+#: grid with unmirrored upper points.
 NESTED_TOL = 1e-11
 
 #: I(S : E_f) and the negativity of one sample along its nested draws (and
@@ -559,21 +565,16 @@ class TestStackedEngine:
 
     @staticmethod
     def assert_stacking_changes_no_bit(cov, sampler, t_index=0):
+        # every sample evaluated alone, so each of its steps and splits runs in a stack of one
         grid = sampler.grid_for(cov.n_modes - 1)
         every = range(sampler.samples_per_point)
         h_s = system_entropy(cov)
-        runs = [fraction_samples(cov.data, h_s, sampler, every, t_index)]
-        with pytest.MonkeyPatch.context() as patch:
-            # slices of a few small blocks, so that some slices are partial
-            patch.setattr(correlations_mod, "STACK_BYTES", 1 << 11)
-            runs.append(fraction_samples(cov.data, h_s, sampler, every, t_index))
-            # stacks sliced to one draw, so every decomposition and spectrum runs alone
-            patch.setattr(correlations_mod, "STACK_BYTES", 1)
-            alone = fraction_samples(cov.data, h_s, sampler, every, t_index)
-        for run in runs:
-            for m in ("mi", "neg"):
-                for f in grid:
-                    assert np.array(run[m][f]).tobytes() == np.array(alone[m][f]).tobytes(), (m, f)
+        whole = fraction_samples(cov.data, h_s, sampler, every, t_index)
+        alone = [fraction_samples(cov.data, h_s, sampler, range(i, i + 1), t_index) for i in every]
+        for m in ("mi", "neg"):
+            for f in grid:
+                got = np.array([v for run in alone for v in run[m].get(f, ())])
+                assert got.tobytes() == np.array(whole[m][f]).tobytes(), (m, f)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -606,43 +607,33 @@ class TestStackedEngine:
         full = log_negativity(cov, ModeSubset.of([0], cov.n_modes))
         assert neg_curve.mean[-1] == pytest.approx(full, rel=0, abs=F_ONE_NEG_TOL)
 
-    def test_desk_time_point_memory(self, monkeypatch):
-        # samples go in slices whose prefix blocks hold at most STACK_BYTES: a desk time point's
-        # 20 samples go as 11 and 9 and peak at 11.2 MB, and at 20 MB as one slice
+    def test_desk_time_point_memory(self):
+        # the sweep holds each sample's kept modes and one step's blocks of at most about 33
+        # modes: a desk time point's 20 samples peak at 3.6-4.1 MB under tracemalloc (seeds 1-3)
         _, cov = evolved_state(n_osc=150, t=5.128, r=-5.0)
         sampler = FractionSampler(seed=1, samples_per_point=20)
         h_s = system_entropy(cov)
-        stacks = []
-
-        def spy(data, modes):
-            stacks.append(modes.shape)
-            return _blocks(data, modes)
-
-        monkeypatch.setattr(correlations_mod, "_blocks", spy)
         tracemalloc.start()
         try:
             fraction_samples(cov.data, h_s, sampler, range(20), 20)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 14e6
-        assert stacks == [(11, 75), (9, 75)]  # one prefix block of 76 modes per sample
-        stacks.clear()
-        fraction_samples(cov.data, h_s, sampler, range(10), 20)
-        assert stacks == [(10, 75)]  # a desk-curves chunk of 10 samples is one slice
+        assert peak < 5e6
 
-    def test_one_sample_per_slice_at_600_oscillators(self, monkeypatch):
+    def test_memory_at_600_oscillators(self):
+        # one step adds the 240 modes between k = 60 and 300, a block of about 255 modes per
+        # sample: 2 samples peak at 11.0-21.4 MB under tracemalloc (seeds 1-3)
         _, cov = evolved_state(n_osc=600, t=5.128, r=-5.0)
-        stacks = []
-
-        def spy(data, modes):
-            stacks.append(modes.shape)
-            return _blocks(data, modes)
-
-        monkeypatch.setattr(correlations_mod, "_blocks", spy)
         sampler = FractionSampler(seed=1, samples_per_point=2, f_grid=np.array([0.1, 0.5, 1.0]))
-        fraction_samples(cov.data, system_entropy(cov), sampler, range(2), 3)
-        assert stacks == [(1, 300), (1, 300)]
+        h_s = system_entropy(cov)
+        tracemalloc.start()
+        try:
+            fraction_samples(cov.data, h_s, sampler, range(2), 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6
 
 
 def assert_restricted_matches(joints, transposes):
@@ -664,7 +655,7 @@ class TestDeskBlocks:
         take_counts()
         orders = np.array([_permutation(sampler, 150, s_idx, t_index) for s_idx in range(2)]) + 1
         for size in (1, 15, 75):
-            joints = _blocks(cov.data, orders[:, :size])  # nested draws, modes in draw order as fraction_samples takes them
+            joints = _blocks(cov.data, orders[:, :size])  # nested draws, modes in draw order
             nu, partners, transposes = purification(joints)
             assert_restricted_matches(joints, transposes)
             nu_c, blocks_c = complex_purification(joints)
@@ -762,7 +753,7 @@ class TestExactSubsetMeans:
 
 
 def assert_matches_mask_path(cov, sampler, t_index):
-    """fraction_samples against oracles.mask_samples on the same nested subsets: NESTED_TOL, no fallback, equal spectrum counts."""
+    """fraction_samples against oracles.mask_samples on the same nested subsets: NESTED_TOL, no fallback, smaller blocks."""
     h_s = system_entropy(cov)
     every = range(sampler.samples_per_point)
     take_counts()
@@ -776,12 +767,14 @@ def assert_matches_mask_path(cov, sampler, t_index):
             assert np.max(np.abs(np.array(got[m][f]) - np.array(want[m][f]))) <= NESTED_TOL, (m, f)
     for counts in (fast, slow):
         assert (counts["williamson_fallbacks"], counts["transpose_fallbacks"]) == (0, 0)
-    for name in ("spectra", "block_cost", "block_modes_max", "williamson"):
-        assert fast[name] == slow[name], name
+    # the sweep's steps and splits cost less than one whole near side per draw, and every
+    # kept mode came out of a step block
+    assert fast["block_cost"] < slow["block_cost"]
+    assert 0 < fast["kept_modes_max"] <= fast["block_modes_max"]
 
 
 class TestNestedAgainstMaskPath:
-    """Shared prefix factors against the per-draw mask path (the oracle), on the same nested subsets."""
+    """The sweep's kept modes against the per-draw mask path (the oracle), on the same nested subsets."""
 
     @pytest.mark.parametrize("r", [-5.0, 5.0])
     @pytest.mark.parametrize("t_index, t", [(1, 10.0 / 39.0), (20, 5.128), (39, 10.0)])
@@ -830,6 +823,84 @@ class TestNestedAgainstMaskPath:
         for m in ("mi", "neg"):
             for f in got[m]:
                 assert np.max(np.abs(np.array(got[m][f]) - np.array(want[m][f]))) <= 1e-10, (m, f)
+
+
+def drawn_points(sampler: FractionSampler, n_bath: int) -> int:
+    """How many grid points of the plan are drawn (every one but f = 1)."""
+    units = sampler.n_units(n_bath)
+    return sum(round(f * units) < units for f, _ in fraction_plan(sampler.grid_for(n_bath), units))
+
+
+class TestSweep:
+    """What the sweep assumes: the pure modes it drops carry no entropy, and a step that fails its check takes the counted fallback."""
+
+    @staticmethod
+    def kept_entropies(cov, sampler, t_index):
+        """(sum of h(nu) over the kept modes, H(near) of the object API) at every drawn grid point of every sample."""
+        sweep, seen = correlations_mod._sweep, []
+
+        def spy(data, modes, sizes):
+            out = sweep(data, modes, sizes)
+            seen.append((modes, sizes, out))
+            return out
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(correlations_mod, "_sweep", spy)
+            fraction_samples(cov.data, system_entropy(cov), sampler, range(sampler.samples_per_point), t_index)
+        got, want = [], []
+        for modes, sizes, out in seen:
+            for joints, rows, cols in out:
+                for joint, s, c in zip(joints, rows.tolist(), cols.tolist()):
+                    # the kept modes' block is diag(nu, nu, ...) after S's two rows
+                    got.append(_entropy_of_values(np.diagonal(joint)[2::2]))
+                    near = ModeSubset.of(modes[s, : sizes[s, c]].tolist(), cov.n_modes)
+                    want.append(von_neumann_entropy(partial_trace(cov, near)))
+        assert len(got) == sampler.samples_per_point * drawn_points(sampler, cov.n_modes - 1)
+        return np.array(got), np.array(want)
+
+    @pytest.mark.parametrize("r", [-5.0, 5.0])
+    @pytest.mark.parametrize("t_index, t", [(1, 10.0 / 39.0), (20, 5.128), (39, 10.0)])
+    def test_kept_modes_hold_the_near_entropy(self, r, t_index, t):
+        _, cov = evolved_state(n_osc=150, t=t, r=r)
+        got, want = self.kept_entropies(cov, FractionSampler(seed=3, samples_per_point=4), t_index)
+        assert np.max(np.abs(got - want)) <= DESK_TOL
+
+    def test_kept_modes_hold_the_near_entropy_at_300_oscillators(self):
+        _, cov = evolved_state(n_osc=300, t=5.128, r=-5.0)
+        got, want = self.kept_entropies(cov, FractionSampler(seed=3, samples_per_point=2), 20)
+        assert np.max(np.abs(got - want)) <= DESK_TOL
+
+    def test_reversed_sweep_of_unmirrored_upper_points(self):
+        # f = 100/150 has no mirror on the grid: its near side is the last 50 modes of each order
+        _, cov = evolved_state(n_osc=150, t=5.128, r=-5.0)
+        sampler = FractionSampler(seed=7, samples_per_point=4, f_grid=np.array([2, 30, 75, 100, 120, 150]) / 150)
+        got, want = self.kept_entropies(cov, sampler, 20)
+        assert np.max(np.abs(got - want)) <= DESK_TOL
+
+    def test_failed_step_check_takes_the_complex_form(self):
+        # no defect passes a negative WILLIAMSON_RTOL, so every step falls back to
+        # _complex_williamson; the splits keep the real form
+        _, cov = evolved_state(n_osc=150, t=5.128, r=-5.0)
+        sampler = FractionSampler(seed=3, samples_per_point=4)
+        h_s = system_entropy(cov)
+        mixed_modes, steps = correlations_mod._mixed_modes, []
+
+        def failing(stack, cross):
+            steps.append(len(stack))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(gaussian_mod, "WILLIAMSON_RTOL", -1.0)
+                return mixed_modes(stack, cross)
+
+        take_counts()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(correlations_mod, "_mixed_modes", failing)
+            got = fraction_samples(cov.data, h_s, sampler, range(4), 20)
+        counts = take_counts()
+        assert counts["williamson_fallbacks"] == sum(steps) > 0
+        want = mask_samples(cov.data, h_s, sampler, range(4), 20)
+        for m in ("mi", "neg"):
+            for f in got[m]:
+                assert np.max(np.abs(np.array(got[m][f]) - np.array(want[m][f]))) <= NESTED_TOL, (m, f)
 
 
 def nested_chains(samples: dict, sampler: FractionSampler, n_bath: int) -> list[np.ndarray]:

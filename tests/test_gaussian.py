@@ -57,7 +57,7 @@ SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 NO_COUNTS = dict.fromkeys(
     ("spectra", "block_cost", "block_modes_max", "svd_fallbacks", "williamson", "pairing_repairs", "williamson_fallbacks",
-     "transpose_fallbacks", "propagator_fallbacks"),
+     "transpose_fallbacks", "propagator_fallbacks", "kept_modes_max"),
     0,
 )
 

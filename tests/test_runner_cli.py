@@ -592,7 +592,7 @@ class TestChunks:
 class TestNestedDraws:
     @pytest.mark.parametrize("unit", ["oscillator", "band"])
     def test_curve_bytes_independent_of_workers_and_cuts(self, tmp_path, monkeypatch, unit):
-        # each sample's draws are keyed on (seed, t-index, sample index) and its prefix factors on its
+        # each sample's draws are keyed on (seed, t-index, sample index) and its sweep runs on its
         # own order, so 1, 2 or 20 slices per time point, on 1 or 2 workers, write the same curves;
         # 30 modes in 7 bands hold 5 and 4 modes
         runs = {}
