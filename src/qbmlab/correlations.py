@@ -9,9 +9,9 @@ I(f) + I(1-f) = 2 H(S) hold per sample and halves the number of draws.
 A PI/PE evaluation has three steps.  fraction_plan lists the sampled grid
 points, each with the mirror point that its complements fill.
 fraction_samples evaluates a contiguous range of sample indices at every
-grid point of the plan, on index arrays of the covariance array, and
-fraction_curves reduces the samples of every slice to the (PI, PE) pair
-of curves.  Every draw is evaluated on both sides, both measures at once
+grid point of the plan, on index arrays of the covariance array (or of a
+stack of them, one per time point, all in one call), and fraction_curves
+reduces the samples of every slice to the (PI, PE) pair of curves.  Every draw is evaluated on both sides, both measures at once
 (_split); a point whose mirror is off the grid keeps its drawn side
 only.  pi_pe_plots evaluates every sample index in one range; the runner
 cuts the indices into slices that workers evaluate in any order, and
@@ -43,25 +43,28 @@ modes of near) share every entropy and the negativity on S.  A sample's
 near sides are runs of one order: with the bath modes in the sample's unit
 order, near is the first modes of that order, or, where the complement is
 the smaller side, of the reversed order.  So fraction_samples sweeps each
-sample's ends once (_sweep).  It visits the near sides of an end in
+row's ends once (_sweep), a row being one sample at one time point.  It visits the near sides of an end in
 increasing size, and each step takes the Williamson form
 (gaussian._mixed_modes) of the modes kept so far, diag(nu), bordered by
 the modes added since the previous near side.  It keeps the new mixed
 modes, with their covariances against S and the modes later steps add.
-Each near side's block of S and its kept modes then goes through _split,
-all blocks of one size of the range as one stack.  There everything is
-read off one factor (gaussian._factor: K = L^T Omega L and K^T K): the real
-Williamson form (gaussian.purification) gives H(S u near), the partner and
-the partial transpose on S.  On a desk time point (N = 150, 20 samples, 12
-drawn grid points) the steps take blocks of at most 32 modes and keep at
-most 13, and the summed cost (2 x modes)^3 of all spectra, steps included,
-is 2.2e7, against 1.3e8 for the whole near sides of up to 76 modes.
+The sum of h(nu) over the kept modes is H(near).  Each near side's block
+of S and its kept modes then goes through _split, all blocks of one size
+of the call as one stack.  There everything is read off one factor
+(gaussian._factor: K = L^T Omega L and K^T K): the real Williamson form
+(gaussian.purification) gives H(S u near) and the partner, and the same
+factor the partial transpose on S.  On a desk time point (N = 150, 20
+samples, 12 drawn grid points) the steps take blocks of at most 32 modes
+and keep at most 13, and the summed cost (2 x modes)^3 of all spectra,
+steps included, is 2.0e7, against 1.3e8 for the whole near sides of up to
+76 modes.
 
 Bands run on the same kernels: band_correlations factors the block of
 S u band once for H(S u band) and its partial transpose, and the band's
 own block for H(band) (_band_values); it makes no purity assumption.
 Bands of one size go through _in_stacks as stacks (_blocks, system first),
-which STACK_BYTES bounds.  Every stack, of bands, steps or splits, gives
+which STACK_BYTES bounds, as it bounds the sweep's steps.  Every stack, of
+bands, steps or splits, gives
 each matrix bit for bit its result alone.  H(S) = h(nu_S) and the f = 1
 negativity arccosh(2 nu_S) read one nu_S = sqrt(det sigma_S) of the 2 x 2
 system block (_system_nu); no function here takes a spectrum of it.
@@ -289,12 +292,13 @@ def fraction_plan(grid: np.ndarray, units: int) -> list[tuple[float, float | Non
     ]
 
 
-#: Working-memory budget of one stacked operand of bands, as float64:
-#: _in_stacks cuts the bands of one size into slices of blocks of at most
-#: this many bytes (at least one block).  Fraction sampling needs no such
-#: cut: its steps and splits take blocks of at most about 33 modes on the
-#: desk grid, and a desk time point of 20 samples peaks at 3.6-4.1 MB under
-#: tracemalloc.
+#: Working-memory budget of one stacked operand, as float64: _in_stacks
+#: cuts the bands of one size, and _sweep each step's blocks of one shape,
+#: into slices of blocks of at most this many bytes (at least one block).
+#: On the desk grid the steps take blocks of at most about 33 modes and no
+#: cut falls; at 600 oscillators a step adds up to 94 modes, and uncut, the
+#: 30 rows of 10 samples at 3 time points peaked at 28-29 MB under
+#: tracemalloc, against 16-17 MB cut.
 STACK_BYTES = 1 << 21
 
 
@@ -358,56 +362,52 @@ def _band_values(data: np.ndarray, h_s: float, modes: np.ndarray) -> np.ndarray:
     return np.array([h_s + h_band - h_joint, neg])
 
 
-def _split(h_s: float, joints: np.ndarray) -> np.ndarray:
+def _split(h_s: float | np.ndarray, joints: np.ndarray, h_near: np.ndarray) -> np.ndarray:
     """(MI, MI, negativity, negativity) of S with the near bath modes of each block of a stack and with the rest, shape (4, n).
 
     joints is an (n, 2c + 2, 2c + 2) stack of blocks of S u near, near the
     smaller side of a split of the bath, or the modes that stand in for it
-    (_sweep).  Only S u near is factored (gaussian._factor).  Its Williamson
-    decomposition gives H(S u near) and a purification partner (S and one
-    ancilla per mixed mode; see gaussian.purification), which stands in
-    for S u far.  With global purity H(S u far) = H(near), H(far) =
-    H(S u near) and H(near) = H(S u ancillas), so
+    (_sweep); h_s holds H(S) and h_near H(near) of each block (or one value
+    for all).  Only S u near is factored, in gaussian.purification.  Its
+    Williamson decomposition gives H(S u near) and a purification partner
+    (S and one ancilla per mixed mode), which stands in for S u far.  With
+    global purity H(S u far) = H(near) and H(far) = H(S u near), so
         I(S : near) = H(S) + H(near) - H(S u near),
         I(S : far)  = H(S) + H(S u near) - H(near).
     The negativity against far is read off the partner's partial
-    transpose, and the one against near off that of S u near, which
-    purification takes on its restricted subspace.  The rows are near,
-    far, near, far.
+    transpose, and the one against near off that of S u near.  The rows are
+    near, far, near, far.
     """
-    factor = _factor(joints)
-    nu, partners, transposes = purification(joints, factor)
-    h_joint, h_near, neg_far, neg_near = _entropy_of_values(nu), *np.empty((3, len(joints)))
+    nu, partners, transposes = purification(joints)
+    h_joint, neg_far = _entropy_of_values(nu), np.empty(len(joints))
     for idx, blocks in partners:
-        chol, form, gram = _factor(blocks)
-        h_near[idx] = _entropy_of_values(_gram_spectra(form, gram, _scales(blocks)))
-        neg_far[idx] = _negativity_of_values(_transposed_spectra(blocks, (chol, form, gram)))
-    for idx, tilde in transposes:
-        neg_near[idx] = _negativity_of_values(tilde)
-    return np.array([h_s + h_near - h_joint, h_s + h_joint - h_near, neg_near, neg_far])
+        neg_far[idx] = _negativity_of_values(_transposed_spectra(blocks, _factor(blocks)))
+    return np.array([h_s + h_near - h_joint, h_s + h_joint - h_near, _negativity_of_values(transposes), neg_far])
 
 
-def _sweep(data: np.ndarray, modes: np.ndarray, sizes: np.ndarray) -> list:
-    """The block of S and the kept modes of each near side of one end: (blocks, samples, columns) stacks.
+def _sweep(data: np.ndarray, state: np.ndarray, modes: np.ndarray, sizes: np.ndarray) -> list:
+    """The block of S and the kept modes of each near side of one end: (blocks, rows, columns) stacks.
 
-    modes (n, N) holds the bath modes (1..N) of each sample in the order of
-    this end, and sizes (n, c) the near-side size of each grid column that
-    the end takes, 0 where it does not; a sample's sizes are distinct.  Each
-    sample visits its near sides in increasing size, and each step adds the
-    modes between the previous near side and this one.  It keeps, for the
-    near side E, only its mixed Williamson modes: their nu and the
-    covariances of their quadratures with S and with the modes that later
-    steps add (gaussian._mixed_modes).  A step's block holds the kept modes,
-    diag(nu), bordered by the added modes' rows and columns.  Dropping a
-    pure mode is exact in a globally pure state, so the block of S and the
-    kept modes (S first, then diag(nu) bordered by their covariances with
-    S) shares every entropy and the negativity on S with S u E (_split).
-    Samples step together, grouped by their kept count and the modes they
-    add, so each sample's arrays are sized by its own counts alone.
+    data (T, 2N + 2, 2N + 2) holds covariance arrays and state the one that
+    each row reads.  modes (n, N) holds the bath modes (1..N) of each row in
+    the order of this end, and sizes (n, c) the near-side size of each grid
+    column that the end takes, 0 where it does not; a row's sizes are
+    distinct.  Each row visits its near sides in increasing size, and each
+    step adds the modes between the previous near side and this one.  It
+    keeps, for the near side E, only its mixed Williamson modes: their nu
+    and the covariances of their quadratures with S and with the modes that
+    later steps add (gaussian._mixed_modes).  A step's block holds the kept
+    modes, diag(nu), bordered by the added modes' rows and columns.
+    Dropping a pure mode is exact in a globally pure state, so the block of
+    S and the kept modes (S first, then diag(nu) bordered by their
+    covariances with S) shares every entropy and the negativity on S with
+    S u E (_split).  Rows step together, grouped by their kept count and
+    the modes they add, in slices of at most STACK_BYTES per block, so each
+    row's arrays are sized by its own counts alone.
     """
     quads = _quadratures(modes)
     steps, columns = np.sort(sizes, axis=1), np.argsort(sizes, axis=1, kind="stable")
-    last = np.max(sizes, axis=1, initial=0)  # no step reads a mode past its sample's largest near side
+    last = np.max(sizes, axis=1, initial=0)  # no step reads a mode past its row's largest near side
     kept = [(np.empty(0), np.empty((0, 2 + 2 * top))) for top in last.tolist()]
     out = []
     for q in range(steps.shape[1]):
@@ -416,71 +416,84 @@ def _sweep(data: np.ndarray, modes: np.ndarray, sizes: np.ndarray) -> list:
             key = (len(kept[s][0]), int(steps[s, q - 1]) if q else 0, int(steps[s, q]), int(last[s]))
             groups.setdefault(key, []).append(s)
         for (m, lo, hi, top), members in groups.items():
-            idx, width = np.array(members), 2 * (hi - lo)
-            nu = np.array([kept[s][0] for s in members]).reshape(len(idx), m)
-            rows = np.array([kept[s][1] for s in members]).reshape(len(idx), 2 * m, 2 + 2 * (top - lo))
-            added = quads[idx, 2 + 2 * lo : 2 + 2 * hi]
-            later = np.concatenate((quads[idx, :2], quads[idx, 2 + 2 * hi : 2 + 2 * top]), axis=1)
-            block = np.zeros((len(idx), 2 * m + width, 2 * m + width))
-            block[:, np.arange(2 * m), np.arange(2 * m)] = np.repeat(nu, 2, axis=1)
-            block[:, : 2 * m, 2 * m :] = rows[:, :, 2 : 2 + width]
-            block[:, 2 * m :, : 2 * m] = np.swapaxes(rows[:, :, 2 : 2 + width], 1, 2)
-            block[:, 2 * m :, 2 * m :] = data[added[:, :, None], added[:, None, :]]
-            # the block's quadratures against S and the modes of later steps
-            rest = np.concatenate((rows[:, :, :2], rows[:, :, 2 + width :]), axis=2)
-            cross = np.concatenate((rest, data[added[:, :, None], later[:, None, :]]), axis=1)
-            for at, nu_kept, rows_kept in _mixed_modes(block, cross):
-                for s, pair in zip(idx[at].tolist(), zip(nu_kept, rows_kept)):
-                    kept[s] = pair
-                size = 2 + 2 * nu_kept.shape[1]
-                joints = np.zeros((len(at), size, size))
-                joints[:, :2, :2] = data[:2, :2]
-                joints[:, 2:, :2] = rows_kept[:, :, :2]
-                joints[:, :2, 2:] = np.swapaxes(rows_kept[:, :, :2], 1, 2)
-                joints[:, np.arange(2, size), np.arange(2, size)] = np.repeat(nu_kept, 2, axis=1)
-                out.append((joints, idx[at], columns[idx[at], q]))
+            width = 2 * (hi - lo)
+            step = max(1, STACK_BYTES // (8 * (2 * m + width) ** 2))
+            for at in range(0, len(members), step):
+                idx = np.array(members[at : at + step])
+                nu = np.array([kept[s][0] for s in idx]).reshape(len(idx), m)
+                rows = np.array([kept[s][1] for s in idx]).reshape(len(idx), 2 * m, 2 + 2 * (top - lo))
+                added, own = quads[idx, 2 + 2 * lo : 2 + 2 * hi], state[idx, None, None]
+                later = np.concatenate((quads[idx, :2], quads[idx, 2 + 2 * hi : 2 + 2 * top]), axis=1)
+                block = np.zeros((len(idx), 2 * m + width, 2 * m + width))
+                block[:, np.arange(2 * m), np.arange(2 * m)] = np.repeat(nu, 2, axis=1)
+                block[:, : 2 * m, 2 * m :] = rows[:, :, 2 : 2 + width]
+                block[:, 2 * m :, : 2 * m] = np.swapaxes(rows[:, :, 2 : 2 + width], 1, 2)
+                block[:, 2 * m :, 2 * m :] = data[own, added[:, :, None], added[:, None, :]]
+                # the block's quadratures against S and the modes of later steps
+                rest = np.concatenate((rows[:, :, :2], rows[:, :, 2 + width :]), axis=2)
+                cross = np.concatenate((rest, data[own, added[:, :, None], later[:, None, :]]), axis=1)
+                for part, nu_kept, rows_kept in _mixed_modes(block, cross):
+                    for s, pair in zip(idx[part].tolist(), zip(nu_kept, rows_kept)):
+                        kept[s] = pair
+                    size = 2 + 2 * nu_kept.shape[1]
+                    joints = np.zeros((len(part), size, size))
+                    joints[:, :2, :2] = data[state[idx[part]], :2, :2]
+                    joints[:, 2:, :2] = rows_kept[:, :, :2]
+                    joints[:, :2, 2:] = np.swapaxes(rows_kept[:, :, :2], 1, 2)
+                    joints[:, np.arange(2, size), np.arange(2, size)] = np.repeat(nu_kept, 2, axis=1)
+                    out.append((joints, idx[part], columns[idx[part], q]))
     return out
 
 
 def fraction_samples(
     data: np.ndarray,
-    h_s: float,
+    h_s: float | np.ndarray,
     sampler: FractionSampler,
     sample_indices: range,
-    t_index: int = 0,
-) -> dict[str, dict[float, list[float]]]:
+    t_index: int | list[int] = 0,
+) -> dict | list[dict]:
     """{"mi" and "neg": {grid point: per-sample values}} of a range of sample indices at every grid point.
 
     data is the covariance array (a CovarianceMatrix's, system first) of a
     globally pure state, which the caller checks, and h_s its H(S).  Every
     grid point of the plan (fraction_plan) is drawn at each index of
     sample_indices, a contiguous range; the values come in index order.
+    data may also be a stack (T, 2N + 2, 2N + 2) of such states, with h_s
+    and t_index holding one value per state; then the result is a list of
+    one such dict per state, each bit for bit the one its state gives
+    alone, and every (state, sample) row of the stack is swept and split
+    together.
     The draws are nested: each sample orders the sampling units once
     (_permutation), grid point k draws the first k units, and its mirror
     holds the rest.  With the bath modes in that order (a band's modes in
     a row, ascending), every near side (_split) is a leading run: of this
     order where the draw is the smaller side, of the reversed order where
     the complement is (unmirrored upper points, and uneven bands).  So
-    each sample sweeps each end once (_sweep), one step per near side,
+    each row sweeps each end once (_sweep), one step per near side,
     keeping only the mixed Williamson modes of the near side so far, and
     every near side's block of S and its kept modes goes to _split, all
-    blocks of one size of the range as one stack.  Each sample's values
-    depend on its own order alone, so they do not depend on the other
-    samples of the range.  At f = 1 the mutual information is 2 H(S) and
-    the negativity is read off sigma_S (_pure_negativity), recorded once,
-    by the range that starts at index 0.  A self-mirrored point (f = 1/2)
-    lists draw and complement interleaved.  The stacked eigh's vectors, and
-    with them the pairing_repairs count, depend on the BLAS thread count.
-    The CLI and the pool workers run BLAS on one thread, so only a library
-    caller that sets OPENBLAS_NUM_THREADS=1 (or the equivalent) before
-    numpy loads is sure of their bytes.
+    blocks of one size as one stack, with H(near) the sum of h(nu) over
+    its kept modes.  Each row's values depend on its own state and order
+    alone, so they do not depend on the other rows.  At f = 1 the mutual
+    information is 2 H(S) and the negativity is read off sigma_S
+    (_pure_negativity), recorded once, by the range that starts at index
+    0.  A self-mirrored point (f = 1/2) lists draw and complement
+    interleaved.  The stacked eigh's vectors, and with them the
+    pairing_repairs count, depend on the BLAS thread count.  The CLI and
+    the pool workers run BLAS on one thread, so only a library caller that
+    sets OPENBLAS_NUM_THREADS=1 (or the equivalent) before numpy loads is
+    sure of their bytes.
     """
-    n_bath = data.shape[0] // 2 - 1
+    stack = data if data.ndim == 3 else data[None]
+    h_ss, t_indices = np.atleast_1d(h_s), np.atleast_1d(t_index).tolist()
+    n_bath = stack.shape[-1] // 2 - 1
     units, unit_of_mode = sampler.n_units(n_bath), sampler.unit_of_mode(n_bath)
     plan = [(f, mirror, int(round(f * units))) for f, mirror in fraction_plan(sampler.grid_for(n_bath), units)]
     ks = np.array([k for _, _, k in plan if k < units], dtype=int)
-    perms = np.array([_permutation(sampler, units, s_idx, t_index) for s_idx in sample_indices])
-    # bath modes (1..N) in each sample's unit order, and how many the first k units hold
+    # one row per (state, sample), state by state
+    perms = np.array([_permutation(sampler, units, s_idx, t) for t in t_indices for s_idx in sample_indices])
+    state = np.repeat(np.arange(len(stack)), len(sample_indices))
+    # bath modes (1..N) in each row's unit order, and how many the first k units hold
     order = np.argsort(np.argsort(perms, axis=1)[:, unit_of_mode], axis=1, kind="stable") + 1
     counts = np.cumsum(np.bincount(unit_of_mode, minlength=units)[perms], axis=1)[:, ks - 1]
     ahead = 2 * counts <= n_bath  # the near side is the drawn prefix, else the complement
@@ -488,31 +501,36 @@ def fraction_samples(
     values = np.empty((4, len(perms), len(ks)))  # MI drawn, MI mirror, negativity drawn, negativity mirror
     by_size: dict[int, list] = {}
     for end, (takes, modes) in enumerate(((ahead, order), (~ahead, order[:, ::-1]))):
-        for joints, rows, cols in _sweep(data, modes, np.where(takes, near, 0)):
+        for joints, rows, cols in _sweep(stack, state, modes, np.where(takes, near, 0)):
             by_size.setdefault(joints.shape[-1], []).append((joints, rows, cols, end))
     for parts in by_size.values():
-        got, at = _split(h_s, np.concatenate([joints for joints, *_ in parts])), 0
-        for joints, rows, cols, end in parts:
-            part = got[:, at : at + len(joints)]
-            values[:, rows, cols] = part if end == 0 else part[[1, 0, 3, 2]]
-            at += len(joints)
-    out: dict[str, dict[float, list[float]]] = {"mi": {}, "neg": {}}
+        joints, which = np.concatenate([part[0] for part in parts]), np.concatenate([part[1] for part in parts])
+        h_near = _entropy_of_values(np.diagonal(joints, axis1=1, axis2=2)[:, 2::2])  # the kept modes' nu
+        got, at = _split(h_ss[state[which]], joints, h_near), 0
+        for part, rows, cols, end in parts:
+            block = got[:, at : at + len(part)]
+            values[:, rows, cols] = block if end == 0 else block[[1, 0, 3, 2]]
+            at += len(part)
+    outs = []
+    for i, h_s_i in enumerate(h_ss.tolist()):
+        out: dict[str, dict[float, list[float]]] = {"mi": {}, "neg": {}}
 
-    def record(f: float, mi: float, neg: float):
-        out["mi"].setdefault(f, []).append(mi)
-        out["neg"].setdefault(f, []).append(neg)
+        def record(f: float, mi: float, neg: float):
+            out["mi"].setdefault(f, []).append(mi)
+            out["neg"].setdefault(f, []).append(neg)
 
-    columns = iter(range(len(ks)))
-    for f, mirror, k in plan:
-        if k == units:
-            if sample_indices.start == 0:
-                record(f, 2.0 * h_s, _pure_negativity(data))
-            continue
-        for mi_f, mi_c, neg_f, neg_c in values[:, :, next(columns)].T.tolist():
-            record(f, mi_f, neg_f)
-            if mirror is not None:
-                record(mirror, mi_c, neg_c)
-    return out
+        columns = iter(range(len(ks)))
+        for f, mirror, k in plan:
+            if k == units:
+                if sample_indices.start == 0:
+                    record(f, 2.0 * h_s_i, _pure_negativity(stack[i]))
+                continue
+            for mi_f, mi_c, neg_f, neg_c in values[:, state == i, next(columns)].T.tolist():
+                record(f, mi_f, neg_f)
+                if mirror is not None:
+                    record(mirror, mi_c, neg_c)
+        outs.append(out)
+    return outs if data.ndim == 3 else outs[0]
 
 
 def fraction_curves(

@@ -17,12 +17,7 @@ Williamson form (_williamson, with its run-time check and its fallback
 _complex_williamson).  Two callers share that form: purification (the
 purification partners of mode 0 and the partial transpose on mode 0) and
 _mixed_modes (a block's mixed modes and their covariances with other
-quadratures: one step of correlations._sweep).  purification takes that
-partial transpose on the small subspace of the mixed Williamson pairs and
-the pure pairs that reach mode 0 (_restricted_transposes), since every
-value outside it is 1/2;
-_transposed_spectra stays for the bands, the partners, the fallbacks, the
-blocks that subspace cannot shrink, and as the tests' oracle.
+quadratures: one step of correlations._sweep).
 _entropy_of_values and _negativity_of_values reduce one spectrum or a
 stack; the first is the package's one evaluation of the bosonic entropy
 h(nu), which entropy_function gives for one value and analytic.mi_value
@@ -73,21 +68,21 @@ PURITY_TOL = 1e-8
 
 #: Williamson eigenvalues within this of 1/2, relative to the matrix scale,
 #: are pure modes: they get no purifying ancilla, and a step of the fraction
-#: sweep drops them (_mixed_modes).  The partner block stands in
-#: for H(near) (correlations._split), which holds only if every mode that
-#: carries entropy has its ancilla: on desk blocks a cut at 1e-13 of the
-#: scale misses up to 7.9e-11 of H(near), and 1e-15 misses at most 3.1e-12
-#: (3.8e-12 at 300 oscillators).  The cut sits inside the rounding noise of
-#: a pure mode, which comes from K itself, not from squaring: on random
-#: pure states it reaches 23 eps x scale on the Gram path, on |K a| and on
-#: the complex form alike, and on desk blocks the Gram and complex nu of
-#: modes near 1/2 agree within 0.8 eps x scale.  So a partner may hold an
-#: ancilla that exact arithmetic would not give.  Such an ancilla carries
-#: the h(nu) that its mode adds to H(S u near), which moves the partner
-#: entropy toward H(near); a cut above the noise (16 eps x nu_max x scale)
-#: misses up to 9.5e-12 of H(near) on desk blocks.  The modes the sweep
-#: keeps hold H(near) within 1.8e-12 at every drawn grid point of desk and
-#: 300-oscillator samples.
+#: sweep drops them (_mixed_modes).  The sum of h(nu) over the modes a
+#: sweep keeps is H(near) (correlations._split), which holds only if every
+#: mode that carries entropy is kept: on desk blocks the modes that a cut
+#: at 1e-13 of the scale drops carry up to 7.9e-11 of H(near), and those
+#: that 1e-15 drops at most 3.1e-12 (3.8e-12 at 300 oscillators; measured
+#: on purification partners, which keep the same modes).  The cut sits
+#: inside the rounding noise of a pure mode, which comes from K itself,
+#: not from squaring: on random pure states it reaches 23 eps x scale on
+#: the Gram path, on |K a| and on the complex form alike, and on desk
+#: blocks the Gram and complex nu of modes near 1/2 agree within
+#: 0.8 eps x scale.  So a sweep may keep a mode that exact arithmetic
+#: would drop, with the rounding-sized h(nu) it carries; a cut above the
+#: noise (16 eps x nu_max x scale) drops up to 9.5e-12 of H(near) on desk
+#: blocks.  The modes the sweep keeps hold H(near) within 1.8e-12 at every
+#: drawn grid point of desk and 300-oscillator samples.
 PURE_MODE_RTOL = 1e-15
 
 #: Run-time check of _williamson's real Williamson vectors (_mode_pairs):
@@ -97,24 +92,18 @@ PURE_MODE_RTOL = 1e-15
 #: read at most 4.7e-14.
 WILLIAMSON_RTOL = 1e-10
 
-#: _flip_space: a part of e0 or e1 outside a block's Williamson rows that is
-#: no longer than this is rounding, and gets no pure pair.  Left out, it
-#: moves K~ Q^T by at most c x 1e-12, far inside the WILLIAMSON_RTOL check;
-#: where the rows span the whole block it reads below 1e-30 on desk blocks.
-REACH_FLOOR = 1e-12
-
 #: Work done since the last take_counts(): spectra taken (a Williamson
 #: decomposition counts as one), their summed cost (2M)^3, the largest block
 #: in modes, svd fallbacks, Williamson decompositions (_williamson, for
-#: purification and for every step of the fraction sweep), and of these the
-#: ones repaired by Gram-Schmidt or taken through _complex_williamson, and
-#: the ones whose partial transpose took the whole block because a check
-#: failed (_restricted_transposes); the propagator builds that fell back to
-#: the dense eigh (model.make_propagator); and the most mixed modes one
-#: step of the sweep kept (_mixed_modes).
+#: purification and for every step of the fraction sweep), the _williamson
+#: calls that took them (so williamson / williamson_stacks is the matrices
+#: per call), and of the decompositions the ones repaired by the projection
+#: or taken through _complex_williamson; the propagator builds that fell
+#: back to the dense eigh (model.make_propagator); and the most mixed modes
+#: one step of the sweep kept (_mixed_modes).
 _COUNTS = dict.fromkeys(
-    ("spectra", "block_cost", "block_modes_max", "svd_fallbacks", "williamson", "pairing_repairs", "williamson_fallbacks",
-     "transpose_fallbacks", "propagator_fallbacks", "kept_modes_max"),
+    ("spectra", "block_cost", "block_modes_max", "svd_fallbacks", "williamson", "williamson_stacks", "pairing_repairs",
+     "williamson_fallbacks", "propagator_fallbacks", "kept_modes_max"),
     0,
 )
 
@@ -472,185 +461,105 @@ def _complex_williamson(sigma: np.ndarray, form: np.ndarray) -> tuple[np.ndarray
     return values[..., n:], ortho
 
 
-def _mode_pairs(form: np.ndarray, vectors: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(basis, defect, overlap) of the top p pairs of eigh(K^T K) of each K of a stack, in real arithmetic.
+def _mode_pairs(form: np.ndarray, tops: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(basis, defect, overlap) of the m mixed pairs of each K of a stack, in real arithmetic, by one Cholesky-QR.
 
-    vectors are the eigenvectors of K^T K, ascending, and nu (n, p) the top
-    p symplectic eigenvalues, descending.  Pair j takes a_j, the upper
-    eigenvector of its pair, after Gram-Schmidt against the earlier pairs,
-    and b_j = -K a_j / nu_j, so that K a_j = -nu_j b_j and K b_j = nu_j a_j;
-    basis (n, 2p, 2M) holds a_1, b_1, a_2, b_2, ... as rows, the columns of
-    O.  In a near-degenerate cluster eigh returns any orthonormal basis of
-    the cluster's subspace, so a raw a_j need not be orthogonal to an
-    earlier b_k; for a well-separated pair the projection removes only
-    rounding.  When less than half of a_j is left, the other eigenvector of
-    its pair is taken if more of it is.  overlap[:, j] is the largest
-    |a_j . q| of the raw a_j over the earlier vectors q.  Once the basis is
-    built, one pass checks every pair: defect[:, j] is the largest of
+    tops (n, m, 2M) holds a_j, the upper eigenvector of pair j of
+    eigh(K^T K), and nu (n, m) its symplectic eigenvalue, top pair first.
+    The rows V = (a_1, -K a_1 / nu_1, a_2, -K a_2 / nu_2, ...) are
+    orthonormalised in order: with V V^T = L L^T (cholesky), basis = L^-1 V
+    holds each row of V less its parts along the rows before it, normalised,
+    as Gram-Schmidt would.  So b_j = -K a_j / nu_j, with K a_j = -nu_j b_j
+    and K b_j = nu_j a_j.  For a well-separated pair the projections remove
+    only rounding; in a near-degenerate cluster eigh returns any orthonormal
+    basis of the cluster's subspace, so a_j need not be orthogonal to an
+    earlier b_k, and the projection repairs it.  overlap[:, j] is the largest
+    |L[2j, k]|, k < 2j: the part of the raw a_j along an earlier basis row.
+    A matrix whose V V^T is not positive definite gets NaN rows.  One pass
+    then checks every pair: defect[:, j] is the largest of
     |K b_j - nu_j a_j| / nu_j, ||b_j| - 1| and |b_j . q| over a_j and the
-    earlier vectors q.  Every step works on one pair of each matrix, or on
-    a pair with the earlier ones, so a matrix's first pairs do not depend
-    on p or on the rest of the stack.
+    earlier rows q (NaN fails it).  Each matrix's arrays are sized by its
+    own m, so its result does not depend on the rest of the stack.
     """
-    n, rows, p = vectors.shape[0], vectors.shape[-1], nu.shape[1]
-    every, by_row = np.arange(n), np.swapaxes(vectors, 1, 2)
-    basis, overlap = np.empty((n, 2 * p, rows)), np.zeros((n, p))
-    for j in range(p):
-        done = basis[:, : 2 * j]
-        cand = by_row[:, [rows - 1 - 2 * j, rows - 2 - 2 * j]]
-        if j:
-            proj = cand @ np.swapaxes(done, 1, 2)
-            overlap[:, j] = np.max(np.abs(proj[:, 0]), axis=1)
-            cand = cand - proj @ done
-            cand = cand - (cand @ np.swapaxes(done, 1, 2)) @ done  # twice is enough for classical Gram-Schmidt
-        norms = np.sqrt(np.sum(cand * cand, axis=2))
-        pick = ((norms[:, 0] < 0.5) & (norms[:, 1] > norms[:, 0])).astype(int)
-        a = cand[every, pick] / norms[every, pick][:, None]
-        basis[:, 2 * j], basis[:, 2 * j + 1] = a, -(form @ a[:, :, None])[:, :, 0] / nu[:, j, None]
+    n, m, rows = tops.shape
+    raw = np.empty((n, 2 * m, rows))
+    raw[:, 0::2] = tops
+    raw[:, 1::2] = -(tops @ np.swapaxes(form, 1, 2)) / nu[:, :, None]
+    gram = raw @ np.swapaxes(raw, 1, 2)
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:  # one Gram that is not positive definite fails the whole stack
+        chol = np.full_like(gram, np.nan)
+        for i, g in enumerate(gram):
+            try:
+                chol[i] = np.linalg.cholesky(g)
+            except np.linalg.LinAlgError:
+                pass  # NaN, and so are its rows and its defect
+    basis = np.linalg.solve(chol, raw)
+    before = np.arange(2 * m) < 2 * np.arange(m)[:, None]  # [j, k]: row k lies before a_j
+    overlap = np.max(np.where(before, np.abs(chol[:, 0::2]), 0.0), axis=2)
     a, b = basis[:, 0::2], basis[:, 1::2]
     residual = np.linalg.norm(b @ np.swapaxes(form, 1, 2) - nu[:, :, None] * a, axis=2) / nu
-    earlier = np.arange(2 * p)[:, None] <= 2 * np.arange(p)  # [q, j]: q is a_j or an earlier vector
+    earlier = np.arange(2 * m)[:, None] <= 2 * np.arange(m)  # [q, j]: q is a_j or an earlier row
     against = np.max(np.where(earlier, np.abs(basis @ np.swapaxes(b, 1, 2)), 0.0), axis=1, initial=0.0)
     return basis, np.maximum(np.maximum(residual, np.abs(np.linalg.norm(b, axis=2) - 1.0)), against), overlap
 
 
-def _project_out(rows: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """rows (n, k, 2M) less their parts along the orthonormal rows of basis (n, q, 2M), once."""
-    return rows - (rows @ np.swapaxes(basis, 1, 2)) @ basis
-
-
-def _flip_space(form: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fill q (n, 2m + 4, 2M) with up to two pure pairs after its first 2m rows, so that its rows hold e0, e1 and a K-invariant subspace, per K of a stack; return (r, images).
-
-    The first 2m rows of q hold the m mixed Williamson pairs of each K, and
-    the rest are zero.  Every mode outside the mixed pairs is pure, so
-    there K = J / 2 with J^2 = -1: for a unit u there, 2 K u is a unit
-    vector orthogonal to u and to every earlier pair.  So e0, then e1, less
-    its parts along the rows so far (twice, as classical Gram-Schmidt
-    needs), gives the pair (u, 2 K u) when its length exceeds REACH_FLOOR;
-    2 K u is computed from the unit u, then projected out of the rows so
-    far once.  The pairs taken follow the mixed pairs, then zero rows; r
-    (0, 2 or 4) counts the pairs' rows, and images holds (K p)^T for each
-    of the last 4 rows p.  A u that is mostly rounding is a pure direction
-    like any other, with its own pair, so the subspace stays invariant.
-    """
-    n, rows = q.shape[0], q.shape[-1]
-    top, r, every = q.shape[1] - 4, np.zeros(n, dtype=int), np.arange(n)
-    for axis in (0, 1):
-        done = top + 2 * axis  # every row taken so far lies above
-        v = np.zeros((n, 1, rows))
-        v[:, 0, axis] = 1.0
-        v = _project_out(_project_out(v, q[:, :done]), q[:, :done])
-        length = np.sqrt(np.sum(v * v, axis=2, keepdims=True))
-        take = length > REACH_FLOOR
-        u = v * (take / np.maximum(length, REACH_FLOOR))  # zero where not taken, and so is 2 K u
-        q[every, top + r] = u[:, 0]
-        w = _project_out(2.0 * (u @ np.swapaxes(form, 1, 2)), q[:, : done + 1])
-        q[every, top + r + 1] = (w / np.maximum(np.sqrt(np.sum(w * w, axis=2, keepdims=True)), REACH_FLOOR))[:, 0]
-        r += 2 * take[:, 0, 0]
-    return r, q[:, top:] @ np.swapaxes(form, 1, 2)
-
-
-def _restricted_transposes(stack: np.ndarray, factor: tuple, scales: np.ndarray, basis: np.ndarray, nu: np.ndarray, n_mixed: np.ndarray, full: np.ndarray) -> list:
-    """Partial-transpose spectra on mode 0 of each matrix of a stack, on the subspace where they can differ from 1/2: (indices, spectra) groups.
-
-    factor is the stack's (L, K, K^T K) and scales its _scales; basis, nu,
-    n_mixed and full are purification's Williamson rows, eigenvalues and
-    mixed-mode counts, and which matrices fell back.  The flip is the
-    rank-2 update K~ = K - c (e0 e1^T - e1 e0^T) (_flip), so K~ equals K
-    outside any K-invariant subspace that holds e0 and e1.  Q holds the m
-    mixed pairs and the pure pairs that reach e0 and e1 (_flip_space), at
-    most 2 m + 4 rows, and every mode outside it is pure: those values are
-    1/2, and only the spectrum of Q K~ Q^T is taken (_gram_spectra; it
-    counts as one spectrum of that size).  K maps a mixed pair (a, b) to
-    (-nu b, nu a), as _mode_pairs checked, and the pure rows are multiplied
-    by K, so no product of K with the whole of Q is formed.  Checked per
-    matrix: Q must be K~-invariant, max |K~ q - Q^T Q K~ q| over its rows q
-    at most WILLIAMSON_RTOL x nu_max, which also holds Q orthonormal and e0
-    and e1 inside it.  A matrix that fails, or one marked full, takes
-    _transposed_spectra on the whole block (``transpose_fallbacks``).  So
-    does, by rule and uncounted, a matrix whose 2 m + 4 rows would not be
-    fewer than the block's: there Q cannot shrink the spectrum, and its
-    bookkeeping costs more than the whole block's eigvalsh.  A matrix's
-    arrays have 2 m + 4 rows whatever the rest of the stack holds, so each
-    spectrum is bit for bit its matrix's result alone.
-    """
-    chol, form, _ = factor
-    c, failed, groups = 2.0 * chol[:, 0, 0] * chol[:, 1, 1], full.copy(), []
-    small = ~failed & (2 * n_mixed + 4 >= form.shape[-1])
-    for m in sorted(set(n_mixed[~(failed | small)].tolist())):
-        idx = np.flatnonzero((n_mixed == m) & ~(failed | small))
-        q = np.zeros((len(idx), 2 * m + 4, form.shape[-1]))
-        q[:, : 2 * m] = basis[idx, : 2 * m]
-        r, images = _flip_space(form if len(idx) == len(form) else form[idx], q)  # a copy only of a part
-        flipped, top = np.empty_like(q), nu[idx, ::-1][:, :m, None]  # rows (K q)^T, then (K~ q)^T
-        flipped[:, 0 : 2 * m : 2], flipped[:, 1 : 2 * m : 2] = -top * q[:, 1 : 2 * m : 2], top * q[:, 0 : 2 * m : 2]
-        flipped[:, 2 * m :] = images
-        flipped[:, :, 0] -= c[idx, None] * q[:, :, 1]
-        flipped[:, :, 1] += c[idx, None] * q[:, :, 0]
-        reduced = q @ np.swapaxes(flipped, 1, 2)  # Q K~ Q^T; the rows of pairs not taken are zero
-        flipped -= np.swapaxes(reduced, 1, 2) @ q  # the part of each K~ q outside Q
-        ok = np.sqrt(np.max(np.einsum("nij,nij->ni", flipped, flipped), axis=1)) <= WILLIAMSON_RTOL * nu[idx, -1]
-        failed[idx[~ok]] = True
-        for size in sorted(set(r[ok].tolist())):
-            at = np.flatnonzero(ok & (r == size))
-            part = reduced[at, : 2 * m + size, : 2 * m + size]
-            groups.append((idx[at], _gram_spectra(part, np.swapaxes(part, 1, 2) @ part, scales[idx[at]])))
-    _COUNTS["transpose_fallbacks"] += int(np.count_nonzero(failed))
-    whole = np.flatnonzero(failed | small)
-    if len(whole):
-        groups.append((whole, _transposed_spectra(stack[whole], tuple(part[whole] for part in factor))))
-    return groups
-
-
-def _williamson(stack: np.ndarray, factor: tuple, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(nu, n_mixed, basis, fallback): the Williamson form of each matrix sigma of an (n, 2M, 2M) stack, from its factor (L, K, K^T K) and _scales.
+def _williamson(stack: np.ndarray, factor: tuple, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(nu, n_mixed, basis): the Williamson form of each matrix sigma of an (n, 2M, 2M) stack, from its factor (L, K, K^T K) and _scales.
 
     The form is taken in real arithmetic: eigh(K^T K) gives nu^2 in pairs
     (_sorted_pairs; nu (n, M) ascending) and the columns (a_j, b_j) of the
-    orthogonal O with O^T K O = blocks nu_j [[0, 1], [-1, 0]] (_mode_pairs),
-    so that sigma = S D S^T with S = L O D^(-1/2).  n_mixed counts each
-    matrix's mixed modes, nu_j above 1/2 by more than PURE_MODE_RTOL of the
-    scale (floored at 1); the rest are pure.  basis (n, 2p, 2M) holds the
-    rows a_1, b_1, a_2, ... of the top p pairs, descending in nu, p the
-    largest n_mixed; a matrix's rows past its own 2 n_mixed are not read.
-    Checked per matrix: every mixed mode's defect must be at most
-    WILLIAMSON_RTOL.  A matrix whose raw eigenvectors overlapped an earlier
-    pair by more than that was repaired by the Gram-Schmidt step
-    (``pairing_repairs``).  A matrix that fails the check, or whose moduli
-    trip the Gram guard or do not pair, takes nu and O from
-    _complex_williamson instead (``williamson_fallbacks``), and fallback
-    marks it.  Each decomposition counts as one spectrum and one
-    ``williamson``, and each matrix's result does not depend on the rest of
-    the stack.
+    orthogonal O with O^T K O = blocks nu_j [[0, 1], [-1, 0]] (_mode_pairs,
+    on the matrices of each mixed count at once), so that sigma = S D S^T
+    with S = L O D^(-1/2).  n_mixed counts each matrix's mixed modes, nu_j
+    above 1/2 by more than PURE_MODE_RTOL of the scale (floored at 1); the
+    rest are pure.  basis (n, 2p, 2M) holds the rows a_1, b_1, a_2, ... of
+    each matrix's mixed pairs, descending in nu, p the largest n_mixed, and
+    zero rows after them.  Checked per matrix: every mixed mode's defect
+    must be at most WILLIAMSON_RTOL.  A matrix whose raw eigenvectors
+    overlapped an earlier pair by more than that was repaired by the
+    projection (``pairing_repairs``).  A matrix that fails the check, or
+    whose moduli trip the Gram guard or do not pair, takes nu and O from
+    _complex_williamson instead (``williamson_fallbacks``).  Each
+    decomposition counts as one spectrum and one ``williamson``, each call
+    as one ``williamson_stacks``, and each matrix's result does not depend
+    on the rest of the stack.
     """
     n, rows = stack.shape[0], stack.shape[-1]
     form, gram = factor[1:]
     _count_spectra(n, rows)
     _COUNTS["williamson"] += n
+    _COUNTS["williamson_stacks"] += 1
     values, vectors = np.linalg.eigh(gram)
     lo, hi, unpaired = _sorted_pairs(np.sqrt(values), scales)
     nu = 0.5 * (lo + hi)
     floor = PURE_MODE_RTOL * np.maximum(scales, 1.0)[:, None]
     n_mixed = np.count_nonzero(nu - 0.5 > floor, axis=1)
     fallback = ~(values[:, 0] >= GRAM_RTOL * values[:, -1]) | np.any(unpaired, axis=1)
-    p = int(np.max(n_mixed[~fallback], initial=0))
-    basis, defect, overlap = _mode_pairs(form, vectors, np.ascontiguousarray(nu[:, ::-1][:, :p]))
-    del vectors  # a stack's worth of memory, and only its top pairs were needed
-    first = np.arange(p) < n_mixed[:, None]  # each matrix's own mixed modes
-    _COUNTS["pairing_repairs"] += int(np.count_nonzero(np.any(first & (overlap > WILLIAMSON_RTOL), axis=1) & ~fallback))
-    fallback |= np.any(first & ~(defect <= WILLIAMSON_RTOL), axis=1)
+    top, groups = nu[:, ::-1], []
+    for m in sorted(set(n_mixed[~fallback].tolist()) - {0}):
+        idx = np.flatnonzero((n_mixed == m) & ~fallback)
+        groups.append((idx, np.swapaxes(vectors[:, :, ::-2][:, :, :m][idx], 1, 2)))  # a copy of the upper vectors only
+    del vectors  # a stack's worth of memory, and only the upper vectors of the mixed pairs were needed
+    parts = []
+    for idx, tops in groups:
+        pairs, defect, overlap = _mode_pairs(form if len(idx) == n else form[idx], tops, top[idx, : tops.shape[1]])
+        _COUNTS["pairing_repairs"] += int(np.count_nonzero(np.any(overlap > WILLIAMSON_RTOL, axis=1)))
+        fallback[idx[np.any(~(defect <= WILLIAMSON_RTOL), axis=1)]] = True
+        parts.append((idx, pairs))
     swaps = []
     for i in np.flatnonzero(fallback).tolist():
         nu[i], ortho = _complex_williamson(stack[i], form[i])
         n_mixed[i] = np.count_nonzero(nu[i] - 0.5 > floor[i])
         swaps.append((i, ortho.T.reshape(-1, 2, rows)[::-1].reshape(rows, rows)))  # rows a_j, b_j, top pair first
-    if swaps:
-        _COUNTS["williamson_fallbacks"] += len(swaps)
-        basis = np.pad(basis, ((0, 0), (0, 2 * int(np.max(n_mixed)) - basis.shape[1]), (0, 0)))
-        for i, pairs in swaps:
-            basis[i, : 2 * n_mixed[i]] = pairs[: 2 * n_mixed[i]]
-    return nu, n_mixed, basis, fallback
+    _COUNTS["williamson_fallbacks"] += len(swaps)
+    basis = np.zeros((n, 2 * int(np.max(n_mixed, initial=0)), rows))
+    for idx, pairs in parts:
+        basis[idx, : pairs.shape[1]] = pairs
+    for i, pairs in swaps:
+        basis[i, : 2 * n_mixed[i]] = pairs[: 2 * n_mixed[i]]
+    return nu, n_mixed, basis
 
 
 def _mixed_modes(stack: np.ndarray, cross: np.ndarray) -> list:
@@ -671,7 +580,7 @@ def _mixed_modes(stack: np.ndarray, cross: np.ndarray) -> list:
     Counts ``kept_modes_max``.
     """
     chol, form, gram = _factor(stack)
-    nu, n_mixed, basis, _ = _williamson(stack, (chol, form, gram), _scales(stack))
+    nu, n_mixed, basis = _williamson(stack, (chol, form, gram), _scales(stack))
     _COUNTS["kept_modes_max"] = max(_COUNTS["kept_modes_max"], int(np.max(n_mixed, initial=0)))
     top, groups = nu[:, ::-1], []
     for m in sorted(set(n_mixed.tolist())):
@@ -686,10 +595,9 @@ def _mixed_modes(stack: np.ndarray, cross: np.ndarray) -> list:
     return groups
 
 
-def purification(stack: np.ndarray, factor: tuple | None = None) -> tuple[np.ndarray, list, list]:
+def purification(stack: np.ndarray) -> tuple[np.ndarray, list, np.ndarray]:
     """(nu, partners, transposes) of an (n, 2M, 2M) stack: Williamson eigenvalues, purification partners of mode 0, and partial transposes on mode 0.
 
-    factor is the stack's (L, K, K^T K) (_factor) when the caller has it.
     nu (shape (n, M)) give the entropy of each matrix sigma of the stack
     (_entropy_of_values), so a caller needs no second decomposition of it.
     Each mixed Williamson mode of sigma (nu_j above 1/2 by more than
@@ -709,16 +617,11 @@ def purification(stack: np.ndarray, factor: tuple | None = None) -> tuple[np.nda
     L[:2, :2] and O[:2].  Each matrix's result does not depend on the rest
     of the stack.
 
-    transposes lists (indices into the stack, spectra) groups of the
-    partial transpose on mode 0 of each sigma, read off the same
-    decomposition: its mixed pairs and at most two pure pairs hold every
-    value that can differ from 1/2 (_restricted_transposes, one spectrum of
-    at most 2 m + 4 rows per matrix; the values left out are 1/2), or, where
-    that subspace is no smaller than the block, the whole block's.
+    transposes (n, M) holds the spectrum of the partial transpose on mode 0
+    of each sigma, read off the same factor (_transposed_spectra).
     """
-    chol, form, gram = _factor(stack) if factor is None else factor
-    scales = _scales(stack)
-    nu, n_mixed, basis, fallback = _williamson(stack, (chol, form, gram), scales)
+    chol, form, gram = _factor(stack)
+    nu, n_mixed, basis = _williamson(stack, (chol, form, gram), _scales(stack))
     top = nu[:, ::-1][:, : basis.shape[1] // 2]
     # rows 0 and 1 of S = L O D^(-1/2), elementwise (L[0, 1] = 0)
     root = np.sqrt(np.repeat(top, 2, axis=1))
@@ -738,7 +641,7 @@ def purification(stack: np.ndarray, factor: tuple | None = None) -> tuple[np.nda
         blocks[:, 2:, :2] = np.swapaxes(cross, 1, 2)
         blocks[:, 2:, 2:][:, np.arange(2 * m), np.arange(2 * m)] = nu_mixed
         partners.append((idx, blocks))
-    return nu, partners, _restricted_transposes(stack, (chol, form, gram), scales, basis, nu, n_mixed, fallback)
+    return nu, partners, _transposed_spectra(stack, (chol, form, gram))
 
 
 def check_purity(cov: CovarianceMatrix) -> float:

@@ -17,23 +17,30 @@ the run itself or, with ``curves_dir``, from the piplot and peplot files an
 earlier run persisted there (``load_curves``); then nothing is simulated,
 and that run must have had the command's physics (RunConfig.physics).
 
-The unit of parallel work is one slice ("chunk") of one time point's
-sample indices, evaluated at every grid point of the fraction plan
-(correlations.fraction_samples).  Chunks of equal sample count cost the
-same.  With W workers and n time points, a time point is cut into
-min(samples, W) contiguous slices of near-equal size when n < 4 W, so
-every worker gets equal items, and stays whole on a longer grid or with
-one worker.  Chunk 0 also carries the state diagnostics, the bands and
-f = 1.  Items go to a pool of worker processes in time order.
-Every chunk evolves its time point and checks its purity (ImpureState in
-every stage); neither step, nor H(S), takes a counted spectrum, so the
-manifest's spectrum counts do not depend on the cut or on which worker
-takes a chunk (propagator_fallbacks counts each worker's build that fell
-back to the dense eigh).  The manifest sums each chunk's counts
+The unit of parallel work ("chunk") is one slice of the sample indices
+at a group of time points, evaluated at every grid point of the fraction
+plan in one correlations.fraction_samples call over all the group's
+(time, sample) rows.  Slices of equal size do not cost the same at every
+time point: 20 desk samples took 31-35 ms at t = 10/39 and 82-101 ms at
+t = 5.128 and 10 (one BLAS thread, seeds 1-3), so a chunk holds every
+time point of its group.  With W workers and n time points, a short grid
+(n < 4 W, _chunk_count) is cut into near-equal groups of at most 4
+consecutive time points and each group into min(samples, W) contiguous
+slices of near-equal size, so W workers get W equal chunks of each
+group; a longer grid, or one worker there, has one whole time point per
+chunk (_time_groups).  A finer cut would only add kernel calls.  The
+chunk of slice 0 also carries its time points' state diagnostics, bands
+and f = 1.  Items go to a pool of worker processes in time order.
+Every chunk evolves its time points and checks their purity
+(ImpureState in every stage); neither step, nor H(S), takes a counted
+spectrum, so the manifest's spectrum counts do not depend on the cut or
+on which worker takes a chunk (propagator_fallbacks counts each worker's
+build that fell back to the dense eigh), except williamson_stacks, the
+number of kernel calls, which the cut sets.  The manifest sums each chunk's counts
 (gaussian.merge_counts) and wall-clock per layer, and the pieces' build
-where a chunk made it.  The runner keeps each time point's chunks in
-slice order, and
-correlations.fraction_curves reduces them to the (PI, PE) pair of curves.
+where a chunk made it.  The runner keeps each time point's slices in
+slice order, and correlations.fraction_curves reduces them to the
+(PI, PE) pair of curves.
 A serial run (workers = 1) is a pool of one, and a run whose stages need
 no time point starts no pool.
 
@@ -169,6 +176,11 @@ def _chunk_count(samples: int, workers: int, n_times: int) -> int:
     return 1 if n_times >= 4 * workers else min(samples, workers)
 
 
+def _time_groups(n_times: int, workers: int) -> list[range]:
+    """The time indices that one task evaluates together: near-equal contiguous groups of at most 4 on a short grid (_chunk_count's), one each on a longer one."""
+    return _slices(n_times, -(-n_times // 4) if n_times < 4 * workers else n_times)
+
+
 def _slices(samples: int, n_chunks: int) -> list[range]:
     """range(samples) cut into n_chunks contiguous slices whose sizes differ by at most one."""
     cuts = [samples * j // n_chunks for j in range(n_chunks + 1)]
@@ -176,42 +188,55 @@ def _slices(samples: int, n_chunks: int) -> list[range]:
 
 
 def _chunk_task(args) -> dict:
-    """One chunk of one time point (runs in worker processes)."""
+    """One chunk: a slice of the sample indices at a group of time points (runs in worker processes).
+
+    Every time point is evolved and checked, its state diagnostics and bands
+    are taken where wanted, and one fraction_samples call evaluates the
+    slice at all of them.
+    """
     for var in _BLAS_THREAD_VARS:
         if os.environ.get(var) != "1":
             raise QbmError(
                 f"worker BLAS is not pinned to one thread: {var} is {os.environ.get(var)!r}, not '1' "
                 "(was the forkserver started by other code?)"
             )
-    config, t_index, t, wants, sample_indices = args
+    config, times, wants, sample_indices = args
     take_counts()  # count this chunk only: the pieces' build (a propagator fallback) and its spectra
     cached = _pieces_key(config) in _PIECES  # built by an earlier chunk of this worker
     start = time.perf_counter()
     spec, bath, prop, cov0 = simulation_pieces(config)
-    elapsed = {"runner.simulation_pieces": 0.0 if cached else time.perf_counter() - start}
-    start = time.perf_counter()
-    cov = evolve(prop, cov0, t)
-    evolved = time.perf_counter()
-    bound = check_purity(cov)
-    elapsed.update({"model.evolve": evolved - start, "gaussian.check_purity": time.perf_counter() - evolved})
-    h_s = system_entropy(cov)
-    out: dict = {"t_index": t_index, "h_s": h_s, "elapsed": elapsed}
-    if "state" in wants:  # state.csv's cells after t; min_symplectic, the first, is a lower bound on every nu
-        min_symplectic = float(np.sqrt(max(0.25 - bound, 0.0)))
-        out["state"] = [min_symplectic, cov.symmetry_defect, total_energy(spec, bath, cov), h_s]
-    if "bands" in wants:
+    elapsed = Counter({"runner.simulation_pieces": 0.0 if cached else time.perf_counter() - start})
+    points, states = [], None
+    for i, (t_index, t) in enumerate(times):
         start = time.perf_counter()
-        bands = band_partition(config.n_oscillators, config.n_bands, bath.frequencies)
-        bc = band_correlations(cov, bands, t=t)
-        cells = zip(bc.band_edges.tolist(), bands.band_members, bc.mi.tolist(), bc.neg.tolist())
-        out["bands"] = [[j, center, len(members), mi, neg] for j, (center, members, mi, neg) in enumerate(cells)]
-        elapsed["correlations.bands"] = time.perf_counter() - start
+        cov = evolve(prop, cov0, t)
+        evolved = time.perf_counter()
+        bound = check_purity(cov)
+        elapsed.update({"model.evolve": evolved - start, "gaussian.check_purity": time.perf_counter() - evolved})
+        h_s = system_entropy(cov)
+        point = {"t_index": t_index, "h_s": h_s}
+        points.append(point)
+        if "state" in wants:  # state.csv's cells after t; min_symplectic, the first, is a lower bound on every nu
+            min_symplectic = float(np.sqrt(max(0.25 - bound, 0.0)))
+            point["state"] = [min_symplectic, cov.symmetry_defect, total_energy(spec, bath, cov), h_s]
+        if "bands" in wants:
+            start = time.perf_counter()
+            bands = band_partition(config.n_oscillators, config.n_bands, bath.frequencies)
+            bc = band_correlations(cov, bands, t=t)
+            cells = zip(bc.band_edges.tolist(), bands.band_members, bc.mi.tolist(), bc.neg.tolist())
+            point["bands"] = [[j, center, len(members), mi, neg] for j, (center, members, mi, neg) in enumerate(cells)]
+            elapsed["correlations.bands"] += time.perf_counter() - start
+        if "curves" in wants:  # each state into its slot, so the task holds one copy of each
+            states = np.empty((len(times), *cov.data.shape)) if states is None else states
+            states[i] = cov.data
     if "curves" in wants:
         start = time.perf_counter()
-        out["samples"] = fraction_samples(cov.data, h_s, _sampler(config), sample_indices, t_index)
+        samples = fraction_samples(states, [p["h_s"] for p in points], _sampler(config), sample_indices,
+                                   [t_index for t_index, _ in times])
+        for point, part in zip(points, samples):
+            point["samples"] = part
         elapsed["correlations.curves"] = time.perf_counter() - start
-    out["counts"] = take_counts()
-    return out
+    return {"points": points, "elapsed": dict(elapsed), "counts": take_counts()}
 
 
 @dataclass
@@ -221,7 +246,8 @@ class RunManifest:
     config: dict
     stages: list
     timings_s: dict
-    #: spectrum counts of the run's chunks (gaussian.take_counts), merged by gaussian.merge_counts
+    #: spectrum counts of the run's chunks (gaussian.take_counts), merged by gaussian.merge_counts;
+    #: williamson / williamson_stacks is the Williamson decompositions per kernel call
     counts: dict
     #: worker wall-clock per layer (runner.simulation_pieces, model.evolve, gaussian.check_purity,
     #: correlations.bands and .curves), summed over chunks
@@ -343,8 +369,8 @@ def _run_time_points(config: RunConfig, wants: tuple[str, ...]) -> tuple[list[di
             raise ValidationError([f"{field}: {exc}"]) from exc
         n_chunks = _chunk_count(config.samples, workers, len(times))
     payloads = [
-        (config, i, t, wants if j == 0 else ("curves",), sample_indices)
-        for i, t in enumerate(times)
+        (config, [(i, times[i]) for i in group], wants if j == 0 else ("curves",), sample_indices)
+        for group in _time_groups(len(times), workers)
         for j, sample_indices in enumerate(_slices(config.samples, n_chunks))
     ]
     with _pool(min(workers, len(payloads))) as pool:
@@ -354,10 +380,11 @@ def _run_time_points(config: RunConfig, wants: tuple[str, ...]) -> tuple[list[di
     counts: dict = {}
     elapsed = Counter()
     for item in items:
-        point = points[item["t_index"]]
-        point.update({k: item[k] for k in ("state", "bands", "h_s") if k in item})
-        if "samples" in item:  # items come in payload order, so a time point's slices stay in slice order
-            point["samples"].append(item["samples"])
+        for part in item["points"]:
+            point = points[part["t_index"]]
+            point.update({k: part[k] for k in ("state", "bands", "h_s") if k in part})
+            if "samples" in part:  # items come in payload order, so a time point's slices stay in slice order
+                point["samples"].append(part["samples"])
         merge_counts(counts, item["counts"])
         elapsed.update(item["elapsed"])
     if "curves" in wants:

@@ -28,9 +28,11 @@ from qbmlab.errors import DimensionMismatch, DomainError, ImpureState, QbmError,
 from qbmlab.gaussian import (
     PURE_MODE_RTOL,
     PURITY_TOL,
+    WILLIAMSON_RTOL,
     CovarianceMatrix,
     ModeSubset,
     _complex_williamson,
+    _entropy_of_values,
     _factor,
     _gram_spectra,
     _omega_times,
@@ -259,11 +261,13 @@ def mask_split(data: np.ndarray, h_s: float, drawn: np.ndarray) -> np.ndarray:
 
     The per-draw path: the smaller side's block is extracted from the mask
     (mask_blocks, modes ascending) and factored whole, not read off the
-    kept Williamson modes of a sample's sweep as fraction_samples does.
+    kept Williamson modes of a sample's sweep as fraction_samples does, and
+    H(near) is the spectrum of the near block itself.
     """
     drawn_near = 2 * np.count_nonzero(drawn[0]) <= drawn.shape[1]
     joints = mask_blocks(data, drawn if drawn_near else ~drawn)
-    values = _split(h_s, joints)
+    alone = joints[:, 2:, 2:]
+    values = _split(h_s, joints, _entropy_of_values(_gram_spectra(*_factor(alone)[1:], _scales(alone))))
     return values if drawn_near else values[[1, 0, 3, 2]]
 
 
@@ -340,26 +344,69 @@ def exact_fraction_means(data: np.ndarray, h_s: float, sampler: FractionSampler)
 
 
 def draw_blocks(n_drawn: int, n_bath: int) -> int:
-    """Row count 2M of S u near, the block whose Williamson decomposition _split takes for one draw (mask_split).
+    """Row count 2M of S u near, the block whose Williamson decomposition and partial transpose _split takes for one draw (mask_split).
 
-    Its partial transpose is then taken on the block's restricted subspace
-    (gaussian._restricted_transposes), and the partner blocks of the
-    purification (S and one ancilla per mixed mode; a spectrum and a
-    partial transpose each) are left out.
+    The partner blocks of the purification (S and one ancilla per mixed
+    mode; a partial transpose each) are left out.
     """
     return 2 * min(n_drawn, n_bath - n_drawn) + 2
 
 
-def padded_transposes(groups: list, n: int, n_modes: int) -> np.ndarray:
-    """The (n, n_modes) partial-transpose spectra of purification's (indices, spectra) groups, each padded with 1/2 and sorted.
+def mode_pairs_loop(form: np.ndarray, vectors: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(basis, defect, overlap) of the top p pairs of eigh(K^T K) of each K of a stack, pair by pair: the oracle of gaussian._mode_pairs.
 
-    A restricted spectrum (gaussian._restricted_transposes) leaves out the
-    values of the pure modes outside its subspace, each exactly 1/2.
+    vectors are the eigenvectors of K^T K, ascending, and nu (n, p) the top
+    p symplectic eigenvalues, descending.  Pair j takes a_j, the upper
+    eigenvector of its pair, after Gram-Schmidt against the earlier pairs,
+    and b_j = -K a_j / nu_j, so that K a_j = -nu_j b_j and K b_j = nu_j a_j;
+    basis (n, 2p, 2M) holds a_1, b_1, a_2, b_2, ... as rows, the columns of
+    O.  In a near-degenerate cluster eigh returns any orthonormal basis of
+    the cluster's subspace, so a raw a_j need not be orthogonal to an
+    earlier b_k; for a well-separated pair the projection removes only
+    rounding.  When less than half of a_j is left, the other eigenvector of
+    its pair is taken if more of it is.  overlap[:, j] is the largest
+    |a_j . q| of the raw a_j over the earlier vectors q.  Once the basis is
+    built, one pass checks every pair: defect[:, j] is the largest of
+    |K b_j - nu_j a_j| / nu_j, ||b_j| - 1| and |b_j . q| over a_j and the
+    earlier vectors q.  Every step works on one pair of each matrix, or on
+    a pair with the earlier ones, so a matrix's first pairs do not depend
+    on p or on the rest of the stack.
     """
-    out = np.full((n, n_modes), 0.5)
-    for idx, tilde in groups:
-        out[idx, : tilde.shape[1]] = tilde
-    return np.sort(out, axis=1)
+    n, rows, p = vectors.shape[0], vectors.shape[-1], nu.shape[1]
+    every, by_row = np.arange(n), np.swapaxes(vectors, 1, 2)
+    basis, overlap = np.empty((n, 2 * p, rows)), np.zeros((n, p))
+    for j in range(p):
+        done = basis[:, : 2 * j]
+        cand = by_row[:, [rows - 1 - 2 * j, rows - 2 - 2 * j]]
+        if j:
+            proj = cand @ np.swapaxes(done, 1, 2)
+            overlap[:, j] = np.max(np.abs(proj[:, 0]), axis=1)
+            cand = cand - proj @ done
+            cand = cand - (cand @ np.swapaxes(done, 1, 2)) @ done  # twice is enough for classical Gram-Schmidt
+        norms = np.sqrt(np.sum(cand * cand, axis=2))
+        pick = ((norms[:, 0] < 0.5) & (norms[:, 1] > norms[:, 0])).astype(int)
+        a = cand[every, pick] / norms[every, pick][:, None]
+        basis[:, 2 * j], basis[:, 2 * j + 1] = a, -(form @ a[:, :, None])[:, :, 0] / nu[:, j, None]
+    a, b = basis[:, 0::2], basis[:, 1::2]
+    residual = np.linalg.norm(b @ np.swapaxes(form, 1, 2) - nu[:, :, None] * a, axis=2) / nu
+    earlier = np.arange(2 * p)[:, None] <= 2 * np.arange(p)  # [q, j]: q is a_j or an earlier vector
+    against = np.max(np.where(earlier, np.abs(basis @ np.swapaxes(b, 1, 2)), 0.0), axis=1, initial=0.0)
+    return basis, np.maximum(np.maximum(residual, np.abs(np.linalg.norm(b, axis=2) - 1.0)), against), overlap
+
+
+def loop_williamson(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """(nu, n_mixed, defect, repairs) of _williamson's real form, paired by the oracle loop (mode_pairs_loop); defect is NaN past each matrix's own mixed pairs."""
+    _, form, gram = _factor(stack)
+    scales = np.maximum(np.max(np.abs(stack), axis=(1, 2)), 1e-300)
+    values, vectors = np.linalg.eigh(gram)
+    moduli = np.sort(np.sqrt(values), axis=1)
+    nu = 0.5 * (moduli[:, 0::2] + moduli[:, 1::2])
+    n_mixed = np.count_nonzero(nu - 0.5 > PURE_MODE_RTOL * np.maximum(scales, 1.0)[:, None], axis=1)
+    p = int(np.max(n_mixed, initial=0))
+    _, defect, overlap = mode_pairs_loop(form, vectors, np.ascontiguousarray(nu[:, ::-1][:, :p]))
+    first = np.arange(p) < n_mixed[:, None]
+    repairs = int(np.count_nonzero(np.any(first & (overlap > WILLIAMSON_RTOL), axis=1)))
+    return nu, n_mixed, np.where(first, defect, np.nan), repairs
 
 
 def flip_system(blocks: np.ndarray) -> np.ndarray:
@@ -549,3 +596,4 @@ def deficit_match(delta_i: float, h_s: float, e_full: float, e_half: float) -> f
     if e_full <= 0.0:
         raise DomainError(f"E(1) must be positive, got {e_full}")
     return delta_i * h_s / e_full + e_half / e_full
+

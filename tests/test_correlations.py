@@ -47,7 +47,7 @@ from qbmlab.model import (
 )
 from qbmlab.runner import _sampler, simulation_pieces
 
-from conftest import random_state
+from conftest import assert_pairs_match_loop, random_state
 from oracles import (
     complex_purification,
     direct_bands,
@@ -59,7 +59,6 @@ from oracles import (
     mask_blocks,
     mask_samples,
     mask_split,
-    padded_transposes,
     sample_fraction,
     stacked_spectra,
 )
@@ -115,13 +114,11 @@ DESK_TOL = 1e-11
 #: Cholesky of the flipped block, relative to the largest value.
 FLIP_RTOL = 1e-11
 
-#: Desk blocks: the near side's partial transpose on its restricted subspace
-#: (purification's third result), padded with 1/2, against the whole block's
-#: (_transposed_spectra, and a Cholesky of the flipped block).  Each value
-#: within FLIP_RTOL of the largest (measured at most 3.5e-15 at 150 and 300
-#: oscillators), and the negativities within this: measured at most 7.3e-14
-#: on these blocks, and 1.1e-13 over the 9,600 draws of a desk run at r = -5,
-#: where either side differs from svd(K~) by up to 7.8e-14.
+#: Desk blocks: the near side's partial transpose (purification's third
+#: result) against _transposed_spectra and a Cholesky of the flipped block.
+#: Each value within FLIP_RTOL of the largest, and the negativities within
+#: this: a block's own factor and the flipped block's Cholesky differ by at
+#: most 7.8e-14 against svd(K~) over the 9,600 draws of a desk run at r = -5.
 RESTRICTED_NEG_TOL = 1e-12
 
 #: I(f) + I(1 - f) = 2 H(S) for the exact uniform-subset means at N = 14 on
@@ -636,12 +633,67 @@ class TestStackedEngine:
         assert peak < 24e6
 
 
+def assert_group_matches_each_time(covs, sampler, t_indices, sample_indices):
+    """fraction_samples of a stack of states, one call, against one call per state: bit for bit, with the same counts but williamson_stacks."""
+    h_s = [system_entropy(cov) for cov in covs]
+    take_counts()
+    alone = [fraction_samples(cov.data, h, sampler, sample_indices, i) for cov, h, i in zip(covs, h_s, t_indices)]
+    each = take_counts()
+    group = fraction_samples(np.array([cov.data for cov in covs]), np.array(h_s), sampler, sample_indices, list(t_indices))
+    together = take_counts()
+    assert len(group) == len(alone)
+    for mine, want in zip(group, alone):
+        for m in ("mi", "neg"):
+            assert list(mine[m]) == list(want[m])
+            for f in want[m]:
+                assert np.array(mine[m][f]).tobytes() == np.array(want[m][f]).tobytes(), (m, f)
+    assert together["williamson_stacks"] < each["williamson_stacks"]
+    for counts in (each, together):
+        del counts["williamson_stacks"]
+    assert together == each
+
+
+class TestTimeGroups:
+    """One fraction_samples call over the rows of several time points gives each time point's call bit for bit."""
+
+    @pytest.mark.parametrize("r", [-5.0, 5.0])
+    def test_desk_curves_times(self, r):
+        covs = [evolved_state(n_osc=150, t=t, r=r)[1] for t in (10.0 / 39.0, 5.128, 10.0)]
+        assert_group_matches_each_time(covs, FractionSampler(seed=3, samples_per_point=6), (1, 20, 39), range(6))
+
+    def test_uneven_bands(self):
+        # 150 modes in 29 bands of 6 and 5: some near sides are complements below f = 1/2
+        covs = [evolved_state(n_osc=150, t=t, r=-5.0)[1] for t in (3.0, 5.128)]
+        sampler = FractionSampler(seed=7, samples_per_point=4, unit="band", n_bands=29)
+        assert_group_matches_each_time(covs, sampler, (12, 20), range(1, 4))
+
+    def test_unmirrored_upper_point(self):
+        covs = [evolved_state(n_osc=150, t=t, r=-5.0)[1] for t in (5.128, 10.0, 2.0)]
+        sampler = FractionSampler(seed=7, samples_per_point=4, f_grid=np.array([2, 30, 75, 100, 120, 150]) / 150)
+        assert_group_matches_each_time(covs, sampler, (20, 39, 8), range(4))
+
+    def test_memory_of_one_task_at_600_oscillators(self):
+        # a pool task of 10 samples at 3 time points, all rows in one call: the sweep cuts each
+        # step's stack at STACK_BYTES per block, so the 30 rows peak at 15.8-16.8 MB under
+        # tracemalloc (seeds 1-3; each time point's call alone 14.1-15.1 MB), and 28.3-29.1 MB uncut
+        covs = [evolved_state(n_osc=600, t=t, r=-5.0)[1] for t in (10.0 / 39.0, 5.128, 10.0)]
+        states, h_s = np.array([cov.data for cov in covs]), np.array([system_entropy(cov) for cov in covs])
+        del covs
+        sampler = FractionSampler(seed=1, samples_per_point=10)
+        tracemalloc.start()
+        try:
+            fraction_samples(states, h_s, sampler, range(10), [1, 20, 39])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+
+
 def assert_restricted_matches(joints, transposes):
-    """purification's restricted partial transposes of a stack of S u near blocks against both whole-block oracles."""
-    got = padded_transposes(transposes, len(joints), joints.shape[-1] // 2)
+    """purification's partial transposes of a stack of S u near blocks against both whole-block oracles."""
     for want in (_transposed_spectra(joints, _factor(joints)), stacked_spectra(flip_system(joints))):
-        assert np.all(np.abs(got - want) <= FLIP_RTOL * np.max(want, axis=1, keepdims=True))
-        assert np.all(np.abs(_negativity_of_values(got) - _negativity_of_values(want)) <= RESTRICTED_NEG_TOL)
+        assert np.all(np.abs(transposes - want) <= FLIP_RTOL * np.max(want, axis=1, keepdims=True))
+        assert np.all(np.abs(_negativity_of_values(transposes) - _negativity_of_values(want)) <= RESTRICTED_NEG_TOL)
 
 
 class TestDeskBlocks:
@@ -671,8 +723,25 @@ class TestDeskBlocks:
             # the partial transpose from each block's own factor
             tilde, want = _transposed_spectra(joints, _factor(joints)), stacked_spectra(flip_system(joints))
             assert np.all(np.abs(tilde - want) <= FLIP_RTOL * np.max(want, axis=1, keepdims=True))
-        counts = take_counts()
-        assert (counts["williamson_fallbacks"], counts["transpose_fallbacks"]) == (0, 0)
+        assert take_counts()["williamson_fallbacks"] == 0
+
+    @pytest.mark.parametrize("r", [-5.0, 5.0])
+    @pytest.mark.parametrize("t_index, t", [(1, 10.0 / 39.0), (20, 5.128), (39, 10.0)])
+    def test_pairing_of_every_stack_against_the_loop(self, r, t_index, t):
+        # every Williamson stack of a desk time point's sweep and splits, paired at once per mixed
+        # count, against the pair-by-pair loop (oracles.loop_williamson) on the same eigenvectors
+        _, cov = evolved_state(n_osc=150, t=t, r=r)
+        williamson, stacks = gaussian_mod._williamson, []
+
+        def spy(stack, factor, scales):
+            stacks.append(stack)
+            return williamson(stack, factor, scales)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gaussian_mod, "_williamson", spy)
+            fraction_samples(cov.data, system_entropy(cov), FractionSampler(seed=3, samples_per_point=4), range(4), t_index)
+        repairs = sum(assert_pairs_match_loop(stack)["pairing_repairs"] for stack in stacks)
+        assert repairs > 0  # the desk blocks hold near-degenerate clusters
 
     @pytest.mark.parametrize("r", [-5.0, 5.0])
     @pytest.mark.parametrize("t_index, t", [(1, 10.0 / 39.0), (20, 5.128), (39, 10.0)])
@@ -704,19 +773,17 @@ class TestDrawCost:
         mask = ~drawn if complement else drawn
         joint = draw_blocks(n_drawn, 8)  # a draw and its complement share the smaller side's size
         h_s = system_entropy(cov)
-        # each partner block (S and one ancilla per mixed mode of S u near) takes a spectrum and
-        # a partial transpose, which the model leaves out; the near side's partial transpose is
-        # taken on Q, the m mixed pairs and 0, 1 or 2 pure pairs, no more rows than the block's
-        _, partners, transposes = purification(mask_blocks(cov.data, mask if 2 * np.count_nonzero(mask) <= 8 else ~mask))
-        ((_, blocks),), ((_, tilde),) = partners, transposes
-        partner_cost, q_rows = 2 * len(blocks[0]) ** 3, 2 * tilde.shape[1]
-        assert q_rows - (len(blocks[0]) - 2) in (0, 2, 4) and q_rows <= joint
+        # each partner block (S and one ancilla per mixed mode of S u near) takes a partial
+        # transpose, which the model leaves out, and the mask path takes H(near) from the near
+        # block's own spectrum, where the sweep sums h(nu) over the modes it kept
+        ((_, blocks),) = purification(mask_blocks(cov.data, mask if 2 * np.count_nonzero(mask) <= 8 else ~mask))[1]
+        partner_cost, near_cost = len(blocks[0]) ** 3, (joint - 2) ** 3
         take_counts()
         values = mask_split(cov.data, h_s, mask)
         counts = take_counts()
-        assert counts["williamson"] == 1
-        assert counts["spectra"] == 1 + 1 + 2
-        assert counts["block_cost"] - partner_cost == joint**3 + q_rows**3
+        assert counts["williamson"] == counts["williamson_stacks"] == 1
+        assert counts["spectra"] == 1 + 1 + 1 + 1
+        assert counts["block_cost"] - partner_cost - near_cost == 2 * joint**3
         assert not np.any(np.isnan(values))
         if complement:
             # bit for bit from the same smaller side; an even split takes the other
@@ -766,7 +833,7 @@ def assert_matches_mask_path(cov, sampler, t_index):
         for f in got[m]:
             assert np.max(np.abs(np.array(got[m][f]) - np.array(want[m][f]))) <= NESTED_TOL, (m, f)
     for counts in (fast, slow):
-        assert (counts["williamson_fallbacks"], counts["transpose_fallbacks"]) == (0, 0)
+        assert counts["williamson_fallbacks"] == 0
     # the sweep's steps and splits cost less than one whole near side per draw, and every
     # kept mode came out of a step block
     assert fast["block_cost"] < slow["block_cost"]
@@ -839,8 +906,8 @@ class TestSweep:
         """(sum of h(nu) over the kept modes, H(near) of the object API) at every drawn grid point of every sample."""
         sweep, seen = correlations_mod._sweep, []
 
-        def spy(data, modes, sizes):
-            out = sweep(data, modes, sizes)
+        def spy(data, state, modes, sizes):
+            out = sweep(data, state, modes, sizes)
             seen.append((modes, sizes, out))
             return out
 
@@ -897,6 +964,32 @@ class TestSweep:
             got = fraction_samples(cov.data, h_s, sampler, range(4), 20)
         counts = take_counts()
         assert counts["williamson_fallbacks"] == sum(steps) > 0
+        want = mask_samples(cov.data, h_s, sampler, range(4), 20)
+        for m in ("mi", "neg"):
+            for f in got[m]:
+                assert np.max(np.abs(np.array(got[m][f]) - np.array(want[m][f]))) <= NESTED_TOL, (m, f)
+
+
+    def test_non_positive_definite_gram_takes_the_complex_form(self):
+        # zero the second pair of every stack of mixed count 2 or more: its V V^T has a zero pivot,
+        # so cholesky fails for those matrices alone and each takes the counted complex fallback
+        _, cov = evolved_state(n_osc=150, t=5.128, r=-5.0)
+        sampler = FractionSampler(seed=3, samples_per_point=4)
+        h_s = system_entropy(cov)
+        mode_pairs, forced = gaussian_mod._mode_pairs, []
+
+        def zero_second_pair(form, tops, nu):
+            if tops.shape[1] > 1:
+                tops = tops.copy()
+                tops[:, 1] = 0.0
+                forced.append(len(tops))
+            return mode_pairs(form, tops, nu)
+
+        take_counts()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gaussian_mod, "_mode_pairs", zero_second_pair)
+            got = fraction_samples(cov.data, h_s, sampler, range(4), 20)
+        assert take_counts()["williamson_fallbacks"] == sum(forced) > 0
         want = mask_samples(cov.data, h_s, sampler, range(4), 20)
         for m in ("mi", "neg"):
             for f in got[m]:

@@ -32,7 +32,7 @@ from qbmlab.gaussian import (
     von_neumann_entropy,
 )
 
-from conftest import random_state, random_symplectic, two_mode_squeezed
+from conftest import assert_pairs_match_loop, random_state, random_symplectic, two_mode_squeezed
 from oracles import (
     OverlapError,
     complex_purification,
@@ -41,7 +41,6 @@ from oracles import (
     flip_system,
     mutual_information,
     omega_copy_purity,
-    padded_transposes,
     stacked_spectra,
     symplectic_eigenvalues,
     symplectic_form,
@@ -56,8 +55,8 @@ H_AT_SQRT5_HALF = 1.076022352410010097223583082376513563561
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 NO_COUNTS = dict.fromkeys(
-    ("spectra", "block_cost", "block_modes_max", "svd_fallbacks", "williamson", "pairing_repairs", "williamson_fallbacks",
-     "transpose_fallbacks", "propagator_fallbacks", "kept_modes_max"),
+    ("spectra", "block_cost", "block_modes_max", "svd_fallbacks", "williamson", "williamson_stacks", "pairing_repairs",
+     "williamson_fallbacks", "propagator_fallbacks", "kept_modes_max"),
     0,
 )
 
@@ -71,11 +70,10 @@ PURIFICATION_TOL = 1e-10
 #: measured at most 1e-14 relative to the largest value on these states.
 FLIP_RTOL = 1e-11
 
-#: The near side's partial transpose on its restricted subspace (purification's
-#: third result), padded with 1/2, against the whole block's spectrum
-#: (_transposed_spectra, and a Cholesky of the flipped block), relative to the
-#: largest value: measured at most 2.7e-14 over 3,000 random pure states of
-#: 3-9 modes, as the two whole-block paths differ (2.5e-14).
+#: The near side's partial transpose (purification's third result) against
+#: _transposed_spectra and a Cholesky of the flipped block, relative to the
+#: largest value: the two whole-block paths differ by at most 2.5e-14 over
+#: 3,000 random pure states of 3-9 modes.
 RESTRICTED_RTOL = 1e-11
 
 #: The negativities of the same spectra: measured at most 6.7e-12, where a
@@ -330,12 +328,13 @@ class TestSpectrumCounters:
         assert take_counts() == NO_COUNTS
 
     def test_williamson_counts_as_one_spectrum(self):
-        # a purification counts its decomposition and the restricted partial transpose, one
-        # spectrum each; _split takes the partners' spectra.  A pure two-mode block has no
-        # mixed pair, and the pairs that reach e0 and e1 fill its 4 rows
+        # a purification counts its decomposition and the partial transpose, one spectrum
+        # each, and one Williamson call for the stack; _split takes the partners' transposes
         take_counts()
         nu, _, _ = purification(np.array([two_mode_squeezed(0.8).data] * 3))
-        assert take_counts() == {**NO_COUNTS, "spectra": 6, "block_cost": 6 * 4**3, "block_modes_max": 2, "williamson": 3}
+        assert take_counts() == {
+            **NO_COUNTS, "spectra": 6, "block_cost": 6 * 4**3, "block_modes_max": 2, "williamson": 3, "williamson_stacks": 1,
+        }
         assert nu[1] == pytest.approx([0.5, 0.5], abs=1e-12)  # a pure state: every Williamson eigenvalue is 1/2
 
 
@@ -704,13 +703,12 @@ class TestPurification:
             stack[-1] = degenerate_pairs(seed)[: 2 * n_modes, : 2 * n_modes] if n_modes <= 3 else stack[-1]
         nu, partners, transposes = purification(stack)
         blocks = partner_blocks(partners, n)
-        tilde = padded_transposes(transposes, n, n_modes)
         nu_s, sym_s = williamson(stack)
         for i, sigma in enumerate(stack):
             nu_i, partners_i, transposes_i = purification(sigma[None])
             assert nu[i].tobytes() == nu_i[0].tobytes()
             assert blocks[i].tobytes() == partner_blocks(partners_i, 1)[0].tobytes()
-            assert tilde[i].tobytes() == padded_transposes(transposes_i, 1, n_modes)[0].tobytes()
+            assert transposes[i].tobytes() == transposes_i[0].tobytes()
             assert nu_s[i].tobytes() == williamson(sigma)[0].tobytes()
             assert sym_s[i].tobytes() == williamson(sigma)[1].tobytes()
 
@@ -760,32 +758,22 @@ class TestRealPurification:
 
 
 class TestRestrictedTransposes:
-    """The near side's partial transpose on its restricted subspace (purification's third result) against the whole block's."""
+    """The near side's partial transpose on mode 0 (purification's third result) against the whole-block oracles."""
 
     @staticmethod
-    def restricted(stack) -> tuple[np.ndarray, list[int]]:
-        """(padded spectra, modes of each restricted spectrum) of a stack, checked against both whole-block oracles."""
-        n, n_modes = len(stack), stack.shape[-1] // 2
-        take_counts()
-        groups = purification(stack)[2]
-        assert take_counts()["transpose_fallbacks"] == 0
-        got = padded_transposes(groups, n, n_modes)
+    def restricted(stack) -> np.ndarray:
+        """purification's partial-transpose spectra of a stack, checked against _transposed_spectra and a Cholesky of the flipped stack."""
+        got = purification(stack)[2]
         for want in (_transposed_spectra(stack, _factor(stack)), stacked_spectra(flip_system(stack))):
             assert np.all(np.abs(got - want) <= RESTRICTED_RTOL * np.max(want, axis=1, keepdims=True))
             assert np.all(np.abs(_negativity_of_values(got) - _negativity_of_values(want)) <= RESTRICTED_NEG_TOL)
-        return got, [tilde.shape[1] for _, tilde in groups for _ in tilde]
+        return got
 
     @pytest.mark.parametrize("n_modes", range(3, 10))
     def test_every_split_of_a_random_pure_state(self, n_modes):
-        whole = smaller = 0
         for mask in range(1, 2 ** (n_modes - 1) - 1):
             cov, near, _ = split_pure_state(n_modes, n_modes, mask)
-            (q_modes,) = self.restricted(partial_trace(cov, ModeSubset.of((0,) + near, n_modes)).data[None])[1]
-            whole += q_modes == len(near) + 1
-            smaller += q_modes < len(near) + 1
-        # Q spans the whole block when every mode is mixed; from 5 modes a large near side
-        # against a small far one leaves pure modes outside Q
-        assert whole and (smaller or n_modes < 5)
+            self.restricted(partial_trace(cov, ModeSubset.of((0,) + near, n_modes)).data[None])
 
     @settings(max_examples=40, deadline=None)
     @given(seed=SEEDS, n_modes=st.integers(min_value=3, max_value=9), near_mask=st.integers(min_value=0))
@@ -795,47 +783,54 @@ class TestRestrictedTransposes:
 
     def test_williamson_fallback_takes_the_whole_block(self):
         # TestRealPurification's spread past the Gram guard: the Williamson form falls back,
-        # so the partial transpose is taken on the whole block, as _transposed_spectra does
+        # and the partial transpose is the whole block's, as _transposed_spectra gives it
         sigma = np.zeros((1, 4, 4))
         sigma[0, :2, :2] = two_mode_squeezed(4.0).data[:2, :2]
         sigma[0, 2:, 2:] = 0.5 * np.eye(2)
         take_counts()
-        ((idx, tilde),) = purification(sigma)[2]
-        counts = take_counts()
-        assert (counts["williamson_fallbacks"], counts["transpose_fallbacks"]) == (1, 1)
-        assert idx.tolist() == [0] and tilde.tobytes() == _transposed_spectra(sigma, _factor(sigma)).tobytes()
+        tilde = purification(sigma)[2]
+        assert take_counts()["williamson_fallbacks"] == 1
+        assert tilde.tobytes() == _transposed_spectra(sigma, _factor(sigma)).tobytes()
 
-    def test_blocks_q_cannot_shrink_take_the_whole_block_uncounted(self):
-        # 3-mode blocks (S and two of five bath modes) of random pure states: every mode is mixed,
-        # so Q would have 2 m + 4 >= 6 rows, and the rule takes the whole block without counting it
-        stack = np.array([
-            partial_trace(cov, ModeSubset.of((0,) + near, 6)).data
-            for cov, near, _ in (split_pure_state(seed, 6, 0b00011) for seed in range(3))
-        ])
+
+class TestModePairs:
+    """_williamson's pairing (one Cholesky-QR per mixed count) against the pair-by-pair loop (oracles.mode_pairs_loop)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=SEEDS, n_modes=st.integers(min_value=3, max_value=9), n=st.integers(min_value=1, max_value=5))
+    def test_random_pure_stacks(self, seed, n_modes, n):
+        rng = np.random.default_rng(seed)
+        stack = []
+        for _ in range(n):
+            cov, near, _ = split_pure_state(int(rng.integers(2**32)), n_modes, 1 + int(rng.integers(2 ** (n_modes - 1) - 2)))
+            stack.append(partial_trace(cov, ModeSubset.of((0,) + near, n_modes)).data)
+        size = min(len(block) for block in stack)  # blocks of one size: S and the first modes of each near side
+        assert_pairs_match_loop(np.array([block[:size, :size] for block in stack]))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_exact_degeneracy_is_repaired_as_the_loop_repairs_it(self, seed):
+        assert assert_pairs_match_loop(np.array([degenerate_pairs(seed)] * 2))["pairing_repairs"] == 2
+
+    def test_non_positive_definite_gram_takes_the_complex_form(self, monkeypatch):
+        # a zero second pair gives V V^T a zero pivot: cholesky fails for that matrix alone, its rows
+        # are NaN, and it takes the counted complex fallback; the other matrices keep the real form
+        stack = np.array([degenerate_pairs(seed) for seed in (1, 2, 3)])
+        mode_pairs = gaussian_mod._mode_pairs
+
+        def zero_second_pair(form, tops, nu):
+            tops = tops.copy()
+            tops[1, 1] = 0.0
+            return mode_pairs(form, tops, nu)
+
+        monkeypatch.setattr(gaussian_mod, "_mode_pairs", zero_second_pair)
         take_counts()
-        ((idx, tilde),) = purification(stack)[2]
-        assert take_counts()["transpose_fallbacks"] == 0
-        assert idx.tolist() == [0, 1, 2] and tilde.tobytes() == _transposed_spectra(stack, _factor(stack)).tobytes()
-
-    def test_invariance_failure_takes_the_whole_block(self, monkeypatch):
-        # Q without its pure pairs leaves out part of e0, which K~ then carries out of Q: the
-        # check fails for every matrix, and each takes the whole block
-        stack = np.array([
-            partial_trace(cov, ModeSubset.of((0,) + near, 8)).data
-            for cov, near, _ in (split_pure_state(seed, 8, 0b0011111) for seed in range(3))
-        ])
-        flip_space = gaussian_mod._flip_space
-
-        def without_pure_pairs(form, q):
-            _, images = flip_space(form, q)
-            q[:, -4:] = images[:] = 0.0
-            return np.zeros(len(form), dtype=int), images
-
-        monkeypatch.setattr(gaussian_mod, "_flip_space", without_pure_pairs)
-        take_counts()
-        ((idx, tilde),) = purification(stack)[2]
-        assert take_counts()["transpose_fallbacks"] == 3
-        assert idx.tolist() == [0, 1, 2] and tilde.tobytes() == _transposed_spectra(stack, _factor(stack)).tobytes()
+        nu, partners, _ = purification(stack)
+        assert take_counts()["williamson_fallbacks"] == 1
+        monkeypatch.setattr(gaussian_mod, "_mode_pairs", mode_pairs)
+        want_nu, want_partners, _ = purification(stack)
+        assert np.max(np.abs(nu - want_nu)) <= PURIFICATION_TOL
+        for block, want in zip(partner_blocks(partners, 3), partner_blocks(want_partners, 3)):
+            assert entropy_and_negativity(block) == pytest.approx(entropy_and_negativity(want), abs=PURIFICATION_TOL)
 
 
 class TestTransposedSpectra:
