@@ -29,28 +29,27 @@ number.
 
 The fraction plots rely on global purity of the closed dynamics, checked
 once per time point (gaussian.check_purity; an impure state raises
-ImpureState).  Purity lets every draw be evaluated on its smaller side: for
-a split of the N bath modes into k <= N/2 and N - k, only S u near, near the
-k modes, is evaluated, and its purification partner (S and one ancilla per
-mixed mode) stands in for S u far (see _split).  Purity also gives the
-f = 1 negativity in closed form from the 2 x 2 system block
-(_pure_negativity).
+ImpureState).  Purity lets every draw be evaluated on its drawn side
+alone: only S u near, near the drawn modes, is evaluated, and its
+purification partner (S and one ancilla per mixed mode) stands in for
+S u far, far the complement (see _split).  Purity also gives the f = 1
+negativity in closed form from the 2 x 2 system block (_pure_negativity).
 
 Purity also spares every near side its whole block.  A mode that is pure
 in the reduced state of near is in product with everything else (Botero &
 Reznik, PRA 67, 052311 (2003)), so S u near and S u (the mixed Williamson
-modes of near) share every entropy and the negativity on S.  A sample's
-near sides are runs of one order: with the bath modes in the sample's unit
-order, near is the first modes of that order, or, where the complement is
-the smaller side, of the reversed order.  So fraction_samples sweeps each
-row's ends once (_sweep), a row being one sample at one time point.  It visits the near sides of an end in
-increasing size, and each step takes the Williamson form
+modes of near) share every entropy and the negativity on S, on either
+side of the split.  A sample's draws are runs of one order: with the bath
+modes in the sample's unit order, grid point k draws the first modes of
+that order, however many.  So fraction_samples sweeps each row once
+(_sweep), a row being one sample at one time point.  It visits the row's
+draws in increasing size, and each step takes the Williamson form
 (gaussian._mixed_modes) of the modes kept so far, diag(nu), bordered by
-the modes added since the previous near side.  It keeps the new mixed
-modes, with their covariances against S and the modes later steps add.
-The sum of h(nu) over the kept modes is H(near).  Each near side's block
-of S and its kept modes then goes through _split, all blocks of one size
-of the call as one stack.  There everything is read off one factor
+the modes added since the previous draw.  It keeps the new mixed modes,
+with their covariances against S and the modes later steps add.  The sum
+of h(nu) over the kept modes is H(near).  Each draw's block of S and its
+kept modes then goes through _split, all blocks of one size of the call
+as one stack.  There everything is read off one factor
 (gaussian._factor: K = L^T Omega L and K^T K): the real Williamson form
 (gaussian.purification) gives H(S u near) and the partner, and the same
 factor the partial transpose on S.  On a desk time point (N = 150, 20
@@ -63,11 +62,11 @@ Bands run on the same kernels: band_correlations factors the block of
 S u band once for H(S u band) and its partial transpose, and the band's
 own block for H(band) (_band_values); it makes no purity assumption.
 Bands of one size go through _in_stacks as stacks (_blocks, system first),
-which STACK_BYTES bounds, as it bounds the sweep's steps.  Every stack, of
-bands, steps or splits, gives
-each matrix bit for bit its result alone.  H(S) = h(nu_S) and the f = 1
-negativity arccosh(2 nu_S) read one nu_S = sqrt(det sigma_S) of the 2 x 2
-system block (_system_nu); no function here takes a spectrum of it.
+which STACK_BYTES bounds (_stack_slices), as it bounds the sweep's steps.
+Every stack, of bands, steps or splits, gives each matrix bit for bit its
+result alone.  H(S) = h(nu_S) and the f = 1 negativity arccosh(2 nu_S)
+read one nu_S = sqrt(det sigma_S) of the 2 x 2 system block (_system_nu);
+no function here takes a spectrum of it.
 """
 
 from __future__ import annotations
@@ -294,7 +293,8 @@ def fraction_plan(grid: np.ndarray, units: int) -> list[tuple[float, float | Non
 
 #: Working-memory budget of one stacked operand, as float64: _in_stacks
 #: cuts the bands of one size, and _sweep each step's blocks of one shape,
-#: into slices of blocks of at most this many bytes (at least one block).
+#: into slices of blocks of at most this many bytes (at least one block;
+#: _stack_slices).
 #: On the desk grid the steps take blocks of at most about 33 modes and no
 #: cut falls; at 600 oscillators a step adds up to 94 modes, and uncut, the
 #: 30 rows of 10 samples at 3 time points peaked at 28-29 MB under
@@ -328,6 +328,12 @@ def _blocks(data: np.ndarray, modes: np.ndarray) -> np.ndarray:
     return data[rows[:, :, None], rows[:, None, :]]
 
 
+def _stack_slices(items: np.ndarray, rows: int) -> list[np.ndarray]:
+    """items cut in order into slices of as many blocks of rows x rows floats as STACK_BYTES holds, at least one."""
+    step = max(1, STACK_BYTES // (8 * rows**2))
+    return [items[lo : lo + step] for lo in range(0, len(items), step)]
+
+
 def _in_stacks(keys: np.ndarray, evaluate, rows) -> np.ndarray:
     """Columns evaluate(idx) of every item, in item order, where idx holds the indices of items of one key.
 
@@ -338,11 +344,9 @@ def _in_stacks(keys: np.ndarray, evaluate, rows) -> np.ndarray:
     """
     order, columns = [], []
     for key in sorted(set(keys.tolist())):
-        same = np.flatnonzero(keys == key)
-        step = max(1, STACK_BYTES // (8 * rows(key) ** 2))
-        for lo in range(0, len(same), step):
-            order.append(same[lo : lo + step])
-            columns.append(evaluate(order[-1]))
+        for idx in _stack_slices(np.flatnonzero(keys == key), rows(key)):
+            order.append(idx)
+            columns.append(evaluate(idx))
     return np.concatenate(columns, axis=1)[:, np.argsort(np.concatenate(order))]
 
 
@@ -365,8 +369,8 @@ def _band_values(data: np.ndarray, h_s: float, modes: np.ndarray) -> np.ndarray:
 def _split(h_s: float | np.ndarray, joints: np.ndarray, h_near: np.ndarray) -> np.ndarray:
     """(MI, MI, negativity, negativity) of S with the near bath modes of each block of a stack and with the rest, shape (4, n).
 
-    joints is an (n, 2c + 2, 2c + 2) stack of blocks of S u near, near the
-    smaller side of a split of the bath, or the modes that stand in for it
+    joints is an (n, 2c + 2, 2c + 2) stack of blocks of S u near, near
+    either side of a split of the bath, or the modes that stand in for it
     (_sweep); h_s holds H(S) and h_near H(near) of each block (or one value
     for all).  Only S u near is factored, in gaussian.purification.  Its
     Williamson decomposition gives H(S u near) and a purification partner
@@ -386,40 +390,36 @@ def _split(h_s: float | np.ndarray, joints: np.ndarray, h_near: np.ndarray) -> n
 
 
 def _sweep(data: np.ndarray, state: np.ndarray, modes: np.ndarray, sizes: np.ndarray) -> list:
-    """The block of S and the kept modes of each near side of one end: (blocks, rows, columns) stacks.
+    """The block of S and the kept modes of each drawn prefix of each row: (blocks, rows, column) stacks.
 
     data (T, 2N + 2, 2N + 2) holds covariance arrays and state the one that
     each row reads.  modes (n, N) holds the bath modes (1..N) of each row in
-    the order of this end, and sizes (n, c) the near-side size of each grid
-    column that the end takes, 0 where it does not; a row's sizes are
-    distinct.  Each row visits its near sides in increasing size, and each
-    step adds the modes between the previous near side and this one.  It
-    keeps, for the near side E, only its mixed Williamson modes: their nu
-    and the covariances of their quadratures with S and with the modes that
-    later steps add (gaussian._mixed_modes).  A step's block holds the kept
-    modes, diag(nu), bordered by the added modes' rows and columns.
-    Dropping a pure mode is exact in a globally pure state, so the block of
-    S and the kept modes (S first, then diag(nu) bordered by their
+    its unit order, and sizes (n, c) the drawn prefix of each grid column,
+    strictly rising along every row.  Each row visits its prefixes in column
+    order, and each step adds the modes between the previous prefix and
+    this one.  It keeps, for the prefix E, only its mixed Williamson modes:
+    their nu and the covariances of their quadratures with S and with the
+    modes that later steps add (gaussian._mixed_modes).  A step's block
+    holds the kept modes, diag(nu), bordered by the added modes' rows and
+    columns.  Dropping a pure mode is exact in a globally pure state, so the
+    block of S and the kept modes (S first, then diag(nu) bordered by their
     covariances with S) shares every entropy and the negativity on S with
     S u E (_split).  Rows step together, grouped by their kept count and
-    the modes they add, in slices of at most STACK_BYTES per block, so each
-    row's arrays are sized by its own counts alone.
+    the modes they add, in slices of at most STACK_BYTES per block
+    (_stack_slices), so each row's arrays are sized by its own counts alone.
     """
     quads = _quadratures(modes)
-    steps, columns = np.sort(sizes, axis=1), np.argsort(sizes, axis=1, kind="stable")
-    last = np.max(sizes, axis=1, initial=0)  # no step reads a mode past its row's largest near side
+    last = np.max(sizes, axis=1, initial=0)  # no step reads a mode past its row's largest prefix
     kept = [(np.empty(0), np.empty((0, 2 + 2 * top))) for top in last.tolist()]
     out = []
-    for q in range(steps.shape[1]):
+    for q in range(sizes.shape[1]):
         groups: dict[tuple, list] = {}
-        for s in np.flatnonzero(steps[:, q]).tolist():
-            key = (len(kept[s][0]), int(steps[s, q - 1]) if q else 0, int(steps[s, q]), int(last[s]))
+        for s in range(len(sizes)):
+            key = (len(kept[s][0]), int(sizes[s, q - 1]) if q else 0, int(sizes[s, q]), int(last[s]))
             groups.setdefault(key, []).append(s)
         for (m, lo, hi, top), members in groups.items():
             width = 2 * (hi - lo)
-            step = max(1, STACK_BYTES // (8 * (2 * m + width) ** 2))
-            for at in range(0, len(members), step):
-                idx = np.array(members[at : at + step])
+            for idx in _stack_slices(np.array(members), 2 * m + width):
                 nu = np.array([kept[s][0] for s in idx]).reshape(len(idx), m)
                 rows = np.array([kept[s][1] for s in idx]).reshape(len(idx), 2 * m, 2 + 2 * (top - lo))
                 added, own = quads[idx, 2 + 2 * lo : 2 + 2 * hi], state[idx, None, None]
@@ -441,7 +441,7 @@ def _sweep(data: np.ndarray, state: np.ndarray, modes: np.ndarray, sizes: np.nda
                     joints[:, 2:, :2] = rows_kept[:, :, :2]
                     joints[:, :2, 2:] = np.swapaxes(rows_kept[:, :, :2], 1, 2)
                     joints[:, np.arange(2, size), np.arange(2, size)] = np.repeat(nu_kept, 2, axis=1)
-                    out.append((joints, idx[part], columns[idx[part], q]))
+                    out.append((joints, idx[part], q))
     return out
 
 
@@ -466,19 +466,18 @@ def fraction_samples(
     The draws are nested: each sample orders the sampling units once
     (_permutation), grid point k draws the first k units, and its mirror
     holds the rest.  With the bath modes in that order (a band's modes in
-    a row, ascending), every near side (_split) is a leading run: of this
-    order where the draw is the smaller side, of the reversed order where
-    the complement is (unmirrored upper points, and uneven bands).  So
-    each row sweeps each end once (_sweep), one step per near side,
-    keeping only the mixed Williamson modes of the near side so far, and
-    every near side's block of S and its kept modes goes to _split, all
-    blocks of one size as one stack, with H(near) the sum of h(nu) over
-    its kept modes.  Each row's values depend on its own state and order
-    alone, so they do not depend on the other rows.  At f = 1 the mutual
-    information is 2 H(S) and the negativity is read off sigma_S
-    (_pure_negativity), recorded once, by the range that starts at index
-    0.  A self-mirrored point (f = 1/2) lists draw and complement
-    interleaved.  The stacked eigh's vectors, and with them the
+    a row, ascending), every draw is a leading run, on either side of
+    1/2 (unmirrored upper points, and uneven bands, draw more than half
+    the modes).  So each row sweeps its order once (_sweep), one step per
+    drawn grid point, keeping only the mixed Williamson modes of the draw
+    so far, and every draw's block of S and its kept modes goes to _split
+    as the near side, all blocks of one size as one stack, with H(near)
+    the sum of h(nu) over its kept modes.  Each row's values depend on its
+    own state and order alone, so they do not depend on the other rows.
+    At f = 1 the mutual information is 2 H(S) and the negativity is read
+    off sigma_S (_pure_negativity), recorded once, by the range that
+    starts at index 0.  A self-mirrored point (f = 1/2) lists draw and
+    complement interleaved.  The stacked eigh's vectors, and with them the
     pairing_repairs count, depend on the BLAS thread count.  The CLI and
     the pool workers run BLAS on one thread, so only a library caller that
     sets OPENBLAS_NUM_THREADS=1 (or the equivalent) before numpy loads is
@@ -496,20 +495,16 @@ def fraction_samples(
     # bath modes (1..N) in each row's unit order, and how many the first k units hold
     order = np.argsort(np.argsort(perms, axis=1)[:, unit_of_mode], axis=1, kind="stable") + 1
     counts = np.cumsum(np.bincount(unit_of_mode, minlength=units)[perms], axis=1)[:, ks - 1]
-    ahead = 2 * counts <= n_bath  # the near side is the drawn prefix, else the complement
-    near = np.where(ahead, counts, n_bath - counts)
     values = np.empty((4, len(perms), len(ks)))  # MI drawn, MI mirror, negativity drawn, negativity mirror
     by_size: dict[int, list] = {}
-    for end, (takes, modes) in enumerate(((ahead, order), (~ahead, order[:, ::-1]))):
-        for joints, rows, cols in _sweep(stack, state, modes, np.where(takes, near, 0)):
-            by_size.setdefault(joints.shape[-1], []).append((joints, rows, cols, end))
+    for joints, rows, col in _sweep(stack, state, order, counts):
+        by_size.setdefault(joints.shape[-1], []).append((joints, rows, col))
     for parts in by_size.values():
         joints, which = np.concatenate([part[0] for part in parts]), np.concatenate([part[1] for part in parts])
         h_near = _entropy_of_values(np.diagonal(joints, axis1=1, axis2=2)[:, 2::2])  # the kept modes' nu
         got, at = _split(h_ss[state[which]], joints, h_near), 0
-        for part, rows, cols, end in parts:
-            block = got[:, at : at + len(part)]
-            values[:, rows, cols] = block if end == 0 else block[[1, 0, 3, 2]]
+        for part, rows, col in parts:
+            values[:, rows, col] = got[:, at : at + len(part)]
             at += len(part)
     outs = []
     for i, h_s_i in enumerate(h_ss.tolist()):

@@ -23,14 +23,16 @@ plan in one correlations.fraction_samples call over all the group's
 (time, sample) rows.  Slices of equal size do not cost the same at every
 time point: 20 desk samples took 31-35 ms at t = 10/39 and 82-101 ms at
 t = 5.128 and 10 (one BLAS thread, seeds 1-3), so a chunk holds every
-time point of its group.  With W workers and n time points, a short grid
-(n < 4 W, _chunk_count) is cut into near-equal groups of at most 4
-consecutive time points and each group into min(samples, W) contiguous
-slices of near-equal size, so W workers get W equal chunks of each
-group; a longer grid, or one worker there, has one whole time point per
-chunk (_time_groups).  A finer cut would only add kernel calls.  The
-chunk of slice 0 also carries its time points' state diagnostics, bands
-and f = 1.  Items go to a pool of worker processes in time order.
+time point of its group.  One planner (_plan) lists the chunks: with W
+workers and n time points, a short grid (n < 4 W) is cut into near-equal
+groups of at most 4 consecutive time points and each group into
+min(samples, W) contiguous slices of near-equal size, so W workers get W
+equal chunks of each group; a longer grid, or one worker there, has one
+whole time point per chunk.  A run that takes no curves has no samples
+to cut, so one chunk per group.  A finer cut would only add kernel
+calls.  The chunk of slice 0 also carries its time points' state
+diagnostics, bands and f = 1.  Items go to a pool of worker processes in
+time order.
 Every chunk evolves its time points and checks their purity
 (ImpureState in every stage); neither step, nor H(S), takes a counted
 spectrum, so the manifest's spectrum counts do not depend on the cut or
@@ -171,14 +173,16 @@ def _sampler(config: RunConfig) -> FractionSampler:
                            unit=config.unit, n_bands=config.n_bands)
 
 
-def _chunk_count(samples: int, workers: int, n_times: int) -> int:
-    """Chunks per time point: one per worker on a short grid, at most one per sample."""
-    return 1 if n_times >= 4 * workers else min(samples, workers)
+def _plan(n_times: int, workers: int, samples: int) -> list[tuple[range, range]]:
+    """(time indices, sample indices) of every task, in time order.
 
-
-def _time_groups(n_times: int, workers: int) -> list[range]:
-    """The time indices that one task evaluates together: near-equal contiguous groups of at most 4 on a short grid (_chunk_count's), one each on a longer one."""
-    return _slices(n_times, -(-n_times // 4) if n_times < 4 * workers else n_times)
+    A short grid (n_times < 4 workers) is cut into near-equal contiguous groups of at most 4
+    time points, and each group into min(samples, workers) sample slices; a longer grid has one
+    whole time point and every sample per task.
+    """
+    short = n_times < 4 * workers
+    groups = _slices(n_times, -(-n_times // 4) if short else n_times)
+    return [(group, part) for group in groups for part in _slices(samples, min(samples, workers) if short else 1)]
 
 
 def _slices(samples: int, n_chunks: int) -> list[range]:
@@ -359,7 +363,6 @@ def _run_time_points(config: RunConfig, wants: tuple[str, ...]) -> tuple[list[di
     times = [float(t) for t in config.times()]
     # bound the pool by usable CPUs: beyond that, extra processes only contend
     workers = min(config.workers, usable_cpu_count())
-    n_chunks = 1
     if "curves" in wants:
         sampler = _sampler(config)
         try:  # a grid that the sampling units cannot hold is a configuration error
@@ -367,11 +370,11 @@ def _run_time_points(config: RunConfig, wants: tuple[str, ...]) -> tuple[list[di
         except DomainError as exc:
             field = "f_grid" if config.f_grid is not None else "n_bands" if config.unit == "band" else "n_oscillators"
             raise ValidationError([f"{field}: {exc}"]) from exc
-        n_chunks = _chunk_count(config.samples, workers, len(times))
+    # without curves there are no samples to cut: one task per time group
+    plan = _plan(len(times), workers, config.samples if "curves" in wants else 1)
     payloads = [
-        (config, [(i, times[i]) for i in group], wants if j == 0 else ("curves",), sample_indices)
-        for group in _time_groups(len(times), workers)
-        for j, sample_indices in enumerate(_slices(config.samples, n_chunks))
+        (config, [(i, times[i]) for i in group], wants if indices.start == 0 else ("curves",), indices)
+        for group, indices in plan
     ]
     with _pool(min(workers, len(payloads))) as pool:
         items = list(pool.map(_chunk_task, payloads, chunksize=1))

@@ -106,8 +106,9 @@ RANDOM_BAND_NEG_TOL = 3e-11
 #: PURE_MODE_RTOL leaves out; measured at most 3.1e-12 on the desk states,
 #: and 3.8e-12 at 300 oscillators.  The same bound holds the sum of h(nu)
 #: over the modes a sweep keeps against H(near) of the whole block
-#: (TestSweep): measured at most 1.7e-12 on the desk states and 1.8e-12 at
-#: 300 oscillators.
+#: (TestSweep): measured at most 1.7e-12 on the desk states, 1.8e-12 at
+#: 300 oscillators and 2.1e-12 at the 100-mode draws of a grid with
+#: unmirrored upper points.
 DESK_TOL = 1e-11
 
 #: The partial-transpose spectrum from a block's own factor against a
@@ -131,8 +132,8 @@ EXACT_PURITY_TOL = 1e-11
 #: sweep kept) against the per-draw mask path (oracles.mask_samples: each
 #: near side's whole block in ascending mode order) on the same nested
 #: subsets.  Measured at most 1.7e-12 (300 oscillators), 1.4e-12 at the
-#: desk points (r = 5, t = 10/39) and on uneven bands, and 9.0e-13 on a
-#: grid with unmirrored upper points.
+#: desk points (r = 5, t = 10/39) and on uneven bands, and 8.4e-13 on
+#: grids with unmirrored upper points.
 NESTED_TOL = 1e-11
 
 #: I(S : E_f) and the negativity of one sample along its nested draws (and
@@ -855,16 +856,33 @@ class TestNestedAgainstMaskPath:
 
     @pytest.mark.parametrize("f_grid", [None, np.array([3, 10, 17, 20, 29]) / 29])
     def test_uneven_bands(self, f_grid):
-        # 150 modes in 29 bands of 6 and 5: a draw's near side may be its complement below f = 1/2
+        # 150 modes in 29 bands of 6 and 5; the custom grid's unmirrored 17/29 and 20/29 draw more than half
         _, cov = evolved_state(n_osc=150, t=5.128, r=-5.0)
         sampler = FractionSampler(seed=7, samples_per_point=4, unit="band", n_bands=29, f_grid=f_grid)
         assert_matches_mask_path(cov, sampler, 20)
 
-    def test_unmirrored_upper_points_read_the_reversed_order(self):
+    def test_unmirrored_upper_points_sweep_forward(self):
         _, cov = evolved_state(n_osc=150, t=5.128, r=-5.0)
         sampler = FractionSampler(seed=7, samples_per_point=4, f_grid=np.array([2, 30, 75, 100, 120, 150]) / 150)
         assert [mirror for _, mirror in fraction_plan(sampler.grid_for(150), 150)] == [None, 0.8, 0.5, None, None]
         assert_matches_mask_path(cov, sampler, 20)
+
+    def test_draw_of_more_than_half_the_modes_below_one_half(self):
+        # 3 modes in 2 bands of 2 and 1: f = 1/2 draws one band, and where that is the first band
+        # the draw holds 2 of the 3 modes; the sweep takes it forward like any other draw
+        cov = random_state(np.random.default_rng(11), 4, pure=True)
+        sampler = FractionSampler(seed=5, samples_per_point=6, unit="band", n_bands=2, f_grid=np.array([0.5, 1.0]))
+        firsts = [_permutation(sampler, 2, s_idx, 2)[0] for s_idx in range(6)]
+        assert 0 in firsts and 1 in firsts  # draws of 2 modes and of 1
+        h_s = system_entropy(cov)
+        take_counts()
+        got = fraction_samples(cov.data, h_s, sampler, range(6), 2)
+        assert take_counts()["williamson_fallbacks"] == 0
+        want = mask_samples(cov.data, h_s, sampler, range(6), 2)
+        for m in ("mi", "neg"):
+            assert list(got[m]) == list(want[m])
+            for f in got[m]:
+                assert np.max(np.abs(np.array(got[m][f]) - np.array(want[m][f]))) <= NESTED_TOL, (m, f)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -907,6 +925,7 @@ class TestSweep:
         sweep, seen = correlations_mod._sweep, []
 
         def spy(data, state, modes, sizes):
+            assert np.all(np.diff(sizes, axis=1) > 0)  # every row's drawn prefixes rise strictly
             out = sweep(data, state, modes, sizes)
             seen.append((modes, sizes, out))
             return out
@@ -916,8 +935,8 @@ class TestSweep:
             fraction_samples(cov.data, system_entropy(cov), sampler, range(sampler.samples_per_point), t_index)
         got, want = [], []
         for modes, sizes, out in seen:
-            for joints, rows, cols in out:
-                for joint, s, c in zip(joints, rows.tolist(), cols.tolist()):
+            for joints, rows, c in out:
+                for joint, s in zip(joints, rows.tolist()):
                     # the kept modes' block is diag(nu, nu, ...) after S's two rows
                     got.append(_entropy_of_values(np.diagonal(joint)[2::2]))
                     near = ModeSubset.of(modes[s, : sizes[s, c]].tolist(), cov.n_modes)
@@ -937,8 +956,9 @@ class TestSweep:
         got, want = self.kept_entropies(cov, FractionSampler(seed=3, samples_per_point=2), 20)
         assert np.max(np.abs(got - want)) <= DESK_TOL
 
-    def test_reversed_sweep_of_unmirrored_upper_points(self):
-        # f = 100/150 has no mirror on the grid: its near side is the last 50 modes of each order
+    def test_forward_sweep_of_unmirrored_upper_points(self):
+        # f = 100/150 has no mirror on the grid: its near side is the first 100 modes of each
+        # order, which the sweep reaches forward, as it does every other draw
         _, cov = evolved_state(n_osc=150, t=5.128, r=-5.0)
         sampler = FractionSampler(seed=7, samples_per_point=4, f_grid=np.array([2, 30, 75, 100, 120, 150]) / 150)
         got, want = self.kept_entropies(cov, sampler, 20)

@@ -27,11 +27,10 @@ from qbmlab.correlations import band_correlations, band_partition, pi_pe_plots
 from qbmlab.gaussian import CovarianceMatrix, check_purity, take_counts
 from qbmlab.model import discretize_bath, evolve, initial_covariance, make_propagator, total_energy
 from qbmlab.runner import (
-    _chunk_count,
     _chunk_task,
+    _plan,
     _sampler,
     _slices,
-    _time_groups,
     _write_csv,
     branch_params,
     load_curves,
@@ -566,19 +565,28 @@ class TestCliProcess:
         assert _fresh_interpreter(script) == ["[None, None, None]"]
 
 
+def slices_per_group(samples: int, workers: int, n_times: int) -> int:
+    """How many sample slices _plan cuts each time group into."""
+    plan = _plan(n_times, workers, samples)
+    return sum(group == plan[0][0] for group, _ in plan)
+
+
 class TestChunks:
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     def test_one_chunk_per_time_point_on_long_grids(self, workers):
+        # 40 times on 2 workers: the reanalyse set-up's 40 tasks
         for n_times in (4 * workers, 4 * workers + 1, 40, 1000):
-            assert _chunk_count(12, workers, n_times) == 1
+            assert _plan(n_times, workers, 12) == [(range(i, i + 1), range(12)) for i in range(n_times)]
 
     def test_few_time_points_split(self):
-        assert _chunk_count(20, 2, 3) == 2  # desk-curves: six equal items for two workers
-        assert _chunk_count(20, 2, 1) == 2
-        assert _chunk_count(20, 8, 31) == 8
-        assert _chunk_count(20, 1, 3) == 1  # one worker never splits
-        assert _chunk_count(3, 8, 1) == 3  # at most one chunk per sample
-        assert _chunk_count(1, 2, 1) == 1
+        # desk-curves: 3 times on 2 workers, two tasks of 10 samples at all 3 times
+        assert _plan(3, 2, 20) == [(range(3), range(10)), (range(3), range(10, 20))]
+        assert slices_per_group(20, 2, 1) == 2
+        assert slices_per_group(20, 8, 31) == 8
+        assert slices_per_group(20, 1, 3) == 1  # one worker never splits
+        assert slices_per_group(3, 8, 1) == 3  # at most one chunk per sample
+        assert slices_per_group(1, 2, 1) == 1
+        assert _plan(3, 1, 1) == [(range(3), range(1))]  # full-state: a run without curves has one slice
 
     @pytest.mark.parametrize("n_chunks", [1, 2, 3, 8])
     def test_split_covers_the_plan_once(self, n_chunks):
@@ -603,7 +611,9 @@ class TestNestedDraws:
         # 30 modes in 7 bands hold 5 and 4 modes
         runs = {}
         for workers, cut in ((1, 1), (2, 2), (1, 2), (1, 20), (2, 20)):
-            monkeypatch.setattr(runner_mod, "_chunk_count", lambda *args, cut=cut: cut)
+            # both time points in one group, as _plan groups them, in `cut` sample slices
+            monkeypatch.setattr(runner_mod, "_plan", lambda n_times, workers, samples, cut=cut:
+                                [(range(n_times), part) for part in _slices(samples, cut)])
             cfg = tiny_config(tmp_path / f"{workers}-{cut}", n_times=2, samples=20, n_bands=7, unit=unit, workers=workers)
             run_experiment(cfg, ("piplot", "peplot"))
             runs[workers, cut] = digest_dir(cfg.outdir)
@@ -622,12 +632,15 @@ class TestNestedDraws:
         assert len(runs[1]) == 5 and runs[1] == runs[2]
 
     def test_time_groups(self):
-        assert _time_groups(3, 2) == [range(0, 3)]  # desk-curves: one task per worker
-        assert _time_groups(7, 2) == [range(0, 3), range(3, 7)]
-        assert _time_groups(5, 8) == [range(0, 2), range(2, 5)]
-        assert _time_groups(3, 1) == [range(0, 3)]
-        assert _time_groups(4, 1) == [range(i, i + 1) for i in range(4)]  # a long grid: one time point each
-        assert _time_groups(40, 2) == [range(i, i + 1) for i in range(40)]
+        def groups(n_times, workers):
+            return [group for group, _ in _plan(n_times, workers, 1)]
+
+        assert groups(3, 2) == [range(0, 3)]  # desk-curves: one task per worker
+        assert groups(7, 2) == [range(0, 3), range(3, 7)]
+        assert groups(5, 8) == [range(0, 2), range(2, 5)]
+        assert groups(3, 1) == [range(0, 3)]
+        assert groups(4, 1) == [range(i, i + 1) for i in range(4)]  # a long grid: one time point each
+        assert groups(40, 2) == [range(i, i + 1) for i in range(40)]
 
 
 class TestOnePath:
