@@ -9,15 +9,14 @@ I(f) + I(1-f) = 2 H(S) hold per sample and halves the number of draws.
 A PI/PE evaluation has three steps.  fraction_plan lists the sampled grid
 points, each with the mirror point that its complements fill.
 fraction_samples evaluates a contiguous range of sample indices at every
-grid point of the plan, on index arrays of the covariance array (or of a
-stack of them, one per time point, all in one call), and fraction_curves
-reduces the samples of every slice to the (PI, PE) pair of curves.  Every draw is evaluated on both sides, both measures at once
-(_split); a point whose mirror is off the grid keeps its drawn side
-only.  pi_pe_plots evaluates every sample index in one range; the runner
-cuts the indices into slices that workers evaluate in any order, and
-passes them to fraction_curves in slice order.  fraction_curves extends
-each grid point's values by the slices in that order, which is sample
-order, and reduces them to the curves in grid order.
+drawn grid point below f = 1, on one covariance array or on a stack of
+them (one per time point, in one call), and returns one array: the MI and
+negativity of each draw and of its complement (_split), per sample and
+drawn point.  fraction_curves, the one reader of that array, maps it onto
+the grid, adds f = 1 as 2 H(S) and E(1), and reduces it to the (PI, PE)
+pair of curves.  pi_pe_plots evaluates every sample index in one range;
+the runner cuts the indices into slices that workers evaluate in any
+order, and joins their arrays in slice order, which is sample order.
 
 The draws are nested.  Each sample orders the sampling units once, from
 the stream keyed on (seed, t-index, sample-index) (_permutation), and
@@ -246,6 +245,10 @@ class FractionSampler:
             raise DomainError(
                 f"every fraction must be k/{units} with integer k >= 1; got {self.f_grid}"
             )
+        same = np.flatnonzero(np.diff(np.round(ks)) == 0)  # the grid ascends, so one k's fractions are neighbours
+        if len(same):
+            f, g = self.f_grid[same[0] : same[0] + 2].tolist()
+            raise DomainError(f"fractions {f!r} and {g!r} are both k/{units} with k = {round(f * units)}")
         return self.f_grid
 
 
@@ -451,51 +454,48 @@ def fraction_samples(
     sampler: FractionSampler,
     sample_indices: range,
     t_index: int | list[int] = 0,
-) -> dict | list[dict]:
-    """{"mi" and "neg": {grid point: per-sample values}} of a range of sample indices at every grid point.
+) -> np.ndarray:
+    """Per-sample values of a range of sample indices at the drawn grid points below f = 1, shape (4, samples, columns).
 
     data is the covariance array (a CovarianceMatrix's, system first) of a
-    globally pure state, which the caller checks, and h_s its H(S).  Every
-    grid point of the plan (fraction_plan) is drawn at each index of
-    sample_indices, a contiguous range; the values come in index order.
+    globally pure state, which the caller checks, and h_s its H(S).  The
+    rows are the MI of the draw and of its complement, then the negativity
+    of each (_split); the samples follow sample_indices, a contiguous
+    range, and column c is the c-th drawn point of fraction_plan.  Which
+    grid point each value fills, and f = 1, is fraction_curves' to say.
     data may also be a stack (T, 2N + 2, 2N + 2) of such states, with h_s
-    and t_index holding one value per state; then the result is a list of
-    one such dict per state, each bit for bit the one its state gives
-    alone, and every (state, sample) row of the stack is swept and split
-    together.
+    and t_index holding one value per state; then the result has shape
+    (T, 4, samples, columns), each state's array bit for bit the one it
+    gives alone, and every (state, sample) row is swept and split together.
     The draws are nested: each sample orders the sampling units once
-    (_permutation), grid point k draws the first k units, and its mirror
-    holds the rest.  With the bath modes in that order (a band's modes in
-    a row, ascending), every draw is a leading run, on either side of
-    1/2 (unmirrored upper points, and uneven bands, draw more than half
-    the modes).  So each row sweeps its order once (_sweep), one step per
-    drawn grid point, keeping only the mixed Williamson modes of the draw
-    so far, and every draw's block of S and its kept modes goes to _split
-    as the near side, all blocks of one size as one stack, with H(near)
-    the sum of h(nu) over its kept modes.  Each row's values depend on its
-    own state and order alone, so they do not depend on the other rows.
-    At f = 1 the mutual information is 2 H(S) and the negativity is read
-    off sigma_S (_pure_negativity), recorded once, by the range that
-    starts at index 0.  A self-mirrored point (f = 1/2) lists draw and
-    complement interleaved.  The stacked eigh's vectors, and with them the
-    pairing_repairs count, depend on the BLAS thread count.  The CLI and
-    the pool workers run BLAS on one thread, so only a library caller that
-    sets OPENBLAS_NUM_THREADS=1 (or the equivalent) before numpy loads is
-    sure of their bytes.
+    (_permutation), and grid point k draws the first k units.  With the
+    bath modes in that order (a band's modes in a row, ascending), every
+    draw is a leading run, on either side of 1/2 (unmirrored upper points,
+    and uneven bands, draw more than half the modes).  So each row sweeps
+    its order once (_sweep), one step per drawn grid point, keeping only
+    the mixed Williamson modes of the draw so far, and every draw's block
+    of S and its kept modes goes to _split as the near side, all blocks of
+    one size as one stack, with H(near) the sum of h(nu) over its kept
+    modes.  Each row's values depend on its own state and order alone, so
+    they do not depend on the other rows.  The stacked eigh's vectors, and
+    with them the pairing_repairs count, depend on the BLAS thread count.
+    The CLI and the pool workers run BLAS on one thread, so only a library
+    caller that sets OPENBLAS_NUM_THREADS=1 (or the equivalent) before
+    numpy loads is sure of their bytes.
     """
     stack = data if data.ndim == 3 else data[None]
     h_ss, t_indices = np.atleast_1d(h_s), np.atleast_1d(t_index).tolist()
     n_bath = stack.shape[-1] // 2 - 1
     units, unit_of_mode = sampler.n_units(n_bath), sampler.unit_of_mode(n_bath)
-    plan = [(f, mirror, int(round(f * units))) for f, mirror in fraction_plan(sampler.grid_for(n_bath), units)]
-    ks = np.array([k for _, _, k in plan if k < units], dtype=int)
+    ks = np.array([round(f * units) for f, _ in fraction_plan(sampler.grid_for(n_bath), units)], dtype=int)
+    ks = ks[ks < units]
     # one row per (state, sample), state by state
     perms = np.array([_permutation(sampler, units, s_idx, t) for t in t_indices for s_idx in sample_indices])
     state = np.repeat(np.arange(len(stack)), len(sample_indices))
     # bath modes (1..N) in each row's unit order, and how many the first k units hold
     order = np.argsort(np.argsort(perms, axis=1)[:, unit_of_mode], axis=1, kind="stable") + 1
     counts = np.cumsum(np.bincount(unit_of_mode, minlength=units)[perms], axis=1)[:, ks - 1]
-    values = np.empty((4, len(perms), len(ks)))  # MI drawn, MI mirror, negativity drawn, negativity mirror
+    values = np.empty((4, len(perms), len(ks)))
     by_size: dict[int, list] = {}
     for joints, rows, col in _sweep(stack, state, order, counts):
         by_size.setdefault(joints.shape[-1], []).append((joints, rows, col))
@@ -506,46 +506,43 @@ def fraction_samples(
         for part, rows, col in parts:
             values[:, rows, col] = got[:, at : at + len(part)]
             at += len(part)
-    outs = []
-    for i, h_s_i in enumerate(h_ss.tolist()):
-        out: dict[str, dict[float, list[float]]] = {"mi": {}, "neg": {}}
-
-        def record(f: float, mi: float, neg: float):
-            out["mi"].setdefault(f, []).append(mi)
-            out["neg"].setdefault(f, []).append(neg)
-
-        columns = iter(range(len(ks)))
-        for f, mirror, k in plan:
-            if k == units:
-                if sample_indices.start == 0:
-                    record(f, 2.0 * h_s_i, _pure_negativity(stack[i]))
-                continue
-            for mi_f, mi_c, neg_f, neg_c in values[:, state == i, next(columns)].T.tolist():
-                record(f, mi_f, neg_f)
-                if mirror is not None:
-                    record(mirror, mi_c, neg_c)
-        outs.append(out)
-    return outs if data.ndim == 3 else outs[0]
+    by_state = np.moveaxis(values.reshape(4, len(stack), len(sample_indices), len(ks)), 0, 1)
+    return by_state.reshape(data.shape[:-2] + by_state.shape[1:])
 
 
 def fraction_curves(
     grid: np.ndarray,
-    slices: list[dict[str, dict[float, list[float]]]],
+    units: int,
+    values: np.ndarray,
     h_s: float,
+    e_full: float,
     t: float = 0.0,
 ) -> tuple[CorrelationCurve, CorrelationCurve]:
-    """The PI and PE curves: mean and standard error at every grid point, from the fraction_samples of every slice.
+    """The PI and PE curves: mean and standard error at every grid point, from fraction_samples' array of every sample, in sample order.
 
-    slices cut the sample indices into contiguous ranges and come in range
-    order, so each grid point's values, taken slice after slice, come in
-    sample order; only the slice that starts at index 0 holds f = 1.
+    Column c of values is the c-th drawn point of fraction_plan: its draws
+    go to that point and their complements to its mirror, and f = 1/2
+    interleaves draw and complement, sample by sample.  f = 1 is the whole
+    environment, one value each: 2 H(S) and e_full, the E(1) of the pure
+    state (_pure_negativity).
     """
+    drawn = [round(f * units) for f, _ in fraction_plan(grid, units)]  # column c draws drawn[c]; f = 1 comes last
+    cells = []  # the (MI, negativity) values of each grid point
+    for k in [round(f * units) for f in grid]:
+        if k == units:
+            cells.append(np.array([[2.0 * h_s], [e_full]]))
+        elif 2 * k == units:  # each sample's draw, then its complement
+            cells.append(values[:, :, drawn.index(k)].reshape(2, 2, -1).transpose(0, 2, 1).reshape(2, -1))
+        elif k in drawn:
+            cells.append(values[[0, 2], :, drawn.index(k)])
+        else:
+            cells.append(values[[1, 3], :, drawn.index(units - k)])
 
-    def curve(m: str) -> CorrelationCurve:
-        lists = [[v for part in slices for v in part[m].get(float(f), ())] for f in grid]
+    def curve(m: int, measure: str) -> CorrelationCurve:
+        lists = [cell[m] for cell in cells]
         return CorrelationCurve(
             t=t,
-            measure=m,
+            measure=measure,
             f_values=np.asarray(grid, dtype=float),
             mean=np.array([np.mean(v) for v in lists]),
             stderr=np.array([np.std(v, ddof=1) / np.sqrt(len(v)) if len(v) > 1 else 0.0 for v in lists]),
@@ -553,7 +550,7 @@ def fraction_curves(
             h_system=h_s,
         )
 
-    return curve("mi"), curve("neg")
+    return curve(0, "mi"), curve(1, "neg")
 
 
 def pi_pe_plots(
@@ -570,8 +567,9 @@ def pi_pe_plots(
     subtract it.  Only on one BLAS thread are they sure to match the CLI's
     bytes (fraction_samples).
     """
-    grid = sampler.grid_for(cov.n_modes - 1)
+    n_bath = cov.n_modes - 1
+    grid = sampler.grid_for(n_bath)
     check_purity(cov)
     h_s = system_entropy(cov)
-    samples = fraction_samples(cov.data, h_s, sampler, range(sampler.samples_per_point), t_index)
-    return fraction_curves(grid, [samples], h_s, t)
+    values = fraction_samples(cov.data, h_s, sampler, range(sampler.samples_per_point), t_index)
+    return fraction_curves(grid, sampler.n_units(n_bath), values, h_s, _pure_negativity(cov.data), t)

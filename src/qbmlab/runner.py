@@ -31,8 +31,8 @@ equal chunks of each group; a longer grid, or one worker there, has one
 whole time point per chunk.  A run that takes no curves has no samples
 to cut, so one chunk per group.  A finer cut would only add kernel
 calls.  The chunk of slice 0 also carries its time points' state
-diagnostics, bands and f = 1.  Items go to a pool of worker processes in
-time order.
+diagnostics and bands; every chunk records H(S) and E(1), the f = 1
+values.  Items go to a pool of worker processes in time order.
 Every chunk evolves its time points and checks their purity
 (ImpureState in every stage); neither step, nor H(S), takes a counted
 spectrum, so the manifest's spectrum counts do not depend on the cut or
@@ -40,9 +40,9 @@ on which worker takes a chunk (propagator_fallbacks counts each worker's
 build that fell back to the dense eigh), except williamson_stacks, the
 number of kernel calls, which the cut sets.  The manifest sums each chunk's counts
 (gaussian.merge_counts) and wall-clock per layer, and the pieces' build
-where a chunk made it.  The runner keeps each time point's slices in
-slice order, and correlations.fraction_curves reduces them to the
-(PI, PE) pair of curves.
+where a chunk made it.  The runner joins each time point's slices, in
+slice order, into one array of per-sample values, which
+correlations.fraction_curves reduces to the (PI, PE) pair of curves.
 A serial run (workers = 1) is a pool of one, and a run whose stages need
 no time point starts no pool.
 
@@ -115,6 +115,7 @@ from .config import RunConfig
 from .correlations import (
     CorrelationCurve,
     FractionSampler,
+    _pure_negativity,
     band_correlations,
     band_partition,
     fraction_curves,
@@ -218,7 +219,7 @@ def _chunk_task(args) -> dict:
         bound = check_purity(cov)
         elapsed.update({"model.evolve": evolved - start, "gaussian.check_purity": time.perf_counter() - evolved})
         h_s = system_entropy(cov)
-        point = {"t_index": t_index, "h_s": h_s}
+        point = {"t_index": t_index, "h_s": h_s, "e_full": _pure_negativity(cov.data)}
         points.append(point)
         if "state" in wants:  # state.csv's cells after t; min_symplectic, the first, is a lower bound on every nu
             min_symplectic = float(np.sqrt(max(0.25 - bound, 0.0)))
@@ -366,7 +367,7 @@ def _run_time_points(config: RunConfig, wants: tuple[str, ...]) -> tuple[list[di
     if "curves" in wants:
         sampler = _sampler(config)
         try:  # a grid that the sampling units cannot hold is a configuration error
-            grid = sampler.grid_for(config.n_oscillators)
+            grid, units = sampler.grid_for(config.n_oscillators), sampler.n_units(config.n_oscillators)
         except DomainError as exc:
             field = "f_grid" if config.f_grid is not None else "n_bands" if config.unit == "band" else "n_oscillators"
             raise ValidationError([f"{field}: {exc}"]) from exc
@@ -384,15 +385,16 @@ def _run_time_points(config: RunConfig, wants: tuple[str, ...]) -> tuple[list[di
     elapsed = Counter()
     for item in items:
         for part in item["points"]:
-            point = points[part["t_index"]]
-            point.update({k: part[k] for k in ("state", "bands", "h_s") if k in part})
+            point = points[part.pop("t_index")]
             if "samples" in part:  # items come in payload order, so a time point's slices stay in slice order
-                point["samples"].append(part["samples"])
+                point["samples"].append(part.pop("samples"))
+            point.update(part)
         merge_counts(counts, item["counts"])
         elapsed.update(item["elapsed"])
     if "curves" in wants:
         for point in points:
-            point["curves"] = fraction_curves(grid, point["samples"], point["h_s"], point["t"])
+            values = np.concatenate(point["samples"], axis=1)
+            point["curves"] = fraction_curves(grid, units, values, point["h_s"], point["e_full"], point["t"])
     return points, counts, elapsed
 
 

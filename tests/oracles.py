@@ -278,37 +278,25 @@ def _mask_values(data: np.ndarray, h_s: float, drawn: np.ndarray) -> np.ndarray:
     return _in_stacks(counts, lambda idx: mask_split(data, h_s, drawn[idx]), lambda c: 2 * min(c, n_bath - c) + 2)
 
 
-def mask_samples(data: np.ndarray, h_s: float, sampler: FractionSampler, sample_indices: range, t_index: int = 0) -> dict:
+def mask_samples(data: np.ndarray, h_s: float, sampler: FractionSampler, sample_indices: range, t_index: int = 0) -> np.ndarray:
     """correlations.fraction_samples on the per-draw mask path, on the same nested subsets.
 
-    Each grid point's draw of each sample (the first k units of its order)
-    becomes a bath mask, evaluated by mask_split: the block of its smaller
-    side in ascending mode order, factored alone.  The result has
-    fraction_samples' layout.
+    Each drawn grid point's draw of each sample (the first k units of its
+    order) becomes a bath mask, evaluated by mask_split: the block of its
+    smaller side in ascending mode order, factored alone.  The result has
+    fraction_samples' layout, (4, samples, columns).
     """
     n_bath = data.shape[0] // 2 - 1
     units, unit_of_mode = sampler.n_units(n_bath), sampler.unit_of_mode(n_bath)
-    perms = [_permutation(sampler, units, s_idx, t_index) for s_idx in sample_indices]
-    out: dict = {"mi": {}, "neg": {}}
-
-    def record(f: float, mi: float, neg: float):
-        out["mi"].setdefault(f, []).append(mi)
-        out["neg"].setdefault(f, []).append(neg)
-
-    for f, mirror in fraction_plan(sampler.grid_for(n_bath), units):
-        size = int(round(f * units))
-        if size == units:
-            if sample_indices.start == 0:
-                record(f, 2.0 * h_s, _pure_negativity(data))
-            continue
-        picked = np.zeros((len(perms), units), dtype=bool)
-        for row, perm in enumerate(perms):
-            picked[row, perm[:size]] = True
-        for mi_f, mi_c, neg_f, neg_c in _mask_values(data, h_s, picked[:, unit_of_mode]).T.tolist():
-            record(f, mi_f, neg_f)
-            if mirror is not None:
-                record(mirror, mi_c, neg_c)
-    return out
+    perms = np.array([_permutation(sampler, units, s_idx, t_index) for s_idx in sample_indices])
+    columns = []
+    for f, _ in fraction_plan(sampler.grid_for(n_bath), units):
+        size = round(f * units)
+        if size < units:
+            picked = np.zeros((len(perms), units), dtype=bool)
+            np.put_along_axis(picked, perms[:, :size], True, axis=1)
+            columns.append(_mask_values(data, h_s, picked[:, unit_of_mode]))
+    return np.stack(columns, axis=2)
 
 
 def exact_fraction_means(data: np.ndarray, h_s: float, sampler: FractionSampler) -> tuple[np.ndarray, np.ndarray]:

@@ -25,6 +25,7 @@ from qbmlab.correlations import (
     FractionSampler,
     band_correlations,
     band_partition,
+    fraction_plan,
     fraction_samples,
     pi_pe_plots,
     system_entropy,
@@ -174,19 +175,11 @@ def test_criterion_3_paired_complement_symmetry(desk_model):
         cov = evolve(prop, cov0, 5.0)
         sampler = FractionSampler(seed=11, samples_per_point=20)
         h_s = system_entropy(cov)
-        samples = fraction_samples(cov.data, h_s, sampler, range(20))["mi"]
-        worst = 0.0
-        grid = list(sampler.grid_for(cov.n_modes - 1))
-        for f in grid:
-            mirrors = [g for g in grid if abs(1.0 - f - g) < 1e-9]
-            if f >= 1.0 or not mirrors:
-                continue
-            left = np.array(samples[float(f)])
-            if abs(mirrors[0] - f) < 1e-12:
-                sums = left[0::2] + left[1::2]
-            else:
-                sums = left + np.array(samples[float(mirrors[0])])
-            worst = max(worst, float(np.max(np.abs(sums - 2.0 * h_s))))
+        values = fraction_samples(cov.data, h_s, sampler, range(20))
+        units = cov.n_modes - 1
+        # each column whose complement fills a grid point, f = 1/2 included: draw and complement of one sample
+        mirrored = [mirror is not None for f, mirror in fraction_plan(sampler.grid_for(units), units) if f < 1.0]
+        worst = float(np.max(np.abs(values[0] + values[1] - 2.0 * h_s)[:, mirrored]))
         assert worst <= 1e-6, f"worst per-sample defect {worst:.3e}"
 
 

@@ -16,7 +16,7 @@ from qbmlab.correlations import (
     pi_pe_plots,
     system_entropy,
 )
-from qbmlab.correlations import _blocks, _permutation, _system_nu
+from qbmlab.correlations import _blocks, _permutation, _pure_negativity, _system_nu
 from qbmlab.config import parse_config
 from qbmlab.errors import BadBandCount, DomainError, ImpureState
 import qbmlab.correlations as correlations_mod
@@ -398,21 +398,9 @@ class TestPiPlot:
         _, cov = evolved_state(t=3.0)
         sampler = FractionSampler(seed=11, samples_per_point=6)
         h_s = system_entropy(cov)
-        samples = fraction_samples(cov.data, h_s, sampler, range(6))["mi"]
-        grid = sampler.grid_for(cov.n_modes - 1)
-        for f in grid:
-            mirrors = [g for g in grid if abs(1.0 - f - g) < 1e-9]
-            if f >= 1.0 or not mirrors:
-                continue
-            left = np.array(samples[float(f)])
-            if abs(mirrors[0] - f) < 1e-12:
-                # self-mirrored point: draw and complement interleave
-                sums = left[0::2] + left[1::2]
-            else:
-                right = np.array(samples[float(mirrors[0])])
-                assert len(left) == len(right)
-                sums = left + right
-            assert np.max(np.abs(sums - 2 * h_s)) <= 1e-6
+        values = fraction_samples(cov.data, h_s, sampler, range(6))
+        # each draw's MI and its complement's, f = 1/2 included
+        assert np.max(np.abs(values[0] + values[1] - 2 * h_s)) <= 1e-6
 
     def test_value_at_one_is_2hs_exactly(self):
         _, cov = evolved_state(t=2.0)
@@ -439,6 +427,12 @@ class TestPiPlot:
         sampler = FractionSampler(seed=1, f_grid=np.array([0.333, 1.0]))
         with pytest.raises(DomainError):
             pi_pe_plots(cov, sampler)
+
+    def test_two_fractions_on_one_k_raise(self):
+        # each within grid_for's 1e-9 of k = 75, so they would share one draw and leave a point empty
+        sampler = FractionSampler(seed=1, f_grid=np.array([0.2, 0.5, 0.500000000005, 1.0]))
+        with pytest.raises(DomainError, match=r"fractions 0\.5 and 0\.500000000005 are both k/150 with k = 75"):
+            sampler.grid_for(150)
 
 
 class TestPePlot:
@@ -494,43 +488,32 @@ class TestPlotStructure:
 
 
 def direct_samples(cov, sampler, t_index=0):
-    """Per-sample MI and negativity with every block extracted as drawn (the slow path).
+    """fraction_samples' array with every block extracted as drawn (the slow path), shape (4, samples, columns).
 
-    Follows the engine's pairing: draws at f <= 1/2, and at upper points
-    without a mirror; the complement of each draw fills the mirror point.
+    Follows the engine's plan: draws at f <= 1/2, and at upper points
+    without a mirror; each draw's complement is evaluated beside it.
     Nothing here relies on global purity: I(S : E) = H(S) + H(E) - H(S u E)
     and the negativity is read off S u E for E_f and E_c alike.
     """
     n = cov.n_modes
-    n_bath = n - 1
-    grid = [float(f) for f in sampler.grid_for(n_bath)]
+    grid = [float(f) for f in sampler.grid_for(n - 1)]
     h_s = direct_system_entropy(cov)
-    out = {m: {f: [] for f in grid} for m in ("mi", "neg")}
-    for f in grid[:-1]:
-        mirror = next((g for g in grid if abs(g - (1.0 - f)) < 1e-9), None)
-        if f > 0.5 and mirror is not None:
-            continue
+    drawn = [f for f in grid if f < 1.0 and (f <= 0.5 or not any(abs(g - (1.0 - f)) < 1e-9 for g in grid))]
+    out = np.empty((4, sampler.samples_per_point, len(drawn)))
+    for c, f in enumerate(drawn):
         for s_idx in range(sampler.samples_per_point):
-            drawn = tuple(i + 1 for i in sample_fraction(sampler, f, n_bath, s_idx, t_index).indices)
-            pairs = [(f, drawn)]
-            if mirror is not None:
-                pairs.append((mirror, tuple(m for m in range(1, n) if m not in drawn)))
-            for g, modes in pairs:
-                mi, neg = direct_correlations(cov, h_s, modes)
-                out["mi"][g].append(mi)
-                out["neg"][g].append(neg)
+            modes = tuple(i + 1 for i in sample_fraction(sampler, f, n - 1, s_idx, t_index).indices)
+            rest = tuple(m for m in range(1, n) if m not in modes)
+            out[[0, 2], s_idx, c] = direct_correlations(cov, h_s, modes)
+            out[[1, 3], s_idx, c] = direct_correlations(cov, h_s, rest)
     return out
 
 
 def assert_matches_direct(cov, sampler, t_index=0):
-    samples = fraction_samples(cov.data, system_entropy(cov), sampler, range(sampler.samples_per_point), t_index)
-    expected = direct_samples(cov, sampler, t_index)
-    for m in ("mi", "neg"):
-        for f in sampler.grid_for(cov.n_modes - 1)[:-1]:
-            got = np.array(samples[m][float(f)])
-            want = np.array(expected[m][float(f)])
-            assert got.shape == want.shape
-            assert np.max(np.abs(got - want)) <= 1e-10, (m, f)
+    got = fraction_samples(cov.data, system_entropy(cov), sampler, range(sampler.samples_per_point), t_index)
+    want = direct_samples(cov, sampler, t_index)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-10
 
 
 class TestSmallerSideAgainstDirectPath:
@@ -564,15 +547,12 @@ class TestStackedEngine:
     @staticmethod
     def assert_stacking_changes_no_bit(cov, sampler, t_index=0):
         # every sample evaluated alone, so each of its steps and splits runs in a stack of one
-        grid = sampler.grid_for(cov.n_modes - 1)
         every = range(sampler.samples_per_point)
         h_s = system_entropy(cov)
         whole = fraction_samples(cov.data, h_s, sampler, every, t_index)
-        alone = [fraction_samples(cov.data, h_s, sampler, range(i, i + 1), t_index) for i in every]
-        for m in ("mi", "neg"):
-            for f in grid:
-                got = np.array([v for run in alone for v in run[m].get(f, ())])
-                assert got.tobytes() == np.array(whole[m][f]).tobytes(), (m, f)
+        alone = np.concatenate([fraction_samples(cov.data, h_s, sampler, range(i, i + 1), t_index) for i in every], axis=1)
+        assert alone.shape == whole.shape
+        assert alone.tobytes() == whole.tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -638,16 +618,12 @@ def assert_group_matches_each_time(covs, sampler, t_indices, sample_indices):
     """fraction_samples of a stack of states, one call, against one call per state: bit for bit, with the same counts but williamson_stacks."""
     h_s = [system_entropy(cov) for cov in covs]
     take_counts()
-    alone = [fraction_samples(cov.data, h, sampler, sample_indices, i) for cov, h, i in zip(covs, h_s, t_indices)]
+    alone = np.array([fraction_samples(cov.data, h, sampler, sample_indices, i) for cov, h, i in zip(covs, h_s, t_indices)])
     each = take_counts()
     group = fraction_samples(np.array([cov.data for cov in covs]), np.array(h_s), sampler, sample_indices, list(t_indices))
     together = take_counts()
-    assert len(group) == len(alone)
-    for mine, want in zip(group, alone):
-        for m in ("mi", "neg"):
-            assert list(mine[m]) == list(want[m])
-            for f in want[m]:
-                assert np.array(mine[m][f]).tobytes() == np.array(want[m][f]).tobytes(), (m, f)
+    assert group.shape == alone.shape
+    assert group.tobytes() == alone.tobytes()
     assert together["williamson_stacks"] < each["williamson_stacks"]
     for counts in (each, together):
         del counts["williamson_stacks"]
@@ -829,10 +805,8 @@ def assert_matches_mask_path(cov, sampler, t_index):
     fast = take_counts()
     want = mask_samples(cov.data, h_s, sampler, every, t_index)
     slow = take_counts()
-    for m in ("mi", "neg"):
-        assert list(got[m]) == list(want[m])
-        for f in got[m]:
-            assert np.max(np.abs(np.array(got[m][f]) - np.array(want[m][f]))) <= NESTED_TOL, (m, f)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= NESTED_TOL
     for counts in (fast, slow):
         assert counts["williamson_fallbacks"] == 0
     # the sweep's steps and splits cost less than one whole near side per draw, and every
@@ -879,10 +853,8 @@ class TestNestedAgainstMaskPath:
         got = fraction_samples(cov.data, h_s, sampler, range(6), 2)
         assert take_counts()["williamson_fallbacks"] == 0
         want = mask_samples(cov.data, h_s, sampler, range(6), 2)
-        for m in ("mi", "neg"):
-            assert list(got[m]) == list(want[m])
-            for f in got[m]:
-                assert np.max(np.abs(np.array(got[m][f]) - np.array(want[m][f]))) <= NESTED_TOL, (m, f)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= NESTED_TOL
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -905,9 +877,7 @@ class TestNestedAgainstMaskPath:
         h_s = system_entropy(cov)
         got = fraction_samples(cov.data, h_s, sampler, range(3), 2)
         want = mask_samples(cov.data, h_s, sampler, range(3), 2)
-        for m in ("mi", "neg"):
-            for f in got[m]:
-                assert np.max(np.abs(np.array(got[m][f]) - np.array(want[m][f]))) <= 1e-10, (m, f)
+        assert np.max(np.abs(got - want)) <= 1e-10
 
 
 def drawn_points(sampler: FractionSampler, n_bath: int) -> int:
@@ -985,9 +955,7 @@ class TestSweep:
         counts = take_counts()
         assert counts["williamson_fallbacks"] == sum(steps) > 0
         want = mask_samples(cov.data, h_s, sampler, range(4), 20)
-        for m in ("mi", "neg"):
-            for f in got[m]:
-                assert np.max(np.abs(np.array(got[m][f]) - np.array(want[m][f]))) <= NESTED_TOL, (m, f)
+        assert np.max(np.abs(got - want)) <= NESTED_TOL
 
 
     def test_non_positive_definite_gram_takes_the_complex_form(self):
@@ -1011,30 +979,15 @@ class TestSweep:
             got = fraction_samples(cov.data, h_s, sampler, range(4), 20)
         assert take_counts()["williamson_fallbacks"] == sum(forced) > 0
         want = mask_samples(cov.data, h_s, sampler, range(4), 20)
-        for m in ("mi", "neg"):
-            for f in got[m]:
-                assert np.max(np.abs(np.array(got[m][f]) - np.array(want[m][f]))) <= NESTED_TOL, (m, f)
+        assert np.max(np.abs(got - want)) <= NESTED_TOL
 
 
-def nested_chains(samples: dict, sampler: FractionSampler, n_bath: int) -> list[np.ndarray]:
-    """Per measure, each sample's values along its draws (k ascending) and along their complements (size ascending), as (points, samples) arrays; f = 1 ends both."""
-    units = sampler.n_units(n_bath)
-    plan = fraction_plan(sampler.grid_for(n_bath), units)
+def nested_chains(values: np.ndarray, h_s: float, e_full: float) -> list[np.ndarray]:
+    """Per measure, each sample's values along its draws (k ascending) and along their complements (size ascending), as (points, samples) arrays; f = 1 (2 H(S), E(1)) ends both."""
     chains = []
-    for m in ("mi", "neg"):
-        drawn, rest = {}, {}
-        for f, mirror in plan:
-            k = int(round(f * units))
-            values = np.array(samples[m][f])
-            if k == units:
-                drawn[k] = rest[k] = np.full(sampler.samples_per_point, values[0])
-            elif mirror == f:
-                drawn[k], rest[units - k] = values[0::2], values[1::2]
-            else:
-                drawn[k] = values
-                if mirror is not None:
-                    rest[units - k] = np.array(samples[m][mirror])
-        chains += [np.array([drawn[k] for k in sorted(drawn)]), np.array([rest[k] for k in sorted(rest)])]
+    for row, top in ((0, 2.0 * h_s), (2, e_full)):
+        end = np.full((1, values.shape[1]), top)
+        chains += [np.concatenate((values[row].T, end)), np.concatenate((values[row + 1].T[::-1], end))]
     return chains
 
 
@@ -1052,12 +1005,11 @@ class TestNestedEstimator:
         cov = evolve(prop, cov0, t)
         sampler, h_s = _sampler(cfg), system_entropy(cov)
         mean, sd = exact_fraction_means(cov.data, h_s, sampler)
-        seeds, grid = 40, sampler.grid_for(cfg.n_oscillators)
+        seeds = 40
         total = np.zeros_like(mean)
         for seed in range(seeds):
             nested = FractionSampler(seed=1000 + seed, samples_per_point=cfg.samples, unit=unit, n_bands=cfg.n_bands)
-            samples = fraction_samples(cov.data, h_s, nested, range(cfg.samples), t_index)
-            total += [[np.mean(samples[m][float(f)]) for f in grid] for m in ("mi", "neg")]
+            total += [curve.mean for curve in pi_pe_plots(cov, nested, t_index=t_index)]
         err = np.where(sd > 0, np.abs(total / seeds - mean) / np.maximum(sd, 1e-300) * np.sqrt(seeds * cfg.samples), 0.0)
         assert np.all(err <= NESTED_Z), float(np.max(err))
         assert np.all(np.abs(total[:, -1] / seeds - mean[:, -1]) <= 1e-12)  # f = 1 is exact
@@ -1076,8 +1028,9 @@ class TestNestedEstimator:
     def test_each_sample_rises_along_its_draws(self, n_osc, unit, n_bands, f_grid, t_index, t):
         _, cov = evolved_state(n_osc=n_osc, t=t, r=-5.0)
         sampler = FractionSampler(seed=5, samples_per_point=20 if n_osc < 100 else 4, f_grid=f_grid, unit=unit, n_bands=n_bands)
-        samples = fraction_samples(cov.data, system_entropy(cov), sampler, range(sampler.samples_per_point), t_index)
-        for chain in nested_chains(samples, sampler, n_osc):
+        h_s = system_entropy(cov)
+        values = fraction_samples(cov.data, h_s, sampler, range(sampler.samples_per_point), t_index)
+        for chain in nested_chains(values, h_s, _pure_negativity(cov.data)):
             assert np.all(np.diff(chain, axis=0) >= -MONOTONE_TOL), float(np.min(np.diff(chain, axis=0)))
 
 
@@ -1127,13 +1080,26 @@ class TestChunkedPlan:
         parts = {}
         for j in data.draw(st.permutations(range(len(slices)))):
             parts[j] = fraction_samples(cov.data, h_s, sampler, slices[j], t_index=4)
-        got = fraction_curves(sampler.grid_for(n_bath), [parts[j] for j in range(len(slices))], h_s, t=1.5)
+        values = np.concatenate([parts[j] for j in range(len(slices))], axis=1)
+        got = fraction_curves(sampler.grid_for(n_bath), units, values, h_s, _pure_negativity(cov.data), t=1.5)
 
         for mine, curve in zip(got, want, strict=True):
             assert mine.measure == curve.measure
             for name in ("f_values", "mean", "stderr", "n_samples"):
                 assert getattr(mine, name).tobytes() == getattr(curve, name).tobytes(), name
             assert mine.h_system == curve.h_system
+
+    @pytest.mark.parametrize("indices", [range(5), range(2, 5), range(4, 5)])
+    def test_f_one_from_any_slice(self, indices):
+        # f = 1 is 2 H(S) and E(1), one value each, whichever samples the values hold
+        cov = random_state(np.random.default_rng(3), 7, pure=True)
+        sampler = FractionSampler(seed=3, samples_per_point=5, f_grid=np.array([1, 3, 5, 6]) / 6)
+        h_s, e_full = system_entropy(cov), _pure_negativity(cov.data)
+        values = fraction_samples(cov.data, h_s, sampler, indices)
+        n = len(indices)
+        for curve, top in zip(fraction_curves(sampler.grid_for(6), 6, values, h_s, e_full), (2.0 * h_s, e_full)):
+            assert (curve.f_values[-1], curve.mean[-1], curve.stderr[-1]) == (1.0, top, 0.0)
+            assert curve.n_samples.tolist() == [n, 2 * n, n, 1]
 
 
 class TestImpureState:

@@ -825,6 +825,8 @@ class TestCli:
                          id="oscillators"),
             pytest.param(("--unit", "band", "--n-bands", "7", "--f-grid", "0.5,1"),
                          "f_grid: every fraction must be k/7", id="bands"),
+            pytest.param(("--samples", "3", "--f-grid", "0.5,0.500000000005,1"),
+                         "f_grid: fractions 0.5 and 0.500000000005 are both k/150 with k = 75", id="one-k-twice"),
             pytest.param(("--unit", "band", "--n-bands", "1"), "n_bands: need at least two sampling units",
                          id="one-band"),
             pytest.param(("--n-oscillators", "1", "--n-bands", "1", "--t-max", "0.1"),

@@ -8,11 +8,12 @@ import pytest
 import qbmlab
 
 SOURCES = sorted(pathlib.Path(qbmlab.__file__).parent.glob("*.py"))
+TESTS = sorted(pathlib.Path(__file__).parent.glob("*.py"))
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda path: path.name)
 def test_no_unused_top_level_import(path):
-    # no linter runs on the package; an import kept for other readers carries "# noqa: F401"
+    # no linter runs on the package or its tests; an import kept for other readers carries "# noqa: F401"
     source = path.read_text(encoding="utf-8")
     tree = ast.parse(source)
     lines = source.splitlines()
