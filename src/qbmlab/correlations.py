@@ -51,11 +51,7 @@ kept modes then goes through _split, all blocks of one size of the call
 as one stack.  There everything is read off one factor
 (gaussian._factor: K = L^T Omega L and K^T K): the real Williamson form
 (gaussian.purification) gives H(S u near) and the partner, and the same
-factor the partial transpose on S.  On a desk time point (N = 150, 20
-samples, 12 drawn grid points) the steps take blocks of at most 32 modes
-and keep at most 13, and the summed cost (2 x modes)^3 of all spectra,
-steps included, is 2.0e7, against 1.3e8 for the whole near sides of up to
-76 modes.
+factor the partial transpose on S.
 
 Bands run on the same kernels: band_correlations factors the block of
 S u band once for H(S u band) and its partial transpose, and the band's
@@ -171,10 +167,10 @@ def _system_nu(data: np.ndarray) -> float:
     return np.sqrt(det)
 
 
-def default_f_grid(n_units: int, n_points: int = 24) -> np.ndarray:
-    """Symmetric fraction grid of multiples of 1/n_units.
+def default_f_grid(n_units: int) -> np.ndarray:
+    """Symmetric fraction grid of at most 24 multiples of 1/n_units.
 
-    A geometric ladder from 1/n_units up to ~0.4 is mirrored about 1/2;
+    A geometric ladder of at most 11 points from 1/n_units up to ~0.4 is mirrored about 1/2;
     the points 1/2 and 1 are always included.  Dense ends resolve the
     plateau edges, and the gap (0.4, 0.6) around 1/2 keeps the finite
     difference used for the non-redundant information well conditioned.
@@ -182,7 +178,7 @@ def default_f_grid(n_units: int, n_points: int = 24) -> np.ndarray:
     if n_units < 2:
         raise DomainError("need at least two sampling units for a fraction grid")
     k_top = max(1, int(round(0.4 * n_units)))
-    n_lower = max(1, (n_points - 2) // 2)
+    n_lower = 11  # with the mirrors, 1/2 and 1: 24 points
     # sets, not np.unique, which imports numpy.ma (1.6 MB) into the runner's process
     ladder = set(np.round(np.geomspace(1, k_top, n_lower)).astype(int).tolist())
     request = n_lower

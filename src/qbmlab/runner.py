@@ -23,14 +23,15 @@ plan in one correlations.fraction_samples call over all the group's
 (time, sample) rows.  Slices of equal size do not cost the same at every
 time point: 20 desk samples took 31-35 ms at t = 10/39 and 82-101 ms at
 t = 5.128 and 10 (one BLAS thread, seeds 1-3), so a chunk holds every
-time point of its group.  One planner (_plan) lists the chunks: with W
-workers and n time points, a short grid (n < 4 W) is cut into near-equal
-groups of at most 4 consecutive time points and each group into
+time point of its group.  One planner (_plan) lists the chunks, all of
+one shape: with W workers and n time points, every grid is cut into
+near-equal groups of at most 4 consecutive time points, so no chunk
+holds more than 4 states.  A short grid (n < 4 W) cuts each group into
 min(samples, W) contiguous slices of near-equal size, so W workers get W
-equal chunks of each group; a longer grid, or one worker there, has one
-whole time point per chunk.  A run that takes no curves has no samples
-to cut, so one chunk per group.  A finer cut would only add kernel
-calls.  The chunk of slice 0 also carries its time points' state
+equal chunks of each group; a longer grid keeps each group's samples in
+one chunk.  A run that takes no curves has no samples to cut, so one
+chunk per group.  A finer cut would only add kernel calls.  The chunk
+of slice 0 also carries its time points' state
 diagnostics and bands; every chunk records H(S) and E(1), the f = 1
 values.  Items go to a pool of worker processes in time order.
 Every chunk evolves its time points and checks their purity
@@ -177,13 +178,12 @@ def _sampler(config: RunConfig) -> FractionSampler:
 def _plan(n_times: int, workers: int, samples: int) -> list[tuple[range, range]]:
     """(time indices, sample indices) of every task, in time order.
 
-    A short grid (n_times < 4 workers) is cut into near-equal contiguous groups of at most 4
-    time points, and each group into min(samples, workers) sample slices; a longer grid has one
-    whole time point and every sample per task.
+    Every grid is cut into near-equal contiguous groups of at most 4 time points; a short grid
+    (n_times < 4 workers) cuts each group into min(samples, workers) sample slices, a longer one
+    keeps every sample of a group in one task.
     """
-    short = n_times < 4 * workers
-    groups = _slices(n_times, -(-n_times // 4) if short else n_times)
-    return [(group, part) for group in groups for part in _slices(samples, min(samples, workers) if short else 1)]
+    cut = min(samples, workers) if n_times < 4 * workers else 1
+    return [(group, part) for group in _slices(n_times, -(-n_times // 4)) for part in _slices(samples, cut)]
 
 
 def _slices(samples: int, n_chunks: int) -> list[range]:

@@ -131,11 +131,13 @@ class TestRunExperiment:
         monkeypatch.setattr(runner_mod, "time", SimpleNamespace(perf_counter=lambda: float(next(ticks))))
         monkeypatch.setattr(runner_mod, "_pool", in_process)
         monkeypatch.setattr(runner_mod, "_PIECES", {})
-        cfg = tiny_config(tmp_path)
+        cfg = tiny_config(tmp_path, n_times=6)  # two chunks of 3 time points
         _, _, elapsed = runner_mod._run_time_points(cfg, ("state", "bands", "curves"))
-        layers = ("model.evolve", "gaussian.check_purity", "correlations.bands", "correlations.curves")
-        # the first chunk builds the pieces; the others find them cached and count 0
-        assert elapsed == {"runner.simulation_pieces": 1.0, **dict.fromkeys(layers, float(cfg.n_times))}
+        layers = ("model.evolve", "gaussian.check_purity", "correlations.bands")
+        # a tick per time point of each layer, and one per chunk of its fraction_samples call; the
+        # first chunk builds the pieces, the other finds them cached and counts 0
+        assert elapsed == {"runner.simulation_pieces": 1.0, **dict.fromkeys(layers, float(cfg.n_times)),
+                           "correlations.curves": 2.0}
 
     def test_propagator_fallback_reaches_the_manifest(self, tmp_path, monkeypatch, pinned_blas):
         # every check of the O(N^2) normal modes fails: the chunks, run in this process, build the
@@ -573,10 +575,17 @@ def slices_per_group(samples: int, workers: int, n_times: int) -> int:
 
 class TestChunks:
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
-    def test_one_chunk_per_time_point_on_long_grids(self, workers):
-        # 40 times on 2 workers: the reanalyse set-up's 40 tasks
+    def test_long_grids_group_every_sample(self, workers):
+        # a long grid (n_times >= 4 workers) is cut into near-equal groups of at most 4 consecutive
+        # time points, each one task of every sample
         for n_times in (4 * workers, 4 * workers + 1, 40, 1000):
-            assert _plan(n_times, workers, 12) == [(range(i, i + 1), range(12)) for i in range(n_times)]
+            plan = _plan(n_times, workers, 12)
+            groups = [group for group, _ in plan]
+            assert all(part == range(12) for _, part in plan)
+            assert len(plan) == -(-n_times // 4) and [i for group in groups for i in group] == list(range(n_times))
+            assert max(map(len, groups)) <= 4 and max(map(len, groups)) - min(map(len, groups)) <= 1
+        # desk all and the reanalyse set-up: 10 tasks of 4 times and 20 samples
+        assert _plan(40, workers, 20) == [(range(i, i + 4), range(20)) for i in range(0, 40, 4)]
 
     def test_few_time_points_split(self):
         # desk-curves: 3 times on 2 workers, two tasks of 10 samples at all 3 times
@@ -619,11 +628,20 @@ class TestNestedDraws:
             runs[workers, cut] = digest_dir(cfg.outdir)
         assert len(runs[1, 1]) == 4  # two curve CSVs and their sidecars
         assert all(run == runs[1, 1] for run in runs.values())
+        # a long grid: _plan's three tasks of 3 time points against one time point per task
+        assert [len(group) for group, _ in _plan(9, 2, 20)] == [3, 3, 3]
+        for name, plan in (("grouped", _plan), ("single", lambda n_times, workers, samples:
+                                                [(range(i, i + 1), range(samples)) for i in range(n_times)])):
+            monkeypatch.setattr(runner_mod, "_plan", plan)
+            cfg = tiny_config(tmp_path / name, n_times=9, samples=20, n_bands=7, unit=unit, workers=2)
+            run_experiment(cfg, ("piplot", "peplot"))
+            runs[name] = digest_dir(cfg.outdir)
+        assert len(runs["single"]) == 4 and runs["grouped"] == runs["single"]
 
     @pytest.mark.parametrize("n_times", [3, 9])
     def test_curve_bytes_independent_of_time_groups(self, tmp_path, n_times):
         # 3 times on 2 workers: two tasks, each a slice of the samples at all 3 times; 9 times is a
-        # long grid, one whole time point per task; one worker takes the 3 times in one task
+        # long grid, three tasks of 3 times and every sample; one worker takes the 3 times in one task
         runs = {}
         for workers in (1, 2):
             cfg = tiny_config(tmp_path / str(workers), n_times=n_times, samples=7, workers=workers)
@@ -639,8 +657,11 @@ class TestNestedDraws:
         assert groups(7, 2) == [range(0, 3), range(3, 7)]
         assert groups(5, 8) == [range(0, 2), range(2, 5)]
         assert groups(3, 1) == [range(0, 3)]
-        assert groups(4, 1) == [range(i, i + 1) for i in range(4)]  # a long grid: one time point each
-        assert groups(40, 2) == [range(i, i + 1) for i in range(40)]
+        # long grids: the same groups, each one task of every sample
+        assert groups(4, 1) == [range(0, 4)]
+        assert groups(9, 2) == [range(0, 3), range(3, 6), range(6, 9)]
+        assert groups(13, 2) == [range(0, 3), range(3, 6), range(6, 9), range(9, 13)]
+        assert groups(40, 2) == [range(i, i + 4) for i in range(0, 40, 4)]
 
 
 class TestOnePath:

@@ -1,6 +1,7 @@
 """Static checks on the package's source."""
 
 import ast
+import json
 import pathlib
 
 import pytest
@@ -62,3 +63,10 @@ def test_no_unreferenced_private_name():
                 and private not in referenced
             ]
     assert not unreferenced
+
+
+@pytest.mark.parametrize("path", sorted(pathlib.Path(__file__).parents[1].glob("BENCH_*.json")), ids=lambda path: path.name)
+def test_bench_records_name_their_machine(path):
+    # a bench record's numbers hold on its machine only, so each names its CPU count and versions
+    machine = json.loads(path.read_text(encoding="utf-8")).get("machine")
+    assert isinstance(machine, dict) and {"nproc", "numpy", "python"} <= machine.keys()
